@@ -171,11 +171,9 @@ class ChordedCycle:
         object.__setattr__(self, "chords", tuple(sorted(norm)))
         if n < 2 * self.h + 2:
             raise MalformedInput(f"{self.h} disjoint chords need >= {2 * self.h + 2} vertices")
-        for i in range(len(norm)):
-            for j in range(i + 1, len(norm)):
-                if convex_edges_cross(n, norm[i], norm[j]):
-                    raise MalformedInput(
-                        f"chords {norm[i]} and {norm[j]} interleave")
+        pair, _ = nesting_crossing(norm)
+        if pair is not None:
+            raise MalformedInput(f"chords {pair[0]} and {pair[1]} interleave")
 
     @property
     def h(self) -> int:
@@ -201,6 +199,33 @@ def convex_edges_cross(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> bool
     in1 = 0 < (c - a) % n < span
     in2 = 0 < (d - a) % n < span
     return in1 != in2
+
+
+def nesting_crossing(chords) -> tuple[tuple[tuple[int, int], tuple[int, int]] | None, int]:
+    """A crossing pair among chords of the convex n-gon on 0..n-1, or None,
+    and the number of stack comparisons made.
+
+    Chords (a, b) and (c, d), read as a < b and c < d with a <= c, cross iff
+    a < c < b < d; chords sharing an endpoint never cross.  So the chords are
+    crossing-free iff, taken by (lo, -hi), they nest like parentheses: pop
+    every open chord that ends by lo, then the innermost open one must not
+    end before hi.
+    """
+    open_: list[tuple[int, int]] = []
+    checked = 0
+    norm = {(u, v) if u < v else (v, u) for u, v in chords}
+    for lo, hi in sorted(norm, key=lambda ch: (ch[0], -ch[1])):
+        while open_:
+            checked += 1
+            if open_[-1][1] > lo:
+                break
+            open_.pop()
+        if open_:
+            checked += 1
+            if open_[-1][1] < hi:
+                return (open_[-1], (lo, hi)), checked
+        open_.append((lo, hi))
+    return None, checked
 
 
 def _gaps(cc: ChordedCycle) -> list[tuple[int, int, int]]:

@@ -83,41 +83,63 @@ def _check_edge(shape: BTreeShape, n: int, e: tuple[int, int]) -> tuple[int, int
     return (u, v) if u < v else (v, u)
 
 
+def height_ranks(shape: BTreeShape, vertices) -> dict[int, int]:
+    """Integer rank per vertex that grows with the height order (higher = larger)."""
+    h = shape.h
+    out = {}
+    for v in vertices:
+        level, neg_pos = btree.height_key(shape, v)
+        out[v] = ((h - level) << h) - neg_pos
+    return out
+
+
+def above(rank, a: int, b: int, c: int) -> bool:
+    """For a < b < c in x: does b lie above the line through a and c?
+
+    It does iff b is the highest of the three, because `realize_coordinates`
+    puts every point above each line through two lower points.
+    """
+    rb = rank[b]
+    return rb > rank[a] and rb > rank[c]
+
+
+def segment_below(rank, s: tuple[int, int], t: tuple[int, int]) -> bool:
+    """Is segment s below segment t over their common x-range?
+
+    Both are distinct (left, right) pairs with overlapping x-ranges that do
+    not cross, so comparing them at one x decides: the later left endpoint,
+    or the earlier right endpoint when the left endpoints coincide.
+    """
+    a, b = s
+    c, d = t
+    if a == c:
+        return above(rank, a, d, b) if d < b else not above(rank, a, b, d)
+    if a < c:
+        return above(rank, a, c, b)
+    return not above(rank, c, a, d)
+
+
 def edges_cross(shape: BTreeShape, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     """Do the straight segments of two host edges cross, decided by height order?
 
-    Edges sharing an endpoint never cross (general position).  Otherwise sort
-    so that e1 = (p, q), e2 = (r, s) with p < q, r < s, p < r; the answer
-    depends only on which endpoint is highest and on two height comparisons.
+    Edges sharing an endpoint never cross (general position).  Otherwise the
+    segments cross iff their vertical order differs at the two ends of their
+    common x-range, and each end is one call of the primitive `above`.
     """
     n = shape.n
     p, q = _check_edge(shape, n, e1)
     r, s = _check_edge(shape, n, e2)
-    if len({p, q, r, s}) < 4:
-        return False
     if r < p:
-        (p, q), (r, s) = (r, s), (p, q)
-    if q < r:
-        return False  # disjoint x-ranges
-    key = {i: btree.height_key(shape, i) for i in (p, q, r, s)}
-    top = min((p, q, r, s), key=key.get)
-
-    def is_higher(u: int, w: int) -> bool:
-        return key[u] < key[w]
-
+        p, q, r, s = r, s, p, q
+    if q <= r or p == r or q == s:
+        return False  # disjoint x-ranges or a shared endpoint
+    rank = height_ranks(shape, (p, q, r, s))
+    # The common x-range is [r, min(q, s)].  At x = r, (r, s) is above (p, q)
+    # iff r is above line pq; at the right end compare s with line pq when
+    # (r, s) is nested, or q with line rs when the segments interleave.
     if s < q:
-        # nested: p < r < s < q
-        if top in (p, q):
-            return False
-        if top == r:
-            return not (is_higher(s, p) and is_higher(s, q))
-        return not (is_higher(r, p) and is_higher(r, q))
-    # interleaved: p < r < q < s
-    if top in (q, r):
-        return False
-    if top == p:
-        return not (is_higher(q, r) and is_higher(q, s))
-    return not (is_higher(r, p) and is_higher(r, q))
+        return above(rank, p, r, q) != above(rank, p, s, q)
+    return above(rank, p, r, q) == above(rank, r, q, s)
 
 
 def orientation(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:

@@ -41,6 +41,13 @@ def _lines(path) -> list[list[str]]:
     return out
 
 
+def _value(row: list[str], key: str) -> str:
+    """The value of a `key <value>` header line."""
+    if row[0] != key or len(row) != 2:
+        raise MalformedInput(f"expected `{key} <value>`, got `{' '.join(row)}`")
+    return row[1]
+
+
 def _int(tok: str, what: str) -> int:
     try:
         return int(tok)
@@ -67,17 +74,17 @@ def load_host(path):
     rows = _lines(path)
     if not rows or rows[0] != MAGIC.split():
         raise MalformedInput(f"missing `{MAGIC}` header in {path}")
-    if len(rows) < 3 or rows[1][0] != "kind" or rows[2][0] != "n":
+    if len(rows) < 3:
         raise MalformedInput("host file needs `kind` and `n` lines")
-    kind = rows[1][1]
-    n = _int(rows[2][1], "n")
+    kind = _value(rows[1], "kind")
+    n = _int(_value(rows[2], "n"), "n")
     if kind not in HOST_KINDS:
         raise MalformedInput(f"unknown host kind {kind!r}")
     declared = None
     edges: list[tuple[int, int]] = []
     for row in rows[3:]:
         if row[0] == "edges":
-            declared = _int(row[1], "edge count")
+            declared = _int(_value(row, "edges"), "edge count")
         elif row[0] == "e" and len(row) == 3:
             edges.append((_int(row[1], "endpoint"), _int(row[2], "endpoint")))
         else:
@@ -120,9 +127,9 @@ def save_forest(forest: Forest, path) -> None:
 
 def load_forest(path) -> Forest:
     rows = _lines(path)
-    if not rows or rows[0][0] != "n":
+    if not rows:
         raise MalformedInput("forest file must start with `n <int>`")
-    n = _int(rows[0][1], "n")
+    n = _int(_value(rows[0], "n"), "n")
     edges = []
     for row in rows[1:]:
         if row[0] != "e" or len(row) != 3:
@@ -143,10 +150,10 @@ def save_chorded(cc: ChordedCycle, path) -> None:
 
 def load_chorded(path) -> ChordedCycle:
     rows = _lines(path)
-    if len(rows) < 2 or rows[0][0] != "n" or rows[1][0] != "h":
+    if len(rows) < 2:
         raise MalformedInput("chorded file needs `n` and `h` lines")
-    n = _int(rows[0][1], "n")
-    h = _int(rows[1][1], "h")
+    n = _int(_value(rows[0], "n"), "n")
+    h = _int(_value(rows[1], "h"), "h")
     chords = []
     for row in rows[2:]:
         if row[0] != "c" or len(row) != 3:

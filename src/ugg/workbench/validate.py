@@ -1,4 +1,8 @@
-"""Embedding validator: injectivity, edge membership, pairwise noncrossing.
+"""Embedding validator: injectivity, edge membership, crossing-freeness.
+
+Crossings are found in O(m log m): a Shamos-Hoey sweep on the universal
+host, a parenthesis-nesting walk on convex hosts.  Only when one of them
+finds a crossing does the pairwise scan run, to list every witness.
 
 Failures are data, not exceptions; every failure carries a witness.
 """
@@ -7,17 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..convex import ChordedCycle, convex_edges_cross
+from ..btree import BTreeShape
+from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..embedder import Embedding
-from ..geometry import edges_cross
+from ..errors import InternalInvariantBroken
+from ..geometry import edges_cross, height_ranks, segment_below
 from ..trees import Caterpillar, Forest
 from ..ugraph import UniversalGraph
+
+Segment = tuple[int, int]
 
 
 @dataclass
 class ValidationReport:
     status: str  # "ok" | "failed"
     failures: list[tuple[str, tuple]] = field(default_factory=list)
+    checked: int = 0  # crossing-predicate calls plus nesting-stack comparisons
 
     @property
     def ok(self) -> bool:
@@ -36,6 +45,93 @@ def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
     return n, list(edges)
 
 
+def _position(status: list[Segment], s: Segment, rank) -> int:
+    """Index of s in the ordered status, or where it would be inserted."""
+    lo, hi = 0, len(status)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        t = status[mid]
+        if t == s:
+            return mid
+        if segment_below(rank, t, s):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def sweep_crossing(shape: BTreeShape,
+                   segments) -> tuple[tuple[Segment, Segment] | None, int]:
+    """Shamos-Hoey sweep over host segments: a crossing pair or None, and
+    the number of `edges_cross` calls made.
+
+    Every host vertex has its own x, so the events are vertex indices.  At
+    each x the segments ending there leave the ordered status list, then the
+    segments starting there enter it; every pair made adjacent is tested.
+    The leftmost crossing pair is adjacent before the sweep passes it, and
+    until then the status order is consistent, so stopping at the first
+    crossing keeps every comparison sound.
+    """
+    segs = sorted({(u, v) if u < v else (v, u) for u, v in segments})
+    rank = height_ranks(shape, {w for seg in segs for w in seg})
+    starts: dict[int, list[Segment]] = {}
+    ends: dict[int, list[Segment]] = {}
+    for seg in segs:
+        starts.setdefault(seg[0], []).append(seg)
+        ends.setdefault(seg[1], []).append(seg)
+    status: list[Segment] = []
+    checked = 0
+    for x in sorted(starts.keys() | ends.keys()):
+        for seg in ends.get(x, ()):
+            i = _position(status, seg, rank)
+            if i == len(status) or status[i] != seg:
+                raise InternalInvariantBroken(f"segment {seg} lost from the sweep status")
+            del status[i]
+            if 0 < i < len(status):
+                checked += 1
+                if edges_cross(shape, status[i - 1], status[i]):
+                    return (status[i - 1], status[i]), checked
+        for seg in starts.get(x, ()):
+            i = _position(status, seg, rank)
+            status.insert(i, seg)
+            for j in (i - 1, i + 1):
+                if 0 <= j < len(status):
+                    checked += 1
+                    if edges_cross(shape, status[j], seg):
+                        return (status[j], seg), checked
+    return None, checked
+
+
+def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
+    """Every crossing pair as a `Crossing` failure, and the number of
+    predicate calls made.  The quadratic oracle for the two fast detectors."""
+    failures: list[tuple[str, tuple]] = []
+    checked = 0
+    if isinstance(host, UniversalGraph):
+        # Crossing needs overlapping open x-ranges, so after sorting by the
+        # left endpoint only pairs with p2 < q1 can cross.
+        segments = sorted(segments)
+        shape = host.shape
+        for i in range(len(segments)):
+            e1 = segments[i]
+            q1 = e1[1]
+            for j in range(i + 1, len(segments)):
+                e2 = segments[j]
+                if e2[0] >= q1:
+                    break
+                checked += 1
+                if edges_cross(shape, e1, e2):
+                    failures.append(("Crossing", (e1, e2)))
+    else:
+        for i in range(len(segments)):
+            e1 = segments[i]
+            for j in range(i + 1, len(segments)):
+                checked += 1
+                if convex_edges_cross(host.n, e1, segments[j]):
+                    failures.append(("Crossing", (e1, segments[j])))
+    return failures, checked
+
+
 def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     """Check emb maps graph into host: injective on all input vertices, every
     input edge on a host edge, no two mapped segments crossing."""
@@ -46,6 +142,10 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     missing = [t for t in range(n_in) if t not in mp]
     if missing:
         failures.append(("SizeMismatch", tuple(missing[:4])))
+    extra = sorted(t for t in mp if not 0 <= t < n_in)
+    if extra:
+        failures.append(("SizeMismatch", tuple((t, mp[t]) for t in extra)))
+    if failures:
         return ValidationReport("failed", failures)
     host_n = host.n
     out_of_range = [t for t in range(n_in) if not 0 <= mp[t] < host_n]
@@ -66,7 +166,7 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     universal = isinstance(host, UniversalGraph)
     is_edge = host.is_edge if universal else host.has_edge
 
-    mapped: list[tuple[int, int]] = []
+    mapped: list[Segment] = []
     for u, v in in_edges:
         gu, gv = mp[u], mp[v]
         if not is_edge(gu, gv):
@@ -77,23 +177,10 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
         return ValidationReport("failed", failures)
 
     if universal:
-        # Crossing needs overlapping open x-ranges, so after sorting by the
-        # left endpoint only pairs with p2 < q1 can cross.
-        mapped.sort()
-        shape = host.shape
-        for i in range(len(mapped)):
-            e1 = mapped[i]
-            q1 = e1[1]
-            for j in range(i + 1, len(mapped)):
-                e2 = mapped[j]
-                if e2[0] >= q1:
-                    break
-                if edges_cross(shape, e1, e2):
-                    failures.append(("Crossing", (e1, e2)))
+        witness, checked = sweep_crossing(host.shape, mapped)
     else:
-        for i in range(len(mapped)):
-            e1 = mapped[i]
-            for j in range(i + 1, len(mapped)):
-                if convex_edges_cross(host.n, e1, mapped[j]):
-                    failures.append(("Crossing", (e1, mapped[j])))
-    return ValidationReport("failed" if failures else "ok", failures)
+        witness, checked = nesting_crossing(mapped)
+    if witness is not None:
+        failures, pairs = pairwise_crossings(host, mapped)
+        checked += pairs
+    return ValidationReport("failed" if failures else "ok", failures, checked)

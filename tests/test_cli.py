@@ -1,5 +1,7 @@
 """End-to-end command-line flows through cli.main()."""
 
+import pytest
+
 from ugg import cli
 from ugg.trees import Forest
 from ugg.workbench import fileio
@@ -70,6 +72,37 @@ def test_verify_reports_crossing(tmp_path, capsys):
                      "--embedding", str(emb)])
     assert code == 1
     assert "Crossing" in capsys.readouterr().out
+
+
+def test_verify_rejects_extra_mapping_key(tmp_path, capsys):
+    host = str(tmp_path / "host.txt")
+    emb = tmp_path / "emb.txt"
+    forest = write_forest(tmp_path, "forest.txt", 15, [(0, 1), (1, 2)])
+    cli.main(["build", "--kind", "universal", "--n", "15", "--out", host])
+    identity = "".join(f"m {t} {t}\n" for t in range(15))
+    emb.write_text(identity, encoding="utf-8")
+    args = ["verify", "--host", host, "--input", forest, "--embedding", str(emb)]
+    assert cli.main(args) == 0
+    emb.write_text(identity + "m 99 3\n", encoding="utf-8")
+    assert cli.main(args) == 1
+    assert "SizeMismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("role, text", [
+    ("input", "n\n"),
+    ("input", "n 10\nh\nc 0 3\nc 5 9\n"),
+    ("host", "ugg-graph v1\nkind universal\nn\n"),
+    ("host", "ugg-graph v1\nkind\nn 6\n"),
+])
+def test_header_without_value_exits_2(tmp_path, capsys, role, text):
+    files = {"host": tmp_path / "host.txt", "input": tmp_path / "input.txt"}
+    cli.main(["build", "--kind", "universal", "--n", "6", "--out", str(files["host"])])
+    files["input"].write_text("n 6\ne 0 1\n", encoding="utf-8")
+    files[role].write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["embed", "--host", str(files["host"]), "--input", str(files["input"]),
+                     "--out", str(tmp_path / "e.txt")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_malformed_input_exits_2(tmp_path):

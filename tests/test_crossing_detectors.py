@@ -1,0 +1,172 @@
+"""The O(m log m) crossing detectors against the pairwise scan.
+
+The sweep (universal host) and the nesting walk (convex hosts) only decide
+whether a crossing exists; the pairwise scan is the oracle for that decision
+and the route that lists every witness.
+"""
+
+import random
+
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from ugg.convex import (
+    ChordedCycle,
+    build_caterpillar_host,
+    build_complete_host,
+    build_twochord_host,
+    embed_caterpillar,
+    embed_twochord,
+    nesting_crossing,
+)
+from ugg.embedder import Embedding, embed_forest
+from ugg.geometry import edges_cross
+from ugg.trees import Caterpillar, Forest
+from ugg.ugraph import UniversalGraph
+from ugg.workbench.families import random_tree
+from ugg.workbench.validate import pairwise_crossings, sweep_crossing, validate_embedding
+
+CORRUPTIONS = st.sampled_from(["none", "swap", "move"])
+
+
+def mapped_segments(edges, mapping):
+    return [(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in edges]
+
+
+def assert_detectors_agree(host, segments):
+    witnesses, _ = pairwise_crossings(host, segments)
+    if isinstance(host, UniversalGraph):
+        pair, _ = sweep_crossing(host.shape, segments)
+    else:
+        pair, _ = nesting_crossing(segments)
+    assert (pair is None) == (not witnesses), (segments, pair, witnesses)
+    if pair is not None:
+        assert set(pair) in [set(w) for _, w in witnesses]
+
+
+def assert_report_matches_oracle(host, graph, emb):
+    """Past the edge checks, the report is ok iff the oracle finds no
+    crossing, and on failure it lists exactly the oracle's witnesses."""
+    n, edges = graph
+    report = validate_embedding(host, graph, emb)
+    if any(kind != "Crossing" for kind, _ in report.failures):
+        return
+    witnesses, _ = pairwise_crossings(host, mapped_segments(edges, emb.mapping))
+    assert report.failures == witnesses
+    assert report.ok == (not witnesses)
+
+
+@st.composite
+def forest_embeddings(draw):
+    """A random forest embedded in its universal host, possibly corrupted by
+    swapping two images or by moving one image onto an isolated vertex's."""
+    n = draw(st.integers(2, 90))
+    tree = random_tree(n, random.Random(draw(st.integers(0, 2**32 - 1))))
+    keep = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    edges = [e for e, k in zip(tree.edges, keep) if k]
+    host = UniversalGraph(n)
+    mapping = dict(embed_forest(host, Forest(n, edges)).mapping)
+    how = draw(CORRUPTIONS)
+    touched = {v for e in edges for v in e}
+    isolated = [v for v in range(n) if v not in touched]
+    if how == "swap":
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+    elif how == "move" and touched and isolated:
+        a = draw(st.sampled_from(sorted(touched)))
+        b = draw(st.sampled_from(isolated))
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+    return host, (n, edges), Embedding(n, mapping)
+
+
+@given(forest_embeddings())
+def test_sweep_agrees_with_pairwise_on_forest_embeddings(case):
+    host, (n, edges), emb = case
+    assert_detectors_agree(host, mapped_segments(edges, emb.mapping))
+    assert_report_matches_oracle(host, (n, edges), emb)
+
+
+@given(st.integers(3, 64), st.integers(0, 2**32 - 1), st.floats(0.05, 0.6))
+def test_validator_matches_pairwise_on_host_edge_sets(n, seed, share):
+    """Identity maps onto random sets of host edges reach the crossing phase
+    and often cross."""
+    host = UniversalGraph(n)
+    rng = random.Random(seed)
+    edges = [e for e in host.edges() if rng.random() < share]
+    emb = Embedding(n, {t: t for t in range(n)})
+    assert_detectors_agree(host, edges)
+    assert_report_matches_oracle(host, (n, edges), emb)
+
+
+@st.composite
+def convex_embeddings(draw):
+    """A caterpillar or two-chord cycle embedded in its convex host, then
+    checked on a complete host with `extra` spare vertices, so that a moved
+    image can land on an unused vertex and every edge is a host edge."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=12))
+        spine, leaves, nxt = [], [], 0
+        for size in sizes:
+            spine.append(nxt)
+            leaves.append(tuple(range(nxt + 1, nxt + size)))
+            nxt += size
+        cat = Caterpillar(tuple(spine), tuple(leaves))
+        n, edges = cat.n, cat.to_forest().edges
+        mapping = embed_caterpillar(build_caterpillar_host(n), cat).mapping
+    else:
+        n = draw(st.integers(6, 40))
+        p = sorted(draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=4, unique=True)))
+        chords = ((p[0], p[1]), (p[2], p[3]))
+        assume(all(2 <= b - a <= n - 2 for a, b in chords))
+        cc = ChordedCycle(n, chords)
+        n, edges = cc.n, cc.edges()
+        mapping = embed_twochord(build_twochord_host(n), cc).mapping
+    mapping = dict(mapping)
+    extra = draw(st.integers(0, 3))
+    how = draw(CORRUPTIONS)
+    if how == "swap":
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+    elif how == "move" and extra:
+        mapping[draw(st.integers(0, n - 1))] = n + draw(st.integers(0, extra - 1))
+    return build_complete_host(n + extra), (n, edges), Embedding(n + extra, mapping)
+
+
+@given(convex_embeddings())
+def test_nesting_agrees_with_pairwise_on_convex_embeddings(case):
+    host, (n, edges), emb = case
+    assert_detectors_agree(host, mapped_segments(edges, emb.mapping))
+    assert_report_matches_oracle(host, (n, edges), emb)
+
+
+def segment_sets(max_n):
+    """Random segments on few vertices, so endpoints are often shared, with
+    some segments repeated."""
+    return st.integers(3, max_n).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+                 .map(tuple), max_size=30),
+        st.lists(st.integers(0, 29), max_size=5)))
+
+
+def with_duplicates(segments, repeats):
+    return segments + [segments[i] for i in repeats if i < len(segments)]
+
+
+@given(segment_sets(40))
+# (0, 3) and (1, 2) cross but are neighbours only once (0, 2) leaves the status.
+@example((4, [(0, 2), (0, 3), (1, 2)], []))
+def test_sweep_agrees_with_pairwise_on_segment_sets(case):
+    n, segments, repeats = case
+    segments = with_duplicates(segments, repeats)
+    host = UniversalGraph(n)
+    assert_detectors_agree(host, [(min(e), max(e)) for e in segments])
+    pair, _ = sweep_crossing(host.shape, segments)
+    assert pair is None or edges_cross(host.shape, *pair)
+
+
+@given(segment_sets(24))
+def test_nesting_agrees_with_pairwise_on_segment_sets(case):
+    n, segments, repeats = case
+    segments = with_duplicates(segments, repeats)
+    assert_detectors_agree(build_complete_host(n), [(min(e), max(e)) for e in segments])

@@ -9,7 +9,9 @@ from ugg.btree import BTreeShape
 from ugg.errors import DegenerateEdge, SizeTooLarge
 from ugg.geometry import (
     QuarterPlane,
+    above,
     edges_cross,
+    height_ranks,
     orientation,
     point_in_quarter_plane,
     realize_coordinates,
@@ -61,6 +63,15 @@ def test_realize_size_cap():
     shape = BTreeShape.from_height(7)
     with pytest.raises(SizeTooLarge):
         realize_coordinates(shape, 64)
+
+
+@pytest.mark.parametrize("n", [31, 63])
+def test_above_matches_exact_orientation(n):
+    shape = shape_for(n)
+    pts = realize_coordinates(shape, n).points
+    rank = height_ranks(shape, range(n))
+    for a, b, c in itertools.combinations(range(n), 3):
+        assert above(rank, a, b, c) == (orientation(pts[a], pts[b], pts[c]) < 0), (a, b, c)
 
 
 def test_edges_cross_examples():

@@ -5,10 +5,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ugg.convex import ChordedCycle, build_complete_host, build_cycle_host, build_twochord_host, build_caterpillar_host
+from ugg.convex import ChordedCycle, build_complete_host, build_cycle_host, build_twochord_host, build_caterpillar_host, embed_caterpillar
 from ugg.embedder import Embedding, embed_forest
 from ugg.errors import InvalidSize, MalformedInput, SizeTooLarge
-from ugg.trees import Forest
+from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph, build_universal
 from ugg.workbench import fileio
 from ugg.workbench.families import (
@@ -184,6 +184,35 @@ def test_validator_catches_missing_vertex_and_range():
     assert not report.ok and report.failures[0][0] == "SizeMismatch"
     report = validate_embedding(G, Forest(3, []), Embedding(3, {0: 0, 1: 1, 2: 5}))
     assert not report.ok and report.failures[0][0] == "SizeMismatch"
+
+
+def test_validator_reports_extra_mapping_keys():
+    G = build_universal(15)
+    mapping = {t: t for t in range(15)}
+    mapping[99] = 3
+    mapping[-1] = 7
+    report = validate_embedding(G, Forest(15, [(0, 1)]), Embedding(15, mapping))
+    assert not report.ok
+    assert report.failures == [("SizeMismatch", ((-1, 7), (99, 3)))]
+
+
+def test_validator_checked_is_linear_on_star():
+    n = 1023
+    G = build_universal(n)
+    star = Forest(n, [(0, i) for i in range(1, n)])
+    report = validate_embedding(G, star, embed_forest(G, star))
+    assert report.ok
+    assert 0 < report.checked <= 6 * (n - 1)
+
+
+def test_validator_checked_is_linear_on_caterpillar():
+    n = 1023
+    spine = tuple(range(512))
+    cat = Caterpillar(spine, tuple((512 + i,) for i in range(511)) + ((),))
+    host = build_caterpillar_host(n)
+    report = validate_embedding(host, cat, embed_caterpillar(host, cat))
+    assert report.ok
+    assert 0 < report.checked <= 6 * (n - 1)
 
 
 def test_validator_catches_missing_edge():
