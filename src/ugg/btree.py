@@ -98,13 +98,10 @@ def index_of(shape: BTreeShape, level: int, pos: int) -> int:
         raise IndexOutOfRange(f"level {level} not in [1, {shape.h}]")
     if not 0 <= pos < (1 << (level - 1)):
         raise IndexOutOfRange(f"pos {pos} not in [0, {1 << (level - 1)})")
-    # Read pos as the root-to-node path, most significant bit first:
-    # a 0 bit steps to the left child (+1), a 1 bit to the right child.
-    node = 0
-    for d in range(1, level):
-        bit = (pos >> (level - 1 - d)) & 1
-        node += (1 << (shape.h - d)) if bit else 1
-    return node
+    # Read pos as the root-to-node path: each step adds 1 for a left child;
+    # a right child at depth d adds 2**(h-d) instead, 2**(h-d) - 1 more.
+    # Summed over the 1 bits of pos that is pos * 2**(h-level+1) - popcount.
+    return level - 1 + (pos << (shape.h - level + 1)) - bin(pos).count("1")
 
 
 def subtree_range(shape: BTreeShape, i: int) -> tuple[int, int]:
@@ -183,7 +180,7 @@ def highest(shape: BTreeShape, indices) -> int:
 
 def left_sibling(shape: BTreeShape, i: int) -> int | None:
     """The left sibling of i, or None if i is a root or a left child."""
-    info_level, _, parent = _locate(shape.h, i)
+    _, _, parent = _locate(shape.h, i)
     if parent < 0 or parent + 1 == i:
         return None
     return parent + 1

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .convex import ChordedCycle, ConvexHost, build_caterpillar_host, build_twochord_host, embed_caterpillar, embed_twochord
+from .convex import ChordedCycle, embed_caterpillar, embed_twochord
 from .embedder import Embedding, embed_forest
 from .errors import (
     DegenerateEdge,
@@ -29,7 +29,6 @@ from .errors import (
     UggError,
 )
 from .trees import Forest, caterpillar_spine
-from .ugraph import UniversalGraph, build_universal
 from .workbench import fileio
 from .workbench.families import (
     enumerate_caterpillars,
@@ -62,13 +61,17 @@ _INPUT_ERRORS = (
 )
 
 
+# host kind -> (input type, what the host embeds, embedder)
+EMBEDDERS = {
+    "universal": (Forest, "forests", embed_forest),
+    "caterpillar": (Forest, "caterpillar trees",
+                    lambda host, forest: embed_caterpillar(host, caterpillar_spine(forest))),
+    "twochord": (ChordedCycle, "cycles with two chords", embed_twochord),
+}
+
+
 def _build(args) -> int:
-    if args.kind == "universal":
-        host = build_universal(args.n)
-    elif args.kind == "caterpillar":
-        host = build_caterpillar_host(args.n)
-    else:
-        host = build_twochord_host(args.n)
+    host = fileio.HOST_BUILDERS[args.kind](args.n)
     fileio.save_host(host, args.out, explicit=args.explicit)
     print(f"wrote {args.kind} host, n={args.n}, {host.edge_count()} edges, to {args.out}")
     return EXIT_OK
@@ -77,20 +80,12 @@ def _build(args) -> int:
 def _embed(args) -> int:
     host = fileio.load_host(args.host)
     graph = fileio.load_input(args.input)
-    if isinstance(host, UniversalGraph):
-        if not isinstance(graph, Forest):
-            raise MalformedInput("a universal host embeds forests, not chorded cycles")
-        emb = embed_forest(host, graph)
-    elif isinstance(host, ConvexHost) and host.kind == "caterpillar-host":
-        if not isinstance(graph, Forest):
-            raise MalformedInput("a caterpillar host embeds caterpillar trees")
-        emb = embed_caterpillar(host, caterpillar_spine(graph))
-    elif isinstance(host, ConvexHost) and host.kind == "twochord-host":
-        if not isinstance(graph, ChordedCycle):
-            raise MalformedInput("a twochord host embeds cycles with two chords")
-        emb = embed_twochord(host, graph)
-    else:
+    if host.kind not in EMBEDDERS:
         raise MalformedInput(f"no embedder for host kind {host.kind!r}")
+    wanted, what, embed = EMBEDDERS[host.kind]
+    if not isinstance(graph, wanted):
+        raise MalformedInput(f"a {host.kind} host embeds {what}")
+    emb = embed(host, graph)
     report = validate_embedding(host, graph, emb)
     if not report.ok:
         print("embedding failed validation:")
@@ -159,8 +154,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a host graph and save it")
-    b.add_argument("--kind", required=True,
-                   choices=("universal", "caterpillar", "twochord"))
+    b.add_argument("--kind", required=True, choices=tuple(EMBEDDERS))
     b.add_argument("--n", type=int, required=True, help="number of vertices")
     b.add_argument("--explicit", action="store_true",
                    help="serialize the full edge list")

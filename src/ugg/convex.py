@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 from .embedder import Embedding
 from .errors import (
@@ -15,7 +16,13 @@ from .errors import (
     NotTwoChord,
     SizeMismatch,
 )
+from .host import Host, merge_ranges
 from .trees import Caterpillar
+
+
+def _reach(i: int) -> int:
+    """Term i of the doubling sequence: 2^(v2(i+1)+1) - 1, the ruler sequence."""
+    return 2 * ((i + 1) & -(i + 1)) - 1
 
 
 def pi_sequence(n: int) -> list[int]:
@@ -27,15 +34,7 @@ def pi_sequence(n: int) -> list[int]:
     """
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
-    m = 1
-    while m < n:
-        m = 2 * m + 1
-    seq = [1]
-    size = 1
-    while size < m:
-        seq = seq + [2 * size + 1] + seq
-        size = 2 * size + 1
-    return seq[:n]
+    return [_reach(i) for i in range(n)]
 
 
 def has_window_property(terms: list[int]) -> bool:
@@ -63,24 +62,48 @@ def has_window_property(terms: list[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ConvexHost:
+class ConvexHost(Host):
     """Host graph on n vertices in counterclockwise convex position."""
 
-    kind: str  # caterpillar-host | twochord-host | complete | custom
-    n: int
-    edges: frozenset[tuple[int, int]]
+    def __init__(self, n: int):
+        self.n = n
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+
+class _CaterpillarHost(ConvexHost):
+    kind = "caterpillar"
+
+    def is_edge(self, u: int, v: int) -> bool:
+        self._check_pair(u, v)
+        d = abs(u - v)
+        return min(d, self.n - d) <= max(_reach(u), _reach(v))
+
+    def later_ranges(self, u: int) -> list[tuple[int, int]]:
+        # u reaches (u, u + r] and, across the seam, [u + n - r, n).  The
+        # vertices of reach 2k - 1 sit at k - 1 (mod 2k); of them only the
+        # first after u and the last before n can reach back to u.
+        n, r = self.n, _reach(u)
+        ranges = [(u + 1, u + r), (u + n - r, n - 1)]
+        k = 1
+        while k <= n:
+            for j in (u + 1 + (k - 2 - u) % (2 * k), n - 1 - (n - k) % (2 * k)):
+                if u < j < n and min(j - u, n - j + u) <= 2 * k - 1:
+                    ranges.append((j, j))
+            k *= 2
+        return merge_ranges(ranges, u + 1, n - 1)
 
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def has_spanning_cycle(self) -> bool:
-        if self.n < 3:
-            return False
-        return all(self.has_edge(i, (i + 1) % self.n) for i in range(self.n))
+        # By circular distance d, with t the largest power of two <= d:
+        # pi(i) >= d iff t divides x = i + 1.  Of the n pairs {x, x + d} on
+        # the circle, n // t have t | x and n // t have t | x + d; both hold
+        # when t divides d (no wrap) or n - d (wrap).  At d = n/2 every pair
+        # is met twice.
+        n, total = self.n, 0
+        for d in range(1, n // 2 + 1):
+            t = 1 << (d.bit_length() - 1)
+            k = (n - d) // t  # multiples of t up to n - d
+            both = (d % t == 0) * k + ((n - d) % t == 0) * (n // t - k)
+            total += (2 * (n // t) - both) // (2 if 2 * d == n else 1)
+        return total
 
 
 def build_caterpillar_host(n: int) -> ConvexHost:
@@ -89,14 +112,7 @@ def build_caterpillar_host(n: int) -> ConvexHost:
     distance is <= max(pi(i), pi(j))."""
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
-    pi = pi_sequence(n)
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        for d in range(1, pi[i] + 1):
-            for j in ((i - d) % n, (i + d) % n):
-                if j != i:
-                    edges.add((min(i, j), max(i, j)))
-    return ConvexHost("caterpillar-host", n, frozenset(edges))
+    return _CaterpillarHost(n)
 
 
 def embed_caterpillar(host: ConvexHost, cat: Caterpillar) -> Embedding:
@@ -105,12 +121,11 @@ def embed_caterpillar(host: ConvexHost, cat: Caterpillar) -> Embedding:
     index), which reaches the whole block and the neighboring spine image."""
     if cat.n != host.n:
         raise SizeMismatch(f"caterpillar has {cat.n} vertices, host has {host.n}")
-    pi = pi_sequence(host.n)
     mapping: dict[int, int] = {}
     off = 0
     for u, leaves in zip(cat.spine, cat.leaves):
         block = range(off, off + 1 + len(leaves))
-        best = max(block, key=lambda i: (pi[i], -i))
+        best = max(block, key=lambda i: (_reach(i), -i))
         mapping[u] = best
         rest = (i for i in block if i != best)
         for leaf, pos in zip(leaves, rest):
@@ -129,17 +144,35 @@ def twochord_centers(n: int) -> list[int]:
     return sorted(centers)
 
 
+class _StarHost(ConvexHost):
+    """Spanning cycle plus a full star at every center: the two-chord host,
+    or the complete host, where every vertex is a center."""
+
+    def __init__(self, kind: str, n: int, centers):
+        super().__init__(n)
+        self.kind, self.centers = kind, centers
+
+    def is_edge(self, u: int, v: int) -> bool:
+        self._check_pair(u, v)
+        return (u - v) % self.n in (1, self.n - 1) or u in self.centers or v in self.centers
+
+    def later_ranges(self, u: int) -> list[tuple[int, int]]:
+        # 0 is a center, so the seam edge (0, n-1) falls in the first case.
+        if u in self.centers:
+            return [(u + 1, self.n - 1)]
+        later = {u + 1} | {c for c in self.centers if c > u}
+        return merge_ranges(((j, j) for j in later), u + 1, self.n - 1)
+
+    def edge_count(self) -> int:
+        # Pairs touching a center, plus the n cycle edges less those that do.
+        n, c = self.n, len(self.centers)
+        touching = 2 * c - sum((s + 1) % n in self.centers for s in self.centers)
+        return n * (n - 1) // 2 - (n - c) * (n - c - 1) // 2 + n - touching
+
+
 def build_twochord_host(n: int) -> ConvexHost:
     """Spanning cycle plus a full star at every center index."""
-    centers = twochord_centers(n)
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        edges.add((min(i, (i + 1) % n), max(i, (i + 1) % n)))
-    for s in centers:
-        for j in range(n):
-            if j != s:
-                edges.add((min(s, j), max(s, j)))
-    return ConvexHost("twochord-host", n, frozenset(edges))
+    return _StarHost("twochord", n, frozenset(twochord_centers(n)))
 
 
 @dataclass(frozen=True)
@@ -269,15 +302,43 @@ def embed_twochord(host: ConvexHost, cc: ChordedCycle) -> Embedding:
     return Embedding(host.n, mapping, [("twochord", (0, n - 1))])
 
 
+class _CustomHost(ConvexHost):
+    """The one host that keeps an explicit edge set."""
+
+    kind = "custom"
+
+    def __init__(self, n: int, edges):
+        super().__init__(n)
+        self._edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
+
+    def is_edge(self, u: int, v: int) -> bool:
+        self._check_pair(u, v)
+        return (min(u, v), max(u, v)) in self._edges
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        return iter(sorted(self._edges))
+
+    def edge_count(self) -> int:
+        return len(self._edges)
+
+
 def build_complete_host(n: int) -> ConvexHost:
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
-    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-    return ConvexHost("complete", n, edges)
+    return _StarHost("complete", n, range(n))
+
+
+def build_custom_host(n: int, edges) -> ConvexHost:
+    """A convex host with the given edges, each a pair of distinct vertices."""
+    if n < 1:
+        raise InvalidSize(f"n must be >= 1, got {n}")
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise MalformedInput(f"bad edge ({u}, {v})")
+    return _CustomHost(n, edges)
 
 
 def build_cycle_host(n: int) -> ConvexHost:
     if n < 3:
         raise InvalidSize(f"n must be >= 3, got {n}")
-    edges = frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
-    return ConvexHost("custom", n, edges)
+    return _CustomHost(n, ((i, (i + 1) % n) for i in range(n)))

@@ -8,9 +8,10 @@ iff one of three containment rules holds:
   (E2) one lies in the subtree of a left or right level-neighbor of the other;
   (E3) one lies in the subtree of the left level-neighbor of the other's parent.
 
-Every rule is a subtree-range containment test, so membership is arithmetic;
-adjacency lists are materialized only on demand.  The edge count stays below
-5 * (n+1) * log2(n+1).
+Every rule is a subtree containment test, so membership is arithmetic on
+(level, pos): the ancestor of a node d levels up sits at pos >> d.  No edge
+is stored; `edges()` walks O(h) neighbor ranges per vertex.  The edge count
+stays below 5 * (n+1) * log2(n+1).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Iterator
 
 from . import btree
 from .btree import BTreeShape
-from .errors import EqualIndices, IndexOutOfRange, IntervalTooSmall
+from .errors import IndexOutOfRange, IntervalTooSmall
+from .host import Host, merge_ranges
 
 
 @dataclass(frozen=True)
@@ -44,115 +46,56 @@ class Interval:
         return self.lo <= i <= self.hi
 
 
-class UniversalGraph:
+class UniversalGraph(Host):
     """Host graph universal for forests on n vertices."""
+
+    kind = "universal"
 
     def __init__(self, n: int):
         self.shape = BTreeShape.from_size(n)
         self.n = n
-        self._adj: list[set[int]] | None = None
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IndexOutOfRange(f"vertex {v} not in [0, {self.n})")
 
     def is_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise EqualIndices(f"is_edge needs two distinct vertices, got {u}")
-        shape = self.shape
-        for a, b in ((u, v), (v, u)):
-            # (E1) b in subtree of a.
-            lo, hi = btree.subtree_range(shape, a)
-            if lo <= b <= hi:
-                return True
-            info = btree.nav(shape, a)
-            # (E2) b in the subtree of a level-neighbor of a.
-            for x in (info.left_level_neighbor, info.right_level_neighbor):
-                if x is not None:
-                    lo, hi = btree.subtree_range(shape, x)
-                    if lo <= b <= hi:
-                        return True
-            # (E3) b in the subtree of the left level-neighbor of a's parent.
-            if info.parent is not None:
-                p = btree.nav(shape, info.parent).left_level_neighbor
-                if p is not None:
-                    lo, hi = btree.subtree_range(shape, p)
-                    if lo <= b <= hi:
-                        return True
-        return False
+        self._check_pair(u, v)
+        (lu, pu), (lv, pv) = btree.locate(self.shape, u), btree.locate(self.shape, v)
+        if lu > lv:
+            (lu, pu), (lv, pv) = (lv, pv), (lu, pu)
+        a = pv >> (lv - lu)  # position of v or its ancestor on u's level
+        # (E1) a is u; (E2) a is a level-neighbor of u; (E3) a's parent is
+        # the left level-neighbor of u's parent.
+        if abs(a - pu) <= 1 or a >> 1 == (pu >> 1) - 1:
+            return True
+        # (E3) with the roles swapped: u lies under the left level-neighbor
+        # of v's parent, so u is at most one level above v.
+        return lv - lu <= 1 and pu >> (lu - lv + 1) == (pv >> 1) - 1
 
-    def _neighbor_set(self, v: int) -> set[int]:
-        shape, n = self.shape, self.n
-        out: set[int] = set()
-
-        def add_range(lo: int, hi: int) -> None:
-            hi = min(hi, n - 1)
-            if lo <= hi:
-                out.update(range(lo, hi + 1))
-
-        def add_one(w: int | None) -> None:
-            if w is not None and w < n:
-                out.add(w)
-
-        # (E1) descendants and ancestors.
-        lo, hi = btree.subtree_range(shape, v)
-        add_range(lo, hi)
-        # Ancestors-or-self, walking up; each also feeds the reversed rules:
-        # v is adjacent to every level-neighbor of an ancestor-or-self (E2
-        # with v inside the neighbor's subtree) and to every child of the
-        # right level-neighbor of an ancestor-or-self (E3 likewise).
-        x: int | None = v
-        while x is not None:
-            info = btree.nav(shape, x)
-            if x != v:
-                out.add(x)
-            add_one(info.left_level_neighbor)
-            add_one(info.right_level_neighbor)
-            if info.right_level_neighbor is not None:
-                rn = btree.nav(shape, info.right_level_neighbor)
-                add_one(rn.left_child)
-                add_one(rn.right_child)
-            x = info.parent
-        # (E2) subtrees of v's own level-neighbors.
-        info = btree.nav(shape, v)
-        for x2 in (info.left_level_neighbor, info.right_level_neighbor):
-            if x2 is not None:
-                lo, hi = btree.subtree_range(shape, x2)
-                add_range(lo, hi)
-        # (E3) subtree of the left level-neighbor of v's parent.
-        if info.parent is not None:
-            p = btree.nav(shape, info.parent).left_level_neighbor
-            if p is not None:
-                lo, hi = btree.subtree_range(shape, p)
-                add_range(lo, hi)
-        out.discard(v)
-        return out
-
-    def adjacency(self) -> list[set[int]]:
-        if self._adj is None:
-            self._adj = [self._neighbor_set(v) for v in range(self.n)]
-        return self._adj
-
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return sorted(self.adjacency()[v])
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        adj = self.adjacency()
-        for u in range(self.n):
-            for w in adj[u]:
-                if u < w:
-                    yield (u, w)
-
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adjacency()) // 2
-
-    def edge_bound(self) -> float:
-        import math
-
-        return 5 * (self.n + 1) * math.log2(self.n + 1)
+    def later_ranges(self, v: int) -> list[tuple[int, int]]:
+        # Descend to v, keeping rln, the current node's right level-neighbor:
+        # the right sibling after a left step, else the left child of the
+        # parent's rln.  After v come only the rln of each strict ancestor
+        # and its two children (E2, E3 from their side), v's subtree (E1)
+        # and the subtree of v's own rln (E2).
+        h = self.shape.h
+        node, level, rln = 0, 1, None
+        ranges = []
+        while node != v:
+            step = 1 << (h - level)  # right child minus node
+            if rln is not None:
+                ranges += [(rln, rln + 1), (rln + step, rln + step)]
+            if v < node + step:
+                node, rln = node + 1, node + step
+            else:
+                node, rln = node + step, None if rln is None else rln + 1
+            level += 1
+        size = (1 << (h - level + 1)) - 1
+        ranges.append((v + 1, v + size - 1))
+        if rln is not None:
+            ranges.append((rln, rln + size - 1))
+        return merge_ranges(ranges, v + 1, self.n - 1)
 
     def highest_in(self, lo: int, hi: int) -> int:
         """Vertex of [lo, hi] that is higher than all others in the interval."""
@@ -161,8 +104,7 @@ class UniversalGraph:
         return btree.highest(self.shape, range(lo, hi + 1))
 
     def higher(self, u: int, w: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(w)
+        self._check_pair(u, w)
         return btree.higher(self.shape, u, w)
 
     def star_centers(self, interval: Interval) -> tuple[int, int, int | None]:

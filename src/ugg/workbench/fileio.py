@@ -14,18 +14,24 @@ from pathlib import Path
 
 from ..convex import (
     ChordedCycle,
-    ConvexHost,
     build_caterpillar_host,
     build_complete_host,
+    build_custom_host,
     build_twochord_host,
 )
 from ..embedder import Embedding
 from ..errors import MalformedInput
 from ..trees import Forest
-from ..ugraph import UniversalGraph
+from ..ugraph import build_universal
 
 MAGIC = "ugg-graph v1"
-HOST_KINDS = ("universal", "caterpillar", "twochord", "complete", "custom")
+# Every host kind but `custom`, which a file defines by its edge list.
+HOST_BUILDERS = {
+    "universal": build_universal,
+    "caterpillar": build_caterpillar_host,
+    "twochord": build_twochord_host,
+    "complete": build_complete_host,
+}
 
 
 def _lines(path) -> list[list[str]]:
@@ -56,21 +62,17 @@ def _int(tok: str, what: str) -> int:
 
 
 def save_host(host, path, explicit: bool = False) -> None:
-    if isinstance(host, UniversalGraph):
-        kind, n, edges = "universal", host.n, sorted(host.edges())
-    else:
-        kind, n = host.kind, host.n
-        if kind.endswith("-host"):
-            kind = kind.split("-")[0]
-        edges = sorted(host.edges)
-    lines = [MAGIC, f"kind {kind}", f"n {n}"]
-    if explicit or kind == "custom":
+    lines = [MAGIC, f"kind {host.kind}", f"n {host.n}"]
+    if explicit or host.kind == "custom":
+        edges = [f"e {u} {v}" for u, v in host.edges()]
         lines.append(f"edges {len(edges)}")
-        lines.extend(f"e {u} {v}" for u, v in edges)
+        lines.extend(edges)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_host(path):
+    """The host a file names.  An explicit edge list must be exactly the
+    host's edges: each in range, listed once, and as many as the host has."""
     rows = _lines(path)
     if not rows or rows[0] != MAGIC.split():
         raise MalformedInput(f"missing `{MAGIC}` header in {path}")
@@ -78,40 +80,36 @@ def load_host(path):
         raise MalformedInput("host file needs `kind` and `n` lines")
     kind = _value(rows[1], "kind")
     n = _int(_value(rows[2], "n"), "n")
-    if kind not in HOST_KINDS:
+    if kind not in HOST_BUILDERS and kind != "custom":
         raise MalformedInput(f"unknown host kind {kind!r}")
     declared = None
-    edges: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
     for row in rows[3:]:
-        if row[0] == "edges":
+        if row[0] == "e" and len(row) == 3:
+            pairs.append((_int(row[1], "endpoint"), _int(row[2], "endpoint")))
+        elif row[0] == "edges":
             declared = _int(_value(row, "edges"), "edge count")
-        elif row[0] == "e" and len(row) == 3:
-            edges.append((_int(row[1], "endpoint"), _int(row[2], "endpoint")))
         else:
             raise MalformedInput(f"unexpected host line: {' '.join(row)}")
-    if declared is not None and declared != len(edges):
-        raise MalformedInput(f"declared {declared} edges, found {len(edges)}")
-
-    if kind == "universal":
-        host = UniversalGraph(n)
-        if edges and len(edges) != host.edge_count():
-            raise MalformedInput("explicit edge list disagrees with universal host")
-        return host
-    if kind == "caterpillar":
-        host = build_caterpillar_host(n)
-    elif kind == "twochord":
-        host = build_twochord_host(n)
-    elif kind == "complete":
-        host = build_complete_host(n)
-    else:
+    if declared is not None and declared != len(pairs):
+        raise MalformedInput(f"declared {declared} edges, found {len(pairs)}")
+    edges = {(u, v) if u < v else (v, u) for u, v in pairs}
+    bad = next((e for e in edges if not 0 <= e[0] < e[1] < n), None)
+    if bad is not None:
+        raise MalformedInput(f"bad edge {bad}")
+    if len(edges) != len(pairs):
+        raise MalformedInput("an edge is listed twice")
+    if kind == "custom":
         if not edges:
             raise MalformedInput("custom host requires explicit edges")
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise MalformedInput(f"bad edge ({u}, {v})")
-        return ConvexHost("custom", n, frozenset((min(u, v), max(u, v)) for u, v in edges))
-    if edges and len(edges) != host.edge_count():
-        raise MalformedInput(f"explicit edge list disagrees with {kind} host")
+        return build_custom_host(n, edges)
+    host = HOST_BUILDERS[kind](n)
+    if edges:
+        stray = next((e for e in edges if not host.is_edge(*e)), None)
+        if stray is not None:
+            raise MalformedInput(f"edge {stray} is not an edge of the {kind} host")
+        if len(edges) != host.edge_count():
+            raise MalformedInput(f"explicit edge list disagrees with {kind} host")
     return host
 
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 
 from .. import btree
-from ..convex import ConvexHost
 from ..errors import SizeTooLarge
 from ..geometry import realize_coordinates
-from ..ugraph import UniversalGraph
 
 EXACT_LAYOUT_CAP = 31
 
@@ -35,7 +33,8 @@ def _vertex(x: float, y: float, label: int) -> list[str]:
             f'<text class="label" x="{x:.1f}" y="{y:.1f}" {_T_STYLE}>{label}</text>']
 
 
-def _universal_svg(G: UniversalGraph, embedding, layout: str) -> str:
+def _tree_layout(G, layout: str):
+    """Positions, canvas size and the curved-edge test on the universal host."""
     n = G.n
     if layout == "exact":
         if n > EXACT_LAYOUT_CAP:
@@ -50,22 +49,43 @@ def _universal_svg(G: UniversalGraph, embedding, layout: str) -> str:
         rank = {v: i for i, v in enumerate(order)}
         pos = {i: (30.0 + 34 * i, 40.0 + 18 * rank[i]) for i in range(n)}
         height = 80 + 18 * (n - 1)
-    width = 60 + 34 * (n - 1)
 
+    def curved(u: int, v: int) -> bool:
+        return layout != "exact" and btree.nav(G.shape, v).parent != u
+
+    return pos, 60 + 34 * (n - 1), height, curved
+
+
+def _circle_layout(n: int):
+    """Positions and canvas size of a convex host; its edges are straight."""
+    radius = max(80.0, 14.0 * n / math.pi)
+    cx = cy = radius + 30
+    pos = {}
+    for i in range(n):
+        ang = -math.pi / 2 + 2 * math.pi * i / max(n, 1)
+        pos[i] = (cx + radius * math.cos(ang), cy + radius * math.sin(ang))
+    return pos, 2 * (radius + 30), 2 * (radius + 30), lambda u, v: False
+
+
+def render_svg(host, embedding=None, layout: str = "schematic") -> str:
+    """The universal host on its tree layout, any other host on a circle."""
+    if host.kind == "universal":
+        pos, width, height, curved = _tree_layout(host, layout)
+    else:
+        pos, width, height, curved = _circle_layout(host.n)
     body = ['<g class="edges">']
-    for u, v in G.edges():
+    for u, v in host.edges():
         (x1, y1), (x2, y2) = pos[u], pos[v]
-        straight = layout == "exact" or btree.nav(G.shape, max(u, v)).parent == min(u, v)
-        if straight:
-            body.append(f'<line class="edge" x1="{x1:.1f}" y1="{y1:.1f}" '
-                        f'x2="{x2:.1f}" y2="{y2:.1f}" {_E_STYLE}/>')
-        else:
+        if curved(u, v):
             mx, my = (x1 + x2) / 2, min(y1, y2) - 6 - 0.35 * abs(x2 - x1)
             body.append(f'<path class="edge" d="M {x1:.1f} {y1:.1f} '
                         f'Q {mx:.1f} {my:.1f} {x2:.1f} {y2:.1f}" {_E_STYLE}/>')
+        else:
+            body.append(f'<line class="edge" x1="{x1:.1f}" y1="{y1:.1f}" '
+                        f'x2="{x2:.1f}" y2="{y2:.1f}" {_E_STYLE}/>')
     body.append("</g>")
     body.append('<g class="vertices">')
-    for i in range(n):
+    for i in range(host.n):
         body.extend(_vertex(*pos[i], i))
     body.append("</g>")
     if embedding is not None:
@@ -75,36 +95,3 @@ def _universal_svg(G: UniversalGraph, embedding, layout: str) -> str:
             body.append(f'<circle class="mapped" cx="{x:.1f}" cy="{y:.1f}" r="11" {_M_STYLE}/>')
         body.append("</g>")
     return _svg(width, height, body)
-
-
-def _convex_svg(host: ConvexHost, embedding) -> str:
-    n = host.n
-    radius = max(80.0, 14.0 * n / math.pi)
-    cx = cy = radius + 30
-    pos = {}
-    for i in range(n):
-        ang = -math.pi / 2 + 2 * math.pi * i / max(n, 1)
-        pos[i] = (cx + radius * math.cos(ang), cy + radius * math.sin(ang))
-    body = ['<g class="edges">']
-    for u, v in sorted(host.edges):
-        (x1, y1), (x2, y2) = pos[u], pos[v]
-        body.append(f'<line class="edge" x1="{x1:.1f}" y1="{y1:.1f}" '
-                    f'x2="{x2:.1f}" y2="{y2:.1f}" {_E_STYLE}/>')
-    body.append("</g>")
-    body.append('<g class="vertices">')
-    for i in range(n):
-        body.extend(_vertex(*pos[i], i))
-    body.append("</g>")
-    if embedding is not None:
-        body.append('<g class="overlay">')
-        for g in sorted(set(embedding.mapping.values())):
-            x, y = pos[g]
-            body.append(f'<circle class="mapped" cx="{x:.1f}" cy="{y:.1f}" r="11" {_M_STYLE}/>')
-        body.append("</g>")
-    return _svg(2 * (radius + 30), 2 * (radius + 30), body)
-
-
-def render_svg(host, embedding=None, layout: str = "schematic") -> str:
-    if isinstance(host, UniversalGraph):
-        return _universal_svg(host, embedding, layout)
-    return _convex_svg(host, embedding)

@@ -10,6 +10,7 @@ Failures are data, not exceptions; every failure carries a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..btree import BTreeShape
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
@@ -17,7 +18,6 @@ from ..embedder import Embedding
 from ..errors import InternalInvariantBroken
 from ..geometry import edges_cross, height_ranks, segment_below
 from ..trees import Caterpillar, Forest
-from ..ugraph import UniversalGraph
 
 Segment = tuple[int, int]
 
@@ -102,33 +102,32 @@ def sweep_crossing(shape: BTreeShape,
     return None, checked
 
 
+def _crossing_rules(host):
+    """The O(m log m) crossing detector and the pairwise crossing predicate:
+    height order on the universal host, the circle on every other host."""
+    if host.kind == "universal":
+        return partial(sweep_crossing, host.shape), partial(edges_cross, host.shape)
+    return nesting_crossing, partial(convex_edges_cross, host.n)
+
+
 def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
     """Every crossing pair as a `Crossing` failure, and the number of
     predicate calls made.  The quadratic oracle for the two fast detectors."""
+    _, cross = _crossing_rules(host)
     failures: list[tuple[str, tuple]] = []
     checked = 0
-    if isinstance(host, UniversalGraph):
-        # Crossing needs overlapping open x-ranges, so after sorting by the
-        # left endpoint only pairs with p2 < q1 can cross.
-        segments = sorted(segments)
-        shape = host.shape
-        for i in range(len(segments)):
-            e1 = segments[i]
-            q1 = e1[1]
-            for j in range(i + 1, len(segments)):
-                e2 = segments[j]
-                if e2[0] >= q1:
-                    break
-                checked += 1
-                if edges_cross(shape, e1, e2):
-                    failures.append(("Crossing", (e1, e2)))
-    else:
-        for i in range(len(segments)):
-            e1 = segments[i]
-            for j in range(i + 1, len(segments)):
-                checked += 1
-                if convex_edges_cross(host.n, e1, segments[j]):
-                    failures.append(("Crossing", (e1, segments[j])))
+    # Sorted (lo, hi) segments cross only if the second starts strictly
+    # inside the first: their x-ranges overlap, or their ends interleave.
+    segments = sorted(segments)
+    for i in range(len(segments)):
+        e1 = segments[i]
+        for j in range(i + 1, len(segments)):
+            e2 = segments[j]
+            if e2[0] >= e1[1]:
+                break
+            checked += 1
+            if cross(e1, e2):
+                failures.append(("Crossing", (e1, e2)))
     return failures, checked
 
 
@@ -163,23 +162,18 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if failures:
         return ValidationReport("failed", failures)
 
-    universal = isinstance(host, UniversalGraph)
-    is_edge = host.is_edge if universal else host.has_edge
-
     mapped: list[Segment] = []
     for u, v in in_edges:
         gu, gv = mp[u], mp[v]
-        if not is_edge(gu, gv):
+        if not host.is_edge(gu, gv):
             failures.append(("MissingEdge", ((u, v), (gu, gv))))
         else:
             mapped.append((min(gu, gv), max(gu, gv)))
     if failures:
         return ValidationReport("failed", failures)
 
-    if universal:
-        witness, checked = sweep_crossing(host.shape, mapped)
-    else:
-        witness, checked = nesting_crossing(mapped)
+    detect, _ = _crossing_rules(host)
+    witness, checked = detect(mapped)
     if witness is not None:
         failures, pairs = pairwise_crossings(host, mapped)
         checked += pairs

@@ -1,5 +1,7 @@
 """End-to-end command-line flows through cli.main()."""
 
+import time
+
 import pytest
 
 from ugg import cli
@@ -12,6 +14,21 @@ def write_forest(tmp_path, name, n, edges):
     p = tmp_path / name
     fileio.save_forest(Forest(n, edges), p)
     return str(p)
+
+
+def write_host(tmp_path, kind, n, edges):
+    p = tmp_path / "host.txt"
+    lines = ["ugg-graph v1", f"kind {kind}", f"n {n}", *(f"e {u} {v}" for u, v in edges)]
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(p)
+
+
+def verify_identity(tmp_path, host, n_in):
+    """`ugg verify` of the path 0-1-...-(n_in - 1) under the identity map."""
+    forest = write_forest(tmp_path, "path.txt", n_in, [(i, i + 1) for i in range(n_in - 1)])
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(f"m {t} {t}\n" for t in range(n_in)), encoding="utf-8")
+    return cli.main(["verify", "--host", host, "--input", forest, "--embedding", str(emb)])
 
 
 def test_universal_build_embed_verify(tmp_path, capsys):
@@ -188,3 +205,36 @@ def test_selftest_smoke(capsys):
     assert cli.main(["selftest", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 8
+
+
+def test_repeated_edge_does_not_load_as_complete_host(tmp_path, capsys):
+    host = write_host(tmp_path, "complete", 4, [(0, 1)] * 6)
+    assert verify_identity(tmp_path, host, 3) == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
+def test_swapped_universal_edge_exits_2(tmp_path, capsys):
+    host = tmp_path / "host.txt"
+    assert cli.main(["build", "--kind", "universal", "--n", "15", "--explicit",
+                     "--out", str(host)]) == 0
+    lines = host.read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    lines[first] = "e 3 13"  # not an edge of the n=15 host; the count is unchanged
+    host.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert verify_identity(tmp_path, str(host), 3) == 2
+    assert "(3, 13) is not an edge" in capsys.readouterr().err
+
+
+def test_repeated_custom_edge_exits_2(tmp_path, capsys):
+    host = write_host(tmp_path, "custom", 4, [(0, 1), (1, 2), (1, 0)])
+    assert verify_identity(tmp_path, host, 3) == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, n", [("complete", 100_000), ("twochord", 1_000_000)])
+def test_huge_host_verifies_without_building_edges(tmp_path, capsys, kind, n):
+    host = write_host(tmp_path, kind, n, [])
+    t0 = time.perf_counter()
+    assert verify_identity(tmp_path, host, 3) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out.strip() == "ok"

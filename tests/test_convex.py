@@ -48,6 +48,14 @@ def test_pi_sequence_examples():
     assert sum(seq15) == 49
 
 
+def test_pi_sequence_is_the_doubling_construction():
+    # stage h + 1 is stage h, then its length 2^(h+1) - 1, then stage h again
+    stage = [1]
+    while len(stage) < 4095:
+        stage = stage + [2 * len(stage) + 1] + stage
+    assert pi_sequence(4095) == stage
+
+
 def test_pi_sequence_stage_sums():
     for h in range(1, 12):
         m = (1 << h) - 1
@@ -87,18 +95,18 @@ def test_pi_errors():
 def test_caterpillar_host_center_dominates():
     host = build_caterpillar_host(7)
     # the index carrying 7 reaches everything
-    assert all(host.has_edge(3, v) for v in range(7) if v != 3)
+    assert all(host.is_edge(3, v) for v in range(7) if v != 3)
 
 
 def test_caterpillar_host_small_cases():
     assert build_caterpillar_host(1).edge_count() == 0
     host2 = build_caterpillar_host(2)
-    assert host2.has_edge(0, 1)
+    assert host2.is_edge(0, 1)
 
 
 def test_caterpillar_host_wraps_around():
     host = build_caterpillar_host(5)
-    assert host.has_edge(4, 0)  # circular distance 1
+    assert host.is_edge(4, 0)  # circular distance 1
 
 
 def test_caterpillar_host_edge_budget():
@@ -116,7 +124,7 @@ def test_caterpillar_host_edge_rule():
             for v in range(u + 1, n):
                 dist = min(v - u, n - (v - u))
                 expected = dist <= max(pi[u], pi[v])
-                assert host.has_edge(u, v) == expected, (n, u, v)
+                assert host.is_edge(u, v) == expected, (n, u, v)
 
 
 def test_embed_caterpillar_two_star_example():
@@ -170,9 +178,9 @@ def test_twochord_host_structure():
     n = 10
     host = build_twochord_host(n)
     for i in range(n):
-        assert host.has_edge(i, (i + 1) % n)
+        assert host.is_edge(i, (i + 1) % n)
     for s in twochord_centers(n):
-        assert all(host.has_edge(s, v) for v in range(n) if v != s)
+        assert all(host.is_edge(s, v) for v in range(n) if v != s)
     r = isqrt(n)
     assert host.edge_count() <= n + 2 * (2 * r) * n
 
@@ -258,4 +266,4 @@ def test_complete_and_cycle_hosts():
     assert comp.edge_count() == 15
     cyc = build_cycle_host(6)
     assert cyc.edge_count() == 6
-    assert cyc.has_spanning_cycle()
+    assert all(cyc.is_edge(i, (i + 1) % 6) for i in range(6))

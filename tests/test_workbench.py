@@ -315,7 +315,7 @@ def test_host_roundtrip_convex(tmp_path):
         fileio.save_host(host, p)
         back = fileio.load_host(p)
         assert back.kind == host.kind
-        assert back.edges == host.edges
+        assert list(back.edges()) == list(host.edges())
 
 
 def test_host_roundtrip_custom(tmp_path):
@@ -324,7 +324,7 @@ def test_host_roundtrip_custom(tmp_path):
     fileio.save_host(host, p)
     back = fileio.load_host(p)
     assert back.kind == "custom"
-    assert back.edges == host.edges
+    assert list(back.edges()) == list(host.edges())
 
 
 def test_forest_roundtrip(tmp_path):
