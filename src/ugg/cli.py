@@ -72,8 +72,9 @@ EMBEDDERS = {
 
 def _build(args) -> int:
     host = fileio.HOST_BUILDERS[args.kind](args.n)
-    fileio.save_host(host, args.out, explicit=args.explicit)
-    print(f"wrote {args.kind} host, n={args.n}, {host.edge_count()} edges, to {args.out}")
+    count = fileio.save_host(host, args.out, explicit=args.explicit)
+    edges = "" if count is None else f", {count} edges"
+    print(f"wrote {args.kind} host, n={args.n}{edges}, to {args.out}")
     return EXIT_OK
 
 

@@ -6,11 +6,14 @@ portals land left/right with empty upper-left / upper-right quarter planes
 (two portals).  Every recursive return re-checks the portal postcondition and
 that the piece fills its interval exactly; violations raise
 InternalInvariantBroken rather than producing a bad embedding.
+
+A tree is rooted once, at its top portal, in preorder.  Each subproblem is a
+piece of that rooting: its portal is its topmost vertex, and it is the
+portal's subtree minus a few excluded preorder ranges.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from . import btree
@@ -28,7 +31,11 @@ from .errors import (
 from .trees import Forest, RootedTree, root_component
 from .ugraph import Interval, UniversalGraph
 
-Adjacency = dict[int, list[int]]
+# Nested single-portal calls allowed per level of a host of height h.  The
+# deepest measured run nests 2h + 2 (all trees up to 8 vertices with every
+# portal and host placement, random trees and the six bench shapes up to
+# 65535 vertices).
+DEPTH_PER_LEVEL = 4
 
 # Optional observer for recursive returns, used by verification sweeps.
 # Receives ("single", portal, lo, hi, mapping) or ("two", (a, b), lo, hi,
@@ -50,6 +57,77 @@ class Embedding:
 # ---------------------------------------------------------------------------
 
 
+class _Rooting:
+    """A tree rooted once, in preorder: vertex i is order[i], its subtree is
+    [i, i + size[i]), and its children, in input order, start at i + 1 and
+    follow each other by subtree size.
+
+    A piece (v, ex) is v's subtree minus the sorted ranges ex, which lie in
+    (v, v + size[v]).  Each range is a run of consecutive sibling subtrees,
+    so it holds no piece vertex and holds or misses any piece subtree whole.
+    """
+
+    def __init__(self, tree: RootedTree, root: int):
+        order: list[int] = []
+        parent: list[int] = []
+        stack = [(root, -1, None)]
+        while stack:
+            v, p, up = stack.pop()
+            parent.append(p)
+            order.append(v)
+            nbrs = ([] if tree.parent[v] is None else [tree.parent[v]]) + tree.children[v]
+            stack.extend((w, len(order) - 1, v) for w in reversed(nbrs) if w != up)
+        size = [1] * len(order)
+        for i in range(len(order) - 1, 0, -1):
+            size[parent[i]] += size[i]
+        self.order, self.parent, self.size = order, parent, size
+
+    def count(self, v: int, ex: list) -> int:
+        return self.size[v] - sum(e - s for s, e in ex)
+
+    def kids(self, v: int, ex: list) -> list[tuple[int, int]]:
+        """Children of v in the piece, in order, with their piece sizes."""
+        size, skip, out = self.size, dict(ex), []
+        c, end = v + 1, v + size[v]
+        while c < end:
+            if c in skip:
+                c = skip[c]
+                continue
+            nxt = c + size[c]
+            out.append((c, size[c] - sum(e - s for s, e in ex if c < s < nxt)))
+            c = nxt
+        return out
+
+    def keep(self, ex: list, v: int, start: int | None = None,
+             stop: int | None = None) -> list:
+        """Ranges of the piece made of v and the part [start, stop) of its
+        subtree (all of it by default), which starts and ends at children."""
+        end = v + self.size[v]
+        start = v + 1 if start is None else start
+        stop = end if stop is None else stop
+        return ([(v + 1, start)] if v + 1 < start else []) + [
+            r for r in ex if start <= r[0] and r[1] <= stop] + (
+            [(stop, end)] if stop < end else [])
+
+    def cut(self, ex: list, x: int) -> list:
+        """Ranges of the piece with x's subtree removed too."""
+        end = x + self.size[x]
+        return [r for r in ex if r[1] <= x] + [(x, end)] + [r for r in ex if r[0] >= end]
+
+    def cut_vertex(self, v: int, ex: list, s: int) -> int:
+        n = self.count(v, ex)
+        if n < 2:
+            raise InvalidSize(f"cut_vertex needs a tree on >= 2 vertices, got {n}")
+        if not 1 <= s <= n:
+            raise InvalidS(f"s {s} not in [1, {n}]")
+        c = v
+        while True:
+            nxt = next((d for d, sz in self.kids(c, ex) if sz >= s), None)
+            if nxt is None:
+                return c
+            c = nxt
+
+
 def cut_vertex(tree: RootedTree, s: int) -> int:
     """Deepest-found vertex whose subtree has >= s vertices while every child
     subtree has <= s-1.
@@ -57,16 +135,8 @@ def cut_vertex(tree: RootedTree, s: int) -> int:
     Walks down from the root, always entering the first child (stored order)
     whose subtree still has >= s vertices.
     """
-    if tree.n < 2:
-        raise InvalidSize(f"cut_vertex needs a tree on >= 2 vertices, got {tree.n}")
-    if not 1 <= s <= tree.n:
-        raise InvalidS(f"s {s} not in [1, {tree.n}]")
-    c = tree.root
-    while True:
-        nxt = next((d for d in tree.children[c] if tree.size[d] >= s), None)
-        if nxt is None:
-            return c
-        c = nxt
+    rooting = _Rooting(tree, tree.root)
+    return rooting.order[rooting.cut_vertex(0, [], s)]
 
 
 @dataclass(frozen=True)
@@ -178,287 +248,249 @@ def replace_highest(G: UniversalGraph, interval: Interval, emb: Embedding,
 # ---------------------------------------------------------------------------
 
 
-def _restrict(adj: Adjacency, keep: set[int]) -> Adjacency:
-    return {v: [w for w in adj[v] if w in keep] for v in keep}
+class _Recursion:
+    """One embedding run: the host, the rooting, the provenance list, and
+    the depth bound."""
 
+    def __init__(self, G: UniversalGraph, T: _Rooting):
+        self.G, self.T, self.prov = G, T, []
+        self.max_depth = DEPTH_PER_LEVEL * G.shape.h
 
-def _chunks(cells: list[int], sizes: list[int]) -> list[list[int]]:
-    out, i = [], 0
-    for sz in sizes:
-        out.append(cells[i:i + sz])
-        i += sz
-    return out
+    def single(self, a: int, ex: list, lo: int, hi: int, depth: int) -> dict[int, int]:
+        """Embed the piece (a, ex) onto [lo, hi]; portal a lands on the
+        interval's highest vertex."""
+        if depth > self.max_depth:
+            raise InternalInvariantBroken(f"recursion deeper than {self.max_depth} levels")
+        k = self.G.highest_in(lo, hi)
+        mp, label = self._single_cases(a, ex, lo, hi, k, depth + 1)
+        self.prov.append((label, (lo, hi)))
+        a = self.T.order[a]
+        if mp.get(a) != k:
+            raise InternalInvariantBroken(
+                f"portal {a} landed on {mp.get(a)}, expected interval maximum {k}")
+        if len(mp) != hi - lo + 1 or set(mp.values()) != set(range(lo, hi + 1)):
+            raise InternalInvariantBroken(f"piece does not fill [{lo}, {hi}] exactly")
+        if TRACE_HOOK is not None:
+            TRACE_HOOK(("single", a, lo, hi, dict(mp)))
+        return mp
 
+    def _single_cases(self, a: int, ex: list, lo: int, hi: int, k: int,
+                      depth: int) -> tuple[dict[int, int], str]:
+        T = self.T
+        nverts = hi - lo + 1
+        if T.count(a, ex) != nverts:
+            raise InternalInvariantBroken(
+                f"tree has {T.count(a, ex)} vertices for interval [{lo}, {hi}]")
+        if nverts == 1:
+            return {T.order[a]: lo}, "base"
 
-def _single(G: UniversalGraph, adj: Adjacency, a: int, lo: int, hi: int,
-            prov: list) -> dict[int, int]:
-    """Embed the tree on adj's keys onto [lo, hi]; portal a lands on the
-    interval's highest vertex."""
-    mp = _single_cases(G, adj, a, lo, hi, prov)
-    k = G.highest_in(lo, hi)
-    if mp.get(a) != k:
-        raise InternalInvariantBroken(
-            f"portal {a} landed on {mp.get(a)}, expected interval maximum {k}")
-    if len(mp) != hi - lo + 1 or set(mp.values()) != set(range(lo, hi + 1)):
-        raise InternalInvariantBroken(f"piece does not fill [{lo}, {hi}] exactly")
-    if TRACE_HOOK is not None:
-        TRACE_HOOK(("single", a, lo, hi, dict(mp)))
-    return mp
+        shape = self.G.shape
+        kids = T.kids(a, ex)
 
+        if len(kids) >= 2:
+            # Branching portal: lay the child subtrees left-to-right over the
+            # interval minus k; the chunk next to k absorbs k and keeps the portal.
+            cells = [i for i in range(lo, hi + 1) if i != k]
+            return self._spread(a, ex, kids, lo, cells, k, k, depth), "case-1.1"
 
-def _single_cases(G: UniversalGraph, adj: Adjacency, a: int, lo: int, hi: int,
-                  prov: list) -> dict[int, int]:
-    nverts = hi - lo + 1
-    if len(adj) != nverts:
-        raise InternalInvariantBroken(
-            f"tree has {len(adj)} vertices for interval [{lo}, {hi}]")
-    if nverts == 1:
-        prov.append(("base", (lo, hi)))
-        return {a: lo}
+        a2 = kids[0][0]
+        tp = T.keep(ex, a2)
 
-    shape = G.shape
-    T = RootedTree.from_adjacency(adj, a)
-    k = G.highest_in(lo, hi)
-    kids = T.children[a]
+        if k == hi or k == lo:
+            mp = self.single(a2, tp, lo + (k == lo), hi - (k == hi), depth)
+            mp[T.order[a]] = k
+            return mp, "case-1.2.1" if k == hi else "case-1.2.2"
 
-    if len(kids) >= 2:
-        # Branching portal: lay the child subtrees left-to-right over the
-        # interval minus k; the chunk next to k absorbs k and keeps the portal.
-        cells = [i for i in range(lo, hi + 1) if i != k]
-        chs = _chunks(cells, [T.size[c] for c in kids])
-        if k > lo:
-            q = next((x for x, ch in enumerate(chs) if ch[0] <= k - 1 <= ch[-1]), None)
-            if q is None:
-                raise InternalInvariantBroken("no chunk borders the interval maximum")
-        else:
-            q = 0
+        ls = btree.left_sibling(shape, k)
+        if ls is None:
+            raise InternalInvariantBroken(f"interior maximum {k} is not a right child")
+        if ls >= lo:
+            # The left sibling sits in the interval; it must be the left endpoint
+            # and is higher than everything but k, so the deg-1 portal moves there.
+            if ls != lo:
+                raise InternalInvariantBroken(
+                    f"left sibling {ls} inside [{lo}, {hi}] but not at its left end")
+            mp = self.single(a2, tp, lo + 1, hi, depth)
+            mp[T.order[a2]] = lo  # a2 took k, the maximum of [lo+1, hi]
+            mp[T.order[a]] = k
+            return mp, "case-1.2.3"
+
+        w = btree.subtree_size(shape, k)
+        d = (w - 1) // 2
+        right_child = k + 1 + d if w >= 3 else None
+
+        if right_child is None or right_child > hi:
+            return self._case_1_2_4(a, a2, tp, lo, hi, k, depth)
+        return self._case_1_2_5(a, a2, tp, lo, hi, k, right_child, depth)
+
+    def _spread(self, v: int, ex: list, kids: list[tuple[int, int]], lo: int,
+                cells: list[int], x: int, k: int, depth: int) -> dict[int, int]:
+        # Lay v's children in the piece over cells, left to right, one chunk
+        # each; the chunk beside host vertex x (or the first, if x is lo)
+        # absorbs x and keeps v.  A chunk that spans the interval maximum k
+        # is embedded beside it and shifted back.
+        T, chs, i = self.T, [], 0
+        for _, sz in kids:
+            chs.append(cells[i:i + sz])
+            i += sz
+        q = next((j for j, ch in enumerate(chs) if ch[0] <= x - 1 <= ch[-1]),
+                 0 if x == lo else None)
+        if q is None:
+            raise InternalInvariantBroken(f"no chunk borders {x}")
         mp: dict[int, int] = {}
-        for x, (child, ch) in enumerate(zip(kids, chs)):
-            if x == q:
+        for j, ((child, _), ch) in enumerate(zip(kids, chs)):
+            if j == q:
                 continue
-            if ch[-1] - ch[0] + 1 != len(ch):
-                raise InternalInvariantBroken("non-portal chunk spans the maximum")
-            sub = _restrict(adj, set(T.subtree_vertices(child)))
-            mp.update(_single(G, sub, child, ch[0], ch[-1], prov))
-        qlo, qhi = min(chs[q][0], k), max(chs[q][-1], k)
+            span = ch[-1] - ch[0] + 1
+            if span == len(ch):
+                mp.update(self.single(child, T.keep(ex, child), ch[0], ch[-1], depth))
+            elif span == len(ch) + 1 and ch[0] < k < ch[-1]:
+                target, iso = iso_interval(self.G, Interval(ch[0], ch[-1]), k)
+                piece = self.single(child, T.keep(ex, child), target.lo, target.hi, depth)
+                mp.update({t: iso.inverse(g) for t, g in piece.items()})
+            else:
+                raise InternalInvariantBroken("chunk neither interval nor maximum-split")
+        qlo, qhi = min(chs[q][0], x), max(chs[q][-1], x)
         if qhi - qlo + 1 != len(chs[q]) + 1:
-            raise InternalInvariantBroken("portal chunk plus maximum is not an interval")
-        qset = {a} | set(T.subtree_vertices(kids[q]))
-        mp.update(_single(G, _restrict(adj, qset), a, qlo, qhi, prov))
-        prov.append(("case-1.1", (lo, hi)))
+            raise InternalInvariantBroken(f"chunk beside {x} plus {x} is not an interval")
+        kq = kids[q][0]
+        mp.update(self.single(v, T.keep(ex, v, kq, kq + T.size[kq]), qlo, qhi, depth))
         return mp
 
-    a2 = kids[0]
-    tp_verts = set(adj) - {a}
+    def _rest(self, a2: int, tp: list, c: int, lo: int, hi: int,
+              depth: int) -> dict[int, int]:
+        # The piece (a2, tp) minus c's subtree, portaled at a2 and c's parent.
+        cp = self.T.parent[c]
+        rem = self.T.cut(tp, c)
+        if cp == a2:
+            return self.single(a2, rem, lo, hi, depth)
+        return self.two(a2, rem, cp, lo, hi, depth)
 
-    if k == hi:
-        mp = _single(G, _restrict(adj, tp_verts), a2, lo, hi - 1, prov)
-        mp[a] = k
-        prov.append(("case-1.2.1", (lo, hi)))
-        return mp
-    if k == lo:
-        mp = _single(G, _restrict(adj, tp_verts), a2, lo + 1, hi, prov)
-        mp[a] = k
-        prov.append(("case-1.2.2", (lo, hi)))
-        return mp
+    def _case_1_2_4(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
+                    depth: int) -> tuple[dict[int, int], str]:
+        # Interval maximum is interior, right child and left sibling both outside.
+        # Cut the rest of the tree so that a piece H with s <= |H| <= 2s-2
+        # vertices fills [hi-|H|, hi] minus v_k via the interval isomorphism.
+        T = self.T
+        s = hi - k + 1
+        c = T.cut_vertex(a2, tp, s)
+        kids = T.kids(c, tp)
+        acc, l = 1, 0
+        while acc < s:
+            acc += kids[l][1]
+            l += 1
+        m = acc
+        if not s <= m <= 2 * s - 2:
+            raise InternalInvariantBroken(f"cut piece size {m} outside [s, 2s-2] for s={s}")
 
-    ls = btree.left_sibling(shape, k)
-    if ls is None:
-        raise InternalInvariantBroken(f"interior maximum {k} is not a right child")
-    if ls >= lo:
-        # The left sibling sits in the interval; it must be the left endpoint
-        # and is higher than everything but k, so the deg-1 portal moves there.
-        if ls != lo:
+        h_ex = T.keep(tp, c, c + 1, kids[l][0] if l < len(kids) else None)
+        target, iso = iso_interval(self.G, Interval(hi - m, hi), k)
+        phi_h = self.single(c, h_ex, target.lo, target.hi, depth)
+        mp = {t: iso.inverse(g) for t, g in phi_h.items()}
+        c_id = T.order[c]
+        if mp[c_id] != k + 1:
             raise InternalInvariantBroken(
-                f"left sibling {ls} inside [{lo}, {hi}] but not at its left end")
-        mp = _single(G, _restrict(adj, tp_verts), a2, lo + 1, hi, prov)
-        t0 = next(t for t, g in mp.items() if g == k)
-        mp[t0] = lo
-        mp[a] = k
-        prov.append(("case-1.2.3", (lo, hi)))
-        return mp
+                f"cut vertex landed on {mp[c_id]}, expected second-highest {k + 1}")
+        mp[T.order[a]] = k
 
-    w = btree.subtree_size(shape, k)
-    d = (w - 1) // 2
-    right_child = k + 1 + d if w >= 3 else None
+        cur = hi - m - sum(sz for _, sz in kids[l:])
+        rem_hi = cur - 1
+        for child, sz in kids[l:]:
+            mp.update(self.single(child, T.keep(tp, child), cur, cur + sz - 1, depth))
+            cur += sz
 
-    if right_child is None or right_child > hi:
-        return _case_1_2_4(G, adj, a, a2, tp_verts, lo, hi, k, prov)
-    return _case_1_2_5(G, adj, a, a2, tp_verts, lo, hi, k, right_child, prov)
+        if c != a2:
+            mp.update(self._rest(a2, tp, c, lo, rem_hi, depth))
+        elif rem_hi != lo - 1:
+            raise InternalInvariantBroken("pieces do not tile the interval")
+        return mp, "case-1.2.4"
 
+    def _case_1_2_5(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
+                    r: int, depth: int) -> tuple[dict[int, int], str]:
+        # The right child v_r of the interval maximum lies in the interval; it is
+        # the second-highest vertex of [lo, hi].
+        T = self.T
+        s = hi - r + 1
+        c = T.cut_vertex(a2, tp, s)
+        m = T.count(c, T.keep(tp, c))
 
-def _case_1_2_4(G: UniversalGraph, adj: Adjacency, a: int, a2: int,
-                tp_verts: set[int], lo: int, hi: int, k: int,
-                prov: list) -> dict[int, int]:
-    # Interval maximum is interior, right child and left sibling both outside.
-    # Cut the rest of the tree so that a piece H with s <= |H| <= 2s-2
-    # vertices fills [hi-|H|, hi] minus v_k via the interval isomorphism.
-    s = hi - k + 1
-    Tp = RootedTree.from_adjacency(_restrict(adj, tp_verts), a2)
-    c = cut_vertex(Tp, s)
-    kids = Tp.children[c]
-    acc, l = 1, 0
-    while acc < s:
-        acc += Tp.size[kids[l]]
-        l += 1
-    m = acc
-    if not s <= m <= 2 * s - 2:
-        raise InternalInvariantBroken(f"cut piece size {m} outside [s, 2s-2] for s={s}")
+        if m <= hi - k - 1:
+            # 1.2.5.1: the window [hi-m, hi] contains v_r but not v_k.  Embed the
+            # rest with two portals, move whichever vertex took v_k up to v_r,
+            # and hang {c's parent} + T(c) over the window, discarding the
+            # parent's scaffold position v_r.
+            psi1 = self._rest(a2, tp, c, lo, hi - m - 1, depth)
+            t0 = next(t for t, g in psi1.items() if g == k)
+            psi1[t0] = r
+            cp = T.parent[c]
+            psi2 = self.single(cp, T.keep(tp, cp, c, c + T.size[c]), hi - m, hi, depth)
+            cp_id = T.order[cp]
+            if psi2[cp_id] != r:
+                raise InternalInvariantBroken(
+                    f"scaffold portal landed on {psi2[cp_id]}, expected {r}")
+            del psi2[cp_id]
+            mp = psi1
+            mp.update(psi2)
+            mp[T.order[a]] = k
+            return mp, "case-1.2.5.1"
 
-    h_verts = {c}
-    for child in kids[:l]:
-        h_verts.update(Tp.subtree_vertices(child))
-    target, iso = iso_interval(G, Interval(hi - m, hi), k)
-    phi_h = _single(G, _restrict(adj, h_verts), c, target.lo, target.hi, prov)
-    mp = {t: iso.inverse(g) for t, g in phi_h.items()}
-    if mp[c] != k + 1:
-        raise InternalInvariantBroken(
-            f"cut vertex landed on {mp[c]}, expected second-highest {k + 1}")
-    mp[a] = k
-
-    cur = hi - m - sum(Tp.size[x] for x in kids[l:])
-    rem_hi = cur - 1
-    for child in kids[l:]:
-        sz = Tp.size[child]
-        sub = _restrict(adj, set(Tp.subtree_vertices(child)))
-        mp.update(_single(G, sub, child, cur, cur + sz - 1, prov))
-        cur += sz
-
-    rem = tp_verts - set(Tp.subtree_vertices(c))
-    if rem:
-        cp = Tp.parent[c]
-        sub = _restrict(adj, rem)
-        if cp == a2:
-            mp.update(_single(G, sub, a2, lo, rem_hi, prov))
-        else:
-            mp.update(_two(G, sub, a2, cp, lo, rem_hi, prov))
-    elif rem_hi != lo - 1:
-        raise InternalInvariantBroken("pieces do not tile the interval")
-    prov.append(("case-1.2.4", (lo, hi)))
-    return mp
-
-
-def _case_1_2_5(G: UniversalGraph, adj: Adjacency, a: int, a2: int,
-                tp_verts: set[int], lo: int, hi: int, k: int, r: int,
-                prov: list) -> dict[int, int]:
-    # The right child v_r of the interval maximum lies in the interval; it is
-    # the second-highest vertex of [lo, hi].
-    s = hi - r + 1
-    Tp = RootedTree.from_adjacency(_restrict(adj, tp_verts), a2)
-    c = cut_vertex(Tp, s)
-    m = Tp.size[c]
-    cp = Tp.parent[c]
-
-    if m <= hi - k - 1:
-        # 1.2.5.1: the window [hi-m, hi] contains v_r but not v_k.  Embed the
-        # rest with two portals, move whichever vertex took v_k up to v_r,
-        # and hang {c's parent} + T(c) over the window, discarding the
-        # parent's scaffold position v_r.
-        rem = tp_verts - set(Tp.subtree_vertices(c))
-        sub = _restrict(adj, rem)
-        if cp == a2:
-            psi1 = _single(G, sub, a2, lo, hi - m - 1, prov)
-        else:
-            psi1 = _two(G, sub, a2, cp, lo, hi - m - 1, prov)
-        t0 = next(t for t, g in psi1.items() if g == k)
-        psi1[t0] = r
-        scaffold = {cp} | set(Tp.subtree_vertices(c))
-        psi2 = _single(G, _restrict(adj, scaffold), cp, hi - m, hi, prov)
-        if psi2[cp] != r:
+        # 1.2.5.2: the window [hi-m, hi] contains both v_k and v_r.  Children of c
+        # tile the window minus {k, r}; the chunk beside r absorbs r and keeps c.
+        wlo = hi - m
+        if not wlo <= k < r <= hi:
+            raise InternalInvariantBroken("window misses k or r")
+        kids = T.kids(c, tp)
+        if not kids:
+            raise InternalInvariantBroken("cut vertex is a leaf yet its subtree spans the window")
+        cells = [i for i in range(wlo, hi + 1) if i != k and i != r]
+        mp = self._spread(c, tp, kids, wlo, cells, r, k, depth)
+        if mp[T.order[c]] != r:
             raise InternalInvariantBroken(
-                f"scaffold portal landed on {psi2[cp]}, expected {r}")
-        del psi2[cp]
-        mp = psi1
-        mp.update(psi2)
-        mp[a] = k
-        prov.append(("case-1.2.5.1", (lo, hi)))
+                f"cut vertex landed on {mp[T.order[c]]}, expected {r}")
+
+        if c != a2:
+            mp.update(self._rest(a2, tp, c, lo, wlo - 1, depth))
+        elif wlo != lo:
+            raise InternalInvariantBroken("window does not reach the interval start")
+        mp[T.order[a]] = k
+        return mp, "case-1.2.5.2"
+
+    def two(self, a: int, ex: list, b: int, lo: int, hi: int,
+            depth: int) -> dict[int, int]:
+        """Embed with two portals: split along the a-b path into one block per
+        path vertex, left to right, each block embedded with a single portal."""
+        T, G = self.T, self.G
+        path = [b]
+        while path[-1] > a:
+            path.append(T.parent[path[-1]])
+        if path[-1] != a:
+            raise InternalInvariantBroken(f"portal {T.order[b]} is not below {T.order[a]}")
+        path.reverse()
+        mp: dict[int, int] = {}
+        cur = lo
+        for idx, cx in enumerate(path):
+            block = T.keep(ex, cx)
+            if idx + 1 < len(path):
+                block = T.cut(block, path[idx + 1])
+            size = T.count(cx, block)
+            mp.update(self.single(cx, block, cur, cur + size - 1, depth))
+            cur += size
+        if cur != hi + 1:
+            raise InternalInvariantBroken("path blocks do not tile the interval")
+        a, b = T.order[a], T.order[b]
+        pa, pb = mp[a], mp[b]
+        if pa >= pb:
+            raise InternalInvariantBroken("left portal not left of right portal")
+        for g in mp.values():
+            if g < pa and G.higher(g, pa):
+                raise InternalInvariantBroken("vertex in upper-left quarter plane of left portal")
+            if g > pb and G.higher(g, pb):
+                raise InternalInvariantBroken(
+                    "vertex in upper-right quarter plane of right portal")
+        self.prov.append(("case-2", (lo, hi)))
+        if TRACE_HOOK is not None:
+            TRACE_HOOK(("two", (a, b), lo, hi, dict(mp)))
         return mp
-
-    # 1.2.5.2: the window [hi-m, hi] contains both v_k and v_r.  Children of c
-    # tile the window minus {k, r}; the chunk beside r absorbs r and keeps c.
-    wlo = hi - m
-    if not wlo <= k < r <= hi:
-        raise InternalInvariantBroken("window misses k or r")
-    kids = Tp.children[c]
-    if not kids:
-        raise InternalInvariantBroken("cut vertex is a leaf yet its subtree spans the window")
-    cells = [i for i in range(wlo, hi + 1) if i != k and i != r]
-    chs = _chunks(cells, [Tp.size[x] for x in kids])
-    q = next((x for x, ch in enumerate(chs) if ch[0] <= r - 1 <= ch[-1]), None)
-    if q is None:
-        raise InternalInvariantBroken("no chunk borders the second-highest vertex")
-    mp: dict[int, int] = {}
-    for x, (child, ch) in enumerate(zip(kids, chs)):
-        if x == q:
-            continue
-        span = ch[-1] - ch[0] + 1
-        sub = _restrict(adj, set(Tp.subtree_vertices(child)))
-        if span == len(ch):
-            mp.update(_single(G, sub, child, ch[0], ch[-1], prov))
-        elif span == len(ch) + 1 and ch[0] < k < ch[-1]:
-            # chunk spans the maximum: embed beside it and shift back
-            target, iso = iso_interval(G, Interval(ch[0], ch[-1]), k)
-            piece = _single(G, sub, child, target.lo, target.hi, prov)
-            mp.update({t: iso.inverse(g) for t, g in piece.items()})
-        else:
-            raise InternalInvariantBroken("chunk neither interval nor maximum-split")
-    qlo, qhi = min(chs[q][0], r), max(chs[q][-1], r)
-    if qhi - qlo + 1 != len(chs[q]) + 1:
-        raise InternalInvariantBroken("chunk beside r plus r is not an interval")
-    qset = {c} | set(Tp.subtree_vertices(kids[q]))
-    piece = _single(G, _restrict(adj, qset), c, qlo, qhi, prov)
-    if piece[c] != r:
-        raise InternalInvariantBroken(f"cut vertex landed on {piece[c]}, expected {r}")
-    mp.update(piece)
-
-    rem = tp_verts - set(Tp.subtree_vertices(c))
-    if rem:
-        sub = _restrict(adj, rem)
-        if cp == a2:
-            mp.update(_single(G, sub, a2, lo, wlo - 1, prov))
-        else:
-            mp.update(_two(G, sub, a2, cp, lo, wlo - 1, prov))
-    elif wlo != lo:
-        raise InternalInvariantBroken("window does not reach the interval start")
-    mp[a] = k
-    prov.append(("case-1.2.5.2", (lo, hi)))
-    return mp
-
-
-def _two(G: UniversalGraph, adj: Adjacency, a: int, b: int, lo: int, hi: int,
-         prov: list) -> dict[int, int]:
-    """Embed with two portals: split along the a-b path into one block per
-    path vertex, left to right, each block embedded with a single portal."""
-    T = RootedTree.from_adjacency(adj, a)
-    path = [b]
-    while path[-1] != a:
-        path.append(T.parent[path[-1]])
-    path.reverse()
-    mp: dict[int, int] = {}
-    cur = lo
-    for idx, cx in enumerate(path):
-        nxt = path[idx + 1] if idx + 1 < len(path) else None
-        comp = {cx}
-        for ch in T.children[cx]:
-            if ch != nxt:
-                comp.update(T.subtree_vertices(ch))
-        sub = _restrict(adj, comp)
-        mp.update(_single(G, sub, cx, cur, cur + len(comp) - 1, prov))
-        cur += len(comp)
-    if cur != hi + 1:
-        raise InternalInvariantBroken("path blocks do not tile the interval")
-    pa, pb = mp[a], mp[b]
-    if pa >= pb:
-        raise InternalInvariantBroken("left portal not left of right portal")
-    for g in mp.values():
-        if g < pa and G.higher(g, pa):
-            raise InternalInvariantBroken("vertex in upper-left quarter plane of left portal")
-        if g > pb and G.higher(g, pb):
-            raise InternalInvariantBroken("vertex in upper-right quarter plane of right portal")
-    prov.append(("case-2", (lo, hi)))
-    if TRACE_HOOK is not None:
-        TRACE_HOOK(("two", (a, b), lo, hi, dict(mp)))
-    return mp
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +498,15 @@ def _two(G: UniversalGraph, adj: Adjacency, a: int, b: int, lo: int, hi: int,
 # ---------------------------------------------------------------------------
 
 
-def _tree_adjacency(tree: RootedTree) -> Adjacency:
-    adj: Adjacency = {}
-    for v in tree.vertices:
-        p = tree.parent[v]
-        adj[v] = ([p] if p is not None else []) + list(tree.children[v])
-    return adj
-
-
 def embed_tree(G: UniversalGraph, tree: RootedTree,
                portals: int | tuple[int, int],
                interval: Interval | None = None) -> Embedding:
-    """Embed one tree onto a host interval with one or two portal vertices."""
+    """Embed one tree onto a host interval with one or two portal vertices.
+
+    The tree is rooted once, at its first portal.  The recursion nests at
+    most DEPTH_PER_LEVEL * h single-portal calls on a host of height h and
+    raises InternalInvariantBroken past that.
+    """
     if interval is None:
         interval = Interval(0, G.n - 1)
     if not (0 <= interval.lo and interval.hi < G.n):
@@ -485,23 +514,18 @@ def embed_tree(G: UniversalGraph, tree: RootedTree,
     if len(interval) != tree.n:
         raise SizeMismatch(
             f"tree has {tree.n} vertices but interval {interval} has {len(interval)}")
-    adj = _tree_adjacency(tree)
-    prov: list = []
-    depth_guard = max(sys.getrecursionlimit(), 4 * tree.n + 1000)
-    sys.setrecursionlimit(depth_guard)
-    if isinstance(portals, tuple):
-        a, b = portals
-        if a == b:
-            raise EqualIndices(f"two-portal embedding needs distinct portals, got {a}")
-        for p in (a, b):
-            if p not in adj:
-                raise IndexOutOfRange(f"portal {p} not a tree vertex")
-        mapping = _two(G, adj, a, b, interval.lo, interval.hi, prov)
+    a, b = portals if isinstance(portals, tuple) else (portals, None)
+    if isinstance(portals, tuple) and a == b:
+        raise EqualIndices(f"two-portal embedding needs distinct portals, got {a}")
+    for p in (a, b):
+        if p is not None and p not in tree.parent:
+            raise IndexOutOfRange(f"portal {p} not a tree vertex")
+    run = _Recursion(G, _Rooting(tree, a))
+    if b is None:
+        mapping = run.single(0, [], interval.lo, interval.hi, 1)
     else:
-        if portals not in adj:
-            raise IndexOutOfRange(f"portal {portals} not a tree vertex")
-        mapping = _single(G, adj, portals, interval.lo, interval.hi, prov)
-    return Embedding(G.n, mapping, prov)
+        mapping = run.two(0, [], run.T.order.index(b), interval.lo, interval.hi, 1)
+    return Embedding(G.n, mapping, run.prov)
 
 
 def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:

@@ -7,7 +7,7 @@ deterministic for a given input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DegenerateEdge,
@@ -89,21 +89,7 @@ class RootedTree:
     vertices: list[int]
     children: dict[int, list[int]]
     parent: dict[int, int | None]
-    size: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.size:
-            self._compute_sizes()
-
-    def _compute_sizes(self) -> None:
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(self.children[v])
-        for v in reversed(order):
-            self.size[v] = 1 + sum(self.size[c] for c in self.children[v])
+    size: dict[int, int]
 
     @property
     def n(self) -> int:
@@ -132,7 +118,10 @@ class RootedTree:
             for w in kids:
                 parent[w] = v
             stack.extend(reversed(kids))
-        return cls(root=root, vertices=vertices, children=children, parent=parent)
+        size: dict[int, int] = {}
+        for v in reversed(vertices):  # preorder: children come after their parent
+            size[v] = 1 + sum(size[c] for c in children[v])
+        return cls(root=root, vertices=vertices, children=children, parent=parent, size=size)
 
 
 def root_component(forest: Forest, comp: list[int], root: int) -> RootedTree:

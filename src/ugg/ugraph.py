@@ -21,7 +21,7 @@ from typing import Iterator
 
 from . import btree
 from .btree import BTreeShape
-from .errors import IndexOutOfRange, IntervalTooSmall
+from .errors import IndexOutOfRange, IntervalTooSmall, InvalidSize
 from .host import Host, merge_ranges
 
 
@@ -98,10 +98,23 @@ class UniversalGraph(Host):
         return merge_ranges(ranges, v + 1, self.n - 1)
 
     def highest_in(self, lo: int, hi: int) -> int:
-        """Vertex of [lo, hi] that is higher than all others in the interval."""
+        """Vertex of [lo, hi] that is higher than all others in the interval.
+
+        Descends from the root while [lo, hi] lies in one child subtree; if
+        it straddles both, the right child is higher than the rest of them.
+        """
         self._check_vertex(lo)
         self._check_vertex(hi)
-        return btree.highest(self.shape, range(lo, hi + 1))
+        if lo > hi:
+            raise InvalidSize(f"highest_in needs lo <= hi, got [{lo}, {hi}]")
+        node, step = 0, 1 << (self.shape.h - 1)  # step: right child minus node
+        while node < lo:
+            right = node + step
+            if lo < right <= hi:
+                return right
+            node = right if lo >= right else node + 1
+            step >>= 1
+        return node
 
     def higher(self, u: int, w: int) -> bool:
         self._check_pair(u, w)
@@ -120,9 +133,9 @@ class UniversalGraph(Host):
         if lo == hi:
             raise IntervalTooSmall(f"star_centers needs |I| >= 2, got [{lo}, {hi}]")
         k = self.highest_in(lo, hi)
-        s = btree.highest(self.shape, (i for i in interval if i != k))
-        t = self.highest_in(k + 1, hi) if k < hi else None
-        return k, s, t
+        sides = [self.highest_in(i, j) for i, j in ((lo, k - 1), (k + 1, hi)) if i <= j]
+        s = min(sides, key=lambda i: btree.height_key(self.shape, i))
+        return k, s, sides[-1] if k < hi else None
 
 
 def build_universal(n: int) -> UniversalGraph:

@@ -61,13 +61,16 @@ def _int(tok: str, what: str) -> int:
         raise MalformedInput(f"bad {what}: {tok!r}") from exc
 
 
-def save_host(host, path, explicit: bool = False) -> None:
+def save_host(host, path, explicit: bool = False) -> int | None:
+    """Write a host file; return how many edges it lists, None if none."""
     lines = [MAGIC, f"kind {host.kind}", f"n {host.n}"]
+    count = None
     if explicit or host.kind == "custom":
         edges = [f"e {u} {v}" for u, v in host.edges()]
-        lines.append(f"edges {len(edges)}")
-        lines.extend(edges)
+        count = len(edges)
+        lines += [f"edges {count}", *edges]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return count
 
 
 def load_host(path):

@@ -15,6 +15,7 @@ from ..errors import SizeTooLarge
 from ..geometry import realize_coordinates
 
 EXACT_LAYOUT_CAP = 31
+DRAW_CAP = 100_000  # most vertices, and most edges, that one picture draws
 
 _V_STYLE = 'fill="#f8f8f8" stroke="#333" stroke-width="1"'
 _E_STYLE = 'stroke="#888" stroke-width="1" fill="none"'
@@ -69,6 +70,8 @@ def _circle_layout(n: int):
 
 def render_svg(host, embedding=None, layout: str = "schematic") -> str:
     """The universal host on its tree layout, any other host on a circle."""
+    if host.n > DRAW_CAP or host.edge_count() > DRAW_CAP:  # n first: a cheap bound
+        raise SizeTooLarge(f"render draws at most {DRAW_CAP} vertices and edges each")
     if host.kind == "universal":
         pos, width, height, curved = _tree_layout(host, layout)
     else:

@@ -183,6 +183,34 @@ def test_render_exact_layout_too_large_exits_3(tmp_path):
                      "--out", str(tmp_path / "pic.svg")]) == 3
 
 
+def test_render_huge_host_exits_3_quickly(tmp_path):
+    host = write_host(tmp_path, "complete", 100_000, [])
+    t0 = time.perf_counter()
+    assert cli.main(["render", "--host", host, "--out", str(tmp_path / "pic.svg")]) == 3
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_render_universal_63(tmp_path):
+    host = str(tmp_path / "host.txt")
+    svg = tmp_path / "pic.svg"
+    cli.main(["build", "--kind", "universal", "--n", "63", "--out", host])
+    assert cli.main(["render", "--host", host, "--out", str(svg)]) == 0
+    assert svg.read_text(encoding="utf-8").count('class="vertex"') == 63
+
+
+def test_build_implicit_host_counts_no_edges(tmp_path, capsys):
+    out = tmp_path / "host.txt"
+    t0 = time.perf_counter()
+    assert cli.main(["build", "--kind", "universal", "--n", "262143", "--out", str(out)]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+    assert "edges" not in capsys.readouterr().out
+    assert cli.main(["build", "--kind", "universal", "--n", "15", "--explicit",
+                     "--out", str(out)]) == 0
+    listed = sum(line.startswith("e ") for line in out.read_text(encoding="utf-8").splitlines())
+    assert f", {listed} edges," in capsys.readouterr().out
+
+
 def test_enumerate_forests(tmp_path):
     out = tmp_path / "forests.txt"
     assert cli.main(["enumerate", "--what", "forests", "--n", "5",

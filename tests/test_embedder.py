@@ -1,12 +1,14 @@
 """The recursive embedding algorithm and its helper operations."""
 
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugg import btree
+from ugg import btree, embedder
 from ugg.embedder import (
     Embedding,
     cut_vertex,
@@ -19,6 +21,7 @@ from ugg.embedder import (
 from ugg.errors import (
     DomainMismatch,
     EqualIndices,
+    InternalInvariantBroken,
     InvalidS,
     InvalidSize,
     PreconditionViolated,
@@ -339,3 +342,56 @@ def test_embed_errors():
         embed_forest(G, Forest(3, []))
     with pytest.raises(EqualIndices):
         embed_tree(G, path_tree(4), (1, 1))
+
+
+def shape_forests(n, rng):
+    """The six bench tree shapes on n vertices, as forests."""
+    legs = int(n ** 0.5)
+    spider = [(0 if v <= legs else v - legs, v) for v in range(1, n)]
+    spine = n // 2
+    return {
+        "random": random_tree(n, rng),
+        "path": Forest(n, [(i, i + 1) for i in range(n - 1)]),
+        "star": Forest(n, [(0, i) for i in range(1, n)]),
+        "binary": Forest(n, [((i - 1) // 2, i) for i in range(1, n)]),
+        "caterpillar": Forest(n, [(i, i + 1) for i in range(spine - 1)]
+                              + [(rng.randrange(spine), v) for v in range(spine, n)]),
+        "spider": Forest(n, spider),
+    }
+
+
+@pytest.mark.parametrize("shape", ["random", "star", "path"])
+def test_embed_forest_roots_each_component_once(monkeypatch, shape):
+    calls = []
+    from_adjacency = RootedTree.from_adjacency.__func__
+
+    def counting(cls, adj, root):
+        calls.append(root)
+        return from_adjacency(cls, adj, root)
+
+    monkeypatch.setattr(RootedTree, "from_adjacency", classmethod(counting))
+    forest = shape_forests(1023, random.Random(1023))[shape]
+    embed_forest(build_universal(1023), forest)
+    assert 1 <= len(calls) <= len(forest.components())
+
+
+def test_deep_recursion_leaves_the_interpreter_alone():
+    limit = sys.getrecursionlimit()
+    G = build_universal(4095)
+    for shape, forest in shape_forests(4095, random.Random(4095)).items():
+        emb = embed_forest(G, forest)
+        assert validate_embedding(G, forest, emb).ok, shape
+    path = Forest(65535, [(i, i + 1) for i in range(65534)])
+    G = build_universal(65535)
+    assert validate_embedding(G, path, embed_forest(G, path)).ok
+    assert sys.getrecursionlimit() == limit
+
+
+def test_depth_bound_raises_when_too_small(monkeypatch):
+    # a random tree on 255 vertices nests deeper than h = 8 single calls
+    tree = random_tree(255, random.Random(255))
+    G = build_universal(255)
+    assert validate_embedding(G, tree, embed_forest(G, tree)).ok
+    monkeypatch.setattr(embedder, "DEPTH_PER_LEVEL", 1)
+    with pytest.raises(InternalInvariantBroken, match="deeper than 8"):
+        embed_forest(G, tree)

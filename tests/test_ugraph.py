@@ -1,5 +1,7 @@
 """Host graph construction: membership arithmetic vs a literal definition."""
 
+import random
+
 import pytest
 
 from ugg import btree
@@ -136,6 +138,34 @@ def test_highest_in():
     assert G.highest_in(5, 5) == 5
 
 
+def scan_centers(G, lo, hi):
+    """star_centers spelled out with the btree.highest scan."""
+    k = btree.highest(G.shape, range(lo, hi + 1))
+    s = btree.highest(G.shape, (i for i in range(lo, hi + 1) if i != k))
+    t = btree.highest(G.shape, range(k + 1, hi + 1)) if k < hi else None
+    return k, s, t
+
+
+@pytest.mark.parametrize("n", [*range(1, 32), 63, 100, 127])
+def test_highest_in_and_star_centers_match_scan_on_every_interval(n):
+    G = build_universal(n)
+    for lo in range(n):
+        for hi in range(lo, n):
+            assert G.highest_in(lo, hi) == btree.highest(G.shape, range(lo, hi + 1))
+            if hi > lo:
+                assert G.star_centers(Interval(lo, hi)) == scan_centers(G, lo, hi)
+
+
+def test_highest_in_and_star_centers_match_scan_at_4095():
+    G = build_universal(4095)
+    rng = random.Random(4095)
+    for _ in range(2000):
+        lo, hi = sorted(rng.sample(range(4095), 2))
+        centers = scan_centers(G, lo, hi)
+        assert G.highest_in(lo, hi) == centers[0]
+        assert G.star_centers(Interval(lo, hi)) == centers
+
+
 def test_errors():
     with pytest.raises(InvalidSize):
         build_universal(0)
@@ -148,3 +178,5 @@ def test_errors():
         Interval(4, 2)
     with pytest.raises(IntervalTooSmall):
         G.star_centers(Interval(3, 3))
+    with pytest.raises(InvalidSize):
+        G.highest_in(4, 2)
