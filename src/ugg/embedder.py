@@ -7,9 +7,11 @@ portals land left/right with empty upper-left / upper-right quarter planes
 that the piece fills its interval exactly; violations raise
 InternalInvariantBroken rather than producing a bad embedding.
 
-A tree is rooted once, at its top portal, in preorder.  Each subproblem is a
-piece of that rooting: its portal is its topmost vertex, and it is the
-portal's subtree minus a few excluded preorder ranges.
+`embed_forest` roots each component once, at its smallest vertex, straight
+from the forest's adjacency lists; `embed_tree` takes a `RootedTree` rooted
+at its first portal.  Each subproblem is a piece of that rooting: its portal
+is its topmost vertex, and it is the portal's subtree minus a few excluded
+preorder ranges.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from .errors import (
     IndexOutOfRange,
     InternalInvariantBroken,
     IntervalTooSmall,
-    InvalidS,
-    InvalidSize,
     DomainMismatch,
     PreconditionViolated,
     SizeMismatch,
 )
-from .trees import Forest, RootedTree, root_component
+from .trees import Forest, RootedTree
 from .ugraph import Interval, UniversalGraph
 
 # Nested single-portal calls allowed per level of a host of height h.  The
@@ -57,77 +57,6 @@ class Embedding:
 # ---------------------------------------------------------------------------
 
 
-class _Rooting:
-    """A tree rooted once, in preorder: vertex i is order[i], its subtree is
-    [i, i + size[i]), and its children, in input order, start at i + 1 and
-    follow each other by subtree size.
-
-    A piece (v, ex) is v's subtree minus the sorted ranges ex, which lie in
-    (v, v + size[v]).  Each range is a run of consecutive sibling subtrees,
-    so it holds no piece vertex and holds or misses any piece subtree whole.
-    """
-
-    def __init__(self, tree: RootedTree, root: int):
-        order: list[int] = []
-        parent: list[int] = []
-        stack = [(root, -1, None)]
-        while stack:
-            v, p, up = stack.pop()
-            parent.append(p)
-            order.append(v)
-            nbrs = ([] if tree.parent[v] is None else [tree.parent[v]]) + tree.children[v]
-            stack.extend((w, len(order) - 1, v) for w in reversed(nbrs) if w != up)
-        size = [1] * len(order)
-        for i in range(len(order) - 1, 0, -1):
-            size[parent[i]] += size[i]
-        self.order, self.parent, self.size = order, parent, size
-
-    def count(self, v: int, ex: list) -> int:
-        return self.size[v] - sum(e - s for s, e in ex)
-
-    def kids(self, v: int, ex: list) -> list[tuple[int, int]]:
-        """Children of v in the piece, in order, with their piece sizes."""
-        size, skip, out = self.size, dict(ex), []
-        c, end = v + 1, v + size[v]
-        while c < end:
-            if c in skip:
-                c = skip[c]
-                continue
-            nxt = c + size[c]
-            out.append((c, size[c] - sum(e - s for s, e in ex if c < s < nxt)))
-            c = nxt
-        return out
-
-    def keep(self, ex: list, v: int, start: int | None = None,
-             stop: int | None = None) -> list:
-        """Ranges of the piece made of v and the part [start, stop) of its
-        subtree (all of it by default), which starts and ends at children."""
-        end = v + self.size[v]
-        start = v + 1 if start is None else start
-        stop = end if stop is None else stop
-        return ([(v + 1, start)] if v + 1 < start else []) + [
-            r for r in ex if start <= r[0] and r[1] <= stop] + (
-            [(stop, end)] if stop < end else [])
-
-    def cut(self, ex: list, x: int) -> list:
-        """Ranges of the piece with x's subtree removed too."""
-        end = x + self.size[x]
-        return [r for r in ex if r[1] <= x] + [(x, end)] + [r for r in ex if r[0] >= end]
-
-    def cut_vertex(self, v: int, ex: list, s: int) -> int:
-        n = self.count(v, ex)
-        if n < 2:
-            raise InvalidSize(f"cut_vertex needs a tree on >= 2 vertices, got {n}")
-        if not 1 <= s <= n:
-            raise InvalidS(f"s {s} not in [1, {n}]")
-        c = v
-        while True:
-            nxt = next((d for d, sz in self.kids(c, ex) if sz >= s), None)
-            if nxt is None:
-                return c
-            c = nxt
-
-
 def cut_vertex(tree: RootedTree, s: int) -> int:
     """Deepest-found vertex whose subtree has >= s vertices while every child
     subtree has <= s-1.
@@ -135,8 +64,7 @@ def cut_vertex(tree: RootedTree, s: int) -> int:
     Walks down from the root, always entering the first child (stored order)
     whose subtree still has >= s vertices.
     """
-    rooting = _Rooting(tree, tree.root)
-    return rooting.order[rooting.cut_vertex(0, [], s)]
+    return tree.order[tree.cut_vertex(0, [], s)]
 
 
 @dataclass(frozen=True)
@@ -252,7 +180,7 @@ class _Recursion:
     """One embedding run: the host, the rooting, the provenance list, and
     the depth bound."""
 
-    def __init__(self, G: UniversalGraph, T: _Rooting):
+    def __init__(self, G: UniversalGraph, T: RootedTree):
         self.G, self.T, self.prov = G, T, []
         self.max_depth = DEPTH_PER_LEVEL * G.shape.h
 
@@ -503,7 +431,7 @@ def embed_tree(G: UniversalGraph, tree: RootedTree,
                interval: Interval | None = None) -> Embedding:
     """Embed one tree onto a host interval with one or two portal vertices.
 
-    The tree is rooted once, at its first portal.  The recursion nests at
+    The tree must be rooted at the first portal.  The recursion nests at
     most DEPTH_PER_LEVEL * h single-portal calls on a host of height h and
     raises InternalInvariantBroken past that.
     """
@@ -517,14 +445,15 @@ def embed_tree(G: UniversalGraph, tree: RootedTree,
     a, b = portals if isinstance(portals, tuple) else (portals, None)
     if isinstance(portals, tuple) and a == b:
         raise EqualIndices(f"two-portal embedding needs distinct portals, got {a}")
-    for p in (a, b):
-        if p is not None and p not in tree.parent:
-            raise IndexOutOfRange(f"portal {p} not a tree vertex")
-    run = _Recursion(G, _Rooting(tree, a))
+    if a != tree.root:
+        raise PreconditionViolated(f"first portal {a} is not the root {tree.root}")
+    run = _Recursion(G, tree)
     if b is None:
         mapping = run.single(0, [], interval.lo, interval.hi, 1)
     else:
-        mapping = run.two(0, [], run.T.order.index(b), interval.lo, interval.hi, 1)
+        if b not in tree.order:
+            raise IndexOutOfRange(f"portal {b} not a tree vertex")
+        mapping = run.two(0, [], tree.order.index(b), interval.lo, interval.hi, 1)
     return Embedding(G.n, mapping, run.prov)
 
 
@@ -536,13 +465,18 @@ def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
         raise SizeMismatch(f"forest has {forest.n} vertices, host has {G.n}")
     mapping: dict[int, int] = {}
     prov: list = []
+    placed = [False] * forest.n
     cur = 0
-    for comp in forest.components():
-        root = comp[0]
-        tree = root_component(forest, comp, root)
-        sub = embed_tree(G, tree, root, Interval(cur, cur + len(comp) - 1))
+    for root in range(forest.n):
+        if placed[root]:
+            continue
+        tree = RootedTree.from_adjacency(forest.adj, root)
+        for v in tree.order:
+            placed[v] = True
+        span = Interval(cur, cur + tree.n - 1)
+        sub = embed_tree(G, tree, root, span)
         mapping.update(sub.mapping)
         prov.extend(sub.provenance)
-        prov.append(("forest-component", (cur, cur + len(comp) - 1)))
-        cur += len(comp)
+        prov.append(("forest-component", (span.lo, span.hi)))
+        cur += tree.n
     return Embedding(G.n, mapping, prov)

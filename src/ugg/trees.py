@@ -3,6 +3,10 @@
 Vertices are 0-based global ids.  Child order everywhere is the order in
 which edges were supplied, which keeps every downstream construction
 deterministic for a given input.
+
+`RootedTree` is the one rooted-tree format: a tree rooted once, held as
+preorder arrays, with the helpers that describe a piece of it (a subtree
+minus a few preorder ranges) without copying anything.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateEdge,
     IndexOutOfRange,
+    InvalidS,
+    InvalidSize,
     MalformedInput,
     NotACaterpillar,
 )
@@ -79,54 +85,94 @@ class Forest:
 
 @dataclass
 class RootedTree:
-    """A tree with a distinguished root and ordered children.
+    """A tree rooted once, in preorder.
 
-    `children` preserves input adjacency order; `size[v]` is the number of
-    vertices in the subtree rooted at v.
+    Position i holds vertex `order[i]`; its subtree is the positions
+    [i, i + size[i]), and its children, in adjacency order, start at i + 1
+    and follow each other by subtree size.  `parent[i]` is the position of
+    its parent, -1 at the root.
+
+    A piece (v, ex) is the subtree at position v minus the sorted position
+    ranges ex, which lie in (v, v + size[v]).  Each range is a run of
+    consecutive sibling subtrees, so it holds no piece vertex and holds or
+    misses any piece subtree whole.
     """
 
-    root: int
-    vertices: list[int]
-    children: dict[int, list[int]]
-    parent: dict[int, int | None]
-    size: dict[int, int]
+    order: list[int]
+    parent: list[int]
+    size: list[int]
+
+    @property
+    def root(self) -> int:
+        return self.order[0]
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
-
-    def subtree_vertices(self, v: int) -> list[int]:
-        out: list[int] = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children[u])
-        return out
+        return len(self.order)
 
     @classmethod
-    def from_adjacency(cls, adj: dict[int, list[int]], root: int) -> "RootedTree":
-        children: dict[int, list[int]] = {}
-        parent: dict[int, int | None] = {root: None}
-        vertices: list[int] = []
-        stack = [root]
+    def from_adjacency(cls, adj, root: int) -> "RootedTree":
+        """Root the component of `root` in one pass over `adj[v]` lists."""
+        order: list[int] = []
+        parent: list[int] = []
+        stack = [(root, -1, None)]
         while stack:
-            v = stack.pop()
-            vertices.append(v)
-            kids = [w for w in adj[v] if w != parent[v]]
-            children[v] = kids
-            for w in kids:
-                parent[w] = v
-            stack.extend(reversed(kids))
-        size: dict[int, int] = {}
-        for v in reversed(vertices):  # preorder: children come after their parent
-            size[v] = 1 + sum(size[c] for c in children[v])
-        return cls(root=root, vertices=vertices, children=children, parent=parent, size=size)
+            v, p, up = stack.pop()
+            parent.append(p)
+            order.append(v)
+            i = len(order) - 1
+            stack.extend((w, i, v) for w in reversed(adj[v]) if w != up)
+        size = [1] * len(order)
+        for i in range(len(order) - 1, 0, -1):
+            size[parent[i]] += size[i]
+        return cls(order, parent, size)
 
+    def count(self, v: int, ex: list) -> int:
+        return self.size[v] - sum(e - s for s, e in ex)
 
-def root_component(forest: Forest, comp: list[int], root: int) -> RootedTree:
-    adj = {v: list(forest.adj[v]) for v in comp}
-    return RootedTree.from_adjacency(adj, root)
+    def kids(self, v: int, ex: list) -> list[tuple[int, int]]:
+        """Children of v in the piece, in order, with their piece sizes."""
+        size, skip, out = self.size, dict(ex), []
+        c, end = v + 1, v + size[v]
+        while c < end:
+            if c in skip:
+                c = skip[c]
+                continue
+            nxt = c + size[c]
+            out.append((c, size[c] - sum(e - s for s, e in ex if c < s < nxt)))
+            c = nxt
+        return out
+
+    def keep(self, ex: list, v: int, start: int | None = None,
+             stop: int | None = None) -> list:
+        """Ranges of the piece made of v and the part [start, stop) of its
+        subtree (all of it by default), which starts and ends at children."""
+        end = v + self.size[v]
+        start = v + 1 if start is None else start
+        stop = end if stop is None else stop
+        return ([(v + 1, start)] if v + 1 < start else []) + [
+            r for r in ex if start <= r[0] and r[1] <= stop] + (
+            [(stop, end)] if stop < end else [])
+
+    def cut(self, ex: list, x: int) -> list:
+        """Ranges of the piece with x's subtree removed too."""
+        end = x + self.size[x]
+        return [r for r in ex if r[1] <= x] + [(x, end)] + [r for r in ex if r[0] >= end]
+
+    def cut_vertex(self, v: int, ex: list, s: int) -> int:
+        """Walk down from v, always into the first child whose piece subtree
+        still has >= s vertices; return where the walk stops."""
+        n = self.count(v, ex)
+        if n < 2:
+            raise InvalidSize(f"cut_vertex needs a tree on >= 2 vertices, got {n}")
+        if not 1 <= s <= n:
+            raise InvalidS(f"s {s} not in [1, {n}]")
+        c = v
+        while True:
+            nxt = next((d for d, sz in self.kids(c, ex) if sz >= s), None)
+            if nxt is None:
+                return c
+            c = nxt
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,16 @@ def _edges_from_levels(level: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
+def _check_size(n: int, cap: int) -> None:
+    if n < 1:
+        raise InvalidSize(f"n must be >= 1, got {n}")
+    if n > cap:
+        raise SizeTooLarge(f"n={n} above the cap {cap}")
+
+
 def enumerate_trees(n: int, cap: int = FOREST_CAP) -> list[Forest]:
     """One representative per isomorphism class of free trees on n vertices."""
-    if not 1 <= n <= cap:
-        raise SizeTooLarge(f"n={n} outside [1, {cap}]")
+    _check_size(n, cap)
     seen: set[str] = set()
     out = []
     for level in rooted_level_sequences(n):
@@ -163,8 +169,7 @@ def _partitions_desc(n: int, maxp: int):
 def enumerate_forests(n: int, cap: int = FOREST_CAP) -> list[Forest]:
     """One representative per isomorphism class of forests on n vertices:
     parts of each partition of n carry a multiset of tree classes."""
-    if not 1 <= n <= cap:
-        raise SizeTooLarge(f"n={n} outside [1, {cap}]")
+    _check_size(n, cap)
     trees = {s: enumerate_trees(s, cap) for s in range(1, n + 1)}
     out = []
     for part in _partitions_desc(n, n):
@@ -206,8 +211,7 @@ def enumerate_caterpillars(n: int, cap: int = CATERPILLAR_CAP) -> list[Caterpill
     """One representative per isomorphism class.  A class is a sequence of
     star sizes along the spine, up to reversal; end stars need >= 2 vertices
     (a bare end spine vertex would itself be a leaf)."""
-    if not 1 <= n <= cap:
-        raise SizeTooLarge(f"n={n} outside [1, {cap}]")
+    _check_size(n, cap)
     if n == 1:
         return [Caterpillar((0,), ((),))]
     seen: set[tuple[int, ...]] = set()

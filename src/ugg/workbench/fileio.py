@@ -5,7 +5,8 @@ Host:       `ugg-graph v1` / `kind <kind>` / `n <int>` / optional `edges <count>
 Forest:     `n <int>` then zero or more `e <u> <v>` lines.
 Chorded:    `n <int>` / `h <int>` / h lines `c <u> <v>` (cycle edges implicit).
 Embedding:  `m <t> <g>` lines sorted by t.
-UTF-8 everywhere; blank lines and `#` comments ignored.
+UTF-8 everywhere; blank lines and `#` comments ignored.  A forest or chorded
+file may declare at most INPUT_CAP vertices; a larger `n` raises SizeTooLarge.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ from ..convex import (
     build_twochord_host,
 )
 from ..embedder import Embedding
-from ..errors import MalformedInput
+from ..errors import MalformedInput, SizeTooLarge
 from ..trees import Forest
 from ..ugraph import build_universal
 
 MAGIC = "ugg-graph v1"
+# Most vertices a forest or chorded-cycle file may declare.  Loading one
+# builds lists of n entries, so a larger n is refused before anything is built.
+INPUT_CAP = 1 << 20
 # Every host kind but `custom`, which a file defines by its edge list.
 HOST_BUILDERS = {
     "universal": build_universal,
@@ -59,6 +63,14 @@ def _int(tok: str, what: str) -> int:
         return int(tok)
     except ValueError as exc:
         raise MalformedInput(f"bad {what}: {tok!r}") from exc
+
+
+def _input_size(row: list[str]) -> int:
+    """The `n <int>` header of an input file, at most INPUT_CAP."""
+    n = _int(_value(row, "n"), "n")
+    if n > INPUT_CAP:
+        raise SizeTooLarge(f"n={n} exceeds the input cap {INPUT_CAP}")
+    return n
 
 
 def save_host(host, path, explicit: bool = False) -> int | None:
@@ -130,7 +142,7 @@ def load_forest(path) -> Forest:
     rows = _lines(path)
     if not rows:
         raise MalformedInput("forest file must start with `n <int>`")
-    n = _int(_value(rows[0], "n"), "n")
+    n = _input_size(rows[0])
     edges = []
     for row in rows[1:]:
         if row[0] != "e" or len(row) != 3:
@@ -153,7 +165,7 @@ def load_chorded(path) -> ChordedCycle:
     rows = _lines(path)
     if len(rows) < 2:
         raise MalformedInput("chorded file needs `n` and `h` lines")
-    n = _int(_value(rows[0], "n"), "n")
+    n = _input_size(rows[0])
     h = _int(_value(rows[1], "h"), "h")
     chords = []
     for row in rows[2:]:

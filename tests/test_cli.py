@@ -229,6 +229,40 @@ def test_enumerate_chorded(tmp_path):
     assert text.count("# class") == len(enumerate_chorded_cycles(8, 2))
 
 
+@pytest.mark.parametrize("what, n, code", [
+    ("forests", 0, 2), ("forests", 13, 3),
+    ("caterpillars", 0, 2), ("caterpillars", 15, 3),
+    ("chorded", 2, 2), ("chorded", 31, 3),
+])
+def test_enumerate_size_exit_codes(tmp_path, capsys, what, n, code):
+    out = str(tmp_path / "out.txt")
+    assert cli.main(["enumerate", "--what", what, "--n", str(n), "--out", out]) == code
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("universal", "e 0 1\n"),
+    ("twochord", "h 2\nc 0 2\nc 3 5\n"),
+])
+def test_huge_input_exits_3_quickly(tmp_path, capsys, kind, body):
+    # one past the cap: a copy without the cap still loads it in memory
+    n = fileio.INPUT_CAP + 1
+    host = str(tmp_path / "host.txt")
+    assert cli.main(["build", "--kind", kind, "--n", "63", "--out", host]) == 0
+    graph = tmp_path / "input.txt"
+    graph.write_text(f"n {n}\n{body}", encoding="utf-8")
+    emb = tmp_path / "emb.txt"
+    emb.write_text("m 0 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["embed", "--host", host, "--input", str(graph),
+                     "--out", str(tmp_path / "out.txt")]) == 3
+    assert cli.main(["verify", "--host", host, "--input", str(graph),
+                     "--embedding", str(emb)]) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "input cap" in err and "Traceback" not in err
+
+
 def test_selftest_smoke(capsys):
     assert cli.main(["selftest", "--max-n", "4"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """The recursive embedding algorithm and its helper operations."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -21,6 +22,7 @@ from ugg.embedder import (
 from ugg.errors import (
     DomainMismatch,
     EqualIndices,
+    IndexOutOfRange,
     InternalInvariantBroken,
     InvalidS,
     InvalidSize,
@@ -61,12 +63,12 @@ def test_cut_vertex_single_edge():
 def test_cut_vertex_contract_exhaustive():
     for n in range(2, 9):
         for tree in enumerate_trees(n):
-            rooted = RootedTree.from_adjacency(
-                {v: list(tree.adj[v]) for v in range(n)}, 0)
+            rooted = RootedTree.from_adjacency(tree.adj, 0)
             for s in range(1, n + 1):
-                c = cut_vertex(rooted, s)
+                c = rooted.order.index(cut_vertex(rooted, s))
                 assert rooted.size[c] >= s
-                assert all(rooted.size[d] <= s - 1 for d in rooted.children[c])
+                assert all(rooted.size[d] <= s - 1
+                           for d, p in enumerate(rooted.parent) if p == c)
 
 
 def test_cut_vertex_errors():
@@ -250,6 +252,16 @@ def test_two_portal_adjacent_portals():
     assert report.ok, report.failures
 
 
+def test_embed_tree_first_portal_must_be_the_root():
+    G = build_universal(4)
+    with pytest.raises(PreconditionViolated):
+        embed_tree(G, path_tree(4), 2)
+    with pytest.raises(PreconditionViolated):
+        embed_tree(G, path_tree(4), (2, 0))
+    with pytest.raises(IndexOutOfRange):
+        embed_tree(G, path_tree(4), (0, 9))
+
+
 def test_embed_forest_components_in_consecutive_intervals():
     f = Forest(5, [(0, 1), (2, 3), (3, 4)])
     G = build_universal(5)
@@ -360,8 +372,12 @@ def shape_forests(n, rng):
     }
 
 
-@pytest.mark.parametrize("shape", ["random", "star", "path"])
+@pytest.mark.parametrize("shape", ["random", "star", "path", "components"])
 def test_embed_forest_roots_each_component_once(monkeypatch, shape):
+    forests = shape_forests(1023, random.Random(1023))
+    forests["components"] = Forest(1023, [(i, i + 1) for i in range(1022) if i % 3 != 2])
+    forest = forests[shape]
+    smallest = [comp[0] for comp in forest.components()]
     calls = []
     from_adjacency = RootedTree.from_adjacency.__func__
 
@@ -369,10 +385,28 @@ def test_embed_forest_roots_each_component_once(monkeypatch, shape):
         calls.append(root)
         return from_adjacency(cls, adj, root)
 
+    def unused(self):
+        raise AssertionError("embed_forest listed the components")
+
     monkeypatch.setattr(RootedTree, "from_adjacency", classmethod(counting))
-    forest = shape_forests(1023, random.Random(1023))[shape]
+    monkeypatch.setattr(Forest, "components", unused)
     embed_forest(build_universal(1023), forest)
-    assert 1 <= len(calls) <= len(forest.components())
+    assert calls == smallest
+
+
+# sha256 of embed_forest's mapping and provenance on every forest with n <= 8
+# and on the six shapes at n = 1023: any change to the embedder's choices shows.
+EMBED_FOREST_DIGEST = "1b370c486d2d47cca5cf4e67cc79adda8df73753f84674c11356781c495434ea"
+
+
+def test_embed_forest_output_is_pinned():
+    forests = [f for n in range(1, 9) for f in enumerate_forests(n)]
+    forests += shape_forests(1023, random.Random(1023)).values()
+    digest = hashlib.sha256()
+    for forest in forests:
+        emb = embed_forest(build_universal(forest.n), forest)
+        digest.update(repr((sorted(emb.mapping.items()), emb.provenance)).encode())
+    assert digest.hexdigest() == EMBED_FOREST_DIGEST
 
 
 def test_deep_recursion_leaves_the_interpreter_alone():

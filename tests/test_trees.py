@@ -8,7 +8,6 @@ from ugg.trees import (
     Forest,
     RootedTree,
     caterpillar_spine,
-    root_component,
 )
 
 
@@ -46,20 +45,34 @@ def test_rooted_tree_sizes():
     #   |
     #   3
     t = RootedTree.from_adjacency({0: [1, 2], 1: [0, 3], 2: [0], 3: [1]}, root=0)
-    assert t.n == 4
-    assert t.parent[0] is None
-    assert t.parent[3] == 1
-    assert sorted(t.subtree_vertices(1)) == [1, 3]
-    assert t.size[0] == 4 and t.size[1] == 2 and t.size[2] == 1
+    assert t.n == 4 and t.root == 0
+    assert t.order == [0, 1, 3, 2]
+    assert t.parent == [-1, 0, 1, 0]
+    assert t.size == [4, 2, 1, 1]
 
 
-def test_root_component_keeps_ids():
+def test_from_adjacency_keeps_ids():
     f = Forest(6, [(4, 5), (5, 3)])
-    comp = [c for c in f.components() if 4 in c][0]
-    t = root_component(f, comp, 3)
+    t = RootedTree.from_adjacency(f.adj, 3)
     assert t.root == 3
-    assert set(t.vertices) == {3, 4, 5}
-    assert t.parent[4] == 5
+    assert t.order == [3, 5, 4]  # only the component of 3
+    assert t.parent == [-1, 0, 1]  # 4 hangs off 5
+    assert t.size == [3, 2, 1]
+
+
+def test_piece_helpers():
+    # 0 has children 1, 2, 3 and 1 has child 4: positions 0..4 hold 0, 1, 4, 2, 3
+    t = RootedTree.from_adjacency(Forest(5, [(0, 1), (0, 2), (0, 3), (1, 4)]).adj, 0)
+    assert t.order == [0, 1, 4, 2, 3]
+    assert t.kids(0, []) == [(1, 2), (3, 1), (4, 1)]
+    no_1 = t.cut([], 1)
+    assert no_1 == [(1, 3)]
+    assert t.count(0, no_1) == 3 and t.kids(0, no_1) == [(3, 1), (4, 1)]
+    only_2 = t.keep([], 0, 3, 4)
+    assert only_2 == [(1, 3), (4, 5)]
+    assert t.count(0, only_2) == 2 and t.kids(0, only_2) == [(3, 1)]
+    assert t.cut_vertex(0, [], 2) == 1
+    assert t.cut_vertex(0, no_1, 2) == 0
 
 
 def test_path_is_a_caterpillar():

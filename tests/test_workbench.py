@@ -124,6 +124,17 @@ def test_chorded_cycle_enumeration_basics():
         assert orbit_sum == labeled, n
 
 
+@pytest.mark.parametrize("enumerate_, cap", [
+    (enumerate_trees, 12), (enumerate_forests, 12), (enumerate_caterpillars, 14)])
+def test_enumeration_sizes(enumerate_, cap):
+    with pytest.raises(InvalidSize):
+        enumerate_(0)
+    with pytest.raises(InvalidSize):
+        enumerate_(-1)
+    with pytest.raises(SizeTooLarge):
+        enumerate_(cap + 1)
+
+
 def test_chorded_cycle_enumeration_caps():
     with pytest.raises(SizeTooLarge):
         enumerate_chorded_cycles(31, 2)
