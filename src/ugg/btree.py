@@ -12,7 +12,6 @@ the whole tree; the prefix only matters to callers that restrict vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EqualIndices, IndexOutOfRange, InvalidSize
 
@@ -68,21 +67,20 @@ def _check_index(shape: BTreeShape, i: int) -> None:
         raise IndexOutOfRange(f"node index {i} not in [0, {shape.m})")
 
 
-@lru_cache(maxsize=1 << 18)
 def _locate(h: int, i: int) -> tuple[int, int, int]:
-    # Descend from the root.  At a node on level `level`, the right child is
-    # node + 2**(h - level) because the left subtree holds 2**(h-level) - 1
-    # nodes.  Returns (level, pos, parent); parent is -1 for the root.
-    node, level, pos, parent = 0, 1, 0, -1
-    while node != i:
-        parent = node
-        right = node + (1 << (h - level))
-        if i < right:
-            node, pos = node + 1, 2 * pos
+    # Descend from the root, keeping x, the offset of i below the current
+    # node.  On level `level` the right child is node + step, step =
+    # 2**(h - level), because the left subtree holds step - 1 nodes.
+    # Returns (level, pos, parent); parent is -1 for the root.
+    x, pos, step = i, 0, 1 << (h - 1)
+    while x:
+        if x < step:
+            x, pos = x - 1, 2 * pos
         else:
-            node, pos = right, 2 * pos + 1
-        level += 1
-    return level, pos, parent
+            x, pos = x - step, 2 * pos + 1
+        step >>= 1
+    level = h + 1 - step.bit_length()
+    return level, pos, -1 if level == 1 else i - (2 * step if pos & 1 else 1)
 
 
 def locate(shape: BTreeShape, i: int) -> tuple[int, int]:
@@ -143,19 +141,19 @@ def nav(shape: BTreeShape, i: int) -> NodeInfo:
         right_child=right_child,
         left_level_neighbor=lln,
         right_level_neighbor=rln,
-        subtree_range=subtree_range(shape, i),
+        subtree_range=(i, i + (1 << (h - level + 1)) - 2),
     )
 
 
-def height_key(shape: BTreeShape, i: int) -> tuple[int, int]:
-    """Sort key that orders nodes from highest to lowest.
+def height_key(shape: BTreeShape, i: int) -> int:
+    """The height order as one int: smaller means higher.
 
     Lower level wins; within a level, larger pos wins.  This is the order in
     which a breadth-first traversal that expands right children before left
-    ones visits the nodes.
+    ones visits the nodes.  pos < 2**h, so the level term dominates.
     """
     level, pos, _ = _locate(shape.h, i)
-    return level, -pos
+    return (level << shape.h) - pos
 
 
 def higher(shape: BTreeShape, u: int, w: int) -> bool:
@@ -169,10 +167,7 @@ def higher(shape: BTreeShape, u: int, w: int) -> bool:
 
 def highest(shape: BTreeShape, indices) -> int:
     """The index that is higher than all other given indices."""
-    best = None
-    for i in indices:
-        if best is None or height_key(shape, i) < height_key(shape, best):
-            best = i
+    best = min(indices, key=lambda i: height_key(shape, i), default=None)
     if best is None:
         raise InvalidSize("highest() needs at least one index")
     return best

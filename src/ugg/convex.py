@@ -80,15 +80,20 @@ class _CaterpillarHost(ConvexHost):
     def later_ranges(self, u: int) -> list[tuple[int, int]]:
         # u reaches (u, u + r] and, across the seam, [u + n - r, n).  The
         # vertices of reach 2k - 1 sit at k - 1 (mod 2k); of them only the
-        # first after u and the last before n can reach back to u.
+        # first after u and the last before n can reach back to u, and only
+        # when 2k - 1 > r is that news, so k starts at r + 1.
         n, r = self.n, _reach(u)
         ranges = [(u + 1, u + r), (u + n - r, n - 1)]
-        k = 1
+        k = r + 1
         while k <= n:
-            for j in (u + 1 + (k - 2 - u) % (2 * k), n - 1 - (n - k) % (2 * k)):
-                if u < j < n and min(j - u, n - j + u) <= 2 * k - 1:
-                    ranges.append((j, j))
-            k *= 2
+            d = 2 * k
+            j = u + 1 + (k - 2 - u) % d
+            if j - u < d and j < n:
+                ranges.append((j, j))
+            j = n - 1 - (n - k) % d
+            if u < j and n - j + u < d:
+                ranges.append((j, j))
+            k = d
         return merge_ranges(ranges, u + 1, n - 1)
 
     def edge_count(self) -> int:

@@ -2,9 +2,10 @@
 
 Host vertices sit at x = index; y-coordinates realize the height order (higher
 in the tree order means larger y), in general position.  Whether two host
-edges cross is decided purely from the height order of their four endpoints
-(`edges_cross`); `segments_cross_exact` is the independent geometric route on
-realized integer coordinates, using exact orientation signs.
+edges cross is decided purely from the height ranks of their four endpoints
+(`segments_cross`; `edges_cross` is its checked form); `segments_cross_exact`
+is the independent geometric route on realized integer coordinates, using
+exact orientation signs.  Heights come only from `btree.height_key`.
 """
 
 from __future__ import annotations
@@ -85,12 +86,7 @@ def _check_edge(shape: BTreeShape, n: int, e: tuple[int, int]) -> tuple[int, int
 
 def height_ranks(shape: BTreeShape, vertices) -> dict[int, int]:
     """Integer rank per vertex that grows with the height order (higher = larger)."""
-    h = shape.h
-    out = {}
-    for v in vertices:
-        level, neg_pos = btree.height_key(shape, v)
-        out[v] = ((h - level) << h) - neg_pos
-    return out
+    return {v: -btree.height_key(shape, v) for v in vertices}
 
 
 def above(rank, a: int, b: int, c: int) -> bool:
@@ -119,27 +115,25 @@ def segment_below(rank, s: tuple[int, int], t: tuple[int, int]) -> bool:
     return not above(rank, c, a, d)
 
 
-def edges_cross(shape: BTreeShape, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """Do the straight segments of two host edges cross, decided by height order?
-
-    Edges sharing an endpoint never cross (general position).  Otherwise the
-    segments cross iff their vertical order differs at the two ends of their
-    common x-range, and each end is one call of the primitive `above`.
-    """
-    n = shape.n
-    p, q = _check_edge(shape, n, e1)
-    r, s = _check_edge(shape, n, e2)
-    if r < p:
-        p, q, r, s = r, s, p, q
-    if q <= r or p == r or q == s:
+def segments_cross(rank, s: tuple[int, int], t: tuple[int, int]) -> bool:
+    """Do two (left, right) host segments cross?  Segments sharing an endpoint
+    never do (general position); otherwise they cross iff their vertical order
+    differs at the two ends of their common x-range, one `above` call each."""
+    (p, q), (r, u) = (s, t) if s[0] < t[0] else (t, s)
+    if q <= r or p == r or q == u:
         return False  # disjoint x-ranges or a shared endpoint
-    rank = height_ranks(shape, (p, q, r, s))
-    # The common x-range is [r, min(q, s)].  At x = r, (r, s) is above (p, q)
-    # iff r is above line pq; at the right end compare s with line pq when
-    # (r, s) is nested, or q with line rs when the segments interleave.
-    if s < q:
-        return above(rank, p, r, q) != above(rank, p, s, q)
-    return above(rank, p, r, q) == above(rank, r, q, s)
+    # The common x-range is [r, min(q, u)].  At x = r, (r, u) is above (p, q)
+    # iff r is above line pq; at the right end compare u with line pq when
+    # (r, u) is nested, or q with line ru when the segments interleave.
+    if u < q:
+        return above(rank, p, r, q) != above(rank, p, u, q)
+    return above(rank, p, r, q) == above(rank, r, q, u)
+
+
+def edges_cross(shape: BTreeShape, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
+    """`segments_cross` on two host edges, each checked and given either way round."""
+    s, t = _check_edge(shape, shape.n, e1), _check_edge(shape, shape.n, e2)
+    return segments_cross(height_ranks(shape, (*s, *t)), s, t)
 
 
 def orientation(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:

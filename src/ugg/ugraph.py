@@ -134,7 +134,7 @@ class UniversalGraph(Host):
             raise IntervalTooSmall(f"star_centers needs |I| >= 2, got [{lo}, {hi}]")
         k = self.highest_in(lo, hi)
         sides = [self.highest_in(i, j) for i, j in ((lo, k - 1), (k + 1, hi)) if i <= j]
-        s = min(sides, key=lambda i: btree.height_key(self.shape, i))
+        s = btree.highest(self.shape, sides)
         return k, s, sides[-1] if k < hi else None
 
 

@@ -11,6 +11,8 @@ file may declare at most INPUT_CAP vertices; a larger `n` raises SizeTooLarge.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter, ne
 from pathlib import Path
 
 from ..convex import (
@@ -43,12 +45,7 @@ def _lines(path) -> list[list[str]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line.split())
-    return out
+    return [row for row in map(str.split, text.splitlines()) if row and row[0][0] != "#"]
 
 
 def _value(row: list[str], key: str) -> str:
@@ -63,6 +60,19 @@ def _int(tok: str, what: str) -> int:
         return int(tok)
     except ValueError as exc:
         raise MalformedInput(f"bad {what}: {tok!r}") from exc
+
+
+def _pairs(rows: list[list[str]], tag: str, what: str,
+           names: tuple[str, str] = ("endpoint", "endpoint")) -> list[tuple[int, int]]:
+    """The integer pairs of `<tag> <a> <b>` rows, parsed in bulk.  On
+    failure the first bad row, or the first bad token, is named."""
+    if set(map(len, rows)) - {3} or set(map(itemgetter(0), rows)) - {tag}:
+        row = next(r for r in rows if len(r) != 3 or r[0] != tag)
+        raise MalformedInput(f"unexpected {what} line: {' '.join(row)}")
+    try:
+        return [(int(a), int(b)) for _, a, b in rows]
+    except ValueError:  # name the first bad token
+        return [(_int(a, names[0]), _int(b, names[1])) for _, a, b in rows]
 
 
 def _input_size(row: list[str]) -> int:
@@ -87,7 +97,8 @@ def save_host(host, path, explicit: bool = False) -> int | None:
 
 def load_host(path):
     """The host a file names.  An explicit edge list must be exactly the
-    host's edges: each in range, listed once, and as many as the host has."""
+    host's edges: each in range, listed once, and, sorted, equal to the
+    host's own `edges()` stream."""
     rows = _lines(path)
     if not rows or rows[0] != MAGIC.split():
         raise MalformedInput(f"missing `{MAGIC}` header in {path}")
@@ -97,35 +108,32 @@ def load_host(path):
     n = _int(_value(rows[2], "n"), "n")
     if kind not in HOST_BUILDERS and kind != "custom":
         raise MalformedInput(f"unknown host kind {kind!r}")
-    declared = None
-    pairs: list[tuple[int, int]] = []
-    for row in rows[3:]:
-        if row[0] == "e" and len(row) == 3:
-            pairs.append((_int(row[1], "endpoint"), _int(row[2], "endpoint")))
-        elif row[0] == "edges":
-            declared = _int(_value(row, "edges"), "edge count")
-        else:
-            raise MalformedInput(f"unexpected host line: {' '.join(row)}")
-    if declared is not None and declared != len(pairs):
-        raise MalformedInput(f"declared {declared} edges, found {len(pairs)}")
-    edges = {(u, v) if u < v else (v, u) for u, v in pairs}
+    pairs = _pairs([row for row in rows[3:] if row[0] != "edges"], "e", "host")
+    declared = [_int(_value(row, "edges"), "edge count") for row in rows[3:] if row[0] == "edges"]
+    if declared and declared[-1] != len(pairs):
+        raise MalformedInput(f"declared {declared[-1]} edges, found {len(pairs)}")
+    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+    if kind != "custom":
+        host = HOST_BUILDERS[kind](n)
+        # Walk the sorted list and the host's stream in lockstep, stopping at
+        # the first difference; the None ends make the two end together or
+        # differ.  Equal, the list is in range and free of repeats.
+        listed, stream = chain(sorted(edges), [None]), chain(host.edges(), [None])
+        if not edges or not any(map(ne, listed, stream)):
+            return host
     bad = next((e for e in edges if not 0 <= e[0] < e[1] < n), None)
     if bad is not None:
         raise MalformedInput(f"bad edge {bad}")
-    if len(edges) != len(pairs):
+    if len(set(edges)) != len(edges):
         raise MalformedInput("an edge is listed twice")
     if kind == "custom":
         if not edges:
             raise MalformedInput("custom host requires explicit edges")
         return build_custom_host(n, edges)
-    host = HOST_BUILDERS[kind](n)
-    if edges:
-        stray = next((e for e in edges if not host.is_edge(*e)), None)
-        if stray is not None:
-            raise MalformedInput(f"edge {stray} is not an edge of the {kind} host")
-        if len(edges) != host.edge_count():
-            raise MalformedInput(f"explicit edge list disagrees with {kind} host")
-    return host
+    stray = next((e for e in edges if not host.is_edge(*e)), None)
+    if stray is not None:
+        raise MalformedInput(f"edge {stray} is not an edge of the {kind} host")
+    raise MalformedInput(f"explicit edge list disagrees with {kind} host")
 
 
 def forest_lines(forest: Forest) -> list[str]:
@@ -139,16 +147,14 @@ def save_forest(forest: Forest, path) -> None:
 
 
 def load_forest(path) -> Forest:
-    rows = _lines(path)
+    return _forest(_lines(path))
+
+
+def _forest(rows: list[list[str]]) -> Forest:
     if not rows:
         raise MalformedInput("forest file must start with `n <int>`")
     n = _input_size(rows[0])
-    edges = []
-    for row in rows[1:]:
-        if row[0] != "e" or len(row) != 3:
-            raise MalformedInput(f"unexpected forest line: {' '.join(row)}")
-        edges.append((_int(row[1], "endpoint"), _int(row[2], "endpoint")))
-    return Forest(n, edges)
+    return Forest(n, _pairs(rows[1:], "e", "forest"))
 
 
 def chorded_lines(cc: ChordedCycle) -> list[str]:
@@ -162,16 +168,15 @@ def save_chorded(cc: ChordedCycle, path) -> None:
 
 
 def load_chorded(path) -> ChordedCycle:
-    rows = _lines(path)
+    return _chorded(_lines(path))
+
+
+def _chorded(rows: list[list[str]]) -> ChordedCycle:
     if len(rows) < 2:
         raise MalformedInput("chorded file needs `n` and `h` lines")
     n = _input_size(rows[0])
     h = _int(_value(rows[1], "h"), "h")
-    chords = []
-    for row in rows[2:]:
-        if row[0] != "c" or len(row) != 3:
-            raise MalformedInput(f"unexpected chorded line: {' '.join(row)}")
-        chords.append((_int(row[1], "endpoint"), _int(row[2], "endpoint")))
+    chords = _pairs(rows[2:], "c", "chorded")
     if len(chords) != h:
         raise MalformedInput(f"declared h={h} but found {len(chords)} chords")
     return ChordedCycle(n, tuple(chords))
@@ -181,8 +186,8 @@ def load_input(path):
     """A forest file or a chorded-cycle file, told apart by the `h` line."""
     rows = _lines(path)
     if len(rows) >= 2 and rows[1][0] == "h":
-        return load_chorded(path)
-    return load_forest(path)
+        return _chorded(rows)
+    return _forest(rows)
 
 
 def save_embedding(emb, path) -> None:
@@ -192,13 +197,10 @@ def save_embedding(emb, path) -> None:
 
 
 def load_embedding(path) -> dict[int, int]:
-    rows = _lines(path)
+    pairs = _pairs(_lines(path), "m", "embedding", ("input vertex", "host vertex"))
     mapping: dict[int, int] = {}
-    for row in rows:
-        if row[0] != "m" or len(row) != 3:
-            raise MalformedInput(f"unexpected embedding line: {' '.join(row)}")
-        t = _int(row[1], "input vertex")
+    for t, g in pairs:
         if t in mapping:
             raise MalformedInput(f"vertex {t} mapped twice")
-        mapping[t] = _int(row[2], "host vertex")
+        mapping[t] = g
     return mapping

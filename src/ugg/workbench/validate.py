@@ -1,7 +1,9 @@
 """Embedding validator: injectivity, edge membership, crossing-freeness.
 
-Crossings are found in O(m log m): a Shamos-Hoey sweep on the universal
-host, a parenthesis-nesting walk on convex hosts.  Only when one of them
+Crossings are found with O(m log m) predicate calls: a Shamos-Hoey sweep on
+the universal host, a parenthesis-nesting walk on convex hosts.  But each
+insert or delete in the sweep's list status moves O(m) pointers, so a star
+validates in quadratic time (300 s at n = 2**20 - 1).  Only when a detector
 finds a crossing does the pairwise scan run, to list every witness.
 
 Failures are data, not exceptions; every failure carries a witness.
@@ -16,7 +18,7 @@ from ..btree import BTreeShape
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..embedder import Embedding
 from ..errors import InternalInvariantBroken
-from ..geometry import edges_cross, height_ranks, segment_below
+from ..geometry import edges_cross, height_ranks, segment_below, segments_cross
 from ..trees import Caterpillar, Forest
 
 Segment = tuple[int, int]
@@ -63,14 +65,14 @@ def _position(status: list[Segment], s: Segment, rank) -> int:
 def sweep_crossing(shape: BTreeShape,
                    segments) -> tuple[tuple[Segment, Segment] | None, int]:
     """Shamos-Hoey sweep over host segments: a crossing pair or None, and
-    the number of `edges_cross` calls made.
+    the number of crossing-predicate calls made.
 
     Every host vertex has its own x, so the events are vertex indices.  At
     each x the segments ending there leave the ordered status list, then the
-    segments starting there enter it; every pair made adjacent is tested.
-    The leftmost crossing pair is adjacent before the sweep passes it, and
-    until then the status order is consistent, so stopping at the first
-    crossing keeps every comparison sound.
+    segments starting there enter it; every pair made adjacent is tested on
+    the one rank table.  The leftmost crossing pair is adjacent before the
+    sweep passes it, and until then the status order is consistent, so
+    stopping at the first crossing keeps every comparison sound.
     """
     segs = sorted({(u, v) if u < v else (v, u) for u, v in segments})
     rank = height_ranks(shape, {w for seg in segs for w in seg})
@@ -89,7 +91,7 @@ def sweep_crossing(shape: BTreeShape,
             del status[i]
             if 0 < i < len(status):
                 checked += 1
-                if edges_cross(shape, status[i - 1], status[i]):
+                if segments_cross(rank, status[i - 1], status[i]):
                     return (status[i - 1], status[i]), checked
         for seg in starts.get(x, ()):
             i = _position(status, seg, rank)
@@ -97,13 +99,13 @@ def sweep_crossing(shape: BTreeShape,
             for j in (i - 1, i + 1):
                 if 0 <= j < len(status):
                     checked += 1
-                    if edges_cross(shape, status[j], seg):
+                    if segments_cross(rank, status[j], seg):
                         return (status[j], seg), checked
     return None, checked
 
 
 def _crossing_rules(host):
-    """The O(m log m) crossing detector and the pairwise crossing predicate:
+    """The fast crossing detector and the pairwise crossing predicate:
     height order on the universal host, the circle on every other host."""
     if host.kind == "universal":
         return partial(sweep_crossing, host.shape), partial(edges_cross, host.shape)

@@ -5,7 +5,9 @@ import time
 import pytest
 
 from ugg import cli
+from ugg.convex import _CaterpillarHost, _CustomHost, _StarHost
 from ugg.trees import Forest
+from ugg.ugraph import UniversalGraph
 from ugg.workbench import fileio
 from ugg.workbench.families import enumerate_chorded_cycles
 
@@ -300,3 +302,43 @@ def test_huge_host_verifies_without_building_edges(tmp_path, capsys, kind, n):
     assert verify_identity(tmp_path, host, 3) == 0
     assert time.perf_counter() - t0 < 5.0
     assert capsys.readouterr().out.strip() == "ok"
+
+
+@pytest.mark.parametrize("kind", ["universal", "caterpillar"])
+def test_short_list_on_huge_host_exits_2_quickly(tmp_path, capsys, kind):
+    # the list is checked against the host's edge stream, which stops at
+    # the first difference; no walk over all n vertices
+    host = tmp_path / "host.txt"
+    host.write_text(f"ugg-graph v1\nkind {kind}\nn 1000000000\nedges 1\ne 0 1\n",
+                    encoding="utf-8")
+    t0 = time.perf_counter()
+    assert verify_identity(tmp_path, str(host), 2) == 2
+    assert time.perf_counter() - t0 < 2.0
+    assert f"disagrees with {kind} host" in capsys.readouterr().err
+
+
+def test_explicit_hosts_load_without_is_edge(tmp_path, monkeypatch):
+    def refuse(self, u, v):
+        raise AssertionError("load_host called is_edge")
+
+    for cls in (UniversalGraph, _CaterpillarHost, _StarHost, _CustomHost):
+        monkeypatch.setattr(cls, "is_edge", refuse)
+    for kind in ("universal", "caterpillar", "twochord"):
+        host = tmp_path / f"{kind}.txt"
+        assert cli.main(["build", "--kind", kind, "--n", "1023", "--explicit",
+                         "--out", str(host)]) == 0
+        loaded = fileio.load_host(host)
+        assert (loaded.kind, loaded.n) == (kind, 1023)
+
+
+def test_dropped_universal_edge_exits_2(tmp_path, capsys):
+    host = tmp_path / "host.txt"
+    assert cli.main(["build", "--kind", "universal", "--n", "63", "--explicit",
+                     "--out", str(host)]) == 0
+    lines = host.read_text(encoding="utf-8").splitlines()
+    count = next(i for i, line in enumerate(lines) if line.startswith("edges "))
+    lines[count] = f"edges {int(lines[count].split()[1]) - 1}"
+    del lines[count + 5]  # an edge line; the header still matches the list
+    host.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert verify_identity(tmp_path, str(host), 3) == 2
+    assert "disagrees with universal host" in capsys.readouterr().err

@@ -429,3 +429,26 @@ def test_depth_bound_raises_when_too_small(monkeypatch):
     monkeypatch.setattr(embedder, "DEPTH_PER_LEVEL", 1)
     with pytest.raises(InternalInvariantBroken, match="deeper than 8"):
         embed_forest(G, tree)
+
+
+def test_validation_reads_each_height_once(monkeypatch):
+    # the sweep ranks each vertex once and tests pairs on that one table;
+    # nothing caches heights behind its back
+    assert not hasattr(btree._locate, "cache_info")
+    n = 4095
+    G = build_universal(n)
+    height_key = btree.height_key
+    calls = 0
+
+    def counting(shape, i):
+        nonlocal calls
+        calls += 1
+        return height_key(shape, i)
+
+    for shape, forest in shape_forests(n, random.Random(n)).items():
+        emb = embed_forest(G, forest)
+        calls = 0
+        monkeypatch.setattr(btree, "height_key", counting)
+        assert validate_embedding(G, forest, emb).ok, shape
+        monkeypatch.setattr(btree, "height_key", height_key)
+        assert 0 < calls <= n, shape
