@@ -156,6 +156,28 @@ def height_key(shape: BTreeShape, i: int) -> int:
     return (level << shape.h) - pos
 
 
+def height_keys(shape: BTreeShape, n: int) -> list[int]:
+    """`height_key` of every index below n, in one preorder walk.
+
+    The node after (level, pos) in preorder is its left child, or, from a
+    leaf, the right sibling of the lowest ancestor-or-self that is a left
+    child: climb one level per trailing 1 bit of pos, then add 1.
+    """
+    if not 0 <= n <= shape.m:
+        raise IndexOutOfRange(f"prefix size {n} not in [0, {shape.m}]")
+    h = shape.h
+    keys = [0] * n
+    level, pos = 1, 0
+    for i in range(n):
+        keys[i] = (level << h) - pos
+        if level < h:
+            level, pos = level + 1, pos << 1
+        else:
+            up = (pos ^ (pos + 1)).bit_length() - 1
+            level, pos = level - up, (pos >> up) + 1
+    return keys
+
+
 def higher(shape: BTreeShape, u: int, w: int) -> bool:
     """True iff u precedes w in the height order (u is strictly higher)."""
     _check_index(shape, u)

@@ -3,6 +3,7 @@ square-root-star two-chord host, with their embedding algorithms."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -151,11 +152,13 @@ def twochord_centers(n: int) -> list[int]:
 
 class _StarHost(ConvexHost):
     """Spanning cycle plus a full star at every center: the two-chord host,
-    or the complete host, where every vertex is a center."""
+    or the complete host, where every vertex is a center.  `centers` answers
+    membership; `runs` lists the same centers once as sorted maximal runs
+    (lo, hi)."""
 
-    def __init__(self, kind: str, n: int, centers):
+    def __init__(self, kind: str, n: int, centers, runs: tuple[tuple[int, int], ...]):
         super().__init__(n)
-        self.kind, self.centers = kind, centers
+        self.kind, self.centers, self.runs = kind, centers, runs
 
     def is_edge(self, u: int, v: int) -> bool:
         self._check_pair(u, v)
@@ -165,19 +168,30 @@ class _StarHost(ConvexHost):
         # 0 is a center, so the seam edge (0, n-1) falls in the first case.
         if u in self.centers:
             return [(u + 1, self.n - 1)]
-        later = {u + 1} | {c for c in self.centers if c > u}
-        return merge_ranges(((j, j) for j in later), u + 1, self.n - 1)
+        # u + 1 joins the runs of the centers above u.
+        runs = self.runs
+        j = bisect_right(runs, (u, self.n))
+        if u + 1 == self.n or j < len(runs) and runs[j][0] == u + 1:
+            return list(runs[j:])
+        if j < len(runs) and runs[j][0] == u + 2:
+            return [(u + 1, runs[j][1]), *runs[j + 1:]]
+        return [(u + 1, u + 1), *runs[j:]]
 
     def edge_count(self) -> int:
         # Pairs touching a center, plus the n cycle edges less those that do.
-        n, c = self.n, len(self.centers)
-        touching = 2 * c - sum((s + 1) % n in self.centers for s in self.centers)
+        # A cycle edge joins two centers inside a run, or across the seam.
+        n, runs = self.n, self.runs
+        c = sum(hi - lo + 1 for lo, hi in runs)
+        inner = c - len(runs) + (runs[0][0] == 0 and runs[-1][1] == n - 1)
+        touching = 2 * c - inner
         return n * (n - 1) // 2 - (n - c) * (n - c - 1) // 2 + n - touching
 
 
 def build_twochord_host(n: int) -> ConvexHost:
     """Spanning cycle plus a full star at every center index."""
-    return _StarHost("twochord", n, frozenset(twochord_centers(n)))
+    centers = twochord_centers(n)
+    runs = merge_ranges(((c, c) for c in centers), 0, n - 1)
+    return _StarHost("twochord", n, frozenset(centers), tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -330,7 +344,7 @@ class _CustomHost(ConvexHost):
 def build_complete_host(n: int) -> ConvexHost:
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
-    return _StarHost("complete", n, range(n))
+    return _StarHost("complete", n, range(n), ((0, n - 1),))
 
 
 def build_custom_host(n: int, edges) -> ConvexHost:

@@ -409,12 +409,11 @@ class _Recursion:
         pa, pb = mp[a], mp[b]
         if pa >= pb:
             raise InternalInvariantBroken("left portal not left of right portal")
-        for g in mp.values():
-            if g < pa and G.higher(g, pa):
-                raise InternalInvariantBroken("vertex in upper-left quarter plane of left portal")
-            if g > pb and G.higher(g, pb):
-                raise InternalInvariantBroken(
-                    "vertex in upper-right quarter plane of right portal")
+        # The blocks tile [lo, hi], so the highest vertex on each side decides.
+        if lo < pa and G.higher(G.highest_in(lo, pa - 1), pa):
+            raise InternalInvariantBroken("vertex in upper-left quarter plane of left portal")
+        if pb < hi and G.higher(G.highest_in(pb + 1, hi), pb):
+            raise InternalInvariantBroken("vertex in upper-right quarter plane of right portal")
         self.prov.append(("case-2", (lo, hi)))
         if TRACE_HOOK is not None:
             TRACE_HOOK(("two", (a, b), lo, hi, dict(mp)))

@@ -5,7 +5,8 @@ in the tree order means larger y), in general position.  Whether two host
 edges cross is decided purely from the height ranks of their four endpoints
 (`segments_cross`; `edges_cross` is its checked form); `segments_cross_exact`
 is the independent geometric route on realized integer coordinates, using
-exact orientation signs.  Heights come only from `btree.height_key`.
+exact orientation signs.  Heights come only from `btree.height_key`, and a
+rank table is a table of height keys: smaller is higher.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ def _check_edge(shape: BTreeShape, n: int, e: tuple[int, int]) -> tuple[int, int
 
 
 def height_ranks(shape: BTreeShape, vertices) -> dict[int, int]:
-    """Integer rank per vertex that grows with the height order (higher = larger)."""
-    return {v: -btree.height_key(shape, v) for v in vertices}
+    """Rank of each vertex in the height order, its `height_key`: smaller
+    means higher.  Any table of height keys, such as `btree.height_keys`,
+    serves the predicates below."""
+    return {v: btree.height_key(shape, v) for v in vertices}
 
 
 def above(rank, a: int, b: int, c: int) -> bool:
@@ -96,23 +99,7 @@ def above(rank, a: int, b: int, c: int) -> bool:
     puts every point above each line through two lower points.
     """
     rb = rank[b]
-    return rb > rank[a] and rb > rank[c]
-
-
-def segment_below(rank, s: tuple[int, int], t: tuple[int, int]) -> bool:
-    """Is segment s below segment t over their common x-range?
-
-    Both are distinct (left, right) pairs with overlapping x-ranges that do
-    not cross, so comparing them at one x decides: the later left endpoint,
-    or the earlier right endpoint when the left endpoints coincide.
-    """
-    a, b = s
-    c, d = t
-    if a == c:
-        return above(rank, a, d, b) if d < b else not above(rank, a, b, d)
-    if a < c:
-        return above(rank, a, c, b)
-    return not above(rank, c, a, d)
+    return rb < rank[a] and rb < rank[c]
 
 
 def segments_cross(rank, s: tuple[int, int], t: tuple[int, int]) -> bool:

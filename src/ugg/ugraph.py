@@ -46,6 +46,20 @@ class Interval:
         return self.lo <= i <= self.hi
 
 
+def adjacent(lu: int, pu: int, lv: int, pv: int) -> bool:
+    """Rules E1-E3 on two distinct nodes given as (level, pos)."""
+    if lu > lv:
+        lu, pu, lv, pv = lv, pv, lu, pu
+    a = pv >> (lv - lu)  # position of v or its ancestor on u's level
+    # (E1) a is u; (E2) a is a level-neighbor of u; (E3) a's parent is
+    # the left level-neighbor of u's parent.
+    if abs(a - pu) <= 1 or a >> 1 == (pu >> 1) - 1:
+        return True
+    # (E3) with the roles swapped: u lies under the left level-neighbor
+    # of v's parent, so u is at most one level above v.
+    return lv - lu <= 1 and pu >> (lu - lv + 1) == (pv >> 1) - 1
+
+
 class UniversalGraph(Host):
     """Host graph universal for forests on n vertices."""
 
@@ -61,17 +75,7 @@ class UniversalGraph(Host):
 
     def is_edge(self, u: int, v: int) -> bool:
         self._check_pair(u, v)
-        (lu, pu), (lv, pv) = btree.locate(self.shape, u), btree.locate(self.shape, v)
-        if lu > lv:
-            (lu, pu), (lv, pv) = (lv, pv), (lu, pu)
-        a = pv >> (lv - lu)  # position of v or its ancestor on u's level
-        # (E1) a is u; (E2) a is a level-neighbor of u; (E3) a's parent is
-        # the left level-neighbor of u's parent.
-        if abs(a - pu) <= 1 or a >> 1 == (pu >> 1) - 1:
-            return True
-        # (E3) with the roles swapped: u lies under the left level-neighbor
-        # of v's parent, so u is at most one level above v.
-        return lv - lu <= 1 and pu >> (lu - lv + 1) == (pv >> 1) - 1
+        return adjacent(*btree.locate(self.shape, u), *btree.locate(self.shape, v))
 
     def later_ranges(self, v: int) -> list[tuple[int, int]]:
         # Descend to v, keeping rln, the current node's right level-neighbor:

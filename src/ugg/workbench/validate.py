@@ -1,10 +1,12 @@
 """Embedding validator: injectivity, edge membership, crossing-freeness.
 
-Crossings are found with O(m log m) predicate calls: a Shamos-Hoey sweep on
-the universal host, a parenthesis-nesting walk on convex hosts.  But each
-insert or delete in the sweep's list status moves O(m) pointers, so a star
-validates in quadratic time (300 s at n = 2**20 - 1).  Only when a detector
-finds a crossing does the pairwise scan run, to list every witness.
+Crossings are found with O(m log m) comparisons: a Shamos-Hoey sweep on the
+universal host, a parenthesis-nesting walk on convex hosts.  On the universal
+host the edge test and the sweep read one table of height keys, built in one
+walk of the index tree, and the sweep's status is a list of sorted blocks of
+about sqrt(m) segments, so its updates move O(m sqrt(m)) pointers in all.
+Only when a detector finds a crossing does the pairwise scan run, to list
+every witness.
 
 Failures are data, not exceptions; every failure carries a witness.
 """
@@ -13,13 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
+from math import isqrt
+from operator import itemgetter
 
+from .. import btree
 from ..btree import BTreeShape
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..embedder import Embedding
 from ..errors import InternalInvariantBroken
-from ..geometry import edges_cross, height_ranks, segment_below, segments_cross
+from ..geometry import segments_cross
 from ..trees import Caterpillar, Forest
+from ..ugraph import adjacent
 
 Segment = tuple[int, int]
 
@@ -28,7 +35,9 @@ Segment = tuple[int, int]
 class ValidationReport:
     status: str  # "ok" | "failed"
     failures: list[tuple[str, tuple]] = field(default_factory=list)
-    checked: int = 0  # crossing-predicate calls plus nesting-stack comparisons
+    # crossing-predicate calls, plus sweep point locations (one per event x)
+    # or nesting-stack comparisons
+    checked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -47,75 +56,155 @@ def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
     return n, list(edges)
 
 
-def _position(status: list[Segment], s: Segment, rank) -> int:
-    """Index of s in the ordered status, or where it would be inserted."""
-    lo, hi = 0, len(status)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        t = status[mid]
-        if t == s:
-            return mid
-        if segment_below(rank, t, s):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+class _Status:
+    """The sweep status, segments bottom to top, as a list of sorted blocks.
+
+    Only a lone block may be empty, and a block that outgrows 2 * load is
+    split into blocks of load, so there are O(m / load) blocks.  With load
+    about sqrt(m), an update moves O(sqrt(m)) pointers plus the length of
+    the run it inserts or deletes, where one flat list moves O(m); `shifted`
+    counts the pointers moved.  Blocks are searched by their first segments,
+    then one block is searched inside.
+    """
+
+    def __init__(self, m: int):
+        self.load = max(32, isqrt(m))
+        self.blocks: list[list[Segment]] = [[]]
+        self.shifted = 0
+
+    def splice(self, keys, x: int, k: int, run: list[Segment]):
+        """At point x, take out the k segments that follow the segments
+        below x and put `run` in their place.  Returns the segments taken
+        out, and the segments just below and just above `run` (or None)."""
+        blocks, kx = self.blocks, keys[x]
+        # The last block whose first segment is below x (else block 0),
+        # then the first segment in it that is not below x.
+        lo, hi = 1, len(blocks)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            a, b = blocks[mid][0]
+            if kx < keys[a] and kx < keys[b]:
+                lo = mid + 1
+            else:
+                hi = mid
+        j = lo - 1
+        block = blocks[j]
+        lo = 0
+        size = hi = len(block)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            a, b = block[mid]
+            if kx < keys[a] and kx < keys[b]:
+                lo = mid + 1
+            else:
+                hi = mid
+        off, cut = lo, lo + k
+        lower = block[off - 1] if off else blocks[j - 1][-1] if j else None
+        taken = block[off:cut]
+        if cut > size:  # the run goes on into the next blocks
+            cut = size
+            while len(taken) < k and j + 1 < len(blocks):
+                nxt, rest = blocks[j + 1], k - len(taken)
+                taken += nxt[:rest]
+                if rest < len(nxt):
+                    del nxt[:rest]
+                    self.shifted += len(nxt)
+                else:
+                    del blocks[j + 1]
+                    self.shifted += len(blocks) - j - 1
+        grow = len(run) - (cut - off)
+        if grow:
+            self.shifted += size - cut
+            size += grow
+        block[off:cut] = run
+        end = off + len(run)
+        upper = block[end] if end < size else blocks[j + 1][0] if j + 1 < len(blocks) else None
+        if not size and len(blocks) > 1:
+            del blocks[j]
+            self.shifted += len(blocks) - j
+        elif size > 2 * self.load:
+            load = self.load
+            blocks[j:j + 1] = [block[i:i + load] for i in range(0, size, load)]
+            self.shifted += size + len(blocks) - j
+        return taken, lower, upper
 
 
-def sweep_crossing(shape: BTreeShape,
-                   segments) -> tuple[tuple[Segment, Segment] | None, int]:
+def _fan(keys, x: int, fan: list[Segment]) -> list[Segment]:
+    """Segments (x, b), sorted by b, reordered bottom to top just right of x:
+    first those whose b is lower than x, by b, then the rest from the lowest
+    b up."""
+    kx = keys[x]
+    return ([s for s in fan if keys[s[1]] > kx]
+            + sorted((s for s in fan if keys[s[1]] < kx), key=lambda s: keys[s[1]], reverse=True))
+
+
+def sweep_crossing(shape: BTreeShape, segments,
+                   keys=None) -> tuple[tuple[Segment, Segment] | None, int]:
     """Shamos-Hoey sweep over host segments: a crossing pair or None, and
-    the number of crossing-predicate calls made.
+    the number of point locations and crossing-predicate calls made.
 
-    Every host vertex has its own x, so the events are vertex indices.  At
-    each x the segments ending there leave the ordered status list, then the
-    segments starting there enter it; every pair made adjacent is tested on
-    the one rank table.  The leftmost crossing pair is adjacent before the
-    sweep passes it, and until then the status order is consistent, so
-    stopping at the first crossing keeps every comparison sound.
+    Every host vertex has its own x, so the events are vertex indices, and
+    all events at one x are handled together.  One search finds point x in
+    the blocked status.  The segments ending at x lie right above the
+    segments below x; they leave as one run, and the segments starting at x
+    enter in their place as one run, sorted by `_fan`.  Segments sharing x
+    never cross, so only the one or two pairs at the run's ends are tested.
+    The leftmost crossing pair is adjacent before the sweep passes it, and
+    until then the status order is consistent, so stopping at the first
+    crossing keeps every comparison sound.  An event costs O(log m)
+    comparisons plus the sorting of its runs, and O(sqrt(m)) pointer moves
+    plus the runs' lengths, so a sweep makes O(m log m) comparisons and
+    O(m sqrt(m)) pointer moves on every input.
+
+    `keys` is a table of height keys (`btree.height_keys`) covering every
+    endpoint; without it the sweep builds one.
     """
     segs = sorted({(u, v) if u < v else (v, u) for u, v in segments})
-    rank = height_ranks(shape, {w for seg in segs for w in seg})
-    starts: dict[int, list[Segment]] = {}
-    ends: dict[int, list[Segment]] = {}
-    for seg in segs:
-        starts.setdefault(seg[0], []).append(seg)
-        ends.setdefault(seg[1], []).append(seg)
-    status: list[Segment] = []
+    if not segs:
+        return None, 0
+    if keys is None:
+        keys = btree.height_keys(shape, max(b for _, b in segs) + 1)
+    starts = {a: list(g) for a, g in groupby(segs, itemgetter(0))}
+    ends = {b: list(g) for b, g in groupby(sorted(segs, key=itemgetter(1)), itemgetter(1))}
+    status = _Status(len(segs))
     checked = 0
     for x in sorted(starts.keys() | ends.keys()):
-        for seg in ends.get(x, ()):
-            i = _position(status, seg, rank)
-            if i == len(status) or status[i] != seg:
-                raise InternalInvariantBroken(f"segment {seg} lost from the sweep status")
-            del status[i]
-            if 0 < i < len(status):
+        gone = ends.get(x, [])
+        run = starts.get(x, [])
+        if len(run) > 1:
+            run = _fan(keys, x, run)
+        taken, lower, upper = status.splice(keys, x, len(gone), run)
+        checked += 1
+        if taken != gone and sorted(taken) != gone:
+            raise InternalInvariantBroken(f"segments ending at {x} lost from the sweep status")
+        for s, t in ((lower, run[0]), (run[-1], upper)) if run else ((lower, upper),):
+            if s is not None and t is not None:
                 checked += 1
-                if segments_cross(rank, status[i - 1], status[i]):
-                    return (status[i - 1], status[i]), checked
-        for seg in starts.get(x, ()):
-            i = _position(status, seg, rank)
-            status.insert(i, seg)
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(status):
-                    checked += 1
-                    if segments_cross(rank, status[j], seg):
-                        return (status[j], seg), checked
+                if segments_cross(keys, s, t):
+                    return (s, t), checked
     return None, checked
 
 
 def _crossing_rules(host):
-    """The fast crossing detector and the pairwise crossing predicate:
-    height order on the universal host, the circle on every other host."""
+    """The edge test, the fast crossing detector and the pairwise crossing
+    predicate.  On the universal host all three read one table of height
+    keys, built here once; every other host uses the circle."""
     if host.kind == "universal":
-        return partial(sweep_crossing, host.shape), partial(edges_cross, host.shape)
-    return nesting_crossing, partial(convex_edges_cross, host.n)
+        h, keys = host.shape.h, btree.height_keys(host.shape, host.n)
+
+        def is_edge(u: int, v: int) -> bool:
+            # key = (level << h) - pos with 0 <= pos < 2**h, so
+            # level = ceil(key / 2**h)
+            ku, kv = keys[u], keys[v]
+            lu, lv = -(-ku >> h), -(-kv >> h)
+            return adjacent(lu, (lu << h) - ku, lv, (lv << h) - kv)
+
+        detect = partial(sweep_crossing, host.shape, keys=keys)
+        return is_edge, detect, partial(segments_cross, keys)
+    return host.is_edge, nesting_crossing, partial(convex_edges_cross, host.n)
 
 
-def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
-    """Every crossing pair as a `Crossing` failure, and the number of
-    predicate calls made.  The quadratic oracle for the two fast detectors."""
-    _, cross = _crossing_rules(host)
+def _pairwise(cross, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
     failures: list[tuple[str, tuple]] = []
     checked = 0
     # Sorted (lo, hi) segments cross only if the second starts strictly
@@ -131,6 +220,13 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
             if cross(e1, e2):
                 failures.append(("Crossing", (e1, e2)))
     return failures, checked
+
+
+def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
+    """Every crossing pair as a `Crossing` failure, and the number of
+    predicate calls made.  The quadratic oracle for the two fast detectors;
+    segments are (lo, hi) pairs."""
+    return _pairwise(_crossing_rules(host)[2], segments)
 
 
 def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
@@ -164,19 +260,19 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if failures:
         return ValidationReport("failed", failures)
 
+    is_edge, detect, cross = _crossing_rules(host)
     mapped: list[Segment] = []
     for u, v in in_edges:
         gu, gv = mp[u], mp[v]
-        if not host.is_edge(gu, gv):
+        if not is_edge(gu, gv):
             failures.append(("MissingEdge", ((u, v), (gu, gv))))
         else:
             mapped.append((min(gu, gv), max(gu, gv)))
     if failures:
         return ValidationReport("failed", failures)
 
-    detect, _ = _crossing_rules(host)
     witness, checked = detect(mapped)
     if witness is not None:
-        failures, pairs = pairwise_crossings(host, mapped)
+        failures, pairs = _pairwise(cross, mapped)
         checked += pairs
     return ValidationReport("failed" if failures else "ok", failures, checked)

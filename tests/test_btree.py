@@ -89,6 +89,18 @@ def test_height_order_on_seven_nodes():
     assert order == [0, 4, 1, 6, 5, 3, 2]
 
 
+def test_height_keys_walk_matches_height_key():
+    shapes = [BTreeShape.from_size(n) for n in range(1, 131)]
+    shapes += [BTreeShape(7, 100), BTreeShape(7, 127), BTreeShape(8, 100),
+               BTreeShape.from_size(4095)]
+    for shape in shapes:
+        for n in {shape.n, shape.m}:
+            assert btree.height_keys(shape, n) == [btree.height_key(shape, i) for i in range(n)]
+    assert btree.height_keys(H3, 0) == []
+    with pytest.raises(IndexOutOfRange):
+        btree.height_keys(H3, 8)
+
+
 def test_higher_is_total_strict_order():
     shape = BTreeShape.from_height(4)
     for u in range(shape.m):

@@ -5,11 +5,15 @@ whether a crossing exists; the pairwise scan is the oracle for that decision
 and the route that lists every witness.
 """
 
+import itertools
 import random
+from fractions import Fraction
+from math import isqrt
 
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from ugg import btree
 from ugg.convex import (
     ChordedCycle,
     build_caterpillar_host,
@@ -20,9 +24,10 @@ from ugg.convex import (
     nesting_crossing,
 )
 from ugg.embedder import Embedding, embed_forest
-from ugg.geometry import edges_cross
+from ugg.geometry import edges_cross, realize_coordinates, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
+from ugg.workbench import validate
 from ugg.workbench.families import random_tree
 from ugg.workbench.validate import pairwise_crossings, sweep_crossing, validate_embedding
 
@@ -170,3 +175,57 @@ def test_nesting_agrees_with_pairwise_on_segment_sets(case):
     n, segments, repeats = case
     segments = with_duplicates(segments, repeats)
     assert_detectors_agree(build_complete_host(n), [(min(e), max(e)) for e in segments])
+
+
+def test_fan_order_matches_exact_slopes():
+    """Segments leaving x to the right, bottom to top, are in slope order."""
+    n = 63
+    host = UniversalGraph(n)
+    keys = btree.height_keys(host.shape, n)
+    pts = realize_coordinates(host.shape, n).points
+    for x in range(n - 1):
+        fan = [(x, b) for b in range(x + 1, n)]
+        slope = {s: Fraction(pts[s[1]][1] - pts[x][1], s[1] - x) for s in fan}
+        assert validate._fan(keys, x, fan) == sorted(fan, key=slope.get), x
+
+
+def test_sweep_on_both_fans_of_one_vertex():
+    # On the 15-vertex host, vertex 9 (level 3, pos 2) is lower than 0, 1, 8
+    # and 12, higher than every other vertex.  Segments end at 9 from higher
+    # and lower vertices on its left and start at 9 toward higher and lower
+    # vertices on its right; none of them cross.  Adding any other segment
+    # must give the exact coordinates' verdict.
+    n, x = 15, 9
+    host = UniversalGraph(n)
+    coords = realize_coordinates(host.shape, n)
+    keys = btree.height_keys(host.shape, n)
+    assert [a for a in range(n) if a != x and keys[a] < keys[x]] == [0, 1, 8, 12]
+    fans = [(0, x), (1, x), (2, x), (5, x), (x, 10), (x, 11), (x, 12), (x, 13), (x, 14)]
+    assert sweep_crossing(host.shape, fans)[0] is None
+    for extra in itertools.combinations([v for v in range(n) if v != x], 2):
+        crossing = any(segments_cross_exact(coords, extra, s) for s in fans)
+        pair, _ = sweep_crossing(host.shape, fans + [extra])
+        assert (pair is not None) == crossing, extra
+        if pair is not None:
+            assert segments_cross_exact(coords, *pair)
+
+
+def test_star_status_moves_stay_subquadratic(monkeypatch):
+    """All 65534 segments of a star enter at its center in one run and leave
+    one per x from the bottom; a flat status list would move about m**2 / 2
+    pointers."""
+    n = 65535
+    made = []
+
+    class Recorded(validate._Status):
+        def __init__(self, m):
+            super().__init__(m)
+            made.append(self)
+
+    monkeypatch.setattr(validate, "_Status", Recorded)
+    host = UniversalGraph(n)
+    star = Forest(n, [(0, i) for i in range(1, n)])
+    assert validate_embedding(host, star, embed_forest(host, star)).ok
+    m = n - 1
+    assert len(made) == 1
+    assert made[0].shifted <= 2 * m * isqrt(m)

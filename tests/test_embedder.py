@@ -432,23 +432,26 @@ def test_depth_bound_raises_when_too_small(monkeypatch):
 
 
 def test_validation_reads_each_height_once(monkeypatch):
-    # the sweep ranks each vertex once and tests pairs on that one table;
-    # nothing caches heights behind its back
+    # one table of height keys per validation, built by a walk; no descent
+    # per vertex or per edge, and nothing caches heights behind its back
     assert not hasattr(btree._locate, "cache_info")
     n = 4095
     G = build_universal(n)
-    height_key = btree.height_key
-    calls = 0
+    height_keys, locate = btree.height_keys, btree._locate
+    calls = {"height_keys": 0, "_locate": 0}
 
-    def counting(shape, i):
-        nonlocal calls
-        calls += 1
-        return height_key(shape, i)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     for shape, forest in shape_forests(n, random.Random(n)).items():
         emb = embed_forest(G, forest)
-        calls = 0
-        monkeypatch.setattr(btree, "height_key", counting)
+        calls.update(height_keys=0, _locate=0)
+        monkeypatch.setattr(btree, "height_keys", counting("height_keys", height_keys))
+        monkeypatch.setattr(btree, "_locate", counting("_locate", locate))
         assert validate_embedding(G, forest, emb).ok, shape
-        monkeypatch.setattr(btree, "height_key", height_key)
-        assert 0 < calls <= n, shape
+        monkeypatch.setattr(btree, "height_keys", height_keys)
+        monkeypatch.setattr(btree, "_locate", locate)
+        assert calls == {"height_keys": 1, "_locate": 0}, shape
