@@ -156,6 +156,13 @@ def height_key(shape: BTreeShape, i: int) -> int:
     return (level << shape.h) - pos
 
 
+def key_location(h: int, key: int) -> tuple[int, int]:
+    """Inverse of `height_key` in a tree of height h: the (level, pos) of a key."""
+    # key = (level << h) - pos with 0 <= pos < 2**h, so level = ceil(key / 2**h)
+    level = -(-key >> h)
+    return level, (level << h) - key
+
+
 def height_keys(shape: BTreeShape, n: int) -> list[int]:
     """`height_key` of every index below n, in one preorder walk.
 

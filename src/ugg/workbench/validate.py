@@ -2,9 +2,10 @@
 
 Crossings are found with O(m log m) comparisons: a Shamos-Hoey sweep on the
 universal host, a parenthesis-nesting walk on convex hosts.  On the universal
-host the edge test and the sweep read one table of height keys, built in one
-walk of the index tree, and the sweep's status is a list of sorted blocks of
-about sqrt(m) segments, so its updates move O(m sqrt(m)) pointers in all.
+host the edge test and the sweep read one table of height keys, sized by the
+input and built in one walk of the index tree, and the sweep's status is a
+list of sorted blocks of about sqrt(m) segments, so its updates move
+O(m sqrt(m)) pointers in all.
 Only when a detector finds a crossing does the pairwise scan run, to list
 every witness.
 
@@ -20,11 +21,11 @@ from math import isqrt
 from operator import itemgetter
 
 from .. import btree
-from ..btree import BTreeShape
+from ..btree import BTreeShape, key_location
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..embedder import Embedding
 from ..errors import InternalInvariantBroken
-from ..geometry import segments_cross
+from ..geometry import height_ranks, segments_cross
 from ..trees import Caterpillar, Forest
 from ..ugraph import adjacent
 
@@ -35,8 +36,8 @@ Segment = tuple[int, int]
 class ValidationReport:
     status: str  # "ok" | "failed"
     failures: list[tuple[str, tuple]] = field(default_factory=list)
-    # crossing-predicate calls, plus sweep point locations (one per event x)
-    # or nesting-stack comparisons
+    # segment pairs compared: pairs made adjacent in the sweep status,
+    # chord pairs compared on the nesting stack, pairs the pairwise scan tests
     checked: int = 0
 
     @property
@@ -138,17 +139,31 @@ def _fan(keys, x: int, fan: list[Segment]) -> list[Segment]:
             + sorted((s for s in fan if keys[s[1]] < kx), key=lambda s: keys[s[1]], reverse=True))
 
 
+def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
+    """Height keys of the given host vertices, read as keys[v].
+
+    A list of every key up to the largest endpoint when that list is at
+    most four times as long as the endpoints are many, else a dict of the
+    endpoints alone, so the cost follows the input and not the host.
+    """
+    top = max(endpoints, default=-1) + 1
+    if top <= 4 * len(endpoints):
+        return btree.height_keys(shape, top)
+    return height_ranks(shape, endpoints)
+
+
 def sweep_crossing(shape: BTreeShape, segments,
                    keys=None) -> tuple[tuple[Segment, Segment] | None, int]:
     """Shamos-Hoey sweep over host segments: a crossing pair or None, and
-    the number of point locations and crossing-predicate calls made.
+    the number of segment pairs made adjacent in the status.
 
     Every host vertex has its own x, so the events are vertex indices, and
     all events at one x are handled together.  One search finds point x in
     the blocked status.  The segments ending at x lie right above the
     segments below x; they leave as one run, and the segments starting at x
     enter in their place as one run, sorted by `_fan`.  Segments sharing x
-    never cross, so only the one or two pairs at the run's ends are tested.
+    never cross, so of the pairs an event makes adjacent only the one or two
+    at the run's ends go to the crossing predicate.
     The leftmost crossing pair is adjacent before the sweep passes it, and
     until then the status order is consistent, so stopping at the first
     crossing keeps every comparison sound.  An event costs O(log m)
@@ -156,14 +171,14 @@ def sweep_crossing(shape: BTreeShape, segments,
     plus the runs' lengths, so a sweep makes O(m log m) comparisons and
     O(m sqrt(m)) pointer moves on every input.
 
-    `keys` is a table of height keys (`btree.height_keys`) covering every
-    endpoint; without it the sweep builds one.
+    `keys` is a table of height keys covering every endpoint, read as
+    keys[v]; without it the sweep builds one.
     """
     segs = sorted({(u, v) if u < v else (v, u) for u, v in segments})
     if not segs:
         return None, 0
     if keys is None:
-        keys = btree.height_keys(shape, max(b for _, b in segs) + 1)
+        keys = _height_table(shape, {v for s in segs for v in s})
     starts = {a: list(g) for a, g in groupby(segs, itemgetter(0))}
     ends = {b: list(g) for b, g in groupby(sorted(segs, key=itemgetter(1)), itemgetter(1))}
     status = _Status(len(segs))
@@ -174,7 +189,7 @@ def sweep_crossing(shape: BTreeShape, segments,
         if len(run) > 1:
             run = _fan(keys, x, run)
         taken, lower, upper = status.splice(keys, x, len(gone), run)
-        checked += 1
+        checked += max(len(run) - 1, 0)  # pairs in the run share x
         if taken != gone and sorted(taken) != gone:
             raise InternalInvariantBroken(f"segments ending at {x} lost from the sweep status")
         for s, t in ((lower, run[0]), (run[-1], upper)) if run else ((lower, upper),):
@@ -185,19 +200,16 @@ def sweep_crossing(shape: BTreeShape, segments,
     return None, checked
 
 
-def _crossing_rules(host):
+def _crossing_rules(host, endpoints):
     """The edge test, the fast crossing detector and the pairwise crossing
-    predicate.  On the universal host all three read one table of height
-    keys, built here once; every other host uses the circle."""
+    predicate for segments on the given host vertices.  On the universal
+    host all three read one table of height keys, built here once; every
+    other host uses the circle."""
     if host.kind == "universal":
-        h, keys = host.shape.h, btree.height_keys(host.shape, host.n)
+        h, keys = host.shape.h, _height_table(host.shape, endpoints)
 
         def is_edge(u: int, v: int) -> bool:
-            # key = (level << h) - pos with 0 <= pos < 2**h, so
-            # level = ceil(key / 2**h)
-            ku, kv = keys[u], keys[v]
-            lu, lv = -(-ku >> h), -(-kv >> h)
-            return adjacent(lu, (lu << h) - ku, lv, (lv << h) - kv)
+            return adjacent(*key_location(h, keys[u]), *key_location(h, keys[v]))
 
         detect = partial(sweep_crossing, host.shape, keys=keys)
         return is_edge, detect, partial(segments_cross, keys)
@@ -226,7 +238,7 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
     """Every crossing pair as a `Crossing` failure, and the number of
     predicate calls made.  The quadratic oracle for the two fast detectors;
     segments are (lo, hi) pairs."""
-    return _pairwise(_crossing_rules(host)[2], segments)
+    return _pairwise(_crossing_rules(host, {v for s in segments for v in s})[2], segments)
 
 
 def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
@@ -260,7 +272,7 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if failures:
         return ValidationReport("failed", failures)
 
-    is_edge, detect, cross = _crossing_rules(host)
+    is_edge, detect, cross = _crossing_rules(host, mp.values())
     mapped: list[Segment] = []
     for u, v in in_edges:
         gu, gv = mp[u], mp[v]

@@ -101,6 +101,12 @@ def test_height_keys_walk_matches_height_key():
         btree.height_keys(H3, 8)
 
 
+def test_key_location_inverts_height_key():
+    for shape in (H3, BTreeShape.from_height(9), BTreeShape.from_size(10**9)):
+        for i in {*range(min(shape.m, 600)), shape.m - 1, shape.m // 2}:
+            assert btree.key_location(shape.h, btree.height_key(shape, i)) == btree.locate(shape, i)
+
+
 def test_higher_is_total_strict_order():
     shape = BTreeShape.from_height(4)
     for u in range(shape.m):

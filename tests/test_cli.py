@@ -295,7 +295,8 @@ def test_repeated_custom_edge_exits_2(tmp_path, capsys):
     assert "listed twice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, n", [("complete", 100_000), ("twochord", 1_000_000)])
+@pytest.mark.parametrize("kind, n", [("complete", 100_000), ("twochord", 1_000_000),
+                                     ("universal", 1_000_000_000)])
 def test_huge_host_verifies_without_building_edges(tmp_path, capsys, kind, n):
     host = write_host(tmp_path, kind, n, [])
     t0 = time.perf_counter()

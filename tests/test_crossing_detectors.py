@@ -229,3 +229,32 @@ def test_star_status_moves_stay_subquadratic(monkeypatch):
     m = n - 1
     assert len(made) == 1
     assert made[0].shifted <= 2 * m * isqrt(m)
+
+
+def test_huge_host_tables_follow_the_input(monkeypatch):
+    # on a host of 10**9 vertices the height table covers the input's
+    # endpoints, not the host: a short list for endpoints near 0, a dict
+    # for endpoints spread over the host
+    host = UniversalGraph(10**9)
+    height_keys, sizes = btree.height_keys, []
+
+    def bounded(shape, n):
+        assert n <= 64, f"a table of {n} height keys for a small input"
+        sizes.append(n)
+        return height_keys(shape, n)
+
+    monkeypatch.setattr(btree, "height_keys", bounded)
+    path = Forest(3, [(0, 1), (1, 2)])
+    assert validate_embedding(host, path, Embedding(3, {0: 0, 1: 1, 2: 2})).ok
+    assert sizes == [3]
+    # the root 0 is adjacent to every vertex, here its right child 2**29
+    assert validate_embedding(host, path, Embedding(3, {0: 1, 1: 0, 2: 1 << 29})).ok
+    assert sizes == [3]
+
+    rng, outcomes = random.Random(9), set()
+    for _ in range(40):
+        points = rng.sample(range(host.n), 8)
+        segments = list({tuple(sorted(rng.sample(points, 2))) for _ in range(6)})
+        assert_detectors_agree(host, segments)
+        outcomes.add(sweep_crossing(host.shape, segments)[0] is None)
+    assert sizes == [3] and outcomes == {True, False}
