@@ -1,30 +1,36 @@
 """Embedding validator: injectivity, edge membership, crossing-freeness.
 
-Crossings are found with O(m log m) comparisons: a Shamos-Hoey sweep on the
-universal host, a parenthesis-nesting walk on convex hosts.  On the universal
-host the edge test and the sweep read one table of height keys, sized by the
-input and built in one walk of the index tree, and the sweep's status is a
-list of sorted blocks of about sqrt(m) segments, so its updates move
-O(m sqrt(m)) pointers in all.
-Only when a detector finds a crossing does the pairwise scan run, to list
-every witness.
+Crossings are found in O(m log m) time: a roof sweep on the universal host, a
+parenthesis-nesting walk on convex hosts.  On the universal host a vertex
+strictly inside the x-span of a segment lies above it iff it is higher than
+both of its ends (`geometry.above`), so inside its span every segment is a
+flat roof at the height of its higher end.  Hence the roof rule: segments s
+and t cross iff the lower end e of t lies strictly inside the span of s and
+roof(s) lies strictly between e and roof(t).  Why: between the two ends of
+their common x-range the vertical order is the roofs' order, and an end can
+disagree with it only if it is the lower end of the segment with the higher
+roof and lies below the other roof; one segment has one lower end, so at most
+one end disagrees, and the segments cross iff one does.
+The edge test and the sweep read one table of height keys, sized by the
+input and built in one walk of the index tree.  Only when a detector finds a
+crossing are the witnesses listed: by the roof sweep on the universal host,
+by the pairwise scan on convex hosts.
 
 Failures are data, not exceptions; every failure carries a witness.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
-from math import isqrt
 from operator import itemgetter
 
 from .. import btree
 from ..btree import BTreeShape, key_location
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..embedder import Embedding
-from ..errors import InternalInvariantBroken
 from ..geometry import height_ranks, segments_cross
 from ..trees import Caterpillar, Forest
 from ..ugraph import adjacent
@@ -36,8 +42,8 @@ Segment = tuple[int, int]
 class ValidationReport:
     status: str  # "ok" | "failed"
     failures: list[tuple[str, tuple]] = field(default_factory=list)
-    # segment pairs compared: pairs made adjacent in the sweep status,
-    # chord pairs compared on the nesting stack, pairs the pairwise scan tests
+    # crossing tests made: a roof query per segment swept on the universal
+    # host, a stack comparison on convex hosts, a pair the pairwise scan tests
     checked: int = 0
 
     @property
@@ -57,88 +63,6 @@ def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
     return n, list(edges)
 
 
-class _Status:
-    """The sweep status, segments bottom to top, as a list of sorted blocks.
-
-    Only a lone block may be empty, and a block that outgrows 2 * load is
-    split into blocks of load, so there are O(m / load) blocks.  With load
-    about sqrt(m), an update moves O(sqrt(m)) pointers plus the length of
-    the run it inserts or deletes, where one flat list moves O(m); `shifted`
-    counts the pointers moved.  Blocks are searched by their first segments,
-    then one block is searched inside.
-    """
-
-    def __init__(self, m: int):
-        self.load = max(32, isqrt(m))
-        self.blocks: list[list[Segment]] = [[]]
-        self.shifted = 0
-
-    def splice(self, keys, x: int, k: int, run: list[Segment]):
-        """At point x, take out the k segments that follow the segments
-        below x and put `run` in their place.  Returns the segments taken
-        out, and the segments just below and just above `run` (or None)."""
-        blocks, kx = self.blocks, keys[x]
-        # The last block whose first segment is below x (else block 0),
-        # then the first segment in it that is not below x.
-        lo, hi = 1, len(blocks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            a, b = blocks[mid][0]
-            if kx < keys[a] and kx < keys[b]:
-                lo = mid + 1
-            else:
-                hi = mid
-        j = lo - 1
-        block = blocks[j]
-        lo = 0
-        size = hi = len(block)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            a, b = block[mid]
-            if kx < keys[a] and kx < keys[b]:
-                lo = mid + 1
-            else:
-                hi = mid
-        off, cut = lo, lo + k
-        lower = block[off - 1] if off else blocks[j - 1][-1] if j else None
-        taken = block[off:cut]
-        if cut > size:  # the run goes on into the next blocks
-            cut = size
-            while len(taken) < k and j + 1 < len(blocks):
-                nxt, rest = blocks[j + 1], k - len(taken)
-                taken += nxt[:rest]
-                if rest < len(nxt):
-                    del nxt[:rest]
-                    self.shifted += len(nxt)
-                else:
-                    del blocks[j + 1]
-                    self.shifted += len(blocks) - j - 1
-        grow = len(run) - (cut - off)
-        if grow:
-            self.shifted += size - cut
-            size += grow
-        block[off:cut] = run
-        end = off + len(run)
-        upper = block[end] if end < size else blocks[j + 1][0] if j + 1 < len(blocks) else None
-        if not size and len(blocks) > 1:
-            del blocks[j]
-            self.shifted += len(blocks) - j
-        elif size > 2 * self.load:
-            load = self.load
-            blocks[j:j + 1] = [block[i:i + load] for i in range(0, size, load)]
-            self.shifted += size + len(blocks) - j
-        return taken, lower, upper
-
-
-def _fan(keys, x: int, fan: list[Segment]) -> list[Segment]:
-    """Segments (x, b), sorted by b, reordered bottom to top just right of x:
-    first those whose b is lower than x, by b, then the rest from the lowest
-    b up."""
-    kx = keys[x]
-    return ([s for s in fan if keys[s[1]] > kx]
-            + sorted((s for s in fan if keys[s[1]] < kx), key=lambda s: keys[s[1]], reverse=True))
-
-
 def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
     """Height keys of the given host vertices, read as keys[v].
 
@@ -152,52 +76,136 @@ def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
     return height_ranks(shape, endpoints)
 
 
+def _count(tree: list[int], live, r: int, s: Segment, d: int) -> None:
+    """Count the roof of segment s in or out (d = 1 or -1) at slot r of the
+    Fenwick tree, and add s to or take it from the slot's live segments
+    unless `live` is None."""
+    if live is not None:
+        (live[r].add if d > 0 else live[r].discard)(s)
+    size = len(tree)
+    while r < size:
+        tree[r] += d
+        r += r & -r
+
+
+def _between(tree: list[int], a: int, b: int) -> int:
+    """The number of live roofs in the slots strictly between a and b, a < b."""
+    c, b = 0, b - 1
+    while b > a:  # the sums up to b - 1 and up to a meet where they agree
+        c += tree[b]
+        b &= b - 1
+    while a > b:
+        c -= tree[a]
+        a &= a - 1
+    return c
+
+
+def _after(tree: list[int], r: int) -> int:
+    """The first slot after r that holds a live roof, else len(tree)."""
+    c, r, size = _between(tree, 0, r + 1), 0, len(tree)
+    step = 1 << size.bit_length()
+    while step:  # descend to the last slot with at most c roofs up to it
+        if r + step < size and tree[r + step] <= c:
+            r += step
+            c -= tree[r]
+        step >>= 1
+    return r + 1
+
+
+def _roof_sweep(shape: BTreeShape, segments, keys,
+                every: bool) -> tuple[list[tuple[Segment, Segment]], int]:
+    """Crossing pairs (s, t) among host segments by the roof rule, and the
+    number of roof queries made: the first pair found or, with `every`, all
+    of them, each once.
+
+    The roofs of the live segments, those whose x-span holds x strictly, are
+    counted in a Fenwick tree with a slot per distinct roof, lowest first.
+    At each x the segments ending at x leave; then each segment t whose
+    lower end is x asks for a live roof strictly between x and roof(t); then
+    the segments starting at x enter.  A segment between two consecutive
+    xs is never live at a query, so it skips the tree.  With `every` the
+    live segments of each slot are kept as well, and a query walks its
+    non-empty slots one Fenwick descent each.
+    """
+    segs = {(u, v) if u < v else (v, u) for u, v in segments if u != v}
+    xs = sorted({v for s in segs for v in s})
+    if keys is None:
+        keys = _height_table(shape, xs)
+    # A vertex's slot counts the roofs not higher than it, so a roof has
+    # its own slot, and the roofs strictly between x and a higher roof y
+    # are those in the slots strictly between slot[x] and slot[y].
+    roofs = {u if keys[u] < keys[v] else v for u, v in segs}
+    slot, size = keys.copy(), 1
+    for v in sorted(xs, key=keys.__getitem__, reverse=True):
+        size += v in roofs
+        slot[v] = size - 1
+    tree = [0] * size
+    live: dict[int, set[Segment]] | None = defaultdict(set) if every else None
+    starts, ends = sorted(segs, key=itemgetter(0)), sorted(segs, key=itemgetter(1))
+    pairs: list[tuple[Segment, Segment]] = []
+    queries = i = j = 0
+    for before, x, after in zip([None] + xs, xs, xs[1:] + [None]):
+        sx, kx, j0, i0 = slot[x], keys[x], j, i
+        while j < len(ends) and ends[j][1] == x:
+            s, j = ends[j], j + 1
+            if s[0] != before:
+                _count(tree, live, max(slot[s[0]], sx), s, -1)
+        while i < len(starts) and starts[i][0] == x:
+            i += 1
+        for t in ends[j0:j] + starts[i0:i]:
+            y = t[0] + t[1] - x  # the end of t that is not x
+            if keys[y] < kx:  # x is the lower end of t
+                queries += 1
+                top = slot[y]
+                if not _between(tree, sx, top):
+                    continue
+                if not every:
+                    s = next(s for s in segs if s[0] < x < s[1]
+                             and sx < max(slot[s[0]], slot[s[1]]) < top)
+                    return [(s, t)], queries
+                r = _after(tree, sx)
+                while r < top:
+                    pairs += [(s, t) for s in live[r]]
+                    r = _after(tree, r)
+        for s in starts[i0:i]:
+            if s[1] != after:
+                _count(tree, live, max(slot[s[1]], sx), s, 1)
+    return pairs, queries
+
+
 def sweep_crossing(shape: BTreeShape, segments,
                    keys=None) -> tuple[tuple[Segment, Segment] | None, int]:
-    """Shamos-Hoey sweep over host segments: a crossing pair or None, and
-    the number of segment pairs made adjacent in the status.
+    """The roof sweep over host segments: a crossing pair or None, and the
+    number of roof queries made, at most one per segment.
 
-    Every host vertex has its own x, so the events are vertex indices, and
-    all events at one x are handled together.  One search finds point x in
-    the blocked status.  The segments ending at x lie right above the
-    segments below x; they leave as one run, and the segments starting at x
-    enter in their place as one run, sorted by `_fan`.  Segments sharing x
-    never cross, so of the pairs an event makes adjacent only the one or two
-    at the run's ends go to the crossing predicate.
-    The leftmost crossing pair is adjacent before the sweep passes it, and
-    until then the status order is consistent, so stopping at the first
-    crossing keeps every comparison sound.  An event costs O(log m)
-    comparisons plus the sorting of its runs, and O(sqrt(m)) pointer moves
-    plus the runs' lengths, so a sweep makes O(m log m) comparisons and
-    O(m sqrt(m)) pointer moves on every input.
+    Inside its x-span a segment is a flat roof at the height of its higher
+    end, so segments s and t cross iff the lower end e of t lies strictly
+    inside the span of s and roof(s) lies strictly between e and roof(t).
+    Between the two ends of their common x-range the vertical order is the
+    roofs' order; at most one end can disagree with it, and that end is the
+    e the rule names.  The query at e asks the rule of every live s at once,
+    so the sweep keeps no order of segments, and it takes O(m log m) time
+    on every input.
 
     `keys` is a table of height keys covering every endpoint, read as
     keys[v]; without it the sweep builds one.
     """
-    segs = sorted({(u, v) if u < v else (v, u) for u, v in segments})
-    if not segs:
-        return None, 0
-    if keys is None:
-        keys = _height_table(shape, {v for s in segs for v in s})
-    starts = {a: list(g) for a, g in groupby(segs, itemgetter(0))}
-    ends = {b: list(g) for b, g in groupby(sorted(segs, key=itemgetter(1)), itemgetter(1))}
-    status = _Status(len(segs))
-    checked = 0
-    for x in sorted(starts.keys() | ends.keys()):
-        gone = ends.get(x, [])
-        run = starts.get(x, [])
-        if len(run) > 1:
-            run = _fan(keys, x, run)
-        taken, lower, upper = status.splice(keys, x, len(gone), run)
-        checked += max(len(run) - 1, 0)  # pairs in the run share x
-        if taken != gone and sorted(taken) != gone:
-            raise InternalInvariantBroken(f"segments ending at {x} lost from the sweep status")
-        for s, t in ((lower, run[0]), (run[-1], upper)) if run else ((lower, upper),):
-            if s is not None and t is not None:
-                checked += 1
-                if segments_cross(keys, s, t):
-                    return (s, t), checked
-    return None, checked
+    pairs, queries = _roof_sweep(shape, segments, keys, False)
+    return (pairs[0] if pairs else None), queries
+
+
+def roof_crossings(shape: BTreeShape, segments: list[Segment],
+                   keys=None) -> tuple[list[tuple[str, tuple]], int]:
+    """Every crossing pair among host segments as a `Crossing` failure, in
+    the order of the pairwise scan on their (lo, hi) forms, and the number
+    of roof queries made: the universal host's witness lister.  No pair
+    meets the roof rule both ways round, so the sweep finds each crossing
+    once."""
+    pairs, queries = _roof_sweep(shape, segments, keys, True)
+    times, failures = Counter((min(s), max(s)) for s in segments), []
+    for first, found in groupby(sorted((min(p), max(p)) for p in pairs), itemgetter(0)):
+        failures += [("Crossing", p) for p in found for _ in range(times[p[1]])] * times[first]
+    return failures, queries
 
 
 def _crossing_rules(host, endpoints):
@@ -245,7 +253,12 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     """Check emb maps graph into host: injective on all input vertices, every
     input edge on a host edge, no two mapped segments crossing."""
     n_in, in_edges = _input_shape(graph)
-    failures: list[tuple[str, tuple]] = []
+    # an input edge that is a loop or leaves [0, n_in) fails before any host test
+    failures: list[tuple[str, tuple]] = [
+        ("DegenerateEdge" if 0 <= u == v < n_in else "IndexOutOfRange", (u, v))
+        for u, v in in_edges if not (0 <= u < n_in and 0 <= v < n_in and u != v)]
+    if failures:
+        return ValidationReport("failed", failures)
     mp = emb.mapping
 
     missing = [t for t in range(n_in) if t not in mp]
@@ -285,6 +298,7 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
 
     witness, checked = detect(mapped)
     if witness is not None:
-        failures, pairs = _pairwise(cross, mapped)
-        checked += pairs
+        failures, more = (roof_crossings(host.shape, mapped) if host.kind == "universal"
+                          else _pairwise(cross, mapped))
+        checked += more
     return ValidationReport("failed" if failures else "ok", failures, checked)

@@ -1,14 +1,15 @@
 """The O(m log m) crossing detectors against the pairwise scan.
 
-The sweep (universal host) and the nesting walk (convex hosts) only decide
-whether a crossing exists; the pairwise scan is the oracle for that decision
-and the route that lists every witness.
+The roof sweep (universal host) and the nesting walk (convex hosts) decide
+whether a crossing exists, and the roof sweep also lists every witness on
+the universal host; the pairwise scan is the oracle for both, and the route
+that lists witnesses on convex hosts.
 """
 
 import itertools
+import math
 import random
-from fractions import Fraction
-from math import isqrt
+import time
 
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -24,12 +25,16 @@ from ugg.convex import (
     nesting_crossing,
 )
 from ugg.embedder import Embedding, embed_forest
-from ugg.geometry import edges_cross, realize_coordinates, segments_cross_exact
+from ugg.geometry import edges_cross, realize_coordinates, segments_cross, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
-from ugg.workbench import validate
 from ugg.workbench.families import random_tree
-from ugg.workbench.validate import pairwise_crossings, sweep_crossing, validate_embedding
+from ugg.workbench.validate import (
+    pairwise_crossings,
+    roof_crossings,
+    sweep_crossing,
+    validate_embedding,
+)
 
 CORRUPTIONS = st.sampled_from(["none", "swap", "move"])
 
@@ -177,16 +182,16 @@ def test_nesting_agrees_with_pairwise_on_segment_sets(case):
     assert_detectors_agree(build_complete_host(n), [(min(e), max(e)) for e in segments])
 
 
-def test_fan_order_matches_exact_slopes():
-    """Segments leaving x to the right, bottom to top, are in slope order."""
-    n = 63
-    host = UniversalGraph(n)
-    keys = btree.height_keys(host.shape, n)
-    pts = realize_coordinates(host.shape, n).points
-    for x in range(n - 1):
-        fan = [(x, b) for b in range(x + 1, n)]
-        slope = {s: Fraction(pts[s[1]][1] - pts[x][1], s[1] - x) for s in fan}
-        assert validate._fan(keys, x, fan) == sorted(fan, key=slope.get), x
+def test_sweep_matches_segments_cross_on_every_pair():
+    """The roof rule decides every pair of segments on 7, 15 and 31 host
+    vertices, host edges or not, as the two-`above` predicate does."""
+    for n in (7, 15, 31):
+        host = UniversalGraph(n)
+        keys = btree.height_keys(host.shape, n)
+        segments = list(itertools.combinations(range(n), 2))
+        for s, t in itertools.combinations(segments, 2):
+            pair, _ = sweep_crossing(host.shape, [s, t], keys)
+            assert (pair is not None) == segments_cross(keys, s, t), (n, s, t)
 
 
 def test_sweep_on_both_fans_of_one_vertex():
@@ -210,25 +215,44 @@ def test_sweep_on_both_fans_of_one_vertex():
             assert segments_cross_exact(coords, *pair)
 
 
-def test_star_status_moves_stay_subquadratic(monkeypatch):
-    """All 65534 segments of a star enter at its center in one run and leave
-    one per x from the bottom; a flat status list would move about m**2 / 2
-    pointers."""
+def test_star_sweep_costs_no_more_than_a_path():
+    """All 65534 roofs of a star at its center are live at once and leave
+    one per x; a path on the same vertices never has a live roof.  Live
+    roofs kept as a flat sorted list would move about m**2 / 2 pointers on
+    the star, over three times the path's time; counted in a tree they cost
+    O(log m) per event on both."""
     n = 65535
-    made = []
-
-    class Recorded(validate._Status):
-        def __init__(self, m):
-            super().__init__(m)
-            made.append(self)
-
-    monkeypatch.setattr(validate, "_Status", Recorded)
     host = UniversalGraph(n)
-    star = Forest(n, [(0, i) for i in range(1, n)])
-    assert validate_embedding(host, star, embed_forest(host, star)).ok
-    m = n - 1
-    assert len(made) == 1
-    assert made[0].shifted <= 2 * m * isqrt(m)
+    keys = btree.height_keys(host.shape, n)
+    star = [(0, i) for i in range(1, n)]
+    path = [(i, i + 1) for i in range(n - 1)]
+    best = {"star": math.inf, "path": math.inf}
+    for _ in range(3):
+        for name, segments in (("star", star), ("path", path)):
+            start = time.process_time()
+            assert sweep_crossing(host.shape, segments, keys) == (None, n - 1)
+            best[name] = min(best[name], time.process_time() - start)
+    assert best["star"] <= 2 * best["path"], best
+
+
+def test_star_with_one_crossing_lists_it_in_linear_work():
+    # vertex 3 re-hung from the star's center 0 onto 1: the one crossing is
+    # (0, 2) with (1, 3), and listing it takes a second sweep, not a scan of
+    # every pair of segments that start at the center
+    n = 4095
+    host = UniversalGraph(n)
+    edges = [(0, i) for i in range(1, n) if i != 3] + [(1, 3)]
+    report = validate_embedding(host, (n, edges), Embedding(n, {t: t for t in range(n)}))
+    assert report.failures == [("Crossing", ((0, 2), (1, 3)))]
+    assert report.checked <= 6 * len(edges)
+
+
+@given(segment_sets(40))
+def test_roof_listing_equals_pairwise_scan(case):
+    n, segments, repeats = case
+    segments = [(min(e), max(e)) for e in with_duplicates(segments, repeats)]
+    host = UniversalGraph(n)
+    assert roof_crossings(host.shape, segments)[0] == pairwise_crossings(host, segments)[0]
 
 
 def test_huge_host_tables_follow_the_input(monkeypatch):

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ugg.convex import ChordedCycle, build_complete_host, build_cycle_host, build_twochord_host, build_caterpillar_host, embed_caterpillar
+from ugg.convex import ChordedCycle, build_complete_host, build_custom_host, build_cycle_host, build_twochord_host, build_caterpillar_host, embed_caterpillar
 from ugg.embedder import Embedding, embed_forest
 from ugg.errors import InvalidSize, MalformedInput, SizeTooLarge
 from ugg.trees import Caterpillar, Forest
@@ -249,6 +249,31 @@ def test_validator_convex_crossing():
     report = validate_embedding(host, (10, [(0, 5), (2, 7)]), emb)
     assert not report.ok
     assert report.failures[0][0] == "Crossing"
+
+
+BAD_EDGE_HOSTS = {
+    "universal": build_universal,
+    "caterpillar": build_caterpillar_host,
+    "twochord": build_twochord_host,
+    "complete": build_complete_host,
+    "custom": lambda n: build_custom_host(n, [(i, i + 1) for i in range(n - 1)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_EDGE_HOSTS))
+@pytest.mark.parametrize("edges, failures", [
+    ([(1, 1), (0, 2)], [("DegenerateEdge", (1, 1))]),
+    ([(0, 99)], [("IndexOutOfRange", (0, 99))]),
+    ([(0, 1), (-1, 2)], [("IndexOutOfRange", (-1, 2))]),
+    ([(3, 3), (7, 0)], [("DegenerateEdge", (3, 3)), ("IndexOutOfRange", (7, 0))]),
+])
+def test_validator_reports_bad_input_edges(kind, edges, failures):
+    # a loop or an endpoint outside [0, n) is a failure of the input, found
+    # before any host test, on every host kind
+    report = validate_embedding(BAD_EDGE_HOSTS[kind](7), (7, edges),
+                                Embedding(7, {t: t for t in range(7)}))
+    assert not report.ok
+    assert report.failures == failures
 
 
 def test_validator_ok_case():
