@@ -1,15 +1,21 @@
 """Exhaustive enumerators and counting oracles for small input families.
 
-Enumeration and counting are deliberately independent routes: generators use
-canonical level sequences plus canonical-form rejection, while the counting
-functions use arithmetic recurrences.  Tests compare the two.
+Enumeration and counting are deliberately independent routes.  Trees and
+forests come from canonical level sequences with canonical-form rejection,
+caterpillars from star-size compositions up to reversal, and chorded cycles
+from endpoint sequences: the 2h chord endpoints in cyclic order, a
+non-crossing perfect matching on them and the arcs between them, kept when
+no symmetry sending an endpoint to 0 gives a smaller chord tuple.  The
+counting functions use arithmetic recurrences and, for chorded cycles,
+Burnside's lemma over the same endpoint sequences.  Tests compare the two,
+and the labeled chorded-cycle census stays as the slow oracle for both.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from ..convex import ChordedCycle, ConvexHost, convex_edges_cross
 from ..errors import InvalidSize, NoSpanningCycle, SizeMismatch, SizeTooLarge
@@ -274,17 +280,85 @@ def _check_chorded_caps(n: int, h: int) -> None:
         raise InvalidSize(f"need n >= max(3, 2h+2), got n={n}, h={h}")
 
 
-def enumerate_chorded_cycles(n: int, h: int) -> list[ChordedCycle]:
-    """One representative per dihedral class of the cycle-plus-h-chords family."""
-    _check_chorded_caps(n, h)
-    seen: set = set()
+def _noncrossing_matchings(m: int) -> list[tuple[int, ...]]:
+    """Every non-crossing perfect matching of the endpoint indices 0..m-1
+    (m even), as a partner tuple: index i is matched to partner[i]."""
+    if m == 0:
+        return [()]
     out = []
-    for chosen in _chord_sets(n, h):
-        canon = _dihedral_canonical(n, chosen)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(ChordedCycle(n, canon))
+    for j in range(1, m, 2):
+        for inner in _noncrossing_matchings(j - 1):
+            for outer in _noncrossing_matchings(m - j - 1):
+                out.append((j,) + tuple(i + 1 for i in inner) + (0,)
+                           + tuple(i + j + 1 for i in outer))
     return out
+
+
+def _image_plans(h: int):
+    """Per matching: partner[0], the chords as index pairs, and the other
+    4h - 1 symmetries that send an endpoint to 0.  A symmetry (k, step)
+    walks the endpoints k, k + step, k + 2*step, ... (indices mod 2h); its
+    chords are listed by the first endpoint the walk meets, so the image's
+    chord tuple comes out sorted."""
+    m = 2 * h
+    plans = []
+    for partner in _noncrossing_matchings(m):
+        chords = [(i, partner[i]) for i in range(m) if i < partner[i]]
+        images = []
+        for k in range(m):
+            for step in (1, -1):
+                if (k, step) == (0, 1):
+                    continue
+                walk = [(k + step * t) % m for t in range(m)]
+                rank = {i: t for t, i in enumerate(walk)}
+                images.append((k, step, [(i, partner[i]) for i in walk
+                                         if rank[partner[i]] > rank[i]]))
+        plans.append((partner[0], chords, images))
+    return plans
+
+
+def enumerate_chorded_cycles(n: int, h: int) -> list[ChordedCycle]:
+    """One representative per dihedral class of the cycle-plus-h-chords
+    family, sorted by chord tuple.
+
+    A class is an endpoint sequence: its 2h chord endpoints in cyclic order,
+    one of the Catalan(h) non-crossing perfect matchings on them and the arcs
+    between them.  Candidates put endpoint 0 at vertex 0 and the others at
+    each (2h - 1)-subset of 1..n-1.  Every symmetry of the cycle that sends
+    an endpoint to 0 gives a chord tuple starting (0, s), with s a chord's
+    length measured one way round; the smallest of these 4h images is the
+    tuple `_dihedral_canonical` returns, because the least sorted image has
+    a chord at 0.  A candidate is kept iff no image is smaller than itself:
+    its chord at 0 must be a shortest chord (which also rules out chords of
+    length below 2), and only then are the images built.  O(h^2) work per
+    candidate, against O(n*h) per labeled chord set for the census."""
+    _check_chorded_caps(n, h)
+    if h == 0:
+        return [ChordedCycle(n, ())]
+    plans = _image_plans(h)
+    found = []
+    for rest in combinations(range(1, n), 2 * h - 1):
+        p = (0,) + rest
+        for partner0, index_chords, images in plans:
+            s = p[partner0]
+            if s < 2 or 2 * s > n:
+                continue
+            for i, j in index_chords:
+                d = p[j] - p[i]
+                if d < s or n - d < s:
+                    break
+            else:
+                chords = tuple((p[i], p[j]) for i, j in index_chords)
+                for k, step, index_pairs in images:
+                    base = p[k]
+                    img = tuple((step * (p[i] - base) % n, step * (p[j] - base) % n)
+                                for i, j in index_pairs)
+                    if img < chords:
+                        break
+                else:
+                    found.append(chords)
+    found.sort()
+    return [ChordedCycle(n, chords) for chords in found]
 
 
 def chorded_cycle_census(n: int, h: int) -> tuple[int, int, int]:
@@ -306,6 +380,57 @@ def chorded_cycle_census(n: int, h: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # counting oracles (arithmetic, no enumeration)
 # ---------------------------------------------------------------------------
+
+
+def chorded_cycle_count(n: int, h: int) -> int:
+    """Number of dihedral classes of the cycle-plus-h-chords family by
+    Burnside's lemma, without listing or canonicalizing any class.
+
+    Classes are the orbits of (arc sequence, matching) pairs under the 4h
+    symmetries of the endpoint indices 0..2h-1; arc t joins endpoints t and
+    t + 1.  Each side of a chord is at least as long as the number of arcs
+    on it, so a chord is too short only when one side is a single arc of
+    length 1: an arc between two matched endpoints must be at least 2,
+    every other arc at least 1.  A symmetry g fixes an arc sequence iff the
+    arcs are constant on g's orbits, so for each matching g fixes, the fixed
+    pairs are the ways to write n minus the lower bounds as a sum over g's
+    arc orbits of orbit size times a value >= 0."""
+    _check_chorded_caps(n, h)
+    if h == 0:
+        return 1
+    m = 2 * h
+    matchings = _noncrossing_matchings(m)
+    fixed = 0
+    for k in range(m):
+        for step in (1, -1):
+            # endpoint i goes to k + step*i; arc t to the arc between the
+            # images of its ends, k + t (rotation) or k - t - 1 (reflection)
+            g = [(k + step * i) % m for i in range(m)]
+            arc = [(k + t) % m if step == 1 else (k - t - 1) % m for t in range(m)]
+            sizes = []
+            seen = [False] * m
+            for start in range(m):
+                size, t = 0, start
+                while not seen[t]:
+                    seen[t] = True
+                    size += 1
+                    t = arc[t]
+                if size:
+                    sizes.append(size)
+            for partner in matchings:
+                if any(partner[g[i]] != g[partner[i]] for i in range(m)):
+                    continue
+                free = n - m - sum(partner[i] == (i + 1) % m for i in range(m))
+                if free < 0:
+                    continue
+                ways = [1] + [0] * free
+                for size in sizes:
+                    for x in range(size, free + 1):
+                        ways[x] += ways[x - size]
+                fixed += ways[free]
+    if fixed % (2 * m):
+        raise ArithmeticError("Burnside orbit count not integral")
+    return fixed // (2 * m)
 
 
 def rooted_tree_counts(nmax: int) -> list[int]:

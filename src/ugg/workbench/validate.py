@@ -261,29 +261,36 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
         return ValidationReport("failed", failures)
     mp = emb.mapping
 
-    missing = [t for t in range(n_in) if t not in mp]
+    # one pass over the input vertices; reports keep their precedence:
+    # missing and extra keys, then images off the host, then repeated images
+    host_n = host.n
+    missing: list[int] = []
+    out_of_range: list[int] = []
+    repeats: list[tuple[str, tuple]] = []
+    by_image: dict[int, int] = {}
+    for t in range(n_in):
+        g = mp.get(t)
+        if g is None:
+            missing.append(t)
+        elif not 0 <= g < host_n:
+            out_of_range.append(t)
+        else:
+            first = by_image.setdefault(g, t)
+            if first != t:
+                repeats.append(("NotInjective", (first, t, g)))
     if missing:
         failures.append(("SizeMismatch", tuple(missing[:4])))
-    extra = sorted(t for t in mp if not 0 <= t < n_in)
-    if extra:
+    # every key in [0, n_in) was met above, so extra keys exist iff mp is larger
+    if len(mp) > n_in - len(missing):
+        extra = sorted(t for t in mp if not 0 <= t < n_in)
         failures.append(("SizeMismatch", tuple((t, mp[t]) for t in extra)))
     if failures:
         return ValidationReport("failed", failures)
-    host_n = host.n
-    out_of_range = [t for t in range(n_in) if not 0 <= mp[t] < host_n]
     if out_of_range:
         failures.append(("SizeMismatch", tuple((t, mp[t]) for t in out_of_range[:4])))
         return ValidationReport("failed", failures)
-
-    by_image: dict[int, int] = {}
-    for t in range(n_in):
-        g = mp[t]
-        if g in by_image:
-            failures.append(("NotInjective", (by_image[g], t, g)))
-        else:
-            by_image[g] = t
-    if failures:
-        return ValidationReport("failed", failures)
+    if repeats:
+        return ValidationReport("failed", repeats)
 
     is_edge, detect, cross = _crossing_rules(host, mp.values())
     mapped: list[Segment] = []

@@ -11,8 +11,10 @@ from ugg.errors import InvalidSize, MalformedInput, SizeTooLarge
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph, build_universal
 from ugg.workbench import fileio
+from ugg.workbench import families
 from ugg.workbench.families import (
     chorded_cycle_census,
+    chorded_cycle_count,
     enumerate_caterpillars,
     enumerate_chorded_cycles,
     enumerate_forests,
@@ -124,6 +126,48 @@ def test_chorded_cycle_enumeration_basics():
         assert orbit_sum == labeled, n
 
 
+def _labeled_classes(n, h):
+    """The slow route: canonicalize every labeled chord set."""
+    canon = {families._dihedral_canonical(n, s) for s in families._chord_sets(n, h)}
+    return [ChordedCycle(n, c) for c in sorted(canon)]
+
+
+@pytest.mark.parametrize("h, top", [(0, 14), (1, 14), (2, 18), (3, 14)])
+def test_chorded_classes_equal_the_labeled_oracle(h, top):
+    for n in range(max(3, 2 * h + 2), top + 1):
+        got = enumerate_chorded_cycles(n, h)
+        want = _labeled_classes(n, h)
+        assert len(got) == len(want), (n, h)
+        for a, b in zip(got, want):
+            assert a.chords == b.chords, (n, h)
+
+
+@pytest.mark.parametrize("h, top", [(0, 30), (1, 30), (2, 30), (3, 20)])
+def test_chorded_class_count_by_burnside(h, top):
+    for n in range(max(3, 2 * h + 2), top + 1):
+        assert len(enumerate_chorded_cycles(n, h)) == chorded_cycle_count(n, h), (n, h)
+
+
+def test_chorded_cycle_count_small_values():
+    # bare cycle; the square's one chord; the hexagon's chords of length 2, 3
+    assert [chorded_cycle_count(n, h) for n, h in [(6, 0), (4, 1), (6, 1), (6, 2)]] == [1, 1, 2, 1]
+    with pytest.raises(SizeTooLarge):
+        chorded_cycle_count(31, 2)
+    with pytest.raises(InvalidSize):
+        chorded_cycle_count(5, 2)
+
+
+def test_chorded_enumeration_never_canonicalizes_labeled_sets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("labeled canonicalization called")
+
+    monkeypatch.setattr(families, "_dihedral_images", refuse)
+    monkeypatch.setattr(families, "_chord_sets", refuse)
+    classes = enumerate_chorded_cycles(24, 2)
+    assert len(classes) == chorded_cycle_count(24, 2) == 385
+    assert [c.chords for c in classes] == sorted(c.chords for c in classes)
+
+
 @pytest.mark.parametrize("enumerate_, cap", [
     (enumerate_trees, 12), (enumerate_forests, 12), (enumerate_caterpillars, 14)])
 def test_enumeration_sizes(enumerate_, cap):
@@ -205,6 +249,27 @@ def test_validator_reports_extra_mapping_keys():
     report = validate_embedding(G, Forest(15, [(0, 1)]), Embedding(15, mapping))
     assert not report.ok
     assert report.failures == [("SizeMismatch", ((-1, 7), (99, 3)))]
+
+
+@pytest.mark.parametrize("mapping, failures", [
+    # missing keys: the first four
+    ({0: 0}, [("SizeMismatch", (1, 2, 3, 4))]),
+    # extra keys: all of them, sorted, with their images
+    ({**{t: t for t in range(6)}, 9: 1, -2: 3}, [("SizeMismatch", ((-2, 3), (9, 1)))]),
+    # missing and extra keys together, missing first; the rest is not looked at
+    ({0: 99, 1: 1, 2: 1, 7: 2}, [("SizeMismatch", (3, 4, 5)), ("SizeMismatch", ((7, 2),))]),
+    # images off the host: the first four, alone, before repeated images
+    ({0: 0, 1: 0, 2: -1, 3: 15, 4: 20, 5: 16},
+     [("SizeMismatch", ((2, -1), (3, 15), (4, 20), (5, 16)))]),
+    # repeated images: every repeat against the first vertex with that image
+    ({0: 4, 1: 4, 2: 1, 3: 4, 4: 1, 5: 0},
+     [("NotInjective", (0, 1, 4)), ("NotInjective", (0, 3, 4)), ("NotInjective", (2, 4, 1))]),
+])
+def test_validator_mapping_failures_keep_their_precedence(mapping, failures):
+    G = build_universal(15)
+    report = validate_embedding(G, Forest(6, [(0, 1)]), Embedding(15, mapping))
+    assert not report.ok
+    assert report.failures == failures
 
 
 def test_validator_checked_is_linear_on_star():
