@@ -93,6 +93,11 @@ class CrossingIso:
         u = self.source.lo + rank
         return u if u < self.removed else u + 1
 
+    def pull_back(self, mapping: dict[int, int]) -> dict[int, int]:
+        """A map onto the target carried back to the source minus the
+        removed vertex."""
+        return {t: self.inverse(g) for t, g in mapping.items()}
+
 
 def iso_interval(G: UniversalGraph, interval: Interval, k: int) -> tuple[Interval, CrossingIso]:
     """Crossing-preserving isomorphism from G(interval) - v_k onto an interval.
@@ -144,8 +149,7 @@ def transfer_via_isomorphism(iso: CrossingIso, emb: Embedding) -> Embedding:
     if set(emb.mapping.values()) != set(iso.target):
         raise DomainMismatch(
             f"embedding image does not cover target {iso.target} exactly")
-    mapping = {t: iso.inverse(g) for t, g in emb.mapping.items()}
-    return Embedding(emb.host_n, mapping,
+    return Embedding(emb.host_n, iso.pull_back(emb.mapping),
                      emb.provenance + [("transfer", (iso.source.lo, iso.source.hi))])
 
 
@@ -157,18 +161,26 @@ def replace_highest(G: UniversalGraph, interval: Interval, emb: Embedding,
     lo, hi = interval.lo, interval.hi
     if set(emb.mapping.values()) != set(interval):
         raise DomainMismatch(f"embedding image does not cover {interval} exactly")
-    if x in interval:
-        raise PreconditionViolated(f"replacement vertex {x} lies inside {interval}")
     k = G.highest_in(lo, hi)
-    for w in interval:
-        if w != k and not G.higher(x, w):
-            raise PreconditionViolated(
-                f"replacement vertex {x} is not higher than interval vertex {w}")
     mapping = dict(emb.mapping)
-    t0 = next(t for t, g in mapping.items() if g == k)
-    mapping[t0] = x
+    _replace(G, lo, hi, mapping, next(t for t, g in mapping.items() if g == k), x)
     return Embedding(emb.host_n, mapping,
                      emb.provenance + [("replace", (lo, hi))])
+
+
+def _replace(G: UniversalGraph, lo: int, hi: int, mapping: dict[int, int],
+             t0: int, x: int) -> None:
+    """Move tree vertex t0 from the highest vertex k of [lo, hi], where it
+    sits, to host vertex x, which must lie outside [lo, hi] and be higher
+    than every other vertex of it: than the highest on each side of k."""
+    if lo <= x <= hi:
+        raise PreconditionViolated(f"replacement vertex {x} lies inside [{lo}, {hi}]")
+    k = mapping[t0]
+    for a, b in ((lo, k - 1), (k + 1, hi)):
+        if a <= b and not G.higher(x, w := G.highest_in(a, b)):
+            raise PreconditionViolated(
+                f"replacement vertex {x} is not higher than interval vertex {w}")
+    mapping[t0] = x
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +251,7 @@ class _Recursion:
                 raise InternalInvariantBroken(
                     f"left sibling {ls} inside [{lo}, {hi}] but not at its left end")
             mp = self.single(a2, tp, lo + 1, hi, depth)
-            mp[T.order[a2]] = lo  # a2 took k, the maximum of [lo+1, hi]
+            _replace(self.G, lo + 1, hi, mp, T.order[a2], lo)  # a2 took k
             mp[T.order[a]] = k
             return mp, "case-1.2.3"
 
@@ -275,7 +287,7 @@ class _Recursion:
             elif span == len(ch) + 1 and ch[0] < k < ch[-1]:
                 target, iso = iso_interval(self.G, Interval(ch[0], ch[-1]), k)
                 piece = self.single(child, T.keep(ex, child), target.lo, target.hi, depth)
-                mp.update({t: iso.inverse(g) for t, g in piece.items()})
+                mp.update(iso.pull_back(piece))
             else:
                 raise InternalInvariantBroken("chunk neither interval nor maximum-split")
         qlo, qhi = min(chs[q][0], x), max(chs[q][-1], x)
@@ -314,7 +326,7 @@ class _Recursion:
         h_ex = T.keep(tp, c, c + 1, kids[l][0] if l < len(kids) else None)
         target, iso = iso_interval(self.G, Interval(hi - m, hi), k)
         phi_h = self.single(c, h_ex, target.lo, target.hi, depth)
-        mp = {t: iso.inverse(g) for t, g in phi_h.items()}
+        mp = iso.pull_back(phi_h)
         c_id = T.order[c]
         if mp[c_id] != k + 1:
             raise InternalInvariantBroken(
@@ -348,8 +360,8 @@ class _Recursion:
             # and hang {c's parent} + T(c) over the window, discarding the
             # parent's scaffold position v_r.
             psi1 = self._rest(a2, tp, c, lo, hi - m - 1, depth)
-            t0 = next(t for t, g in psi1.items() if g == k)
-            psi1[t0] = r
+            _replace(self.G, lo, hi - m - 1, psi1,
+                     next(t for t, g in psi1.items() if g == k), r)
             cp = T.parent[c]
             psi2 = self.single(cp, T.keep(tp, cp, c, c + T.size[c]), hi - m, hi, depth)
             cp_id = T.order[cp]

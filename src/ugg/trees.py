@@ -33,7 +33,6 @@ class Forest:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise MalformedInput(f"forest needs n >= 1, got {self.n}")
-        seen: set[tuple[int, int]] = set()
         adj: list[list[int]] = [[] for _ in range(self.n)]
         parent = list(range(self.n))  # union-find for the acyclicity check
 
@@ -48,12 +47,10 @@ class Forest:
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside [0, {self.n})")
             if u == v:
                 raise DegenerateEdge(f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise MalformedInput(f"duplicate edge {key}")
-            seen.add(key)
             ru, rv = find(u), find(v)
-            if ru == rv:
+            if ru == rv:  # a repeated edge closes a cycle of two
+                if v in adj[u]:
+                    raise MalformedInput(f"duplicate edge {(min(u, v), max(u, v))}")
                 raise MalformedInput(f"edge ({u}, {v}) closes a cycle")
             parent[ru] = rv
             adj[u].append(v)
@@ -219,7 +216,7 @@ def caterpillar_spine(forest: Forest) -> Caterpillar:
     from its endpoint with the smaller id.  Trees on one or two vertices get
     the smallest vertex as a one-vertex spine.
     """
-    if not forest.is_tree() or len(forest.components()) != 1:
+    if not forest.is_tree():  # n - 1 edges and no cycle: connected
         raise NotACaterpillar("input is not a connected tree")
     n = forest.n
     if n <= 2:

@@ -6,12 +6,13 @@ Forest:     `n <int>` then zero or more `e <u> <v>` lines.
 Chorded:    `n <int>` / `h <int>` / h lines `c <u> <v>` (cycle edges implicit).
 Embedding:  `m <t> <g>` lines sorted by t.
 UTF-8 everywhere; blank lines and `#` comments ignored.  A forest or chorded
-file may declare at most INPUT_CAP vertices; a larger `n` raises SizeTooLarge.
+file may declare at most INPUT_CAP vertices; a larger `n` raises SizeTooLarge,
+as does a host past EXPLICIT_CAP vertices or edges written with its edges.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter, ne
 from pathlib import Path
 
@@ -31,6 +32,10 @@ MAGIC = "ugg-graph v1"
 # Most vertices a forest or chorded-cycle file may declare.  Loading one
 # builds lists of n entries, so a larger n is refused before anything is built.
 INPUT_CAP = 1 << 20
+# Most vertices, and most edges, that a host file lists explicitly.  Writing
+# one builds every edge line in memory, so a larger host is refused before
+# any edge is listed.
+EXPLICIT_CAP = 1 << 20
 # Every host kind but `custom`, which a file defines by its edge list.
 HOST_BUILDERS = {
     "universal": build_universal,
@@ -84,10 +89,19 @@ def _input_size(row: list[str]) -> int:
 
 
 def save_host(host, path, explicit: bool = False) -> int | None:
-    """Write a host file; return how many edges it lists, None if none."""
-    lines = [MAGIC, f"kind {host.kind}", f"n {host.n}"]
+    """Write a host file; return how many edges it lists, None if none.
+    An edge list past EXPLICIT_CAP raises SizeTooLarge before the file is
+    touched."""
+    n = host.n
+    lines = [MAGIC, f"kind {host.kind}", f"n {n}"]
     count = None
     if explicit or host.kind == "custom":
+        # n first; within it count at most EXPLICIT_CAP + 1 edges, and skip
+        # even that when all n (n - 1) / 2 pairs are within the cap
+        if n > EXPLICIT_CAP or n * (n - 1) // 2 > EXPLICIT_CAP and next(
+                islice(host.edges(), EXPLICIT_CAP, None), None) is not None:
+            raise SizeTooLarge(f"an explicit host file lists at most {EXPLICIT_CAP} "
+                               "vertices and edges each")
         edges = [f"e {u} {v}" for u, v in host.edges()]
         count = len(edges)
         lines += [f"edges {count}", *edges]

@@ -13,8 +13,11 @@ roof and lies below the other roof; one segment has one lower end, so at most
 one end disagrees, and the segments cross iff one does.
 The edge test and the sweep read one table of height keys, sized by the
 input and built in one walk of the index tree.  Only when a detector finds a
-crossing are the witnesses listed: by the roof sweep on the universal host,
-by the pairwise scan on convex hosts.
+crossing are the witnesses listed, by the roof sweep on every host.  Points
+in convex position obey the same rule with height keys -v: the middle one of
+any three is never above the line through the other two, so the rule reads
+that (a, b) and (c, d) with a < c cross iff a < c < b < d, the interleaving
+rule for chords.
 
 Failures are data, not exceptions; every failure carries a witness.
 """
@@ -42,8 +45,9 @@ Segment = tuple[int, int]
 class ValidationReport:
     status: str  # "ok" | "failed"
     failures: list[tuple[str, tuple]] = field(default_factory=list)
-    # crossing tests made: a roof query per segment swept on the universal
-    # host, a stack comparison on convex hosts, a pair the pairwise scan tests
+    # crossing tests made: the detector's roof queries (universal host) or
+    # stack comparisons (convex hosts), then the roof queries that list the
+    # witnesses when there is a crossing
     checked: int = 0
 
     @property
@@ -194,13 +198,13 @@ def sweep_crossing(shape: BTreeShape, segments,
     return (pairs[0] if pairs else None), queries
 
 
-def roof_crossings(shape: BTreeShape, segments: list[Segment],
+def roof_crossings(shape: BTreeShape | None, segments: list[Segment],
                    keys=None) -> tuple[list[tuple[str, tuple]], int]:
     """Every crossing pair among host segments as a `Crossing` failure, in
     the order of the pairwise scan on their (lo, hi) forms, and the number
-    of roof queries made: the universal host's witness lister.  No pair
-    meets the roof rule both ways round, so the sweep finds each crossing
-    once."""
+    of roof queries made: the witness lister of every host.  On a convex
+    host pass keys[v] = -v and no shape.  No pair meets the roof rule both
+    ways round, so the sweep finds each crossing once."""
     pairs, queries = _roof_sweep(shape, segments, keys, True)
     times, failures = Counter((min(s), max(s)) for s in segments), []
     for first, found in groupby(sorted((min(p), max(p)) for p in pairs), itemgetter(0)):
@@ -209,22 +213,31 @@ def roof_crossings(shape: BTreeShape, segments: list[Segment],
 
 
 def _crossing_rules(host, endpoints):
-    """The edge test, the fast crossing detector and the pairwise crossing
-    predicate for segments on the given host vertices.  On the universal
-    host all three read one table of height keys, built here once; every
-    other host uses the circle."""
+    """The edge test, the fast crossing detector and the witness lister for
+    segments on the given host vertices.  On the universal host all three
+    read one table of height keys, built here once.  On convex hosts the
+    nesting walk detects, and the lister builds the keys -v of the
+    segments' ends only when it is called."""
     if host.kind == "universal":
         h, keys = host.shape.h, _height_table(host.shape, endpoints)
 
         def is_edge(u: int, v: int) -> bool:
             return adjacent(*key_location(h, keys[u]), *key_location(h, keys[v]))
 
-        detect = partial(sweep_crossing, host.shape, keys=keys)
-        return is_edge, detect, partial(segments_cross, keys)
-    return host.is_edge, nesting_crossing, partial(convex_edges_cross, host.n)
+        return (is_edge, partial(sweep_crossing, host.shape, keys=keys),
+                partial(roof_crossings, host.shape, keys=keys))
+    return host.is_edge, nesting_crossing, lambda segments: roof_crossings(
+        None, segments, {v: -v for s in segments for v in s})
 
 
-def _pairwise(cross, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
+def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
+    """Every crossing pair as a `Crossing` failure, and the number of
+    predicate calls made: the quadratic oracle for the detectors and the
+    roof lister.  Segments are (lo, hi) pairs.  It decides a pair by
+    `segments_cross` on the universal host and by `convex_edges_cross`,
+    which reads no height keys, on convex hosts."""
+    cross = (partial(segments_cross, _height_table(host.shape, {v for s in segments for v in s}))
+             if host.kind == "universal" else partial(convex_edges_cross, host.n))
     failures: list[tuple[str, tuple]] = []
     checked = 0
     # Sorted (lo, hi) segments cross only if the second starts strictly
@@ -240,13 +253,6 @@ def _pairwise(cross, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], 
             if cross(e1, e2):
                 failures.append(("Crossing", (e1, e2)))
     return failures, checked
-
-
-def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
-    """Every crossing pair as a `Crossing` failure, and the number of
-    predicate calls made.  The quadratic oracle for the two fast detectors;
-    segments are (lo, hi) pairs."""
-    return _pairwise(_crossing_rules(host, {v for s in segments for v in s})[2], segments)
 
 
 def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
@@ -292,7 +298,7 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if repeats:
         return ValidationReport("failed", repeats)
 
-    is_edge, detect, cross = _crossing_rules(host, mp.values())
+    is_edge, detect, list_crossings = _crossing_rules(host, mp.values())
     mapped: list[Segment] = []
     for u, v in in_edges:
         gu, gv = mp[u], mp[v]
@@ -305,7 +311,6 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
 
     witness, checked = detect(mapped)
     if witness is not None:
-        failures, more = (roof_crossings(host.shape, mapped) if host.kind == "universal"
-                          else _pairwise(cross, mapped))
+        failures, more = list_crossings(mapped)
         checked += more
     return ValidationReport("failed" if failures else "ok", failures, checked)

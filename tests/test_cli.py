@@ -5,7 +5,8 @@ import time
 import pytest
 
 from ugg import cli
-from ugg.convex import _CaterpillarHost, _CustomHost, _StarHost
+from ugg.convex import _CaterpillarHost, _CustomHost, _StarHost, build_twochord_host
+from ugg.errors import SizeTooLarge
 from ugg.trees import Forest
 from ugg.ugraph import UniversalGraph
 from ugg.workbench import fileio
@@ -211,6 +212,33 @@ def test_build_implicit_host_counts_no_edges(tmp_path, capsys):
                      "--out", str(out)]) == 0
     listed = sum(line.startswith("e ") for line in out.read_text(encoding="utf-8").splitlines())
     assert f", {listed} edges," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("twochord", 10**6),  # 1,997,998,002 edges
+    ("universal", 2**20 - 1),
+    ("caterpillar", 10**9),
+])
+def test_explicit_build_past_the_cap_exits_3_quickly(tmp_path, capsys, kind, n):
+    out = tmp_path / "host.txt"
+    start = time.perf_counter()
+    assert cli.main(["build", "--kind", kind, "--n", str(n), "--explicit",
+                     "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "explicit host file" in err and "Traceback" not in err
+
+
+def test_explicit_cap_counts_edges_not_only_vertices(tmp_path):
+    # 40000 vertices are within the cap, their 2,237,617 edges are not;
+    # the bench's largest explicit host, two-chord at n = 1023, is well within
+    out = tmp_path / "host.txt"
+    with pytest.raises(SizeTooLarge):
+        fileio.save_host(UniversalGraph(40000), out, explicit=True)
+    assert not out.exists()
+    assert fileio.save_host(build_twochord_host(1023), out, explicit=True) == 62403
+    assert 16 * 62403 < fileio.EXPLICIT_CAP
 
 
 def test_enumerate_forests(tmp_path):

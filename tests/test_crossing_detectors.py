@@ -1,9 +1,9 @@
 """The O(m log m) crossing detectors against the pairwise scan.
 
 The roof sweep (universal host) and the nesting walk (convex hosts) decide
-whether a crossing exists, and the roof sweep also lists every witness on
-the universal host; the pairwise scan is the oracle for both, and the route
-that lists witnesses on convex hosts.
+whether a crossing exists, and the roof sweep lists every witness on every
+host, reading the height keys -v on convex hosts; the pairwise scan is the
+oracle for all of them.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from ugg.convex import (
     build_caterpillar_host,
     build_complete_host,
     build_twochord_host,
+    convex_edges_cross,
     embed_caterpillar,
     embed_twochord,
     nesting_crossing,
@@ -238,13 +239,26 @@ def test_star_sweep_costs_no_more_than_a_path():
 def test_star_with_one_crossing_lists_it_in_linear_work():
     # vertex 3 re-hung from the star's center 0 onto 1: the one crossing is
     # (0, 2) with (1, 3), and listing it takes a second sweep, not a scan of
-    # every pair of segments that start at the center
+    # every pair of segments that start at the center; on the complete host
+    # the nesting walk finds it and the sweep lists it on keys -v
     n = 4095
-    host = UniversalGraph(n)
     edges = [(0, i) for i in range(1, n) if i != 3] + [(1, 3)]
-    report = validate_embedding(host, (n, edges), Embedding(n, {t: t for t in range(n)}))
-    assert report.failures == [("Crossing", ((0, 2), (1, 3)))]
-    assert report.checked <= 6 * len(edges)
+    for host in (UniversalGraph(n), build_complete_host(n)):
+        report = validate_embedding(host, (n, edges), Embedding(n, {t: t for t in range(n)}))
+        assert report.failures == [("Crossing", ((0, 2), (1, 3)))], host.kind
+        assert report.checked <= 6 * len(edges), host.kind
+
+
+def test_roof_rule_on_keys_minus_v_is_the_chord_rule():
+    """With height key -v the rightmost of three points is the highest, so
+    the roof sweep decides every pair of segments on 3 to 12 points in
+    convex position as the interleaving rule does."""
+    for n in range(3, 13):
+        keys = {v: -v for v in range(n)}
+        segments = list(itertools.combinations(range(n), 2))
+        for s, t in itertools.combinations(segments, 2):
+            found, _ = roof_crossings(None, [s, t], keys)
+            assert bool(found) == convex_edges_cross(n, s, t), (n, s, t)
 
 
 @given(segment_sets(40))

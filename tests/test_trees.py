@@ -20,15 +20,17 @@ def test_forest_accepts_trees_and_forests():
 
 
 def test_forest_rejects_cycles():
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput, match="closes a cycle"):
         Forest(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_forest_rejects_self_loop_and_multi_edge():
     with pytest.raises(DegenerateEdge):
         Forest(2, [(1, 1)])
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput, match=r"duplicate edge \(0, 1\)"):
         Forest(2, [(0, 1), (1, 0)])
+    with pytest.raises(MalformedInput, match=r"duplicate edge \(1, 2\)"):
+        Forest(4, [(2, 1), (0, 3), (2, 1)])
 
 
 def test_forest_rejects_bad_sizes():
