@@ -185,6 +185,23 @@ def height_keys(shape: BTreeShape, n: int) -> list[int]:
     return keys
 
 
+def highest_in_range(shape: BTreeShape, lo: int, hi: int) -> int:
+    """The highest node of the index range [lo, hi], 0 <= lo <= hi < m
+    (unchecked).
+
+    Descends from the root while [lo, hi] lies in one child subtree; if it
+    straddles both, the right child is higher than the rest of them.
+    """
+    node, step = 0, 1 << (shape.h - 1)  # step: right child minus node
+    while node < lo:
+        right = node + step
+        if lo < right <= hi:
+            return right
+        node = right if lo >= right else node + 1
+        step >>= 1
+    return node
+
+
 def higher(shape: BTreeShape, u: int, w: int) -> bool:
     """True iff u precedes w in the height order (u is strictly higher)."""
     _check_index(shape, u)

@@ -5,7 +5,12 @@ vertex lands on the interval's highest host vertex (single portal), or two
 portals land left/right with empty upper-left / upper-right quarter planes
 (two portals).  Every recursive return re-checks the portal postcondition and
 that the piece fills its interval exactly; violations raise
-InternalInvariantBroken rather than producing a bad embedding.
+InternalInvariantBroken rather than producing a bad embedding.  The fill
+costs O(1) to prove: each placement is written once, into one array indexed
+by tree position and one indexed by host vertex; every write lands on an
+empty vertex inside the current call's interval, every child interval (after
+its interval isomorphism) lies inside its parent's, and the writes less the
+lifts made during a call number the interval's length.
 
 `embed_forest` roots each component once, at its smallest vertex, straight
 from the forest's adjacency lists; `embed_tree` takes a `RootedTree` rooted
@@ -87,16 +92,11 @@ class CrossingIso:
         return self.target.lo + rank
 
     def inverse(self, w: int) -> int:
-        if w not in self.target:
-            raise IndexOutOfRange(f"{w} not in target {self.target}")
-        rank = w - self.target.lo
-        u = self.source.lo + rank
+        target = self.target
+        if not target.lo <= w <= target.hi:
+            raise IndexOutOfRange(f"{w} not in target {target}")
+        u = self.source.lo + (w - target.lo)
         return u if u < self.removed else u + 1
-
-    def pull_back(self, mapping: dict[int, int]) -> dict[int, int]:
-        """A map onto the target carried back to the source minus the
-        removed vertex."""
-        return {t: self.inverse(g) for t, g in mapping.items()}
 
 
 def iso_interval(G: UniversalGraph, interval: Interval, k: int) -> tuple[Interval, CrossingIso]:
@@ -149,7 +149,7 @@ def transfer_via_isomorphism(iso: CrossingIso, emb: Embedding) -> Embedding:
     if set(emb.mapping.values()) != set(iso.target):
         raise DomainMismatch(
             f"embedding image does not cover target {iso.target} exactly")
-    return Embedding(emb.host_n, iso.pull_back(emb.mapping),
+    return Embedding(emb.host_n, {t: iso.inverse(g) for t, g in emb.mapping.items()},
                      emb.provenance + [("transfer", (iso.source.lo, iso.source.hi))])
 
 
@@ -162,25 +162,23 @@ def replace_highest(G: UniversalGraph, interval: Interval, emb: Embedding,
     if set(emb.mapping.values()) != set(interval):
         raise DomainMismatch(f"embedding image does not cover {interval} exactly")
     k = G.highest_in(lo, hi)
+    _check_replace(G, lo, hi, k, x)
     mapping = dict(emb.mapping)
-    _replace(G, lo, hi, mapping, next(t for t, g in mapping.items() if g == k), x)
+    mapping[next(t for t, g in mapping.items() if g == k)] = x
     return Embedding(emb.host_n, mapping,
                      emb.provenance + [("replace", (lo, hi))])
 
 
-def _replace(G: UniversalGraph, lo: int, hi: int, mapping: dict[int, int],
-             t0: int, x: int) -> None:
-    """Move tree vertex t0 from the highest vertex k of [lo, hi], where it
-    sits, to host vertex x, which must lie outside [lo, hi] and be higher
-    than every other vertex of it: than the highest on each side of k."""
+def _check_replace(G: UniversalGraph, lo: int, hi: int, k: int, x: int) -> None:
+    """Check that the tree vertex on the highest vertex k of [lo, hi] may move
+    to host vertex x: x must lie outside [lo, hi] and be higher than every
+    other vertex of it, that is, than the highest on each side of k."""
     if lo <= x <= hi:
         raise PreconditionViolated(f"replacement vertex {x} lies inside [{lo}, {hi}]")
-    k = mapping[t0]
     for a, b in ((lo, k - 1), (k + 1, hi)):
         if a <= b and not G.higher(x, w := G.highest_in(a, b)):
             raise PreconditionViolated(
                 f"replacement vertex {x} is not higher than interval vertex {w}")
-    mapping[t0] = x
 
 
 # ---------------------------------------------------------------------------
@@ -189,117 +187,191 @@ def _replace(G: UniversalGraph, lo: int, hi: int, mapping: dict[int, int],
 
 
 class _Recursion:
-    """One embedding run: the host, the rooting, the provenance list, and
-    the depth bound."""
+    """One embedding run onto the host interval [base, base + T.n).
 
-    def __init__(self, G: UniversalGraph, T: RootedTree):
+    Each placement is written once: `out[t]` is the host vertex of tree
+    position t and `own[g - base]` the position on host vertex g, -1 where
+    empty.  A call works in its frame, an interval in its own coordinates;
+    `isos` holds the interval isomorphisms the frame sits under, and a frame
+    vertex reaches the host through their inverses, innermost first.
+    """
+
+    def __init__(self, G: UniversalGraph, T: RootedTree, base: int):
         self.G, self.T, self.prov = G, T, []
         self.max_depth = DEPTH_PER_LEVEL * G.shape.h
+        self.base, self.out, self.own = base, [-1] * T.n, [-1] * T.n
+        self.placed, self.isos, self.frame = 0, [], (base, base + T.n - 1)
 
-    def single(self, a: int, ex: list, lo: int, hi: int, depth: int) -> dict[int, int]:
+    def _host(self, g: int) -> int:
+        # host vertex of frame vertex g, which must lie in the current frame
+        lo, hi = self.frame
+        if not lo <= g <= hi:
+            raise InternalInvariantBroken(f"vertex {g} outside the frame [{lo}, {hi}]")
+        for iso in reversed(self.isos):
+            g = iso.inverse(g)
+        return g
+
+    def _put(self, t: int, g: int) -> None:
+        """Place tree position t, not yet placed, on the empty frame vertex g."""
+        u = self._host(g)
+        i = u - self.base
+        if self.own[i] >= 0:
+            raise InternalInvariantBroken(f"vertex {g} written twice")
+        if self.out[t] >= 0:
+            raise InternalInvariantBroken(f"tree vertex {self.T.order[t]} placed twice")
+        self.own[i], self.out[t] = t, u
+        self.placed += 1
+
+    def _take(self, g: int) -> int:
+        """Lift the tree position off frame vertex g and return it."""
+        i = self._host(g) - self.base
+        t = self.own[i]
+        if t < 0:
+            raise InternalInvariantBroken(f"no tree vertex on {g} to lift")
+        self.own[i] = self.out[t] = -1
+        self.placed -= 1
+        return t
+
+    def _enter(self, lo: int, hi: int) -> tuple[int, int]:
+        # make [lo, hi], which must lie in the current frame, the frame
+        outer = self.frame
+        if lo < outer[0] or hi > outer[1]:
+            raise InternalInvariantBroken(f"[{lo}, {hi}] leaves its frame {list(outer)}")
+        self.frame = (lo, hi)
+        return outer
+
+    def _trace(self, kind: str, portals, a: int, ex: list, lo: int, hi: int) -> None:
+        # hand TRACE_HOOK the piece (a, ex) as a dict in the frame's coordinates
+        skip, mp = {t for s, e in ex for t in range(s, e)}, {}
+        for t in range(a, a + self.T.size[a]):
+            if t not in skip:
+                g = self.out[t]
+                for iso in self.isos:
+                    g = iso.forward(g)
+                mp[self.T.order[t]] = g
+        TRACE_HOOK((kind, portals, lo, hi, mp))
+
+    def single(self, a: int, ex: list, lo: int, hi: int, depth: int) -> int:
         """Embed the piece (a, ex) onto [lo, hi]; portal a lands on the
-        interval's highest vertex."""
+        interval's highest vertex, which is returned.
+
+        The piece fills [lo, hi] exactly: every write lands on an empty
+        vertex of its own frame, every frame lies in its parent's, and the
+        writes less the lifts made during the call number hi - lo + 1.
+        """
         if depth > self.max_depth:
             raise InternalInvariantBroken(f"recursion deeper than {self.max_depth} levels")
-        k = self.G.highest_in(lo, hi)
-        mp, label = self._single_cases(a, ex, lo, hi, k, depth + 1)
-        self.prov.append((label, (lo, hi)))
-        a = self.T.order[a]
-        if mp.get(a) != k:
+        if self.T.count(a, ex) != hi - lo + 1:
             raise InternalInvariantBroken(
-                f"portal {a} landed on {mp.get(a)}, expected interval maximum {k}")
-        if len(mp) != hi - lo + 1 or set(mp.values()) != set(range(lo, hi + 1)):
+                f"tree has {self.T.count(a, ex)} vertices for interval [{lo}, {hi}]")
+        if lo == hi:  # one write, checked to land on lo inside the frame
+            self._put(a, lo)
+            self.prov.append(("base", (lo, lo)))
+            if TRACE_HOOK is not None:
+                self._trace("single", self.T.order[a], a, ex, lo, hi)
+            return lo
+        outer = self._enter(lo, hi)
+        placed = self.placed
+        k = btree.highest_in_range(self.G.shape, lo, hi)
+        g, label = self._single_cases(a, ex, lo, hi, k, depth + 1)
+        if g != k:
+            raise InternalInvariantBroken(
+                f"portal {self.T.order[a]} landed on {g}, expected interval maximum {k}")
+        self.prov.append((label, (lo, hi)))
+        if self.placed - placed != hi - lo + 1:
             raise InternalInvariantBroken(f"piece does not fill [{lo}, {hi}] exactly")
         if TRACE_HOOK is not None:
-            TRACE_HOOK(("single", a, lo, hi, dict(mp)))
-        return mp
+            self._trace("single", self.T.order[a], a, ex, lo, hi)
+        self.frame = outer
+        return k
 
     def _single_cases(self, a: int, ex: list, lo: int, hi: int, k: int,
-                      depth: int) -> tuple[dict[int, int], str]:
+                      depth: int) -> tuple[int, str]:
+        # Returns the vertex a landed on and the case label.
         T = self.T
-        nverts = hi - lo + 1
-        if T.count(a, ex) != nverts:
-            raise InternalInvariantBroken(
-                f"tree has {T.count(a, ex)} vertices for interval [{lo}, {hi}]")
-        if nverts == 1:
-            return {T.order[a]: lo}, "base"
-
-        shape = self.G.shape
         kids = T.kids(a, ex)
 
         if len(kids) >= 2:
             # Branching portal: lay the child subtrees left-to-right over the
             # interval minus k; the chunk next to k absorbs k and keeps the portal.
-            cells = [i for i in range(lo, hi + 1) if i != k]
-            return self._spread(a, ex, kids, lo, cells, k, k, depth), "case-1.1"
+            return self._spread(a, ex, kids, lo, (k,), k, k, depth), "case-1.1"
 
         a2 = kids[0][0]
         tp = T.keep(ex, a2)
 
         if k == hi or k == lo:
-            mp = self.single(a2, tp, lo + (k == lo), hi - (k == hi), depth)
-            mp[T.order[a]] = k
-            return mp, "case-1.2.1" if k == hi else "case-1.2.2"
+            self.single(a2, tp, lo + (k == lo), hi - (k == hi), depth)
+            self._put(a, k)
+            return k, "case-1.2.1" if k == hi else "case-1.2.2"
 
-        ls = btree.left_sibling(shape, k)
-        if ls is None:
+        h = self.G.shape.h
+        level, _, parent = btree._locate(h, k)
+        if parent + 1 == k:
             raise InternalInvariantBroken(f"interior maximum {k} is not a right child")
+        ls = parent + 1
         if ls >= lo:
             # The left sibling sits in the interval; it must be the left endpoint
             # and is higher than everything but k, so the deg-1 portal moves there.
             if ls != lo:
                 raise InternalInvariantBroken(
                     f"left sibling {ls} inside [{lo}, {hi}] but not at its left end")
-            mp = self.single(a2, tp, lo + 1, hi, depth)
-            _replace(self.G, lo + 1, hi, mp, T.order[a2], lo)  # a2 took k
-            mp[T.order[a]] = k
-            return mp, "case-1.2.3"
+            g = self.single(a2, tp, lo + 1, hi, depth)  # a2 took k
+            _check_replace(self.G, lo + 1, hi, g, lo)
+            self._put(self._take(g), lo)
+            self._put(a, k)
+            return k, "case-1.2.3"
 
-        w = btree.subtree_size(shape, k)
-        d = (w - 1) // 2
-        right_child = k + 1 + d if w >= 3 else None
-
-        if right_child is None or right_child > hi:
+        d = (1 << (h - level)) - 1  # size of each subtree one level below v_k
+        if d == 0 or k + 1 + d > hi:
             return self._case_1_2_4(a, a2, tp, lo, hi, k, depth)
-        return self._case_1_2_5(a, a2, tp, lo, hi, k, right_child, depth)
+        return self._case_1_2_5(a, a2, tp, lo, hi, k, k + 1 + d, depth)
+
+    def _under(self, iso: CrossingIso, v: int, ex: list, depth: int) -> int:
+        # single() of the piece (v, ex) on the iso's target, whose source must
+        # lie in the current frame; returns v's vertex carried back
+        outer = self._enter(iso.source.lo, iso.source.hi)
+        self.isos.append(iso)
+        self.frame = (iso.target.lo, iso.target.hi)
+        g = self.single(v, ex, iso.target.lo, iso.target.hi, depth)
+        self.isos.pop()
+        self.frame = outer
+        return iso.inverse(g)
 
     def _spread(self, v: int, ex: list, kids: list[tuple[int, int]], lo: int,
-                cells: list[int], x: int, k: int, depth: int) -> dict[int, int]:
-        # Lay v's children in the piece over cells, left to right, one chunk
-        # each; the chunk beside host vertex x (or the first, if x is lo)
-        # absorbs x and keeps v.  A chunk that spans the interval maximum k
-        # is embedded beside it and shifted back.
-        T, chs, i = self.T, [], 0
-        for _, sz in kids:
-            chs.append(cells[i:i + sz])
-            i += sz
-        q = next((j for j, ch in enumerate(chs) if ch[0] <= x - 1 <= ch[-1]),
-                 0 if x == lo else None)
-        if q is None:
-            raise InternalInvariantBroken(f"no chunk borders {x}")
-        mp: dict[int, int] = {}
-        for j, ((child, _), ch) in enumerate(zip(kids, chs)):
-            if j == q:
+                gaps: tuple, x: int, k: int, depth: int) -> int:
+        # Lay v's children in the piece from lo rightwards over the vertices
+        # not in gaps (sorted), one chunk each; the chunk beside host vertex x
+        # (or the first, if x is lo) absorbs x and keeps v, whose vertex is
+        # returned.  A chunk that spans the interval maximum k is embedded
+        # beside it and shifted back.
+        T, p, q = self.T, lo, None
+        for child, sz in kids:
+            first, last = p, p + sz - 1
+            for gap in gaps:
+                first += first >= gap
+                last += last >= gap
+            p += sz
+            if q is None and (x == lo or first <= x - 1 <= last):
+                q = child, sz, first, last
                 continue
-            span = ch[-1] - ch[0] + 1
-            if span == len(ch):
-                mp.update(self.single(child, T.keep(ex, child), ch[0], ch[-1], depth))
-            elif span == len(ch) + 1 and ch[0] < k < ch[-1]:
-                target, iso = iso_interval(self.G, Interval(ch[0], ch[-1]), k)
-                piece = self.single(child, T.keep(ex, child), target.lo, target.hi, depth)
-                mp.update(iso.pull_back(piece))
+            cex = T.keep(ex, child)
+            if last - first + 1 == sz:
+                self.single(child, cex, first, last, depth)
+            elif last - first == sz and first < k < last:
+                self._under(iso_interval(self.G, Interval(first, last), k)[1], child, cex, depth)
             else:
                 raise InternalInvariantBroken("chunk neither interval nor maximum-split")
-        qlo, qhi = min(chs[q][0], x), max(chs[q][-1], x)
-        if qhi - qlo + 1 != len(chs[q]) + 1:
+        if q is None:
+            raise InternalInvariantBroken(f"no chunk borders {x}")
+        kq, sz, first, last = q
+        qlo, qhi = min(first, x), max(last, x)
+        if qhi - qlo != sz:
             raise InternalInvariantBroken(f"chunk beside {x} plus {x} is not an interval")
-        kq = kids[q][0]
-        mp.update(self.single(v, T.keep(ex, v, kq, kq + T.size[kq]), qlo, qhi, depth))
-        return mp
+        return self.single(v, T.keep(ex, v, kq, kq + T.size[kq]), qlo, qhi, depth)
 
-    def _rest(self, a2: int, tp: list, c: int, lo: int, hi: int,
-              depth: int) -> dict[int, int]:
-        # The piece (a2, tp) minus c's subtree, portaled at a2 and c's parent.
+    def _rest(self, a2: int, tp: list, c: int, lo: int, hi: int, depth: int) -> int:
+        # The piece (a2, tp) minus c's subtree, portaled at a2 and c's parent;
+        # returns the parent's vertex.
         cp = self.T.parent[c]
         rem = self.T.cut(tp, c)
         if cp == a2:
@@ -307,7 +379,7 @@ class _Recursion:
         return self.two(a2, rem, cp, lo, hi, depth)
 
     def _case_1_2_4(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
-                    depth: int) -> tuple[dict[int, int], str]:
+                    depth: int) -> tuple[int, str]:
         # Interval maximum is interior, right child and left sibling both outside.
         # Cut the rest of the tree so that a piece H with s <= |H| <= 2s-2
         # vertices fills [hi-|H|, hi] minus v_k via the interval isomorphism.
@@ -324,29 +396,27 @@ class _Recursion:
             raise InternalInvariantBroken(f"cut piece size {m} outside [s, 2s-2] for s={s}")
 
         h_ex = T.keep(tp, c, c + 1, kids[l][0] if l < len(kids) else None)
-        target, iso = iso_interval(self.G, Interval(hi - m, hi), k)
-        phi_h = self.single(c, h_ex, target.lo, target.hi, depth)
-        mp = iso.pull_back(phi_h)
-        c_id = T.order[c]
-        if mp[c_id] != k + 1:
+        _, iso = iso_interval(self.G, Interval(hi - m, hi), k)
+        g = self._under(iso, c, h_ex, depth)
+        if g != k + 1:
             raise InternalInvariantBroken(
-                f"cut vertex landed on {mp[c_id]}, expected second-highest {k + 1}")
-        mp[T.order[a]] = k
+                f"cut vertex landed on {g}, expected second-highest {k + 1}")
+        self._put(a, k)
 
         cur = hi - m - sum(sz for _, sz in kids[l:])
         rem_hi = cur - 1
         for child, sz in kids[l:]:
-            mp.update(self.single(child, T.keep(tp, child), cur, cur + sz - 1, depth))
+            self.single(child, T.keep(tp, child), cur, cur + sz - 1, depth)
             cur += sz
 
         if c != a2:
-            mp.update(self._rest(a2, tp, c, lo, rem_hi, depth))
+            self._rest(a2, tp, c, lo, rem_hi, depth)
         elif rem_hi != lo - 1:
             raise InternalInvariantBroken("pieces do not tile the interval")
-        return mp, "case-1.2.4"
+        return k, "case-1.2.4"
 
     def _case_1_2_5(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
-                    r: int, depth: int) -> tuple[dict[int, int], str]:
+                    r: int, depth: int) -> tuple[int, str]:
         # The right child v_r of the interval maximum lies in the interval; it is
         # the second-highest vertex of [lo, hi].
         T = self.T
@@ -358,21 +428,22 @@ class _Recursion:
             # 1.2.5.1: the window [hi-m, hi] contains v_r but not v_k.  Embed the
             # rest with two portals, move whichever vertex took v_k up to v_r,
             # and hang {c's parent} + T(c) over the window, discarding the
-            # parent's scaffold position v_r.
-            psi1 = self._rest(a2, tp, c, lo, hi - m - 1, depth)
-            _replace(self.G, lo, hi - m - 1, psi1,
-                     next(t for t, g in psi1.items() if g == k), r)
+            # parent's scaffold position v_r.  The parent is placed in the rest
+            # too, so it is lifted off that vertex while the window is embedded.
+            g = self._rest(a2, tp, c, lo, hi - m - 1, depth)  # the parent's vertex
+            _check_replace(self.G, lo, hi - m - 1, k, r)
+            moved = self._take(k)
+            if g != k:
+                self._take(g)
             cp = T.parent[c]
-            psi2 = self.single(cp, T.keep(tp, cp, c, c + T.size[c]), hi - m, hi, depth)
-            cp_id = T.order[cp]
-            if psi2[cp_id] != r:
-                raise InternalInvariantBroken(
-                    f"scaffold portal landed on {psi2[cp_id]}, expected {r}")
-            del psi2[cp_id]
-            mp = psi1
-            mp.update(psi2)
-            mp[T.order[a]] = k
-            return mp, "case-1.2.5.1"
+            if self.single(cp, T.keep(tp, cp, c, c + T.size[c]), hi - m, hi, depth) != r:
+                raise InternalInvariantBroken(f"scaffold portal did not land on {r}")
+            self._take(r)
+            if g != k:
+                self._put(cp, g)
+            self._put(moved, r)
+            self._put(a, k)
+            return k, "case-1.2.5.1"
 
         # 1.2.5.2: the window [hi-m, hi] contains both v_k and v_r.  Children of c
         # tile the window minus {k, r}; the chunk beside r absorbs r and keeps c.
@@ -382,23 +453,21 @@ class _Recursion:
         kids = T.kids(c, tp)
         if not kids:
             raise InternalInvariantBroken("cut vertex is a leaf yet its subtree spans the window")
-        cells = [i for i in range(wlo, hi + 1) if i != k and i != r]
-        mp = self._spread(c, tp, kids, wlo, cells, r, k, depth)
-        if mp[T.order[c]] != r:
-            raise InternalInvariantBroken(
-                f"cut vertex landed on {mp[T.order[c]]}, expected {r}")
+        g = self._spread(c, tp, kids, wlo, (k, r), r, k, depth)
+        if g != r:
+            raise InternalInvariantBroken(f"cut vertex landed on {g}, expected {r}")
 
         if c != a2:
-            mp.update(self._rest(a2, tp, c, lo, wlo - 1, depth))
+            self._rest(a2, tp, c, lo, wlo - 1, depth)
         elif wlo != lo:
             raise InternalInvariantBroken("window does not reach the interval start")
-        mp[T.order[a]] = k
-        return mp, "case-1.2.5.2"
+        self._put(a, k)
+        return k, "case-1.2.5.2"
 
-    def two(self, a: int, ex: list, b: int, lo: int, hi: int,
-            depth: int) -> dict[int, int]:
+    def two(self, a: int, ex: list, b: int, lo: int, hi: int, depth: int) -> int:
         """Embed with two portals: split along the a-b path into one block per
-        path vertex, left to right, each block embedded with a single portal."""
+        path vertex, left to right, each block embedded with a single portal.
+        Returns b's vertex."""
         T, G = self.T, self.G
         path = [b]
         while path[-1] > a:
@@ -406,19 +475,18 @@ class _Recursion:
         if path[-1] != a:
             raise InternalInvariantBroken(f"portal {T.order[b]} is not below {T.order[a]}")
         path.reverse()
-        mp: dict[int, int] = {}
-        cur = lo
+        outer = self._enter(lo, hi)
+        cur, tops = lo, []
         for idx, cx in enumerate(path):
             block = T.keep(ex, cx)
             if idx + 1 < len(path):
                 block = T.cut(block, path[idx + 1])
             size = T.count(cx, block)
-            mp.update(self.single(cx, block, cur, cur + size - 1, depth))
+            tops.append(self.single(cx, block, cur, cur + size - 1, depth))
             cur += size
         if cur != hi + 1:
             raise InternalInvariantBroken("path blocks do not tile the interval")
-        a, b = T.order[a], T.order[b]
-        pa, pb = mp[a], mp[b]
+        pa, pb = tops[0], tops[-1]
         if pa >= pb:
             raise InternalInvariantBroken("left portal not left of right portal")
         # The blocks tile [lo, hi], so the highest vertex on each side decides.
@@ -428,8 +496,9 @@ class _Recursion:
             raise InternalInvariantBroken("vertex in upper-right quarter plane of right portal")
         self.prov.append(("case-2", (lo, hi)))
         if TRACE_HOOK is not None:
-            TRACE_HOOK(("two", (a, b), lo, hi, dict(mp)))
-        return mp
+            self._trace("two", (T.order[a], T.order[b]), a, ex, lo, hi)
+        self.frame = outer
+        return pb
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +527,14 @@ def embed_tree(G: UniversalGraph, tree: RootedTree,
         raise EqualIndices(f"two-portal embedding needs distinct portals, got {a}")
     if a != tree.root:
         raise PreconditionViolated(f"first portal {a} is not the root {tree.root}")
-    run = _Recursion(G, tree)
+    run = _Recursion(G, tree, interval.lo)
     if b is None:
-        mapping = run.single(0, [], interval.lo, interval.hi, 1)
+        run.single(0, [], interval.lo, interval.hi, 1)
     else:
         if b not in tree.order:
             raise IndexOutOfRange(f"portal {b} not a tree vertex")
-        mapping = run.two(0, [], tree.order.index(b), interval.lo, interval.hi, 1)
-    return Embedding(G.n, mapping, run.prov)
+        run.two(0, [], tree.order.index(b), interval.lo, interval.hi, 1)
+    return Embedding(G.n, dict(zip(tree.order, run.out)), run.prov)
 
 
 def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
@@ -474,20 +543,20 @@ def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
     serves as the component's single portal."""
     if forest.n != G.n:
         raise SizeMismatch(f"forest has {forest.n} vertices, host has {G.n}")
-    mapping: dict[int, int] = {}
+    verts, image = [-1] * forest.n, [-1] * forest.n
     prov: list = []
-    placed = [False] * forest.n
     cur = 0
     for root in range(forest.n):
-        if placed[root]:
+        if verts[root] >= 0:
             continue
         tree = RootedTree.from_adjacency(forest.adj, root)
-        for v in tree.order:
-            placed[v] = True
-        span = Interval(cur, cur + tree.n - 1)
-        sub = embed_tree(G, tree, root, span)
-        mapping.update(sub.mapping)
-        prov.extend(sub.provenance)
-        prov.append(("forest-component", (span.lo, span.hi)))
+        run = _Recursion(G, tree, cur)
+        run.single(0, [], cur, cur + tree.n - 1, 1)
+        for v, g in zip(tree.order, run.out):
+            verts[v], image[v] = v, g
+        prov.extend(run.prov)
+        prov.append(("forest-component", (cur, cur + tree.n - 1)))
         cur += tree.n
-    return Embedding(G.n, mapping, prov)
+    # keyed in vertex order, which later lookups by vertex walk fastest, by
+    # the forest's own vertex ints rather than new ones
+    return Embedding(G.n, dict(zip(verts, image)), prov)

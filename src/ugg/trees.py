@@ -125,7 +125,7 @@ class RootedTree:
         return cls(order, parent, size)
 
     def count(self, v: int, ex: list) -> int:
-        return self.size[v] - sum(e - s for s, e in ex)
+        return self.size[v] - sum(e - s for s, e in ex) if ex else self.size[v]
 
     def kids(self, v: int, ex: list) -> list[tuple[int, int]]:
         """Children of v in the piece, in order, with their piece sizes."""
@@ -136,7 +136,8 @@ class RootedTree:
                 c = skip[c]
                 continue
             nxt = c + size[c]
-            out.append((c, size[c] - sum(e - s for s, e in ex if c < s < nxt)))
+            out.append((c, size[c] - sum(e - s for s, e in ex if c < s < nxt)
+                        if ex else size[c]))
             c = nxt
         return out
 
@@ -144,6 +145,8 @@ class RootedTree:
              stop: int | None = None) -> list:
         """Ranges of the piece made of v and the part [start, stop) of its
         subtree (all of it by default), which starts and ends at children."""
+        if not ex and start is None and stop is None:
+            return []
         end = v + self.size[v]
         start = v + 1 if start is None else start
         stop = end if stop is None else stop

@@ -102,23 +102,12 @@ class UniversalGraph(Host):
         return merge_ranges(ranges, v + 1, self.n - 1)
 
     def highest_in(self, lo: int, hi: int) -> int:
-        """Vertex of [lo, hi] that is higher than all others in the interval.
-
-        Descends from the root while [lo, hi] lies in one child subtree; if
-        it straddles both, the right child is higher than the rest of them.
-        """
+        """Vertex of [lo, hi] that is higher than all others in the interval."""
         self._check_vertex(lo)
         self._check_vertex(hi)
         if lo > hi:
             raise InvalidSize(f"highest_in needs lo <= hi, got [{lo}, {hi}]")
-        node, step = 0, 1 << (self.shape.h - 1)  # step: right child minus node
-        while node < lo:
-            right = node + step
-            if lo < right <= hi:
-                return right
-            node = right if lo >= right else node + 1
-            step >>= 1
-        return node
+        return btree.highest_in_range(self.shape, lo, hi)
 
     def higher(self, u: int, w: int) -> bool:
         self._check_pair(u, w)

@@ -31,7 +31,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .. import btree
-from ..btree import BTreeShape, key_location
+from ..btree import BTreeShape
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..embedder import Embedding
 from ..geometry import height_ranks, segments_cross
@@ -222,7 +222,10 @@ def _crossing_rules(host, endpoints):
         h, keys = host.shape.h, _height_table(host.shape, endpoints)
 
         def is_edge(u: int, v: int) -> bool:
-            return adjacent(*key_location(h, keys[u]), *key_location(h, keys[v]))
+            # `key_location` of both keys, inlined: this runs once per edge
+            ku, kv = keys[u], keys[v]
+            lu, lv = -(-ku >> h), -(-kv >> h)
+            return adjacent(lu, (lu << h) - ku, lv, (lv << h) - kv)
 
         return (is_edge, partial(sweep_crossing, host.shape, keys=keys),
                 partial(roof_crossings, host.shape, keys=keys))
@@ -305,7 +308,7 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
         if not is_edge(gu, gv):
             failures.append(("MissingEdge", ((u, v), (gu, gv))))
         else:
-            mapped.append((min(gu, gv), max(gu, gv)))
+            mapped.append((gu, gv) if gu < gv else (gv, gu))
     if failures:
         return ValidationReport("failed", failures)
 

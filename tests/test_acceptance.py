@@ -13,6 +13,7 @@ from ugg.workbench import selftest
 def _run(criterion, **kw):
     res = criterion(**kw)
     assert res.ok, f"{res.name}: {res.detail}"
+    return res
 
 
 def test_criterion_1_edge_bound():
@@ -32,7 +33,8 @@ def test_criterion_4_large_smoke():
 
 
 def test_criterion_5_recursion_invariants():
-    _run(selftest.criterion_5)
+    # every recursive return on the forests with n <= 9 reaches the trace
+    assert _run(selftest.criterion_5).detail == "2752 recursive returns verified"
 
 
 def test_criterion_6_caterpillar():

@@ -431,6 +431,56 @@ def test_depth_bound_raises_when_too_small(monkeypatch):
         embed_forest(G, tree)
 
 
+@pytest.mark.parametrize("nth", [1, 40, 200])
+@pytest.mark.parametrize("fault, message", [
+    ("twice", "written twice"),
+    ("outside", "outside the frame"),
+    ("skip", "does not fill"),
+])
+def test_faulty_placement_breaks_an_invariant(monkeypatch, fault, message, nth):
+    # the nth write goes wrong: a second tree vertex lands on its host
+    # vertex, it lands just past the current frame, or it never happens
+    tree = random_tree(255, random.Random(255))
+    G = build_universal(255)
+    put, calls = embedder._Recursion._put, []
+
+    def faulty(self, t, g):
+        calls.append(g)
+        if len(calls) != nth:
+            return put(self, t, g)
+        if fault == "twice":
+            put(self, t, g)
+            return put(self, self.out.index(-1), g)
+        if fault == "outside":
+            return put(self, t, self.frame[1] + 1)
+
+    monkeypatch.setattr(embedder._Recursion, "_put", faulty)
+    with pytest.raises(InternalInvariantBroken, match=message):
+        embed_forest(G, tree)
+    assert len(calls) >= nth
+
+
+@pytest.mark.parametrize("nth", [2, 40, 200])
+def test_child_interval_past_its_frame_breaks_an_invariant(monkeypatch, nth):
+    # the nth recursive call gets an interval moved one frame width right,
+    # so it no longer lies inside its parent's
+    tree = random_tree(255, random.Random(255))
+    G = build_universal(255)
+    single, calls = embedder._Recursion.single, []
+
+    def shifted(self, a, ex, lo, hi, depth):
+        calls.append(lo)
+        if len(calls) == nth:
+            width = self.frame[1] - self.frame[0] + 1
+            lo, hi = lo + width, hi + width
+        return single(self, a, ex, lo, hi, depth)
+
+    monkeypatch.setattr(embedder._Recursion, "single", shifted)
+    with pytest.raises(InternalInvariantBroken, match="frame"):
+        embed_forest(G, tree)
+    assert len(calls) >= nth
+
+
 def test_validation_reads_each_height_once(monkeypatch):
     # one table of height keys per validation, built by a walk; no descent
     # per vertex or per edge, and nothing caches heights behind its back
