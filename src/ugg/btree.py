@@ -186,12 +186,13 @@ def height_keys(shape: BTreeShape, n: int) -> list[int]:
 
 
 def highest_in_range(shape: BTreeShape, lo: int, hi: int) -> int:
-    """The highest node of the index range [lo, hi], 0 <= lo <= hi < m
-    (unchecked).
+    """The highest node of the index range [lo, hi], 0 <= lo <= hi < m.
 
     Descends from the root while [lo, hi] lies in one child subtree; if it
     straddles both, the right child is higher than the rest of them.
     """
+    if not 0 <= lo <= hi < shape.m:
+        raise IndexOutOfRange(f"range [{lo}, {hi}] not within [0, {shape.m})")
     node, step = 0, 1 << (shape.h - 1)  # step: right child minus node
     while node < lo:
         right = node + step

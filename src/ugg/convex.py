@@ -312,10 +312,10 @@ def embed_twochord(host: ConvexHost, cc: ChordedCycle) -> Embedding:
         raise NotTwoChord("chords do not leave exactly two arcs between them")
     d, e, _ = min(gaps, key=lambda g: (g[0], g[1]))
     centers = twochord_centers(n)
-    pair = next(((a, b) for a in centers for b in centers if b - a == d), None)
-    if pair is None:
+    is_center = set(centers)
+    a = next((a for a in centers if a + d in is_center), None)
+    if a is None:
         raise NoRealizingPair(f"no center pair at distance {d} for n={n}")
-    a, _ = pair
     shift = (a - e) % n
     mapping = {t: (t + shift) % n for t in range(n)}
     return Embedding(host.n, mapping, [("twochord", (0, n - 1))])

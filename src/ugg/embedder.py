@@ -42,11 +42,6 @@ from .ugraph import Interval, UniversalGraph
 # 65535 vertices).
 DEPTH_PER_LEVEL = 4
 
-# Optional observer for recursive returns, used by verification sweeps.
-# Receives ("single", portal, lo, hi, mapping) or ("two", (a, b), lo, hi,
-# mapping) after a piece has passed its own postcondition checks.
-TRACE_HOOK = None
-
 
 @dataclass
 class Embedding:
@@ -113,34 +108,40 @@ def iso_interval(G: UniversalGraph, interval: Interval, k: int) -> tuple[Interva
         raise PreconditionViolated(f"k={k} outside {interval}")
     if k != G.highest_in(lo, hi):
         raise PreconditionViolated(f"k={k} is not the highest vertex of {interval}")
-    if k == lo:
-        target = Interval(lo + 1, hi)
-    elif k == hi:
-        target = Interval(lo, hi - 1)
-    else:
-        shape = G.shape
-        ls = btree.left_sibling(shape, k)
-        if ls is None:
-            raise InternalInvariantBroken(
-                f"interior interval maximum {k} is not a right child")
-        w = btree.subtree_size(shape, k)
-        if w < 3:
-            raise InternalInvariantBroken(
-                f"interior interval maximum {k} is a leaf yet {interval} extends past it")
-        d = (w - 1) // 2  # size of each subtree one level below v_k
-        right_child = k + 1 + d
-        if right_child <= hi:
-            raise PreconditionViolated(
-                f"right child {right_child} of the highest vertex lies in {interval}")
-        # subtree of the left sibling's left child is [ls+1, ls+d]
-        if ls + d >= lo:
-            raise PreconditionViolated(
-                f"subtree [{ls + 1}, {ls + d}] of the left sibling's left child "
-                f"meets {interval}")
-        if lo - d < 0:
-            raise InternalInvariantBroken("shift would leave the host")
-        target = Interval(lo - d, hi - d - 1)
+    if lo < k < hi:
+        level, _, parent = btree._locate(G.shape.h, k)
+        return _iso_interior(G.shape.h, lo, hi, k, level, parent)
+    target = Interval(lo + 1, hi) if k == lo else Interval(lo, hi - 1)
     return target, CrossingIso(source=interval, removed=k, target=target)
+
+
+def _iso_interior(h: int, lo: int, hi: int, k: int, level: int,
+                  parent: int) -> tuple[Interval, CrossingIso]:
+    # iso_interval for an interior k at `level` below `parent` in a host of
+    # height h, with every check but the O(log n) one that k is the highest
+    # vertex of [lo, hi], which the caller vouches for
+    if not lo < k < hi:
+        raise PreconditionViolated(f"k={k} not interior to [{lo}, {hi}]")
+    if parent < 0 or parent + 1 == k:
+        raise InternalInvariantBroken(
+            f"interior interval maximum {k} is not a right child")
+    if level == h:
+        raise InternalInvariantBroken(
+            f"interior interval maximum {k} is a leaf yet [{lo}, {hi}] extends past it")
+    ls, d = parent + 1, (1 << (h - level)) - 1  # d: size of each subtree below v_k
+    right_child = k + 1 + d
+    if right_child <= hi:
+        raise PreconditionViolated(
+            f"right child {right_child} of the highest vertex lies in [{lo}, {hi}]")
+    # subtree of the left sibling's left child is [ls+1, ls+d]
+    if ls + d >= lo:
+        raise PreconditionViolated(
+            f"subtree [{ls + 1}, {ls + d}] of the left sibling's left child "
+            f"meets [{lo}, {hi}]")
+    if lo - d < 0:
+        raise InternalInvariantBroken("shift would leave the host")
+    target = Interval(lo - d, hi - d - 1)
+    return target, CrossingIso(source=Interval(lo, hi), removed=k, target=target)
 
 
 def transfer_via_isomorphism(iso: CrossingIso, emb: Embedding) -> Embedding:
@@ -240,17 +241,6 @@ class _Recursion:
         self.frame = (lo, hi)
         return outer
 
-    def _trace(self, kind: str, portals, a: int, ex: list, lo: int, hi: int) -> None:
-        # hand TRACE_HOOK the piece (a, ex) as a dict in the frame's coordinates
-        skip, mp = {t for s, e in ex for t in range(s, e)}, {}
-        for t in range(a, a + self.T.size[a]):
-            if t not in skip:
-                g = self.out[t]
-                for iso in self.isos:
-                    g = iso.forward(g)
-                mp[self.T.order[t]] = g
-        TRACE_HOOK((kind, portals, lo, hi, mp))
-
     def single(self, a: int, ex: list, lo: int, hi: int, depth: int) -> int:
         """Embed the piece (a, ex) onto [lo, hi]; portal a lands on the
         interval's highest vertex, which is returned.
@@ -267,8 +257,6 @@ class _Recursion:
         if lo == hi:  # one write, checked to land on lo inside the frame
             self._put(a, lo)
             self.prov.append(("base", (lo, lo)))
-            if TRACE_HOOK is not None:
-                self._trace("single", self.T.order[a], a, ex, lo, hi)
             return lo
         outer = self._enter(lo, hi)
         placed = self.placed
@@ -280,8 +268,6 @@ class _Recursion:
         self.prov.append((label, (lo, hi)))
         if self.placed - placed != hi - lo + 1:
             raise InternalInvariantBroken(f"piece does not fill [{lo}, {hi}] exactly")
-        if TRACE_HOOK is not None:
-            self._trace("single", self.T.order[a], a, ex, lo, hi)
         self.frame = outer
         return k
 
@@ -323,7 +309,7 @@ class _Recursion:
 
         d = (1 << (h - level)) - 1  # size of each subtree one level below v_k
         if d == 0 or k + 1 + d > hi:
-            return self._case_1_2_4(a, a2, tp, lo, hi, k, depth)
+            return self._case_1_2_4(a, a2, tp, lo, hi, k, level, parent, depth)
         return self._case_1_2_5(a, a2, tp, lo, hi, k, k + 1 + d, depth)
 
     def _under(self, iso: CrossingIso, v: int, ex: list, depth: int) -> int:
@@ -358,7 +344,12 @@ class _Recursion:
             if last - first + 1 == sz:
                 self.single(child, cex, first, last, depth)
             elif last - first == sz and first < k < last:
-                self._under(iso_interval(self.G, Interval(first, last), k)[1], child, cex, depth)
+                # k, the frame's maximum, is the chunk's; at most one chunk
+                # spans k, so k is located once
+                h = self.G.shape.h
+                level, _, parent = btree._locate(h, k)
+                self._under(_iso_interior(h, first, last, k, level, parent)[1],
+                            child, cex, depth)
             else:
                 raise InternalInvariantBroken("chunk neither interval nor maximum-split")
         if q is None:
@@ -379,8 +370,9 @@ class _Recursion:
         return self.two(a2, rem, cp, lo, hi, depth)
 
     def _case_1_2_4(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
-                    depth: int) -> tuple[int, str]:
-        # Interval maximum is interior, right child and left sibling both outside.
+                    level: int, parent: int, depth: int) -> tuple[int, str]:
+        # Interval maximum k, at `level` below `parent`, is interior; its right
+        # child and left sibling both lie outside.
         # Cut the rest of the tree so that a piece H with s <= |H| <= 2s-2
         # vertices fills [hi-|H|, hi] minus v_k via the interval isomorphism.
         T = self.T
@@ -396,7 +388,7 @@ class _Recursion:
             raise InternalInvariantBroken(f"cut piece size {m} outside [s, 2s-2] for s={s}")
 
         h_ex = T.keep(tp, c, c + 1, kids[l][0] if l < len(kids) else None)
-        _, iso = iso_interval(self.G, Interval(hi - m, hi), k)
+        _, iso = _iso_interior(self.G.shape.h, hi - m, hi, k, level, parent)
         g = self._under(iso, c, h_ex, depth)
         if g != k + 1:
             raise InternalInvariantBroken(
@@ -495,8 +487,6 @@ class _Recursion:
         if pb < hi and G.higher(G.highest_in(pb + 1, hi), pb):
             raise InternalInvariantBroken("vertex in upper-right quarter plane of right portal")
         self.prov.append(("case-2", (lo, hi)))
-        if TRACE_HOOK is not None:
-            self._trace("two", (T.order[a], T.order[b]), a, ex, lo, hi)
         self.frame = outer
         return pb
 

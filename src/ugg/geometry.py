@@ -37,8 +37,7 @@ class CoordinateRealization:
         return len(self.points)
 
 
-def realize_coordinates(shape: BTreeShape, n: int | None = None,
-                        cap: int = REALIZE_CAP) -> CoordinateRealization:
+def realize_coordinates(shape: BTreeShape, n: int | None = None) -> CoordinateRealization:
     """Place vertex i at (i, y_i) so that y-order equals the height order.
 
     y-values are assigned greedily from the lowest vertex up: each new point
@@ -50,8 +49,8 @@ def realize_coordinates(shape: BTreeShape, n: int | None = None,
         n = shape.n
     if not 1 <= n <= shape.m:
         raise IndexOutOfRange(f"n {n} not in [1, {shape.m}]")
-    if n > cap:
-        raise SizeTooLarge(f"coordinate realization capped at n <= {cap}, got {n}")
+    if n > REALIZE_CAP:
+        raise SizeTooLarge(f"coordinate realization capped at n <= {REALIZE_CAP}, got {n}")
     order = sorted(range(n), key=lambda i: btree.height_key(shape, i), reverse=True)
     ys: dict[int, int] = {}
     placed: list[tuple[int, int]] = []

@@ -132,6 +132,17 @@ def rooted_level_sequences(n: int):
             level[i] = level[i - (p - q)]
 
 
+def ordered_level_sequences(n: int) -> list[list[int]]:
+    """Level sequences of all ordered rooted trees on n vertices, one per
+    tree, in lexicographic order: every 1, l2, ..., ln with
+    2 <= l(i+1) <= l(i) + 1.  There are Catalan(n - 1) of them."""
+    _check_size(n, FOREST_CAP)
+    seqs = [[1]]
+    for _ in range(n - 1):
+        seqs = [seq + [lv] for seq in seqs for lv in range(2, seq[-1] + 2)]
+    return seqs
+
+
 def _edges_from_levels(level: list[int]) -> list[tuple[int, int]]:
     last_at: dict[int, int] = {}
     edges = []
@@ -149,9 +160,9 @@ def _check_size(n: int, cap: int) -> None:
         raise SizeTooLarge(f"n={n} above the cap {cap}")
 
 
-def enumerate_trees(n: int, cap: int = FOREST_CAP) -> list[Forest]:
+def enumerate_trees(n: int) -> list[Forest]:
     """One representative per isomorphism class of free trees on n vertices."""
-    _check_size(n, cap)
+    _check_size(n, FOREST_CAP)
     seen: set[str] = set()
     out = []
     for level in rooted_level_sequences(n):
@@ -172,11 +183,11 @@ def _partitions_desc(n: int, maxp: int):
             yield [p] + rest
 
 
-def enumerate_forests(n: int, cap: int = FOREST_CAP) -> list[Forest]:
+def enumerate_forests(n: int) -> list[Forest]:
     """One representative per isomorphism class of forests on n vertices:
     parts of each partition of n carry a multiset of tree classes."""
-    _check_size(n, cap)
-    trees = {s: enumerate_trees(s, cap) for s in range(1, n + 1)}
+    _check_size(n, FOREST_CAP)
+    trees = {s: enumerate_trees(s) for s in range(1, n + 1)}
     out = []
     for part in _partitions_desc(n, n):
         sizes = sorted(Counter(part).items(), reverse=True)
@@ -213,11 +224,11 @@ def _caterpillar_from_sizes(sizes: tuple[int, ...]) -> Caterpillar:
     return Caterpillar(spine, tuple(leaves))
 
 
-def enumerate_caterpillars(n: int, cap: int = CATERPILLAR_CAP) -> list[Caterpillar]:
+def enumerate_caterpillars(n: int) -> list[Caterpillar]:
     """One representative per isomorphism class.  A class is a sequence of
     star sizes along the spine, up to reversal; end stars need >= 2 vertices
     (a bare end spine vertex would itself be a leaf)."""
-    _check_size(n, cap)
+    _check_size(n, CATERPILLAR_CAP)
     if n == 1:
         return [Caterpillar((0,), ((),))]
     seen: set[tuple[int, ...]] = set()

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from math import isqrt
 
-from .. import embedder
 from ..convex import (
     build_caterpillar_host,
     build_complete_host,
@@ -26,7 +25,7 @@ from ..convex import (
     pi_sequence,
     twochord_centers,
 )
-from ..embedder import embed_forest
+from ..embedder import embed_forest, embed_tree
 from ..geometry import (
     QuarterPlane,
     edges_cross,
@@ -35,14 +34,17 @@ from ..geometry import (
     segment_hits_quarter_plane,
     segments_cross_exact,
 )
-from ..ugraph import UniversalGraph, build_universal
+from ..trees import Forest, RootedTree
+from ..ugraph import Interval, UniversalGraph, build_universal
 from .families import (
+    _edges_from_levels,
     check_universal_convex,
     chorded_cycle_census,
     enumerate_caterpillars,
     enumerate_chorded_cycles,
     enumerate_forests,
     forest_counts,
+    ordered_level_sequences,
     random_tree,
 )
 from .validate import validate_embedding
@@ -189,49 +191,72 @@ def criterion_4(limit: int | None = None, seed: int = 20250814) -> CriterionResu
 
 
 def criterion_5(limit: int | None = None) -> CriterionResult:
-    """Portal postcondition on every recursive return, and geometric
-    quarter-plane emptiness for all forests with n <= 9."""
+    """The two embedding lemmas on every instance up to 9 vertices.
+
+    Every ordered tree on s <= 9 vertices is embedded by `embed_tree` onto
+    every interval of length s in every host with s <= n <= 9: once with its
+    root as the single portal, and once with (root, b) for every other
+    vertex b.  Each result must map the tree one to one onto its interval.
+    A single portal must land on the interval's highest vertex, and no tree
+    vertex or edge may enter its upper-left quarter plane.  With two
+    portals, the left portal's upper-left and the right portal's
+    upper-right quarter planes stay empty.  The quarter planes are tested
+    on exact coordinates, and the sweep takes under 10 s.
+    """
     t0 = time.perf_counter()
     problems = []
-    entries = 0
-    for n in range(1, _cap(9, limit) + 1):
+    counts = {"single": 0, "two": 0}
+    nmax = _cap(9, limit)
+    hosts = []
+    for n in range(1, nmax + 1):
         G = build_universal(n)
-        coords = realize_coordinates(G.shape, n)
-        for forest in enumerate_forests(n):
-            trace: list = []
-            embedder.TRACE_HOOK = trace.append
-            try:
-                embed_forest(G, forest)
-            finally:
-                embedder.TRACE_HOOK = None
-            for kind, portals, lo, hi, mp in trace:
-                entries += 1
-                regions = []
-                if kind == "single":
-                    top = mp[portals]
-                    if top != G.highest_in(lo, hi):
-                        problems.append(f"n={n} [{lo},{hi}]: portal at {top}")
-                        continue
-                    regions.append(QuarterPlane(top, "left"))
-                else:
-                    a, b = portals
-                    regions.append(QuarterPlane(mp[a], "left"))
-                    regions.append(QuarterPlane(mp[b], "right"))
-                piece = set(mp)
-                images = set(mp.values())
-                segs = [(mp[u], mp[v]) for u, v in forest.edges
-                        if u in piece and v in piece]
-                for region in regions:
-                    for g in images:
-                        if g != region.apex and point_in_quarter_plane(
-                                coords, coords.points[g], region):
-                            problems.append(f"n={n} [{lo},{hi}]: vertex {g} in {region.side}")
-                    for seg in segs:
-                        if segment_hits_quarter_plane(coords, seg, region):
-                            problems.append(f"n={n} [{lo},{hi}]: edge enters {region.side}")
+        hosts.append((G, realize_coordinates(G.shape, n)))
+    for s in range(1, nmax + 1):
+        for level in ordered_level_sequences(s):
+            edges = _edges_from_levels(level)
+            tree = RootedTree.from_adjacency(Forest(s, edges).adj, 0)
+            for G, coords in hosts[s - 1:]:
+                for lo in range(G.n - s + 1):
+                    for portals in (0, *((0, b) for b in range(1, s))):
+                        counts["single" if portals == 0 else "two"] += 1
+                        problems.extend(
+                            f"n={G.n} [{lo},{lo + s - 1}] levels={level} "
+                            f"portals={portals}: {problem}"
+                            for problem in _lemma_problems(G, coords, tree, edges,
+                                                           portals, lo))
+    dt = time.perf_counter() - t0
+    if dt >= 10.0:
+        problems.append(f"runtime {dt:.1f}s >= 10s")
     return _result("criterion-5-recursion-invariants", not problems,
                    "; ".join(problems[:4]) if problems else
-                   f"{entries} recursive returns verified", t0)
+                   f"{counts['single']} single-portal and {counts['two']} "
+                   f"two-portal instances verified", t0)
+
+
+def _lemma_problems(G, coords, tree, edges, portals, lo: int) -> list[str]:
+    # embed the tree from lo on with the portals (its root, or the root and
+    # one more vertex) and say what breaks the portal lemma
+    hi = lo + tree.n - 1
+    mp = embed_tree(G, tree, portals, Interval(lo, hi)).mapping
+    if sorted(mp.values()) != list(range(lo, hi + 1)):
+        return ["not onto the interval"]
+    problems = []
+    regions = [QuarterPlane(mp[tree.root], "left")]
+    if portals == tree.root:
+        if regions[0].apex != G.highest_in(lo, hi):
+            problems.append(f"portal at {regions[0].apex}")
+    else:
+        regions.append(QuarterPlane(mp[portals[1]], "right"))
+    segs = [(mp[u], mp[v]) for u, v in edges]
+    for region in regions:
+        for g in mp.values():
+            if g != region.apex and point_in_quarter_plane(
+                    coords, coords.points[g], region):
+                problems.append(f"vertex {g} in {region.side}")
+        for seg in segs:
+            if segment_hits_quarter_plane(coords, seg, region):
+                problems.append(f"edge enters {region.side}")
+    return problems
 
 
 def _window_property_sliding(terms: list[int]) -> bool:

@@ -129,6 +129,13 @@ def test_interval_maximum_dominates_right_part():
                 assert lo <= k and j <= hi
 
 
+@pytest.mark.parametrize("lo, hi", [(7, 7), (9, 12), (3, 7), (0, 8)])
+def test_highest_in_range_past_the_tree_raises(lo, hi):
+    # lo = m once returned the non-node m and lo > m never returned
+    with pytest.raises(IndexOutOfRange):
+        btree.highest_in_range(H3, lo, hi)
+
+
 def test_subtree_size_and_membership():
     shape = BTreeShape.from_height(4)
     assert btree.subtree_range(shape, 0) == (0, 14)

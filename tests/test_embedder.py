@@ -481,6 +481,46 @@ def test_child_interval_past_its_frame_breaks_an_invariant(monkeypatch, nth):
     assert len(calls) >= nth
 
 
+def piece_tree(T, a, ex):
+    """The piece (a, ex) of T as a tree of its own, children in T's order."""
+    skip = {t for s, e in ex for t in range(s, e)}
+    pos = [t for t in range(a, a + T.size[a]) if t not in skip]
+    index = {t: i for i, t in enumerate(pos)}
+    parent = [-1] + [index[T.parent[t]] for t in pos[1:]]
+    size = [1] * len(pos)
+    for i in range(len(pos) - 1, 0, -1):
+        size[parent[i]] += size[i]
+    return RootedTree([T.order[t] for t in pos], parent, size)
+
+
+def test_each_single_call_lands_where_a_fresh_embed_tree_does(monkeypatch):
+    # the recursion is a pure function of its instance: on the forests with
+    # n <= 9, every single-portal call puts its portal where embed_tree does
+    # on the same ordered piece and interval
+    single, nested, checked = embedder._Recursion.single, [], []
+
+    def compared(self, a, ex, lo, hi, depth):
+        g = single(self, a, ex, lo, hi, depth)
+        if not nested:  # the fresh run's own calls are not compared again
+            nested.append(True)
+            try:
+                portal = self.T.order[a]
+                emb = embed_tree(self.G, piece_tree(self.T, a, ex), portal,
+                                 Interval(lo, hi))
+            finally:
+                nested.pop()
+            assert emb.mapping[portal] == g, (lo, hi, portal)
+            checked.append(g)
+        return g
+
+    monkeypatch.setattr(embedder._Recursion, "single", compared)
+    for n in range(1, 10):
+        G = build_universal(n)
+        for forest in enumerate_forests(n):
+            embed_forest(G, forest)
+    assert len(checked) == 2738  # the 2752 recursive returns less 14 of case 2
+
+
 def test_validation_reads_each_height_once(monkeypatch):
     # one table of height keys per validation, built by a walk; no descent
     # per vertex or per edge, and nothing caches heights behind its back

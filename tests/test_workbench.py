@@ -23,12 +23,22 @@ from ugg.workbench.families import (
     free_tree_counts,
     is_caterpillar,
     labeled_forest_survey,
+    ordered_level_sequences,
     random_tree,
     rooted_tree_counts,
     check_universal_convex,
 )
 from ugg.workbench.render import render_svg
 from ugg.workbench.validate import validate_embedding
+
+
+def test_ordered_level_sequences_count_ordered_trees():
+    for s in range(1, 11):
+        seqs = ordered_level_sequences(s)
+        assert len(seqs) == math.comb(2 * s - 2, s - 1) // s  # Catalan(s - 1)
+        assert len({tuple(seq) for seq in seqs}) == len(seqs)
+        for seq in seqs:
+            assert seq[0] == 1 and all(2 <= b <= a + 1 for a, b in zip(seq, seq[1:]))
 
 
 def test_rooted_tree_counts():
