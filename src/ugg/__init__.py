@@ -21,16 +21,7 @@ from .convex import (
     pi_sequence,
     twochord_centers,
 )
-from .embedder import (
-    CrossingIso,
-    Embedding,
-    cut_vertex,
-    embed_forest,
-    embed_tree,
-    iso_interval,
-    replace_highest,
-    transfer_via_isomorphism,
-)
+from .embedder import Embedding, embed_forest, embed_tree
 from .geometry import (
     CoordinateRealization,
     QuarterPlane,
@@ -49,7 +40,6 @@ __all__ = [
     "ChordedCycle",
     "ConvexHost",
     "CoordinateRealization",
-    "CrossingIso",
     "Embedding",
     "Forest",
     "Interval",
@@ -63,18 +53,14 @@ __all__ = [
     "build_universal",
     "caterpillar_spine",
     "convex_edges_cross",
-    "cut_vertex",
     "edges_cross",
     "embed_caterpillar",
     "embed_forest",
     "embed_tree",
     "embed_twochord",
     "has_window_property",
-    "iso_interval",
     "pi_sequence",
     "realize_coordinates",
-    "replace_highest",
     "segments_cross_exact",
-    "transfer_via_isomorphism",
     "twochord_centers",
 ]

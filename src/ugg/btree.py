@@ -109,11 +109,6 @@ def subtree_range(shape: BTreeShape, i: int) -> tuple[int, int]:
     return i, i + (1 << (shape.h - level + 1)) - 2
 
 
-def subtree_size(shape: BTreeShape, i: int) -> int:
-    lo, hi = subtree_range(shape, i)
-    return hi - lo + 1
-
-
 def is_in_subtree(shape: BTreeShape, i: int, root: int) -> bool:
     """True iff node i lies in the subtree rooted at `root` (roots included)."""
     lo, hi = subtree_range(shape, root)
@@ -218,11 +213,3 @@ def highest(shape: BTreeShape, indices) -> int:
     if best is None:
         raise InvalidSize("highest() needs at least one index")
     return best
-
-
-def left_sibling(shape: BTreeShape, i: int) -> int | None:
-    """The left sibling of i, or None if i is a root or a left child."""
-    _, _, parent = _locate(shape.h, i)
-    if parent < 0 or parent + 1 == i:
-        return None
-    return parent + 1

@@ -15,7 +15,6 @@ from .convex import ChordedCycle, embed_caterpillar, embed_twochord
 from .embedder import Embedding, embed_forest
 from .errors import (
     DegenerateEdge,
-    DomainMismatch,
     EqualIndices,
     IndexOutOfRange,
     IntervalTooSmall,
@@ -56,7 +55,6 @@ _INPUT_ERRORS = (
     DegenerateEdge,
     SizeMismatch,
     EqualIndices,
-    DomainMismatch,
     OSError,
 )
 
@@ -93,7 +91,7 @@ def _embed(args) -> int:
         for failure in report.failures[:10]:
             print(f"  {failure}")
         return EXIT_FAILURE
-    fileio.save_embedding(emb, args.out)
+    fileio.save_embedding(emb.mapping, args.out)
     print(f"embedded {graph.n} vertices into {args.host}; wrote {args.out}")
     return EXIT_OK
 

@@ -28,8 +28,6 @@ from .errors import (
     EqualIndices,
     IndexOutOfRange,
     InternalInvariantBroken,
-    IntervalTooSmall,
-    DomainMismatch,
     PreconditionViolated,
     SizeMismatch,
 )
@@ -57,71 +55,20 @@ class Embedding:
 # ---------------------------------------------------------------------------
 
 
-def cut_vertex(tree: RootedTree, s: int) -> int:
-    """Deepest-found vertex whose subtree has >= s vertices while every child
-    subtree has <= s-1.
+def _iso_interior(h: int, lo: int, hi: int, k: int) -> int:
+    """The interval isomorphism: [lo, hi] minus its interior highest vertex k,
+    in a host of height h, maps onto [lo - d, hi - d - 1] by
+    u -> u - d - [u > k], keeping host edges, crossings and the height order.
+    Returns d; `_lift` is the inverse.
 
-    Walks down from the root, always entering the first child (stored order)
-    whose subtree still has >= s vertices.
+    The interval may contain neither the right child of v_k nor any vertex
+    from the subtree of the left child of v_k's left sibling; both clauses
+    are checked.  That k is the highest vertex of [lo, hi], an O(log n)
+    check, is the caller's to vouch for.
     """
-    return tree.order[tree.cut_vertex(0, [], s)]
-
-
-@dataclass(frozen=True)
-class CrossingIso:
-    """Order-preserving bijection from an interval minus its highest vertex
-    onto a plain interval, preserving host edges, crossings, and the height
-    maximum (identity when the removed vertex is an interval endpoint)."""
-
-    source: Interval
-    removed: int
-    target: Interval
-
-    def source_vertices(self) -> list[int]:
-        return [i for i in self.source if i != self.removed]
-
-    def forward(self, u: int) -> int:
-        if u not in self.source or u == self.removed:
-            raise IndexOutOfRange(f"{u} not in source {self.source} minus {self.removed}")
-        rank = u - self.source.lo - (1 if u > self.removed else 0)
-        return self.target.lo + rank
-
-    def inverse(self, w: int) -> int:
-        target = self.target
-        if not target.lo <= w <= target.hi:
-            raise IndexOutOfRange(f"{w} not in target {target}")
-        u = self.source.lo + (w - target.lo)
-        return u if u < self.removed else u + 1
-
-
-def iso_interval(G: UniversalGraph, interval: Interval, k: int) -> tuple[Interval, CrossingIso]:
-    """Crossing-preserving isomorphism from G(interval) - v_k onto an interval.
-
-    k must be the interval's highest vertex.  For interior k the interval may
-    contain neither the right child of v_k nor any vertex from the subtree of
-    the left child of v_k's left sibling; both clauses are checked.
-    """
-    lo, hi = interval.lo, interval.hi
-    if len(interval) < 2:
-        raise IntervalTooSmall(f"iso_interval needs >= 2 vertices, got {interval}")
-    if k not in interval:
-        raise PreconditionViolated(f"k={k} outside {interval}")
-    if k != G.highest_in(lo, hi):
-        raise PreconditionViolated(f"k={k} is not the highest vertex of {interval}")
-    if lo < k < hi:
-        level, _, parent = btree._locate(G.shape.h, k)
-        return _iso_interior(G.shape.h, lo, hi, k, level, parent)
-    target = Interval(lo + 1, hi) if k == lo else Interval(lo, hi - 1)
-    return target, CrossingIso(source=interval, removed=k, target=target)
-
-
-def _iso_interior(h: int, lo: int, hi: int, k: int, level: int,
-                  parent: int) -> tuple[Interval, CrossingIso]:
-    # iso_interval for an interior k at `level` below `parent` in a host of
-    # height h, with every check but the O(log n) one that k is the highest
-    # vertex of [lo, hi], which the caller vouches for
     if not lo < k < hi:
         raise PreconditionViolated(f"k={k} not interior to [{lo}, {hi}]")
+    level, _, parent = btree._locate(h, k)
     if parent < 0 or parent + 1 == k:
         raise InternalInvariantBroken(
             f"interior interval maximum {k} is not a right child")
@@ -140,34 +87,13 @@ def _iso_interior(h: int, lo: int, hi: int, k: int, level: int,
             f"meets [{lo}, {hi}]")
     if lo - d < 0:
         raise InternalInvariantBroken("shift would leave the host")
-    target = Interval(lo - d, hi - d - 1)
-    return target, CrossingIso(source=Interval(lo, hi), removed=k, target=target)
+    return d
 
 
-def transfer_via_isomorphism(iso: CrossingIso, emb: Embedding) -> Embedding:
-    """Pull an embedding on the iso's target interval back to the source minus
-    its highest vertex."""
-    if set(emb.mapping.values()) != set(iso.target):
-        raise DomainMismatch(
-            f"embedding image does not cover target {iso.target} exactly")
-    return Embedding(emb.host_n, {t: iso.inverse(g) for t, g in emb.mapping.items()},
-                     emb.provenance + [("transfer", (iso.source.lo, iso.source.hi))])
-
-
-def replace_highest(G: UniversalGraph, interval: Interval, emb: Embedding,
-                    x: int) -> Embedding:
-    """Remap the tree vertex sitting on the interval's highest host vertex to
-    host vertex x, which must lie outside the interval and be higher than
-    every interval vertex except possibly the highest one."""
-    lo, hi = interval.lo, interval.hi
-    if set(emb.mapping.values()) != set(interval):
-        raise DomainMismatch(f"embedding image does not cover {interval} exactly")
-    k = G.highest_in(lo, hi)
-    _check_replace(G, lo, hi, k, x)
-    mapping = dict(emb.mapping)
-    mapping[next(t for t, g in mapping.items() if g == k)] = x
-    return Embedding(emb.host_n, mapping,
-                     emb.provenance + [("replace", (lo, hi))])
+def _lift(g: int, k: int, d: int) -> int:
+    # vertex g of the image of the shift by d that removed k, back in its source
+    g += d
+    return g + (g >= k)
 
 
 def _check_replace(G: UniversalGraph, lo: int, hi: int, k: int, x: int) -> None:
@@ -193,23 +119,24 @@ class _Recursion:
     Each placement is written once: `out[t]` is the host vertex of tree
     position t and `own[g - base]` the position on host vertex g, -1 where
     empty.  A call works in its frame, an interval in its own coordinates;
-    `isos` holds the interval isomorphisms the frame sits under, and a frame
-    vertex reaches the host through their inverses, innermost first.
+    `shifts` holds the (k, d) of each interval isomorphism the frame sits
+    under, and a frame vertex reaches the host through their lifts,
+    innermost first.
     """
 
     def __init__(self, G: UniversalGraph, T: RootedTree, base: int):
         self.G, self.T, self.prov = G, T, []
         self.max_depth = DEPTH_PER_LEVEL * G.shape.h
         self.base, self.out, self.own = base, [-1] * T.n, [-1] * T.n
-        self.placed, self.isos, self.frame = 0, [], (base, base + T.n - 1)
+        self.placed, self.shifts, self.frame = 0, [], (base, base + T.n - 1)
 
     def _host(self, g: int) -> int:
         # host vertex of frame vertex g, which must lie in the current frame
         lo, hi = self.frame
         if not lo <= g <= hi:
             raise InternalInvariantBroken(f"vertex {g} outside the frame [{lo}, {hi}]")
-        for iso in reversed(self.isos):
-            g = iso.inverse(g)
+        for k, d in reversed(self.shifts):
+            g = _lift(g, k, d)
         return g
 
     def _put(self, t: int, g: int) -> None:
@@ -309,19 +236,21 @@ class _Recursion:
 
         d = (1 << (h - level)) - 1  # size of each subtree one level below v_k
         if d == 0 or k + 1 + d > hi:
-            return self._case_1_2_4(a, a2, tp, lo, hi, k, level, parent, depth)
+            return self._case_1_2_4(a, a2, tp, lo, hi, k, depth)
         return self._case_1_2_5(a, a2, tp, lo, hi, k, k + 1 + d, depth)
 
-    def _under(self, iso: CrossingIso, v: int, ex: list, depth: int) -> int:
-        # single() of the piece (v, ex) on the iso's target, whose source must
-        # lie in the current frame; returns v's vertex carried back
-        outer = self._enter(iso.source.lo, iso.source.hi)
-        self.isos.append(iso)
-        self.frame = (iso.target.lo, iso.target.hi)
-        g = self.single(v, ex, iso.target.lo, iso.target.hi, depth)
-        self.isos.pop()
+    def _under(self, v: int, ex: list, lo: int, hi: int, k: int, depth: int) -> int:
+        # single() of the piece (v, ex) on the image of [lo, hi], which must
+        # lie in the current frame, minus its interior maximum k; returns
+        # v's vertex lifted back
+        d = _iso_interior(self.G.shape.h, lo, hi, k)
+        outer = self._enter(lo, hi)
+        self.shifts.append((k, d))
+        self.frame = (lo - d, hi - d - 1)
+        g = self.single(v, ex, lo - d, hi - d - 1, depth)
+        self.shifts.pop()
         self.frame = outer
-        return iso.inverse(g)
+        return _lift(g, k, d)
 
     def _spread(self, v: int, ex: list, kids: list[tuple[int, int]], lo: int,
                 gaps: tuple, x: int, k: int, depth: int) -> int:
@@ -344,12 +273,8 @@ class _Recursion:
             if last - first + 1 == sz:
                 self.single(child, cex, first, last, depth)
             elif last - first == sz and first < k < last:
-                # k, the frame's maximum, is the chunk's; at most one chunk
-                # spans k, so k is located once
-                h = self.G.shape.h
-                level, _, parent = btree._locate(h, k)
-                self._under(_iso_interior(h, first, last, k, level, parent)[1],
-                            child, cex, depth)
+                # k, the frame's maximum, is the chunk's
+                self._under(child, cex, first, last, k, depth)
             else:
                 raise InternalInvariantBroken("chunk neither interval nor maximum-split")
         if q is None:
@@ -370,9 +295,9 @@ class _Recursion:
         return self.two(a2, rem, cp, lo, hi, depth)
 
     def _case_1_2_4(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
-                    level: int, parent: int, depth: int) -> tuple[int, str]:
-        # Interval maximum k, at `level` below `parent`, is interior; its right
-        # child and left sibling both lie outside.
+                    depth: int) -> tuple[int, str]:
+        # Interval maximum k is interior; its right child and left sibling
+        # both lie outside.
         # Cut the rest of the tree so that a piece H with s <= |H| <= 2s-2
         # vertices fills [hi-|H|, hi] minus v_k via the interval isomorphism.
         T = self.T
@@ -388,8 +313,7 @@ class _Recursion:
             raise InternalInvariantBroken(f"cut piece size {m} outside [s, 2s-2] for s={s}")
 
         h_ex = T.keep(tp, c, c + 1, kids[l][0] if l < len(kids) else None)
-        _, iso = _iso_interior(self.G.shape.h, hi - m, hi, k, level, parent)
-        g = self._under(iso, c, h_ex, depth)
+        g = self._under(c, h_ex, hi - m, hi, k, depth)
         if g != k + 1:
             raise InternalInvariantBroken(
                 f"cut vertex landed on {g}, expected second-highest {k + 1}")

@@ -37,10 +37,6 @@ class PreconditionViolated(UggError, ValueError):
     """A checked structural precondition does not hold; the message names it."""
 
 
-class DomainMismatch(UggError, ValueError):
-    """A mapping's domain or image differs from the expected vertex set."""
-
-
 class SizeMismatch(UggError, ValueError):
     """Two objects that must have equal sizes do not."""
 

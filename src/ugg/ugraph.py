@@ -17,7 +17,6 @@ stays below 5 * (n+1) * log2(n+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import btree
 from .btree import BTreeShape
@@ -38,12 +37,6 @@ class Interval:
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.lo, self.hi + 1))
-
-    def __contains__(self, i: int) -> bool:
-        return self.lo <= i <= self.hi
 
 
 def adjacent(lu: int, pu: int, lv: int, pv: int) -> bool:
@@ -112,23 +105,6 @@ class UniversalGraph(Host):
     def higher(self, u: int, w: int) -> bool:
         self._check_pair(u, w)
         return btree.higher(self.shape, u, w)
-
-    def star_centers(self, interval: Interval) -> tuple[int, int, int | None]:
-        """Vertices adjacent to every other vertex of the interval.
-
-        Returns (k, s, t): the interval's highest vertex, its second-highest,
-        and the highest vertex of [k+1, hi] (None when k is the right
-        endpoint).  Needs at least two vertices.
-        """
-        lo, hi = interval.lo, interval.hi
-        self._check_vertex(lo)
-        self._check_vertex(hi)
-        if lo == hi:
-            raise IntervalTooSmall(f"star_centers needs |I| >= 2, got [{lo}, {hi}]")
-        k = self.highest_in(lo, hi)
-        sides = [self.highest_in(i, j) for i, j in ((lo, k - 1), (k + 1, hi)) if i <= j]
-        s = btree.highest(self.shape, sides)
-        return k, s, sides[-1] if k < hi else None
 
 
 def build_universal(n: int) -> UniversalGraph:

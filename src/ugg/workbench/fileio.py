@@ -23,7 +23,6 @@ from ..convex import (
     build_custom_host,
     build_twochord_host,
 )
-from ..embedder import Embedding
 from ..errors import MalformedInput, SizeTooLarge
 from ..trees import Forest
 from ..ugraph import build_universal
@@ -204,8 +203,7 @@ def load_input(path):
     return _forest(rows)
 
 
-def save_embedding(emb, path) -> None:
-    mapping = emb.mapping if isinstance(emb, Embedding) else emb
+def save_embedding(mapping: dict[int, int], path) -> None:
     lines = [f"m {t} {g}" for t, g in sorted(mapping.items())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .. import btree
-from ..errors import SizeTooLarge
+from ..errors import IndexOutOfRange, SizeTooLarge
 from ..geometry import realize_coordinates
 
 EXACT_LAYOUT_CAP = 31
@@ -94,6 +94,8 @@ def render_svg(host, embedding=None, layout: str = "schematic") -> str:
     if embedding is not None:
         body.append('<g class="overlay">')
         for g in sorted(set(embedding.mapping.values())):
+            if g not in pos:
+                raise IndexOutOfRange(f"embedding image {g} not a host vertex in [0, {host.n})")
             x, y = pos[g]
             body.append(f'<circle class="mapped" cx="{x:.1f}" cy="{y:.1f}" r="11" {_M_STYLE}/>')
         body.append("</g>")

@@ -139,16 +139,9 @@ def test_highest_in_range_past_the_tree_raises(lo, hi):
 def test_subtree_size_and_membership():
     shape = BTreeShape.from_height(4)
     assert btree.subtree_range(shape, 0) == (0, 14)
-    assert btree.subtree_size(shape, 1) == 7
+    assert btree.subtree_range(shape, 1) == (1, 7)
     assert btree.is_in_subtree(shape, 6, 1)
     assert not btree.is_in_subtree(shape, 8, 1)
-
-
-def test_left_sibling():
-    assert btree.left_sibling(H3, 0) is None  # root
-    assert btree.left_sibling(H3, 1) is None  # left child
-    assert btree.left_sibling(H3, 4) == 1
-    assert btree.left_sibling(H3, 6) == 5
 
 
 def test_from_size_minimal_height():

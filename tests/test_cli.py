@@ -179,6 +179,19 @@ def test_render_host_and_embedding(tmp_path):
     assert svg.read_text(encoding="utf-8").startswith("<svg")
 
 
+@pytest.mark.parametrize("kind", ["universal", "caterpillar"])
+@pytest.mark.parametrize("line", ["m 0 99", "m 1 -3"])
+def test_render_off_host_image_exits_2(tmp_path, capsys, kind, line):
+    host = str(tmp_path / "host.txt")
+    emb = tmp_path / "emb.txt"
+    cli.main(["build", "--kind", kind, "--n", "6", "--out", host])
+    emb.write_text(line + "\n", encoding="utf-8")
+    assert cli.main(["render", "--host", host, "--embedding", str(emb),
+                     "--out", str(tmp_path / "pic.svg")]) == 2
+    assert "not a host vertex" in capsys.readouterr().err
+    assert not (tmp_path / "pic.svg").exists()
+
+
 def test_render_exact_layout_too_large_exits_3(tmp_path):
     host = str(tmp_path / "host.txt")
     cli.main(["build", "--kind", "universal", "--n", "100", "--out", host])

@@ -10,17 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ugg import btree, embedder
-from ugg.embedder import (
-    Embedding,
-    cut_vertex,
-    embed_forest,
-    embed_tree,
-    iso_interval,
-    replace_highest,
-    transfer_via_isomorphism,
-)
+from ugg.embedder import embed_forest, embed_tree
 from ugg.errors import (
-    DomainMismatch,
     EqualIndices,
     IndexOutOfRange,
     InternalInvariantBroken,
@@ -48,24 +39,27 @@ def star_tree(n):
 
 
 def test_cut_vertex_path():
-    # sizes along the path from the root are 4,3,2,1
-    assert cut_vertex(path_tree(4), 2) == 2
+    # position i holds vertex i on these trees; sizes along the path from
+    # the root are 4,3,2,1
+    assert path_tree(4).cut_vertex(0, [], 2) == 2
 
 
 def test_cut_vertex_star():
-    assert cut_vertex(star_tree(5), 2) == 0
+    assert star_tree(5).cut_vertex(0, [], 2) == 0
 
 
 def test_cut_vertex_single_edge():
-    assert cut_vertex(path_tree(2), 1) == 1
+    assert path_tree(2).cut_vertex(0, [], 1) == 1
 
 
 def test_cut_vertex_contract_exhaustive():
+    # the deepest vertex whose subtree has >= s vertices while every child
+    # subtree has <= s - 1
     for n in range(2, 9):
         for tree in enumerate_trees(n):
             rooted = RootedTree.from_adjacency(tree.adj, 0)
             for s in range(1, n + 1):
-                c = rooted.order.index(cut_vertex(rooted, s))
+                c = rooted.cut_vertex(0, [], s)
                 assert rooted.size[c] >= s
                 assert all(rooted.size[d] <= s - 1
                            for d, p in enumerate(rooted.parent) if p == c)
@@ -73,135 +67,127 @@ def test_cut_vertex_contract_exhaustive():
 
 def test_cut_vertex_errors():
     with pytest.raises(InvalidSize):
-        cut_vertex(path_tree(1), 1)
+        path_tree(1).cut_vertex(0, [], 1)
     with pytest.raises(InvalidS):
-        cut_vertex(path_tree(3), 0)
+        path_tree(3).cut_vertex(0, [], 0)
     with pytest.raises(InvalidS):
-        cut_vertex(path_tree(3), 4)
+        path_tree(3).cut_vertex(0, [], 4)
 
 
 def test_iso_interval_interior_example():
+    # [4, 6] minus its maximum 5 shifts by d = 1 onto [3, 4]
     G = build_universal(15)
-    target, iso = iso_interval(G, Interval(4, 6), 5)
-    assert (target.lo, target.hi) == (3, 4)
-    assert iso.forward(4) == 3 and iso.forward(6) == 4
-    assert iso.inverse(3) == 4 and iso.inverse(4) == 6
-    # highest maps to highest
-    assert G.highest_in(3, 4) == iso.forward(6)
+    assert embedder._iso_interior(G.shape.h, 4, 6, 5) == 1
+    assert [embedder._lift(g, 5, 1) for g in (3, 4)] == [4, 6]
+    # the second-highest, 6, maps to the target's highest
+    assert btree.highest(G.shape, [4, 6]) == 6 and G.highest_in(3, 4) == 6 - 1 - 1
 
 
 def test_iso_interval_boundary_examples():
+    # an endpoint maximum needs no shift: the recursion embeds the rest on
+    # the interval minus that endpoint as it stands
     G = build_universal(15)
-    target, iso = iso_interval(G, Interval(0, 3), 0)
-    assert (target.lo, target.hi) == (1, 3)
-    assert all(iso.forward(u) == u for u in (1, 2, 3))
+    emb = embed_tree(G, path_tree(4), 0, Interval(0, 3))
+    assert ("case-1.2.2", (0, 3)) in emb.provenance
+    assert emb.mapping[0] == 0 and emb.mapping[1] == G.highest_in(1, 3)
     # hi boundary: in [2, 5] the highest is 5 (level 3, rightmost position)
-    target, iso = iso_interval(G, Interval(2, 5), 5)
-    assert (target.lo, target.hi) == (2, 4)
-    assert all(iso.forward(u) == u for u in (2, 3, 4))
+    emb = embed_tree(G, path_tree(4), 0, Interval(2, 5))
+    assert ("case-1.2.1", (2, 5)) in emb.provenance
+    assert emb.mapping[0] == 5 and emb.mapping[1] == G.highest_in(2, 4)
 
 
 def test_iso_interval_precondition_errors():
     G = build_universal(15)
+    h = G.shape.h
     with pytest.raises(PreconditionViolated):
-        iso_interval(G, Interval(4, 6), 4)  # not the highest
+        embedder._iso_interior(h, 4, 6, 4)  # an endpoint, not interior
     # highest of [4, 7] is the interior vertex 5; its right child 7 is inside
     assert G.highest_in(4, 7) == 5
     with pytest.raises(PreconditionViolated):
-        iso_interval(G, Interval(4, 7), 5)
+        embedder._iso_interior(h, 4, 7, 5)
     # in [3, 6] the subtree of 5's left sibling's left child reaches vertex 3
     assert G.highest_in(3, 6) == 5
     with pytest.raises(PreconditionViolated):
-        iso_interval(G, Interval(3, 6), 5)
+        embedder._iso_interior(h, 3, 6, 5)
+
+
+def interior_shifts(G):
+    """(lo, hi, k, d) for every interval of G whose maximum k is interior
+    and passes the isomorphism's checks."""
+    for lo in range(G.n):
+        for hi in range(lo + 2, G.n):
+            k = G.highest_in(lo, hi)
+            if lo < k < hi:
+                try:
+                    yield lo, hi, k, embedder._iso_interior(G.shape.h, lo, hi, k)
+                except PreconditionViolated:
+                    pass
 
 
 @pytest.mark.parametrize("n", [15, 31])
 def test_iso_interval_preserves_edges_and_heights(n):
+    # u -> u - d - [u > k] maps [lo, hi] minus k onto [lo - d, hi - d - 1],
+    # keeps host edges both ways, and the recursion's lift inverts it
     G = build_universal(n)
     checked = 0
-    for lo in range(n):
-        for hi in range(lo + 1, n):
-            k = G.highest_in(lo, hi)
-            try:
-                target, iso = iso_interval(G, Interval(lo, hi), k)
-            except PreconditionViolated:
-                continue
-            checked += 1
-            src = iso.source_vertices()
-            img = [iso.forward(u) for u in src]
-            assert img == list(target)
-            assert sorted(iso.inverse(w) for w in target) == src
-            # edge preservation in both directions
-            for u, w in itertools.combinations(src, 2):
-                assert G.is_edge(u, w) == G.is_edge(iso.forward(u), iso.forward(w))
+    for lo, hi, k, d in interior_shifts(G):
+        checked += 1
+        src = [u for u in range(lo, hi + 1) if u != k]
+        img = [u - d - (u > k) for u in src]
+        assert img == list(range(lo - d, hi - d))
+        assert [embedder._lift(w, k, d) for w in img] == src
+        for (u, w), (fu, fw) in zip(itertools.combinations(src, 2),
+                                    itertools.combinations(img, 2)):
+            assert G.is_edge(u, w) == G.is_edge(fu, fw)
     assert checked > 0
 
 
 @pytest.mark.parametrize("n", [15, 31])
 def test_iso_interval_preserves_crossings(n):
     G = build_universal(n)
-    for lo in range(n):
-        for hi in range(lo + 1, min(lo + 7, n)):
-            k = G.highest_in(lo, hi)
-            try:
-                target, iso = iso_interval(G, Interval(lo, hi), k)
-            except PreconditionViolated:
-                continue
-            src = iso.source_vertices()
-            pairs = [p for p in itertools.combinations(src, 2) if G.is_edge(*p)]
-            for e1, e2 in itertools.combinations(pairs, 2):
-                f1 = (iso.forward(e1[0]), iso.forward(e1[1]))
-                f2 = (iso.forward(e2[0]), iso.forward(e2[1]))
-                assert edges_cross(G.shape, e1, e2) == edges_cross(G.shape, f1, f2)
+    checked = 0
+    for lo, hi, k, d in interior_shifts(G):
+        checked += 1
+        src = [u for u in range(lo, hi + 1) if u != k]
+        pairs = [p for p in itertools.combinations(src, 2) if G.is_edge(*p)]
+        for e1, e2 in itertools.combinations(pairs, 2):
+            f1, f2 = ([u - d - (u > k) for u in e] for e in (e1, e2))
+            assert edges_cross(G.shape, e1, e2) == edges_cross(G.shape, f1, f2)
+    assert checked > 0
 
 
 def test_iso_interval_maps_second_highest_to_target_highest():
-    G = build_universal(31)
-    for lo in range(31):
-        for hi in range(lo + 1, 31):
-            k = G.highest_in(lo, hi)
-            try:
-                target, iso = iso_interval(G, Interval(lo, hi), k)
-            except PreconditionViolated:
-                continue
-            second = btree.highest(G.shape, iso.source_vertices())
-            assert iso.forward(second) == G.highest_in(target.lo, target.hi)
+    for n in (15, 31):
+        G = build_universal(n)
+        checked = 0
+        for lo, hi, k, d in interior_shifts(G):
+            checked += 1
+            second = btree.highest(G.shape, [u for u in range(lo, hi + 1) if u != k])
+            assert second - d - (second > k) == G.highest_in(lo - d, hi - d - 1)
+        assert checked > 0, n
 
 
 def test_transfer_example():
-    G = build_universal(15)
-    _, iso = iso_interval(G, Interval(4, 6), 5)
-    emb = Embedding(15, {0: 4, 1: 3})
-    out = transfer_via_isomorphism(iso, emb)
-    assert out.mapping == {0: 6, 1: 4}
-
-
-def test_transfer_domain_mismatch():
-    G = build_universal(15)
-    _, iso = iso_interval(G, Interval(4, 6), 5)
-    with pytest.raises(DomainMismatch):
-        transfer_via_isomorphism(iso, Embedding(15, {0: 3}))
+    # frame vertices 4 and 3 of the shift that removed 5 lift to 6 and 4
+    assert embedder._lift(4, 5, 1) == 6
+    assert embedder._lift(3, 5, 1) == 4
 
 
 def test_replace_highest_example():
+    # the vertex on 3, the maximum of [2, 3], may move up to 4
     G = build_universal(7)
-    emb = Embedding(7, {0: 3, 1: 2})
-    out = replace_highest(G, Interval(2, 3), emb, 4)
-    assert out.mapping == {0: 4, 1: 2}
+    embedder._check_replace(G, 2, 3, 3, 4)
     assert G.is_edge(4, 2)
 
 
 def test_replace_highest_errors():
     G = build_universal(7)
-    emb = Embedding(7, {0: 3, 1: 2})
     with pytest.raises(PreconditionViolated):
-        replace_highest(G, Interval(2, 3), emb, 2)  # replacement inside interval
-    with pytest.raises(DomainMismatch):
-        replace_highest(G, Interval(2, 4), emb, 0)
+        embedder._check_replace(G, 2, 3, 3, 2)  # replacement inside interval
     # height order at n=7 descends 0,4,1,6,5,3,2; x=3 is lower than 5
-    emb56 = Embedding(7, {0: 6, 1: 5})
+    assert G.highest_in(5, 6) == 6
     with pytest.raises(PreconditionViolated):
-        replace_highest(G, Interval(5, 6), emb56, 3)
+        embedder._check_replace(G, 5, 6, 6, 3)
 
 
 def test_embed_star_center_portal():
