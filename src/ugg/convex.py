@@ -167,7 +167,7 @@ class _StarHost(ConvexHost):
     def later_ranges(self, u: int) -> list[tuple[int, int]]:
         # 0 is a center, so the seam edge (0, n-1) falls in the first case.
         if u in self.centers:
-            return [(u + 1, self.n - 1)]
+            return [(u + 1, self.n - 1)] if u + 1 < self.n else []
         # u + 1 joins the runs of the centers above u.
         runs = self.runs
         j = bisect_right(runs, (u, self.n))
@@ -329,10 +329,16 @@ class _CustomHost(ConvexHost):
     def __init__(self, n: int, edges):
         super().__init__(n)
         self._edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        self._later: dict[int, list[tuple[int, int]]] = {}
+        for u, w in sorted(self._edges):
+            self._later.setdefault(u, []).append((w, w))
 
     def is_edge(self, u: int, v: int) -> bool:
         self._check_pair(u, v)
         return (min(u, v), max(u, v)) in self._edges
+
+    def later_ranges(self, u: int) -> list[tuple[int, int]]:
+        return self._later.get(u, [])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._edges))

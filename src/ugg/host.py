@@ -23,7 +23,7 @@ class Host:
             raise EqualIndices(f"is_edge needs two distinct vertices, got {u}")
 
     def later_ranges(self, u: int) -> list[tuple[int, int]]:
-        """The neighbors w > u of u, as sorted disjoint closed ranges."""
+        """The neighbors w > u of u, as sorted, disjoint, nonempty closed ranges."""
         raise NotImplementedError
 
     def edges(self) -> Iterator[tuple[int, int]]:

@@ -8,11 +8,20 @@ Embedding:  `m <t> <g>` lines sorted by t.
 UTF-8 everywhere; blank lines and `#` comments ignored.  A forest or chorded
 file may declare at most INPUT_CAP vertices; a larger `n` raises SizeTooLarge,
 as does a host past EXPLICIT_CAP vertices or edges written with its edges.
+
+Every file is read in one of two ways.  A file laid out exactly as this
+module writes it takes a bulk path: an explicit host file equal to the
+host's own rendering is accepted by one string comparison, and a forest,
+chorded or embedding file of single-spaced lines is parsed with one
+`split()` of the whole text.  Any other file, with comments, blank lines,
+other spacing, edges in another order or an error, is read row by row,
+which accepts every valid layout and names what is wrong.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+import re
+from itertools import chain
 from operator import itemgetter, ne
 from pathlib import Path
 
@@ -33,7 +42,7 @@ MAGIC = "ugg-graph v1"
 INPUT_CAP = 1 << 20
 # Most vertices, and most edges, that a host file lists explicitly.  Writing
 # one builds every edge line in memory, so a larger host is refused before
-# any edge is listed.
+# the file is touched.
 EXPLICIT_CAP = 1 << 20
 # Every host kind but `custom`, which a file defines by its edge list.
 HOST_BUILDERS = {
@@ -42,14 +51,48 @@ HOST_BUILDERS = {
     "twochord": build_twochord_host,
     "complete": build_complete_host,
 }
+# The layout each writer below produces: `<key> <int>` header lines, then
+# one `<tag> <int> <int>` line per pair, single-spaced, each ending in "\n".
+# Its number of header lines, and a pattern only that layout matches.  An
+# int of at most 18 digits is well inside what `int()` parses.
+_LAYOUTS = {
+    fmt: (len(keys), re.compile("".join(f"{key} [0-9]{{1,18}}\n" for key in keys)
+                                + f"(?:{tag} [0-9]{{1,18}} [0-9]{{1,18}}\n)*"))
+    for fmt, keys, tag in (("forest", "n", "e"), ("chorded", "nh", "c"), ("embedding", "", "m"))
+}
+# The first three lines of a host file as `save_host` writes them.
+_HOST_HEAD = re.compile(f"{re.escape(MAGIC)}\nkind ([a-z]+)\nn ([0-9]{{1,18}})\n")
+# Pairs as two columns of ints.
+_Columns = tuple[list[int], list[int]]
 
 
-def _lines(path) -> list[list[str]]:
+def _read(path) -> str:
+    """The text of a file; unreadable or not UTF-8 is malformed input."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8: {exc}") from exc
+
+
+def _lines(text: str) -> list[list[str]]:
     return [row for row in map(str.split, text.splitlines()) if row and row[0][0] != "#"]
+
+
+def _parse(text: str, *fmts: str) -> tuple[list[list[str]], _Columns | None]:
+    """The rows of a file and its pairs.  A file in the written layout of
+    one of `fmts` is parsed with one `split()` and no per-line work: its
+    header rows and its pairs.  Any other file: every row, and None for the
+    pairs, which the caller parses after it has checked the header."""
+    for fmt in fmts:
+        k, layout = _LAYOUTS[fmt]
+        if layout.fullmatch(text):
+            tokens = text.split()
+            heads = [tokens[i:i + 2] for i in range(0, 2 * k, 2)]
+            first, second = tokens[2 * k + 1::3], tokens[2 * k + 2::3]
+            return heads, (list(map(int, first)), list(map(int, second)))
+    return _lines(text), None
 
 
 def _value(row: list[str], key: str) -> str:
@@ -67,16 +110,18 @@ def _int(tok: str, what: str) -> int:
 
 
 def _pairs(rows: list[list[str]], tag: str, what: str,
-           names: tuple[str, str] = ("endpoint", "endpoint")) -> list[tuple[int, int]]:
-    """The integer pairs of `<tag> <a> <b>` rows, parsed in bulk.  On
-    failure the first bad row, or the first bad token, is named."""
+           names: tuple[str, str] = ("endpoint", "endpoint")) -> _Columns:
+    """The integer pairs of `<tag> <a> <b>` rows.  On failure the first bad
+    row, or the first bad token, is named."""
     if set(map(len, rows)) - {3} or set(map(itemgetter(0), rows)) - {tag}:
         row = next(r for r in rows if len(r) != 3 or r[0] != tag)
         raise MalformedInput(f"unexpected {what} line: {' '.join(row)}")
     try:
-        return [(int(a), int(b)) for _, a, b in rows]
+        return [int(row[1]) for row in rows], [int(row[2]) for row in rows]
     except ValueError:  # name the first bad token
-        return [(_int(a, names[0]), _int(b, names[1])) for _, a, b in rows]
+        for _, a, b in rows:
+            _int(a, names[0]), _int(b, names[1])
+        raise
 
 
 def _input_size(row: list[str]) -> int:
@@ -87,32 +132,55 @@ def _input_size(row: list[str]) -> int:
     return n
 
 
+def _render(host, limit: int) -> str | None:
+    """The text of `host`'s explicit file, its edges in `edges()` order; None
+    once it has listed more than `limit` edges.  Each range of later
+    neighbors is one `join` over a table of vertex labels."""
+    labels = list(map(str, range(host.n)))
+    out, count = [""], 0
+    for u, label in enumerate(labels):
+        head = f"e {label} "
+        sep = "\n" + head
+        for lo, hi in host.later_ranges(u):
+            out += head, sep.join(labels[lo:hi + 1]), "\n"
+            count += hi - lo + 1
+        if count > limit:
+            return None
+    out[0] = f"{MAGIC}\nkind {host.kind}\nn {host.n}\nedges {count}\n"
+    return "".join(out)
+
+
 def save_host(host, path, explicit: bool = False) -> int | None:
     """Write a host file; return how many edges it lists, None if none.
     An edge list past EXPLICIT_CAP raises SizeTooLarge before the file is
     touched."""
-    n = host.n
-    lines = [MAGIC, f"kind {host.kind}", f"n {n}"]
-    count = None
-    if explicit or host.kind == "custom":
-        # n first; within it count at most EXPLICIT_CAP + 1 edges, and skip
-        # even that when all n (n - 1) / 2 pairs are within the cap
-        if n > EXPLICIT_CAP or n * (n - 1) // 2 > EXPLICIT_CAP and next(
-                islice(host.edges(), EXPLICIT_CAP, None), None) is not None:
-            raise SizeTooLarge(f"an explicit host file lists at most {EXPLICIT_CAP} "
-                               "vertices and edges each")
-        edges = [f"e {u} {v}" for u, v in host.edges()]
-        count = len(edges)
-        lines += [f"edges {count}", *edges]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return count
+    if not (explicit or host.kind == "custom"):
+        Path(path).write_text(f"{MAGIC}\nkind {host.kind}\nn {host.n}\n", encoding="utf-8")
+        return None
+    text = None if host.n > EXPLICIT_CAP else _render(host, EXPLICIT_CAP)
+    if text is None:
+        raise SizeTooLarge(f"an explicit host file lists at most {EXPLICIT_CAP} "
+                           "vertices and edges each")
+    Path(path).write_text(text, encoding="utf-8")
+    return text.count("\n") - 4  # the lines after the four header lines
 
 
 def load_host(path):
-    """The host a file names.  An explicit edge list must be exactly the
-    host's edges: each in range, listed once, and, sorted, equal to the
-    host's own `edges()` stream."""
-    rows = _lines(path)
+    """The host a file names.  A file equal to what `save_host` writes for
+    a built-in host is accepted by one comparison.  In any other file an
+    explicit edge list must be exactly the host's edges: each in range,
+    listed once, and, sorted, equal to the host's own `edges()` stream."""
+    text = _read(path)
+    # A file as `save_host` writes it equals the host's rendering.  Render
+    # only when that costs no more than the file's length: n labels, and at
+    # most one edge per character.  Every built-in kind builds for n >= 3;
+    # a smaller n takes the general path, which reports a builder's error.
+    head = _HOST_HEAD.match(text)
+    if head and head[1] in HOST_BUILDERS and 3 <= int(head[2]) <= len(text):
+        host = HOST_BUILDERS[head[1]](int(head[2]))
+        if _render(host, len(text)) == text:
+            return host
+    rows = _lines(text)
     if not rows or rows[0] != MAGIC.split():
         raise MalformedInput(f"missing `{MAGIC}` header in {path}")
     if len(rows) < 3:
@@ -121,11 +189,11 @@ def load_host(path):
     n = _int(_value(rows[2], "n"), "n")
     if kind not in HOST_BUILDERS and kind != "custom":
         raise MalformedInput(f"unknown host kind {kind!r}")
-    pairs = _pairs([row for row in rows[3:] if row[0] != "edges"], "e", "host")
+    us, vs = _pairs([row for row in rows[3:] if row[0] != "edges"], "e", "host")
     declared = [_int(_value(row, "edges"), "edge count") for row in rows[3:] if row[0] == "edges"]
-    if declared and declared[-1] != len(pairs):
-        raise MalformedInput(f"declared {declared[-1]} edges, found {len(pairs)}")
-    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+    if declared and declared[-1] != len(us):
+        raise MalformedInput(f"declared {declared[-1]} edges, found {len(us)}")
+    edges = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
     if kind != "custom":
         host = HOST_BUILDERS[kind](n)
         # Walk the sorted list and the host's stream in lockstep, stopping at
@@ -160,14 +228,14 @@ def save_forest(forest: Forest, path) -> None:
 
 
 def load_forest(path) -> Forest:
-    return _forest(_lines(path))
+    return _forest(*_parse(_read(path), "forest"))
 
 
-def _forest(rows: list[list[str]]) -> Forest:
+def _forest(rows: list[list[str]], pairs: _Columns | None) -> Forest:
     if not rows:
         raise MalformedInput("forest file must start with `n <int>`")
     n = _input_size(rows[0])
-    return Forest(n, _pairs(rows[1:], "e", "forest"))
+    return Forest(n, list(zip(*(pairs or _pairs(rows[1:], "e", "forest")))))
 
 
 def chorded_lines(cc: ChordedCycle) -> list[str]:
@@ -181,26 +249,26 @@ def save_chorded(cc: ChordedCycle, path) -> None:
 
 
 def load_chorded(path) -> ChordedCycle:
-    return _chorded(_lines(path))
+    return _chorded(*_parse(_read(path), "chorded"))
 
 
-def _chorded(rows: list[list[str]]) -> ChordedCycle:
+def _chorded(rows: list[list[str]], pairs: _Columns | None) -> ChordedCycle:
     if len(rows) < 2:
         raise MalformedInput("chorded file needs `n` and `h` lines")
     n = _input_size(rows[0])
     h = _int(_value(rows[1], "h"), "h")
-    chords = _pairs(rows[2:], "c", "chorded")
+    chords = tuple(zip(*(pairs or _pairs(rows[2:], "c", "chorded"))))
     if len(chords) != h:
         raise MalformedInput(f"declared h={h} but found {len(chords)} chords")
-    return ChordedCycle(n, tuple(chords))
+    return ChordedCycle(n, chords)
 
 
 def load_input(path):
     """A forest file or a chorded-cycle file, told apart by the `h` line."""
-    rows = _lines(path)
+    rows, pairs = _parse(_read(path), "chorded", "forest")
     if len(rows) >= 2 and rows[1][0] == "h":
-        return _chorded(rows)
-    return _forest(rows)
+        return _chorded(rows, pairs)
+    return _forest(rows, pairs)
 
 
 def save_embedding(mapping: dict[int, int], path) -> None:
@@ -209,10 +277,13 @@ def save_embedding(mapping: dict[int, int], path) -> None:
 
 
 def load_embedding(path) -> dict[int, int]:
-    pairs = _pairs(_lines(path), "m", "embedding", ("input vertex", "host vertex"))
-    mapping: dict[int, int] = {}
-    for t, g in pairs:
-        if t in mapping:
-            raise MalformedInput(f"vertex {t} mapped twice")
-        mapping[t] = g
+    rows, pairs = _parse(_read(path), "embedding")
+    ts, gs = pairs or _pairs(rows, "m", "embedding", ("input vertex", "host vertex"))
+    mapping = dict(zip(ts, gs))
+    if len(mapping) < len(ts):  # name the first repeat
+        seen: set[int] = set()
+        for t in ts:
+            if t in seen:
+                raise MalformedInput(f"vertex {t} mapped twice")
+            seen.add(t)
     return mapping

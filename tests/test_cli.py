@@ -1,6 +1,7 @@
 """End-to-end command-line flows through cli.main()."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,15 @@ def verify_identity(tmp_path, host, n_in):
     emb = tmp_path / "emb.txt"
     emb.write_text("".join(f"m {t} {t}\n" for t in range(n_in)), encoding="utf-8")
     return cli.main(["verify", "--host", host, "--input", forest, "--embedding", str(emb)])
+
+
+def traced(call):
+    """What a call returns, and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_universal_build_embed_verify(tmp_path, capsys):
@@ -341,9 +351,10 @@ def test_repeated_custom_edge_exits_2(tmp_path, capsys):
 def test_huge_host_verifies_without_building_edges(tmp_path, capsys, kind, n):
     host = write_host(tmp_path, kind, n, [])
     t0 = time.perf_counter()
-    assert verify_identity(tmp_path, host, 3) == 0
+    code, peak = traced(lambda: verify_identity(tmp_path, host, 3))
     assert time.perf_counter() - t0 < 5.0
-    assert capsys.readouterr().out.strip() == "ok"
+    assert code == 0 and capsys.readouterr().out.strip() == "ok"
+    assert peak < 1 << 20  # nothing of size n
 
 
 @pytest.mark.parametrize("kind", ["universal", "caterpillar"])
@@ -354,9 +365,25 @@ def test_short_list_on_huge_host_exits_2_quickly(tmp_path, capsys, kind):
     host.write_text(f"ugg-graph v1\nkind {kind}\nn 1000000000\nedges 1\ne 0 1\n",
                     encoding="utf-8")
     t0 = time.perf_counter()
-    assert verify_identity(tmp_path, str(host), 2) == 2
+    code, peak = traced(lambda: verify_identity(tmp_path, str(host), 2))
     assert time.perf_counter() - t0 < 2.0
-    assert f"disagrees with {kind} host" in capsys.readouterr().err
+    assert code == 2 and f"disagrees with {kind} host" in capsys.readouterr().err
+    assert peak < 1 << 20  # nothing of size n, such as a table of vertex labels
+
+
+@pytest.mark.parametrize("role", ["host", "input", "embedding"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, role):
+    files = {role: tmp_path / f"{role}.txt" for role in ("host", "input", "embedding")}
+    cli.main(["build", "--kind", "universal", "--n", "6", "--explicit",
+              "--out", str(files["host"])])
+    files["input"].write_text("n 3\ne 0 1\n", encoding="utf-8")
+    files["embedding"].write_text("m 0 0\nm 1 1\nm 2 2\n", encoding="utf-8")
+    assert cli.main(["verify", *(f"--{r}={p}" for r, p in files.items())]) == 0
+    files[role].write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert cli.main(["verify", *(f"--{r}={p}" for r, p in files.items())]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
 
 
 def test_explicit_hosts_load_without_is_edge(tmp_path, monkeypatch):

@@ -33,6 +33,10 @@ def test_edges_match_pairwise_scan(kind, n):
     scan = {(u, v) for u in range(n) for v in range(u + 1, n) if host.is_edge(u, v)}
     assert set(edges) == scan
     assert len(edges) == len(scan) == host.edge_count()
+    for u in range(n):  # sorted, disjoint and none empty, as the protocol says
+        bounds = [b for lo, hi in host.later_ranges(u) for b in (lo, hi)]
+        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+        assert all(a < b for a, b in zip([u, *bounds[1::2]], bounds[::2]))
 
 
 @pytest.mark.parametrize("kind, n", [("universal", 1000), ("universal", 1023),

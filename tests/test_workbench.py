@@ -1,6 +1,8 @@
 """Enumerators against counting formulas, the validator, rendering, file I/O."""
 
 import math
+import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -487,6 +489,9 @@ def test_malformed_files(tmp_path):
         "bad_forest.txt": "n 3\nx 0 1\n",
         "bad_chorded.txt": "n 6\nh 2\nc 0 2\n",
         "dup_embedding.txt": "m 0 1\nm 0 2\n",
+        "non_utf8_host.txt": b"\xff\xfe",
+        "non_utf8_input.txt": b"n 3\ne 0 \xff\n",
+        "non_utf8_embedding.txt": b"m 0 0\nm 1 \xfe\n",
     }
     loaders = {
         "bad_magic.txt": fileio.load_host,
@@ -496,12 +501,118 @@ def test_malformed_files(tmp_path):
         "bad_forest.txt": fileio.load_forest,
         "bad_chorded.txt": fileio.load_chorded,
         "dup_embedding.txt": fileio.load_embedding,
+        "non_utf8_host.txt": fileio.load_host,
+        "non_utf8_input.txt": fileio.load_input,
+        "non_utf8_embedding.txt": fileio.load_embedding,
     }
     for name, text in cases.items():
         p = tmp_path / name
-        p.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text, encoding="utf-8")
         with pytest.raises(MalformedInput):
             loaders[name](p)
+
+
+def edge_by_edge(host):
+    """An explicit host file as written one f-string per edge."""
+    edges = [f"e {u} {v}" for u, v in host.edges()]
+    head = [fileio.MAGIC, f"kind {host.kind}", f"n {host.n}", f"edges {len(edges)}"]
+    return "\n".join(head + edges) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(fileio.HOST_BUILDERS))
+def test_explicit_host_files_load_the_same_by_either_path(tmp_path, monkeypatch, kind):
+    # The written file is the host's rendering and loads without the
+    # row-by-row parse; every other layout of the same edges loads through
+    # it, and every damaged list still fails with its message.
+    lines_read = []
+    rows = fileio._lines
+    monkeypatch.setattr(fileio, "_lines", lambda text: lines_read.append(text) or rows(text))
+    rng = random.Random(kind)
+    p = tmp_path / "host.txt"
+
+    def load(text):
+        p.write_text(text, encoding="utf-8")
+        lines_read.clear()
+        host = fileio.load_host(p)
+        return host.kind, host.n, bool(lines_read)
+
+    for n in range(3 if kind == "twochord" else 1, 65):
+        host = fileio.HOST_BUILDERS[kind](n)
+        fileio.save_host(host, p, explicit=True)
+        written = p.read_text(encoding="utf-8")
+        assert p.read_bytes() == edge_by_edge(host).encode()
+        assert load(written) == (kind, n, n < 3)  # n < 3 skips the rendering
+        head, edges = written.splitlines()[:4], written.splitlines()[4:]
+        for variant in (
+            head[:3] + ["# a comment"] + head[3:] + edges,
+            head + [f"e {v} {u}" for _, u, v in map(str.split, edges)],
+            head + rng.sample(edges, len(edges)),
+            head + edges + [""],
+        ):
+            text = "\n".join(variant) + "\n"
+            assert load(text) == (kind, n, n < 3 or text != written)
+        if len(edges) < 2:
+            continue
+        i = len(edges) // 2
+        stray = next(((u, v) for u in range(n) for v in range(u + 1, n)
+                      if not host.is_edge(u, v)), None)
+        for variant, message in (
+            (edges[:i] + [f"e {u} {v}" for u, v in [stray or (0, n)]] + edges[i + 1:],
+             f"edge {stray} is not an edge of the {kind} host" if stray else f"bad edge {(0, n)}"),
+            (edges[:i] + edges[i + 1:], f"explicit edge list disagrees with {kind} host"),
+            (edges[:i] + [edges[i]] + edges[i:], "an edge is listed twice"),
+        ):
+            text = "\n".join(head[:3] + [f"edges {len(variant)}"] + variant) + "\n"
+            with pytest.raises(MalformedInput, match=re.escape(message)):
+                load(text)
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("forest", "n 6\ne 0 1\ne 1 2\ne 4 5\n"),
+    ("forest", "n 1\n"),
+    ("chorded", "n 10\nh 2\nc 0 3\nc 5 9\n"),
+    ("embedding", "m 0 4\nm 1 3\nm 2 0\n"),
+])
+def test_bulk_parse_agrees_with_the_row_parse(tmp_path, monkeypatch, fmt, text):
+    # the written layout skips the row-by-row parse; any other spacing,
+    # comments, blank lines or int spellings take it and load the same
+    lines_read = []
+    rows = fileio._lines
+    monkeypatch.setattr(fileio, "_lines", lambda text: lines_read.append(text) or rows(text))
+    load = {"forest": fileio.load_forest, "chorded": fileio.load_chorded,
+            "embedding": fileio.load_embedding}[fmt]
+    p = tmp_path / "file.txt"
+
+    def parse(text):
+        p.write_bytes(text.encode())
+        lines_read.clear()
+        return load(p), bool(lines_read)
+
+    want, by_rows = parse(text)
+    assert not by_rows
+    for other in (text.replace(" ", "  "), text.replace(" ", "\t"), "# c\n" + text,
+                  text + "\n", text.replace("\n", "\r\n"), text.rstrip("\n"),
+                  text.replace("\ne 0", "\ne +0").replace("c 0", "c +0").replace("m 0", "m +0")):
+        # text mode reads \r\n as \n
+        assert parse(other) == (want, other.replace("\r\n", "\n") != text)
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    (fileio.load_input, "n 5\ne 1 2 e\n3 4\n", "unexpected forest line: e 1 2 e"),
+    (fileio.load_input, "n 5\ne 1\x0b2\n", "unexpected forest line: e 1"),
+    (fileio.load_input, "n 6\nh 1\nc 0 2 c\n3 5\n", "unexpected chorded line: c 0 2 c"),
+    (fileio.load_embedding, "m 0 1 m\n1 0\n", "unexpected embedding line: m 0 1 m"),
+    (fileio.load_embedding, "m 0 1\nm 1 2\nm 0 3\n", "vertex 0 mapped twice"),
+    (fileio.load_embedding, f"m 0 {'9' * 5000}\n", "bad host vertex"),
+])
+def test_one_pair_per_line_stays_strict(tmp_path, loader, text, message):
+    p = tmp_path / "file.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedInput, match=re.escape(message)):
+        loader(p)
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
