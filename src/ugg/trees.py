@@ -4,9 +4,12 @@ Vertices are 0-based global ids.  Child order everywhere is the order in
 which edges were supplied, which keeps every downstream construction
 deterministic for a given input.
 
-`RootedTree` is the one rooted-tree format: a tree rooted once, held as
-preorder arrays, with the helpers that describe a piece of it (a subtree
-minus a few preorder ranges) without copying anything.
+`RootedTree` is the one rooted-tree format in the package, the workbench
+included: a tree rooted once, held as preorder arrays, with the helpers
+that describe a piece of it (a subtree minus a few preorder ranges) without
+copying anything.  `from_adjacency` roots a component of a `Forest`;
+`from_levels` is the one decoder of level sequences, the form in which the
+workbench enumerates ordered and rooted trees.
 """
 
 from __future__ import annotations
@@ -123,6 +126,22 @@ class RootedTree:
         for i in range(len(order) - 1, 0, -1):
             size[parent[i]] += size[i]
         return cls(order, parent, size)
+
+    @classmethod
+    def from_levels(cls, level: list[int]) -> "RootedTree":
+        """Decode a level sequence: the depths of an ordered tree in
+        preorder, the root at 1, each next depth between 2 and one more than
+        the last.  Vertex i sits at position i, and its parent is the last
+        vertex before it one level up."""
+        last = [-1] * (len(level) + 1)
+        parent = []
+        for i, lv in enumerate(level):
+            parent.append(last[lv - 1])
+            last[lv] = i
+        size = [1] * len(level)
+        for i in range(len(level) - 1, 0, -1):
+            size[parent[i]] += size[i]
+        return cls(list(range(len(level))), parent, size)
 
     def count(self, v: int, ex: list) -> int:
         return self.size[v] - sum(e - s for s, e in ex) if ex else self.size[v]

@@ -9,17 +9,32 @@ no symmetry sending an endpoint to 0 gives a smaller chord tuple.  The
 counting functions use arithmetic recurrences and, for chorded cycles,
 Burnside's lemma over the same endpoint sequences.  Tests compare the two,
 and the labeled chorded-cycle census stays as the slow oracle for both.
+
+Canonical forms are computed on `RootedTree`, rooted once.  A level
+sequence is decoded by `RootedTree.from_levels`, and each component of a
+forest is rooted at its smallest vertex by `from_adjacency`.  `free_code`
+then codes the free tree from that rooting alone: one bottom-up pass of
+rooted codes, and one walk down the tallest children to the center that
+carries the code of the part it leaves behind.  A forest's code is the
+sorted tuple of its components' codes.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
 from ..convex import ChordedCycle, ConvexHost, convex_edges_cross
-from ..errors import InvalidSize, NoSpanningCycle, SizeMismatch, SizeTooLarge
-from ..trees import Caterpillar, Forest
+from ..errors import (
+    InvalidSize,
+    NoSpanningCycle,
+    NotACaterpillar,
+    SizeMismatch,
+    SizeTooLarge,
+)
+from ..trees import Caterpillar, Forest, RootedTree, caterpillar_spine
 
 FOREST_CAP = 12
 CATERPILLAR_CAP = 14
@@ -32,82 +47,51 @@ CHORDED_H_CAP = 3
 # ---------------------------------------------------------------------------
 
 
-def adjacency_of(edges: list[tuple[int, int]], vertices) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+def free_code(tree: RootedTree) -> str:
+    """Canonical code of a free tree from any one rooting of it: equal
+    strings iff the trees are isomorphic.
 
+    Bottom up over `parent`, each position gets the code of its subtree,
+    its children's codes sorted inside one pair of parentheses, and its
+    height.  The free code is the tree rooted at its center, the smaller
+    code of the two at two centers.  The walk from the root down a tallest
+    child ends at a deepest vertex, which ends a longest path, so the
+    centers lie on it.  The walk carries the code and height of the part it
+    leaves behind (the tree minus the current subtree, hung from the current
+    vertex) and stops where a step down would not bring the farthest vertex
+    nearer."""
+    parent = tree.parent
+    parts: list[list[str]] = [[] for _ in parent]
+    code, height = [""] * len(parent), [0] * len(parent)
 
-def rooted_code(adj: dict[int, list[int]], root: int) -> str:
-    """Nested-parentheses canonical form of a rooted tree: children codes
-    sorted, so isomorphic rooted trees get equal strings."""
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
-    codes: dict[int, str] = {}
-    for v in reversed(order):
-        kids = sorted(codes[w] for w in adj[v] if w != parent[v])
-        codes[v] = "(" + "".join(kids) + ")"
-    return codes[root]
+    def wrap(codes: list[str]) -> str:
+        return "(" + "".join(sorted(codes)) + ")"
 
-
-def tree_centers(adj: dict[int, list[int]]) -> list[int]:
-    """The one or two middle vertices left after repeatedly peeling leaves."""
-    verts = list(adj)
-    n = len(verts)
-    if n <= 2:
-        return sorted(verts)
-    deg = {v: len(adj[v]) for v in verts}
-    layer = sorted(v for v in verts if deg[v] <= 1)
-    removed = set(layer)
-    count = n - len(layer)
-    while count > 2:
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                if w not in removed:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = sorted(nxt)
-        removed.update(layer)
-        count -= len(layer)
-    return sorted(v for v in verts if v not in removed)
-
-
-def free_code(adj: dict[int, list[int]]) -> str:
-    return min(rooted_code(adj, c) for c in tree_centers(adj))
+    for i in range(len(parent) - 1, -1, -1):
+        code[i] = wrap(parts[i])
+        if i:
+            parts[parent[i]].append(code[i])
+            height[parent[i]] = max(height[parent[i]], height[i] + 1)
+    v, up, up_h = 0, [], 0
+    while height[v] > up_h:
+        kids = sorted((height[c], c) for c, _ in tree.kids(v, []))
+        c = kids[-1][1]
+        left_h = 1 + max(kids[-2][0] + 1 if len(kids) > 1 else 0, up_h)
+        if left_h > height[v]:  # two tallest children: v is the center
+            break
+        rest = parts[v] + up
+        rest.remove(code[c])
+        if left_h == height[v]:  # v and c are the two centers
+            return min(wrap(parts[v] + up), wrap(parts[c] + [wrap(rest)]))
+        v, up, up_h = c, [wrap(rest)], left_h
+    return wrap(parts[v] + up)
 
 
 def forest_code(n: int, edges: list[tuple[int, int]]) -> tuple[str, ...]:
     """Sorted tuple of component free codes; equal iff forests isomorphic."""
-    adj = adjacency_of(edges, range(n))
-    seen: set[int] = set()
-    codes = []
-    for v in range(n):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        codes.append(free_code({u: adj[u] for u in comp}))
-    return tuple(sorted(codes))
+    forest = Forest(n, edges)
+    return tuple(sorted(free_code(RootedTree.from_adjacency(forest.adj, comp[0]))
+                        for comp in forest.components()))
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +102,6 @@ def forest_code(n: int, edges: list[tuple[int, int]]) -> tuple[str, ...]:
 def rooted_level_sequences(n: int):
     """Canonical level sequences of all rooted trees on n vertices, in
     lexicographically decreasing order (path first, star last)."""
-    if n == 1:
-        yield [1]
-        return
     level = list(range(1, n + 1))
     while True:
         yield level[:]
@@ -143,16 +124,6 @@ def ordered_level_sequences(n: int) -> list[list[int]]:
     return seqs
 
 
-def _edges_from_levels(level: list[int]) -> list[tuple[int, int]]:
-    last_at: dict[int, int] = {}
-    edges = []
-    for i, lv in enumerate(level):
-        if lv > 1:
-            edges.append((last_at[lv - 1], i))
-        last_at[lv] = i
-    return edges
-
-
 def _check_size(n: int, cap: int) -> None:
     if n < 1:
         raise InvalidSize(f"n must be >= 1, got {n}")
@@ -166,11 +137,11 @@ def enumerate_trees(n: int) -> list[Forest]:
     seen: set[str] = set()
     out = []
     for level in rooted_level_sequences(n):
-        edges = _edges_from_levels(level)
-        code = free_code(adjacency_of(edges, range(n)))
+        tree = RootedTree.from_levels(level)
+        code = free_code(tree)
         if code not in seen:
             seen.add(code)
-            out.append(Forest(n, edges))
+            out.append(Forest(n, [(p, i) for i, p in enumerate(tree.parent) if i]))
     return out
 
 
@@ -495,57 +466,22 @@ def forest_counts(nmax: int) -> list[int]:
 def labeled_forest_survey(n: int) -> tuple[int, int]:
     """(labeled forest count, isomorphism class count) by brute force over
     all acyclic edge subsets of the complete graph."""
-    if not 1 <= n <= 8:
-        raise SizeTooLarge(f"brute-force survey capped at 8, got {n}")
+    _check_size(n, 8)
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    comp_cache: dict[frozenset, str] = {}
     classes: set[tuple[str, ...]] = set()
     labeled = 0
     chosen: list[tuple[int, int]] = []
 
-    def canon() -> tuple[str, ...]:
-        adj = adjacency_of(chosen, range(n))
-        seen: set[int] = set()
-        codes = []
-        for v in range(n):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for w in adj[x]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            key = frozenset((min(u, w), max(u, w))
-                            for u in comp for w in adj[u] if u < w)
-            code = comp_cache.get(key)
-            if code is None:
-                code = free_code({u: adj[u] for u in comp})
-                comp_cache[key] = code
-            codes.append(code)
-        return tuple(sorted(codes))
-
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def bt(start: int, parent: list[int]) -> None:
+    def bt(start: int, comp: list[int]) -> None:
+        # comp[v]: a label shared by exactly the vertices of v's component
         nonlocal labeled
         labeled += 1
-        classes.add(canon())
+        classes.add(forest_code(n, chosen))
         for i in range(start, len(all_edges)):
             u, v = all_edges[i]
-            ru, rv = find(parent, u), find(parent, v)
-            if ru != rv:
-                nxt = parent[:]
-                nxt[ru] = rv
+            if comp[u] != comp[v]:
                 chosen.append(all_edges[i])
-                bt(i + 1, nxt)
+                bt(i + 1, [comp[v] if c == comp[u] else c for c in comp])
                 chosen.pop()
 
     bt(0, list(range(n)))
@@ -553,8 +489,6 @@ def labeled_forest_survey(n: int) -> tuple[int, int]:
 
 
 def is_caterpillar(forest: Forest) -> bool:
-    from ..trees import caterpillar_spine
-    from ..errors import NotACaterpillar
     try:
         caterpillar_spine(forest)
         return True
@@ -568,9 +502,6 @@ def random_tree(n: int, rng: random.Random) -> Forest:
         raise InvalidSize(f"n must be >= 1, got {n}")
     if n == 1:
         return Forest(1, [])
-    if n == 2:
-        return Forest(2, [(0, 1)])
-    import heapq
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:

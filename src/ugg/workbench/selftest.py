@@ -26,6 +26,7 @@ from ..convex import (
     twochord_centers,
 )
 from ..embedder import embed_forest, embed_tree
+from ..errors import InvalidSize
 from ..geometry import (
     QuarterPlane,
     edges_cross,
@@ -34,10 +35,9 @@ from ..geometry import (
     segment_hits_quarter_plane,
     segments_cross_exact,
 )
-from ..trees import Forest, RootedTree
+from ..trees import RootedTree
 from ..ugraph import Interval, UniversalGraph, build_universal
 from .families import (
-    _edges_from_levels,
     check_universal_convex,
     chorded_cycle_census,
     enumerate_caterpillars,
@@ -213,8 +213,8 @@ def criterion_5(limit: int | None = None) -> CriterionResult:
         hosts.append((G, realize_coordinates(G.shape, n)))
     for s in range(1, nmax + 1):
         for level in ordered_level_sequences(s):
-            edges = _edges_from_levels(level)
-            tree = RootedTree.from_adjacency(Forest(s, edges).adj, 0)
+            tree = RootedTree.from_levels(level)
+            edges = [(p, i) for i, p in enumerate(tree.parent) if i]
             for G, coords in hosts[s - 1:]:
                 for lo in range(G.n - s + 1):
                     for portals in (0, *((0, b) for b in range(1, s))):
@@ -392,6 +392,8 @@ ALL_CRITERIA = [
 
 
 def run_all(limit: int | None = None, seed: int = 20250814, out=print) -> bool:
+    if limit is not None and limit < 1:
+        raise InvalidSize(f"size limit must be >= 1, got {limit}")
     all_ok = True
     for fn in ALL_CRITERIA:
         res = fn(limit, seed) if fn is criterion_4 else fn(limit)

@@ -322,6 +322,14 @@ def test_selftest_smoke(capsys):
     assert out.count("PASS") == 8
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_selftest_refuses_a_size_limit_below_1(capsys, max_n):
+    assert cli.main(["selftest", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+
+
 def test_repeated_edge_does_not_load_as_complete_host(tmp_path, capsys):
     host = write_host(tmp_path, "complete", 4, [(0, 1)] * 6)
     assert verify_identity(tmp_path, host, 3) == 2

@@ -12,7 +12,7 @@ import ugg.workbench
 from ugg.convex import ChordedCycle, build_complete_host, build_custom_host, build_cycle_host, build_twochord_host, build_caterpillar_host, embed_caterpillar
 from ugg.embedder import Embedding, embed_forest
 from ugg.errors import InvalidSize, MalformedInput, SizeTooLarge
-from ugg.trees import Caterpillar, Forest
+from ugg.trees import Caterpillar, Forest, RootedTree
 from ugg.ugraph import UniversalGraph, build_universal
 from ugg.workbench import fileio
 from ugg.workbench import families
@@ -23,7 +23,9 @@ from ugg.workbench.families import (
     enumerate_chorded_cycles,
     enumerate_forests,
     enumerate_trees,
+    forest_code,
     forest_counts,
+    free_code,
     free_tree_counts,
     is_caterpillar,
     labeled_forest_survey,
@@ -58,14 +60,14 @@ def test_forest_counts():
 
 
 def test_tree_enumerator_matches_recurrence():
-    counts = free_tree_counts(10)
-    for n in range(1, 11):
+    counts = free_tree_counts(12)
+    for n in range(1, 13):
         assert len(enumerate_trees(n)) == counts[n], n
 
 
 def test_forest_enumerator_matches_recurrence():
-    counts = forest_counts(10)
-    for n in range(1, 11):
+    counts = forest_counts(12)
+    for n in range(1, 13):
         assert len(enumerate_forests(n)) == counts[n], n
 
 
@@ -74,9 +76,49 @@ def test_forest_enumerator_yields_distinct_valid_forests():
         forests = enumerate_forests(n)
         for f in forests:
             assert f.n == n
-        from ugg.workbench.families import forest_code
         codes = {forest_code(f.n, f.edges) for f in forests}
         assert len(codes) == len(forests)
+
+
+def test_free_code_is_the_same_from_every_root():
+    for n in range(1, 10):
+        seen = set()
+        for tree in enumerate_trees(n):
+            codes = {free_code(RootedTree.from_adjacency(tree.adj, r)) for r in range(n)}
+            assert len(codes) == 1, tree.edges
+            assert not codes & seen, tree.edges
+            seen |= codes
+
+
+def test_forest_code_ignores_labels_and_edge_order():
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        # components of random sizes, each a random recursive tree
+        edges, start = [], 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            edges += [(start + rng.randrange(i), start + i) for i in range(1, size)]
+            start += size
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
+                 for u, v in edges]
+        rng.shuffle(moved)
+        assert forest_code(n, moved) == forest_code(n, edges), (n, edges)
+
+
+def test_from_levels_matches_rooting_the_decoded_forest():
+    for s in range(1, 9):
+        for level in ordered_level_sequences(s):
+            path, edges = [], []  # path: the vertices from the root to the last one
+            for i, lv in enumerate(level):
+                del path[lv - 1:]
+                if path:
+                    edges.append((path[-1], i))
+                path.append(i)
+            assert RootedTree.from_levels(level) == RootedTree.from_adjacency(
+                Forest(s, edges).adj, 0), level
 
 
 def labeled_forest_count_formula(nmax: int) -> list[int]:
@@ -105,6 +147,9 @@ def test_labeled_survey_against_formula_and_classes():
 def test_labeled_survey_cap():
     with pytest.raises(SizeTooLarge):
         labeled_forest_survey(9)
+    for n in (0, -1):
+        with pytest.raises(InvalidSize):
+            labeled_forest_survey(n)
 
 
 def test_caterpillar_enumeration_matches_recognizer_filter():
