@@ -35,10 +35,6 @@ class BTreeShape:
         return (1 << self.h) - 1
 
     @classmethod
-    def from_height(cls, h: int) -> "BTreeShape":
-        return cls(h, (1 << h) - 1)
-
-    @classmethod
     def from_size(cls, n: int) -> "BTreeShape":
         """Smallest complete tree with at least n nodes.  Guarantees m < 2n."""
         if n < 1:
@@ -107,13 +103,6 @@ def subtree_range(shape: BTreeShape, i: int) -> tuple[int, int]:
     _check_index(shape, i)
     level, _, _ = _locate(shape.h, i)
     return i, i + (1 << (shape.h - level + 1)) - 2
-
-
-def is_in_subtree(shape: BTreeShape, i: int, root: int) -> bool:
-    """True iff node i lies in the subtree rooted at `root` (roots included)."""
-    lo, hi = subtree_range(shape, root)
-    _check_index(shape, i)
-    return lo <= i <= hi
 
 
 def nav(shape: BTreeShape, i: int) -> NodeInfo:

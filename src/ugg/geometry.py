@@ -1,12 +1,14 @@
 """Crossing decisions for host edges, combinatorially and on exact coordinates.
 
-Host vertices sit at x = index; y-coordinates realize the height order (higher
-in the tree order means larger y), in general position.  Whether two host
-edges cross is decided purely from the height ranks of their four endpoints
-(`segments_cross`; `edges_cross` is its checked form); `segments_cross_exact`
-is the independent geometric route on realized integer coordinates, using
-exact orientation signs.  Heights come only from `btree.height_key`, and a
-rank table is a table of height keys: smaller is higher.
+Host vertices sit at x = index, and y follows the height order: higher in the
+tree order means larger y.  Whether two host edges cross is decided purely
+from the height ranks of their four endpoints (`segments_cross`; `edges_cross`
+is its checked form).  `segments_cross_exact` is the independent geometric
+route, with exact orientation signs on the integer points of
+`realize_coordinates`: vertex v at y = (n + 1)**rank(v) - 1, one sort and n
+powers, in general position and up to REALIZE_CAP vertices.  Heights come
+only from `btree.height_key`, and a rank table is a table of height keys:
+smaller is higher.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     SizeTooLarge,
 )
 
-REALIZE_CAP = 63
+REALIZE_CAP = 1023
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,13 @@ class CoordinateRealization:
 
 
 def realize_coordinates(shape: BTreeShape, n: int | None = None) -> CoordinateRealization:
-    """Place vertex i at (i, y_i) so that y-order equals the height order.
-
-    y-values are assigned greedily from the lowest vertex up: each new point
-    goes strictly above every line spanned by two points already placed, so no
-    vertex lies inside the triangle of any three lower ones and no three
-    points are collinear.  y grows doubly exponentially, hence the size cap.
+    """Place vertex v at (v, (n + 1)**rank(v) - 1), rank 0 the lowest in the
+    height order.  The "- 1" shifts every point alike, so read Y = y + 1.
+    For a < b < c in x, b lies strictly above the line ac iff b is the highest:
+    - if it is, Y_b > max(Y_a, Y_c), above every point of the segment ac;
+    - if not, the line at b is at least max(Y_a, Y_c) / (c - a) > Y_b, as
+      the ranks differ by at least 1 and c - a < n + 1.
+    The points hold about n**2 * log2(n + 1) / 2 bits, hence the size cap.
     """
     if n is None:
         n = shape.n
@@ -51,27 +54,11 @@ def realize_coordinates(shape: BTreeShape, n: int | None = None) -> CoordinateRe
         raise IndexOutOfRange(f"n {n} not in [1, {shape.m}]")
     if n > REALIZE_CAP:
         raise SizeTooLarge(f"coordinate realization capped at n <= {REALIZE_CAP}, got {n}")
-    order = sorted(range(n), key=lambda i: btree.height_key(shape, i), reverse=True)
-    ys: dict[int, int] = {}
-    placed: list[tuple[int, int]] = []
-    prev_max = -1
-    for v in order:
-        floor_max = prev_max
-        for a in range(len(placed)):
-            x1, y1 = placed[a]
-            for b in range(a + 1, len(placed)):
-                x2, y2 = placed[b]
-                # exact line value at x = v, floored
-                num = y1 * (x2 - x1) + (y2 - y1) * (v - x1)
-                den = x2 - x1
-                if den < 0:
-                    num, den = -num, -den
-                floor_max = max(floor_max, num // den)
-        y = floor_max + 1
-        ys[v] = y
-        placed.append((v, y))
-        prev_max = y
-    return CoordinateRealization(shape, tuple((i, ys[i]) for i in range(n)))
+    ys = [0] * n
+    for rank, v in enumerate(sorted(range(n), key=lambda i: btree.height_key(shape, i),
+                                    reverse=True)):
+        ys[v] = (n + 1) ** rank - 1
+    return CoordinateRealization(shape, tuple(enumerate(ys)))
 
 
 def _check_edge(shape: BTreeShape, n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -94,8 +81,8 @@ def height_ranks(shape: BTreeShape, vertices) -> dict[int, int]:
 def above(rank, a: int, b: int, c: int) -> bool:
     """For a < b < c in x: does b lie above the line through a and c?
 
-    It does iff b is the highest of the three, because `realize_coordinates`
-    puts every point above each line through two lower points.
+    It does iff b is the highest of the three: `realize_coordinates` proves
+    this of its points, and no three of them are collinear.
     """
     rb = rank[b]
     return rb < rank[a] and rb < rank[c]
@@ -162,18 +149,15 @@ class QuarterPlane:
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
 
 
-def vertex_in_quarter_plane(shape: BTreeShape, v: int, qp: QuarterPlane) -> bool:
-    """Combinatorial membership: x-order by index, y-order by height order."""
-    if v == qp.apex:
-        return False
-    if not btree.higher(shape, v, qp.apex):
-        return False
-    return v < qp.apex if qp.side == "left" else v > qp.apex
+def _apex(coords: CoordinateRealization, qp: QuarterPlane) -> tuple[int, int]:
+    if not 0 <= qp.apex < coords.n:
+        raise IndexOutOfRange(f"apex {qp.apex} not in [0, {coords.n})")
+    return coords.points[qp.apex]
 
 
 def point_in_quarter_plane(coords: CoordinateRealization, p: tuple[int, int],
                            qp: QuarterPlane) -> bool:
-    ax, ay = coords.points[qp.apex]
+    ax, ay = _apex(coords, qp)
     if p[1] <= ay:
         return False
     return p[0] < ax if qp.side == "left" else p[0] > ax
@@ -188,11 +172,9 @@ def segment_hits_quarter_plane(coords: CoordinateRealization,
     apex's y.  The supremum is attained at an endpoint or approached at the
     clip boundary, which suffices because the region is open in x.
     """
-    u, v = seg
-    if u == v:
-        raise DegenerateEdge(f"segment ({u}, {v}) is a point")
+    u, v = _check_edge(coords.shape, coords.n, seg)
     (x1, y1), (x2, y2) = coords.points[u], coords.points[v]
-    ax, ay = coords.points[qp.apex]
+    ax, ay = _apex(coords, qp)
     if qp.side == "right":
         x1, x2, ax = -x1, -x2, -ax  # mirror so both sides read x < ax
     if x1 > x2:
@@ -203,7 +185,5 @@ def segment_hits_quarter_plane(coords: CoordinateRealization,
         return max(y1, y2) > ay
     if y1 > ay:
         return True
-    if x1 == x2:  # vertical segment left of apex, already handled above
-        return max(y1, y2) > ay
     y_at_clip = Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (ax - x1)
     return y_at_clip > ay

@@ -30,11 +30,10 @@ from ..convex import ChordedCycle, ConvexHost, convex_edges_cross
 from ..errors import (
     InvalidSize,
     NoSpanningCycle,
-    NotACaterpillar,
     SizeMismatch,
     SizeTooLarge,
 )
-from ..trees import Caterpillar, Forest, RootedTree, caterpillar_spine
+from ..trees import Caterpillar, Forest, RootedTree
 
 FOREST_CAP = 12
 CATERPILLAR_CAP = 14
@@ -486,14 +485,6 @@ def labeled_forest_survey(n: int) -> tuple[int, int]:
 
     bt(0, list(range(n)))
     return labeled, len(classes)
-
-
-def is_caterpillar(forest: Forest) -> bool:
-    try:
-        caterpillar_spine(forest)
-        return True
-    except NotACaterpillar:
-        return False
 
 
 def random_tree(n: int, rng: random.Random) -> Forest:

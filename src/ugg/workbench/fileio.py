@@ -223,14 +223,6 @@ def forest_lines(forest: Forest) -> list[str]:
     return lines
 
 
-def save_forest(forest: Forest, path) -> None:
-    Path(path).write_text("\n".join(forest_lines(forest)) + "\n", encoding="utf-8")
-
-
-def load_forest(path) -> Forest:
-    return _forest(*_parse(_read(path), "forest"))
-
-
 def _forest(rows: list[list[str]], pairs: _Columns | None) -> Forest:
     if not rows:
         raise MalformedInput("forest file must start with `n <int>`")
@@ -242,14 +234,6 @@ def chorded_lines(cc: ChordedCycle) -> list[str]:
     lines = [f"n {cc.n}", f"h {cc.h}"]
     lines.extend(f"c {u} {v}" for u, v in cc.chords)
     return lines
-
-
-def save_chorded(cc: ChordedCycle, path) -> None:
-    Path(path).write_text("\n".join(chorded_lines(cc)) + "\n", encoding="utf-8")
-
-
-def load_chorded(path) -> ChordedCycle:
-    return _chorded(*_parse(_read(path), "chorded"))
 
 
 def _chorded(rows: list[list[str]], pairs: _Columns | None) -> ChordedCycle:

@@ -1,9 +1,11 @@
 """SVG rendering of hosts and embeddings.
 
-Schematic mode places universal-host vertices at x = index, y = height rank,
-drawing tree edges straight and the remaining host edges as arcs.  Exact mode
-uses the realized coordinates (log-compressed y, display only).  Convex hosts
-go on a circle.  An embedding highlights its image vertices.
+Both modes place universal-host vertices at x = index, y = height rank.
+Schematic mode draws tree edges straight and the remaining host edges as
+arcs.  Exact mode draws every edge straight, as on the exact coordinates of
+`geometry.realize_coordinates`, where log2(y + 1) is the rank from the bottom
+times log2(n + 1): a log-compressed picture, for display only.
+Convex hosts go on a circle.  An embedding highlights its image vertices.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import math
 
 from .. import btree
 from ..errors import IndexOutOfRange, SizeTooLarge
-from ..geometry import realize_coordinates
 
-EXACT_LAYOUT_CAP = 31
 DRAW_CAP = 100_000  # most vertices, and most edges, that one picture draws
 
 _V_STYLE = 'fill="#f8f8f8" stroke="#333" stroke-width="1"'
@@ -35,26 +35,17 @@ def _vertex(x: float, y: float, label: int) -> list[str]:
 
 
 def _tree_layout(G, layout: str):
-    """Positions, canvas size and the curved-edge test on the universal host."""
+    """Positions, canvas size and the curved-edge test on the universal host:
+    vertex i at x = i and y = its height rank, the highest on top."""
     n = G.n
-    if layout == "exact":
-        if n > EXACT_LAYOUT_CAP:
-            raise SizeTooLarge(f"exact layout capped at {EXACT_LAYOUT_CAP}, got {n}")
-        real = realize_coordinates(G.shape, n)
-        ys = [math.log2(p[1] + 2) for p in real.points]
-        ymax = max(ys)
-        pos = {i: (30.0 + 34 * i, 40.0 + 24 * (ymax - ys[i])) for i in range(n)}
-        height = 80 + 24 * ymax
-    else:
-        order = sorted(range(n), key=lambda i: btree.height_key(G.shape, i))
-        rank = {v: i for i, v in enumerate(order)}
-        pos = {i: (30.0 + 34 * i, 40.0 + 18 * rank[i]) for i in range(n)}
-        height = 80 + 18 * (n - 1)
+    order = sorted(range(n), key=lambda i: btree.height_key(G.shape, i))
+    rank = {v: i for i, v in enumerate(order)}
+    pos = {i: (30.0 + 34 * i, 40.0 + 18 * rank[i]) for i in range(n)}
 
     def curved(u: int, v: int) -> bool:
         return layout != "exact" and btree.nav(G.shape, v).parent != u
 
-    return pos, 60 + 34 * (n - 1), height, curved
+    return pos, 60 + 34 * (n - 1), 80 + 18 * (n - 1), curved
 
 
 def _circle_layout(n: int):

@@ -8,7 +8,7 @@ from ugg import btree
 from ugg.btree import BTreeShape
 from ugg.errors import EqualIndices, IndexOutOfRange, InvalidSize
 
-H3 = BTreeShape.from_height(3)
+H3 = BTreeShape(3, 7)
 
 
 def test_locate_examples():
@@ -19,7 +19,7 @@ def test_locate_examples():
 
 def test_locate_index_roundtrip_exhaustive():
     for h in range(1, 8):
-        shape = BTreeShape.from_height(h)
+        shape = BTreeShape(h, (1 << h) - 1)
         for i in range(shape.m):
             level, pos = btree.locate(shape, i)
             assert btree.index_of(shape, level, pos) == i
@@ -27,7 +27,7 @@ def test_locate_index_roundtrip_exhaustive():
 
 @given(st.integers(min_value=1, max_value=16), st.data())
 def test_locate_index_roundtrip_random(h, data):
-    shape = BTreeShape.from_height(h)
+    shape = BTreeShape(h, (1 << h) - 1)
     i = data.draw(st.integers(min_value=0, max_value=shape.m - 1))
     level, pos = btree.locate(shape, i)
     assert btree.index_of(shape, level, pos) == i
@@ -64,7 +64,7 @@ def test_nav_leaf():
 
 def test_nav_consistency():
     for h in range(1, 6):
-        shape = BTreeShape.from_height(h)
+        shape = BTreeShape(h, (1 << h) - 1)
         for i in range(shape.m):
             info = btree.nav(shape, i)
             for child in (info.left_child, info.right_child):
@@ -102,13 +102,13 @@ def test_height_keys_walk_matches_height_key():
 
 
 def test_key_location_inverts_height_key():
-    for shape in (H3, BTreeShape.from_height(9), BTreeShape.from_size(10**9)):
+    for shape in (H3, BTreeShape(9, 511), BTreeShape.from_size(10**9)):
         for i in {*range(min(shape.m, 600)), shape.m - 1, shape.m // 2}:
             assert btree.key_location(shape.h, btree.height_key(shape, i)) == btree.locate(shape, i)
 
 
 def test_higher_is_total_strict_order():
-    shape = BTreeShape.from_height(4)
+    shape = BTreeShape(4, 15)
     for u in range(shape.m):
         for w in range(shape.m):
             if u == w:
@@ -121,7 +121,7 @@ def test_higher_is_total_strict_order():
 def test_interval_maximum_dominates_right_part():
     # the highest vertex k of any interval [i,j] has all of [k,j] in its subtree
     for h in range(1, 6):
-        shape = BTreeShape.from_height(h)
+        shape = BTreeShape(h, (1 << h) - 1)
         for i in range(shape.m):
             for j in range(i, shape.m):
                 k = btree.highest(shape, range(i, j + 1))
@@ -137,11 +137,12 @@ def test_highest_in_range_past_the_tree_raises(lo, hi):
 
 
 def test_subtree_size_and_membership():
-    shape = BTreeShape.from_height(4)
+    shape = BTreeShape(4, 15)
     assert btree.subtree_range(shape, 0) == (0, 14)
     assert btree.subtree_range(shape, 1) == (1, 7)
-    assert btree.is_in_subtree(shape, 6, 1)
-    assert not btree.is_in_subtree(shape, 8, 1)
+    lo, hi = btree.subtree_range(shape, 1)
+    assert lo <= 6 <= hi
+    assert not lo <= 8 <= hi
 
 
 def test_from_size_minimal_height():

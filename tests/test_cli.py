@@ -16,7 +16,7 @@ from ugg.workbench.families import enumerate_chorded_cycles
 
 def write_forest(tmp_path, name, n, edges):
     p = tmp_path / name
-    fileio.save_forest(Forest(n, edges), p)
+    p.write_text("\n".join(fileio.forest_lines(Forest(n, edges))) + "\n", encoding="utf-8")
     return str(p)
 
 
@@ -202,11 +202,12 @@ def test_render_off_host_image_exits_2(tmp_path, capsys, kind, line):
     assert not (tmp_path / "pic.svg").exists()
 
 
-def test_render_exact_layout_too_large_exits_3(tmp_path):
+def test_render_exact_layout_at_n_100(tmp_path):
     host = str(tmp_path / "host.txt")
     cli.main(["build", "--kind", "universal", "--n", "100", "--out", host])
     assert cli.main(["render", "--host", host, "--layout", "exact",
-                     "--out", str(tmp_path / "pic.svg")]) == 3
+                     "--out", str(tmp_path / "pic.svg")]) == 0
+    assert "<path" not in (tmp_path / "pic.svg").read_text(encoding="utf-8")
 
 
 def test_render_huge_host_exits_3_quickly(tmp_path):

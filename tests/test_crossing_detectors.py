@@ -269,6 +269,30 @@ def test_roof_listing_equals_pairwise_scan(case):
     assert roof_crossings(host.shape, segments)[0] == pairwise_crossings(host, segments)[0]
 
 
+def test_roof_listing_equals_exact_scan_on_a_scrambled_tree():
+    """A random tree on 255 vertices, relabeled by a random permutation,
+    crosses itself thousands of times on the host.  The roof sweep lists
+    exactly the pairs that cross on the exact coordinates, and the
+    embedder's own map of the tree crosses nowhere on them."""
+    n = 255
+    rng = random.Random(n)
+    tree = random_tree(n, rng)
+    host = UniversalGraph(n)
+    coords = realize_coordinates(host.shape, n)
+
+    def exact_crossings(mapping):
+        segments = sorted(mapped_segments(tree.edges, mapping))
+        return segments, [(s, t) for s, t in itertools.combinations(segments, 2)
+                          if segments_cross_exact(coords, s, t)]
+
+    segments, exact = exact_crossings(rng.sample(range(n), n))
+    witnesses, _ = roof_crossings(host.shape, segments)
+    assert len(witnesses) == len(exact) > 1000
+    assert all(segments_cross_exact(coords, *pair) for _, pair in witnesses)
+    assert sorted(pair for _, pair in witnesses) == exact
+    assert exact_crossings(embed_forest(host, tree).mapping)[1] == []
+
+
 def test_huge_host_tables_follow_the_input(monkeypatch):
     # on a host of 10**9 vertices the height table covers the input's
     # endpoints, not the host: a short list for endpoints near 0, a dict

@@ -6,7 +6,7 @@ import pytest
 
 from ugg import btree
 from ugg.btree import BTreeShape
-from ugg.errors import DegenerateEdge, SizeTooLarge
+from ugg.errors import DegenerateEdge, IndexOutOfRange, SizeTooLarge
 from ugg.geometry import (
     QuarterPlane,
     above,
@@ -17,7 +17,6 @@ from ugg.geometry import (
     realize_coordinates,
     segment_hits_quarter_plane,
     segments_cross_exact,
-    vertex_in_quarter_plane,
 )
 from ugg.ugraph import build_universal
 
@@ -31,9 +30,8 @@ def test_realize_single_vertex():
 
 
 def test_realize_three_vertices_regression():
-    # greedy assignment is deterministic; these exact values double as a
-    # regression anchor (any output passing the invariants would be valid)
-    assert realize_coordinates(shape_for(3), 3).points == ((0, 2), (1, 0), (2, 1))
+    # y = 4**rank - 1 with rank 0 the lowest: vertex 1, then 2, then 0
+    assert realize_coordinates(shape_for(3), 3).points == ((0, 15), (1, 0), (2, 3))
 
 
 @pytest.mark.parametrize("n", list(range(1, 16)) + [31])
@@ -60,9 +58,11 @@ def test_realize_invariants(n):
 
 
 def test_realize_size_cap():
-    shape = BTreeShape.from_height(7)
+    shape = BTreeShape.from_size(1024)
     with pytest.raises(SizeTooLarge):
-        realize_coordinates(shape, 64)
+        realize_coordinates(shape, 1024)
+    points = realize_coordinates(shape, 1023).points
+    assert max(y for _, y in points) == 1024 ** 1022 - 1
 
 
 @pytest.mark.parametrize("n", [31, 63])
@@ -142,14 +142,15 @@ def test_quarter_plane_combinatorial_matches_coordinates(n):
             for v in range(n):
                 if v == apex:
                     continue
-                combinatorial = vertex_in_quarter_plane(shape, v, qp)
+                # higher than the apex, and on its x-side
+                combinatorial = btree.higher(shape, v, apex) and (v < apex) == (side == "left")
                 geometric = point_in_quarter_plane(coords, coords.points[v], qp)
                 assert combinatorial == geometric, (n, apex, side, v)
 
 
 def test_quarter_plane_hand_cases():
     coords = realize_coordinates(shape_for(3), 3)
-    # points are (0,2), (1,0), (2,1)
+    # points are (0, 15), (1, 0), (2, 3)
     assert segment_hits_quarter_plane(coords, (1, 0), QuarterPlane(2, "left"))
     assert not segment_hits_quarter_plane(coords, (1, 2), QuarterPlane(0, "right"))
     assert point_in_quarter_plane(coords, (1, 5), QuarterPlane(2, "left"))
@@ -172,5 +173,16 @@ def test_quarter_plane_errors():
     coords = realize_coordinates(shape_for(3), 3)
     with pytest.raises(DegenerateEdge):
         segment_hits_quarter_plane(coords, (1, 1), QuarterPlane(0, "left"))
+    # no index is read past either end of the points
+    coords = realize_coordinates(shape_for(7), 7)
+    for seg in ((-1, 2), (7, 2)):
+        with pytest.raises(IndexOutOfRange):
+            segment_hits_quarter_plane(coords, seg, QuarterPlane(0, "left"))
+    for apex in (-6, -1, 7):
+        qp = QuarterPlane(apex, "left")
+        with pytest.raises(IndexOutOfRange):
+            point_in_quarter_plane(coords, coords.points[1], qp)
+        with pytest.raises(IndexOutOfRange):
+            segment_hits_quarter_plane(coords, (1, 2), qp)
     with pytest.raises(DegenerateEdge):
         edges_cross(shape_for(7), (2, 2), (0, 1))

@@ -15,7 +15,8 @@ def naive_is_edge(G: UniversalGraph, u: int, v: int) -> bool:
     shape = G.shape
 
     def in_subtree(a, b):
-        return btree.is_in_subtree(shape, a, b)
+        lo, hi = btree.subtree_range(shape, b)
+        return lo <= a <= hi
 
     def groups(a, b):
         # ancestry, either direction

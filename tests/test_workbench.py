@@ -11,8 +11,8 @@ import ugg
 import ugg.workbench
 from ugg.convex import ChordedCycle, build_complete_host, build_custom_host, build_cycle_host, build_twochord_host, build_caterpillar_host, embed_caterpillar
 from ugg.embedder import Embedding, embed_forest
-from ugg.errors import InvalidSize, MalformedInput, SizeTooLarge
-from ugg.trees import Caterpillar, Forest, RootedTree
+from ugg.errors import InvalidSize, MalformedInput, NotACaterpillar, SizeTooLarge
+from ugg.trees import Caterpillar, Forest, RootedTree, caterpillar_spine
 from ugg.ugraph import UniversalGraph, build_universal
 from ugg.workbench import fileio
 from ugg.workbench import families
@@ -27,7 +27,6 @@ from ugg.workbench.families import (
     forest_counts,
     free_code,
     free_tree_counts,
-    is_caterpillar,
     labeled_forest_survey,
     ordered_level_sequences,
     random_tree,
@@ -154,9 +153,14 @@ def test_labeled_survey_cap():
 
 def test_caterpillar_enumeration_matches_recognizer_filter():
     for n in range(1, 11):
-        by_composition = len(enumerate_caterpillars(n))
-        by_filter = sum(1 for t in enumerate_trees(n) if is_caterpillar(t))
-        assert by_composition == by_filter, n
+        by_filter = 0
+        for t in enumerate_trees(n):
+            try:
+                caterpillar_spine(t)
+            except NotACaterpillar:
+                continue
+            by_filter += 1
+        assert len(enumerate_caterpillars(n)) == by_filter, n
 
 
 def test_caterpillar_enumeration_small_values():
@@ -431,10 +435,21 @@ def test_render_universal_exact_counts():
     assert counts["edge"] == 87
 
 
-def test_render_exact_layout_cap():
-    with pytest.raises(SizeTooLarge):
-        render_svg(build_universal(32), layout="exact")
-    render_svg(build_universal(31), layout="exact")
+def test_render_exact_layout_matches_schematic_with_straight_edges():
+    # the exact layout plots the height rank, as the schematic one does, and
+    # draws every host edge straight; nothing caps it below DRAW_CAP
+    G = build_universal(100)
+    exact, schematic = (ET.fromstring(render_svg(G, layout=layout))
+                        for layout in ("exact", "schematic"))
+    assert not exact.findall(".//{*}path")
+    assert len(exact.findall(".//{*}line")) == G.edge_count()
+
+    def centers(root):
+        return [(c.get("cx"), c.get("cy")) for c in root.iter()
+                if c.get("class") == "vertex"]
+
+    assert centers(exact) == centers(schematic)
+    assert len(set(centers(exact))) == 100
 
 
 def test_render_single_vertex():
@@ -487,28 +502,30 @@ def test_host_roundtrip_custom(tmp_path):
     assert list(back.edges()) == list(host.edges())
 
 
+def write_lines(p, lines):
+    """An input file as `ugg enumerate` writes each class."""
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return p
+
+
 def test_forest_roundtrip(tmp_path):
     f = Forest(6, [(0, 3), (3, 5), (1, 2)])
-    p = tmp_path / "forest.txt"
-    fileio.save_forest(f, p)
-    back = fileio.load_forest(p)
+    back = fileio.load_input(write_lines(tmp_path / "forest.txt", fileio.forest_lines(f)))
+    assert isinstance(back, Forest)
     assert back.n == 6 and back.edges == f.edges
 
 
 def test_chorded_roundtrip(tmp_path):
     cc = ChordedCycle(10, ((0, 3), (5, 9)))
-    p = tmp_path / "cc.txt"
-    fileio.save_chorded(cc, p)
-    back = fileio.load_chorded(p)
+    back = fileio.load_input(write_lines(tmp_path / "cc.txt", fileio.chorded_lines(cc)))
+    assert isinstance(back, ChordedCycle)
     assert back.n == 10 and back.chords == cc.chords
 
 
 def test_load_input_distinguishes_formats(tmp_path):
-    p1 = tmp_path / "forest.txt"
-    fileio.save_forest(Forest(3, [(0, 1)]), p1)
+    p1 = write_lines(tmp_path / "forest.txt", fileio.forest_lines(Forest(3, [(0, 1)])))
     assert isinstance(fileio.load_input(p1), Forest)
-    p2 = tmp_path / "cc.txt"
-    fileio.save_chorded(ChordedCycle(6, ((0, 2), (3, 5))), p2)
+    p2 = write_lines(tmp_path / "cc.txt", fileio.chorded_lines(ChordedCycle(6, ((0, 2), (3, 5)))))
     assert isinstance(fileio.load_input(p2), ChordedCycle)
 
 
@@ -543,8 +560,8 @@ def test_malformed_files(tmp_path):
         "bad_kind.txt": fileio.load_host,
         "bad_count.txt": fileio.load_host,
         "custom_without_edges.txt": fileio.load_host,
-        "bad_forest.txt": fileio.load_forest,
-        "bad_chorded.txt": fileio.load_chorded,
+        "bad_forest.txt": fileio.load_input,
+        "bad_chorded.txt": fileio.load_input,
         "dup_embedding.txt": fileio.load_embedding,
         "non_utf8_host.txt": fileio.load_host,
         "non_utf8_input.txt": fileio.load_input,
@@ -627,8 +644,7 @@ def test_bulk_parse_agrees_with_the_row_parse(tmp_path, monkeypatch, fmt, text):
     lines_read = []
     rows = fileio._lines
     monkeypatch.setattr(fileio, "_lines", lambda text: lines_read.append(text) or rows(text))
-    load = {"forest": fileio.load_forest, "chorded": fileio.load_chorded,
-            "embedding": fileio.load_embedding}[fmt]
+    load = fileio.load_embedding if fmt == "embedding" else fileio.load_input
     p = tmp_path / "file.txt"
 
     def parse(text):
@@ -663,5 +679,5 @@ def test_one_pair_per_line_stays_strict(tmp_path, loader, text, message):
 def test_comments_and_blank_lines_ignored(tmp_path):
     p = tmp_path / "forest.txt"
     p.write_text("# a comment\n\nn 3\n# another\ne 0 1\n\n", encoding="utf-8")
-    f = fileio.load_forest(p)
+    f = fileio.load_input(p)
     assert f.n == 3 and f.edges == [(0, 1)]
