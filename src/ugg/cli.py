@@ -104,7 +104,8 @@ def _verify(args) -> int:
     if report.ok:
         print("ok")
         return EXIT_OK
-    print(f"failed: {len(report.failures)} problem(s)")
+    # crossings are counted in full but listed only up to WITNESS_CAP
+    print(f"failed: {report.crossings or len(report.failures)} problem(s)")
     for failure in report.failures[:20]:
         print(f"  {failure}")
     return EXIT_FAILURE

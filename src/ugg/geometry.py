@@ -61,7 +61,7 @@ def realize_coordinates(shape: BTreeShape, n: int | None = None) -> CoordinateRe
     return CoordinateRealization(shape, tuple(enumerate(ys)))
 
 
-def _check_edge(shape: BTreeShape, n: int, e: tuple[int, int]) -> tuple[int, int]:
+def _check_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
     u, v = e
     for w in (u, v):
         if not 0 <= w < n:
@@ -105,7 +105,7 @@ def segments_cross(rank, s: tuple[int, int], t: tuple[int, int]) -> bool:
 
 def edges_cross(shape: BTreeShape, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     """`segments_cross` on two host edges, each checked and given either way round."""
-    s, t = _check_edge(shape, shape.n, e1), _check_edge(shape, shape.n, e2)
+    s, t = _check_edge(shape.n, e1), _check_edge(shape.n, e2)
     return segments_cross(height_ranks(shape, (*s, *t)), s, t)
 
 
@@ -123,8 +123,8 @@ def segments_cross_exact(coords: CoordinateRealization,
     endpoint yield a zero orientation and come out non-crossing.
     """
     n = coords.n
-    a, b = _check_edge(coords.shape, n, e1)
-    c, d = _check_edge(coords.shape, n, e2)
+    a, b = _check_edge(n, e1)
+    c, d = _check_edge(n, e2)
     pa, pb, pc, pd = (coords.points[i] for i in (a, b, c, d))
     o1 = orientation(pa, pb, pc)
     o2 = orientation(pa, pb, pd)
@@ -172,7 +172,7 @@ def segment_hits_quarter_plane(coords: CoordinateRealization,
     apex's y.  The supremum is attained at an endpoint or approached at the
     clip boundary, which suffices because the region is open in x.
     """
-    u, v = _check_edge(coords.shape, coords.n, seg)
+    u, v = _check_edge(coords.n, seg)
     (x1, y1), (x2, y2) = coords.points[u], coords.points[v]
     ax, ay = _apex(coords, qp)
     if qp.side == "right":

@@ -221,14 +221,13 @@ class Caterpillar:
     def star_sizes(self) -> tuple[int, ...]:
         return tuple(1 + len(g) for g in self.leaves)
 
+    def edges(self) -> list[tuple[int, int]]:
+        """The spine path, then each spine vertex's leaf edges."""
+        return (list(zip(self.spine, self.spine[1:]))
+                + [(u, leaf) for u, group in zip(self.spine, self.leaves) for leaf in group])
+
     def to_forest(self) -> Forest:
-        edges: list[tuple[int, int]] = []
-        for i in range(len(self.spine) - 1):
-            edges.append((self.spine[i], self.spine[i + 1]))
-        for u, group in zip(self.spine, self.leaves):
-            for leaf in group:
-                edges.append((u, leaf))
-        return Forest(self.n, edges)
+        return Forest(self.n, self.edges())
 
 
 def caterpillar_spine(forest: Forest) -> Caterpillar:

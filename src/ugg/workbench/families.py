@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from ..convex import ChordedCycle, ConvexHost, convex_edges_cross
@@ -153,11 +154,17 @@ def _partitions_desc(n: int, maxp: int):
             yield [p] + rest
 
 
+@lru_cache(maxsize=FOREST_CAP)
+def _tree_edges(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The edges of `enumerate_trees(s)`, enumerated once per size."""
+    return tuple(tuple(tree.edges) for tree in enumerate_trees(s))
+
+
 def enumerate_forests(n: int) -> list[Forest]:
     """One representative per isomorphism class of forests on n vertices:
     parts of each partition of n carry a multiset of tree classes."""
     _check_size(n, FOREST_CAP)
-    trees = {s: enumerate_trees(s) for s in range(1, n + 1)}
+    trees = {s: _tree_edges(s) for s in range(1, n + 1)}
     out = []
     for part in _partitions_desc(n, n):
         sizes = sorted(Counter(part).items(), reverse=True)
@@ -168,7 +175,7 @@ def enumerate_forests(n: int) -> list[Forest]:
             off = 0
             for (s, _), picks in zip(sizes, combo):
                 for idx in picks:
-                    edges.extend((u + off, v + off) for u, v in trees[s][idx].edges)
+                    edges.extend((u + off, v + off) for u, v in trees[s][idx])
                     off += s
             out.append(Forest(n, edges))
     return out

@@ -43,7 +43,7 @@ def _tree_layout(G, layout: str):
     pos = {i: (30.0 + 34 * i, 40.0 + 18 * rank[i]) for i in range(n)}
 
     def curved(u: int, v: int) -> bool:
-        return layout != "exact" and btree.nav(G.shape, v).parent != u
+        return layout != "exact" and btree._locate(G.shape.h, v)[2] != u
 
     return pos, 60 + 34 * (n - 1), 80 + 18 * (n - 1), curved
 

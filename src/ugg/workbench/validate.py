@@ -1,33 +1,34 @@
 """Embedding validator: injectivity, edge membership, crossing-freeness.
 
-Crossings are found in O(m log m) time: a roof sweep on the universal host, a
-parenthesis-nesting walk on convex hosts.  On the universal host a vertex
-strictly inside the x-span of a segment lies above it iff it is higher than
-both of its ends (`geometry.above`), so inside its span every segment is a
-flat roof at the height of its higher end.  Hence the roof rule: segments s
-and t cross iff the lower end e of t lies strictly inside the span of s and
-roof(s) lies strictly between e and roof(t).  Why: between the two ends of
-their common x-range the vertical order is the roofs' order, and an end can
-disagree with it only if it is the lower end of the segment with the higher
-roof and lies below the other roof; one segment has one lower end, so at most
-one end disagrees, and the segments cross iff one does.
+Crossings are counted in O(m log m) time by a roof sweep; on convex hosts a
+parenthesis-nesting walk first decides whether there is any.  On the
+universal host a vertex strictly inside the x-span of a segment lies above it
+iff it is higher than both of its ends (`geometry.above`), so inside its span
+every segment is a flat roof at the height of its higher end.  Hence the roof
+rule: segments s and t cross iff the lower end e of t lies strictly inside
+the span of s and roof(s) lies strictly between e and roof(t).  Why: between
+the two ends of their common x-range the vertical order is the roofs' order,
+and an end can disagree with it only if it is the lower end of the segment
+with the higher roof and lies below the other roof; one segment has one lower
+end, so at most one end disagrees, and the segments cross iff one does.
 The edge test and the sweep read one table of height keys, sized by the
-input and built in one walk of the index tree.  Only when a detector finds a
-crossing are the witnesses listed, by the roof sweep on every host.  Points
-in convex position obey the same rule with height keys -v: the middle one of
-any three is never above the line through the other two, so the rule reads
-that (a, b) and (c, d) with a < c cross iff a < c < b < d, the interleaving
-rule for chords.
+input and built in one walk of the index tree.  Points in convex position
+obey the same rule with height keys -v: the middle one of any three is never
+above the line through the other two, so the rule reads that (a, b) and
+(c, d) with a < c cross iff a < c < b < d, the interleaving rule for chords.
+The sweep's queries sum to the exact number of crossing pairs, which can be
+quadratic in m, so a report holds that count and lists at most WITNESS_CAP
+of the pairs, all of them when there are no more.
 
 Failures are data, not exceptions; every failure carries a witness.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
+from itertools import groupby, islice, repeat
 from operator import itemgetter
 
 from .. import btree
@@ -39,16 +40,19 @@ from ..trees import Caterpillar, Forest
 from ..ugraph import adjacent
 
 Segment = tuple[int, int]
+WITNESS_CAP = 20  # most `Crossing` witnesses that one report lists
 
 
 @dataclass
 class ValidationReport:
     status: str  # "ok" | "failed"
     failures: list[tuple[str, tuple]] = field(default_factory=list)
-    # crossing tests made: the detector's roof queries (universal host) or
-    # stack comparisons (convex hosts), then the roof queries that list the
-    # witnesses when there is a crossing
+    # crossing tests made: the roof queries (universal host), or the stack
+    # comparisons and, if there is a crossing, the roof queries (convex hosts)
     checked: int = 0
+    # crossing pairs, a repeated segment once per copy; `failures` lists at
+    # most WITNESS_CAP of them
+    crossings: int = 0
 
     @property
     def ok(self) -> bool:
@@ -58,10 +62,7 @@ class ValidationReport:
 def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
     if isinstance(graph, Forest):
         return graph.n, list(graph.edges)
-    if isinstance(graph, Caterpillar):
-        f = graph.to_forest()
-        return f.n, list(f.edges)
-    if isinstance(graph, ChordedCycle):
+    if isinstance(graph, (Caterpillar, ChordedCycle)):
         return graph.n, graph.edges()
     n, edges = graph
     return n, list(edges)
@@ -80,12 +81,9 @@ def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
     return height_ranks(shape, endpoints)
 
 
-def _count(tree: list[int], live, r: int, s: Segment, d: int) -> None:
-    """Count the roof of segment s in or out (d = 1 or -1) at slot r of the
-    Fenwick tree, and add s to or take it from the slot's live segments
-    unless `live` is None."""
-    if live is not None:
-        (live[r].add if d > 0 else live[r].discard)(s)
+def _count(tree: list[int], r: int, d: int) -> None:
+    """Add d to slot r of the Fenwick tree: a roof counted in (d > 0) or out
+    (d < 0) once per copy of its segment."""
     size = len(tree)
     while r < size:
         tree[r] += d
@@ -104,56 +102,63 @@ def _between(tree: list[int], a: int, b: int) -> int:
     return c
 
 
-def _after(tree: list[int], r: int) -> int:
-    """The first slot after r that holds a live roof, else len(tree)."""
-    c, r, size = _between(tree, 0, r + 1), 0, len(tree)
-    step = 1 << size.bit_length()
-    while step:  # descend to the last slot with at most c roofs up to it
-        if r + step < size and tree[r + step] <= c:
-            r += step
-            c -= tree[r]
-        step >>= 1
-    return r + 1
+def _listed(pairs, times):
+    """`Crossing` failures in the pairwise scan's order on (lo, hi) forms,
+    each pair once per copy of each of its two segments."""
+    for first, found in groupby(sorted((min(p), max(p)) for p in pairs), itemgetter(0)):
+        found = list(found)
+        for _ in range(times[first]):
+            for p in found:
+                yield from repeat(("Crossing", p), times[p[1]])
 
 
-def _roof_sweep(shape: BTreeShape, segments, keys,
-                every: bool) -> tuple[list[tuple[Segment, Segment]], int]:
-    """Crossing pairs (s, t) among host segments by the roof rule, and the
-    number of roof queries made: the first pair found or, with `every`, all
-    of them, each once.
+def roof_crossings(shape: BTreeShape | None, segments,
+                   keys=None) -> tuple[int, list[tuple[str, tuple]], int]:
+    """The roof sweep over host segments: the number of crossing pairs, at
+    most WITNESS_CAP of them as `Crossing` failures, and the number of roof
+    queries made, at most one per segment.
 
-    The roofs of the live segments, those whose x-span holds x strictly, are
-    counted in a Fenwick tree with a slot per distinct roof, lowest first.
-    At each x the segments ending at x leave; then each segment t whose
-    lower end is x asks for a live roof strictly between x and roof(t); then
-    the segments starting at x enter.  A segment between two consecutive
-    xs is never live at a query, so it skips the tree.  With `every` the
-    live segments of each slot are kept as well, and a query walks its
-    non-empty slots one Fenwick descent each.
+    The query at the lower end e of a segment t asks the roof rule of every
+    segment s live at e at once: the roofs of the live segments, those whose
+    x-span holds e strictly, are counted in a Fenwick tree with a slot per
+    distinct roof, lowest first, so the sweep keeps no order of segments and
+    takes O(m log m) time on every input.  At each x the segments ending at
+    x leave; then each segment t whose lower end is x counts the live roofs
+    strictly between x and roof(t); then the segments starting at x enter.
+    A segment between two consecutive xs is never live at a query, so it
+    skips the tree.  No pair meets the rule both ways round, so the sum of
+    the queries is the exact number of crossing pairs, a repeated segment
+    counted once per copy.  While fewer than WITNESS_CAP pairs are known, a
+    query that counts any scans the segments started before x for them.
+    The witnesses are listed as by the pairwise scan and cut at WITNESS_CAP,
+    so a count up to WITNESS_CAP lists every pair.
+
+    `keys` is a table of height keys covering every endpoint, read as
+    keys[v]; without it the sweep builds one.  On a convex host pass
+    keys[v] = -v and no shape.
     """
-    segs = {(u, v) if u < v else (v, u) for u, v in segments if u != v}
-    xs = sorted({v for s in segs for v in s})
+    times = Counter((u, v) if u < v else (v, u) for u, v in segments if u != v)
+    xs = sorted({v for s in times for v in s})
     if keys is None:
         keys = _height_table(shape, xs)
     # A vertex's slot counts the roofs not higher than it, so a roof has
     # its own slot, and the roofs strictly between x and a higher roof y
     # are those in the slots strictly between slot[x] and slot[y].
-    roofs = {u if keys[u] < keys[v] else v for u, v in segs}
+    roofs = {u if keys[u] < keys[v] else v for u, v in times}
     slot, size = keys.copy(), 1
     for v in sorted(xs, key=keys.__getitem__, reverse=True):
         size += v in roofs
         slot[v] = size - 1
     tree = [0] * size
-    live: dict[int, set[Segment]] | None = defaultdict(set) if every else None
-    starts, ends = sorted(segs, key=itemgetter(0)), sorted(segs, key=itemgetter(1))
+    starts, ends = sorted(times, key=itemgetter(0)), sorted(times, key=itemgetter(1))
     pairs: list[tuple[Segment, Segment]] = []
-    queries = i = j = 0
+    count = queries = i = j = 0
     for before, x, after in zip([None] + xs, xs, xs[1:] + [None]):
         sx, kx, j0, i0 = slot[x], keys[x], j, i
         while j < len(ends) and ends[j][1] == x:
             s, j = ends[j], j + 1
             if s[0] != before:
-                _count(tree, live, max(slot[s[0]], sx), s, -1)
+                _count(tree, max(slot[s[0]], sx), -times[s])
         while i < len(starts) and starts[i][0] == x:
             i += 1
         for t in ends[j0:j] + starts[i0:i]:
@@ -161,63 +166,24 @@ def _roof_sweep(shape: BTreeShape, segments, keys,
             if keys[y] < kx:  # x is the lower end of t
                 queries += 1
                 top = slot[y]
-                if not _between(tree, sx, top):
-                    continue
-                if not every:
-                    s = next(s for s in segs if s[0] < x < s[1]
-                             and sx < max(slot[s[0]], slot[s[1]]) < top)
-                    return [(s, t)], queries
-                r = _after(tree, sx)
-                while r < top:
-                    pairs += [(s, t) for s in live[r]]
-                    r = _after(tree, r)
+                c = _between(tree, sx, top)
+                if c:
+                    count += c * times[t]
+                    if len(pairs) < WITNESS_CAP:
+                        pairs += [(s, t) for s in islice(starts, i0) if x < s[1]
+                                  and sx < max(slot[s[0]], slot[s[1]]) < top]
         for s in starts[i0:i]:
             if s[1] != after:
-                _count(tree, live, max(slot[s[1]], sx), s, 1)
-    return pairs, queries
-
-
-def sweep_crossing(shape: BTreeShape, segments,
-                   keys=None) -> tuple[tuple[Segment, Segment] | None, int]:
-    """The roof sweep over host segments: a crossing pair or None, and the
-    number of roof queries made, at most one per segment.
-
-    Inside its x-span a segment is a flat roof at the height of its higher
-    end, so segments s and t cross iff the lower end e of t lies strictly
-    inside the span of s and roof(s) lies strictly between e and roof(t).
-    Between the two ends of their common x-range the vertical order is the
-    roofs' order; at most one end can disagree with it, and that end is the
-    e the rule names.  The query at e asks the rule of every live s at once,
-    so the sweep keeps no order of segments, and it takes O(m log m) time
-    on every input.
-
-    `keys` is a table of height keys covering every endpoint, read as
-    keys[v]; without it the sweep builds one.
-    """
-    pairs, queries = _roof_sweep(shape, segments, keys, False)
-    return (pairs[0] if pairs else None), queries
-
-
-def roof_crossings(shape: BTreeShape | None, segments: list[Segment],
-                   keys=None) -> tuple[list[tuple[str, tuple]], int]:
-    """Every crossing pair among host segments as a `Crossing` failure, in
-    the order of the pairwise scan on their (lo, hi) forms, and the number
-    of roof queries made: the witness lister of every host.  On a convex
-    host pass keys[v] = -v and no shape.  No pair meets the roof rule both
-    ways round, so the sweep finds each crossing once."""
-    pairs, queries = _roof_sweep(shape, segments, keys, True)
-    times, failures = Counter((min(s), max(s)) for s in segments), []
-    for first, found in groupby(sorted((min(p), max(p)) for p in pairs), itemgetter(0)):
-        failures += [("Crossing", p) for p in found for _ in range(times[p[1]])] * times[first]
-    return failures, queries
+                _count(tree, max(slot[s[1]], sx), times[s])
+    return count, list(islice(_listed(pairs, times), WITNESS_CAP)), queries
 
 
 def _crossing_rules(host, endpoints):
-    """The edge test, the fast crossing detector and the witness lister for
-    segments on the given host vertices.  On the universal host all three
-    read one table of height keys, built here once.  On convex hosts the
-    nesting walk detects, and the lister builds the keys -v of the
-    segments' ends only when it is called."""
+    """The edge test and the crossing counter for segments on the given host
+    vertices.  On the universal host both read one table of height keys,
+    built here once.  On convex hosts the nesting walk looks for a crossing,
+    and only when it finds one does the roof sweep count on the keys -v of
+    the segments' ends."""
     if host.kind == "universal":
         h, keys = host.shape.h, _height_table(host.shape, endpoints)
 
@@ -227,10 +193,17 @@ def _crossing_rules(host, endpoints):
             lu, lv = -(-ku >> h), -(-kv >> h)
             return adjacent(lu, (lu << h) - ku, lv, (lv << h) - kv)
 
-        return (is_edge, partial(sweep_crossing, host.shape, keys=keys),
-                partial(roof_crossings, host.shape, keys=keys))
-    return host.is_edge, nesting_crossing, lambda segments: roof_crossings(
-        None, segments, {v: -v for s in segments for v in s})
+        return is_edge, partial(roof_crossings, host.shape, keys=keys)
+
+    def crossings(segments):
+        pair, checked = nesting_crossing(segments)
+        if pair is None:
+            return 0, [], checked
+        keys = {v: -v for s in segments for v in s}
+        count, witnesses, queries = roof_crossings(None, segments, keys)
+        return count, witnesses, checked + queries
+
+    return host.is_edge, crossings
 
 
 def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
@@ -301,7 +274,7 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if repeats:
         return ValidationReport("failed", repeats)
 
-    is_edge, detect, list_crossings = _crossing_rules(host, mp.values())
+    is_edge, crossings = _crossing_rules(host, mp.values())
     mapped: list[Segment] = []
     for u, v in in_edges:
         gu, gv = mp[u], mp[v]
@@ -312,8 +285,5 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if failures:
         return ValidationReport("failed", failures)
 
-    witness, checked = detect(mapped)
-    if witness is not None:
-        failures, more = list_crossings(mapped)
-        checked += more
-    return ValidationReport("failed" if failures else "ok", failures, checked)
+    count, failures, checked = crossings(mapped)
+    return ValidationReport("failed" if count else "ok", failures, checked, count)

@@ -104,6 +104,21 @@ def test_verify_reports_crossing(tmp_path, capsys):
     assert "Crossing" in capsys.readouterr().out
 
 
+def test_verify_prints_the_crossing_count_and_at_most_20_witnesses(tmp_path, capsys):
+    # the chords (i, i + 31) of the complete 63-gon pairwise interleave
+    n, half = 63, 31
+    host = tmp_path / "host.txt"
+    host.write_text(f"ugg-graph v1\nkind complete\nn {n}\n", encoding="utf-8")
+    forest = write_forest(tmp_path, "matching.txt", n, [(i, i + half) for i in range(half)])
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(f"m {t} {t}\n" for t in range(n)), encoding="utf-8")
+    code = cli.main(["verify", "--host", str(host), "--input", forest, "--embedding", str(emb)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0] == f"failed: {half * (half - 1) // 2} problem(s)"
+    assert len(out) == 21 and all("Crossing" in line for line in out[1:])
+
+
 def test_verify_rejects_extra_mapping_key(tmp_path, capsys):
     host = str(tmp_path / "host.txt")
     emb = tmp_path / "emb.txt"

@@ -1,16 +1,18 @@
 """The O(m log m) crossing detectors against the pairwise scan.
 
-The roof sweep (universal host) and the nesting walk (convex hosts) decide
-whether a crossing exists, and the roof sweep lists every witness on every
-host, reading the height keys -v on convex hosts; the pairwise scan is the
-oracle for all of them.
+The roof sweep counts the crossing pairs and lists at most WITNESS_CAP of
+them on every host, reading the height keys -v on convex hosts, where the
+nesting walk decides first whether a crossing exists; the pairwise scan is
+the oracle for all of them.  Tests that compare whole listings raise the cap.
 """
 
 import itertools
 import math
 import random
 import time
+from contextlib import contextmanager
 
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -29,11 +31,12 @@ from ugg.embedder import Embedding, embed_forest
 from ugg.geometry import edges_cross, realize_coordinates, segments_cross, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
+from ugg.workbench import validate
 from ugg.workbench.families import random_tree
 from ugg.workbench.validate import (
+    WITNESS_CAP,
     pairwise_crossings,
     roof_crossings,
-    sweep_crossing,
     validate_embedding,
 )
 
@@ -44,27 +47,57 @@ def mapped_segments(edges, mapping):
     return [(min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in edges]
 
 
+@contextmanager
+def full_listing():
+    """Reports and the roof sweep list every witness inside this context."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(validate, "WITNESS_CAP", 10**9)
+        yield
+
+
+def assert_witnesses_bounded(found, oracle):
+    """At most WITNESS_CAP witnesses, all the oracle's, and every one of
+    them, in its order, when the oracle has at most WITNESS_CAP."""
+    assert len(found) <= WITNESS_CAP
+    if len(oracle) <= WITNESS_CAP:
+        assert found == oracle
+    else:
+        assert len(found) == WITNESS_CAP
+        assert all(w in oracle for w in found)
+
+
 def assert_detectors_agree(host, segments):
-    witnesses, _ = pairwise_crossings(host, segments)
+    """The roof sweep's count equals the oracle's, its witnesses are the
+    oracle's, and on a convex host the nesting walk finds a crossing iff
+    the oracle does."""
+    oracle, _ = pairwise_crossings(host, segments)
     if isinstance(host, UniversalGraph):
-        pair, _ = sweep_crossing(host.shape, segments)
+        count, witnesses, _ = roof_crossings(host.shape, segments)
     else:
         pair, _ = nesting_crossing(segments)
-    assert (pair is None) == (not witnesses), (segments, pair, witnesses)
-    if pair is not None:
-        assert set(pair) in [set(w) for _, w in witnesses]
+        assert (pair is None) == (not oracle), (segments, pair, oracle)
+        if pair is not None:
+            assert set(pair) in [set(w) for _, w in oracle]
+        count, witnesses, _ = roof_crossings(None, segments, {v: -v for s in segments for v in s})
+    assert count == len(oracle), (segments, count, oracle)
+    assert_witnesses_bounded(witnesses, oracle)
 
 
 def assert_report_matches_oracle(host, graph, emb):
     """Past the edge checks, the report is ok iff the oracle finds no
-    crossing, and on failure it lists exactly the oracle's witnesses."""
+    crossing, it counts the oracle's crossings, and on failure it lists at
+    most WITNESS_CAP of the oracle's witnesses, or with the cap raised
+    exactly the oracle's witnesses."""
     n, edges = graph
     report = validate_embedding(host, graph, emb)
     if any(kind != "Crossing" for kind, _ in report.failures):
         return
     witnesses, _ = pairwise_crossings(host, mapped_segments(edges, emb.mapping))
-    assert report.failures == witnesses
+    assert report.crossings == len(witnesses)
     assert report.ok == (not witnesses)
+    assert_witnesses_bounded(report.failures, witnesses)
+    with full_listing():
+        assert validate_embedding(host, graph, emb).failures == witnesses
 
 
 @st.composite
@@ -172,8 +205,8 @@ def test_sweep_agrees_with_pairwise_on_segment_sets(case):
     segments = with_duplicates(segments, repeats)
     host = UniversalGraph(n)
     assert_detectors_agree(host, [(min(e), max(e)) for e in segments])
-    pair, _ = sweep_crossing(host.shape, segments)
-    assert pair is None or edges_cross(host.shape, *pair)
+    _, witnesses, _ = roof_crossings(host.shape, segments)
+    assert all(edges_cross(host.shape, *pair) for _, pair in witnesses)
 
 
 @given(segment_sets(24))
@@ -185,14 +218,15 @@ def test_nesting_agrees_with_pairwise_on_segment_sets(case):
 
 def test_sweep_matches_segments_cross_on_every_pair():
     """The roof rule decides every pair of segments on 7, 15 and 31 host
-    vertices, host edges or not, as the two-`above` predicate does."""
+    vertices, host edges or not, as the pairwise scan's two-`above`
+    predicate does."""
     for n in (7, 15, 31):
         host = UniversalGraph(n)
         keys = btree.height_keys(host.shape, n)
         segments = list(itertools.combinations(range(n), 2))
         for s, t in itertools.combinations(segments, 2):
-            pair, _ = sweep_crossing(host.shape, [s, t], keys)
-            assert (pair is not None) == segments_cross(keys, s, t), (n, s, t)
+            count, _, _ = roof_crossings(host.shape, [s, t], keys)
+            assert count == len(pairwise_crossings(host, [s, t])[0]), (n, s, t)
 
 
 def test_sweep_on_both_fans_of_one_vertex():
@@ -207,13 +241,13 @@ def test_sweep_on_both_fans_of_one_vertex():
     keys = btree.height_keys(host.shape, n)
     assert [a for a in range(n) if a != x and keys[a] < keys[x]] == [0, 1, 8, 12]
     fans = [(0, x), (1, x), (2, x), (5, x), (x, 10), (x, 11), (x, 12), (x, 13), (x, 14)]
-    assert sweep_crossing(host.shape, fans)[0] is None
+    assert roof_crossings(host.shape, fans)[:2] == (0, [])
     for extra in itertools.combinations([v for v in range(n) if v != x], 2):
-        crossing = any(segments_cross_exact(coords, extra, s) for s in fans)
-        pair, _ = sweep_crossing(host.shape, fans + [extra])
-        assert (pair is not None) == crossing, extra
-        if pair is not None:
-            assert segments_cross_exact(coords, *pair)
+        crossing = sum(segments_cross_exact(coords, extra, s) for s in fans)
+        count, witnesses, _ = roof_crossings(host.shape, fans + [extra])
+        assert count == crossing == len(pairwise_crossings(host, fans + [extra])[0]), extra
+        assert len(witnesses) == count
+        assert all(segments_cross_exact(coords, *pair) for _, pair in witnesses)
 
 
 def test_star_sweep_costs_no_more_than_a_path():
@@ -221,7 +255,8 @@ def test_star_sweep_costs_no_more_than_a_path():
     one per x; a path on the same vertices never has a live roof.  Live
     roofs kept as a flat sorted list would move about m**2 / 2 pointers on
     the star, over three times the path's time; counted in a tree they cost
-    O(log m) per event on both."""
+    O(log m) per event on both.  Neither crosses; the pairwise scan would
+    compare m**2 / 2 pairs of the star to say so."""
     n = 65535
     host = UniversalGraph(n)
     keys = btree.height_keys(host.shape, n)
@@ -231,21 +266,23 @@ def test_star_sweep_costs_no_more_than_a_path():
     for _ in range(3):
         for name, segments in (("star", star), ("path", path)):
             start = time.process_time()
-            assert sweep_crossing(host.shape, segments, keys) == (None, n - 1)
+            assert roof_crossings(host.shape, segments, keys) == (0, [], n - 1)
             best[name] = min(best[name], time.process_time() - start)
     assert best["star"] <= 2 * best["path"], best
 
 
 def test_star_with_one_crossing_lists_it_in_linear_work():
     # vertex 3 re-hung from the star's center 0 onto 1: the one crossing is
-    # (0, 2) with (1, 3), and listing it takes a second sweep, not a scan of
-    # every pair of segments that start at the center; on the complete host
-    # the nesting walk finds it and the sweep lists it on keys -v
+    # (0, 2) with (1, 3), and the sweep that counts it lists it, with no
+    # scan of every pair of segments that start at the center; on the
+    # complete host the nesting walk finds it and the sweep counts it on
+    # keys -v
     n = 4095
     edges = [(0, i) for i in range(1, n) if i != 3] + [(1, 3)]
     for host in (UniversalGraph(n), build_complete_host(n)):
         report = validate_embedding(host, (n, edges), Embedding(n, {t: t for t in range(n)}))
         assert report.failures == [("Crossing", ((0, 2), (1, 3)))], host.kind
+        assert report.crossings == 1, host.kind
         assert report.checked <= 6 * len(edges), host.kind
 
 
@@ -257,8 +294,8 @@ def test_roof_rule_on_keys_minus_v_is_the_chord_rule():
         keys = {v: -v for v in range(n)}
         segments = list(itertools.combinations(range(n), 2))
         for s, t in itertools.combinations(segments, 2):
-            found, _ = roof_crossings(None, [s, t], keys)
-            assert bool(found) == convex_edges_cross(n, s, t), (n, s, t)
+            count, _, _ = roof_crossings(None, [s, t], keys)
+            assert count == convex_edges_cross(n, s, t), (n, s, t)
 
 
 @given(segment_sets(40))
@@ -266,10 +303,12 @@ def test_roof_listing_equals_pairwise_scan(case):
     n, segments, repeats = case
     segments = [(min(e), max(e)) for e in with_duplicates(segments, repeats)]
     host = UniversalGraph(n)
-    assert roof_crossings(host.shape, segments)[0] == pairwise_crossings(host, segments)[0]
+    oracle, _ = pairwise_crossings(host, segments)
+    with full_listing():
+        assert roof_crossings(host.shape, segments)[:2] == (len(oracle), oracle)
 
 
-def test_roof_listing_equals_exact_scan_on_a_scrambled_tree():
+def test_roof_listing_equals_exact_scan_on_a_scrambled_tree(monkeypatch):
     """A random tree on 255 vertices, relabeled by a random permutation,
     crosses itself thousands of times on the host.  The roof sweep lists
     exactly the pairs that cross on the exact coordinates, and the
@@ -286,11 +325,57 @@ def test_roof_listing_equals_exact_scan_on_a_scrambled_tree():
                           if segments_cross_exact(coords, s, t)]
 
     segments, exact = exact_crossings(rng.sample(range(n), n))
-    witnesses, _ = roof_crossings(host.shape, segments)
-    assert len(witnesses) == len(exact) > 1000
+    monkeypatch.setattr(validate, "WITNESS_CAP", len(exact))
+    count, witnesses, _ = roof_crossings(host.shape, segments)
+    assert count == len(witnesses) == len(exact) > 1000
     assert all(segments_cross_exact(coords, *pair) for _, pair in witnesses)
     assert sorted(pair for _, pair in witnesses) == exact
     assert exact_crossings(embed_forest(host, tree).mapping)[1] == []
+
+
+def test_repeated_segments_count_once_per_copy():
+    # (1, 3) crosses (2, 5) on the 7-vertex host, and (0, 5) crosses (2, 7)
+    # on the complete host; four copies of one, one given backwards, and two
+    # of the other make eight crossing pairs, listed as the pairwise scan
+    # lists them
+    for host, s, t in ((UniversalGraph(7), (1, 3), (2, 5)),
+                       (build_complete_host(8), (0, 5), (2, 7))):
+        n, edges = host.n, [t, s, t, s, s, s[::-1]]
+        segments = mapped_segments(edges, range(n))
+        oracle, _ = pairwise_crossings(host, segments)
+        assert oracle == [("Crossing", (s, t))] * 8
+        assert_detectors_agree(host, segments)
+        report = validate_embedding(host, (n, edges), Embedding(n, {v: v for v in range(n)}))
+        assert report.crossings == 8 and report.failures == oracle, host.kind
+
+
+@pytest.mark.parametrize("k", [WITNESS_CAP - 1, WITNESS_CAP, WITNESS_CAP + 1])
+def test_witnesses_stop_at_the_cap(k):
+    # On the complete host (0, 30) crosses each nested chord (i, 60 - i)
+    # with i <= k, and those never cross each other: k crossings.  Up to the
+    # cap they are listed in full; past it, WITNESS_CAP of them
+    n = 61
+    edges = [(0, 30)] + [(i, 60 - i) for i in range(1, k + 1)]
+    host = build_complete_host(n)
+    oracle, _ = pairwise_crossings(host, sorted(edges))
+    assert len(oracle) == k
+    report = validate_embedding(host, (n, edges), Embedding(n, {v: v for v in range(n)}))
+    assert report.crossings == k and not report.ok
+    assert_witnesses_bounded(report.failures, oracle)
+    assert len(report.failures) == min(k, WITNESS_CAP)
+
+
+def test_diameter_matching_on_the_complete_host_is_counted():
+    # the 1023 chords (i, i + 1023) of the 2047-gon pairwise interleave:
+    # 1023 * 1022 / 2 crossings, counted without listing them
+    n, half = 2047, 1023
+    edges = [(i, i + half) for i in range(half)]
+    report = validate_embedding(build_complete_host(n), Forest(n, edges),
+                                Embedding(n, {v: v for v in range(n)}))
+    assert report.crossings == half * (half - 1) // 2 == 522_753
+    pairs = [pair for _, pair in report.failures]
+    assert len(set(pairs)) == len(pairs) == WITNESS_CAP
+    assert all(s in edges and t in edges and s < t for s, t in pairs)
 
 
 def test_huge_host_tables_follow_the_input(monkeypatch):
@@ -318,5 +403,5 @@ def test_huge_host_tables_follow_the_input(monkeypatch):
         points = rng.sample(range(host.n), 8)
         segments = list({tuple(sorted(rng.sample(points, 2))) for _ in range(6)})
         assert_detectors_agree(host, segments)
-        outcomes.add(sweep_crossing(host.shape, segments)[0] is None)
+        outcomes.add(roof_crossings(host.shape, segments)[0] == 0)
     assert sizes == [3] and outcomes == {True, False}

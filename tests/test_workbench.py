@@ -70,6 +70,30 @@ def test_forest_enumerator_matches_recurrence():
         assert len(enumerate_forests(n)) == counts[n], n
 
 
+def test_forest_enumerator_enumerates_each_tree_size_once(monkeypatch):
+    # a census round asks for every n up to the cap; each size's trees are
+    # enumerated once, and each call still returns new forests equal to a
+    # fresh enumeration
+    def edge_lists(forests):
+        return [f.edges for f in forests]
+
+    fresh = {}
+    for n in range(1, 9):
+        families._tree_edges.cache_clear()
+        fresh[n] = edge_lists(enumerate_forests(n))
+    families._tree_edges.cache_clear()
+    calls = []
+    trees = families.enumerate_trees
+    monkeypatch.setattr(families, "enumerate_trees", lambda s: calls.append(s) or trees(s))
+    for n in range(1, 9):
+        assert edge_lists(enumerate_forests(n)) == fresh[n], n
+    assert calls == list(range(1, 9))
+    changed = enumerate_forests(8)
+    changed[-1].edges.append((0, 1))
+    assert changed[-1] is not enumerate_forests(8)[-1]
+    assert edge_lists(enumerate_forests(8)) == fresh[8]
+
+
 def test_forest_enumerator_yields_distinct_valid_forests():
     for n in range(1, 8):
         forests = enumerate_forests(n)
@@ -352,6 +376,17 @@ def test_validator_checked_is_linear_on_caterpillar():
     report = validate_embedding(host, cat, embed_caterpillar(host, cat))
     assert report.ok
     assert 0 < report.checked <= 6 * (n - 1)
+
+
+@pytest.mark.parametrize("cat", [Caterpillar((0,), ((5,),)),
+                                 Caterpillar((0, -1), ((2,), ()))])
+def test_validator_reports_caterpillar_ids_off_range(cat):
+    # a caterpillar's ids name its vertices 0..n-1; an id outside that is a
+    # failure of the input, as for any other input
+    host = build_caterpillar_host(cat.n)
+    report = validate_embedding(host, cat, Embedding(cat.n, {t: t for t in range(cat.n)}))
+    assert not report.ok
+    assert [kind for kind, _ in report.failures] == ["IndexOutOfRange"]
 
 
 def test_validator_catches_missing_edge():
