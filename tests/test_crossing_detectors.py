@@ -28,7 +28,7 @@ from ugg.convex import (
     nesting_crossing,
 )
 from ugg.embedder import Embedding, embed_forest
-from ugg.geometry import edges_cross, realize_coordinates, segments_cross, segments_cross_exact
+from ugg.geometry import edges_cross, realize_coordinates, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
 from ugg.workbench import validate
