@@ -17,7 +17,7 @@ from .errors import (
     NotTwoChord,
     SizeMismatch,
 )
-from .host import Host, merge_ranges
+from .host import Host
 from .trees import Caterpillar
 
 
@@ -82,20 +82,42 @@ class _CaterpillarHost(ConvexHost):
         # u reaches (u, u + r] and, across the seam, [u + n - r, n).  The
         # vertices of reach 2k - 1 sit at k - 1 (mod 2k); of them only the
         # first after u and the last before n can reach back to u, and only
-        # when 2k - 1 > r is that news, so k starts at r + 1.
+        # when 2k - 1 > r is that news, so k starts at r + 1.  Each such k
+        # exceeds (r + 1) / 2, the lowest set bit of u + 1, so the first after
+        # u is within 2k - 1 of it; the last before n is u + 1 or more away
+        # across the seam, so it can reach u only once 2k > u + 1.
         n, r = self.n, _reach(u)
-        ranges = [(u + 1, u + r), (u + n - r, n - 1)]
+        if u + 1 >= n:
+            return []
+        ahead, behind = min(u + r, n - 1), min(u + n - r, n)  # behind = n: none
+        if behind <= ahead + 1:  # the two reaches meet
+            return [(u + 1, n - 1)]
+        far = []
         k = r + 1
         while k <= n:
             d = 2 * k
             j = u + 1 + (k - 2 - u) % d
-            if j - u < d and j < n:
-                ranges.append((j, j))
-            j = n - 1 - (n - k) % d
-            if u < j and n - j + u < d:
-                ranges.append((j, j))
+            if ahead < j < behind:
+                far.append(j)
+            if d > u + 1:
+                j = n - 1 - (n - k) % d
+                if n - j + u < d and ahead < j < behind:
+                    far.append(j)
             k = d
-        return merge_ranges(ranges, u + 1, n - 1)
+        # The far points lie strictly between the two reaches, so in order
+        # the ranges are the forward reach, the far points, the back reach;
+        # a point repeated or next to the range before it joins that range.
+        ranges = [(u + 1, ahead)]
+        for j in sorted(far):
+            if j > ranges[-1][1] + 1:
+                ranges.append((j, j))
+            elif j == ranges[-1][1] + 1:
+                ranges[-1] = (ranges[-1][0], j)
+        if behind == ranges[-1][1] + 1:
+            ranges[-1] = (ranges[-1][0], n - 1)
+        elif behind < n:
+            ranges.append((behind, n - 1))
+        return ranges
 
     def edge_count(self) -> int:
         # By circular distance d, with t the largest power of two <= d:
@@ -168,7 +190,8 @@ class _StarHost(ConvexHost):
         # 0 is a center, so the seam edge (0, n-1) falls in the first case.
         if u in self.centers:
             return [(u + 1, self.n - 1)] if u + 1 < self.n else []
-        # u + 1 joins the runs of the centers above u.
+        # u + 1 joins the runs of the centers above u, which are sorted and
+        # apart, so the list is in order.
         runs = self.runs
         j = bisect_right(runs, (u, self.n))
         if u + 1 == self.n or j < len(runs) and runs[j][0] == u + 1:
@@ -190,7 +213,12 @@ class _StarHost(ConvexHost):
 def build_twochord_host(n: int) -> ConvexHost:
     """Spanning cycle plus a full star at every center index."""
     centers = twochord_centers(n)
-    runs = merge_ranges(((c, c) for c in centers), 0, n - 1)
+    runs = []
+    for c in centers:  # sorted, so each center extends the last run or opens one
+        if runs and runs[-1][1] == c - 1:
+            runs[-1] = (runs[-1][0], c)
+        else:
+            runs.append((c, c))
     return _StarHost("twochord", n, frozenset(centers), tuple(runs))
 
 
@@ -330,7 +358,7 @@ class _CustomHost(ConvexHost):
         super().__init__(n)
         self._edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
         self._later: dict[int, list[tuple[int, int]]] = {}
-        for u, w in sorted(self._edges):
+        for u, w in sorted(self._edges):  # so each list is in order
             self._later.setdefault(u, []).append((w, w))
 
     def is_edge(self, u: int, v: int) -> bool:

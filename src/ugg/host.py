@@ -23,7 +23,9 @@ class Host:
             raise EqualIndices(f"is_edge needs two distinct vertices, got {u}")
 
     def later_ranges(self, u: int) -> list[tuple[int, int]]:
-        """The neighbors w > u of u, as sorted, disjoint, nonempty closed ranges."""
+        """The neighbors w > u of u, as closed ranges (lo, hi): sorted,
+        disjoint and nonempty, each hi below the next lo.  Two ranges may
+        touch (hi + 1 == next lo), as the custom host's ranges of one do."""
         raise NotImplementedError
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -36,17 +38,3 @@ class Host:
     def edge_count(self) -> int:
         return sum(hi - lo + 1 for u in range(self.n) for lo, hi in self.later_ranges(u))
 
-
-def merge_ranges(ranges, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Closed ranges clipped to [lo, hi], sorted, and merged where they
-    overlap or touch."""
-    out: list[tuple[int, int]] = []
-    for a, b in sorted(ranges):
-        a, b = max(a, lo), min(b, hi)
-        if a > b:
-            continue
-        if out and a <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(b, out[-1][1]))
-        else:
-            out.append((a, b))
-    return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import btree
 from .btree import BTreeShape
 from .errors import IndexOutOfRange, IntervalTooSmall, InvalidSize
-from .host import Host, merge_ranges
+from .host import Host
 
 
 @dataclass(frozen=True)
@@ -76,23 +76,52 @@ class UniversalGraph(Host):
         # parent's rln.  After v come only the rln of each strict ancestor
         # and its two children (E2, E3 from their side), v's subtree (E1)
         # and the subtree of v's own rln (E2).
-        h = self.shape.h
-        node, level, rln = 0, 1, None
+        #
+        # The ranges come out from the top down in descending order: each
+        # rln's right child follows everything below its left child and below
+        # the ancestor.  After a right step the child's rln is the rln's left
+        # child, so the rln, held in `lo`, opens the child's range.  A range
+        # that ends just below the one before it joins that one.
+        h, n = self.shape.h, self.n
+        node, step, rln, lo = 0, 1 << (h - 1), None, None
         ranges = []
         while node != v:
-            step = 1 << (h - level)  # right child minus node
+            right = v >= node + step  # step: right child minus node
             if rln is not None:
-                ranges += [(rln, rln + 1), (rln + step, rln + step)]
-            if v < node + step:
-                node, rln = node + 1, node + step
-            else:
+                c = rln + step
+                if ranges and ranges[-1][0] == c + 1:
+                    ranges[-1] = (c, ranges[-1][1])
+                else:
+                    ranges.append((c, c))
+                if right:
+                    lo = rln if lo is None else lo
+                else:
+                    a = rln if lo is None else lo
+                    if ranges[-1][0] == rln + 2:
+                        ranges[-1] = (a, ranges[-1][1])
+                    else:
+                        ranges.append((a, rln + 1))
+                    lo = None
+            if right:
                 node, rln = node + step, None if rln is None else rln + 1
-            level += 1
-        size = (1 << (h - level + 1)) - 1
-        ranges.append((v + 1, v + size - 1))
-        if rln is not None:
-            ranges.append((rln, rln + size - 1))
-        return merge_ranges(ranges, v + 1, self.n - 1)
+            else:
+                node, rln = node + 1, node + step
+            step >>= 1
+        # v's subtree and its rln's span 2 * step - 1 nodes each and make one
+        # range: v's subtree ends where that of c, v's lowest ancestor-or-self
+        # left child, ends, and c's sibling opens the range of v's rln.  If
+        # any ancestor has an rln, the parent has one, and the lowest range
+        # so far, which the parent's rln gave, opens just after this one.
+        if ranges:
+            ranges[-1] = (v + 1, ranges[-1][1])
+        elif rln is not None or step > 1:
+            ranges.append((v + 1, (v if rln is None else rln) + 2 * step - 2))
+        ranges.reverse()
+        while ranges and ranges[-1][0] >= n:
+            ranges.pop()
+        if ranges and ranges[-1][1] >= n:
+            ranges[-1] = (ranges[-1][0], n - 1)
+        return ranges
 
     def highest_in(self, lo: int, hi: int) -> int:
         """Vertex of [lo, hi] that is higher than all others in the interval."""

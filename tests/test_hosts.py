@@ -1,6 +1,7 @@
 """Every host kind through the one host protocol: the lazy, sorted edge
 list against the pairwise `is_edge` scan and against `edge_count()`."""
 
+import hashlib
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ from ugg.convex import (
 )
 from ugg.errors import EqualIndices, IndexOutOfRange
 from ugg.ugraph import build_universal
+from ugg.workbench import fileio
 
 KINDS = {
     "universal": (build_universal, [1, 2, 3, 6, 7, 12, 31, 63, 64, 100, 127]),
@@ -45,6 +47,49 @@ def test_edges_match_pairwise_scan(kind, n):
 def test_edge_count_matches_edge_list_at_larger_n(kind, n):
     host = KINDS[kind][0](n)
     assert sum(1 for _ in host.edges()) == host.edge_count()
+
+
+@pytest.mark.parametrize("kind", ["universal", "caterpillar"])
+def test_later_ranges_are_exactly_the_later_neighbors(kind):
+    # Every n up to 130 cuts the preorder of a complete binary tree of
+    # height up to 8 at every length; the tail of a range list is trimmed at
+    # n - 1, and the caterpillar's reaches wrap around the seam.
+    build = KINDS[kind][0]
+    for n in range(1, 131):
+        host = build(n)
+        for u in range(n):
+            ranges = host.later_ranges(u)
+            assert all(u < lo <= hi < n for lo, hi in ranges), (n, u, ranges)
+            assert all(hi < lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), (n, u, ranges)
+            listed = [w for lo, hi in ranges for w in range(lo, hi + 1)]
+            assert listed == [w for w in range(u + 1, n) if host.is_edge(u, w)], (n, u, ranges)
+
+
+# sha256 of each explicit host file as `save_host` writes it.  Any change to
+# the bytes of a host file, its header, its edges or their order, fails here.
+RENDER_SHA256 = {
+    ("universal", 1000): "b182cc3c4eece9ad8656d872b579aedde2c0276431eb9cc3c8089122eb47dcf0",
+    ("universal", 1023): "c1d6365443858f79a57a4fc20615f8abcc37bf6486b7819d3c19f49d6b61f8cf",
+    ("universal", 3000): "2bca6f875c88a91a1b2b803c3c09992928c5d06a74f1c7e754dc14ab2ddc12a4",
+    ("universal", 4095): "09baf7c60b0ff49e350b44ae89487064276fa2fb6a579ece76a7cc4a208537c2",
+    ("caterpillar", 1000): "c3c0f03ced7d77ce5488b72364e3ad593c33c8714227813e5a9227ecae88a079",
+    ("caterpillar", 1023): "cb254868a77e6749278c1429015ba1bbec01dcc24441a8291ce76dc43b207772",
+    ("caterpillar", 3000): "a32b8631c9724bd45b47a9256722d3543f8797418eba7a34f9d34aecba912c5c",
+    ("caterpillar", 4095): "9c1ec189b9b611e2acc38ae049afe3bc274922df103c5372ea5eae043aa5c22e",
+    ("twochord", 1000): "e37912f142acf48395ae5fdbc02c0638513519b7dcc9d183588a0d28508ea6d4",
+    ("twochord", 1023): "57e8b283810417ff86aaa34d7874b5f9e2489d8ebe135359b4c29a5138717ac8",
+    ("twochord", 3000): "bde6f705bda89b37c1ec7d6ec90e0192e11dec40870aedaaae1c5c84a2606a40",
+    ("twochord", 4095): "48e8c14caa5475b58ed2b6dc2f0725f9885be6d5df1e1ceb95bdd749833db7bf",
+    # the complete host at n = 3000 and 4095 has more edges than EXPLICIT_CAP
+    ("complete", 1000): "4b5cb62dda6103732c4f051c7464cc22d11d0cac46221d5fa75cd556d1cecbc6",
+    ("complete", 1023): "4f195bef0b3b037e1da02a47fb1fd65acd48d579be9bbbc163f6933c496952ab",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(RENDER_SHA256))
+def test_explicit_host_file_bytes_are_pinned(kind, n):
+    text = fileio._render(KINDS[kind][0](n), fileio.EXPLICIT_CAP)
+    assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[kind, n]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
