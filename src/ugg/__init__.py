@@ -30,7 +30,7 @@ from .geometry import (
     segments_cross_exact,
 )
 from .trees import Caterpillar, Forest, RootedTree, caterpillar_spine
-from .ugraph import Interval, UniversalGraph, build_universal
+from .ugraph import UniversalGraph, build_universal
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "CoordinateRealization",
     "Embedding",
     "Forest",
-    "Interval",
     "QuarterPlane",
     "RootedTree",
     "UniversalGraph",

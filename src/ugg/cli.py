@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: build, embed, verify, enumerate, selftest, render.  Exit codes:
-0 success, 1 validation or universality failure, 2 malformed input,
-3 size cap exceeded.
+0 success, 1 validation or universality failure, 2 malformed input (an
+`InputError` or an unreadable file), 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,20 +13,7 @@ from pathlib import Path
 
 from .convex import ChordedCycle, embed_caterpillar, embed_twochord
 from .embedder import Embedding, embed_forest
-from .errors import (
-    DegenerateEdge,
-    EqualIndices,
-    IndexOutOfRange,
-    IntervalTooSmall,
-    InvalidS,
-    InvalidSize,
-    MalformedInput,
-    NotACaterpillar,
-    NotTwoChord,
-    SizeMismatch,
-    SizeTooLarge,
-    UggError,
-)
+from .errors import InputError, MalformedInput, SizeTooLarge, UggError
 from .trees import Forest, caterpillar_spine
 from .workbench import fileio
 from .workbench.families import (
@@ -42,22 +29,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_MALFORMED = 2
 EXIT_TOO_LARGE = 3
-
-# user-input problems, as opposed to failures of a requested check
-_INPUT_ERRORS = (
-    MalformedInput,
-    NotACaterpillar,
-    NotTwoChord,
-    InvalidSize,
-    InvalidS,
-    IndexOutOfRange,
-    IntervalTooSmall,
-    DegenerateEdge,
-    SizeMismatch,
-    EqualIndices,
-    OSError,
-)
-
 
 # host kind -> (input type, what the host embeds, embedder)
 EMBEDDERS = {
@@ -100,7 +71,7 @@ def _verify(args) -> int:
     host = fileio.load_host(args.host)
     graph = fileio.load_input(args.input)
     mapping = fileio.load_embedding(args.embedding)
-    report = validate_embedding(host, graph, Embedding(host.n, mapping, []))
+    report = validate_embedding(host, graph, Embedding(mapping))
     if report.ok:
         print("ok")
         return EXIT_OK
@@ -138,7 +109,7 @@ def _render(args) -> int:
     host = fileio.load_host(args.host)
     emb = None
     if args.embedding is not None:
-        emb = Embedding(host.n, fileio.load_embedding(args.embedding), [])
+        emb = Embedding(fileio.load_embedding(args.embedding))
     svg = render_svg(host, emb, args.layout)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
@@ -205,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except UggError as exc:

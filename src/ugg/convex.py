@@ -16,9 +16,15 @@ from .errors import (
     NoRealizingPair,
     NotTwoChord,
     SizeMismatch,
+    SizeTooLarge,
 )
 from .host import Host
 from .trees import Caterpillar
+
+# Most vertices a two-chord host may have.  Its centers, about 2 * sqrt(n)
+# ints, are the one part of a built-in host that grows with n, so a larger n
+# is refused before any is listed.
+TWOCHORD_CAP = 1 << 32
 
 
 def _reach(i: int) -> int:
@@ -159,7 +165,7 @@ def embed_caterpillar(host: ConvexHost, cat: Caterpillar) -> Embedding:
         for leaf, pos in zip(leaves, rest):
             mapping[leaf] = pos
         off += 1 + len(leaves)
-    return Embedding(host.n, mapping, [("caterpillar", (0, host.n - 1))])
+    return Embedding(mapping, [("caterpillar", (0, host.n - 1))])
 
 
 def twochord_centers(n: int) -> list[int]:
@@ -167,6 +173,8 @@ def twochord_centers(n: int) -> list[int]:
     floor(sqrt(n)) up to n, taken mod n (perfect squares wrap to 0)."""
     if n < 3:
         raise InvalidSize(f"n must be >= 3, got {n}")
+    if n > TWOCHORD_CAP:
+        raise SizeTooLarge(f"two-chord host capped at n <= {TWOCHORD_CAP}, got {n}")
     r = isqrt(n)
     centers = set(range(r)) | {(i * r) % n for i in range(1, r + 1)}
     return sorted(centers)
@@ -346,7 +354,7 @@ def embed_twochord(host: ConvexHost, cc: ChordedCycle) -> Embedding:
         raise NoRealizingPair(f"no center pair at distance {d} for n={n}")
     shift = (a - e) % n
     mapping = {t: (t + shift) % n for t in range(n)}
-    return Embedding(host.n, mapping, [("twochord", (0, n - 1))])
+    return Embedding(mapping, [("twochord", (0, n - 1))])
 
 
 class _CustomHost(ConvexHost):

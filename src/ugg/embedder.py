@@ -13,10 +13,10 @@ its interval isomorphism) lies inside its parent's, and the writes less the
 lifts made during a call number the interval's length.
 
 `embed_forest` roots each component once, at its smallest vertex, straight
-from the forest's adjacency lists; `embed_tree` takes a `RootedTree` rooted
-at its first portal.  Each subproblem is a piece of that rooting: its portal
-is its topmost vertex, and it is the portal's subtree minus a few excluded
-preorder ranges.
+from the forest's adjacency lists; `embed_tree` takes a `RootedTree` whose
+root is its first portal.  Each subproblem is a piece of that rooting: its
+portal is its topmost vertex, and it is the portal's subtree minus a few
+excluded preorder ranges.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     SizeMismatch,
 )
 from .trees import Forest, RootedTree
-from .ugraph import Interval, UniversalGraph
+from .ugraph import UniversalGraph
 
 # Nested single-portal calls allowed per level of a host of height h.  The
 # deepest measured run nests 2h + 2 (all trees up to 8 vertices with every
@@ -43,9 +43,8 @@ DEPTH_PER_LEVEL = 4
 
 @dataclass
 class Embedding:
-    """A vertex map from an input graph into a host on n vertices."""
+    """A vertex map from an input graph into a host."""
 
-    host_n: int
     mapping: dict[int, int]
     provenance: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
 
@@ -420,35 +419,32 @@ class _Recursion:
 # ---------------------------------------------------------------------------
 
 
-def embed_tree(G: UniversalGraph, tree: RootedTree,
-               portals: int | tuple[int, int],
-               interval: Interval | None = None) -> Embedding:
-    """Embed one tree onto a host interval with one or two portal vertices.
+def embed_tree(G: UniversalGraph, tree: RootedTree, *, lo: int = 0,
+               second: int | None = None) -> Embedding:
+    """Embed a tree onto the host interval [lo, lo + tree.n - 1].
 
-    The tree must be rooted at the first portal.  The recursion nests at
+    The root is the first portal and lands on the interval's highest vertex.
+    With `second`, a tree vertex other than the root, the embedding has two
+    portals: `second` lands right of the root, with the root's upper-left
+    and `second`'s upper-right quarter planes empty.  The recursion nests at
     most DEPTH_PER_LEVEL * h single-portal calls on a host of height h and
     raises InternalInvariantBroken past that.
     """
-    if interval is None:
-        interval = Interval(0, G.n - 1)
-    if not (0 <= interval.lo and interval.hi < G.n):
-        raise IndexOutOfRange(f"{interval} outside host [0, {G.n})")
-    if len(interval) != tree.n:
-        raise SizeMismatch(
-            f"tree has {tree.n} vertices but interval {interval} has {len(interval)}")
-    a, b = portals if isinstance(portals, tuple) else (portals, None)
-    if isinstance(portals, tuple) and a == b:
-        raise EqualIndices(f"two-portal embedding needs distinct portals, got {a}")
-    if a != tree.root:
-        raise PreconditionViolated(f"first portal {a} is not the root {tree.root}")
-    run = _Recursion(G, tree, interval.lo)
-    if b is None:
-        run.single(0, [], interval.lo, interval.hi, 1)
+    hi = lo + tree.n - 1
+    if lo < 0 or hi >= G.n:
+        raise IndexOutOfRange(f"[{lo}, {hi}] outside host [0, {G.n})")
+    run = _Recursion(G, tree, lo)
+    if second is None:
+        run.single(0, [], lo, hi, 1)
     else:
-        if b not in tree.order:
-            raise IndexOutOfRange(f"portal {b} not a tree vertex")
-        run.two(0, [], tree.order.index(b), interval.lo, interval.hi, 1)
-    return Embedding(G.n, dict(zip(tree.order, run.out)), run.prov)
+        try:
+            b = tree.order.index(second)
+        except ValueError:
+            raise IndexOutOfRange(f"portal {second} not a tree vertex") from None
+        if b == 0:
+            raise EqualIndices(f"second portal {second} is the root")
+        run.two(0, [], b, lo, hi, 1)
+    return Embedding(dict(zip(tree.order, run.out)), run.prov)
 
 
 def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
@@ -473,4 +469,4 @@ def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
         cur += tree.n
     # keyed in vertex order, which later lookups by vertex walk fastest, by
     # the forest's own vertex ints rather than new ones
-    return Embedding(G.n, dict(zip(verts, image)), prov)
+    return Embedding(dict(zip(verts, image)), prov)

@@ -246,28 +246,20 @@ def caterpillar_spine(forest: Forest) -> Caterpillar:
         return Caterpillar(tuple(spine), tuple(leaves))
     deg = [len(forest.adj[v]) for v in range(n)]
     spine_set = [v for v in range(n) if deg[v] >= 2]
-    if not spine_set:
-        raise NotACaterpillar("no non-leaf vertices")  # unreachable for n >= 3
     inner_deg = {v: sum(1 for w in forest.adj[v] if deg[w] >= 2) for v in spine_set}
     if any(d > 2 for d in inner_deg.values()):
         raise NotACaterpillar("non-leaf vertices do not form a path")
-    ends = [v for v in spine_set if inner_deg[v] <= 1]
-    if len(spine_set) == 1:
-        order = [spine_set[0]]
-    else:
-        if len(ends) != 2:
-            raise NotACaterpillar("non-leaf vertices do not form a single path")
-        order = [min(ends)]
-        prev = None
-        while True:
-            nxt = [w for w in forest.adj[order[-1]]
-                   if deg[w] >= 2 and w != prev]
-            if not nxt:
-                break
-            prev = order[-1]
-            order.append(nxt[0])
-        if len(order) != len(spine_set):
-            raise NotACaterpillar("non-leaf vertices do not form a single path")
+    # On n >= 3 vertices the non-leaf vertices induce a nonempty subtree; with
+    # inner degree <= 2 it is a path, so it has one or two ends and the walk
+    # from the smaller end visits it all.
+    order = [min(v for v in spine_set if inner_deg[v] <= 1)]
+    prev = None
+    while True:
+        nxt = [w for w in forest.adj[order[-1]] if deg[w] >= 2 and w != prev]
+        if not nxt:
+            break
+        prev = order[-1]
+        order.append(nxt[0])
     leaves = tuple(
         tuple(sorted(w for w in forest.adj[v] if deg[w] == 1)) for v in order
     )

@@ -16,27 +16,10 @@ stays below 5 * (n+1) * log2(n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import btree
 from .btree import BTreeShape
-from .errors import IndexOutOfRange, IntervalTooSmall, InvalidSize
+from .errors import IndexOutOfRange, InvalidSize
 from .host import Host
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed index interval [lo, hi] of host vertices."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise IntervalTooSmall(f"empty interval [{self.lo}, {self.hi}]")
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
 
 
 def adjacent(lu: int, pu: int, lv: int, pv: int) -> bool:

@@ -36,7 +36,7 @@ from ..geometry import (
     segments_cross_exact,
 )
 from ..trees import RootedTree
-from ..ugraph import Interval, UniversalGraph, build_universal
+from ..ugraph import UniversalGraph, build_universal
 from .families import (
     check_universal_convex,
     chorded_cycle_census,
@@ -195,12 +195,12 @@ def criterion_5(limit: int | None = None) -> CriterionResult:
 
     Every ordered tree on s <= 9 vertices is embedded by `embed_tree` onto
     every interval of length s in every host with s <= n <= 9: once with its
-    root as the single portal, and once with (root, b) for every other
-    vertex b.  Each result must map the tree one to one onto its interval.
-    A single portal must land on the interval's highest vertex, and no tree
-    vertex or edge may enter its upper-left quarter plane.  With two
-    portals, the left portal's upper-left and the right portal's
-    upper-right quarter planes stay empty.  The quarter planes are tested
+    root as the single portal, and once with the root and b as its two
+    portals for every other vertex b.  Each result must map the tree one to
+    one onto its interval.  A single portal must land on the interval's
+    highest vertex, and no tree vertex or edge may enter its upper-left
+    quarter plane.  With two portals, the left portal's upper-left and the
+    right portal's upper-right quarter planes stay empty.  The quarter planes are tested
     on exact coordinates, and the sweep takes under 10 s.
     """
     t0 = time.perf_counter()
@@ -217,13 +217,13 @@ def criterion_5(limit: int | None = None) -> CriterionResult:
             edges = [(p, i) for i, p in enumerate(tree.parent) if i]
             for G, coords in hosts[s - 1:]:
                 for lo in range(G.n - s + 1):
-                    for portals in (0, *((0, b) for b in range(1, s))):
-                        counts["single" if portals == 0 else "two"] += 1
+                    for second in (None, *range(1, s)):
+                        counts["single" if second is None else "two"] += 1
                         problems.extend(
                             f"n={G.n} [{lo},{lo + s - 1}] levels={level} "
-                            f"portals={portals}: {problem}"
+                            f"second={second}: {problem}"
                             for problem in _lemma_problems(G, coords, tree, edges,
-                                                           portals, lo))
+                                                           lo, second))
     dt = time.perf_counter() - t0
     if dt >= 10.0:
         problems.append(f"runtime {dt:.1f}s >= 10s")
@@ -233,20 +233,20 @@ def criterion_5(limit: int | None = None) -> CriterionResult:
                    f"two-portal instances verified", t0)
 
 
-def _lemma_problems(G, coords, tree, edges, portals, lo: int) -> list[str]:
-    # embed the tree from lo on with the portals (its root, or the root and
-    # one more vertex) and say what breaks the portal lemma
+def _lemma_problems(G, coords, tree, edges, lo: int, second) -> list[str]:
+    # embed the tree from lo on with its root as portal, and `second` as
+    # the other portal unless None, and say what breaks the portal lemma
     hi = lo + tree.n - 1
-    mp = embed_tree(G, tree, portals, Interval(lo, hi)).mapping
+    mp = embed_tree(G, tree, lo=lo, second=second).mapping
     if sorted(mp.values()) != list(range(lo, hi + 1)):
         return ["not onto the interval"]
     problems = []
     regions = [QuarterPlane(mp[tree.root], "left")]
-    if portals == tree.root:
+    if second is None:
         if regions[0].apex != G.highest_in(lo, hi):
             problems.append(f"portal at {regions[0].apex}")
     else:
-        regions.append(QuarterPlane(mp[portals[1]], "right"))
+        regions.append(QuarterPlane(mp[second], "right"))
     segs = [(mp[u], mp[v]) for u, v in edges]
     for region in regions:
         for g in mp.values():

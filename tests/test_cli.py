@@ -1,11 +1,12 @@
 """End-to-end command-line flows through cli.main()."""
 
+import inspect
 import time
 import tracemalloc
 
 import pytest
 
-from ugg import cli
+from ugg import cli, errors
 from ugg.convex import _CaterpillarHost, _CustomHost, _StarHost, build_twochord_host
 from ugg.errors import SizeTooLarge
 from ugg.trees import Forest
@@ -278,6 +279,61 @@ def test_explicit_cap_counts_edges_not_only_vertices(tmp_path):
     assert not out.exists()
     assert fileio.save_host(build_twochord_host(1023), out, explicit=True) == 62403
     assert 16 * 62403 < fileio.EXPLICIT_CAP
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "embed", "render"])
+def test_twochord_host_past_its_cap_exits_3(tmp_path, capsys, command):
+    # the centers of a two-chord host are listed in memory, so n = 10^18 is
+    # refused before any is made
+    n = str(10**18)
+    host = tmp_path / "host.txt"
+    out = str(tmp_path / "out.txt")
+    if command == "build":
+        argv = ["build", "--kind", "twochord", "--n", n, "--out", out]
+    else:
+        host.write_text(f"ugg-graph v1\nkind twochord\nn {n}\n", encoding="utf-8")
+        graph = tmp_path / "input.txt"
+        graph.write_text("n 6\nh 2\nc 0 2\nc 3 5\n", encoding="utf-8")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("m 0 0\n", encoding="utf-8")
+        argv = {
+            "verify": ["verify", "--host", str(host), "--input", str(graph),
+                       "--embedding", str(emb)],
+            "embed": ["embed", "--host", str(host), "--input", str(graph), "--out", out],
+            "render": ["render", "--host", str(host), "--out", out],
+        }[command]
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "two-chord host capped" in err and "Traceback" not in err
+
+
+# exit code of `main` for each error a command may raise
+EXIT_CODES = {
+    "SizeTooLarge": 3,
+    "InputError": 2,
+    "MalformedInput": 2, "NotACaterpillar": 2, "NotTwoChord": 2,
+    "InvalidSize": 2, "InvalidS": 2, "IndexOutOfRange": 2,
+    "DegenerateEdge": 2, "SizeMismatch": 2, "EqualIndices": 2,
+    "OSError": 2,
+    "PreconditionViolated": 1, "InternalInvariantBroken": 1,
+    "NoRealizingPair": 1, "NoSpanningCycle": 1, "UggError": 1,
+}
+
+
+def test_exit_code_of_every_error(tmp_path, monkeypatch, capsys):
+    raised = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+              if issubclass(cls, errors.UggError)] + [OSError]
+    assert sorted(cls.__name__ for cls in raised) == sorted(EXIT_CODES)
+    for cls in raised:
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_build", fail)
+        argv = ["build", "--kind", "universal", "--n", "3", "--out", str(tmp_path / "h")]
+        assert cli.main(argv) == EXIT_CODES[cls.__name__], cls.__name__
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_enumerate_forests(tmp_path):

@@ -120,7 +120,7 @@ def forest_embeddings(draw):
         a = draw(st.sampled_from(sorted(touched)))
         b = draw(st.sampled_from(isolated))
         mapping[a], mapping[b] = mapping[b], mapping[a]
-    return host, (n, edges), Embedding(n, mapping)
+    return host, (n, edges), Embedding(mapping)
 
 
 @given(forest_embeddings())
@@ -137,7 +137,7 @@ def test_validator_matches_pairwise_on_host_edge_sets(n, seed, share):
     host = UniversalGraph(n)
     rng = random.Random(seed)
     edges = [e for e in host.edges() if rng.random() < share]
-    emb = Embedding(n, {t: t for t in range(n)})
+    emb = Embedding({t: t for t in range(n)})
     assert_detectors_agree(host, edges)
     assert_report_matches_oracle(host, (n, edges), emb)
 
@@ -173,7 +173,7 @@ def convex_embeddings(draw):
         mapping[a], mapping[b] = mapping[b], mapping[a]
     elif how == "move" and extra:
         mapping[draw(st.integers(0, n - 1))] = n + draw(st.integers(0, extra - 1))
-    return build_complete_host(n + extra), (n, edges), Embedding(n + extra, mapping)
+    return build_complete_host(n + extra), (n, edges), Embedding(mapping)
 
 
 @given(convex_embeddings())
@@ -280,7 +280,7 @@ def test_star_with_one_crossing_lists_it_in_linear_work():
     n = 4095
     edges = [(0, i) for i in range(1, n) if i != 3] + [(1, 3)]
     for host in (UniversalGraph(n), build_complete_host(n)):
-        report = validate_embedding(host, (n, edges), Embedding(n, {t: t for t in range(n)}))
+        report = validate_embedding(host, (n, edges), Embedding({t: t for t in range(n)}))
         assert report.failures == [("Crossing", ((0, 2), (1, 3)))], host.kind
         assert report.crossings == 1, host.kind
         assert report.checked <= 6 * len(edges), host.kind
@@ -345,7 +345,7 @@ def test_repeated_segments_count_once_per_copy():
         oracle, _ = pairwise_crossings(host, segments)
         assert oracle == [("Crossing", (s, t))] * 8
         assert_detectors_agree(host, segments)
-        report = validate_embedding(host, (n, edges), Embedding(n, {v: v for v in range(n)}))
+        report = validate_embedding(host, (n, edges), Embedding({v: v for v in range(n)}))
         assert report.crossings == 8 and report.failures == oracle, host.kind
 
 
@@ -359,7 +359,7 @@ def test_witnesses_stop_at_the_cap(k):
     host = build_complete_host(n)
     oracle, _ = pairwise_crossings(host, sorted(edges))
     assert len(oracle) == k
-    report = validate_embedding(host, (n, edges), Embedding(n, {v: v for v in range(n)}))
+    report = validate_embedding(host, (n, edges), Embedding({v: v for v in range(n)}))
     assert report.crossings == k and not report.ok
     assert_witnesses_bounded(report.failures, oracle)
     assert len(report.failures) == min(k, WITNESS_CAP)
@@ -371,7 +371,7 @@ def test_diameter_matching_on_the_complete_host_is_counted():
     n, half = 2047, 1023
     edges = [(i, i + half) for i in range(half)]
     report = validate_embedding(build_complete_host(n), Forest(n, edges),
-                                Embedding(n, {v: v for v in range(n)}))
+                                Embedding({v: v for v in range(n)}))
     assert report.crossings == half * (half - 1) // 2 == 522_753
     pairs = [pair for _, pair in report.failures]
     assert len(set(pairs)) == len(pairs) == WITNESS_CAP
@@ -392,10 +392,10 @@ def test_huge_host_tables_follow_the_input(monkeypatch):
 
     monkeypatch.setattr(btree, "height_keys", bounded)
     path = Forest(3, [(0, 1), (1, 2)])
-    assert validate_embedding(host, path, Embedding(3, {0: 0, 1: 1, 2: 2})).ok
+    assert validate_embedding(host, path, Embedding({0: 0, 1: 1, 2: 2})).ok
     assert sizes == [3]
     # the root 0 is adjacent to every vertex, here its right child 2**29
-    assert validate_embedding(host, path, Embedding(3, {0: 1, 1: 0, 2: 1 << 29})).ok
+    assert validate_embedding(host, path, Embedding({0: 1, 1: 0, 2: 1 << 29})).ok
     assert sizes == [3]
 
     rng, outcomes = random.Random(9), set()

@@ -22,8 +22,13 @@ from ugg.errors import (
 )
 from ugg.geometry import edges_cross
 from ugg.trees import Forest, RootedTree
-from ugg.ugraph import Interval, build_universal
-from ugg.workbench.families import enumerate_forests, enumerate_trees, random_tree
+from ugg.ugraph import build_universal
+from ugg.workbench.families import (
+    enumerate_forests,
+    enumerate_trees,
+    ordered_level_sequences,
+    random_tree,
+)
 from ugg.workbench.validate import validate_embedding
 
 
@@ -74,7 +79,7 @@ def test_cut_vertex_errors():
         path_tree(3).cut_vertex(0, [], 4)
 
 
-def test_iso_interval_interior_example():
+def test_iso_interior_example():
     # [4, 6] minus its maximum 5 shifts by d = 1 onto [3, 4]
     G = build_universal(15)
     assert embedder._iso_interior(G.shape.h, 4, 6, 5) == 1
@@ -83,20 +88,20 @@ def test_iso_interval_interior_example():
     assert btree.highest(G.shape, [4, 6]) == 6 and G.highest_in(3, 4) == 6 - 1 - 1
 
 
-def test_iso_interval_boundary_examples():
+def test_iso_interior_boundary_examples():
     # an endpoint maximum needs no shift: the recursion embeds the rest on
     # the interval minus that endpoint as it stands
     G = build_universal(15)
-    emb = embed_tree(G, path_tree(4), 0, Interval(0, 3))
+    emb = embed_tree(G, path_tree(4))
     assert ("case-1.2.2", (0, 3)) in emb.provenance
     assert emb.mapping[0] == 0 and emb.mapping[1] == G.highest_in(1, 3)
     # hi boundary: in [2, 5] the highest is 5 (level 3, rightmost position)
-    emb = embed_tree(G, path_tree(4), 0, Interval(2, 5))
+    emb = embed_tree(G, path_tree(4), lo=2)
     assert ("case-1.2.1", (2, 5)) in emb.provenance
     assert emb.mapping[0] == 5 and emb.mapping[1] == G.highest_in(2, 4)
 
 
-def test_iso_interval_precondition_errors():
+def test_iso_interior_precondition_errors():
     G = build_universal(15)
     h = G.shape.h
     with pytest.raises(PreconditionViolated):
@@ -125,7 +130,7 @@ def interior_shifts(G):
 
 
 @pytest.mark.parametrize("n", [15, 31])
-def test_iso_interval_preserves_edges_and_heights(n):
+def test_iso_interior_preserves_edges_and_heights(n):
     # u -> u - d - [u > k] maps [lo, hi] minus k onto [lo - d, hi - d - 1],
     # keeps host edges both ways, and the recursion's lift inverts it
     G = build_universal(n)
@@ -143,7 +148,7 @@ def test_iso_interval_preserves_edges_and_heights(n):
 
 
 @pytest.mark.parametrize("n", [15, 31])
-def test_iso_interval_preserves_crossings(n):
+def test_iso_interior_preserves_crossings(n):
     G = build_universal(n)
     checked = 0
     for lo, hi, k, d in interior_shifts(G):
@@ -156,7 +161,7 @@ def test_iso_interval_preserves_crossings(n):
     assert checked > 0
 
 
-def test_iso_interval_maps_second_highest_to_target_highest():
+def test_iso_interior_maps_second_highest_to_target_highest():
     for n in (15, 31):
         G = build_universal(n)
         checked = 0
@@ -167,20 +172,20 @@ def test_iso_interval_maps_second_highest_to_target_highest():
         assert checked > 0, n
 
 
-def test_transfer_example():
+def test_lift_example():
     # frame vertices 4 and 3 of the shift that removed 5 lift to 6 and 4
     assert embedder._lift(4, 5, 1) == 6
     assert embedder._lift(3, 5, 1) == 4
 
 
-def test_replace_highest_example():
+def test_check_replace_example():
     # the vertex on 3, the maximum of [2, 3], may move up to 4
     G = build_universal(7)
     embedder._check_replace(G, 2, 3, 3, 4)
     assert G.is_edge(4, 2)
 
 
-def test_replace_highest_errors():
+def test_check_replace_errors():
     G = build_universal(7)
     with pytest.raises(PreconditionViolated):
         embedder._check_replace(G, 2, 3, 3, 2)  # replacement inside interval
@@ -192,7 +197,7 @@ def test_replace_highest_errors():
 
 def test_embed_star_center_portal():
     G = build_universal(7)
-    emb = embed_tree(G, star_tree(7), 0)
+    emb = embed_tree(G, star_tree(7))
     assert emb.mapping[0] == 0  # center on the interval's highest vertex
     assert sorted(emb.mapping.values()) == list(range(7))
 
@@ -200,13 +205,13 @@ def test_embed_star_center_portal():
 def test_embed_single_vertex():
     G = build_universal(5)
     t = RootedTree.from_adjacency({3: []}, 3)
-    emb = embed_tree(G, t, 3, Interval(2, 2))
+    emb = embed_tree(G, t, lo=2)
     assert emb.mapping == {3: 2}
 
 
 def test_embed_path_endpoint_portal():
     G = build_universal(7)
-    emb = embed_tree(G, path_tree(7), 0)
+    emb = embed_tree(G, path_tree(7))
     assert emb.mapping[0] == 0
     report = validate_embedding(G, (7, [(i, i + 1) for i in range(6)]), emb)
     assert report.ok, report.failures
@@ -214,7 +219,7 @@ def test_embed_path_endpoint_portal():
 
 def test_embed_path_midpoint_portal():
     G = build_universal(9)
-    emb = embed_tree(G, path_tree(9, root=4), 4)
+    emb = embed_tree(G, path_tree(9, root=4))
     assert emb.mapping[4] == G.highest_in(0, 8)
     report = validate_embedding(G, (9, [(i, i + 1) for i in range(8)]), emb)
     assert report.ok, report.failures
@@ -223,7 +228,7 @@ def test_embed_path_midpoint_portal():
 def test_two_portal_postconditions():
     G = build_universal(9)
     tree = path_tree(9, root=0)
-    emb = embed_tree(G, tree, (0, 8))
+    emb = embed_tree(G, tree, second=8)
     assert emb.mapping[0] < emb.mapping[8]
     report = validate_embedding(G, (9, [(i, i + 1) for i in range(8)]), emb)
     assert report.ok, report.failures
@@ -232,20 +237,18 @@ def test_two_portal_postconditions():
 def test_two_portal_adjacent_portals():
     G = build_universal(6)
     tree = path_tree(6, root=2)
-    emb = embed_tree(G, tree, (2, 3))
+    emb = embed_tree(G, tree, second=3)
     assert emb.mapping[2] < emb.mapping[3]
     report = validate_embedding(G, (6, [(i, i + 1) for i in range(5)]), emb)
     assert report.ok, report.failures
 
 
 def test_embed_tree_first_portal_must_be_the_root():
+    # the root is the first portal by construction; a second portal must be
+    # another vertex of the tree
     G = build_universal(4)
-    with pytest.raises(PreconditionViolated):
-        embed_tree(G, path_tree(4), 2)
-    with pytest.raises(PreconditionViolated):
-        embed_tree(G, path_tree(4), (2, 0))
     with pytest.raises(IndexOutOfRange):
-        embed_tree(G, path_tree(4), (0, 9))
+        embed_tree(G, path_tree(4), second=9)
 
 
 def test_embed_forest_components_in_consecutive_intervals():
@@ -286,7 +289,7 @@ def test_deep_split_case_reached():
     for v in range(1, 9):
         adj[v] = [0]
     rooted = RootedTree.from_adjacency(adj, 1)
-    emb = embed_tree(G, rooted, 1, Interval(6, 14))
+    emb = embed_tree(G, rooted, lo=6)
     labels = [label for label, _ in emb.provenance]
     assert "case-1.2.5.2" in labels
     assert emb.mapping[1] == 8 and emb.mapping[0] == 12
@@ -302,7 +305,7 @@ def test_every_rooting_and_portal_choice_works():
             for root in range(n):
                 rooted = RootedTree.from_adjacency(
                     {v: list(tree.adj[v]) for v in range(n)}, root)
-                emb = embed_tree(G, rooted, root)
+                emb = embed_tree(G, rooted)
                 report = validate_embedding(G, tree, emb)
                 assert report.ok, (n, tree.edges, root, report.failures)
 
@@ -317,7 +320,7 @@ def test_two_portals_exhaustive_small():
                         continue
                     rooted = RootedTree.from_adjacency(
                         {v: list(tree.adj[v]) for v in range(n)}, a)
-                    emb = embed_tree(G, rooted, (a, b))
+                    emb = embed_tree(G, rooted, second=b)
                     report = validate_embedding(G, tree, emb)
                     assert report.ok, (n, tree.edges, a, b, report.failures)
                     assert emb.mapping[a] < emb.mapping[b]
@@ -334,12 +337,12 @@ def test_random_trees_embed(n, rng):
 
 def test_embed_errors():
     G = build_universal(4)
-    with pytest.raises(SizeMismatch):
-        embed_tree(G, path_tree(3), 0)
+    with pytest.raises(IndexOutOfRange):
+        embed_tree(G, path_tree(3), lo=2)
     with pytest.raises(SizeMismatch):
         embed_forest(G, Forest(3, []))
     with pytest.raises(EqualIndices):
-        embed_tree(G, path_tree(4), (1, 1))
+        embed_tree(G, path_tree(4), second=0)
 
 
 def shape_forests(n, rng):
@@ -393,6 +396,33 @@ def test_embed_forest_output_is_pinned():
         emb = embed_forest(build_universal(forest.n), forest)
         digest.update(repr((sorted(emb.mapping.items()), emb.provenance)).encode())
     assert digest.hexdigest() == EMBED_FOREST_DIGEST
+
+
+# sha256 of embed_tree's mapping and provenance on every ordered tree with
+# at most 7 vertices, on every interval of every host with n <= 9, with the
+# root alone and with each other vertex as second portal: 9,819 instances.
+# Each record is (n, levels, lo, portals, mapping, provenance), portals being
+# 0 or (0, second) as the first portal (the root) and the second.
+EMBED_TREE_DIGEST = "8ecc964a1d462033949f7c0328c409ef5a53814c030acd5dbc0224174e943563"
+
+
+def test_embed_tree_output_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    hosts = [build_universal(n) for n in range(1, 10)]
+    for s in range(1, 8):
+        for level in ordered_level_sequences(s):
+            tree = RootedTree.from_levels(level)
+            for G in hosts[s - 1:]:
+                for lo in range(G.n - s + 1):
+                    for second in (None, *range(1, s)):
+                        emb = embed_tree(G, tree, lo=lo, second=second)
+                        portals = 0 if second is None else (0, second)
+                        digest.update(repr((G.n, level, lo, portals,
+                                            sorted(emb.mapping.items()),
+                                            emb.provenance)).encode())
+                        count += 1
+    assert count == 9819
+    assert digest.hexdigest() == EMBED_TREE_DIGEST
 
 
 def test_deep_recursion_leaves_the_interpreter_alone():
@@ -491,8 +521,7 @@ def test_each_single_call_lands_where_a_fresh_embed_tree_does(monkeypatch):
             nested.append(True)
             try:
                 portal = self.T.order[a]
-                emb = embed_tree(self.G, piece_tree(self.T, a, ex), portal,
-                                 Interval(lo, hi))
+                emb = embed_tree(self.G, piece_tree(self.T, a, ex), lo=lo)
             finally:
                 nested.pop()
             assert emb.mapping[portal] == g, (lo, hi, portal)

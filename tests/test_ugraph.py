@@ -5,8 +5,8 @@ import random
 import pytest
 
 from ugg import btree
-from ugg.errors import EqualIndices, IndexOutOfRange, IntervalTooSmall, InvalidSize
-from ugg.ugraph import Interval, UniversalGraph, build_universal
+from ugg.errors import EqualIndices, IndexOutOfRange, InvalidSize
+from ugg.ugraph import UniversalGraph, build_universal
 from ugg.workbench.selftest import EDGE_COUNT_REGRESSION
 
 
@@ -188,7 +188,5 @@ def test_errors():
         G.is_edge(3, 3)
     with pytest.raises(IndexOutOfRange):
         G.is_edge(0, 7)
-    with pytest.raises(IntervalTooSmall):
-        Interval(4, 2)
     with pytest.raises(InvalidSize):
         G.highest_in(4, 2)

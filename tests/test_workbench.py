@@ -309,22 +309,22 @@ def test_twochord_host_certified_at_20():
 
 def test_validator_accepts_identity_on_empty_graph():
     G = build_universal(3)
-    report = validate_embedding(G, Forest(3, []), Embedding(3, {0: 0, 1: 1, 2: 2}))
+    report = validate_embedding(G, Forest(3, []), Embedding({0: 0, 1: 1, 2: 2}))
     assert report.ok and report.failures == []
 
 
 def test_validator_catches_non_injective():
     G = build_universal(3)
-    report = validate_embedding(G, Forest(3, []), Embedding(3, {0: 1, 1: 1, 2: 2}))
+    report = validate_embedding(G, Forest(3, []), Embedding({0: 1, 1: 1, 2: 2}))
     assert not report.ok
     assert report.failures[0][0] == "NotInjective"
 
 
 def test_validator_catches_missing_vertex_and_range():
     G = build_universal(3)
-    report = validate_embedding(G, Forest(3, []), Embedding(3, {0: 0, 1: 1}))
+    report = validate_embedding(G, Forest(3, []), Embedding({0: 0, 1: 1}))
     assert not report.ok and report.failures[0][0] == "SizeMismatch"
-    report = validate_embedding(G, Forest(3, []), Embedding(3, {0: 0, 1: 1, 2: 5}))
+    report = validate_embedding(G, Forest(3, []), Embedding({0: 0, 1: 1, 2: 5}))
     assert not report.ok and report.failures[0][0] == "SizeMismatch"
 
 
@@ -333,7 +333,7 @@ def test_validator_reports_extra_mapping_keys():
     mapping = {t: t for t in range(15)}
     mapping[99] = 3
     mapping[-1] = 7
-    report = validate_embedding(G, Forest(15, [(0, 1)]), Embedding(15, mapping))
+    report = validate_embedding(G, Forest(15, [(0, 1)]), Embedding(mapping))
     assert not report.ok
     assert report.failures == [("SizeMismatch", ((-1, 7), (99, 3)))]
 
@@ -354,7 +354,7 @@ def test_validator_reports_extra_mapping_keys():
 ])
 def test_validator_mapping_failures_keep_their_precedence(mapping, failures):
     G = build_universal(15)
-    report = validate_embedding(G, Forest(6, [(0, 1)]), Embedding(15, mapping))
+    report = validate_embedding(G, Forest(6, [(0, 1)]), Embedding(mapping))
     assert not report.ok
     assert report.failures == failures
 
@@ -384,7 +384,7 @@ def test_validator_reports_caterpillar_ids_off_range(cat):
     # a caterpillar's ids name its vertices 0..n-1; an id outside that is a
     # failure of the input, as for any other input
     host = build_caterpillar_host(cat.n)
-    report = validate_embedding(host, cat, Embedding(cat.n, {t: t for t in range(cat.n)}))
+    report = validate_embedding(host, cat, Embedding({t: t for t in range(cat.n)}))
     assert not report.ok
     assert [kind for kind, _ in report.failures] == ["IndexOutOfRange"]
 
@@ -392,7 +392,7 @@ def test_validator_reports_caterpillar_ids_off_range(cat):
 def test_validator_catches_missing_edge():
     G = build_universal(15)
     # (3, 13) is a non-edge of the 15-vertex host
-    emb = Embedding(15, {t: t for t in range(15)})
+    emb = Embedding({t: t for t in range(15)})
     report = validate_embedding(G, (15, [(3, 13)]), emb)
     assert not report.ok
     assert report.failures[0][0] == "MissingEdge"
@@ -400,7 +400,7 @@ def test_validator_catches_missing_edge():
 
 def test_validator_catches_crossing():
     G = build_universal(7)
-    emb = Embedding(7, {t: t for t in range(7)})
+    emb = Embedding({t: t for t in range(7)})
     report = validate_embedding(G, (7, [(1, 3), (2, 5)]), emb)
     assert not report.ok
     assert ("Crossing", ((1, 3), (2, 5))) in report.failures
@@ -408,7 +408,7 @@ def test_validator_catches_crossing():
 
 def test_validator_convex_crossing():
     host = build_complete_host(10)
-    emb = Embedding(10, {t: t for t in range(10)})
+    emb = Embedding({t: t for t in range(10)})
     report = validate_embedding(host, (10, [(0, 5), (2, 7)]), emb)
     assert not report.ok
     assert report.failures[0][0] == "Crossing"
@@ -434,7 +434,7 @@ def test_validator_reports_bad_input_edges(kind, edges, failures):
     # a loop or an endpoint outside [0, n) is a failure of the input, found
     # before any host test, on every host kind
     report = validate_embedding(BAD_EDGE_HOSTS[kind](7), (7, edges),
-                                Embedding(7, {t: t for t in range(7)}))
+                                Embedding({t: t for t in range(7)}))
     assert not report.ok
     assert report.failures == failures
 
