@@ -170,21 +170,31 @@ def height_keys(shape: BTreeShape, n: int) -> list[int]:
 
 
 def highest_in_range(shape: BTreeShape, lo: int, hi: int) -> int:
-    """The highest node of the index range [lo, hi], 0 <= lo <= hi < m.
+    """The highest node of the index range [lo, hi], 0 <= lo <= hi < m."""
+    return top_of_range(shape, lo, hi)[0]
+
+
+def top_of_range(shape: BTreeShape, lo: int, hi: int) -> tuple[int, int, int]:
+    """The highest node of [lo, hi], 0 <= lo <= hi < m, with its level and
+    parent as `_locate` gives them (parent -1 at the root).
 
     Descends from the root while [lo, hi] lies in one child subtree; if it
     straddles both, the right child is higher than the rest of them.
     """
-    if not 0 <= lo <= hi < shape.m:
+    h = shape.h
+    if not 0 <= lo <= hi < (1 << h) - 1:  # m, without the property call
         raise IndexOutOfRange(f"range [{lo}, {hi}] not within [0, {shape.m})")
-    node, step = 0, 1 << (shape.h - 1)  # step: right child minus node
+    node, parent, step = 0, -1, 1 << (h - 1)  # step: right child minus node
     while node < lo:
-        right = node + step
-        if lo < right <= hi:
-            return right
-        node = right if lo >= right else node + 1
+        parent, right = node, node + step
+        if lo >= right:
+            node = right
+        elif right <= hi:
+            return right, h + 2 - step.bit_length(), parent
+        else:
+            node += 1
         step >>= 1
-    return node
+    return node, h + 1 - step.bit_length(), parent
 
 
 def higher(shape: BTreeShape, u: int, w: int) -> bool:

@@ -101,10 +101,14 @@ def _check_replace(G: UniversalGraph, lo: int, hi: int, k: int, x: int) -> None:
     other vertex of it, that is, than the highest on each side of k."""
     if lo <= x <= hi:
         raise PreconditionViolated(f"replacement vertex {x} lies inside [{lo}, {hi}]")
+    shape = G.shape
+    key = btree.height_key(shape, x)
     for a, b in ((lo, k - 1), (k + 1, hi)):
-        if a <= b and not G.higher(x, w := G.highest_in(a, b)):
-            raise PreconditionViolated(
-                f"replacement vertex {x} is not higher than interval vertex {w}")
+        if a <= b:
+            w = btree.highest_in_range(shape, a, b)
+            if btree.height_key(shape, w) < key:
+                raise PreconditionViolated(
+                    f"replacement vertex {x} is not higher than interval vertex {w}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +138,10 @@ class _Recursion:
         lo, hi = self.frame
         if not lo <= g <= hi:
             raise InternalInvariantBroken(f"vertex {g} outside the frame [{lo}, {hi}]")
-        for k, d in reversed(self.shifts):
-            g = _lift(g, k, d)
+        if self.shifts:
+            for k, d in reversed(self.shifts):
+                g += d  # _lift, inlined: about two lifts per placement
+                g += g >= k
         return g
 
     def _put(self, t: int, g: int) -> None:
@@ -186,8 +192,8 @@ class _Recursion:
             return lo
         outer = self._enter(lo, hi)
         placed = self.placed
-        k = btree.highest_in_range(self.G.shape, lo, hi)
-        g, label = self._single_cases(a, ex, lo, hi, k, depth + 1)
+        k, level, parent = btree.top_of_range(self.G.shape, lo, hi)
+        g, label = self._single_cases(a, ex, lo, hi, k, level, parent, depth + 1)
         if g != k:
             raise InternalInvariantBroken(
                 f"portal {self.T.order[a]} landed on {g}, expected interval maximum {k}")
@@ -197,8 +203,9 @@ class _Recursion:
         self.frame = outer
         return k
 
-    def _single_cases(self, a: int, ex: list, lo: int, hi: int, k: int,
-                      depth: int) -> tuple[int, str]:
+    def _single_cases(self, a: int, ex: list, lo: int, hi: int, k: int, level: int,
+                      parent: int, depth: int) -> tuple[int, str]:
+        # k is the interval maximum, on the given level under the given parent.
         # Returns the vertex a landed on and the case label.
         T = self.T
         kids = T.kids(a, ex)
@@ -216,8 +223,6 @@ class _Recursion:
             self._put(a, k)
             return k, "case-1.2.1" if k == hi else "case-1.2.2"
 
-        h = self.G.shape.h
-        level, _, parent = btree._locate(h, k)
         if parent + 1 == k:
             raise InternalInvariantBroken(f"interior maximum {k} is not a right child")
         ls = parent + 1
@@ -233,7 +238,7 @@ class _Recursion:
             self._put(a, k)
             return k, "case-1.2.3"
 
-        d = (1 << (h - level)) - 1  # size of each subtree one level below v_k
+        d = (1 << (self.G.shape.h - level)) - 1  # size of each subtree one level below v_k
         if d == 0 or k + 1 + d > hi:
             return self._case_1_2_4(a, a2, tp, lo, hi, k, depth)
         return self._case_1_2_5(a, a2, tp, lo, hi, k, k + 1 + d, depth)
@@ -383,7 +388,7 @@ class _Recursion:
         """Embed with two portals: split along the a-b path into one block per
         path vertex, left to right, each block embedded with a single portal.
         Returns b's vertex."""
-        T, G = self.T, self.G
+        T = self.T
         path = [b]
         while path[-1] > a:
             path.append(T.parent[path[-1]])
@@ -392,10 +397,7 @@ class _Recursion:
         path.reverse()
         outer = self._enter(lo, hi)
         cur, tops = lo, []
-        for idx, cx in enumerate(path):
-            block = T.keep(ex, cx)
-            if idx + 1 < len(path):
-                block = T.cut(block, path[idx + 1])
+        for cx, block in zip(path, T.path_blocks(ex, path)):
             size = T.count(cx, block)
             tops.append(self.single(cx, block, cur, cur + size - 1, depth))
             cur += size
@@ -404,10 +406,12 @@ class _Recursion:
         pa, pb = tops[0], tops[-1]
         if pa >= pb:
             raise InternalInvariantBroken("left portal not left of right portal")
-        # The blocks tile [lo, hi], so the highest vertex on each side decides.
-        if lo < pa and G.higher(G.highest_in(lo, pa - 1), pa):
+        # The blocks tile [lo, hi], so a quarter plane is empty iff its portal
+        # is the highest vertex from it out to that end of the interval.
+        shape = self.G.shape
+        if btree.highest_in_range(shape, lo, pa) != pa:
             raise InternalInvariantBroken("vertex in upper-left quarter plane of left portal")
-        if pb < hi and G.higher(G.highest_in(pb + 1, hi), pb):
+        if btree.highest_in_range(shape, pb, hi) != pb:
             raise InternalInvariantBroken("vertex in upper-right quarter plane of right portal")
         self.prov.append(("case-2", (lo, hi)))
         self.frame = outer

@@ -115,13 +115,16 @@ class RootedTree:
         """Root the component of `root` in one pass over `adj[v]` lists."""
         order: list[int] = []
         parent: list[int] = []
-        stack = [(root, -1, None)]
-        while stack:
-            v, p, up = stack.pop()
-            parent.append(p)
+        todo = [(root, -1)]  # (vertex, parent position), next on top
+        while todo:
+            v, p = todo.pop()
+            i = len(order)
             order.append(v)
-            i = len(order) - 1
-            stack.extend((w, i, v) for w in reversed(adj[v]) if w != up)
+            parent.append(p)
+            up = order[p] if p >= 0 else -1
+            for w in reversed(adj[v]):
+                if w != up:
+                    todo.append((w, i))
         size = [1] * len(order)
         for i in range(len(order) - 1, 0, -1):
             size[parent[i]] += size[i]
@@ -144,19 +147,38 @@ class RootedTree:
         return cls(list(range(len(level))), parent, size)
 
     def count(self, v: int, ex: list) -> int:
-        return self.size[v] - sum(e - s for s, e in ex) if ex else self.size[v]
+        n = self.size[v]
+        for s, e in ex:
+            n -= e - s
+        return n
 
     def kids(self, v: int, ex: list) -> list[tuple[int, int]]:
-        """Children of v in the piece, in order, with their piece sizes."""
-        size, skip, out = self.size, dict(ex), []
+        """Children of v in the piece, in order, with their piece sizes.
+
+        One pass over the children and ex together: ex is sorted, so the
+        ranges inside a child's subtree are the next ones starting before
+        the subtree ends."""
+        size, out = self.size, []
         c, end = v + 1, v + size[v]
+        if not ex:
+            while c < end:
+                out.append((c, size[c]))
+                c += size[c]
+            return out
+        i, m = 0, len(ex)
+        while i < m and ex[i][0] <= v:  # ranges left of v's subtree
+            i += 1
         while c < end:
-            if c in skip:
-                c = skip[c]
+            if i < m and ex[i][0] == c:  # a run of excluded children
+                c = ex[i][1]
+                i += 1
                 continue
             nxt = c + size[c]
-            out.append((c, size[c] - sum(e - s for s, e in ex if c < s < nxt)
-                        if ex else size[c]))
+            sz = size[c]
+            while i < m and ex[i][0] < nxt:
+                sz -= ex[i][1] - ex[i][0]
+                i += 1
+            out.append((c, sz))
             c = nxt
         return out
 
@@ -164,9 +186,9 @@ class RootedTree:
              stop: int | None = None) -> list:
         """Ranges of the piece made of v and the part [start, stop) of its
         subtree (all of it by default), which starts and ends at children."""
-        if not ex and start is None and stop is None:
-            return []
         end = v + self.size[v]
+        if start is None and stop is None:
+            return [r for r in ex if v < r[0] and r[1] <= end] if ex else []
         start = v + 1 if start is None else start
         stop = end if stop is None else stop
         return ([(v + 1, start)] if v + 1 < start else []) + [
@@ -176,22 +198,56 @@ class RootedTree:
     def cut(self, ex: list, x: int) -> list:
         """Ranges of the piece with x's subtree removed too."""
         end = x + self.size[x]
+        if not ex:
+            return [(x, end)]
         return [r for r in ex if r[1] <= x] + [(x, end)] + [r for r in ex if r[0] >= end]
+
+    def path_blocks(self, ex: list, path: list[int]):
+        """Ranges of the blocks of the piece (path[0], ex) along a path down
+        from it, each vertex the parent of the next, yielded in path order:
+        path[i]'s block is its piece less path[i + 1]'s subtree, and
+        path[-1]'s is its piece.  Each range of ex falls in one block; of
+        those left over, the ones before the next subtree come first in ex
+        and the ones after it last."""
+        size, i, j = self.size, 0, len(ex)
+        for x in path[1:]:
+            end, left, right = x + size[x], i, j
+            while i < j and ex[i][0] < x:
+                i += 1
+            while j > i and ex[j - 1][0] >= end:
+                j -= 1
+            yield ex[left:i] + [(x, end)] + ex[j:right]
+        yield ex[i:j]
 
     def cut_vertex(self, v: int, ex: list, s: int) -> int:
         """Walk down from v, always into the first child whose piece subtree
-        still has >= s vertices; return where the walk stops."""
+        still has >= s vertices; return where the walk stops.
+
+        One pass in preorder: a child too small is stepped over with the
+        ranges inside it, and the walk enters the first one big enough."""
         n = self.count(v, ex)
         if n < 2:
             raise InvalidSize(f"cut_vertex needs a tree on >= 2 vertices, got {n}")
         if not 1 <= s <= n:
             raise InvalidS(f"s {s} not in [1, {n}]")
-        c = v
-        while True:
-            nxt = next((d for d, sz in self.kids(c, ex) if sz >= s), None)
-            if nxt is None:
-                return c
-            c = nxt
+        size, i, m = self.size, 0, len(ex)
+        while i < m and ex[i][0] <= v:
+            i += 1
+        c, d, end = v, v + 1, v + size[v]  # d: the next child of c to weigh
+        while d < end:
+            if i < m and ex[i][0] == d:
+                d = ex[i][1]
+                i += 1
+                continue
+            nxt, sz, j = d + size[d], size[d], i
+            while j < m and ex[j][0] < nxt:
+                sz -= ex[j][1] - ex[j][0]
+                j += 1
+            if sz >= s:
+                c, d, end = d, d + 1, nxt
+            else:
+                d, i = nxt, j
+        return c
 
 
 @dataclass(frozen=True)

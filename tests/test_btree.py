@@ -129,11 +129,26 @@ def test_interval_maximum_dominates_right_part():
                 assert lo <= k and j <= hi
 
 
+def test_top_of_range_matches_the_height_order_and_locate():
+    # one descent gives the interval maximum with the level and parent that
+    # _locate gives it, on every interval of every tree up to height 6
+    for h in range(1, 7):
+        shape = BTreeShape(h, (1 << h) - 1)
+        for lo in range(shape.m):
+            for hi in range(lo, shape.m):
+                k = btree.highest(shape, range(lo, hi + 1))
+                level, _, parent = btree._locate(h, k)
+                assert btree.top_of_range(shape, lo, hi) == (k, level, parent)
+                assert btree.highest_in_range(shape, lo, hi) == k
+
+
 @pytest.mark.parametrize("lo, hi", [(7, 7), (9, 12), (3, 7), (0, 8)])
 def test_highest_in_range_past_the_tree_raises(lo, hi):
     # lo = m once returned the non-node m and lo > m never returned
     with pytest.raises(IndexOutOfRange):
         btree.highest_in_range(H3, lo, hi)
+    with pytest.raises(IndexOutOfRange):
+        btree.top_of_range(H3, lo, hi)
 
 
 def test_subtree_size_and_membership():

@@ -9,6 +9,7 @@ from ugg.trees import (
     RootedTree,
     caterpillar_spine,
 )
+from ugg.workbench.families import ordered_level_sequences
 
 
 def test_forest_accepts_trees_and_forests():
@@ -75,6 +76,101 @@ def test_piece_helpers():
     assert t.count(0, only_2) == 2 and t.kids(0, only_2) == [(3, 1)]
     assert t.cut_vertex(0, [], 2) == 1
     assert t.cut_vertex(0, no_1, 2) == 0
+
+
+def piece_steps(T, v, ex, verts, below):
+    """Each piece one keep or cut step away from the piece (v, ex), with its
+    vertex set taken from `verts` by ancestry alone: keep a piece vertex u
+    and all below it, cut such a u other than v and all below it, or keep v
+    and its children from start up to (not including) stop, with all below
+    them."""
+    kids = sorted(c for c in verts if T.parent[c] == v)
+    for u in sorted(verts):
+        yield u, T.keep(ex, u), {t for t in verts if u in below[t]}
+        if u != v:
+            yield v, T.cut(ex, u), {t for t in verts if u not in below[t]}
+    for i, start in enumerate(kids):
+        for stop in (*kids[i + 1:], None):
+            part = set(kids[i:kids.index(stop)] if stop is not None else kids[i:])
+            yield v, T.keep(ex, v, start, stop), {
+                t for t in verts if t == v or below[t] & part}
+
+
+def small_pieces():
+    """(T, below, v, ex, verts) for every ordered tree T on <= 8 vertices
+    and every piece (v, ex) up to two keep or cut steps from the whole tree,
+    with its explicit vertex set; below[t] holds t and its ancestors."""
+    for n in range(1, 9):
+        for level in ordered_level_sequences(n):
+            T = RootedTree.from_levels(level)
+            below = []
+            for t in range(n):
+                below.append({t} | (below[T.parent[t]] if t else set()))
+            seen = {(0, ()): set(range(n))}
+            frontier = [(0, [], set(range(n)))]
+            for _ in range(2):
+                steps, frontier = frontier, []
+                for piece in steps:
+                    for v, ex, verts in piece_steps(T, *piece, below):
+                        known = seen.setdefault((v, tuple(ex)), verts)
+                        assert known == verts  # two routes to a piece agree
+                        if known is verts:
+                            frontier.append((v, ex, verts))
+            for (v, ex), verts in seen.items():
+                yield T, below, v, list(ex), verts
+
+
+def ranges_cover(T, v, ex):
+    """The vertex set a piece's ranges describe, after checking that they
+    are sorted, disjoint and inside v's subtree."""
+    assert all(v < s < e <= f for (s, e), (f, _) in zip(ex, ex[1:] + [(v + T.size[v], 0)]))
+    return {t for t in range(v, v + T.size[v]) if not any(s <= t < e for s, e in ex)}
+
+
+def oracle_cut_vertex(T, verts, below, v, s):
+    c = v
+    while True:
+        big = [d for d in sorted(verts) if T.parent[d] == c
+               and sum(d in below[t] for t in verts) >= s]
+        if not big:
+            return c
+        c = big[0]
+
+
+def test_piece_helpers_match_a_set_oracle():
+    # on every small piece: its ranges, count, kids (children and piece
+    # sizes, in order) and cut_vertex for every s, against the piece's
+    # explicit vertex set, children found by scanning `parent`
+    pieces = 0
+    for T, below, v, ex, verts in small_pieces():
+        pieces += 1
+        assert ranges_cover(T, v, ex) == verts
+        assert T.count(v, ex) == len(verts)
+        for u in verts:
+            assert T.kids(u, ex) == [(c, sum(c in below[t] for t in verts))
+                                     for c in sorted(verts) if T.parent[c] == u]
+        if len(verts) >= 2:
+            for s in range(1, len(verts) + 1):
+                assert T.cut_vertex(v, ex, s) == oracle_cut_vertex(T, verts, below, v, s)
+    assert pieces == 25125
+
+
+def test_path_blocks_match_a_set_oracle():
+    # on every small piece (v, ex) and every path from v down to a piece
+    # vertex b: each path vertex's block is its piece less the next one's
+    # subtree, and b's block is its piece
+    for T, below, v, ex, verts in small_pieces():
+        for b in verts - {v}:
+            path = [b]
+            while path[-1] != v:
+                path.append(T.parent[path[-1]])
+            path.reverse()
+            blocks = list(T.path_blocks(ex, path))
+            assert len(blocks) == len(path)
+            for cx, nx, block in zip(path, path[1:] + [None], blocks):
+                assert ranges_cover(T, cx, block) == {
+                    t for t in verts
+                    if cx in below[t] and (nx is None or nx not in below[t])}
 
 
 def test_path_is_a_caterpillar():
