@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EqualIndices, IndexOutOfRange, InvalidSize
+from .errors import IndexOutOfRange, InvalidSize
 
 
 @dataclass(frozen=True)
@@ -195,15 +195,6 @@ def top_of_range(shape: BTreeShape, lo: int, hi: int) -> tuple[int, int, int]:
             node += 1
         step >>= 1
     return node, h + 1 - step.bit_length(), parent
-
-
-def higher(shape: BTreeShape, u: int, w: int) -> bool:
-    """True iff u precedes w in the height order (u is strictly higher)."""
-    _check_index(shape, u)
-    _check_index(shape, w)
-    if u == w:
-        raise EqualIndices(f"higher() needs distinct indices, got {u} twice")
-    return height_key(shape, u) < height_key(shape, w)
 
 
 def highest(shape: BTreeShape, indices) -> int:

@@ -54,7 +54,7 @@ class Embedding:
 # ---------------------------------------------------------------------------
 
 
-def _iso_interior(h: int, lo: int, hi: int, k: int) -> int:
+def _iso_interior(h: int, lo: int, hi: int, k: int, level: int, parent: int) -> int:
     """The interval isomorphism: [lo, hi] minus its interior highest vertex k,
     in a host of height h, maps onto [lo - d, hi - d - 1] by
     u -> u - d - [u > k], keeping host edges, crossings and the height order.
@@ -62,12 +62,12 @@ def _iso_interior(h: int, lo: int, hi: int, k: int) -> int:
 
     The interval may contain neither the right child of v_k nor any vertex
     from the subtree of the left child of v_k's left sibling; both clauses
-    are checked.  That k is the highest vertex of [lo, hi], an O(log n)
-    check, is the caller's to vouch for.
+    are checked.  That k is the highest vertex of [lo, hi], on the given
+    level under the given parent, is the caller's to vouch for: the
+    recursion takes all three from the one `top_of_range` descent.
     """
     if not lo < k < hi:
         raise PreconditionViolated(f"k={k} not interior to [{lo}, {hi}]")
-    level, _, parent = btree._locate(h, k)
     if parent < 0 or parent + 1 == k:
         raise InternalInvariantBroken(
             f"interior interval maximum {k} is not a right child")
@@ -102,11 +102,14 @@ def _check_replace(G: UniversalGraph, lo: int, hi: int, k: int, x: int) -> None:
     if lo <= x <= hi:
         raise PreconditionViolated(f"replacement vertex {x} lies inside [{lo}, {hi}]")
     shape = G.shape
-    key = btree.height_key(shape, x)
+    level = btree._locate(shape.h, x)[0]
     for a, b in ((lo, k - 1), (k + 1, hi)):
         if a <= b:
-            w = btree.highest_in_range(shape, a, b)
-            if btree.height_key(shape, w) < key:
+            # w is higher than x iff it is on a lower level, or on x's level
+            # to its right: preorder runs left to right along a level, so
+            # (level, -index) orders the nodes as `height_key` does
+            w, w_level, _ = btree.top_of_range(shape, a, b)
+            if w_level < level or w_level == level and w > x:
                 raise PreconditionViolated(
                     f"replacement vertex {x} is not higher than interval vertex {w}")
 
@@ -192,8 +195,9 @@ class _Recursion:
             return lo
         outer = self._enter(lo, hi)
         placed = self.placed
-        k, level, parent = btree.top_of_range(self.G.shape, lo, hi)
-        g, label = self._single_cases(a, ex, lo, hi, k, level, parent, depth + 1)
+        top = btree.top_of_range(self.G.shape, lo, hi)
+        k = top[0]
+        g, label = self._single_cases(a, ex, lo, hi, top, depth + 1)
         if g != k:
             raise InternalInvariantBroken(
                 f"portal {self.T.order[a]} landed on {g}, expected interval maximum {k}")
@@ -203,17 +207,19 @@ class _Recursion:
         self.frame = outer
         return k
 
-    def _single_cases(self, a: int, ex: list, lo: int, hi: int, k: int, level: int,
-                      parent: int, depth: int) -> tuple[int, str]:
-        # k is the interval maximum, on the given level under the given parent.
-        # Returns the vertex a landed on and the case label.
+    def _single_cases(self, a: int, ex: list, lo: int, hi: int, top: tuple[int, int, int],
+                      depth: int) -> tuple[int, str]:
+        # top is the interval maximum k with its level and parent, as
+        # `top_of_range` gives them.  Returns the vertex a landed on and the
+        # case label.
+        k, level, parent = top
         T = self.T
         kids = T.kids(a, ex)
 
         if len(kids) >= 2:
             # Branching portal: lay the child subtrees left-to-right over the
             # interval minus k; the chunk next to k absorbs k and keeps the portal.
-            return self._spread(a, ex, kids, lo, (k,), k, k, depth), "case-1.1"
+            return self._spread(a, ex, kids, lo, (k,), k, top, depth), "case-1.1"
 
         a2 = kids[0][0]
         tp = T.keep(ex, a2)
@@ -240,14 +246,16 @@ class _Recursion:
 
         d = (1 << (self.G.shape.h - level)) - 1  # size of each subtree one level below v_k
         if d == 0 or k + 1 + d > hi:
-            return self._case_1_2_4(a, a2, tp, lo, hi, k, depth)
-        return self._case_1_2_5(a, a2, tp, lo, hi, k, k + 1 + d, depth)
+            return self._case_1_2_4(a, a2, tp, lo, hi, top, depth)
+        return self._case_1_2_5(a, a2, tp, lo, hi, top, k + 1 + d, depth)
 
-    def _under(self, v: int, ex: list, lo: int, hi: int, k: int, depth: int) -> int:
+    def _under(self, v: int, ex: list, lo: int, hi: int, top: tuple[int, int, int],
+               depth: int) -> int:
         # single() of the piece (v, ex) on the image of [lo, hi], which must
-        # lie in the current frame, minus its interior maximum k; returns
-        # v's vertex lifted back
-        d = _iso_interior(self.G.shape.h, lo, hi, k)
+        # lie in the current frame, minus its interior maximum k, top[0];
+        # returns v's vertex lifted back
+        k = top[0]
+        d = _iso_interior(self.G.shape.h, lo, hi, *top)
         outer = self._enter(lo, hi)
         self.shifts.append((k, d))
         self.frame = (lo - d, hi - d - 1)
@@ -257,13 +265,13 @@ class _Recursion:
         return _lift(g, k, d)
 
     def _spread(self, v: int, ex: list, kids: list[tuple[int, int]], lo: int,
-                gaps: tuple, x: int, k: int, depth: int) -> int:
+                gaps: tuple, x: int, top: tuple[int, int, int], depth: int) -> int:
         # Lay v's children in the piece from lo rightwards over the vertices
         # not in gaps (sorted), one chunk each; the chunk beside host vertex x
         # (or the first, if x is lo) absorbs x and keeps v, whose vertex is
-        # returned.  A chunk that spans the interval maximum k is embedded
-        # beside it and shifted back.
-        T, p, q = self.T, lo, None
+        # returned.  A chunk that spans the frame's maximum k, top[0], is
+        # embedded beside it and shifted back.
+        T, p, q, k = self.T, lo, None, top[0]
         for child, sz in kids:
             first, last = p, p + sz - 1
             for gap in gaps:
@@ -278,7 +286,7 @@ class _Recursion:
                 self.single(child, cex, first, last, depth)
             elif last - first == sz and first < k < last:
                 # k, the frame's maximum, is the chunk's
-                self._under(child, cex, first, last, k, depth)
+                self._under(child, cex, first, last, top, depth)
             else:
                 raise InternalInvariantBroken("chunk neither interval nor maximum-split")
         if q is None:
@@ -298,13 +306,13 @@ class _Recursion:
             return self.single(a2, rem, lo, hi, depth)
         return self.two(a2, rem, cp, lo, hi, depth)
 
-    def _case_1_2_4(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
-                    depth: int) -> tuple[int, str]:
+    def _case_1_2_4(self, a: int, a2: int, tp: list, lo: int, hi: int,
+                    top: tuple[int, int, int], depth: int) -> tuple[int, str]:
         # Interval maximum k is interior; its right child and left sibling
         # both lie outside.
         # Cut the rest of the tree so that a piece H with s <= |H| <= 2s-2
         # vertices fills [hi-|H|, hi] minus v_k via the interval isomorphism.
-        T = self.T
+        T, k = self.T, top[0]
         s = hi - k + 1
         c = T.cut_vertex(a2, tp, s)
         kids = T.kids(c, tp)
@@ -317,7 +325,7 @@ class _Recursion:
             raise InternalInvariantBroken(f"cut piece size {m} outside [s, 2s-2] for s={s}")
 
         h_ex = T.keep(tp, c, c + 1, kids[l][0] if l < len(kids) else None)
-        g = self._under(c, h_ex, hi - m, hi, k, depth)
+        g = self._under(c, h_ex, hi - m, hi, top, depth)
         if g != k + 1:
             raise InternalInvariantBroken(
                 f"cut vertex landed on {g}, expected second-highest {k + 1}")
@@ -335,11 +343,11 @@ class _Recursion:
             raise InternalInvariantBroken("pieces do not tile the interval")
         return k, "case-1.2.4"
 
-    def _case_1_2_5(self, a: int, a2: int, tp: list, lo: int, hi: int, k: int,
-                    r: int, depth: int) -> tuple[int, str]:
+    def _case_1_2_5(self, a: int, a2: int, tp: list, lo: int, hi: int,
+                    top: tuple[int, int, int], r: int, depth: int) -> tuple[int, str]:
         # The right child v_r of the interval maximum lies in the interval; it is
         # the second-highest vertex of [lo, hi].
-        T = self.T
+        T, k = self.T, top[0]
         s = hi - r + 1
         c = T.cut_vertex(a2, tp, s)
         m = T.count(c, T.keep(tp, c))
@@ -373,7 +381,7 @@ class _Recursion:
         kids = T.kids(c, tp)
         if not kids:
             raise InternalInvariantBroken("cut vertex is a leaf yet its subtree spans the window")
-        g = self._spread(c, tp, kids, wlo, (k, r), r, k, depth)
+        g = self._spread(c, tp, kids, wlo, (k, r), r, top, depth)
         if g != r:
             raise InternalInvariantBroken(f"cut vertex landed on {g}, expected {r}")
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from . import btree
 from .btree import BTreeShape
-from .errors import IndexOutOfRange, InvalidSize
 from .host import Host
 
 
@@ -44,10 +43,6 @@ class UniversalGraph(Host):
     def __init__(self, n: int):
         self.shape = BTreeShape.from_size(n)
         self.n = n
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise IndexOutOfRange(f"vertex {v} not in [0, {self.n})")
 
     def is_edge(self, u: int, v: int) -> bool:
         self._check_pair(u, v)
@@ -105,18 +100,6 @@ class UniversalGraph(Host):
         if ranges and ranges[-1][1] >= n:
             ranges[-1] = (ranges[-1][0], n - 1)
         return ranges
-
-    def highest_in(self, lo: int, hi: int) -> int:
-        """Vertex of [lo, hi] that is higher than all others in the interval."""
-        self._check_vertex(lo)
-        self._check_vertex(hi)
-        if lo > hi:
-            raise InvalidSize(f"highest_in needs lo <= hi, got [{lo}, {hi}]")
-        return btree.highest_in_range(self.shape, lo, hi)
-
-    def higher(self, u: int, w: int) -> bool:
-        self._check_pair(u, w)
-        return btree.higher(self.shape, u, w)
 
 
 def build_universal(n: int) -> UniversalGraph:

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import isqrt
 
+from .. import btree
 from ..convex import (
     build_caterpillar_host,
     build_complete_host,
@@ -243,7 +244,7 @@ def _lemma_problems(G, coords, tree, edges, lo: int, second) -> list[str]:
     problems = []
     regions = [QuarterPlane(mp[tree.root], "left")]
     if second is None:
-        if regions[0].apex != G.highest_in(lo, hi):
+        if regions[0].apex != btree.highest_in_range(G.shape, lo, hi):
             problems.append(f"portal at {regions[0].apex}")
     else:
         regions.append(QuarterPlane(mp[second], "right"))

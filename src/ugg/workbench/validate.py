@@ -20,6 +20,18 @@ The sweep's queries sum to the exact number of crossing pairs, which can be
 quadratic in m, so a report holds that count and lists at most WITNESS_CAP
 of the pairs, all of them when there are no more.
 
+The sweep is one pass over one sorted list of ints.  Segments are named by
+their index in flat lists, and each event packs x, a phase and an index into
+one int, the phases in the order a roof leaves, a query at its segment's
+higher x, a query at its lower x, a roof enters; a query carries its
+segment's index and a roof event its roof's Fenwick slot.  One C
+`list.sort` thus puts the events in sweep order, queries at one x in the
+order their segments first appear, and the loop keeps no cursor per x into
+lists sorted by start and by end.
+`validate_embedding` reads the mapping once into an image list, checks
+injectivity with a set of the images, a table sized by the input and never
+by the host, and hands the sweep flat lists of segment ends.
+
 Failures are data, not exceptions; every failure carries a witness.
 """
 
@@ -28,8 +40,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, count, groupby, islice, repeat
+from operator import add, itemgetter, mul, ne
 
 from .. import btree
 from ..btree import BTreeShape
@@ -81,109 +93,151 @@ def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
     return height_ranks(shape, endpoints)
 
 
-def _count(tree: list[int], r: int, d: int) -> None:
-    """Add d to slot r of the Fenwick tree: a roof counted in (d > 0) or out
-    (d < 0) once per copy of its segment."""
-    size = len(tree)
-    while r < size:
-        tree[r] += d
-        r += r & -r
-
-
-def _between(tree: list[int], a: int, b: int) -> int:
-    """The number of live roofs in the slots strictly between a and b, a < b."""
-    c, b = 0, b - 1
-    while b > a:  # the sums up to b - 1 and up to a meet where they agree
-        c += tree[b]
-        b &= b - 1
-    while a > b:
-        c -= tree[a]
-        a &= a - 1
-    return c
-
-
-def _listed(pairs, times):
+def _listed(pairs, lo, hi, times):
     """`Crossing` failures in the pairwise scan's order on (lo, hi) forms,
-    each pair once per copy of each of its two segments."""
-    for first, found in groupby(sorted((min(p), max(p)) for p in pairs), itemgetter(0)):
-        found = list(found)
-        for _ in range(times[first]):
-            for p in found:
-                yield from repeat(("Crossing", p), times[p[1]])
+    each pair of segment indices once per copy of each of its two segments."""
+    seg = {k: (lo[k], hi[k]) for p in pairs for k in p}
+    copies = {seg[k]: times[k] for k in seg}
+    found = sorted(tuple(sorted((seg[s], seg[t]))) for s, t in pairs)
+    for first, group in groupby(found, itemgetter(0)):
+        group = list(group)
+        for _ in range(copies[first]):
+            for p in group:
+                yield from repeat(("Crossing", p), copies[p[1]])
+
+
+def _sweep(keys, us, vs) -> tuple[int, list[tuple[str, tuple]], int]:
+    """The roof sweep over the segments with ends us[k] != vs[k], on the
+    height keys `keys`; see `roof_crossings`."""
+    lo = [a if a < b else b for a, b in zip(us, vs)]
+    hi = [b if a < b else a for a, b in zip(us, vs)]
+    # the distinct segments in the order they first appear, each named by
+    # its index, with its number of copies
+    width = max(hi, default=0) + 1
+    copies = Counter(map(add, map(mul, lo, repeat(width)), hi))
+    times = list(copies.values())
+    if len(times) < len(lo):
+        lo, hi = [c // width for c in copies], [c % width for c in copies]
+    del copies
+    m = len(times)
+    xs = sorted(set(lo).union(hi))
+    after = dict(zip(xs, xs[1:]))  # the next endpoint to the right
+    # A vertex's slot counts the roofs not higher than it, so a roof has its
+    # own slot, and the roofs strictly between x and a higher roof y are
+    # those in the slots strictly between slot[x] and slot[y].  The lowest
+    # endpoint is no roof, so every count is an int from the first add on.
+    roofs = {a if keys[a] < keys[b] else b for a, b in zip(lo, hi)}
+    xs.sort(key=keys.__getitem__, reverse=True)
+    slot = dict(zip(xs, accumulate(map(roofs.__contains__, xs))))
+    size = len(roofs) + 1
+    del xs, roofs
+    # Events in sweep order, each one int: x, then the phase (0 a roof
+    # leaves, 1 a query at the higher x of its segment, 2 a query at the
+    # lower x, 3 a roof enters), then a query's segment or a roof's slot,
+    # which a roof event needs alone: it counts one copy in or out, so a
+    # repeated segment has one pair of roof events per copy.  A segment
+    # between two consecutive xs is never live at a query, so it makes its
+    # query event only.
+    B = max(m, size).bit_length()
+    S = B + 2
+    low, roof, events = [0] * m, [0] * m, []
+    # table lookups in C-level passes first: on large inputs they miss the
+    # cache, and these passes wait on several misses at once
+    sa, sb = list(map(slot.__getitem__, lo)), list(map(slot.__getitem__, hi))
+    far = list(map(ne, map(after.__getitem__, lo), hi))
+    del after, slot
+    for k, a, b, ra, rb, f, t in zip(count(), lo, hi, sa, sb, far, times):
+        if ra < rb:  # a is the lower end
+            low[k], roof[k] = ra, rb
+            events.append(a << S | 2 << B | k)
+        else:
+            low[k], roof[k] = rb, ra
+            events.append(b << S | 1 << B | k)
+            rb = ra
+        if f and t == 1:
+            events.append(b << S | rb)
+            events.append(a << S | 3 << B | rb)
+        elif f:
+            events += [b << S | rb, a << S | 3 << B | rb] * t
+    del sa, sb, far
+    events.sort()
+    mask = (1 << B) - 1
+    tree = [0] * size
+    pairs: list[tuple[int, int]] = []
+    total = 0
+    for e in events:
+        k, phase = e & mask, e >> B & 3
+        if phase == 3:  # the roof in slot k enters
+            while k < size:
+                tree[k] += 1
+                k += k & -k
+            continue
+        if phase == 0:  # the roof in slot k leaves
+            while k < size:
+                tree[k] -= 1
+                k += k & -k
+            continue
+        # the live roofs strictly between slots a and b: the sums up to b - 1
+        # and up to a meet where they agree
+        a, b, c = low[k], roof[k] - 1, 0
+        while b > a:
+            c += tree[b]
+            b &= b - 1
+        while a > b:
+            c -= tree[a]
+            a &= a - 1
+        if c:
+            total += c * times[k]
+            if len(pairs) < WITNESS_CAP:
+                x, a, b = e >> S, low[k], roof[k]
+                pairs += [(s, k) for s in range(m)
+                          if lo[s] < x < hi[s] and a < roof[s] < b]
+    witnesses = list(islice(_listed(pairs, lo, hi, times), WITNESS_CAP)) if pairs else []
+    return total, witnesses, m
 
 
 def roof_crossings(shape: BTreeShape | None, segments,
                    keys=None) -> tuple[int, list[tuple[str, tuple]], int]:
     """The roof sweep over host segments: the number of crossing pairs, at
     most WITNESS_CAP of them as `Crossing` failures, and the number of roof
-    queries made, at most one per segment.
+    queries made, one per distinct segment.
 
     The query at the lower end e of a segment t asks the roof rule of every
     segment s live at e at once: the roofs of the live segments, those whose
     x-span holds e strictly, are counted in a Fenwick tree with a slot per
     distinct roof, lowest first, so the sweep keeps no order of segments and
-    takes O(m log m) time on every input.  At each x the segments ending at
-    x leave; then each segment t whose lower end is x counts the live roofs
-    strictly between x and roof(t); then the segments starting at x enter.
-    A segment between two consecutive xs is never live at a query, so it
-    skips the tree.  No pair meets the rule both ways round, so the sum of
-    the queries is the exact number of crossing pairs, a repeated segment
-    counted once per copy.  While fewer than WITNESS_CAP pairs are known, a
-    query that counts any scans the segments started before x for them.
-    The witnesses are listed as by the pairwise scan and cut at WITNESS_CAP,
-    so a count up to WITNESS_CAP lists every pair.
+    takes O(m log m) time on every input.  The events are ints that sort
+    into sweep order: at each x the segments ending at x leave; then each
+    segment t whose lower end is x counts the live roofs strictly between x
+    and roof(t), those ending at x first; then the segments starting at x
+    enter.  A segment between two consecutive xs is never live at a query,
+    so it makes its query event only.  No pair meets the rule both ways
+    round, so the sum of the queries is the exact number of crossing pairs,
+    a repeated segment counted once per copy.  While fewer than WITNESS_CAP
+    pairs are known, a query that counts any scans the segments for the
+    live ones it counted.  The witnesses are listed as by the pairwise scan
+    and cut at WITNESS_CAP, so a count up to WITNESS_CAP lists every pair.
 
     `keys` is a table of height keys covering every endpoint, read as
     keys[v]; without it the sweep builds one.  On a convex host pass
     keys[v] = -v and no shape.
     """
-    times = Counter((u, v) if u < v else (v, u) for u, v in segments if u != v)
-    xs = sorted({v for s in times for v in s})
+    us, vs = [], []
+    for u, v in segments:
+        if u != v:
+            us.append(u)
+            vs.append(v)
     if keys is None:
-        keys = _height_table(shape, xs)
-    # A vertex's slot counts the roofs not higher than it, so a roof has
-    # its own slot, and the roofs strictly between x and a higher roof y
-    # are those in the slots strictly between slot[x] and slot[y].
-    roofs = {u if keys[u] < keys[v] else v for u, v in times}
-    slot, size = keys.copy(), 1
-    for v in sorted(xs, key=keys.__getitem__, reverse=True):
-        size += v in roofs
-        slot[v] = size - 1
-    tree = [0] * size
-    starts, ends = sorted(times, key=itemgetter(0)), sorted(times, key=itemgetter(1))
-    pairs: list[tuple[Segment, Segment]] = []
-    count = queries = i = j = 0
-    for before, x, after in zip([None] + xs, xs, xs[1:] + [None]):
-        sx, kx, j0, i0 = slot[x], keys[x], j, i
-        while j < len(ends) and ends[j][1] == x:
-            s, j = ends[j], j + 1
-            if s[0] != before:
-                _count(tree, max(slot[s[0]], sx), -times[s])
-        while i < len(starts) and starts[i][0] == x:
-            i += 1
-        for t in ends[j0:j] + starts[i0:i]:
-            y = t[0] + t[1] - x  # the end of t that is not x
-            if keys[y] < kx:  # x is the lower end of t
-                queries += 1
-                top = slot[y]
-                c = _between(tree, sx, top)
-                if c:
-                    count += c * times[t]
-                    if len(pairs) < WITNESS_CAP:
-                        pairs += [(s, t) for s in islice(starts, i0) if x < s[1]
-                                  and sx < max(slot[s[0]], slot[s[1]]) < top]
-        for s in starts[i0:i]:
-            if s[1] != after:
-                _count(tree, max(slot[s[1]], sx), times[s])
-    return count, list(islice(_listed(pairs, times), WITNESS_CAP)), queries
+        keys = _height_table(shape, set(us).union(vs))
+    return _sweep(keys, us, vs)
 
 
 def _crossing_rules(host, endpoints):
     """The edge test and the crossing counter for segments on the given host
-    vertices.  On the universal host both read one table of height keys,
-    built here once.  On convex hosts the nesting walk looks for a crossing,
-    and only when it finds one does the roof sweep count on the keys -v of
-    the segments' ends."""
+    vertices; the counter takes the segments' ends as two flat lists.  On the universal host
+    both read one table of height keys, built here once.  On convex hosts the
+    nesting walk looks for a crossing, and only when it finds one does the
+    roof sweep count on the keys -v of the segments' ends."""
     if host.kind == "universal":
         h, keys = host.shape.h, _height_table(host.shape, endpoints)
 
@@ -193,14 +247,13 @@ def _crossing_rules(host, endpoints):
             lu, lv = -(-ku >> h), -(-kv >> h)
             return adjacent(lu, (lu << h) - ku, lv, (lv << h) - kv)
 
-        return is_edge, partial(roof_crossings, host.shape, keys=keys)
+        return is_edge, partial(_sweep, keys)
 
-    def crossings(segments):
-        pair, checked = nesting_crossing(segments)
+    def crossings(us, vs):
+        pair, checked = nesting_crossing(zip(us, vs))
         if pair is None:
             return 0, [], checked
-        keys = {v: -v for s in segments for v in s}
-        count, witnesses, queries = roof_crossings(None, segments, keys)
+        count, witnesses, queries = _sweep({v: -v for v in chain(us, vs)}, us, vs)
         return count, witnesses, checked + queries
 
     return host.is_edge, crossings
@@ -242,24 +295,12 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if failures:
         return ValidationReport("failed", failures)
     mp = emb.mapping
+    image = list(map(mp.get, range(n_in)))
 
-    # one pass over the input vertices; reports keep their precedence:
-    # missing and extra keys, then images off the host, then repeated images
-    host_n = host.n
-    missing: list[int] = []
-    out_of_range: list[int] = []
-    repeats: list[tuple[str, tuple]] = []
-    by_image: dict[int, int] = {}
-    for t in range(n_in):
-        g = mp.get(t)
-        if g is None:
-            missing.append(t)
-        elif not 0 <= g < host_n:
-            out_of_range.append(t)
-        else:
-            first = by_image.setdefault(g, t)
-            if first != t:
-                repeats.append(("NotInjective", (first, t, g)))
+    # reports keep their precedence: missing and extra keys, then images off
+    # the host, then repeated images; each is looked for only if the one
+    # pass of C-level checks below says there is one
+    missing = [t for t, g in enumerate(image) if g is None] if None in image else []
     if missing:
         failures.append(("SizeMismatch", tuple(missing[:4])))
     # every key in [0, n_in) was met above, so extra keys exist iff mp is larger
@@ -268,22 +309,27 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
         failures.append(("SizeMismatch", tuple((t, mp[t]) for t in extra)))
     if failures:
         return ValidationReport("failed", failures)
-    if out_of_range:
-        failures.append(("SizeMismatch", tuple((t, mp[t]) for t in out_of_range[:4])))
-        return ValidationReport("failed", failures)
-    if repeats:
-        return ValidationReport("failed", repeats)
+    host_n = host.n
+    if image and not 0 <= min(image) <= max(image) < host_n:
+        off = [(t, g) for t, g in enumerate(image) if not 0 <= g < host_n]
+        return ValidationReport("failed", [("SizeMismatch", tuple(off[:4]))])
+    if len(set(image)) < n_in:  # a table sized by the input, not the host
+        by_image: dict[int, int] = {}
+        return ValidationReport("failed", [
+            ("NotInjective", (by_image[g], t, g)) for t, g in enumerate(image)
+            if by_image.setdefault(g, t) != t])
 
-    is_edge, crossings = _crossing_rules(host, mp.values())
-    mapped: list[Segment] = []
+    is_edge, crossings = _crossing_rules(host, image)
+    gu: list[int] = []
+    gv: list[int] = []
     for u, v in in_edges:
-        gu, gv = mp[u], mp[v]
-        if not is_edge(gu, gv):
-            failures.append(("MissingEdge", ((u, v), (gu, gv))))
-        else:
-            mapped.append((gu, gv) if gu < gv else (gv, gu))
+        a, b = image[u], image[v]
+        if not is_edge(a, b):
+            failures.append(("MissingEdge", ((u, v), (a, b))))
+        gu.append(a)
+        gv.append(b)
     if failures:
         return ValidationReport("failed", failures)
 
-    count, failures, checked = crossings(mapped)
+    count, failures, checked = crossings(gu, gv)
     return ValidationReport("failed" if count else "ok", failures, checked, count)

