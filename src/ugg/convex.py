@@ -3,7 +3,6 @@ square-root-star two-chord host, with their embedding algorithms."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -84,7 +83,7 @@ class _CaterpillarHost(ConvexHost):
         d = abs(u - v)
         return min(d, self.n - d) <= max(_reach(u), _reach(v))
 
-    def later_ranges(self, u: int) -> list[tuple[int, int]]:
+    def ranges(self) -> Iterator[list[tuple[int, int]]]:
         # u reaches (u, u + r] and, across the seam, [u + n - r, n).  The
         # vertices of reach 2k - 1 sit at k - 1 (mod 2k); of them only the
         # first after u and the last before n can reach back to u, and only
@@ -92,38 +91,34 @@ class _CaterpillarHost(ConvexHost):
         # exceeds (r + 1) / 2, the lowest set bit of u + 1, so the first after
         # u is within 2k - 1 of it; the last before n is u + 1 or more away
         # across the seam, so it can reach u only once 2k > u + 1.
-        n, r = self.n, _reach(u)
-        if u + 1 >= n:
-            return []
-        ahead, behind = min(u + r, n - 1), min(u + n - r, n)  # behind = n: none
-        if behind <= ahead + 1:  # the two reaches meet
-            return [(u + 1, n - 1)]
-        far = []
-        k = r + 1
-        while k <= n:
-            d = 2 * k
-            j = u + 1 + (k - 2 - u) % d
-            if ahead < j < behind:
-                far.append(j)
-            if d > u + 1:
-                j = n - 1 - (n - k) % d
-                if n - j + u < d and ahead < j < behind:
-                    far.append(j)
-            k = d
-        # The far points lie strictly between the two reaches, so in order
-        # the ranges are the forward reach, the far points, the back reach;
-        # a point repeated or next to the range before it joins that range.
-        ranges = [(u + 1, ahead)]
-        for j in sorted(far):
-            if j > ranges[-1][1] + 1:
-                ranges.append((j, j))
-            elif j == ranges[-1][1] + 1:
-                ranges[-1] = (ranges[-1][0], j)
-        if behind == ranges[-1][1] + 1:
-            ranges[-1] = (ranges[-1][0], n - 1)
-        elif behind < n:
-            ranges.append((behind, n - 1))
-        return ranges
+        n = self.n
+        for u in range(n - 1):
+            r = _reach(u)
+            ahead, behind = min(u + r, n - 1), min(u + n - r, n)  # behind = n: none
+            if behind <= ahead + 1:  # the two reaches meet
+                yield [(u + 1, n - 1)]
+                continue
+            far = set()
+            k = r + 1
+            while k <= n:
+                d = 2 * k
+                j = u + 1 + (k - 2 - u) % d
+                if ahead < j < behind:
+                    far.add(j)
+                if d > u + 1:
+                    j = n - 1 - (n - k) % d
+                    if n - j + u < d and ahead < j < behind:
+                        far.add(j)
+                k = d
+            # The far points lie strictly between the two reaches, so in
+            # order the ranges are the forward reach, the far points, one
+            # range each, and the back reach.
+            ranges = [(u + 1, ahead)]
+            ranges += [(j, j) for j in sorted(far)]
+            if behind < n:
+                ranges.append((behind, n - 1))
+            yield ranges
+        yield []
 
     def edge_count(self) -> int:
         # By circular distance d, with t the largest power of two <= d:
@@ -194,19 +189,22 @@ class _StarHost(ConvexHost):
         self._check_pair(u, v)
         return (u - v) % self.n in (1, self.n - 1) or u in self.centers or v in self.centers
 
-    def later_ranges(self, u: int) -> list[tuple[int, int]]:
-        # 0 is a center, so the seam edge (0, n-1) falls in the first case.
-        if u in self.centers:
-            return [(u + 1, self.n - 1)] if u + 1 < self.n else []
-        # u + 1 joins the runs of the centers above u, which are sorted and
+    def ranges(self) -> Iterator[list[tuple[int, int]]]:
+        # A center reaches every vertex after it; 0 is a center, so the seam
+        # edge (0, n-1) falls in this case.  Any other u reaches u + 1 and
+        # the runs of the centers above u, runs[j:], which are sorted and
         # apart, so the list is in order.
-        runs = self.runs
-        j = bisect_right(runs, (u, self.n))
-        if u + 1 == self.n or j < len(runs) and runs[j][0] == u + 1:
-            return list(runs[j:])
-        if j < len(runs) and runs[j][0] == u + 2:
-            return [(u + 1, runs[j][1]), *runs[j + 1:]]
-        return [(u + 1, u + 1), *runs[j:]]
+        n, runs, centers = self.n, self.runs, self.centers
+        j = 0  # the first run above u; at most one run opens at each u
+        for u in range(n):
+            if j < len(runs) and runs[j][0] <= u:
+                j += 1
+            if u in centers:
+                yield [(u + 1, n - 1)] if u + 1 < n else []
+            elif u + 1 == n or j < len(runs) and runs[j][0] == u + 1:
+                yield list(runs[j:])
+            else:
+                yield [(u + 1, u + 1), *runs[j:]]
 
     def edge_count(self) -> int:
         # Pairs touching a center, plus the n cycle edges less those that do.
@@ -373,8 +371,8 @@ class _CustomHost(ConvexHost):
         self._check_pair(u, v)
         return (min(u, v), max(u, v)) in self._edges
 
-    def later_ranges(self, u: int) -> list[tuple[int, int]]:
-        return self._later.get(u, [])
+    def ranges(self) -> Iterator[list[tuple[int, int]]]:
+        return (self._later.get(u, []) for u in range(self.n))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._edges))

@@ -2,7 +2,8 @@
 name in host files), `is_edge(u, v)`, and lazy `edges()` / `edge_count()`.
 
 Only a custom host stores edges.  Every other host lists the neighbors above
-a vertex as a few index ranges, and both edge queries walk those ranges.
+each vertex as a few index ranges, in one walk over all its vertices that
+keeps a few ranges of state, and both edge queries read that walk.
 """
 
 from __future__ import annotations
@@ -22,19 +23,19 @@ class Host:
         if u == v:
             raise EqualIndices(f"is_edge needs two distinct vertices, got {u}")
 
-    def later_ranges(self, u: int) -> list[tuple[int, int]]:
-        """The neighbors w > u of u, as closed ranges (lo, hi): sorted,
-        disjoint and nonempty, each hi below the next lo.  Two ranges may
-        touch (hi + 1 == next lo), as the custom host's ranges of one do."""
+    def ranges(self) -> Iterator[list[tuple[int, int]]]:
+        """For u = 0, 1, ..., n - 1 in turn, the neighbors w > u of u as
+        closed ranges (lo, hi): sorted, disjoint and nonempty, each hi below
+        the next lo.  Two ranges may touch (hi + 1 == next lo).  The walk is
+        lazy; a caller may stop it at any vertex."""
         raise NotImplementedError
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge (u, w) with u < w, in sorted order."""
-        for u in range(self.n):
-            for lo, hi in self.later_ranges(u):
+        for u, ranges in enumerate(self.ranges()):
+            for lo, hi in ranges:
                 for w in range(lo, hi + 1):
                     yield u, w
 
     def edge_count(self) -> int:
-        return sum(hi - lo + 1 for u in range(self.n) for lo, hi in self.later_ranges(u))
-
+        return sum(hi - lo + 1 for ranges in self.ranges() for lo, hi in ranges)

@@ -11,9 +11,10 @@ as does a host past EXPLICIT_CAP vertices or edges written with its edges.
 
 Every file is read in one of two ways.  A file laid out exactly as this
 module writes it takes a bulk path: an explicit host file equal to the
-host's own rendering is accepted by one string comparison, and a forest,
-chorded or embedding file of single-spaced lines is parsed with one
-`split()` of the whole text.  Any other file, with comments, blank lines,
+host's own rendering is accepted block by block, each vertex's edge lines
+built from the host's walk and compared in place with the file's text, and
+a forest, chorded or embedding file of single-spaced lines is parsed with
+one `split()` of the whole text.  Any other file, with comments, blank lines,
 other spacing, edges in another order or an error, is read row by row,
 which accepts every valid layout and names what is wrong.
 """
@@ -24,6 +25,7 @@ import re
 from itertools import chain
 from operator import itemgetter, ne
 from pathlib import Path
+from typing import Iterator
 
 from ..convex import (
     ChordedCycle,
@@ -132,22 +134,49 @@ def _input_size(row: list[str]) -> int:
     return n
 
 
+def _blocks(host) -> Iterator[tuple[str, int]]:
+    """The `e <u> <w>` lines of `host`'s explicit file, one string per vertex
+    with later neighbors, and how many lines each holds, in `edges()` order.
+    Each block is one `join` over a table of label tails."""
+    tails = [f" {w}\n" for w in range(host.n)]
+    for u, ranges in enumerate(host.ranges()):
+        picked: list[str] = []
+        for lo, hi in ranges:
+            picked += tails[lo:hi + 1]
+        if picked:
+            head = f"e {u}"
+            yield head + head.join(picked), len(picked)
+
+
 def _render(host, limit: int) -> str | None:
-    """The text of `host`'s explicit file, its edges in `edges()` order; None
-    once it has listed more than `limit` edges.  Each range of later
-    neighbors is one `join` over a table of vertex labels."""
-    labels = list(map(str, range(host.n)))
+    """The text of `host`'s explicit file; None once it has listed more than
+    `limit` edges."""
     out, count = [""], 0
-    for u, label in enumerate(labels):
-        head = f"e {label} "
-        sep = "\n" + head
-        for lo, hi in host.later_ranges(u):
-            out += head, sep.join(labels[lo:hi + 1]), "\n"
-            count += hi - lo + 1
+    for block, k in _blocks(host):
+        out.append(block)
+        count += k
         if count > limit:
             return None
     out[0] = f"{MAGIC}\nkind {host.kind}\nn {host.n}\nedges {count}\n"
     return "".join(out)
+
+
+def _is_rendering(host, text: str) -> bool:
+    """Whether `text` is `host`'s explicit file, checked block by block
+    against the host's walk in place: no list of blocks and no second text,
+    and the walk stops at the first difference."""
+    head = f"{MAGIC}\nkind {host.kind}\nn {host.n}\nedges "
+    start = text.find("\n", len(head)) + 1  # where the edge lines start
+    if not (start and text.startswith(head)):
+        return False
+    pos, count = start, 0
+    for block, k in _blocks(host):
+        # a block of k lines is longer than k characters
+        if k > len(text) - pos or not text.startswith(block, pos):
+            return False
+        pos += len(block)
+        count += k
+    return pos == len(text) and text[len(head):start] == f"{count}\n"
 
 
 def save_host(host, path, explicit: bool = False) -> int | None:
@@ -167,18 +196,20 @@ def save_host(host, path, explicit: bool = False) -> int | None:
 
 def load_host(path):
     """The host a file names.  A file equal to what `save_host` writes for
-    a built-in host is accepted by one comparison.  In any other file an
-    explicit edge list must be exactly the host's edges: each in range,
-    listed once, and, sorted, equal to the host's own `edges()` stream."""
+    a built-in host is accepted block by block (`_is_rendering`).  In any
+    other file an explicit edge list must be exactly the host's edges: each
+    in range, listed once, and, sorted, equal to the host's own `edges()`
+    stream."""
     text = _read(path)
-    # A file as `save_host` writes it equals the host's rendering.  Render
-    # only when that costs no more than the file's length: n labels, and at
-    # most one edge per character.  Every built-in kind builds for n >= 3;
-    # a smaller n takes the general path, which reports a builder's error.
+    # A file as `save_host` writes it equals the host's rendering.  Check
+    # it only when that costs no more than the file's length: n labels, and
+    # blocks of at most one edge per character.  Every built-in kind builds
+    # for n >= 3; a smaller n takes the general path, which reports a
+    # builder's error.
     head = _HOST_HEAD.match(text)
     if head and head[1] in HOST_BUILDERS and 3 <= int(head[2]) <= len(text):
         host = HOST_BUILDERS[head[1]](int(head[2]))
-        if _render(host, len(text)) == text:
+        if _is_rendering(host, text):
             return host
     rows = _lines(text)
     if not rows or rows[0] != MAGIC.split():

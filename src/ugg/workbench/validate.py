@@ -71,13 +71,16 @@ class ValidationReport:
         return self.status == "ok"
 
 
-def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
+def _input_shape(graph) -> tuple[int, list[tuple[int, int]], bool]:
+    """The input's n, its edges, and whether they are known to be distinct:
+    a `Forest` refuses a repeated edge, and the vertices of a `Caterpillar`
+    and the chords of a `ChordedCycle` are distinct, so their edges are."""
     if isinstance(graph, Forest):
-        return graph.n, list(graph.edges)
+        return graph.n, list(graph.edges), True
     if isinstance(graph, (Caterpillar, ChordedCycle)):
-        return graph.n, graph.edges()
+        return graph.n, graph.edges(), True
     n, edges = graph
-    return n, list(edges)
+    return n, list(edges), False
 
 
 def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
@@ -106,19 +109,23 @@ def _listed(pairs, lo, hi, times):
                 yield from repeat(("Crossing", p), copies[p[1]])
 
 
-def _sweep(keys, us, vs) -> tuple[int, list[tuple[str, tuple]], int]:
+def _sweep(keys, us, vs, distinct: bool = False) -> tuple[int, list[tuple[str, tuple]], int]:
     """The roof sweep over the segments with ends us[k] != vs[k], on the
-    height keys `keys`; see `roof_crossings`."""
+    height keys `keys`; see `roof_crossings`.  `distinct` says that no
+    segment is listed twice, which spares the count of copies."""
     lo = [a if a < b else b for a, b in zip(us, vs)]
     hi = [b if a < b else a for a, b in zip(us, vs)]
-    # the distinct segments in the order they first appear, each named by
-    # its index, with its number of copies
-    width = max(hi, default=0) + 1
-    copies = Counter(map(add, map(mul, lo, repeat(width)), hi))
-    times = list(copies.values())
-    if len(times) < len(lo):
-        lo, hi = [c // width for c in copies], [c % width for c in copies]
-    del copies
+    if distinct:
+        times = [1] * len(lo)
+    else:
+        # the distinct segments in the order they first appear, each named
+        # by its index, with its number of copies
+        width = max(hi, default=0) + 1
+        copies = Counter(map(add, map(mul, lo, repeat(width)), hi))
+        times = list(copies.values())
+        if len(times) < len(lo):
+            lo, hi = [c // width for c in copies], [c % width for c in copies]
+        del copies
     m = len(times)
     xs = sorted(set(lo).union(hi))
     after = dict(zip(xs, xs[1:]))  # the next endpoint to the right
@@ -234,7 +241,8 @@ def roof_crossings(shape: BTreeShape | None, segments,
 
 def _crossing_rules(host, endpoints):
     """The edge test and the crossing counter for segments on the given host
-    vertices; the counter takes the segments' ends as two flat lists.  On the universal host
+    vertices; the counter takes the segments' ends as two flat lists and
+    whether the segments are distinct.  On the universal host
     both read one table of height keys, built here once.  On convex hosts the
     nesting walk looks for a crossing, and only when it finds one does the
     roof sweep count on the keys -v of the segments' ends."""
@@ -249,11 +257,11 @@ def _crossing_rules(host, endpoints):
 
         return is_edge, partial(_sweep, keys)
 
-    def crossings(us, vs):
+    def crossings(us, vs, distinct):
         pair, checked = nesting_crossing(zip(us, vs))
         if pair is None:
             return 0, [], checked
-        count, witnesses, queries = _sweep({v: -v for v in chain(us, vs)}, us, vs)
+        count, witnesses, queries = _sweep({v: -v for v in chain(us, vs)}, us, vs, distinct)
         return count, witnesses, checked + queries
 
     return host.is_edge, crossings
@@ -287,7 +295,7 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
 def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     """Check emb maps graph into host: injective on all input vertices, every
     input edge on a host edge, no two mapped segments crossing."""
-    n_in, in_edges = _input_shape(graph)
+    n_in, in_edges, distinct = _input_shape(graph)
     # an input edge that is a loop or leaves [0, n_in) fails before any host test
     failures: list[tuple[str, tuple]] = [
         ("DegenerateEdge" if 0 <= u == v < n_in else "IndexOutOfRange", (u, v))
@@ -331,5 +339,6 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     if failures:
         return ValidationReport("failed", failures)
 
-    count, failures, checked = crossings(gu, gv)
+    # distinct input edges under an injective map are distinct segments
+    count, failures, checked = crossings(gu, gv, distinct)
     return ValidationReport("failed" if count else "ok", failures, checked, count)

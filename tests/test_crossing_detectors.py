@@ -491,3 +491,35 @@ def test_validation_reports_are_pinned():
     assert kinds == {"DegenerateEdge", "IndexOutOfRange", "SizeMismatch", "NotInjective",
                      "MissingEdge", "Crossing"}
     assert digest.hexdigest() == VALIDATION_REPORT_DIGEST
+
+
+def test_distinct_inputs_skip_the_count_of_copies(monkeypatch):
+    # A Forest, Caterpillar or ChordedCycle lists each edge once, so under
+    # an injective map no segment repeats and the sweep counts no copies;
+    # the same edges as an (n, edges) pair give the same report through
+    # the count.
+    star = Forest(15, [(1, 3)] + [(0, v) for v in range(1, 15) if v != 3])
+    cases = [(UniversalGraph(15), star, Embedding({t: t for t in range(15)})),
+             (UniversalGraph(15), Forest(15, [(i, i + 1) for i in range(14)]),
+              Embedding({t: t for t in range(15)}))]
+    caterpillar = Caterpillar((0, 1, 2), ((3, 4), (), (5,)))
+    for host, graph, image in (
+            (build_caterpillar_host(6), caterpillar, range(6)),
+            (build_complete_host(6), caterpillar, [0, 3, 1, 4, 2, 5]),
+            (build_twochord_host(14), ChordedCycle(14, ((0, 4), (7, 11))), range(14)),
+            (build_complete_host(8), ChordedCycle(8, ((0, 2), (4, 6))),
+             [3 * t % 8 for t in range(8)])):
+        cases.append((host, graph, Embedding(dict(enumerate(image)))))
+    pairs = [validate_embedding(host, (graph.n, graph.edges() if callable(graph.edges)
+                                       else graph.edges), emb)
+             for host, graph, emb in cases]
+    assert {report.crossings for report in pairs} > {0}  # crossings to count
+
+    def refuse(*args):
+        raise AssertionError("counted copies of distinct segments")
+
+    monkeypatch.setattr(validate, "Counter", refuse)
+    assert [validate_embedding(*case) for case in cases] == pairs
+    with pytest.raises(AssertionError, match="counted copies"):
+        validate_embedding(UniversalGraph(15), (15, [(1, 3), (0, 2)]),
+                           Embedding({t: t for t in range(15)}))

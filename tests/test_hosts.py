@@ -2,7 +2,9 @@
 list against the pairwise `is_edge` scan and against `edge_count()`."""
 
 import hashlib
+import time
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -35,8 +37,10 @@ def test_edges_match_pairwise_scan(kind, n):
     scan = {(u, v) for u in range(n) for v in range(u + 1, n) if host.is_edge(u, v)}
     assert set(edges) == scan
     assert len(edges) == len(scan) == host.edge_count()
-    for u in range(n):  # sorted, disjoint and none empty, as the protocol says
-        bounds = [b for lo, hi in host.later_ranges(u) for b in (lo, hi)]
+    walk = list(host.ranges())
+    assert len(walk) == n
+    for u, ranges in enumerate(walk):  # sorted, disjoint and none empty, as the protocol says
+        bounds = [b for lo, hi in ranges for b in (lo, hi)]
         assert all(a <= b for a, b in zip(bounds, bounds[1:]))
         assert all(a < b for a, b in zip([u, *bounds[1::2]], bounds[::2]))
 
@@ -49,20 +53,72 @@ def test_edge_count_matches_edge_list_at_larger_n(kind, n):
     assert sum(1 for _ in host.edges()) == host.edge_count()
 
 
-@pytest.mark.parametrize("kind", ["universal", "caterpillar"])
+@pytest.mark.parametrize("kind", ["universal", "caterpillar", "twochord"])
 def test_later_ranges_are_exactly_the_later_neighbors(kind):
     # Every n up to 130 cuts the preorder of a complete binary tree of
     # height up to 8 at every length; the tail of a range list is trimmed at
     # n - 1, and the caterpillar's reaches wrap around the seam.
     build = KINDS[kind][0]
-    for n in range(1, 131):
+    for n in range(3 if kind == "twochord" else 1, 131):
         host = build(n)
-        for u in range(n):
-            ranges = host.later_ranges(u)
+        walk = list(host.ranges())
+        assert len(walk) == n
+        for u, ranges in enumerate(walk):
             assert all(u < lo <= hi < n for lo, hi in ranges), (n, u, ranges)
             assert all(hi < lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), (n, u, ranges)
             listed = [w for lo, hi in ranges for w in range(lo, hi + 1)]
             assert listed == [w for w in range(u + 1, n) if host.is_edge(u, w)], (n, u, ranges)
+
+
+def merged(ranges):
+    """The same vertices as ranges that do not touch: one form per set."""
+    out = []
+    for lo, hi in ranges:
+        if out and out[-1][1] + 1 == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+# sha256 over every n up to 700 and every vertex u of the host's later
+# neighbors of u, as the repr of their merged ranges followed by ";".
+RANGES_SHA256 = {
+    "universal": "4a50527f2d8b693fcc639d01d2554d9ba9cdc33a662c93c182035386c9d4f5d2",
+    "caterpillar": "98668eb336234811baecb9472157928f4240a54a2e5b0e023610a840428b7408",
+    "twochord": "23508a1590b8bb898627318d872e6ee3da1d68c8adbad618165d212516c61408",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANGES_SHA256))
+def test_every_vertex_ranges_are_pinned(kind):
+    digest = hashlib.sha256()
+    for n in range(3 if kind == "twochord" else 1, 701):
+        for ranges in KINDS[kind][0](n).ranges():
+            digest.update(repr(merged(ranges)).encode() + b";")
+    assert digest.hexdigest() == RANGES_SHA256[kind]
+
+
+def test_universal_walk_starts_at_once_on_a_huge_host():
+    # the walk keeps a descent's worth of state, nothing of size n; its first
+    # 31 vertices run down the leftmost path to a leaf and back up
+    host = build_universal(10**9)
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        first = list(islice(host.ranges(), 31))
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 1e-3
+    tracemalloc.start()
+    try:
+        assert list(islice(host.ranges(), 31)) == first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert first[0] == [(1, 10**9 - 1)]
+    assert all(host.is_edge(u, w) for u, ranges in enumerate(first)
+               for lo, hi in ranges for w in (lo, hi))
 
 
 # sha256 of each explicit host file as `save_host` writes it.  Any change to

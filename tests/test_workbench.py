@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -665,6 +666,85 @@ def test_explicit_host_files_load_the_same_by_either_path(tmp_path, monkeypatch,
             text = "\n".join(head[:3] + [f"edges {len(variant)}"] + variant) + "\n"
             with pytest.raises(MalformedInput, match=re.escape(message)):
                 load(text)
+
+
+@pytest.mark.parametrize("kind", ["universal", "caterpillar", "twochord"])
+def test_damaged_host_files_are_read_row_by_row(tmp_path, monkeypatch, kind):
+    # Each file below differs from the host's rendering, so the block-by-block
+    # check refuses it and the row-by-row read decides: the same edge set in
+    # another layout loads, and anything else fails with its message.
+    lines_read = []
+    rows = fileio._lines
+    monkeypatch.setattr(fileio, "_lines", lambda text: lines_read.append(text) or rows(text))
+    n = 1023
+    host = fileio.HOST_BUILDERS[kind](n)
+    p = tmp_path / "host.txt"
+    fileio.save_host(host, p, explicit=True)
+    written = p.read_text(encoding="utf-8")
+    lines = written.splitlines(keepends=True)
+    head, edges = lines[:4], lines[4:]
+    count, listed = len(edges), set(host.edges())
+
+    def verdict(line):
+        """What one listed edge line other than the host's gets."""
+        e = tuple(sorted(map(int, line.split()[1:])))
+        if not 0 <= e[0] < e[1] < n:
+            return f"bad edge {e}"
+        return "an edge is listed twice" if e in listed else f"edge {e} is not an edge"
+
+    variants = []
+    for i in (0, count // 2, count - 1):
+        _, u, w = edges[i].split()
+        other = f"e {u} {w[:-1]}{(int(w[-1]) + 1) % 10}\n"  # one digit changed
+        for line, message in ((f"e {u}\t{w}\n", None), (other, verdict(other))):
+            variants.append(("".join(head + edges[:i] + [line] + edges[i + 1:]), message))
+    cut = written[:-3]  # inside the last line
+    variants += [
+        (written[:-1], None),
+        (cut, verdict(cut.splitlines()[-1])),
+        ("".join(head + edges[:count // 2]), f"declared {count} edges, found {count // 2}"),
+        (written + "# trailing text\n", None),
+        (written + "\n", None),
+        (written + "e 0 1\n", f"declared {count} edges, found {count + 1}"),
+        (written.replace(f"edges {count}\n", f"edges {count + 1}\n"),
+         f"declared {count + 1} edges, found {count}"),
+        (written.replace(f"edges {count}\n", f"edges 0{count}\n"), None),
+    ]
+    for text, message in variants:
+        assert text != written
+        p.write_text(text, encoding="utf-8")
+        lines_read.clear()
+        if message is None:
+            loaded = fileio.load_host(p)
+            assert (loaded.kind, loaded.n) == (kind, n)
+        else:
+            with pytest.raises(MalformedInput, match=re.escape(message)):
+                fileio.load_host(p)
+        assert lines_read
+
+
+def test_large_explicit_host_loads_without_a_second_text(tmp_path):
+    # the 16383-vertex universal file is 9.3 MB; rendering the host again to
+    # compare peaked at 27.6 MB, while the block-by-block check holds one
+    # table of labels and one block at a time
+    host = build_universal(16383)
+    p = tmp_path / "host.txt"
+    fileio.save_host(host, p, explicit=True)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    read, text = peak(lambda: fileio._read(p))
+    check, ok = peak(lambda: fileio._is_rendering(host, text))
+    assert ok and check < 2 << 20
+    load, loaded = peak(lambda: fileio.load_host(p))
+    assert (loaded.kind, loaded.n) == ("universal", 16383)
+    assert load < read + (2 << 20)
 
 
 @pytest.mark.parametrize("fmt, text", [
