@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
 from typing import Iterator
 
 from .embedder import Embedding
@@ -78,10 +79,14 @@ class ConvexHost(Host):
 class _CaterpillarHost(ConvexHost):
     kind = "caterpillar"
 
-    def is_edge(self, u: int, v: int) -> bool:
-        self._check_pair(u, v)
-        d = abs(u - v)
-        return min(d, self.n - d) <= max(_reach(u), _reach(v))
+    def joins(self, u: int, v: int) -> bool:
+        # adjacent iff the circular distance d is at most _reach(u) or
+        # _reach(v), and _reach(u) = 2 * lowbit(u + 1) - 1
+        d = u - v if u > v else v - u
+        if 2 * d > self.n:
+            d = self.n - d
+        x, y = u + 1, v + 1
+        return d < 2 * (x & -x) or d < 2 * (y & -y)
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
         # u reaches (u, u + r] and, across the seam, [u + n - r, n).  The
@@ -144,22 +149,42 @@ def build_caterpillar_host(n: int) -> ConvexHost:
     return _CaterpillarHost(n)
 
 
+def _peak(lo: int, hi: int) -> int:
+    """The one position of greatest reach in [lo, hi]: the i for which i + 1
+    has the most trailing zeros.
+
+    Let a = lo + 1 and b = hi + 1, and let bit t - 1 be the highest at which
+    they differ, a's bit 0 and b's bit 1.  Above it they agree, so both lie
+    in [p, p + 2^t) for a multiple p of 2^t, the one such multiple there,
+    which is at most a.  So i + 1 is a if a's low t bits are zero; else it
+    is b with its low t - 1 bits cleared, p + 2^(t-1), the one multiple of
+    2^(t-1) in (a, b].  At a = b, t = 0 and i + 1 = a.
+    """
+    a, b = lo + 1, hi + 1
+    t = (a ^ b).bit_length()
+    return (a if a & ((1 << t) - 1) == 0 else b >> (t - 1) << (t - 1)) - 1
+
+
 def embed_caterpillar(host: ConvexHost, cat: Caterpillar) -> Embedding:
     """Successive stars take consecutive blocks; each spine vertex sits on
-    its block's maximum-sequence-value position (ties toward the smallest
-    index), which reaches the whole block and the neighboring spine image."""
+    its block's position of greatest reach, which is unique (`_peak`) and
+    reaches the whole block and the neighboring spine image.  The leaves
+    fill the block's other positions in order."""
     if cat.n != host.n:
         raise SizeMismatch(f"caterpillar has {cat.n} vertices, host has {host.n}")
     mapping: dict[int, int] = {}
     off = 0
     for u, leaves in zip(cat.spine, cat.leaves):
-        block = range(off, off + 1 + len(leaves))
-        best = max(block, key=lambda i: (_reach(i), -i))
+        end = off + 1 + len(leaves)
+        best = _peak(off, end - 1)
         mapping[u] = best
-        rest = (i for i in block if i != best)
-        for leaf, pos in zip(leaves, rest):
+        pos = off  # the leaves fill [off, best) and then (best, end)
+        for leaf in leaves:
+            if pos == best:
+                pos += 1
             mapping[leaf] = pos
-        off += 1 + len(leaves)
+            pos += 1
+        off = end
     return Embedding(mapping, [("caterpillar", (0, host.n - 1))])
 
 
@@ -185,8 +210,7 @@ class _StarHost(ConvexHost):
         super().__init__(n)
         self.kind, self.centers, self.runs = kind, centers, runs
 
-    def is_edge(self, u: int, v: int) -> bool:
-        self._check_pair(u, v)
+    def joins(self, u: int, v: int) -> bool:
         return (u - v) % self.n in (1, self.n - 1) or u in self.centers or v in self.centers
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
@@ -266,8 +290,10 @@ class ChordedCycle:
         return len(self.chords)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = [(min(i, (i + 1) % self.n), max(i, (i + 1) % self.n))
-               for i in range(self.n)]
+        """The cycle edges (i, i + 1), then (0, n - 1), then the chords."""
+        n = self.n
+        out = list(zip(range(n - 1), range(1, n)))
+        out.append((0, n - 1))
         out.extend(self.chords)
         return out
 
@@ -295,12 +321,15 @@ def nesting_crossing(chords) -> tuple[tuple[tuple[int, int], tuple[int, int]] | 
     a < c < b < d; chords sharing an endpoint never cross.  So the chords are
     crossing-free iff, taken by (lo, -hi), they nest like parentheses: pop
     every open chord that ends by lo, then the innermost open one must not
-    end before hi.
+    end before hi.  That order comes from two stable sorts in C, by hi
+    descending and then by lo; the chords are distinct, so it is total.
     """
     open_: list[tuple[int, int]] = []
     checked = 0
     norm = {(u, v) if u < v else (v, u) for u, v in chords}
-    for lo, hi in sorted(norm, key=lambda ch: (ch[0], -ch[1])):
+    order = sorted(norm, key=itemgetter(1), reverse=True)
+    order.sort(key=itemgetter(0))
+    for lo, hi in order:
         while open_:
             checked += 1
             if open_[-1][1] > lo:
@@ -367,8 +396,7 @@ class _CustomHost(ConvexHost):
         for u, w in sorted(self._edges):  # so each list is in order
             self._later.setdefault(u, []).append((w, w))
 
-    def is_edge(self, u: int, v: int) -> bool:
-        self._check_pair(u, v)
+    def joins(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edges
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:

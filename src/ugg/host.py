@@ -1,5 +1,12 @@
 """The protocol every host graph follows: `n` vertices 0..n-1, a `kind` (its
-name in host files), `is_edge(u, v)`, and lazy `edges()` / `edge_count()`.
+name in host files), the pair rule `joins(u, v)`, and lazy `edges()` /
+`edge_count()`.
+
+`joins` is unchecked: it takes two distinct vertices of the host and nothing
+else, and each host defines it once.  `is_edge` is the checked wrapper, which
+refuses a pair off the host or a repeated vertex and then asks `joins`; a
+caller that has already proved its pairs sound, as the validator has, calls
+`joins` directly.
 
 Only a custom host stores edges.  Every other host lists the neighbors above
 each vertex as a few index ranges, in one walk over all its vertices that
@@ -22,6 +29,15 @@ class Host:
             raise IndexOutOfRange(f"vertex pair ({u}, {v}) not in [0, {self.n})")
         if u == v:
             raise EqualIndices(f"is_edge needs two distinct vertices, got {u}")
+
+    def is_edge(self, u: int, v: int) -> bool:
+        self._check_pair(u, v)
+        return self.joins(u, v)
+
+    def joins(self, u: int, v: int) -> bool:
+        """Whether u and v are adjacent, for distinct vertices u, v in
+        [0, n); no check."""
+        raise NotImplementedError
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
         """For u = 0, 1, ..., n - 1 in turn, the neighbors w > u of u as

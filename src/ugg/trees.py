@@ -15,6 +15,7 @@ workbench enumerates ordered and rooted trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, count
 
 from .errors import (
     DegenerateEdge,
@@ -266,13 +267,12 @@ class Caterpillar:
             raise MalformedInput("caterpillar needs a nonempty spine")
         if len(self.leaves) != len(self.spine):
             raise MalformedInput("one leaf group per spine vertex required")
-        ids = list(self.spine) + [v for g in self.leaves for v in g]
-        if len(set(ids)) != len(ids):
+        if len(set(chain(self.spine, chain.from_iterable(self.leaves)))) != self.n:
             raise MalformedInput("duplicate vertex id in caterpillar")
 
     @property
     def n(self) -> int:
-        return len(self.spine) + sum(len(g) for g in self.leaves)
+        return len(self.spine) + sum(map(len, self.leaves))
 
     def star_sizes(self) -> tuple[int, ...]:
         return tuple(1 + len(g) for g in self.leaves)
@@ -292,6 +292,14 @@ def caterpillar_spine(forest: Forest) -> Caterpillar:
     The spine is the set of non-leaf vertices, ordered along the path starting
     from its endpoint with the smaller id.  Trees on one or two vertices get
     the smallest vertex as a one-vertex spine.
+
+    On n >= 3 vertices the non-leaf vertices induce a nonempty subtree.  One
+    walk reads the degree array and each spine vertex's adjacency once: from
+    the smallest non-leaf vertex it goes both ways, taking the leaves of each
+    spine vertex as its group and its one other non-leaf neighbor as the next
+    step.  A vertex with more non-leaf neighbors than that is a branch, and a
+    walk without one has met every vertex of the subtree, which is then a
+    path whose ends are the walk's.
     """
     if not forest.is_tree():  # n - 1 edges and no cycle: connected
         raise NotACaterpillar("input is not a connected tree")
@@ -300,23 +308,40 @@ def caterpillar_spine(forest: Forest) -> Caterpillar:
         spine = [0]
         leaves = [tuple(v for v in range(1, n))]
         return Caterpillar(tuple(spine), tuple(leaves))
-    deg = [len(forest.adj[v]) for v in range(n)]
-    spine_set = [v for v in range(n) if deg[v] >= 2]
-    inner_deg = {v: sum(1 for w in forest.adj[v] if deg[w] >= 2) for v in spine_set}
-    if any(d > 2 for d in inner_deg.values()):
-        raise NotACaterpillar("non-leaf vertices do not form a path")
-    # On n >= 3 vertices the non-leaf vertices induce a nonempty subtree; with
-    # inner degree <= 2 it is a path, so it has one or two ends and the walk
-    # from the smaller end visits it all.
-    order = [min(v for v in spine_set if inner_deg[v] <= 1)]
-    prev = None
-    while True:
-        nxt = [w for w in forest.adj[order[-1]] if deg[w] >= 2 and w != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    leaves = tuple(
-        tuple(sorted(w for w in forest.adj[v] if deg[w] == 1)) for v in order
-    )
-    return Caterpillar(tuple(order), leaves)
+    adj = forest.adj
+    deg = list(map(len, adj))
+    branch = "non-leaf vertices do not form a path"
+    x = next(compress(count(), map((1).__lt__, deg)))
+    ways = [w for w in adj[x] if deg[w] > 1]
+    if len(ways) > 2:
+        raise NotACaterpillar(branch)
+    ways += [-1, -1]  # -1: no step that way
+    halves = []
+    for nxt in ways[:2]:
+        spine, groups, prev = [], [], x
+        while nxt >= 0:
+            cur, nxt, group = nxt, -1, []
+            for w in adj[cur]:
+                if deg[w] == 1:
+                    group.append(w)
+                elif w != prev:
+                    if nxt >= 0:
+                        raise NotACaterpillar(branch)
+                    nxt = w
+            if len(group) > 1:
+                group.sort()
+            spine.append(cur)
+            groups.append(tuple(group))
+            prev = cur
+        halves.append((spine, groups))
+    (spine, groups), (back, back_groups) = halves
+    spine.reverse()
+    groups.reverse()
+    spine.append(x)
+    groups.append(tuple(sorted(w for w in adj[x] if deg[w] == 1)))
+    spine += back
+    groups += back_groups
+    if spine[-1] < spine[0]:
+        spine.reverse()
+        groups.reverse()
+    return Caterpillar(tuple(spine), tuple(groups))

@@ -47,8 +47,7 @@ class UniversalGraph(Host):
         self.shape = BTreeShape.from_size(n)
         self.n = n
 
-    def is_edge(self, u: int, v: int) -> bool:
-        self._check_pair(u, v)
+    def joins(self, u: int, v: int) -> bool:
         return adjacent(*btree.locate(self.shape, u), *btree.locate(self.shape, v))
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:

@@ -526,19 +526,24 @@ def random_tree(n: int, rng: random.Random) -> Forest:
 
 def check_universal_convex(host: ConvexHost, family) -> tuple[bool, ChordedCycle | None]:
     """True iff every family member embeds with its cycle on the host's
-    convex order (all 2n dihedral placements tried); else the first failure."""
+    convex order (all 2n dihedral placements tried); else the first failure.
+
+    The spanning cycle is checked once with `is_edge`; a rotated or reflected
+    chord is two distinct vertices of the host, so the placements ask the
+    unchecked `joins`."""
     n = host.n
     if n < 3 or not all(host.is_edge(i, (i + 1) % n) for i in range(n)):
         raise NoSpanningCycle(f"host of kind {host.kind} has no spanning cycle")
+    joins = host.joins
     for cc in family:
         if cc.n != n:
             raise SizeMismatch(f"family member has n={cc.n}, host has n={n}")
         found = False
         for r in range(n):
-            if all(host.is_edge((u + r) % n, (v + r) % n) for u, v in cc.chords):
+            if all(joins((u + r) % n, (v + r) % n) for u, v in cc.chords):
                 found = True
                 break
-            if all(host.is_edge((r - u) % n, (r - v) % n) for u, v in cc.chords):
+            if all(joins((r - u) % n, (r - v) % n) for u, v in cc.chords):
                 found = True
                 break
         if not found:

@@ -241,11 +241,13 @@ def roof_crossings(shape: BTreeShape | None, segments,
 
 def _crossing_rules(host, endpoints):
     """The edge test and the crossing counter for segments on the given host
-    vertices; the counter takes the segments' ends as two flat lists and
-    whether the segments are distinct.  On the universal host
-    both read one table of height keys, built here once.  On convex hosts the
-    nesting walk looks for a crossing, and only when it finds one does the
-    roof sweep count on the keys -v of the segments' ends."""
+    vertices.  The edge test is unchecked: it takes two distinct vertices of
+    the host.  The counter takes the segments' ends as two flat lists and
+    whether the segments are distinct.  On the universal host both read one
+    table of height keys, built here once.  On convex hosts the edge test is
+    the host's own `joins`; the nesting walk looks for a crossing, and only
+    when it finds one does the roof sweep count on the keys -v of the
+    segments' ends."""
     if host.kind == "universal":
         h, keys = host.shape.h, _height_table(host.shape, endpoints)
 
@@ -264,7 +266,7 @@ def _crossing_rules(host, endpoints):
         count, witnesses, queries = _sweep({v: -v for v in chain(us, vs)}, us, vs, distinct)
         return count, witnesses, checked + queries
 
-    return host.is_edge, crossings
+    return host.joins, crossings
 
 
 def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
@@ -327,6 +329,8 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
             ("NotInjective", (by_image[g], t, g)) for t, g in enumerate(image)
             if by_image.setdefault(g, t) != t])
 
+    # every image is on the host, no two are equal and no edge is a loop, so
+    # each pair below is two distinct host vertices: the unchecked rule
     is_edge, crossings = _crossing_rules(host, image)
     gu: list[int] = []
     gv: list[int] = []

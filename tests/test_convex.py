@@ -1,6 +1,8 @@
 """Convex-position hosts: doubling sequence, caterpillar and two-chord embeddings."""
 
+import hashlib
 import itertools
+import random
 from math import isqrt
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from ugg.convex import (
     ChordedCycle,
+    _peak,
+    _reach,
     build_caterpillar_host,
     build_complete_host,
     build_cycle_host,
@@ -17,6 +21,7 @@ from ugg.convex import (
     embed_caterpillar,
     embed_twochord,
     has_window_property,
+    nesting_crossing,
     pi_sequence,
     twochord_centers,
 )
@@ -27,7 +32,13 @@ from ugg.errors import (
     NotTwoChord,
     SizeMismatch,
 )
-from ugg.trees import Caterpillar
+from ugg.host import Host
+from ugg.trees import Caterpillar, Forest, caterpillar_spine
+from ugg.workbench.families import (
+    chorded_cycle_count,
+    enumerate_caterpillars,
+    enumerate_chorded_cycles,
+)
 from ugg.workbench.validate import validate_embedding
 
 
@@ -267,3 +278,170 @@ def test_complete_and_cycle_hosts():
     cyc = build_cycle_host(6)
     assert cyc.edge_count() == 6
     assert all(cyc.is_edge(i, (i + 1) % 6) for i in range(6))
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the convex embedders, and the oracles of their shortcuts
+# ---------------------------------------------------------------------------
+
+
+def random_caterpillar_forest(n, rng):
+    """A spine of n // 2 vertices, every other vertex a leaf on a random
+    spine vertex, labels shuffled."""
+    s = n // 2
+    edges = [(i, i + 1) for i in range(s - 1)]
+    edges += [(rng.randrange(s), v) for v in range(s, n)]
+    perm = rng.sample(range(n), n)
+    return Forest(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def random_twochord_cycle(n, rng):
+    """Two chords on four random endpoints, nested or side by side."""
+    while True:
+        a, b, c, d = sorted(rng.sample(range(n), 4))
+        chords = ((a, b), (c, d)) if rng.random() < 0.5 else ((a, d), (b, c))
+        if all(min(v - u, n - (v - u)) >= 2 for u, v in chords):
+            return ChordedCycle(n, chords)
+
+
+# sha256 of embed_caterpillar's mapping and provenance on every caterpillar
+# class with n <= 14, then, at n = 1023 and 4095, of caterpillar_spine's
+# spine and leaf groups and the embedding of seeded random caterpillars
+EMBED_CATERPILLAR_DIGEST = "d9474ef5f8f92324d99154265be455c833536f57aac69a2378e434d07772bf6a"
+# sha256 of embed_twochord's mapping and provenance on every two-chord class
+# with 6 <= n <= 30 and on seeded random two-chord cycles at n = 1023 and 4095
+EMBED_TWOCHORD_DIGEST = "7afec54350655bd23b55bda3e68ab6f719338488a80961f328665238e2558ede"
+
+
+def test_embed_caterpillar_output_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 15):
+        host = build_caterpillar_host(n)
+        for cat in enumerate_caterpillars(n):
+            emb = embed_caterpillar(host, cat)
+            digest.update(repr((n, sorted(emb.mapping.items()), emb.provenance)).encode())
+            count += 1
+    for n in (1023, 4095):
+        rng = random.Random(n)
+        host = build_caterpillar_host(n)
+        for _ in range(3):
+            cat = caterpillar_spine(random_caterpillar_forest(n, rng))
+            emb = embed_caterpillar(host, cat)
+            digest.update(repr((cat.spine, cat.leaves, sorted(emb.mapping.items()),
+                                emb.provenance)).encode())
+            assert validate_embedding(host, cat, emb).ok
+    # one class each at n <= 3, then 2^(n-4) + 2^floor((n-4)/2) classes
+    assert count == 3 + sum(2 ** (n - 4) + 2 ** ((n - 4) // 2) for n in range(4, 15))
+    assert digest.hexdigest() == EMBED_CATERPILLAR_DIGEST
+
+
+def test_embed_twochord_output_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(6, 31):
+        host = build_twochord_host(n)
+        for cc in enumerate_chorded_cycles(n, 2):
+            emb = embed_twochord(host, cc)
+            digest.update(repr((n, cc.chords, sorted(emb.mapping.items()),
+                                emb.provenance)).encode())
+            count += 1
+    for n in (1023, 4095):
+        rng = random.Random(n)
+        host = build_twochord_host(n)
+        for _ in range(20):
+            cc = random_twochord_cycle(n, rng)
+            emb = embed_twochord(host, cc)
+            digest.update(repr((n, cc.chords, sorted(emb.mapping.items()),
+                                emb.provenance)).encode())
+            assert validate_embedding(host, cc, emb).ok
+    assert count == sum(chorded_cycle_count(n, 2) for n in range(6, 31))
+    assert digest.hexdigest() == EMBED_TWOCHORD_DIGEST
+
+
+def test_peak_is_the_one_position_of_greatest_reach():
+    # A running maximum over [off, off + k] that keeps the earlier index on
+    # a tie is max(block, key=lambda i: (_reach(i), -i)); `ties` counts the
+    # positions that share its reach.  Every off < 2^11 and k < 2^8.
+    reach = [_reach(i) for i in range(2 ** 11 + 2 ** 8)]
+    for off in range(2 ** 11):
+        best, ties = off, 1
+        for i in range(off, off + 2 ** 8):
+            if reach[i] > reach[best]:
+                best, ties = i, 1
+            elif reach[i] == reach[best] and i != best:
+                ties += 1
+            assert ties == 1 and _peak(off, i) == best, (off, i)
+    # and the literal maximum on a sample of the blocks
+    for off in range(0, 2 ** 11, 37):
+        for k in range(0, 2 ** 8, 13):
+            block = range(off, off + k + 1)
+            assert _peak(off, off + k) == max(block, key=lambda i: (_reach(i), -i))
+
+
+def lambda_nesting_crossing(chords):
+    """The nesting walk with the chords sorted by a Python key, the oracle
+    for `nesting_crossing`'s two C-level sorts."""
+    open_, checked = [], 0
+    norm = {(u, v) if u < v else (v, u) for u, v in chords}
+    for lo, hi in sorted(norm, key=lambda ch: (ch[0], -ch[1])):
+        while open_:
+            checked += 1
+            if open_[-1][1] > lo:
+                break
+            open_.pop()
+        if open_:
+            checked += 1
+            if open_[-1][1] < hi:
+                return (open_[-1], (lo, hi)), checked
+        open_.append((lo, hi))
+    return None, checked
+
+
+def test_nesting_crossing_matches_the_lambda_sorted_walk():
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randrange(3, 201)
+        chords = []
+        for _ in range(rng.randrange(1, 2 * n)):
+            u, v = rng.sample(range(n), 2)
+            chords.append((u, v))
+        if rng.random() < 0.5:  # keep only chords that cross no kept one
+            kept = []
+            for ch in chords:
+                if not any(convex_edges_cross(n, ch, k) for k in kept):
+                    kept.append(ch)
+            chords = kept
+        got = nesting_crossing(chords)
+        assert got == lambda_nesting_crossing(chords), (n, chords)
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
+
+
+def test_chorded_cycle_edges_keep_their_order():
+    for n in (6, 7, 30):
+        cc = ChordedCycle(n, ((0, 2), (3, 5)))
+        assert cc.edges() == [(min(i, (i + 1) % n), max(i, (i + 1) % n))
+                              for i in range(n)] + [(0, 2), (3, 5)]
+
+
+def test_convex_validation_checks_no_pair(monkeypatch):
+    # the edge pass reads `joins` once the images are known to be on the
+    # host, distinct, and the edges no loops; `is_edge` would check each pair
+    n = 1023
+    cat = caterpillar_spine(random_caterpillar_forest(n, random.Random(n)))
+    cc = random_twochord_cycle(n, random.Random(n))
+    cases = [(build_caterpillar_host(n), cat), (build_twochord_host(n), cc)]
+    embs = [embed_caterpillar(*cases[0]), embed_twochord(*cases[1])]
+    calls = 0
+    check = Host._check_pair
+
+    def counting(self, u, v):
+        nonlocal calls
+        calls += 1
+        return check(self, u, v)
+
+    monkeypatch.setattr(Host, "_check_pair", counting)
+    for (host, graph), emb in zip(cases, embs):
+        assert validate_embedding(host, graph, emb).ok
+    assert calls == 0
+    assert cases[0][0].is_edge(0, 1) and calls == 1  # the count does count

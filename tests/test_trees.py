@@ -1,5 +1,7 @@
 """Forest, rooted-tree, and caterpillar input models."""
 
+import random
+
 import pytest
 
 from ugg.errors import DegenerateEdge, IndexOutOfRange, MalformedInput, NotACaterpillar
@@ -9,7 +11,7 @@ from ugg.trees import (
     RootedTree,
     caterpillar_spine,
 )
-from ugg.workbench.families import ordered_level_sequences
+from ugg.workbench.families import ordered_level_sequences, random_tree
 
 
 def test_forest_accepts_trees_and_forests():
@@ -226,3 +228,57 @@ def test_caterpillar_validation():
         Caterpillar(spine=(0, 1), leaves=((2,),))  # leaf list length mismatch
     with pytest.raises(MalformedInput):
         Caterpillar(spine=(0, 0), leaves=((), ()))  # duplicate ids
+
+
+def listed_caterpillar_spine(forest):
+    """caterpillar_spine as a dict of inner degrees, a list per spine step
+    and a sort per leaf group: the oracle for the one-pass version."""
+    if not forest.is_tree():
+        raise NotACaterpillar("input is not a connected tree")
+    n = forest.n
+    if n <= 2:
+        return Caterpillar((0,), (tuple(range(1, n)),))
+    deg = [len(forest.adj[v]) for v in range(n)]
+    spine_set = [v for v in range(n) if deg[v] >= 2]
+    inner_deg = {v: sum(1 for w in forest.adj[v] if deg[w] >= 2) for v in spine_set}
+    if any(d > 2 for d in inner_deg.values()):
+        raise NotACaterpillar("non-leaf vertices do not form a path")
+    order = [min(v for v in spine_set if inner_deg[v] <= 1)]
+    prev = None
+    while True:
+        nxt = [w for w in forest.adj[order[-1]] if deg[w] >= 2 and w != prev]
+        if not nxt:
+            break
+        prev = order[-1]
+        order.append(nxt[0])
+    leaves = tuple(tuple(sorted(w for w in forest.adj[v] if deg[w] == 1)) for v in order)
+    return Caterpillar(tuple(order), leaves)
+
+
+def test_caterpillar_spine_matches_the_listed_walk():
+    rng = random.Random(13)
+    outcomes = set()
+
+    def outcome(fn, forest):
+        try:
+            return fn(forest)
+        except NotACaterpillar as e:
+            return str(e)
+
+    for _ in range(1500):
+        n = rng.randrange(1, 40)
+        if rng.random() < 0.4:  # a random tree, seldom a caterpillar past n = 8
+            forest = random_tree(n, rng)
+        else:  # a caterpillar, or with a few edges dropped a forest
+            s = rng.randrange(1, n + 1)
+            edges = [(i, i + 1) for i in range(s - 1)]
+            edges += [(rng.randrange(s), v) for v in range(s, n)]
+            if edges and rng.random() < 0.1:
+                del edges[rng.randrange(len(edges))]
+            perm = rng.sample(range(n), n)
+            forest = Forest(n, [(perm[u], perm[v]) for u, v in rng.sample(edges, len(edges))])
+        got = outcome(caterpillar_spine, forest)
+        assert got == outcome(listed_caterpillar_spine, forest), forest
+        outcomes.add(got if isinstance(got, str) else "caterpillar")
+    assert outcomes == {"caterpillar", "input is not a connected tree",
+                        "non-leaf vertices do not form a path"}
