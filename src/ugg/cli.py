@@ -8,6 +8,7 @@ Subcommands: build, embed, verify, enumerate, selftest, render.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -116,7 +117,10 @@ def _render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later `main` call in the process."""
     p = argparse.ArgumentParser(
         prog="ugg",
         description="Build sparse universal host graphs, embed forests, "
@@ -130,20 +134,17 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--explicit", action="store_true",
                    help="serialize the full edge list")
     b.add_argument("--out", required=True)
-    b.set_defaults(func=_build)
 
     e = sub.add_parser("embed", help="embed an input graph into a host")
     e.add_argument("--host", required=True)
     e.add_argument("--input", required=True,
                    help="forest or chorded-cycle file")
     e.add_argument("--out", required=True)
-    e.set_defaults(func=_embed)
 
     v = sub.add_parser("verify", help="validate a saved embedding")
     v.add_argument("--host", required=True)
     v.add_argument("--input", required=True)
     v.add_argument("--embedding", required=True)
-    v.set_defaults(func=_verify)
 
     n = sub.add_parser("enumerate", help="list all classes of a family")
     n.add_argument("--what", required=True,
@@ -151,28 +152,27 @@ def _parser() -> argparse.ArgumentParser:
     n.add_argument("--n", type=int, required=True)
     n.add_argument("--h", type=int, default=2, help="chord count (chorded only)")
     n.add_argument("--out", required=True)
-    n.set_defaults(func=_enumerate)
 
     s = sub.add_parser("selftest", help="run the acceptance suites")
     s.add_argument("--max-n", type=int, default=None, dest="max_n",
                    help="cap instance sizes for a quick smoke run")
     s.add_argument("--seed", type=int, default=20250814,
                    help="seed for the random-tree smoke test")
-    s.set_defaults(func=_selftest)
 
     r = sub.add_parser("render", help="draw a host (and embedding) as SVG")
     r.add_argument("--host", required=True)
     r.add_argument("--embedding", default=None)
     r.add_argument("--layout", choices=("schematic", "exact"), default="schematic")
     r.add_argument("--out", required=True)
-    r.set_defaults(func=_render)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # the handler is looked up per call, so one patched on the module is used
+    handler = globals()[f"_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except SizeTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

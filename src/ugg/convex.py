@@ -103,23 +103,26 @@ class _CaterpillarHost(ConvexHost):
             if behind <= ahead + 1:  # the two reaches meet
                 yield [(u + 1, n - 1)]
                 continue
-            far = set()
+            # Classes of different k sit at different positions, so a far
+            # point can repeat only as both candidates of one k.
+            far = []
             k = r + 1
             while k <= n:
                 d = 2 * k
-                j = u + 1 + (k - 2 - u) % d
-                if ahead < j < behind:
-                    far.add(j)
+                i = u + 1 + (k - 2 - u) % d
+                if ahead < i < behind:
+                    far.append(i)
                 if d > u + 1:
                     j = n - 1 - (n - k) % d
-                    if n - j + u < d and ahead < j < behind:
-                        far.add(j)
+                    if j != i and n - j + u < d and ahead < j < behind:
+                        far.append(j)
                 k = d
             # The far points lie strictly between the two reaches, so in
             # order the ranges are the forward reach, the far points, one
             # range each, and the back reach.
+            far.sort()
             ranges = [(u + 1, ahead)]
-            ranges += [(j, j) for j in sorted(far)]
+            ranges += [(j, j) for j in far]
             if behind < n:
                 ranges.append((behind, n - 1))
             yield ranges
@@ -281,7 +284,7 @@ class ChordedCycle:
         object.__setattr__(self, "chords", tuple(sorted(norm)))
         if n < 2 * self.h + 2:
             raise MalformedInput(f"{self.h} disjoint chords need >= {2 * self.h + 2} vertices")
-        pair, _ = nesting_crossing(norm)
+        pair, _ = nesting_crossing(norm, distinct=True)
         if pair is not None:
             raise MalformedInput(f"chords {pair[0]} and {pair[1]} interleave")
 
@@ -313,9 +316,12 @@ def convex_edges_cross(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> bool
     return in1 != in2
 
 
-def nesting_crossing(chords) -> tuple[tuple[tuple[int, int], tuple[int, int]] | None, int]:
+def nesting_crossing(chords, distinct: bool = False
+                     ) -> tuple[tuple[tuple[int, int], tuple[int, int]] | None, int]:
     """A crossing pair among chords of the convex n-gon on 0..n-1, or None,
-    and the number of stack comparisons made.
+    and the number of stack comparisons made.  Repeated chords, in either
+    orientation, count once; `distinct` says that the caller knows there are
+    none, and skips the set that drops them.
 
     Chords (a, b) and (c, d), read as a < b and c < d with a <= c, cross iff
     a < c < b < d; chords sharing an endpoint never cross.  So the chords are
@@ -326,8 +332,11 @@ def nesting_crossing(chords) -> tuple[tuple[tuple[int, int], tuple[int, int]] | 
     """
     open_: list[tuple[int, int]] = []
     checked = 0
-    norm = {(u, v) if u < v else (v, u) for u, v in chords}
-    order = sorted(norm, key=itemgetter(1), reverse=True)
+    if distinct:
+        order = [(u, v) if u < v else (v, u) for u, v in chords]
+    else:
+        order = list({(u, v) if u < v else (v, u) for u, v in chords})
+    order.sort(key=itemgetter(1), reverse=True)
     order.sort(key=itemgetter(0))
     for lo, hi in order:
         while open_:

@@ -137,12 +137,17 @@ def _input_size(row: list[str]) -> int:
 def _blocks(host) -> Iterator[tuple[str, int]]:
     """The `e <u> <w>` lines of `host`'s explicit file, one string per vertex
     with later neighbors, and how many lines each holds, in `edges()` order.
-    Each block is one `join` over a table of label tails."""
+    Each block is one `join` over a table of label tails.  A range of one
+    vertex, as most of a two-chord vertex's are, appends its tail with no
+    slice."""
     tails = [f" {w}\n" for w in range(host.n)]
     for u, ranges in enumerate(host.ranges()):
         picked: list[str] = []
         for lo, hi in ranges:
-            picked += tails[lo:hi + 1]
+            if lo == hi:
+                picked.append(tails[lo])
+            else:
+                picked += tails[lo:hi + 1]
         if picked:
             head = f"e {u}"
             yield head + head.join(picked), len(picked)

@@ -260,7 +260,7 @@ def _crossing_rules(host, endpoints):
         return is_edge, partial(_sweep, keys)
 
     def crossings(us, vs, distinct):
-        pair, checked = nesting_crossing(zip(us, vs))
+        pair, checked = nesting_crossing(zip(us, vs), distinct)
         if pair is None:
             return 0, [], checked
         count, witnesses, queries = _sweep({v: -v for v in chain(us, vs)}, us, vs, distinct)

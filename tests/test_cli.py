@@ -1,5 +1,6 @@
 """End-to-end command-line flows through cli.main()."""
 
+import argparse
 import inspect
 import time
 import tracemalloc
@@ -334,6 +335,64 @@ def test_exit_code_of_every_error(tmp_path, monkeypatch, capsys):
         argv = ["build", "--kind", "universal", "--n", "3", "--out", str(tmp_path / "h")]
         assert cli.main(argv) == EXIT_CODES[cls.__name__], cls.__name__
         assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_repeated_main_calls_behave_as_fresh_calls(tmp_path, monkeypatch, capsys):
+    # One parser serves every `main` call in the process.  The first round
+    # below builds it; the second must print, write and return exactly what
+    # the first did, after an argparse error in between, and no call may
+    # carry a value into the next, such as --explicit into a plain build.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    n = 9
+    chorded = tmp_path / "chorded.txt"
+    chorded.write_text(f"n {n}\nh 2\nc 0 2\nc 3 5\n", encoding="utf-8")
+    inputs = {
+        "universal": write_forest(tmp_path, "tree.txt", n, [(i // 2, i) for i in range(1, n)]),
+        "caterpillar": write_forest(tmp_path, "cat.txt", n, [(0, 1), (1, 2), (2, 3), (0, 4),
+                                                             (1, 5), (1, 6), (3, 7), (3, 8)]),
+        "twochord": str(chorded),
+    }
+
+    def call(argv):
+        code = cli.main(argv)
+        said = capsys.readouterr()
+        return code, said.out, said.err
+
+    rounds = []
+    for _ in range(2):
+        seen = []
+        for kind, graph in inputs.items():
+            host, emb = tmp_path / f"{kind}-host.txt", tmp_path / f"{kind}-emb.txt"
+            host.unlink(missing_ok=True)
+            emb.unlink(missing_ok=True)
+            build = ["build", "--kind", kind, "--n", str(n), "--out", str(host)]
+            seen.append(call(build + ["--explicit"]))
+            assert host.read_text(encoding="utf-8") == fileio._render(
+                fileio.HOST_BUILDERS[kind](n), fileio.EXPLICIT_CAP)
+            seen.append(host.read_bytes())
+            seen.append(call(["embed", "--host", str(host), "--input", graph, "--out", str(emb)]))
+            seen.append(emb.read_bytes())
+            verify = ["verify", "--host", str(host), "--input", graph, "--embedding", str(emb)]
+            assert call(verify) == (0, "ok\n", "")
+            seen.append(call(build))
+            assert host.read_text(encoding="utf-8") == f"ugg-graph v1\nkind {kind}\nn {n}\n"
+            assert call(verify) == (0, "ok\n", "")
+        assert all(said[0] == 0 and said[2] == "" for said in seen if isinstance(said, tuple))
+        rounds.append(seen)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["build", "--kind", "nonesuch", "--n", str(n), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    assert rounds[0] == rounds[1]
+    # the parser and each subcommand's parser, built once each
+    assert built[0] == "ugg" and len(built) == len(set(built)) > 1
 
 
 def test_enumerate_forests(tmp_path):

@@ -417,6 +417,21 @@ def test_nesting_crossing_matches_the_lambda_sorted_walk():
     assert outcomes == {True, False}
 
 
+def test_nesting_crossing_of_distinct_chords_matches_the_walk():
+    # a caller that knows its chords are distinct skips the set; the pair and
+    # the count of comparisons stay those of the walk, in either orientation
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randrange(3, 201)
+        chords = list({tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, n))})
+        chords = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chords]
+        got = nesting_crossing(chords, distinct=True)
+        assert got == lambda_nesting_crossing(chords), (n, chords)
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
+
+
 def test_chorded_cycle_edges_keep_their_order():
     for n in (6, 7, 30):
         cc = ChordedCycle(n, ((0, 2), (3, 5)))

@@ -621,6 +621,15 @@ def edge_by_edge(host):
 
 
 @pytest.mark.parametrize("kind", sorted(fileio.HOST_BUILDERS))
+def test_render_equals_the_edge_by_edge_writer(kind):
+    # every n up to 130: the two-chord host's runs of one center, the
+    # caterpillar's far points of one vertex and the ranges that end at n - 1
+    for n in range(3 if kind == "twochord" else 1, 131):
+        host = fileio.HOST_BUILDERS[kind](n)
+        assert fileio._render(host, fileio.EXPLICIT_CAP) == edge_by_edge(host), (kind, n)
+
+
+@pytest.mark.parametrize("kind", sorted(fileio.HOST_BUILDERS))
 def test_explicit_host_files_load_the_same_by_either_path(tmp_path, monkeypatch, kind):
     # The written file is the host's rendering and loads without the
     # row-by-row parse; every other layout of the same edges loads through
