@@ -2,7 +2,8 @@
 
 Subcommands: build, embed, verify, enumerate, selftest, render.  Exit codes:
 0 success, 1 validation or universality failure, 2 malformed input (an
-`InputError` or an unreadable file), 3 size cap exceeded.
+`InputError` or an unreadable file), 3 size cap exceeded.  Each command's
+handler imports the modules it runs, so a process compiles only those.
 """
 
 from __future__ import annotations
@@ -10,37 +11,21 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
-from .convex import ChordedCycle, embed_caterpillar, embed_twochord
-from .embedder import Embedding, embed_forest
 from .errors import InputError, MalformedInput, SizeTooLarge, UggError
-from .trees import Forest, caterpillar_spine
-from .workbench import fileio
-from .workbench.families import (
-    enumerate_caterpillars,
-    enumerate_chorded_cycles,
-    enumerate_forests,
-)
-from .workbench.render import render_svg
-from .workbench.selftest import run_all
-from .workbench.validate import validate_embedding
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_MALFORMED = 2
 EXIT_TOO_LARGE = 3
 
-# host kind -> (input type, what the host embeds, embedder)
-EMBEDDERS = {
-    "universal": (Forest, "forests", embed_forest),
-    "caterpillar": (Forest, "caterpillar trees",
-                    lambda host, forest: embed_caterpillar(host, caterpillar_spine(forest))),
-    "twochord": (ChordedCycle, "cycles with two chords", embed_twochord),
-}
+# the host kinds `build` makes, each with an embedder in `_embed`
+KINDS = ("universal", "caterpillar", "twochord")
 
 
 def _build(args) -> int:
+    from .workbench import fileio
+
     host = fileio.HOST_BUILDERS[args.kind](args.n)
     count = fileio.save_host(host, args.out, explicit=args.explicit)
     edges = "" if count is None else f", {count} edges"
@@ -49,11 +34,24 @@ def _build(args) -> int:
 
 
 def _embed(args) -> int:
+    from .convex import ChordedCycle, embed_caterpillar, embed_twochord
+    from .embedder import embed_forest
+    from .trees import Forest, caterpillar_spine
+    from .workbench import fileio
+    from .workbench.validate import validate_embedding
+
+    # host kind -> (input type, what the host embeds, embedder)
+    embedders = {
+        "universal": (Forest, "forests", embed_forest),
+        "caterpillar": (Forest, "caterpillar trees",
+                        lambda host, forest: embed_caterpillar(host, caterpillar_spine(forest))),
+        "twochord": (ChordedCycle, "cycles with two chords", embed_twochord),
+    }
     host = fileio.load_host(args.host)
     graph = fileio.load_input(args.input)
-    if host.kind not in EMBEDDERS:
+    if host.kind not in embedders:
         raise MalformedInput(f"no embedder for host kind {host.kind!r}")
-    wanted, what, embed = EMBEDDERS[host.kind]
+    wanted, what, embed = embedders[host.kind]
     if not isinstance(graph, wanted):
         raise MalformedInput(f"a {host.kind} host embeds {what}")
     emb = embed(host, graph)
@@ -69,6 +67,10 @@ def _embed(args) -> int:
 
 
 def _verify(args) -> int:
+    from .embedder import Embedding
+    from .workbench import fileio
+    from .workbench.validate import validate_embedding
+
     host = fileio.load_host(args.host)
     graph = fileio.load_input(args.input)
     mapping = fileio.load_embedding(args.embedding)
@@ -84,6 +86,15 @@ def _verify(args) -> int:
 
 
 def _enumerate(args) -> int:
+    from pathlib import Path
+
+    from .workbench import fileio
+    from .workbench.families import (
+        enumerate_caterpillars,
+        enumerate_chorded_cycles,
+        enumerate_forests,
+    )
+
     blocks: list[list[str]] = []
     if args.what == "forests":
         blocks = [fileio.forest_lines(f) for f in enumerate_forests(args.n)]
@@ -102,11 +113,19 @@ def _enumerate(args) -> int:
 
 
 def _selftest(args) -> int:
+    from .workbench.selftest import run_all
+
     ok = run_all(args.max_n, args.seed)
     return EXIT_OK if ok else EXIT_FAILURE
 
 
 def _render(args) -> int:
+    from pathlib import Path
+
+    from .embedder import Embedding
+    from .workbench import fileio
+    from .workbench.render import render_svg
+
     host = fileio.load_host(args.host)
     emb = None
     if args.embedding is not None:
@@ -129,7 +148,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a host graph and save it")
-    b.add_argument("--kind", required=True, choices=tuple(EMBEDDERS))
+    b.add_argument("--kind", required=True, choices=KINDS)
     b.add_argument("--n", type=int, required=True, help="number of vertices")
     b.add_argument("--explicit", action="store_true",
                    help="serialize the full edge list")

@@ -14,7 +14,6 @@ smaller is higher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import btree
 from .btree import BTreeShape
@@ -185,5 +184,6 @@ def segment_hits_quarter_plane(coords: CoordinateRealization,
         return max(y1, y2) > ay
     if y1 > ay:
         return True
-    y_at_clip = Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (ax - x1)
-    return y_at_clip > ay
+    # y at the clip x = ax exceeds ay; x2 >= ax > x1, so multiplying by
+    # x2 - x1 > 0 keeps the comparison exact in ints
+    return (y1 - ay) * (x2 - x1) + (y2 - y1) * (ax - x1) > 0

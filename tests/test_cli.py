@@ -2,11 +2,16 @@
 
 import argparse
 import inspect
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import ugg
 from ugg import cli, errors
 from ugg.convex import _CaterpillarHost, _CustomHost, _StarHost, build_twochord_host
 from ugg.errors import SizeTooLarge
@@ -550,3 +555,46 @@ def test_dropped_universal_edge_exits_2(tmp_path, capsys):
     host.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert verify_identity(tmp_path, str(host), 3) == 2
     assert "disagrees with universal host" in capsys.readouterr().err
+
+
+def loaded_after(code):
+    """The names of the modules a fresh interpreter holds after running code."""
+    src = str(Path(ugg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def workbench(*names):
+    return {f"ugg.workbench.{name}" for name in names}
+
+
+def test_each_entry_point_loads_only_what_it_runs(tmp_path):
+    # every command is a fresh process that compiles what it imports, so an
+    # import that a command never runs costs each run its compile time
+    loaded = loaded_after("import ugg.cli")
+    assert "fractions" not in loaded
+    assert sorted(m for m in loaded if m.startswith("ugg.workbench")) == []
+
+    host, emb = str(tmp_path / "host.txt"), str(tmp_path / "emb.txt")
+    tree = write_forest(tmp_path, "tree.txt", 63, [(i, i + 1) for i in range(62)])
+    never_run = workbench("families", "selftest", "render")  # by build, embed or verify
+    # each command, the workbench modules it must load, and those it must not
+    commands = [
+        (["build", "--kind", "universal", "--n", "63", "--out", host],
+         workbench("fileio"), workbench("validate") | never_run),
+        (["embed", "--host", host, "--input", tree, "--out", emb],
+         workbench("fileio", "validate"), never_run),
+        (["verify", "--host", host, "--input", tree, "--embedding", emb],
+         workbench("fileio", "validate"), never_run),
+    ]
+    for argv, wanted, unwanted in commands:
+        loaded = loaded_after(f"import ugg.cli\nassert ugg.cli.main({argv!r}) == 0")
+        assert wanted <= loaded, argv[0]
+        assert sorted(loaded & unwanted) == [], argv[0]
+
+    for module in ("validate", "families"):
+        loaded = loaded_after(f"import ugg.workbench.{module}")
+        assert sorted(loaded & workbench("selftest", "render", "fileio")) == [], module

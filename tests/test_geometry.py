@@ -1,6 +1,8 @@
 """Crossing predicates: the combinatorial rule against exact coordinates."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from ugg import btree
 from ugg.btree import BTreeShape
 from ugg.errors import DegenerateEdge, IndexOutOfRange, SizeTooLarge
 from ugg.geometry import (
+    CoordinateRealization,
     QuarterPlane,
     above,
     edges_cross,
@@ -167,6 +170,44 @@ def test_segment_hits_region_only_beyond_apex_height():
     for u, v in itertools.combinations(range(1, n), 2):
         assert not segment_hits_quarter_plane(coords, (u, v), QuarterPlane(apex, "left"))
         assert not segment_hits_quarter_plane(coords, (u, v), QuarterPlane(apex, "right"))
+
+
+def hits_by_fraction(points, seg, qp):
+    """The quarter-plane test with the clip value as an exact `Fraction`."""
+    (x1, y1), (x2, y2) = points[seg[0]], points[seg[1]]
+    ax, ay = points[qp.apex]
+    if qp.side == "right":
+        x1, x2, ax = -x1, -x2, -ax
+    if x1 > x2:
+        x1, x2, y1, y2 = x2, x1, y2, y1
+    if x1 >= ax:
+        return False
+    if x2 < ax:
+        return max(y1, y2) > ay
+    if y1 > ay:
+        return True
+    return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (ax - x1) > ay
+
+
+def test_segment_hits_quarter_plane_agrees_with_fractions():
+    # small coordinates make ties common: an endpoint at the apex's x and a
+    # clip value exactly at the apex's y, on either side of the apex
+    rng = random.Random(25)
+    seg = (0, 1)
+    ties = {"x at apex": 0, "clip at apex": 0}
+    for _ in range(30000):
+        points = tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
+        coords = CoordinateRealization(shape_for(3), points)
+        for side in ("left", "right"):
+            qp = QuarterPlane(2, side)
+            assert segment_hits_quarter_plane(coords, seg, qp) == \
+                hits_by_fraction(points, seg, qp), (points, side)
+        (x1, y1), (x2, y2), (ax, ay) = points
+        if ax in (x1, x2):
+            ties["x at apex"] += 1
+        if min(x1, x2) < ax < max(x1, x2) and (y1 - ay) * (x2 - x1) == (y1 - y2) * (ax - x1):
+            ties["clip at apex"] += 1
+    assert min(ties.values()) > 100, ties
 
 
 def test_quarter_plane_errors():

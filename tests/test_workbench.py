@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -569,6 +570,13 @@ def test_load_input_distinguishes_formats(tmp_path):
 def test_every_exported_name_resolves(package):
     # `import` alone never reads __all__, so a stale entry shows only here
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
+    # ugg.workbench resolves its names on first use: dir() must still list
+    # each, and each must be the very object of the module that defines it
+    assert sorted(set(package.__all__) - set(dir(package))) == []
+    for name in package.__all__:
+        obj = getattr(package, name)
+        assert obj.__module__.startswith(f"{package.__name__}."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
 def test_embedding_roundtrip(tmp_path):
