@@ -6,7 +6,6 @@ convex-position hosts for caterpillar trees and for cycles with two chords;
 embed concrete inputs and verify everything with exact arithmetic.
 """
 
-from .btree import BTreeShape
 from .convex import (
     ChordedCycle,
     ConvexHost,
@@ -23,7 +22,6 @@ from .convex import (
 )
 from .embedder import Embedding, embed_forest, embed_tree
 from .geometry import (
-    CoordinateRealization,
     QuarterPlane,
     edges_cross,
     realize_coordinates,
@@ -35,11 +33,9 @@ from .ugraph import UniversalGraph, build_universal
 __version__ = "0.1.0"
 
 __all__ = [
-    "BTreeShape",
     "Caterpillar",
     "ChordedCycle",
     "ConvexHost",
-    "CoordinateRealization",
     "Embedding",
     "Forest",
     "QuarterPlane",

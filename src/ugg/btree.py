@@ -4,9 +4,8 @@ A tree of height h has m = 2**h - 1 nodes, indexed 0..m-1 in preorder
 (root first, then the left subtree, then the right subtree).  Levels are
 1-based from the root; positions are 0-based from the left within a level.
 Nothing is materialized: every query walks at most h steps of arithmetic.
-
-A shape also carries an active prefix size n <= m.  Navigation is defined on
-the whole tree; the prefix only matters to callers that restrict vertex sets.
+Every function takes the height h as an int; the smallest tree with at
+least n nodes has h = n.bit_length().
 """
 
 from __future__ import annotations
@@ -14,35 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InvalidSize
-
-
-@dataclass(frozen=True)
-class BTreeShape:
-    """Complete binary tree of height h with an active preorder prefix of n nodes."""
-
-    h: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.h < 1:
-            raise InvalidSize(f"height must be >= 1, got {self.h}")
-        if not 1 <= self.n <= self.m:
-            raise InvalidSize(f"prefix size {self.n} not in [1, {self.m}]")
-
-    @property
-    def m(self) -> int:
-        """Total number of nodes, 2**h - 1."""
-        return (1 << self.h) - 1
-
-    @classmethod
-    def from_size(cls, n: int) -> "BTreeShape":
-        """Smallest complete tree with at least n nodes.  Guarantees m < 2n."""
-        if n < 1:
-            raise InvalidSize(f"size must be >= 1, got {n}")
-        h = 1
-        while (1 << h) - 1 < n:
-            h += 1
-        return cls(h, n)
 
 
 @dataclass(frozen=True)
@@ -58,9 +28,10 @@ class NodeInfo:
     subtree_range: tuple[int, int]
 
 
-def _check_index(shape: BTreeShape, i: int) -> None:
-    if not 0 <= i < shape.m:
-        raise IndexOutOfRange(f"node index {i} not in [0, {shape.m})")
+def _check_index(h: int, i: int) -> None:
+    m = (1 << h) - 1
+    if not 0 <= i < m:
+        raise IndexOutOfRange(f"node index {i} not in [0, {m})")
 
 
 def _locate(h: int, i: int) -> tuple[int, int, int]:
@@ -79,43 +50,42 @@ def _locate(h: int, i: int) -> tuple[int, int, int]:
     return level, pos, -1 if level == 1 else i - (2 * step if pos & 1 else 1)
 
 
-def locate(shape: BTreeShape, i: int) -> tuple[int, int]:
+def locate(h: int, i: int) -> tuple[int, int]:
     """Map a preorder index to its (level, pos)."""
-    _check_index(shape, i)
-    level, pos, _ = _locate(shape.h, i)
+    _check_index(h, i)
+    level, pos, _ = _locate(h, i)
     return level, pos
 
 
-def index_of(shape: BTreeShape, level: int, pos: int) -> int:
+def index_of(h: int, level: int, pos: int) -> int:
     """Inverse of locate: preorder index of the node at (level, pos)."""
-    if not 1 <= level <= shape.h:
-        raise IndexOutOfRange(f"level {level} not in [1, {shape.h}]")
+    if not 1 <= level <= h:
+        raise IndexOutOfRange(f"level {level} not in [1, {h}]")
     if not 0 <= pos < (1 << (level - 1)):
         raise IndexOutOfRange(f"pos {pos} not in [0, {1 << (level - 1)})")
     # Read pos as the root-to-node path: each step adds 1 for a left child;
     # a right child at depth d adds 2**(h-d) instead, 2**(h-d) - 1 more.
     # Summed over the 1 bits of pos that is pos * 2**(h-level+1) - popcount.
-    return level - 1 + (pos << (shape.h - level + 1)) - bin(pos).count("1")
+    return level - 1 + (pos << (h - level + 1)) - bin(pos).count("1")
 
 
-def subtree_range(shape: BTreeShape, i: int) -> tuple[int, int]:
+def subtree_range(h: int, i: int) -> tuple[int, int]:
     """Closed preorder index range of the subtree rooted at i."""
-    _check_index(shape, i)
-    level, _, _ = _locate(shape.h, i)
-    return i, i + (1 << (shape.h - level + 1)) - 2
+    _check_index(h, i)
+    level, _, _ = _locate(h, i)
+    return i, i + (1 << (h - level + 1)) - 2
 
 
-def nav(shape: BTreeShape, i: int) -> NodeInfo:
-    _check_index(shape, i)
-    h = shape.h
+def nav(h: int, i: int) -> NodeInfo:
+    _check_index(h, i)
     level, pos, parent = _locate(h, i)
     if level < h:
         left_child: int | None = i + 1
         right_child: int | None = i + (1 << (h - level))
     else:
         left_child = right_child = None
-    lln = index_of(shape, level, pos - 1) if pos > 0 else None
-    rln = index_of(shape, level, pos + 1) if pos + 1 < (1 << (level - 1)) else None
+    lln = index_of(h, level, pos - 1) if pos > 0 else None
+    rln = index_of(h, level, pos + 1) if pos + 1 < (1 << (level - 1)) else None
     return NodeInfo(
         index=i,
         level=level,
@@ -129,15 +99,15 @@ def nav(shape: BTreeShape, i: int) -> NodeInfo:
     )
 
 
-def height_key(shape: BTreeShape, i: int) -> int:
+def height_key(h: int, i: int) -> int:
     """The height order as one int: smaller means higher.
 
     Lower level wins; within a level, larger pos wins.  This is the order in
     which a breadth-first traversal that expands right children before left
     ones visits the nodes.  pos < 2**h, so the level term dominates.
     """
-    level, pos, _ = _locate(shape.h, i)
-    return (level << shape.h) - pos
+    level, pos, _ = _locate(h, i)
+    return (level << h) - pos
 
 
 def key_location(h: int, key: int) -> tuple[int, int]:
@@ -147,16 +117,16 @@ def key_location(h: int, key: int) -> tuple[int, int]:
     return level, (level << h) - key
 
 
-def height_keys(shape: BTreeShape, n: int) -> list[int]:
+def height_keys(h: int, n: int) -> list[int]:
     """`height_key` of every index below n, in one preorder walk.
 
     The node after (level, pos) in preorder is its left child, or, from a
     leaf, the right sibling of the lowest ancestor-or-self that is a left
     child: climb one level per trailing 1 bit of pos, then add 1.
     """
-    if not 0 <= n <= shape.m:
-        raise IndexOutOfRange(f"prefix size {n} not in [0, {shape.m}]")
-    h = shape.h
+    m = (1 << h) - 1
+    if not 0 <= n <= m:
+        raise IndexOutOfRange(f"prefix size {n} not in [0, {m}]")
     keys = [0] * n
     level, pos = 1, 0
     for i in range(n):
@@ -169,21 +139,20 @@ def height_keys(shape: BTreeShape, n: int) -> list[int]:
     return keys
 
 
-def highest_in_range(shape: BTreeShape, lo: int, hi: int) -> int:
+def highest_in_range(h: int, lo: int, hi: int) -> int:
     """The highest node of the index range [lo, hi], 0 <= lo <= hi < m."""
-    return top_of_range(shape, lo, hi)[0]
+    return top_of_range(h, lo, hi)[0]
 
 
-def top_of_range(shape: BTreeShape, lo: int, hi: int) -> tuple[int, int, int]:
+def top_of_range(h: int, lo: int, hi: int) -> tuple[int, int, int]:
     """The highest node of [lo, hi], 0 <= lo <= hi < m, with its level and
     parent as `_locate` gives them (parent -1 at the root).
 
     Descends from the root while [lo, hi] lies in one child subtree; if it
     straddles both, the right child is higher than the rest of them.
     """
-    h = shape.h
-    if not 0 <= lo <= hi < (1 << h) - 1:  # m, without the property call
-        raise IndexOutOfRange(f"range [{lo}, {hi}] not within [0, {shape.m})")
+    if not 0 <= lo <= hi < (1 << h) - 1:
+        raise IndexOutOfRange(f"range [{lo}, {hi}] not within [0, {(1 << h) - 1})")
     node, parent, step = 0, -1, 1 << (h - 1)  # step: right child minus node
     while node < lo:
         parent, right = node, node + step
@@ -197,9 +166,9 @@ def top_of_range(shape: BTreeShape, lo: int, hi: int) -> tuple[int, int, int]:
     return node, h + 1 - step.bit_length(), parent
 
 
-def highest(shape: BTreeShape, indices) -> int:
+def highest(h: int, indices) -> int:
     """The index that is higher than all other given indices."""
-    best = min(indices, key=lambda i: height_key(shape, i), default=None)
+    best = min(indices, key=lambda i: height_key(h, i), default=None)
     if best is None:
         raise InvalidSize("highest() needs at least one index")
     return best

@@ -101,14 +101,14 @@ def _check_replace(G: UniversalGraph, lo: int, hi: int, k: int, x: int) -> None:
     other vertex of it, that is, than the highest on each side of k."""
     if lo <= x <= hi:
         raise PreconditionViolated(f"replacement vertex {x} lies inside [{lo}, {hi}]")
-    shape = G.shape
-    level = btree._locate(shape.h, x)[0]
+    h = G.h
+    level = btree._locate(h, x)[0]
     for a, b in ((lo, k - 1), (k + 1, hi)):
         if a <= b:
             # w is higher than x iff it is on a lower level, or on x's level
             # to its right: preorder runs left to right along a level, so
             # (level, -index) orders the nodes as `height_key` does
-            w, w_level, _ = btree.top_of_range(shape, a, b)
+            w, w_level, _ = btree.top_of_range(h, a, b)
             if w_level < level or w_level == level and w > x:
                 raise PreconditionViolated(
                     f"replacement vertex {x} is not higher than interval vertex {w}")
@@ -132,7 +132,7 @@ class _Recursion:
 
     def __init__(self, G: UniversalGraph, T: RootedTree, base: int):
         self.G, self.T, self.prov = G, T, []
-        self.max_depth = DEPTH_PER_LEVEL * G.shape.h
+        self.max_depth = DEPTH_PER_LEVEL * G.h
         self.base, self.out, self.own = base, [-1] * T.n, [-1] * T.n
         self.placed, self.shifts, self.frame = 0, [], (base, base + T.n - 1)
 
@@ -195,7 +195,7 @@ class _Recursion:
             return lo
         outer = self._enter(lo, hi)
         placed = self.placed
-        top = btree.top_of_range(self.G.shape, lo, hi)
+        top = btree.top_of_range(self.G.h, lo, hi)
         k = top[0]
         g, label = self._single_cases(a, ex, lo, hi, top, depth + 1)
         if g != k:
@@ -244,7 +244,7 @@ class _Recursion:
             self._put(a, k)
             return k, "case-1.2.3"
 
-        d = (1 << (self.G.shape.h - level)) - 1  # size of each subtree one level below v_k
+        d = (1 << (self.G.h - level)) - 1  # size of each subtree one level below v_k
         if d == 0 or k + 1 + d > hi:
             return self._case_1_2_4(a, a2, tp, lo, hi, top, depth)
         return self._case_1_2_5(a, a2, tp, lo, hi, top, k + 1 + d, depth)
@@ -255,7 +255,7 @@ class _Recursion:
         # lie in the current frame, minus its interior maximum k, top[0];
         # returns v's vertex lifted back
         k = top[0]
-        d = _iso_interior(self.G.shape.h, lo, hi, *top)
+        d = _iso_interior(self.G.h, lo, hi, *top)
         outer = self._enter(lo, hi)
         self.shifts.append((k, d))
         self.frame = (lo - d, hi - d - 1)
@@ -416,10 +416,10 @@ class _Recursion:
             raise InternalInvariantBroken("left portal not left of right portal")
         # The blocks tile [lo, hi], so a quarter plane is empty iff its portal
         # is the highest vertex from it out to that end of the interval.
-        shape = self.G.shape
-        if btree.highest_in_range(shape, lo, pa) != pa:
+        h = self.G.h
+        if btree.highest_in_range(h, lo, pa) != pa:
             raise InternalInvariantBroken("vertex in upper-left quarter plane of left portal")
-        if btree.highest_in_range(shape, pb, hi) != pb:
+        if btree.highest_in_range(h, pb, hi) != pb:
             raise InternalInvariantBroken("vertex in upper-right quarter plane of right portal")
         self.prov.append(("case-2", (lo, hi)))
         self.frame = outer

@@ -5,10 +5,11 @@ tree order means larger y.  Whether two host edges cross is decided purely
 from the height ranks of their four endpoints (`segments_cross`; `edges_cross`
 is its checked form).  `segments_cross_exact` is the independent geometric
 route, with exact orientation signs on the integer points of
-`realize_coordinates`: vertex v at y = (n + 1)**rank(v) - 1, one sort and n
-powers, in general position and up to REALIZE_CAP vertices.  Heights come
-only from `btree.height_key`, and a rank table is a table of height keys:
-smaller is higher.
+`realize_coordinates`, a tuple of points (v, y): vertex v at
+y = (n + 1)**rank(v) - 1, one walk, one sort and n powers, in general
+position and up to REALIZE_CAP vertices.  Every function takes the height h
+of the host's index tree as an int.  Heights come only from `btree`'s height
+keys, and a rank table is a table of height keys: smaller is higher.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import btree
-from .btree import BTreeShape
 from .errors import (
     DegenerateEdge,
     IndexOutOfRange,
@@ -26,38 +26,26 @@ from .errors import (
 REALIZE_CAP = 1023
 
 
-@dataclass(frozen=True)
-class CoordinateRealization:
-    """Exact integer coordinates for host vertices 0..n-1; points[i] = (i, y)."""
-
-    shape: BTreeShape
-    points: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-
-def realize_coordinates(shape: BTreeShape, n: int | None = None) -> CoordinateRealization:
-    """Place vertex v at (v, (n + 1)**rank(v) - 1), rank 0 the lowest in the
-    height order.  The "- 1" shifts every point alike, so read Y = y + 1.
+def realize_coordinates(h: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Exact integer points of host vertices 0..n-1 of the tree of height h:
+    vertex v at (v, (n + 1)**rank(v) - 1), rank 0 the lowest in the height
+    order.  The "- 1" shifts every point alike, so read Y = y + 1.
     For a < b < c in x, b lies strictly above the line ac iff b is the highest:
     - if it is, Y_b > max(Y_a, Y_c), above every point of the segment ac;
     - if not, the line at b is at least max(Y_a, Y_c) / (c - a) > Y_b, as
       the ranks differ by at least 1 and c - a < n + 1.
     The points hold about n**2 * log2(n + 1) / 2 bits, hence the size cap.
     """
-    if n is None:
-        n = shape.n
-    if not 1 <= n <= shape.m:
-        raise IndexOutOfRange(f"n {n} not in [1, {shape.m}]")
+    m = (1 << h) - 1
+    if not 1 <= n <= m:
+        raise IndexOutOfRange(f"n {n} not in [1, {m}]")
     if n > REALIZE_CAP:
         raise SizeTooLarge(f"coordinate realization capped at n <= {REALIZE_CAP}, got {n}")
+    keys = btree.height_keys(h, n)
     ys = [0] * n
-    for rank, v in enumerate(sorted(range(n), key=lambda i: btree.height_key(shape, i),
-                                    reverse=True)):
+    for rank, v in enumerate(sorted(range(n), key=keys.__getitem__, reverse=True)):
         ys[v] = (n + 1) ** rank - 1
-    return CoordinateRealization(shape, tuple(enumerate(ys)))
+    return tuple(enumerate(ys))
 
 
 def _check_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -70,11 +58,11 @@ def _check_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def height_ranks(shape: BTreeShape, vertices) -> dict[int, int]:
+def height_ranks(h: int, vertices) -> dict[int, int]:
     """Rank of each vertex in the height order, its `height_key`: smaller
     means higher.  Any table of height keys, such as `btree.height_keys`,
     serves the predicates below."""
-    return {v: btree.height_key(shape, v) for v in vertices}
+    return {v: btree.height_key(h, v) for v in vertices}
 
 
 def above(rank, a: int, b: int, c: int) -> bool:
@@ -102,10 +90,12 @@ def segments_cross(rank, s: tuple[int, int], t: tuple[int, int]) -> bool:
     return above(rank, p, r, q) == above(rank, r, q, u)
 
 
-def edges_cross(shape: BTreeShape, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """`segments_cross` on two host edges, each checked and given either way round."""
-    s, t = _check_edge(shape.n, e1), _check_edge(shape.n, e2)
-    return segments_cross(height_ranks(shape, (*s, *t)), s, t)
+def edges_cross(h: int, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
+    """`segments_cross` on two segments between nodes of the tree of height
+    h, each checked and given either way round."""
+    m = (1 << h) - 1
+    s, t = _check_edge(m, e1), _check_edge(m, e2)
+    return segments_cross(height_ranks(h, (*s, *t)), s, t)
 
 
 def orientation(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> int:
@@ -114,17 +104,17 @@ def orientation(p: tuple[int, int], q: tuple[int, int], r: tuple[int, int]) -> i
     return (d > 0) - (d < 0)
 
 
-def segments_cross_exact(coords: CoordinateRealization,
+def segments_cross_exact(points: tuple[tuple[int, int], ...],
                          e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     """True iff the two closed segments meet at a point interior to both.
 
     Endpoints are realized points in general position, so edges sharing an
     endpoint yield a zero orientation and come out non-crossing.
     """
-    n = coords.n
+    n = len(points)
     a, b = _check_edge(n, e1)
     c, d = _check_edge(n, e2)
-    pa, pb, pc, pd = (coords.points[i] for i in (a, b, c, d))
+    pa, pb, pc, pd = (points[i] for i in (a, b, c, d))
     o1 = orientation(pa, pb, pc)
     o2 = orientation(pa, pb, pd)
     o3 = orientation(pc, pd, pa)
@@ -148,21 +138,21 @@ class QuarterPlane:
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
 
 
-def _apex(coords: CoordinateRealization, qp: QuarterPlane) -> tuple[int, int]:
-    if not 0 <= qp.apex < coords.n:
-        raise IndexOutOfRange(f"apex {qp.apex} not in [0, {coords.n})")
-    return coords.points[qp.apex]
+def _apex(points: tuple[tuple[int, int], ...], qp: QuarterPlane) -> tuple[int, int]:
+    if not 0 <= qp.apex < len(points):
+        raise IndexOutOfRange(f"apex {qp.apex} not in [0, {len(points)})")
+    return points[qp.apex]
 
 
-def point_in_quarter_plane(coords: CoordinateRealization, p: tuple[int, int],
+def point_in_quarter_plane(points: tuple[tuple[int, int], ...], p: tuple[int, int],
                            qp: QuarterPlane) -> bool:
-    ax, ay = _apex(coords, qp)
+    ax, ay = _apex(points, qp)
     if p[1] <= ay:
         return False
     return p[0] < ax if qp.side == "left" else p[0] > ax
 
 
-def segment_hits_quarter_plane(coords: CoordinateRealization,
+def segment_hits_quarter_plane(points: tuple[tuple[int, int], ...],
                                seg: tuple[int, int], qp: QuarterPlane) -> bool:
     """Exact test: does the closed segment meet the open quarter-plane region?
 
@@ -171,9 +161,9 @@ def segment_hits_quarter_plane(coords: CoordinateRealization,
     apex's y.  The supremum is attained at an endpoint or approached at the
     clip boundary, which suffices because the region is open in x.
     """
-    u, v = _check_edge(coords.n, seg)
-    (x1, y1), (x2, y2) = coords.points[u], coords.points[v]
-    ax, ay = _apex(coords, qp)
+    u, v = _check_edge(len(points), seg)
+    (x1, y1), (x2, y2) = points[u], points[v]
+    ax, ay = _apex(points, qp)
     if qp.side == "right":
         x1, x2, ax = -x1, -x2, -ax  # mirror so both sides read x < ax
     if x1 > x2:

@@ -1,8 +1,8 @@
 """Sparse host graph on the binary-tree index structure.
 
-Vertices are the first n preorder indices of a complete binary tree (the
-smallest tree with at least n nodes).  Two distinct vertices u, w are adjacent
-iff one of three containment rules holds:
+Vertices are the first n preorder indices of a complete binary tree, the
+smallest with at least n nodes: its height is h = n.bit_length().  Two
+distinct vertices u, w are adjacent iff one of three containment rules holds:
 
   (E1) one lies in the subtree of the other;
   (E2) one lies in the subtree of a left or right level-neighbor of the other;
@@ -20,7 +20,7 @@ from bisect import bisect_left
 from typing import Iterator
 
 from . import btree
-from .btree import BTreeShape
+from .errors import InvalidSize
 from .host import Host
 
 
@@ -44,11 +44,13 @@ class UniversalGraph(Host):
     kind = "universal"
 
     def __init__(self, n: int):
-        self.shape = BTreeShape.from_size(n)
+        if n < 1:
+            raise InvalidSize(f"size must be >= 1, got {n}")
         self.n = n
+        self.h = n.bit_length()  # the least h with 2**h - 1 >= n
 
     def joins(self, u: int, v: int) -> bool:
-        return adjacent(*btree.locate(self.shape, u), *btree.locate(self.shape, v))
+        return adjacent(*btree.locate(self.h, u), *btree.locate(self.h, v))
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
         # Walk the index tree in preorder, keeping the state of the descent
@@ -70,7 +72,7 @@ class UniversalGraph(Host):
         # child, so the rln, held in `lo`, opens the child's range.  A range
         # that ends just below the one before it joins that one.
         n = self.n
-        node, step, rln, lo = 0, 1 << (self.shape.h - 1), None, None
+        node, step, rln, lo = 0, 1 << (self.h - 1), None, None
         above: list[tuple[int, int]] = []
         pending = []
         while True:

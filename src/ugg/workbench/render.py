@@ -37,13 +37,13 @@ def _vertex(x: float, y: float, label: int) -> list[str]:
 def _tree_layout(G, layout: str):
     """Positions, canvas size and the curved-edge test on the universal host:
     vertex i at x = i and y = its height rank, the highest on top."""
-    n = G.n
-    order = sorted(range(n), key=lambda i: btree.height_key(G.shape, i))
+    n, h = G.n, G.h
+    order = sorted(range(n), key=btree.height_keys(h, n).__getitem__)
     rank = {v: i for i, v in enumerate(order)}
     pos = {i: (30.0 + 34 * i, 40.0 + 18 * rank[i]) for i in range(n)}
 
     def curved(u: int, v: int) -> bool:
-        return layout != "exact" and btree._locate(G.shape.h, v)[2] != u
+        return layout != "exact" and btree._locate(h, v)[2] != u
 
     return pos, 60 + 34 * (n - 1), 80 + 18 * (n - 1), curved
 

@@ -147,14 +147,14 @@ def criterion_3(limit: int | None = None) -> CriterionResult:
         if limit is not None and n > limit:
             break
         G = UniversalGraph(n)
-        coords = realize_coordinates(G.shape, n)
+        coords = realize_coordinates(G.h, n)
         edges = list(G.edges())
         for i in range(len(edges)):
             e1 = edges[i]
             for j in range(i + 1, len(edges)):
                 e2 = edges[j]
                 pairs += 1
-                fast = edges_cross(G.shape, e1, e2)
+                fast = edges_cross(G.h, e1, e2)
                 slow = segments_cross_exact(coords, e1, e2)
                 if fast != slow:
                     problems.append(f"n={n}: {e1} vs {e2}: {fast} != {slow}")
@@ -211,7 +211,7 @@ def criterion_5(limit: int | None = None) -> CriterionResult:
     hosts = []
     for n in range(1, nmax + 1):
         G = build_universal(n)
-        hosts.append((G, realize_coordinates(G.shape, n)))
+        hosts.append((G, realize_coordinates(G.h, n)))
     for s in range(1, nmax + 1):
         for level in ordered_level_sequences(s):
             tree = RootedTree.from_levels(level)
@@ -244,7 +244,7 @@ def _lemma_problems(G, coords, tree, edges, lo: int, second) -> list[str]:
     problems = []
     regions = [QuarterPlane(mp[tree.root], "left")]
     if second is None:
-        if regions[0].apex != btree.highest_in_range(G.shape, lo, hi):
+        if regions[0].apex != btree.highest_in_range(G.h, lo, hi):
             problems.append(f"portal at {regions[0].apex}")
     else:
         regions.append(QuarterPlane(mp[second], "right"))
@@ -252,7 +252,7 @@ def _lemma_problems(G, coords, tree, edges, lo: int, second) -> list[str]:
     for region in regions:
         for g in mp.values():
             if g != region.apex and point_in_quarter_plane(
-                    coords, coords.points[g], region):
+                    coords, coords[g], region):
                 problems.append(f"vertex {g} in {region.side}")
         for seg in segs:
             if segment_hits_quarter_plane(coords, seg, region):

@@ -44,7 +44,6 @@ from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, itemgetter, mul, ne
 
 from .. import btree
-from ..btree import BTreeShape
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..embedder import Embedding
 from ..geometry import height_ranks, segments_cross
@@ -83,7 +82,7 @@ def _input_shape(graph) -> tuple[int, list[tuple[int, int]], bool]:
     return n, list(edges), False
 
 
-def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
+def _height_table(h: int, endpoints) -> list[int] | dict[int, int]:
     """Height keys of the given host vertices, read as keys[v].
 
     A list of every key up to the largest endpoint when that list is at
@@ -92,8 +91,8 @@ def _height_table(shape: BTreeShape, endpoints) -> list[int] | dict[int, int]:
     """
     top = max(endpoints, default=-1) + 1
     if top <= 4 * len(endpoints):
-        return btree.height_keys(shape, top)
-    return height_ranks(shape, endpoints)
+        return btree.height_keys(h, top)
+    return height_ranks(h, endpoints)
 
 
 def _listed(pairs, lo, hi, times):
@@ -203,7 +202,7 @@ def _sweep(keys, us, vs, distinct: bool = False) -> tuple[int, list[tuple[str, t
     return total, witnesses, m
 
 
-def roof_crossings(shape: BTreeShape | None, segments,
+def roof_crossings(h: int | None, segments,
                    keys=None) -> tuple[int, list[tuple[str, tuple]], int]:
     """The roof sweep over host segments: the number of crossing pairs, at
     most WITNESS_CAP of them as `Crossing` failures, and the number of roof
@@ -227,7 +226,7 @@ def roof_crossings(shape: BTreeShape | None, segments,
 
     `keys` is a table of height keys covering every endpoint, read as
     keys[v]; without it the sweep builds one.  On a convex host pass
-    keys[v] = -v and no shape.
+    keys[v] = -v and no height.
     """
     us, vs = [], []
     for u, v in segments:
@@ -235,7 +234,7 @@ def roof_crossings(shape: BTreeShape | None, segments,
             us.append(u)
             vs.append(v)
     if keys is None:
-        keys = _height_table(shape, set(us).union(vs))
+        keys = _height_table(h, set(us).union(vs))
     return _sweep(keys, us, vs)
 
 
@@ -249,7 +248,7 @@ def _crossing_rules(host, endpoints):
     when it finds one does the roof sweep count on the keys -v of the
     segments' ends."""
     if host.kind == "universal":
-        h, keys = host.shape.h, _height_table(host.shape, endpoints)
+        h, keys = host.h, _height_table(host.h, endpoints)
 
         def is_edge(u: int, v: int) -> bool:
             # `key_location` of both keys, inlined: this runs once per edge
@@ -275,7 +274,7 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
     roof lister.  Segments are (lo, hi) pairs.  It decides a pair by
     `segments_cross` on the universal host and by `convex_edges_cross`,
     which reads no height keys, on convex hosts."""
-    cross = (partial(segments_cross, _height_table(host.shape, {v for s in segments for v in s}))
+    cross = (partial(segments_cross, _height_table(host.h, {v for s in segments for v in s}))
              if host.kind == "universal" else partial(convex_edges_cross, host.n))
     failures: list[tuple[str, tuple]] = []
     checked = 0

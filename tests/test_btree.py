@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ugg import btree
-from ugg.btree import BTreeShape
 from ugg.errors import IndexOutOfRange, InvalidSize
+from ugg.ugraph import UniversalGraph
 
-H3 = BTreeShape(3, 7)
+H3 = 3  # the height of the tree on seven nodes
 
 
 def test_locate_examples():
@@ -19,18 +19,16 @@ def test_locate_examples():
 
 def test_locate_index_roundtrip_exhaustive():
     for h in range(1, 8):
-        shape = BTreeShape(h, (1 << h) - 1)
-        for i in range(shape.m):
-            level, pos = btree.locate(shape, i)
-            assert btree.index_of(shape, level, pos) == i
+        for i in range((1 << h) - 1):
+            level, pos = btree.locate(h, i)
+            assert btree.index_of(h, level, pos) == i
 
 
 @given(st.integers(min_value=1, max_value=16), st.data())
 def test_locate_index_roundtrip_random(h, data):
-    shape = BTreeShape(h, (1 << h) - 1)
-    i = data.draw(st.integers(min_value=0, max_value=shape.m - 1))
-    level, pos = btree.locate(shape, i)
-    assert btree.index_of(shape, level, pos) == i
+    i = data.draw(st.integers(min_value=0, max_value=(1 << h) - 2))
+    level, pos = btree.locate(h, i)
+    assert btree.index_of(h, level, pos) == i
     assert 1 <= level <= h
     assert 0 <= pos < (1 << (level - 1))
 
@@ -64,17 +62,16 @@ def test_nav_leaf():
 
 def test_nav_consistency():
     for h in range(1, 6):
-        shape = BTreeShape(h, (1 << h) - 1)
-        for i in range(shape.m):
-            info = btree.nav(shape, i)
+        for i in range((1 << h) - 1):
+            info = btree.nav(h, i)
             for child in (info.left_child, info.right_child):
                 if child is not None:
-                    assert btree.nav(shape, child).parent == i
+                    assert btree.nav(h, child).parent == i
             if info.left_level_neighbor is not None:
-                other = btree.nav(shape, info.left_level_neighbor)
+                other = btree.nav(h, info.left_level_neighbor)
                 assert other.right_level_neighbor == i
             if info.right_level_neighbor is not None:
-                other = btree.nav(shape, info.right_level_neighbor)
+                other = btree.nav(h, info.right_level_neighbor)
                 assert other.left_level_neighbor == i
 
 
@@ -94,44 +91,43 @@ def test_height_order_is_level_then_index_descending():
     # preorder runs left to right along each level, so the height order is
     # the order of (level, -index); _check_replace compares heights this way
     for h in range(1, 8):
-        shape = BTreeShape(h, (1 << h) - 1)
-        by_key = sorted(range(shape.m), key=lambda i: btree.height_key(shape, i))
-        assert by_key == sorted(range(shape.m), key=lambda i: (btree.locate(shape, i)[0], -i))
+        m = (1 << h) - 1
+        by_key = sorted(range(m), key=lambda i: btree.height_key(h, i))
+        assert by_key == sorted(range(m), key=lambda i: (btree.locate(h, i)[0], -i))
 
 
 def test_height_keys_walk_matches_height_key():
-    shapes = [BTreeShape.from_size(n) for n in range(1, 131)]
-    shapes += [BTreeShape(7, 100), BTreeShape(7, 127), BTreeShape(8, 100),
-               BTreeShape.from_size(4095)]
-    for shape in shapes:
-        for n in {shape.n, shape.m}:
-            assert btree.height_keys(shape, n) == [btree.height_key(shape, i) for i in range(n)]
+    cases = [(UniversalGraph(n).h, n) for n in range(1, 131)]
+    cases += [(7, 100), (7, 127), (8, 100), (UniversalGraph(4095).h, 4095)]
+    for h, size in cases:
+        for n in {size, (1 << h) - 1}:
+            assert btree.height_keys(h, n) == [btree.height_key(h, i) for i in range(n)]
     assert btree.height_keys(H3, 0) == []
     with pytest.raises(IndexOutOfRange):
         btree.height_keys(H3, 8)
 
 
 def test_key_location_inverts_height_key():
-    for shape in (H3, BTreeShape(9, 511), BTreeShape.from_size(10**9)):
-        for i in {*range(min(shape.m, 600)), shape.m - 1, shape.m // 2}:
-            assert btree.key_location(shape.h, btree.height_key(shape, i)) == btree.locate(shape, i)
+    for h in (H3, 9, UniversalGraph(10**9).h):
+        m = (1 << h) - 1
+        for i in {*range(min(m, 600)), m - 1, m // 2}:
+            assert btree.key_location(h, btree.height_key(h, i)) == btree.locate(h, i)
 
 
 def test_higher_is_total_strict_order():
     # height keys are distinct, so "higher" (a smaller key) orders all nodes
-    shape = BTreeShape(4, 15)
-    keys = [btree.height_key(shape, u) for u in range(shape.m)]
-    assert len(set(keys)) == shape.m
+    keys = [btree.height_key(4, u) for u in range(15)]
+    assert len(set(keys)) == 15
 
 
 def test_interval_maximum_dominates_right_part():
     # the highest vertex k of any interval [i,j] has all of [k,j] in its subtree
     for h in range(1, 6):
-        shape = BTreeShape(h, (1 << h) - 1)
-        for i in range(shape.m):
-            for j in range(i, shape.m):
-                k = btree.highest(shape, range(i, j + 1))
-                lo, hi = btree.subtree_range(shape, k)
+        m = (1 << h) - 1
+        for i in range(m):
+            for j in range(i, m):
+                k = btree.highest(h, range(i, j + 1))
+                lo, hi = btree.subtree_range(h, k)
                 assert lo <= k and j <= hi
 
 
@@ -139,13 +135,13 @@ def test_top_of_range_matches_the_height_order_and_locate():
     # one descent gives the interval maximum with the level and parent that
     # _locate gives it, on every interval of every tree up to height 6
     for h in range(1, 7):
-        shape = BTreeShape(h, (1 << h) - 1)
-        for lo in range(shape.m):
-            for hi in range(lo, shape.m):
-                k = btree.highest(shape, range(lo, hi + 1))
+        m = (1 << h) - 1
+        for lo in range(m):
+            for hi in range(lo, m):
+                k = btree.highest(h, range(lo, hi + 1))
                 level, _, parent = btree._locate(h, k)
-                assert btree.top_of_range(shape, lo, hi) == (k, level, parent)
-                assert btree.highest_in_range(shape, lo, hi) == k
+                assert btree.top_of_range(h, lo, hi) == (k, level, parent)
+                assert btree.highest_in_range(h, lo, hi) == k
 
 
 @pytest.mark.parametrize("lo, hi", [(7, 7), (9, 12), (3, 7), (0, 8)])
@@ -158,21 +154,29 @@ def test_highest_in_range_past_the_tree_raises(lo, hi):
 
 
 def test_subtree_size_and_membership():
-    shape = BTreeShape(4, 15)
-    assert btree.subtree_range(shape, 0) == (0, 14)
-    assert btree.subtree_range(shape, 1) == (1, 7)
-    lo, hi = btree.subtree_range(shape, 1)
+    assert btree.subtree_range(4, 0) == (0, 14)
+    assert btree.subtree_range(4, 1) == (1, 7)
+    lo, hi = btree.subtree_range(4, 1)
     assert lo <= 6 <= hi
     assert not lo <= 8 <= hi
 
 
-def test_from_size_minimal_height():
-    for n in range(1, 200):
-        shape = BTreeShape.from_size(n)
-        assert shape.m >= n
-        assert shape.m < 2 * n
-        if shape.h > 1:
-            assert (1 << (shape.h - 1)) - 1 < n
+def least_height(n):
+    # the least h with 2**h - 1 >= n, by search
+    h = 1
+    while (1 << h) - 1 < n:
+        h += 1
+    return h
+
+
+def test_universal_host_height_is_the_least_that_holds_it():
+    sizes = [*range(1, 4097), 10**18]
+    sizes += [s for k in range(1, 65) for s in ((1 << k) - 1, 1 << k)]
+    for n in sizes:
+        assert UniversalGraph(n).h == least_height(n), n
+    for n in (0, -1):
+        with pytest.raises(InvalidSize, match=f"size must be >= 1, got {n}"):
+            UniversalGraph(n)
 
 
 def test_errors():
@@ -182,10 +186,6 @@ def test_errors():
         btree.index_of(H3, 4, 0)
     with pytest.raises(IndexOutOfRange):
         btree.index_of(H3, 2, 2)
-    with pytest.raises(InvalidSize):
-        BTreeShape.from_size(0)
-    with pytest.raises(InvalidSize):
-        BTreeShape(0, 1)
     with pytest.raises(InvalidSize):
         btree.highest(H3, [])
     with pytest.raises(IndexOutOfRange):

@@ -276,6 +276,16 @@ def test_explicit_build_past_the_cap_exits_3_quickly(tmp_path, capsys, kind, n):
     assert "explicit host file" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", cli.KINDS)
+@pytest.mark.parametrize("n", [0, -1])
+def test_build_of_a_nonpositive_size_exits_2(tmp_path, capsys, kind, n):
+    out = tmp_path / "host.txt"
+    assert cli.main(["build", "--kind", kind, "--n", str(n), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_explicit_cap_counts_edges_not_only_vertices(tmp_path):
     # 40000 vertices are within the cap, their 2,237,617 edges are not;
     # the bench's largest explicit host, two-chord at n = 1023, is well within

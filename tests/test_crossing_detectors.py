@@ -74,7 +74,7 @@ def assert_detectors_agree(host, segments):
     the oracle does."""
     oracle, _ = pairwise_crossings(host, segments)
     if isinstance(host, UniversalGraph):
-        count, witnesses, _ = roof_crossings(host.shape, segments)
+        count, witnesses, _ = roof_crossings(host.h, segments)
     else:
         pair, _ = nesting_crossing(segments)
         assert (pair is None) == (not oracle), (segments, pair, oracle)
@@ -207,8 +207,8 @@ def test_sweep_agrees_with_pairwise_on_segment_sets(case):
     segments = with_duplicates(segments, repeats)
     host = UniversalGraph(n)
     assert_detectors_agree(host, [(min(e), max(e)) for e in segments])
-    _, witnesses, _ = roof_crossings(host.shape, segments)
-    assert all(edges_cross(host.shape, *pair) for _, pair in witnesses)
+    _, witnesses, _ = roof_crossings(host.h, segments)
+    assert all(edges_cross(host.h, *pair) for _, pair in witnesses)
 
 
 @given(segment_sets(24))
@@ -224,10 +224,10 @@ def test_sweep_matches_segments_cross_on_every_pair():
     predicate does."""
     for n in (7, 15, 31):
         host = UniversalGraph(n)
-        keys = btree.height_keys(host.shape, n)
+        keys = btree.height_keys(host.h, n)
         segments = list(itertools.combinations(range(n), 2))
         for s, t in itertools.combinations(segments, 2):
-            count, _, _ = roof_crossings(host.shape, [s, t], keys)
+            count, _, _ = roof_crossings(host.h, [s, t], keys)
             assert count == len(pairwise_crossings(host, [s, t])[0]), (n, s, t)
 
 
@@ -239,14 +239,14 @@ def test_sweep_on_both_fans_of_one_vertex():
     # must give the exact coordinates' verdict.
     n, x = 15, 9
     host = UniversalGraph(n)
-    coords = realize_coordinates(host.shape, n)
-    keys = btree.height_keys(host.shape, n)
+    coords = realize_coordinates(host.h, n)
+    keys = btree.height_keys(host.h, n)
     assert [a for a in range(n) if a != x and keys[a] < keys[x]] == [0, 1, 8, 12]
     fans = [(0, x), (1, x), (2, x), (5, x), (x, 10), (x, 11), (x, 12), (x, 13), (x, 14)]
-    assert roof_crossings(host.shape, fans)[:2] == (0, [])
+    assert roof_crossings(host.h, fans)[:2] == (0, [])
     for extra in itertools.combinations([v for v in range(n) if v != x], 2):
         crossing = sum(segments_cross_exact(coords, extra, s) for s in fans)
-        count, witnesses, _ = roof_crossings(host.shape, fans + [extra])
+        count, witnesses, _ = roof_crossings(host.h, fans + [extra])
         assert count == crossing == len(pairwise_crossings(host, fans + [extra])[0]), extra
         assert len(witnesses) == count
         assert all(segments_cross_exact(coords, *pair) for _, pair in witnesses)
@@ -261,14 +261,14 @@ def test_star_sweep_costs_no_more_than_a_path():
     compare m**2 / 2 pairs of the star to say so."""
     n = 65535
     host = UniversalGraph(n)
-    keys = btree.height_keys(host.shape, n)
+    keys = btree.height_keys(host.h, n)
     star = [(0, i) for i in range(1, n)]
     path = [(i, i + 1) for i in range(n - 1)]
     best = {"star": math.inf, "path": math.inf}
     for _ in range(3):
         for name, segments in (("star", star), ("path", path)):
             start = time.process_time()
-            assert roof_crossings(host.shape, segments, keys) == (0, [], n - 1)
+            assert roof_crossings(host.h, segments, keys) == (0, [], n - 1)
             best[name] = min(best[name], time.process_time() - start)
     assert best["star"] <= 2 * best["path"], best
 
@@ -307,7 +307,7 @@ def test_roof_listing_equals_pairwise_scan(case):
     host = UniversalGraph(n)
     oracle, _ = pairwise_crossings(host, segments)
     with full_listing():
-        assert roof_crossings(host.shape, segments)[:2] == (len(oracle), oracle)
+        assert roof_crossings(host.h, segments)[:2] == (len(oracle), oracle)
 
 
 def test_roof_listing_equals_exact_scan_on_a_scrambled_tree(monkeypatch):
@@ -319,7 +319,7 @@ def test_roof_listing_equals_exact_scan_on_a_scrambled_tree(monkeypatch):
     rng = random.Random(n)
     tree = random_tree(n, rng)
     host = UniversalGraph(n)
-    coords = realize_coordinates(host.shape, n)
+    coords = realize_coordinates(host.h, n)
 
     def exact_crossings(mapping):
         segments = sorted(mapped_segments(tree.edges, mapping))
@@ -328,7 +328,7 @@ def test_roof_listing_equals_exact_scan_on_a_scrambled_tree(monkeypatch):
 
     segments, exact = exact_crossings(rng.sample(range(n), n))
     monkeypatch.setattr(validate, "WITNESS_CAP", len(exact))
-    count, witnesses, _ = roof_crossings(host.shape, segments)
+    count, witnesses, _ = roof_crossings(host.h, segments)
     assert count == len(witnesses) == len(exact) > 1000
     assert all(segments_cross_exact(coords, *pair) for _, pair in witnesses)
     assert sorted(pair for _, pair in witnesses) == exact
@@ -387,10 +387,10 @@ def test_huge_host_tables_follow_the_input(monkeypatch):
     host = UniversalGraph(10**9)
     height_keys, sizes = btree.height_keys, []
 
-    def bounded(shape, n):
+    def bounded(h, n):
         assert n <= 64, f"a table of {n} height keys for a small input"
         sizes.append(n)
-        return height_keys(shape, n)
+        return height_keys(h, n)
 
     monkeypatch.setattr(btree, "height_keys", bounded)
     path = Forest(3, [(0, 1), (1, 2)])
@@ -405,7 +405,7 @@ def test_huge_host_tables_follow_the_input(monkeypatch):
         points = rng.sample(range(host.n), 8)
         segments = list({tuple(sorted(rng.sample(points, 2))) for _ in range(6)})
         assert_detectors_agree(host, segments)
-        outcomes.add(roof_crossings(host.shape, segments)[0] == 0)
+        outcomes.add(roof_crossings(host.h, segments)[0] == 0)
     assert sizes == [3] and outcomes == {True, False}
 
     # no image, injectivity or key table is sized by the host: the path on
@@ -487,7 +487,7 @@ def test_validation_reports_are_pinned():
             # the sweep alone on the mapped segments, host edges or not
             n, edges = graph if isinstance(graph, tuple) else (graph.n, graph.edges)
             segments = [(emb.mapping.get(u, u), emb.mapping.get(v, v)) for u, v in edges]
-            digest.update(repr(roof_crossings(host.shape, segments)).encode())
+            digest.update(repr(roof_crossings(host.h, segments)).encode())
     assert kinds == {"DegenerateEdge", "IndexOutOfRange", "SizeMismatch", "NotInjective",
                      "MissingEdge", "Crossing"}
     assert digest.hexdigest() == VALIDATION_REPORT_DIGEST

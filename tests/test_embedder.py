@@ -88,10 +88,10 @@ def iso_interior(h, lo, hi, k):
 def test_iso_interior_example():
     # [4, 6] minus its maximum 5 shifts by d = 1 onto [3, 4]
     G = build_universal(15)
-    assert iso_interior(G.shape.h, 4, 6, 5) == 1
+    assert iso_interior(G.h, 4, 6, 5) == 1
     assert [embedder._lift(g, 5, 1) for g in (3, 4)] == [4, 6]
     # the second-highest, 6, maps to the target's highest
-    assert btree.highest(G.shape, [4, 6]) == 6 and btree.highest_in_range(G.shape, 3, 4) == 6 - 1 - 1
+    assert btree.highest(G.h, [4, 6]) == 6 and btree.highest_in_range(G.h, 3, 4) == 6 - 1 - 1
 
 
 def test_iso_interior_boundary_examples():
@@ -100,24 +100,24 @@ def test_iso_interior_boundary_examples():
     G = build_universal(15)
     emb = embed_tree(G, path_tree(4))
     assert ("case-1.2.2", (0, 3)) in emb.provenance
-    assert emb.mapping[0] == 0 and emb.mapping[1] == btree.highest_in_range(G.shape, 1, 3)
+    assert emb.mapping[0] == 0 and emb.mapping[1] == btree.highest_in_range(G.h, 1, 3)
     # hi boundary: in [2, 5] the highest is 5 (level 3, rightmost position)
     emb = embed_tree(G, path_tree(4), lo=2)
     assert ("case-1.2.1", (2, 5)) in emb.provenance
-    assert emb.mapping[0] == 5 and emb.mapping[1] == btree.highest_in_range(G.shape, 2, 4)
+    assert emb.mapping[0] == 5 and emb.mapping[1] == btree.highest_in_range(G.h, 2, 4)
 
 
 def test_iso_interior_precondition_errors():
     G = build_universal(15)
-    h = G.shape.h
+    h = G.h
     with pytest.raises(PreconditionViolated):
         iso_interior(h, 4, 6, 4)  # an endpoint, not interior
     # highest of [4, 7] is the interior vertex 5; its right child 7 is inside
-    assert btree.highest_in_range(G.shape, 4, 7) == 5
+    assert btree.highest_in_range(G.h, 4, 7) == 5
     with pytest.raises(PreconditionViolated):
         iso_interior(h, 4, 7, 5)
     # in [3, 6] the subtree of 5's left sibling's left child reaches vertex 3
-    assert btree.highest_in_range(G.shape, 3, 6) == 5
+    assert btree.highest_in_range(G.h, 3, 6) == 5
     with pytest.raises(PreconditionViolated):
         iso_interior(h, 3, 6, 5)
 
@@ -127,10 +127,10 @@ def interior_shifts(G):
     and passes the isomorphism's checks."""
     for lo in range(G.n):
         for hi in range(lo + 2, G.n):
-            k = btree.highest_in_range(G.shape, lo, hi)
+            k = btree.highest_in_range(G.h, lo, hi)
             if lo < k < hi:
                 try:
-                    yield lo, hi, k, iso_interior(G.shape.h, lo, hi, k)
+                    yield lo, hi, k, iso_interior(G.h, lo, hi, k)
                 except PreconditionViolated:
                     pass
 
@@ -163,7 +163,7 @@ def test_iso_interior_preserves_crossings(n):
         pairs = [p for p in itertools.combinations(src, 2) if G.is_edge(*p)]
         for e1, e2 in itertools.combinations(pairs, 2):
             f1, f2 = ([u - d - (u > k) for u in e] for e in (e1, e2))
-            assert edges_cross(G.shape, e1, e2) == edges_cross(G.shape, f1, f2)
+            assert edges_cross(G.h, e1, e2) == edges_cross(G.h, f1, f2)
     assert checked > 0
 
 
@@ -173,8 +173,8 @@ def test_iso_interior_maps_second_highest_to_target_highest():
         checked = 0
         for lo, hi, k, d in interior_shifts(G):
             checked += 1
-            second = btree.highest(G.shape, [u for u in range(lo, hi + 1) if u != k])
-            assert second - d - (second > k) == btree.highest_in_range(G.shape, lo - d, hi - d - 1)
+            second = btree.highest(G.h, [u for u in range(lo, hi + 1) if u != k])
+            assert second - d - (second > k) == btree.highest_in_range(G.h, lo - d, hi - d - 1)
         assert checked > 0, n
 
 
@@ -196,7 +196,7 @@ def test_check_replace_errors():
     with pytest.raises(PreconditionViolated):
         embedder._check_replace(G, 2, 3, 3, 2)  # replacement inside interval
     # height order at n=7 descends 0,4,1,6,5,3,2; x=3 is lower than 5
-    assert btree.highest_in_range(G.shape, 5, 6) == 6
+    assert btree.highest_in_range(G.h, 5, 6) == 6
     with pytest.raises(PreconditionViolated):
         embedder._check_replace(G, 5, 6, 6, 3)
 
@@ -226,7 +226,7 @@ def test_embed_path_endpoint_portal():
 def test_embed_path_midpoint_portal():
     G = build_universal(9)
     emb = embed_tree(G, path_tree(9, root=4))
-    assert emb.mapping[4] == btree.highest_in_range(G.shape, 0, 8)
+    assert emb.mapping[4] == btree.highest_in_range(G.h, 0, 8)
     report = validate_embedding(G, (9, [(i, i + 1) for i in range(8)]), emb)
     assert report.ok, report.failures
 

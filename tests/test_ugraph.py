@@ -12,10 +12,10 @@ from ugg.workbench.selftest import EDGE_COUNT_REGRESSION
 
 def naive_is_edge(G: UniversalGraph, u: int, v: int) -> bool:
     """Spell out the three edge groups one by one, no shortcuts."""
-    shape = G.shape
+    h = G.h
 
     def in_subtree(a, b):
-        lo, hi = btree.subtree_range(shape, b)
+        lo, hi = btree.subtree_range(h, b)
         return lo <= a <= hi
 
     def groups(a, b):
@@ -23,13 +23,13 @@ def naive_is_edge(G: UniversalGraph, u: int, v: int) -> bool:
         if in_subtree(a, b) or in_subtree(b, a):
             return True
         # subtree of a level-neighbor of b (left or right)
-        info = btree.nav(shape, b)
+        info = btree.nav(h, b)
         for z in (info.left_level_neighbor, info.right_level_neighbor):
             if z is not None and in_subtree(a, z):
                 return True
         # subtree of the left level-neighbor of b's parent
         if info.parent is not None:
-            pz = btree.nav(shape, info.parent).left_level_neighbor
+            pz = btree.nav(h, info.parent).left_level_neighbor
             if pz is not None and in_subtree(a, pz):
                 return True
         return False
@@ -87,7 +87,7 @@ def test_root_adjacent_to_everything():
 def test_tree_edges_are_host_edges():
     G = build_universal(63)
     for i in range(63):
-        info = btree.nav(G.shape, i)
+        info = btree.nav(G.h, i)
         for child in (info.left_child, info.right_child):
             if child is not None and child < 63:
                 assert G.is_edge(i, child)
@@ -97,10 +97,10 @@ def star_centers(G, lo, hi):
     """Vertices adjacent to every other vertex of [lo, hi], hi > lo, from
     `highest_in_range`: the interval's highest vertex k, its second-highest,
     and the highest vertex of [k+1, hi] (None when k is the right endpoint)."""
-    k = btree.highest_in_range(G.shape, lo, hi)
-    sides = [btree.highest_in_range(G.shape, i, j)
+    k = btree.highest_in_range(G.h, lo, hi)
+    sides = [btree.highest_in_range(G.h, i, j)
              for i, j in ((lo, k - 1), (k + 1, hi)) if i <= j]
-    return k, btree.highest(G.shape, sides), sides[-1] if k < hi else None
+    return k, btree.highest(G.h, sides), sides[-1] if k < hi else None
 
 
 def test_star_centers_examples():
@@ -143,10 +143,10 @@ def test_single_vertex_host():
 
 def test_highest_in():
     G = build_universal(7)
-    assert btree.highest_in_range(G.shape, 0, 6) == 0
-    assert btree.highest_in_range(G.shape, 1, 6) == 4
-    assert btree.highest_in_range(G.shape, 2, 3) == 3
-    assert btree.highest_in_range(G.shape, 5, 5) == 5
+    assert btree.highest_in_range(G.h, 0, 6) == 0
+    assert btree.highest_in_range(G.h, 1, 6) == 4
+    assert btree.highest_in_range(G.h, 2, 3) == 3
+    assert btree.highest_in_range(G.h, 5, 5) == 5
 
 
 def scan_centers(keys, lo, hi):
@@ -162,22 +162,22 @@ def scan_centers(keys, lo, hi):
 @pytest.mark.parametrize("n", [*range(1, 32), 63, 100, 127])
 def test_highest_in_and_star_centers_match_scan_on_every_interval(n):
     G = build_universal(n)
-    keys = btree.height_keys(G.shape, n)
+    keys = btree.height_keys(G.h, n)
     for lo in range(n):
         for hi in range(lo, n):
-            assert btree.highest_in_range(G.shape, lo, hi) == btree.highest(G.shape, range(lo, hi + 1))
+            assert btree.highest_in_range(G.h, lo, hi) == btree.highest(G.h, range(lo, hi + 1))
             if hi > lo:
                 assert star_centers(G, lo, hi) == scan_centers(keys, lo, hi)
 
 
 def test_highest_in_and_star_centers_match_scan_at_4095():
     G = build_universal(4095)
-    keys = btree.height_keys(G.shape, 4095)
+    keys = btree.height_keys(G.h, 4095)
     rng = random.Random(4095)
     for _ in range(2000):
         lo, hi = sorted(rng.sample(range(4095), 2))
         centers = scan_centers(keys, lo, hi)
-        assert btree.highest_in_range(G.shape, lo, hi) == centers[0]
+        assert btree.highest_in_range(G.h, lo, hi) == centers[0]
         assert star_centers(G, lo, hi) == centers
 
 
