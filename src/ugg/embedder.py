@@ -17,11 +17,23 @@ from the forest's adjacency lists; `embed_tree` takes a `RootedTree` whose
 root is its first portal.  Each subproblem is a piece of that rooting: its
 portal is its topmost vertex, and it is the portal's subtree minus a few
 excluded preorder ranges.
+
+The recursion, about 2h levels deep on a host of height h, runs in
+generators: `single`, `two` and the helpers that recurse make every recursive
+call with `yield from`, and `_drive` runs the root piece.  A generator keeps
+its interpreter frame in the generator object, so only `_drive` and short
+leaf calls (`_put`, `top_of_range`, `kids`, `keep`) go on the thread's stack
+of interpreter frames.  CPython 3.11+ keeps that stack in 16 KiB chunks: it
+maps a chunk when a push passes the end of the last one and unmaps it when
+the chunk's first frame pops.  Plain recursive calls, about 1 KiB of frames
+per level, kept crossing such an end and paid a map, an unmap and fresh page
+faults on each crossing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Generator
 
 from . import btree
 from .errors import (
@@ -39,6 +51,10 @@ from .ugraph import UniversalGraph
 # portal and host placement, random trees and the six bench shapes up to
 # 65535 vertices).
 DEPTH_PER_LEVEL = 4
+
+# A step of the recursion: a generator that yields nothing and returns the
+# step's result, so that `yield from` makes each recursive call.
+Steps = Generator[None, None, object]
 
 
 @dataclass
@@ -127,7 +143,9 @@ class _Recursion:
     empty.  A call works in its frame, an interval in its own coordinates;
     `shifts` holds the (k, d) of each interval isomorphism the frame sits
     under, and a frame vertex reaches the host through their lifts,
-    innermost first.
+    innermost first.  The methods that recurse are generators, run by
+    `_drive`; they never yield, and each returns its result to the
+    `yield from` that called it.
     """
 
     def __init__(self, G: UniversalGraph, T: RootedTree, base: int):
@@ -149,7 +167,16 @@ class _Recursion:
 
     def _put(self, t: int, g: int) -> None:
         """Place tree position t, not yet placed, on the empty frame vertex g."""
-        u = self._host(g)
+        # _host, inlined: one placement per tree vertex, and one frame less
+        # on the thread's stack under each
+        lo, hi = self.frame
+        if not lo <= g <= hi:
+            raise InternalInvariantBroken(f"vertex {g} outside the frame [{lo}, {hi}]")
+        u = g
+        if self.shifts:
+            for k, d in reversed(self.shifts):
+                u += d
+                u += u >= k
         i = u - self.base
         if self.own[i] >= 0:
             raise InternalInvariantBroken(f"vertex {g} written twice")
@@ -176,7 +203,7 @@ class _Recursion:
         self.frame = (lo, hi)
         return outer
 
-    def single(self, a: int, ex: list, lo: int, hi: int, depth: int) -> int:
+    def single(self, a: int, ex: list, lo: int, hi: int, depth: int) -> Steps:
         """Embed the piece (a, ex) onto [lo, hi]; portal a lands on the
         interval's highest vertex, which is returned.
 
@@ -186,71 +213,70 @@ class _Recursion:
         """
         if depth > self.max_depth:
             raise InternalInvariantBroken(f"recursion deeper than {self.max_depth} levels")
-        if self.T.count(a, ex) != hi - lo + 1:
+        T = self.T
+        size = T.size[a]  # T.count, inlined
+        for s, e in ex:
+            size -= e - s
+        if size != hi - lo + 1:
             raise InternalInvariantBroken(
-                f"tree has {self.T.count(a, ex)} vertices for interval [{lo}, {hi}]")
+                f"tree has {size} vertices for interval [{lo}, {hi}]")
         if lo == hi:  # one write, checked to land on lo inside the frame
             self._put(a, lo)
             self.prov.append(("base", (lo, lo)))
             return lo
         outer = self._enter(lo, hi)
         placed = self.placed
+        # the interval maximum k with its level and parent
         top = btree.top_of_range(self.G.h, lo, hi)
-        k = top[0]
-        g, label = self._single_cases(a, ex, lo, hi, top, depth + 1)
+        k, level, parent = top
+        depth += 1
+        kids = T.kids(a, ex)
+        g = k
+        if len(kids) >= 2:
+            # Branching portal: lay the child subtrees left-to-right over the
+            # interval minus k; the chunk next to k absorbs k and keeps the portal.
+            g = yield from self._spread(a, ex, kids, lo, (k,), k, top, depth)
+            label = "case-1.1"
+        else:
+            a2 = kids[0][0]
+            tp = T.keep(ex, a2)
+            ls = parent + 1
+            if k == hi or k == lo:
+                yield from self.single(a2, tp, lo + (k == lo), hi - (k == hi), depth)
+                self._put(a, k)
+                label = "case-1.2.1" if k == hi else "case-1.2.2"
+            elif ls == k:
+                raise InternalInvariantBroken(f"interior maximum {k} is not a right child")
+            elif ls >= lo:
+                # The left sibling sits in the interval; it must be the left
+                # endpoint and is higher than everything but k, so the deg-1
+                # portal moves there.
+                if ls != lo:
+                    raise InternalInvariantBroken(
+                        f"left sibling {ls} inside [{lo}, {hi}] but not at its left end")
+                x = yield from self.single(a2, tp, lo + 1, hi, depth)  # a2 took k
+                _check_replace(self.G, lo + 1, hi, x, lo)
+                self._put(self._take(x), lo)
+                self._put(a, k)
+                label = "case-1.2.3"
+            else:
+                d = (1 << (self.G.h - level)) - 1  # size of each subtree one level below v_k
+                if d == 0 or k + 1 + d > hi:
+                    label = yield from self._case_1_2_4(a, a2, tp, lo, hi, top, depth)
+                else:
+                    label = yield from self._case_1_2_5(a, a2, tp, lo, hi, top, k + 1 + d,
+                                                        depth)
         if g != k:
             raise InternalInvariantBroken(
-                f"portal {self.T.order[a]} landed on {g}, expected interval maximum {k}")
+                f"portal {T.order[a]} landed on {g}, expected interval maximum {k}")
         self.prov.append((label, (lo, hi)))
         if self.placed - placed != hi - lo + 1:
             raise InternalInvariantBroken(f"piece does not fill [{lo}, {hi}] exactly")
         self.frame = outer
         return k
 
-    def _single_cases(self, a: int, ex: list, lo: int, hi: int, top: tuple[int, int, int],
-                      depth: int) -> tuple[int, str]:
-        # top is the interval maximum k with its level and parent, as
-        # `top_of_range` gives them.  Returns the vertex a landed on and the
-        # case label.
-        k, level, parent = top
-        T = self.T
-        kids = T.kids(a, ex)
-
-        if len(kids) >= 2:
-            # Branching portal: lay the child subtrees left-to-right over the
-            # interval minus k; the chunk next to k absorbs k and keeps the portal.
-            return self._spread(a, ex, kids, lo, (k,), k, top, depth), "case-1.1"
-
-        a2 = kids[0][0]
-        tp = T.keep(ex, a2)
-
-        if k == hi or k == lo:
-            self.single(a2, tp, lo + (k == lo), hi - (k == hi), depth)
-            self._put(a, k)
-            return k, "case-1.2.1" if k == hi else "case-1.2.2"
-
-        if parent + 1 == k:
-            raise InternalInvariantBroken(f"interior maximum {k} is not a right child")
-        ls = parent + 1
-        if ls >= lo:
-            # The left sibling sits in the interval; it must be the left endpoint
-            # and is higher than everything but k, so the deg-1 portal moves there.
-            if ls != lo:
-                raise InternalInvariantBroken(
-                    f"left sibling {ls} inside [{lo}, {hi}] but not at its left end")
-            g = self.single(a2, tp, lo + 1, hi, depth)  # a2 took k
-            _check_replace(self.G, lo + 1, hi, g, lo)
-            self._put(self._take(g), lo)
-            self._put(a, k)
-            return k, "case-1.2.3"
-
-        d = (1 << (self.G.h - level)) - 1  # size of each subtree one level below v_k
-        if d == 0 or k + 1 + d > hi:
-            return self._case_1_2_4(a, a2, tp, lo, hi, top, depth)
-        return self._case_1_2_5(a, a2, tp, lo, hi, top, k + 1 + d, depth)
-
     def _under(self, v: int, ex: list, lo: int, hi: int, top: tuple[int, int, int],
-               depth: int) -> int:
+               depth: int) -> Steps:
         # single() of the piece (v, ex) on the image of [lo, hi], which must
         # lie in the current frame, minus its interior maximum k, top[0];
         # returns v's vertex lifted back
@@ -259,13 +285,13 @@ class _Recursion:
         outer = self._enter(lo, hi)
         self.shifts.append((k, d))
         self.frame = (lo - d, hi - d - 1)
-        g = self.single(v, ex, lo - d, hi - d - 1, depth)
+        g = yield from self.single(v, ex, lo - d, hi - d - 1, depth)
         self.shifts.pop()
         self.frame = outer
         return _lift(g, k, d)
 
     def _spread(self, v: int, ex: list, kids: list[tuple[int, int]], lo: int,
-                gaps: tuple, x: int, top: tuple[int, int, int], depth: int) -> int:
+                gaps: tuple, x: int, top: tuple[int, int, int], depth: int) -> Steps:
         # Lay v's children in the piece from lo rightwards over the vertices
         # not in gaps (sorted), one chunk each; the chunk beside host vertex x
         # (or the first, if x is lo) absorbs x and keeps v, whose vertex is
@@ -281,12 +307,12 @@ class _Recursion:
             if q is None and (x == lo or first <= x - 1 <= last):
                 q = child, sz, first, last
                 continue
-            cex = T.keep(ex, child)
+            cex = T.keep(ex, child) if ex else []  # a star's leaves skip the call
             if last - first + 1 == sz:
-                self.single(child, cex, first, last, depth)
+                yield from self.single(child, cex, first, last, depth)
             elif last - first == sz and first < k < last:
                 # k, the frame's maximum, is the chunk's
-                self._under(child, cex, first, last, top, depth)
+                yield from self._under(child, cex, first, last, top, depth)
             else:
                 raise InternalInvariantBroken("chunk neither interval nor maximum-split")
         if q is None:
@@ -295,11 +321,12 @@ class _Recursion:
         qlo, qhi = min(first, x), max(last, x)
         if qhi - qlo != sz:
             raise InternalInvariantBroken(f"chunk beside {x} plus {x} is not an interval")
-        return self.single(v, T.keep(ex, v, kq, kq + T.size[kq]), qlo, qhi, depth)
+        return (yield from self.single(v, T.keep(ex, v, kq, kq + T.size[kq]), qlo, qhi,
+                                       depth))
 
-    def _rest(self, a2: int, tp: list, c: int, lo: int, hi: int, depth: int) -> int:
+    def _rest(self, a2: int, tp: list, c: int, lo: int, hi: int, depth: int) -> Steps:
         # The piece (a2, tp) minus c's subtree, portaled at a2 and c's parent;
-        # returns the parent's vertex.
+        # its steps return the parent's vertex.
         cp = self.T.parent[c]
         rem = self.T.cut(tp, c)
         if cp == a2:
@@ -307,7 +334,7 @@ class _Recursion:
         return self.two(a2, rem, cp, lo, hi, depth)
 
     def _case_1_2_4(self, a: int, a2: int, tp: list, lo: int, hi: int,
-                    top: tuple[int, int, int], depth: int) -> tuple[int, str]:
+                    top: tuple[int, int, int], depth: int) -> Steps:
         # Interval maximum k is interior; its right child and left sibling
         # both lie outside.
         # Cut the rest of the tree so that a piece H with s <= |H| <= 2s-2
@@ -325,7 +352,7 @@ class _Recursion:
             raise InternalInvariantBroken(f"cut piece size {m} outside [s, 2s-2] for s={s}")
 
         h_ex = T.keep(tp, c, c + 1, kids[l][0] if l < len(kids) else None)
-        g = self._under(c, h_ex, hi - m, hi, top, depth)
+        g = yield from self._under(c, h_ex, hi - m, hi, top, depth)
         if g != k + 1:
             raise InternalInvariantBroken(
                 f"cut vertex landed on {g}, expected second-highest {k + 1}")
@@ -334,17 +361,17 @@ class _Recursion:
         cur = hi - m - sum(sz for _, sz in kids[l:])
         rem_hi = cur - 1
         for child, sz in kids[l:]:
-            self.single(child, T.keep(tp, child), cur, cur + sz - 1, depth)
+            yield from self.single(child, T.keep(tp, child), cur, cur + sz - 1, depth)
             cur += sz
 
         if c != a2:
-            self._rest(a2, tp, c, lo, rem_hi, depth)
+            yield from self._rest(a2, tp, c, lo, rem_hi, depth)
         elif rem_hi != lo - 1:
             raise InternalInvariantBroken("pieces do not tile the interval")
-        return k, "case-1.2.4"
+        return "case-1.2.4"
 
     def _case_1_2_5(self, a: int, a2: int, tp: list, lo: int, hi: int,
-                    top: tuple[int, int, int], r: int, depth: int) -> tuple[int, str]:
+                    top: tuple[int, int, int], r: int, depth: int) -> Steps:
         # The right child v_r of the interval maximum lies in the interval; it is
         # the second-highest vertex of [lo, hi].
         T, k = self.T, top[0]
@@ -358,20 +385,21 @@ class _Recursion:
             # and hang {c's parent} + T(c) over the window, discarding the
             # parent's scaffold position v_r.  The parent is placed in the rest
             # too, so it is lifted off that vertex while the window is embedded.
-            g = self._rest(a2, tp, c, lo, hi - m - 1, depth)  # the parent's vertex
+            g = yield from self._rest(a2, tp, c, lo, hi - m - 1, depth)  # the parent's vertex
             _check_replace(self.G, lo, hi - m - 1, k, r)
             moved = self._take(k)
             if g != k:
                 self._take(g)
             cp = T.parent[c]
-            if self.single(cp, T.keep(tp, cp, c, c + T.size[c]), hi - m, hi, depth) != r:
+            if (yield from self.single(cp, T.keep(tp, cp, c, c + T.size[c]), hi - m, hi,
+                                       depth)) != r:
                 raise InternalInvariantBroken(f"scaffold portal did not land on {r}")
             self._take(r)
             if g != k:
                 self._put(cp, g)
             self._put(moved, r)
             self._put(a, k)
-            return k, "case-1.2.5.1"
+            return "case-1.2.5.1"
 
         # 1.2.5.2: the window [hi-m, hi] contains both v_k and v_r.  Children of c
         # tile the window minus {k, r}; the chunk beside r absorbs r and keeps c.
@@ -381,18 +409,18 @@ class _Recursion:
         kids = T.kids(c, tp)
         if not kids:
             raise InternalInvariantBroken("cut vertex is a leaf yet its subtree spans the window")
-        g = self._spread(c, tp, kids, wlo, (k, r), r, top, depth)
+        g = yield from self._spread(c, tp, kids, wlo, (k, r), r, top, depth)
         if g != r:
             raise InternalInvariantBroken(f"cut vertex landed on {g}, expected {r}")
 
         if c != a2:
-            self._rest(a2, tp, c, lo, wlo - 1, depth)
+            yield from self._rest(a2, tp, c, lo, wlo - 1, depth)
         elif wlo != lo:
             raise InternalInvariantBroken("window does not reach the interval start")
         self._put(a, k)
-        return k, "case-1.2.5.2"
+        return "case-1.2.5.2"
 
-    def two(self, a: int, ex: list, b: int, lo: int, hi: int, depth: int) -> int:
+    def two(self, a: int, ex: list, b: int, lo: int, hi: int, depth: int) -> Steps:
         """Embed with two portals: split along the a-b path into one block per
         path vertex, left to right, each block embedded with a single portal.
         Returns b's vertex."""
@@ -404,11 +432,13 @@ class _Recursion:
             raise InternalInvariantBroken(f"portal {T.order[b]} is not below {T.order[a]}")
         path.reverse()
         outer = self._enter(lo, hi)
-        cur, tops = lo, []
+        cur, tops, size = lo, [], T.size
         for cx, block in zip(path, T.path_blocks(ex, path)):
-            size = T.count(cx, block)
-            tops.append(self.single(cx, block, cur, cur + size - 1, depth))
-            cur += size
+            end = cur + size[cx]  # T.count, inlined: one block per path vertex
+            for s, e in block:
+                end -= e - s
+            tops.append((yield from self.single(cx, block, cur, end - 1, depth)))
+            cur = end
         if cur != hi + 1:
             raise InternalInvariantBroken("path blocks do not tile the interval")
         pa, pb = tops[0], tops[-1]
@@ -424,6 +454,14 @@ class _Recursion:
         self.prov.append(("case-2", (lo, hi)))
         self.frame = outer
         return pb
+
+
+def _drive(steps: Steps) -> None:
+    # Run the root piece: every nested call is a generator frame that
+    # `yield from` resumes, so only this frame and the leaf calls
+    # made from the recursion go on the thread's frame stack.
+    for _ in steps:
+        raise InternalInvariantBroken("the recursion yielded")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +485,7 @@ def embed_tree(G: UniversalGraph, tree: RootedTree, *, lo: int = 0,
         raise IndexOutOfRange(f"[{lo}, {hi}] outside host [0, {G.n})")
     run = _Recursion(G, tree, lo)
     if second is None:
-        run.single(0, [], lo, hi, 1)
+        _drive(run.single(0, [], lo, hi, 1))
     else:
         try:
             b = tree.order.index(second)
@@ -455,7 +493,7 @@ def embed_tree(G: UniversalGraph, tree: RootedTree, *, lo: int = 0,
             raise IndexOutOfRange(f"portal {second} not a tree vertex") from None
         if b == 0:
             raise EqualIndices(f"second portal {second} is the root")
-        run.two(0, [], b, lo, hi, 1)
+        _drive(run.two(0, [], b, lo, hi, 1))
     return Embedding(dict(zip(tree.order, run.out)), run.prov)
 
 
@@ -473,7 +511,7 @@ def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
             continue
         tree = RootedTree.from_adjacency(forest.adj, root)
         run = _Recursion(G, tree, cur)
-        run.single(0, [], cur, cur + tree.n - 1, 1)
+        _drive(run.single(0, [], cur, cur + tree.n - 1, 1))
         for v, g in zip(tree.order, run.out):
             verts[v], image[v] = v, g
         prov.extend(run.prov)

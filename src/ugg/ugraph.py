@@ -50,7 +50,9 @@ class UniversalGraph(Host):
         self.h = n.bit_length()  # the least h with 2**h - 1 >= n
 
     def joins(self, u: int, v: int) -> bool:
-        return adjacent(*btree.locate(self.h, u), *btree.locate(self.h, v))
+        lu, pu, _ = btree._locate(self.h, u)
+        lv, pv, _ = btree._locate(self.h, v)
+        return adjacent(lu, pu, lv, pv)
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
         # Walk the index tree in preorder, keeping the state of the descent

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import statistics
 import sys
 
 import pytest
@@ -404,6 +405,19 @@ def test_embed_forest_output_is_pinned():
     assert digest.hexdigest() == EMBED_FOREST_DIGEST
 
 
+# sha256 of embed_forest's mapping and provenance on the six shapes at
+# n = 4095 (h = 12), past the depth of EMBED_FOREST_DIGEST's n = 1023.
+EMBED_FOREST_4095_DIGEST = "0e22cb11a91c8180582fbbfd7e993b0c7062d27dba0c88e2628fb1640965ced5"
+
+
+def test_deep_embed_forest_output_is_pinned():
+    digest = hashlib.sha256()
+    for forest in shape_forests(4095, random.Random(4095)).values():
+        emb = embed_forest(build_universal(forest.n), forest)
+        digest.update(repr((sorted(emb.mapping.items()), emb.provenance)).encode())
+    assert digest.hexdigest() == EMBED_FOREST_4095_DIGEST
+
+
 # sha256 of embed_tree's mapping and provenance on every ordered tree with
 # at most 7 vertices, on every interval of every host with n <= 9, with the
 # root alone and with each other vertex as second portal: 9,819 instances.
@@ -441,6 +455,30 @@ def test_deep_recursion_leaves_the_interpreter_alone():
     G = build_universal(65535)
     assert validate_embedding(G, path, embed_forest(G, path)).ok
     assert sys.getrecursionlimit() == limit
+
+
+def test_embedding_cost_does_not_depend_on_the_callers_depth():
+    # The recursion runs in generators, which keep their frames, so an
+    # embed's page faults do not depend on where its caller stands; the
+    # median skips the rare depth at which `_drive` itself ends a chunk of
+    # the thread's frame stack.  Recursive calls pushed on that stack would
+    # cross a chunk's end at many caller depths and map and unmap a chunk on
+    # every crossing: about 170 faults per embed in the median here.
+    resource = pytest.importorskip("resource")
+    G = build_universal(1023)
+    forests = shape_forests(1023, random.Random(1023))
+
+    def faults_at(depth, forest):
+        if depth:
+            return faults_at(depth - 1, forest)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        embed_forest(G, forest)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    for shape in ("binary", "random"):
+        embed_forest(G, forests[shape])  # warm up
+        faults = [faults_at(depth, forests[shape]) for depth in range(64)]
+        assert statistics.median(faults) < 32, (shape, faults)
 
 
 def test_depth_bound_raises_when_too_small(monkeypatch):
@@ -522,7 +560,7 @@ def test_each_single_call_lands_where_a_fresh_embed_tree_does(monkeypatch):
     single, nested, checked = embedder._Recursion.single, [], []
 
     def compared(self, a, ex, lo, hi, depth):
-        g = single(self, a, ex, lo, hi, depth)
+        g = yield from single(self, a, ex, lo, hi, depth)
         if not nested:  # the fresh run's own calls are not compared again
             nested.append(True)
             try:

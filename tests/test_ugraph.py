@@ -45,6 +45,21 @@ def test_is_edge_matches_literal_definition(n):
             assert G.is_edge(u, v) == naive_is_edge(G, u, v), (n, u, v)
 
 
+def test_joins_matches_literal_definition_and_is_edge_still_checks():
+    # joins reads the unchecked locations; is_edge checks the pair first
+    for n in range(1, 65):
+        G = build_universal(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert G.joins(u, v) == G.joins(v, u) == naive_is_edge(G, u, v), (n, u, v)
+        for u, v in ((0, n), (n, 0), (-1, 0), (n - 1, n + 5)):
+            with pytest.raises(IndexOutOfRange):
+                G.is_edge(u, v)
+        for u in (0, n - 1):
+            with pytest.raises(EqualIndices):
+                G.is_edge(u, u)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 12, 15, 31])
 def test_adjacency_lists_match_is_edge(n):
     G = build_universal(n)
