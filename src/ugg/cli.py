@@ -67,7 +67,7 @@ def _embed(args) -> int:
 
 
 def _verify(args) -> int:
-    from .embedder import Embedding
+    from .host import Embedding
     from .workbench import fileio
     from .workbench.validate import validate_embedding
 
@@ -122,7 +122,7 @@ def _selftest(args) -> int:
 def _render(args) -> int:
     from pathlib import Path
 
-    from .embedder import Embedding
+    from .host import Embedding
     from .workbench import fileio
     from .workbench.render import render_svg
 

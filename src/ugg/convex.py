@@ -8,7 +8,6 @@ from math import isqrt
 from operator import itemgetter
 from typing import Iterator
 
-from .embedder import Embedding
 from .errors import (
     DegenerateEdge,
     InvalidSize,
@@ -18,7 +17,7 @@ from .errors import (
     SizeMismatch,
     SizeTooLarge,
 )
-from .host import Host
+from .host import Embedding, Host
 from .trees import Caterpillar
 
 # Most vertices a two-chord host may have.  Its centers, about 2 * sqrt(n)
@@ -352,43 +351,28 @@ def nesting_crossing(chords, distinct: bool = False
     return None, checked
 
 
-def _gaps(cc: ChordedCycle) -> list[tuple[int, int, int]]:
-    """The two arcs between the chords of a two-chord cycle, as
-    (length, start endpoint, end endpoint) with the arc running
-    counterclockwise from start to end."""
-    n = cc.n
-    pts = sorted({p for ch in cc.chords for p in ch})
-    chord_of = {}
-    for idx, ch in enumerate(cc.chords):
-        for p in ch:
-            chord_of[p] = idx
-    out = []
-    for i in range(4):
-        e, f = pts[i], pts[(i + 1) % 4]
-        if chord_of[e] != chord_of[f]:
-            out.append(((f - e) % n, e, f))
-    return out
-
-
 def embed_twochord(host: ConvexHost, cc: ChordedCycle) -> Embedding:
     """Rotate the input cycle so the shorter gap between the two chords
-    starts at a star center a and ends at a star center b with b - a equal
-    to the gap length; both chords then ride on star edges."""
+    starts at a star center x and ends at a star center x + gap, where gap
+    is its length; both chords then ride on star edges."""
     if cc.h != 2:
         raise NotTwoChord(f"expected exactly 2 chords, got {cc.h}")
     if cc.n != host.n:
         raise SizeMismatch(f"cycle has {cc.n} vertices, host has {host.n}")
     n = cc.n
-    gaps = _gaps(cc)
-    if len(gaps) != 2:
-        raise NotTwoChord("chords do not leave exactly two arcs between them")
-    d, e, _ = min(gaps, key=lambda g: (g[0], g[1]))
+    # the chords, sorted and crossing-free, lie side by side (b < c) or
+    # nested; each arc between them is (length, start) counterclockwise
+    (a, b), (c, d) = cc.chords
+    if b < c:
+        gap, e = min((c - b, b), (n - d + a, d))
+    else:
+        gap, e = min((c - a, a), (b - d, d))
     centers = twochord_centers(n)
     is_center = set(centers)
-    a = next((a for a in centers if a + d in is_center), None)
-    if a is None:
-        raise NoRealizingPair(f"no center pair at distance {d} for n={n}")
-    shift = (a - e) % n
+    x = next((x for x in centers if x + gap in is_center), None)
+    if x is None:
+        raise NoRealizingPair(f"no center pair at distance {gap} for n={n}")
+    shift = (x - e) % n
     mapping = {t: (t + shift) % n for t in range(n)}
     return Embedding(mapping, [("twochord", (0, n - 1))])
 

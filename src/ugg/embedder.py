@@ -12,11 +12,11 @@ empty vertex inside the current call's interval, every child interval (after
 its interval isomorphism) lies inside its parent's, and the writes less the
 lifts made during a call number the interval's length.
 
-`embed_forest` roots each component once, at its smallest vertex, straight
-from the forest's adjacency lists; `embed_tree` takes a `RootedTree` whose
-root is its first portal.  Each subproblem is a piece of that rooting: its
-portal is its topmost vertex, and it is the portal's subtree minus a few
-excluded preorder ranges.
+`embed_forest` takes each component rooted once, at its smallest vertex, by
+`Forest.trees`; `embed_tree` takes a `RootedTree` whose root is its first
+portal.  Each subproblem is a piece of that rooting: its portal is its
+topmost vertex, and it is the portal's subtree minus a few excluded
+preorder ranges.
 
 The recursion, about 2h levels deep on a host of height h, runs in
 generators: `single`, `two` and the helpers that recurse make every recursive
@@ -32,7 +32,6 @@ faults on each crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Generator
 
 from . import btree
@@ -43,6 +42,7 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
 )
+from .host import Embedding
 from .trees import Forest, RootedTree
 from .ugraph import UniversalGraph
 
@@ -55,14 +55,6 @@ DEPTH_PER_LEVEL = 4
 # A step of the recursion: a generator that yields nothing and returns the
 # step's result, so that `yield from` makes each recursive call.
 Steps = Generator[None, None, object]
-
-
-@dataclass
-class Embedding:
-    """A vertex map from an input graph into a host."""
-
-    mapping: dict[int, int]
-    provenance: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +498,7 @@ def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
     verts, image = [-1] * forest.n, [-1] * forest.n
     prov: list = []
     cur = 0
-    for root in range(forest.n):
-        if verts[root] >= 0:
-            continue
-        tree = RootedTree.from_adjacency(forest.adj, root)
+    for tree in forest.trees():
         run = _Recursion(G, tree, cur)
         _drive(run.single(0, [], cur, cur + tree.n - 1, 1))
         for v, g in zip(tree.order, run.out):

@@ -11,6 +11,10 @@ caller that has already proved its pairs sound, as the validator has, calls
 Only a custom host stores edges.  Every other host lists the neighbors above
 each vertex as a few index ranges, in one walk over all its vertices that
 keeps a few ranges of state, and both edge queries read that walk.
+
+`Embedding` is what every embedder returns and what the validator, the
+renderer and the CLI read: a vertex map into a host, and which construction
+placed each host interval.
 """
 
 from __future__ import annotations
@@ -18,6 +22,15 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import EqualIndices, IndexOutOfRange
+
+
+class Embedding:
+    """A vertex map from an input graph into a host."""
+
+    def __init__(self, mapping: dict[int, int],
+                 provenance: list[tuple[str, tuple[int, int]]] | None = None):
+        self.mapping = mapping
+        self.provenance = [] if provenance is None else provenance
 
 
 class Host:

@@ -7,7 +7,8 @@ deterministic for a given input.
 `RootedTree` is the one rooted-tree format in the package, the workbench
 included: a tree rooted once, held as preorder arrays, with the helpers
 that describe a piece of it (a subtree minus a few preorder ranges) without
-copying anything.  `from_adjacency` roots a component of a `Forest`;
+copying anything.  `from_adjacency` roots a component of a `Forest`, and
+`Forest.trees` roots each component in one walk over the forest;
 `from_levels` is the one decoder of level sequences, the form in which the
 workbench enumerates ordered and rooted trees.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count
+from typing import Iterator
 
 from .errors import (
     DegenerateEdge,
@@ -61,24 +63,20 @@ class Forest:
             adj[v].append(u)
         self.adj = adj
 
+    def trees(self) -> Iterator["RootedTree"]:
+        """Each component rooted at its smallest vertex, in order of that
+        vertex, by `RootedTree.from_adjacency`."""
+        seen = [False] * self.n
+        for root in range(self.n):
+            if not seen[root]:
+                tree = RootedTree.from_adjacency(self.adj, root)
+                for v in tree.order:
+                    seen[v] = True
+                yield tree
+
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
-        seen = [False] * self.n
-        comps: list[list[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return [sorted(t.order) for t in self.trees()]
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1

@@ -1,11 +1,11 @@
 """Verification harness: enumerators, the embedding validator, universality
 checks, SVG rendering, file I/O, and the acceptance selftest.
 
-The names below load on first use (PEP 562): importing one submodule, or
-this package, compiles none of the others.
+The names below load on first use, through the loader of `ugg`: importing
+one submodule, or this package, compiles none of the others.
 """
 
-import importlib
+from .. import _lazy
 
 # exported name -> the submodule that defines it
 _HOMES = {
@@ -23,15 +23,4 @@ _HOMES = {
 }
 
 __all__ = sorted(_HOMES)
-
-
-def __getattr__(name: str):
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy(globals(), _HOMES)

@@ -12,7 +12,7 @@ and the labeled chorded-cycle census stays as the slow oracle for both.
 
 Canonical forms are computed on `RootedTree`, rooted once.  A level
 sequence is decoded by `RootedTree.from_levels`, and each component of a
-forest is rooted at its smallest vertex by `from_adjacency`.  `free_code`
+forest is rooted at its smallest vertex by `Forest.trees`.  `free_code`
 then codes the free tree from that rooting alone: one bottom-up pass of
 rooted codes, and one walk down the tallest children to the center that
 carries the code of the part it leaves behind.  A forest's code is the
@@ -89,9 +89,7 @@ def free_code(tree: RootedTree) -> str:
 
 def forest_code(n: int, edges: list[tuple[int, int]]) -> tuple[str, ...]:
     """Sorted tuple of component free codes; equal iff forests isomorphic."""
-    forest = Forest(n, edges)
-    return tuple(sorted(free_code(RootedTree.from_adjacency(forest.adj, comp[0]))
-                        for comp in forest.components()))
+    return tuple(sorted(map(free_code, Forest(n, edges).trees())))
 
 
 # ---------------------------------------------------------------------------

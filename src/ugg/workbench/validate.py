@@ -45,8 +45,8 @@ from operator import add, itemgetter, mul, ne
 
 from .. import btree
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
-from ..embedder import Embedding
 from ..geometry import height_ranks, segments_cross
+from ..host import Embedding
 from ..trees import Caterpillar, Forest
 from ..ugraph import adjacent
 

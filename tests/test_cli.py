@@ -581,9 +581,15 @@ def workbench(*names):
     return {f"ugg.workbench.{name}" for name in names}
 
 
+def core(*names):
+    return {f"ugg.{name}" for name in names}
+
+
 def test_each_entry_point_loads_only_what_it_runs(tmp_path):
     # every command is a fresh process that compiles what it imports, so an
     # import that a command never runs costs each run its compile time
+    loaded = loaded_after("import ugg")
+    assert sorted(m for m in loaded if m.startswith("ugg.")) == []
     loaded = loaded_after("import ugg.cli")
     assert "fractions" not in loaded
     assert sorted(m for m in loaded if m.startswith("ugg.workbench")) == []
@@ -591,14 +597,14 @@ def test_each_entry_point_loads_only_what_it_runs(tmp_path):
     host, emb = str(tmp_path / "host.txt"), str(tmp_path / "emb.txt")
     tree = write_forest(tmp_path, "tree.txt", 63, [(i, i + 1) for i in range(62)])
     never_run = workbench("families", "selftest", "render")  # by build, embed or verify
-    # each command, the workbench modules it must load, and those it must not
+    # each command, the modules it must load, and those it must not
     commands = [
         (["build", "--kind", "universal", "--n", "63", "--out", host],
-         workbench("fileio"), workbench("validate") | never_run),
+         workbench("fileio"), workbench("validate") | never_run | core("embedder", "geometry")),
         (["embed", "--host", host, "--input", tree, "--out", emb],
-         workbench("fileio", "validate"), never_run),
+         workbench("fileio", "validate") | core("embedder"), never_run),
         (["verify", "--host", host, "--input", tree, "--embedding", emb],
-         workbench("fileio", "validate"), never_run),
+         workbench("fileio", "validate"), never_run | core("embedder")),
     ]
     for argv, wanted, unwanted in commands:
         loaded = loaded_after(f"import ugg.cli\nassert ugg.cli.main({argv!r}) == 0")
