@@ -106,6 +106,7 @@ def height_key(h: int, i: int) -> int:
     which a breadth-first traversal that expands right children before left
     ones visits the nodes.  pos < 2**h, so the level term dominates.
     """
+    _check_index(h, i)
     level, pos, _ = _locate(h, i)
     return (level << h) - pos
 

@@ -9,8 +9,9 @@ caller that has already proved its pairs sound, as the validator has, calls
 `joins` directly.
 
 Only a custom host stores edges.  Every other host lists the neighbors above
-each vertex as a few index ranges, in one walk over all its vertices that
-keeps a few ranges of state, and both edge queries read that walk.
+each vertex as a few index ranges, in one lazy walk over its vertices that
+holds at most O(log n) such lists at once (the universal host's stack, one
+per level) and no table of size n, and both edge queries read that walk.
 
 `Embedding` is what every embedder returns and what the validator, the
 renderer and the CLI read: a vertex map into a host, and which construction

@@ -11,7 +11,11 @@ distinct vertices u, w are adjacent iff one of three containment rules holds:
 Every rule is a subtree containment test, so membership is arithmetic on
 (level, pos): the ancestor of a node d levels up sits at pos >> d.  No edge
 is stored; `edges()` reads O(h) neighbor ranges per vertex from one preorder
-walk of the index tree.  The edge count stays below 5 * (n+1) * log2(n+1).
+walk of the index tree.  The rules make those lists a recurrence: a child's
+neighbors above it are its parent's less two or three holes, index ranges
+below the parent and below the children of the parent's right
+level-neighbor (see `UniversalGraph.ranges`).  The edge count stays below
+5 * (n+1) * log2(n+1).
 """
 
 from __future__ import annotations
@@ -55,82 +59,46 @@ class UniversalGraph(Host):
         return adjacent(lu, pu, lv, pv)
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
-        # Walk the index tree in preorder, keeping the state of the descent
-        # to the current node: rln, its right level-neighbor (the right
-        # sibling after a left step, else the left child of the parent's
-        # rln), and `above`, the ranges its strict ancestors give.  After a
-        # node come only the rln of each strict ancestor and its two
-        # children (E2, E3 from their side), the node's subtree (E1) and the
-        # subtree of its own rln (E2).  A node's state is shared by its
-        # whole subtree, so each step down changes the last range of
-        # `above` or appends one, and a step back up restores that range
-        # and length, kept in `pending` with the node whose right child is
-        # still to come: O(h) state, and O(1) steps per vertex beside the
-        # copy of `above` it yields.
-        #
-        # The ranges come out from the top down in descending order: each
-        # rln's right child follows everything below its left child and below
-        # the ancestor.  After a right step the child's rln is the rln's left
-        # child, so the rln, held in `lo`, opens the child's range.  A range
-        # that ends just below the one before it joins that one.
-        n = self.n
-        node, step, rln, lo = 0, 1 << (self.h - 1), None, None
-        above: list[tuple[int, int]] = []
-        pending = []
-        while True:
-            # The node's subtree and its rln's span 2 * step - 1 nodes each
-            # and make one range: the subtree ends where that of c, the
-            # node's lowest ancestor-or-self left child, ends, and c's
-            # sibling opens the range of the node's rln.  If any ancestor has
-            # an rln, the parent has one, and the lowest range above, which
-            # the parent's rln gave, opens just after this one.
-            if above:
-                out = above[::-1]
-                out[0] = (node + 1, out[0][1])
-            elif rln is not None or step > 1:
-                out = [(node + 1, (node if rln is None else rln) + 2 * step - 2)]
-            else:
-                out = []
+        # With s the step from node u to its right child u + s and r its
+        # right level-neighbor (-1 if none), the neighbors above u are its
+        # subtree (u, u + 2s - 2] (E1), r's subtree [r, r + 2s - 2] (E2) and,
+        # for each strict ancestor a with a right level-neighbor r_a, r_a
+        # (E2) and its children r_a + 1 and r_a + s_a (E3).  So each child's
+        # list is u's less a few holes: the left child u + 1, whose right
+        # level-neighbor is u + s, loses u + 1, [r + 2, r + s - 1] and
+        # [r + s + 1, r + 2s - 2]; the right child u + s, whose right
+        # level-neighbor is r + 1 (none if r is none), loses (u, u + s] and
+        # [r + s + 1, r + 2s - 2].  Ancestors give nodes on u's level or
+        # above, never in a hole, so the holes at r cut the one range (a, b)
+        # that holds r's subtree, those at u cut the first range, which u + 1
+        # opens, and no cut leaves two ranges touching.  The preorder walk
+        # keeps a stack of O(h) lists of O(h) ranges, each cut at n when it
+        # is yielded.
+        n, s = self.n, 1 << (self.h - 1)
+        stack = [(0, s, -1, [(1, 2 * s - 2)] if s > 1 else [])]
+        while stack:
+            u, s, r, above = stack.pop()
+            out = above
             if out and out[-1][1] >= n:
-                del out[bisect_left(out, (n,)):]
+                out = out[:bisect_left(out, (n,))]
                 if out and out[-1][1] >= n:
                     out[-1] = (out[-1][0], n - 1)
+            if s > 1:
+                left, right = above.copy(), above.copy()
+                if r >= 0 and s > 2:  # for s = 2 the holes at r are empty
+                    i = bisect_left(above, (r + 1,)) - 1
+                    a, b = above[i]
+                    rest = [(r + 2 * s - 1, b)] if b > r + 2 * s - 2 else []
+                    left[i:i + 1] = [(a, r + 1), (r + s, r + s), *rest]
+                    right[i:i + 1] = [(a, r + s), *rest]
+                left[0] = (u + 2, left[0][1])  # u's subtree reaches u + 2s - 2
+                b = right[0][1]
+                right[:1] = [(u + s + 1, b)] if b > u + s else []
+                if u + s < n:
+                    stack.append((u + s, s >> 1, r + 1 if r >= 0 else -1, right))
+                if u + 1 < n:
+                    stack.append((u + 1, s >> 1, u + s, left))
             yield out
-            # the next node in preorder: the left child, or the right child
-            # of the lowest node left of whose subtree the walk is; none at
-            # or past n, nor any after them
-            right = step == 1 or node + 1 == n
-            if not right:
-                pending.append((node, step, rln, lo, len(above), above[-1] if above else None))
-            elif not pending:
-                return
-            else:
-                node, step, rln, lo, k, last = pending.pop()
-                if node + step >= n:
-                    return
-                del above[k:]
-                if k:
-                    above[-1] = last
-            if rln is not None:
-                c = rln + step
-                if above and above[-1][0] == c + 1:
-                    above[-1] = (c, above[-1][1])
-                else:
-                    above.append((c, c))
-                if right:
-                    lo = rln if lo is None else lo
-                else:
-                    a = rln if lo is None else lo
-                    if above[-1][0] == rln + 2:
-                        above[-1] = (a, above[-1][1])
-                    else:
-                        above.append((a, rln + 1))
-                    lo = None
-            if right:
-                node, rln = node + step, None if rln is None else rln + 1
-            else:
-                node, rln = node + 1, node + step
-            step >>= 1
 
 
 def build_universal(n: int) -> UniversalGraph:

@@ -26,6 +26,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from operator import sub
 
 from ..convex import ChordedCycle, ConvexHost, convex_edges_cross
 from ..errors import (
@@ -180,12 +181,11 @@ def enumerate_forests(n: int) -> list[Forest]:
 
 
 def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    # cut points 0 < c1 < ... < c(parts-1) < n in lexicographic order give
+    # the part sizes in lexicographic order too.  Unpacking sizes each tuple
+    # once; tuple(map(...)) would shrink a ten-slot guess and fragment the heap.
+    for cuts in combinations(range(1, n), parts - 1):
+        yield (*map(sub, (*cuts, n), (0, *cuts)),)
 
 
 def _caterpillar_from_sizes(sizes: tuple[int, ...]) -> Caterpillar:

@@ -392,12 +392,12 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(limit: int | None = None, seed: int = 20250814, out=print) -> bool:
+def run_all(limit: int | None = None, seed: int = 20250814) -> bool:
     if limit is not None and limit < 1:
         raise InvalidSize(f"size limit must be >= 1, got {limit}")
     all_ok = True
     for fn in ALL_CRITERIA:
         res = fn(limit, seed) if fn is criterion_4 else fn(limit)
         all_ok &= res.ok
-        out(f"{'PASS' if res.ok else 'FAIL'} {res.name} ({res.seconds:.1f}s): {res.detail}")
+        print(f"{'PASS' if res.ok else 'FAIL'} {res.name} ({res.seconds:.1f}s): {res.detail}")
     return all_ok

@@ -1,9 +1,15 @@
 """Index arithmetic on the implicit complete binary tree."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ugg
 from ugg import btree
 from ugg.errors import IndexOutOfRange, InvalidSize
 from ugg.ugraph import UniversalGraph
@@ -190,3 +196,30 @@ def test_errors():
         btree.highest(H3, [])
     with pytest.raises(IndexOutOfRange):
         btree.highest_in_range(H3, 4, 2)
+
+
+@pytest.mark.parametrize("call, index", [
+    ("btree.height_key(3, 100)", 100),
+    ("btree.height_key(3, -1)", -1),
+    ("btree.height_key(3, 7)", 7),
+    ("btree.highest(3, [1, 9])", 9),
+    ("geometry.height_ranks(3, [50])", 50),
+    ("validate.roof_crossings(3, [(0, 100)])", 100),
+    ("validate.pairwise_crossings(UniversalGraph(7), [(0, 100), (1, 2), (3, 4)])", 100),
+])
+def test_height_helpers_refuse_an_index_off_the_tree(call, index):
+    # an unchecked descent to an index outside the tree never ends (or, at
+    # 7, one past the last node, makes up a key), so each call runs in a fresh
+    # interpreter under a timeout: a hang fails the test instead of stalling it
+    src = str(Path(ugg.__file__).resolve().parents[1])
+    code = ("from ugg import btree, geometry\n"
+            "from ugg.ugraph import UniversalGraph\n"
+            "from ugg.workbench import validate\n"
+            f"try:\n    print('returned', {call})\n"
+            "except Exception as e:\n    print(type(e).__name__, e)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              filter(None, [src, os.environ.get("PYTHONPATH")]))),
+                          timeout=20, check=True)
+    assert done.stdout.startswith("IndexOutOfRange "), done.stdout
+    assert f"index {index} " in done.stdout, done.stdout

@@ -2,6 +2,7 @@
 list against the pairwise `is_edge` scan and against `edge_count()`."""
 
 import hashlib
+import random
 import time
 import tracemalloc
 from itertools import islice
@@ -68,6 +69,21 @@ def test_later_ranges_are_exactly_the_later_neighbors(kind):
             assert all(hi < lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), (n, u, ranges)
             listed = [w for lo, hi in ranges for w in range(lo, hi + 1)]
             assert listed == [w for w in range(u + 1, n) if host.is_edge(u, w)], (n, u, ranges)
+
+
+@pytest.mark.parametrize("n", [1000, 2047, 2048, 4095, 4097])
+def test_universal_ranges_past_130_never_touch(n):
+    # sizes at, just past and just short of a full tree; every list keeps
+    # its ranges apart, and sampled vertices list exactly what joins finds
+    host = build_universal(n)
+    walk = list(host.ranges())
+    assert len(walk) == n
+    for u, ranges in enumerate(walk):
+        assert all(u < lo <= hi < n for lo, hi in ranges), (n, u, ranges)
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), (n, u, ranges)
+    for u in [0, n - 1, *random.Random(n).sample(range(n), 25)]:
+        listed = [w for lo, hi in walk[u] for w in range(lo, hi + 1)]
+        assert listed == [w for w in range(u + 1, n) if host.joins(u, w)], (n, u)
 
 
 def merged(ranges):
