@@ -3,6 +3,7 @@ square-root-star two-chord host, with their embedding algorithms."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from math import isqrt
 from operator import itemgetter
@@ -88,40 +89,46 @@ class _CaterpillarHost(ConvexHost):
         return d < 2 * (x & -x) or d < 2 * (y & -y)
 
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
-        # u reaches (u, u + r] and, across the seam, [u + n - r, n).  The
-        # vertices of reach 2k - 1 sit at k - 1 (mod 2k); of them only the
-        # first after u and the last before n can reach back to u, and only
-        # when 2k - 1 > r is that news, so k starts at r + 1.  Each such k
-        # exceeds (r + 1) / 2, the lowest set bit of u + 1, so the first after
-        # u is within 2k - 1 of it; the last before n is u + 1 or more away
-        # across the seam, so it can reach u only once 2k > u + 1.
+        # With l = lowbit(u + 1), u reaches (u, u + 2l - 1] and, across the
+        # seam, [u + n - 2l + 1, n).  The vertices of reach 2k - 1 sit at
+        # k - 1 (mod 2k); of them only the first after u and the last before
+        # n, j_k, can reach back to u, the first always and j_k while
+        # u < t_k = 2k - (n - j_k).  `far` holds each such vertex once, as
+        # (w, w), sorted, and is edited from one u to the next: u leaves, as
+        # its class's first vertex after u - 1, and u + 2l takes its place.
+        # A j_k that reaches 0 across the seam starts in `far` and leaves at
+        # t_k, or at j_k - 2k if that comes first, where it enters again as
+        # its class's first vertex; `ends` lists those exits.
+        # u + 2l has reach 2l - 1, so it never reaches u, and the first
+        # vertices of the classes k <= l lie in the forward reach, so u's far
+        # points are the part of `far` past u + 2l and before the back reach.
         n = self.n
+        first, ends = set(), [(n, None)]  # the sentinel ends no vertex
+        k = 1
+        while k <= n:
+            first.add(k - 1)
+            j = n - 1 - (n - k) % (2 * k)
+            end = min(2 * k - n + j, j - 2 * k)
+            if end > 0:
+                first.add(j)
+                ends.append((end, (j, j)))
+            k *= 2
+        far = [(w, w) for w in sorted(first)]
+        ends.sort(reverse=True)
         for u in range(n - 1):
-            r = _reach(u)
-            ahead, behind = min(u + r, n - 1), min(u + n - r, n)  # behind = n: none
+            del far[0]  # every vertex of far is past u - 1, and u is one
+            while ends[-1][0] == u:
+                far.remove(ends.pop()[1])
+            l2 = 2 * ((u + 1) & -(u + 1))
+            w = u + l2  # the next vertex of u's class
+            if w < n:
+                insort(far, (w, w))
+            ahead, behind = min(w - 1, n - 1), u + n - l2 + 1  # behind >= n: none
             if behind <= ahead + 1:  # the two reaches meet
                 yield [(u + 1, n - 1)]
                 continue
-            # Classes of different k sit at different positions, so a far
-            # point can repeat only as both candidates of one k.
-            far = []
-            k = r + 1
-            while k <= n:
-                d = 2 * k
-                i = u + 1 + (k - 2 - u) % d
-                if ahead < i < behind:
-                    far.append(i)
-                if d > u + 1:
-                    j = n - 1 - (n - k) % d
-                    if j != i and n - j + u < d and ahead < j < behind:
-                        far.append(j)
-                k = d
-            # The far points lie strictly between the two reaches, so in
-            # order the ranges are the forward reach, the far points, one
-            # range each, and the back reach.
-            far.sort()
             ranges = [(u + 1, ahead)]
-            ranges += [(j, j) for j in far]
+            ranges += far[bisect_right(far, (w, w)):bisect_left(far, (behind,))]
             if behind < n:
                 ranges.append((behind, n - 1))
             yield ranges

@@ -11,7 +11,9 @@ caller that has already proved its pairs sound, as the validator has, calls
 Only a custom host stores edges.  Every other host lists the neighbors above
 each vertex as a few index ranges, in one lazy walk over its vertices that
 holds at most O(log n) such lists at once (the universal host's stack, one
-per level) and no table of size n, and both edge queries read that walk.
+per level, or the caterpillar host's sorted list of far vertices, one or two
+per reach class) and no table of size n, and both edge queries read that
+walk.
 
 `Embedding` is what every embedder returns and what the validator, the
 renderer and the CLI read: a vertex map into a host, and which construction

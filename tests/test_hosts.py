@@ -86,6 +86,53 @@ def test_universal_ranges_past_130_never_touch(n):
         assert listed == [w for w in range(u + 1, n) if host.joins(u, w)], (n, u)
 
 
+@pytest.mark.parametrize("n", [1000, 1023, 1024, 2047, 4097])
+def test_caterpillar_ranges_past_130(n):
+    # every list is sorted and disjoint (its ranges may touch), and sampled
+    # vertices list exactly what joins finds
+    host = build_caterpillar_host(n)
+    walk = list(host.ranges())
+    assert len(walk) == n
+    for u, ranges in enumerate(walk):
+        assert all(u < lo <= hi < n for lo, hi in ranges), (n, u, ranges)
+        assert all(hi < lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), (n, u, ranges)
+    for u in [0, n - 1, *random.Random(n).sample(range(n), 25)]:
+        listed = [w for lo, hi in walk[u] for w in range(lo, hi + 1)]
+        assert listed == [w for w in range(u + 1, n) if host.joins(u, w)], (n, u)
+
+
+def caterpillar_ranges_by_class(n):
+    """The caterpillar's lists from one pass per reach class above each
+    vertex: the slow oracle of the edited far-point walk."""
+    for u in range(n - 1):
+        r = 2 * ((u + 1) & -(u + 1)) - 1
+        ahead, behind = min(u + r, n - 1), min(u + n - r, n)
+        if behind <= ahead + 1:
+            yield [(u + 1, n - 1)]
+            continue
+        # the first vertex of reach 2k - 1 after u, and the last before n
+        # while it reaches u across the seam; the classes k <= (r + 1) / 2
+        # lie inside u's own reach
+        far = set()
+        k = r + 1
+        while k <= n:
+            d = 2 * k
+            i = u + 1 + (k - 2 - u) % d
+            j = n - 1 - (n - k) % d
+            if ahead < i < behind:
+                far.add(i)
+            if n - j + u < d and ahead < j < behind:
+                far.add(j)
+            k = d
+        yield [(u + 1, ahead), *((w, w) for w in sorted(far))] + [(behind, n - 1)] * (behind < n)
+    yield []
+
+
+@pytest.mark.parametrize("n", [2047, 4097, 16385])
+def test_caterpillar_walk_equals_the_per_class_scan(n):
+    assert list(build_caterpillar_host(n).ranges()) == list(caterpillar_ranges_by_class(n))
+
+
 def merged(ranges):
     """The same vertices as ranges that do not touch: one form per set."""
     out = []
@@ -133,6 +180,27 @@ def test_universal_walk_starts_at_once_on_a_huge_host():
         tracemalloc.stop()
     assert peak < 64 << 10
     assert first[0] == [(1, 10**9 - 1)]
+    assert all(host.is_edge(u, w) for u, ranges in enumerate(first)
+               for lo, hi in ranges for w in (lo, hi))
+
+
+def test_caterpillar_walk_starts_at_once_on_a_huge_host():
+    # the far-point list is built from the O(log n) reach classes, nothing
+    # of size n
+    host = build_caterpillar_host(10**9)
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        first = list(islice(host.ranges(), 31))
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 1e-3
+    tracemalloc.start()
+    try:
+        assert list(islice(host.ranges(), 31)) == first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
     assert all(host.is_edge(u, w) for u, ranges in enumerate(first)
                for lo, hi in ranges for w in (lo, hi))
 
