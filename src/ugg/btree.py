@@ -10,22 +10,7 @@ least n nodes has h = n.bit_length().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IndexOutOfRange, InvalidSize
-
-
-@dataclass(frozen=True)
-class NodeInfo:
-    index: int
-    level: int
-    pos: int
-    parent: int | None
-    left_child: int | None
-    right_child: int | None
-    left_level_neighbor: int | None
-    right_level_neighbor: int | None
-    subtree_range: tuple[int, int]
 
 
 def _check_index(h: int, i: int) -> None:
@@ -74,29 +59,6 @@ def subtree_range(h: int, i: int) -> tuple[int, int]:
     _check_index(h, i)
     level, _, _ = _locate(h, i)
     return i, i + (1 << (h - level + 1)) - 2
-
-
-def nav(h: int, i: int) -> NodeInfo:
-    _check_index(h, i)
-    level, pos, parent = _locate(h, i)
-    if level < h:
-        left_child: int | None = i + 1
-        right_child: int | None = i + (1 << (h - level))
-    else:
-        left_child = right_child = None
-    lln = index_of(h, level, pos - 1) if pos > 0 else None
-    rln = index_of(h, level, pos + 1) if pos + 1 < (1 << (level - 1)) else None
-    return NodeInfo(
-        index=i,
-        level=level,
-        pos=pos,
-        parent=None if parent < 0 else parent,
-        left_child=left_child,
-        right_child=right_child,
-        left_level_neighbor=lln,
-        right_level_neighbor=rln,
-        subtree_range=(i, i + (1 << (h - level + 1)) - 2),
-    )
 
 
 def height_key(h: int, i: int) -> int:

@@ -402,9 +402,6 @@ class _CustomHost(ConvexHost):
     def ranges(self) -> Iterator[list[tuple[int, int]]]:
         return (self._later.get(u, []) for u in range(self.n))
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._edges))
-
     def edge_count(self) -> int:
         return len(self._edges)
 

@@ -58,10 +58,17 @@ def _check_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def height_ranks(h: int, vertices) -> dict[int, int]:
-    """Rank of each vertex in the height order, its `height_key`: smaller
-    means higher.  Any table of height keys, such as `btree.height_keys`,
-    serves the predicates below."""
+def height_ranks(h: int, vertices) -> list[int] | dict[int, int]:
+    """Rank of each of a collection of vertices in the height order, its
+    `height_key` (smaller means higher), read as ranks[v].
+
+    A list of every key up to the largest vertex when that list is at most
+    four times as long as the vertices are many, else a dict of the given
+    vertices alone, so the cost follows the vertices and not the tree.
+    """
+    top = max(vertices, default=-1) + 1
+    if top <= 4 * len(vertices):
+        return btree.height_keys(h, top)
     return {v: btree.height_key(h, v) for v in vertices}
 
 

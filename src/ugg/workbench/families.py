@@ -524,7 +524,8 @@ def random_tree(n: int, rng: random.Random) -> Forest:
 
 def check_universal_convex(host: ConvexHost, family) -> tuple[bool, ChordedCycle | None]:
     """True iff every family member embeds with its cycle on the host's
-    convex order (all 2n dihedral placements tried); else the first failure.
+    convex order (all 2n dihedral placements tried, the census's
+    `_dihedral_images`); else the first failure.
 
     The spanning cycle is checked once with `is_edge`; a rotated or reflected
     chord is two distinct vertices of the host, so the placements ask the
@@ -536,14 +537,7 @@ def check_universal_convex(host: ConvexHost, family) -> tuple[bool, ChordedCycle
     for cc in family:
         if cc.n != n:
             raise SizeMismatch(f"family member has n={cc.n}, host has n={n}")
-        found = False
-        for r in range(n):
-            if all(joins((u + r) % n, (v + r) % n) for u, v in cc.chords):
-                found = True
-                break
-            if all(joins((r - u) % n, (r - v) % n) for u, v in cc.chords):
-                found = True
-                break
-        if not found:
+        if not any(all(joins(u, v) for u, v in image)
+                   for image in _dihedral_images(n, cc.chords)):
             return False, cc
     return True, None

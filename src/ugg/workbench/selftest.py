@@ -1,9 +1,10 @@
 """The eight acceptance suites, runnable via `ugg selftest` or the test suite.
 
-Each criterion function is self-contained, measures its own wall time, and
-returns a CriterionResult; run_all prints one PASS/FAIL line per criterion.
-Passing a limit shrinks the instance sizes for a quick smoke run; the
-acceptance configuration is limit=None.
+Each criterion is a body that lists its problems and returns its detail,
+run by one harness, `_criterion`, which times it, holds it to its wall-clock
+ceiling and returns a CriterionResult; run_all prints one PASS/FAIL line per
+criterion.  Passing a limit shrinks the instance sizes for a quick smoke
+run; the acceptance configuration is limit=None.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import wraps
 from math import isqrt
 
 from .. import btree
@@ -74,18 +76,36 @@ EDGE_COUNT_REGRESSION: dict[int, int] = {
 }
 
 
-def _result(name: str, ok: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, ok, detail, time.perf_counter() - t0)
+SEED = 20250814  # criterion 4's random trees
+
+
+def _criterion(name: str, ceiling: float | None = None):
+    """Make `body(problems, limit, seed) -> detail` a criterion: run it with
+    an empty problem list, time it, add a problem if it took `ceiling`
+    seconds or more, and pass iff no problem was listed.  A failing result
+    reads its first four problems, a passing one the body's detail."""
+    def wrap(body):
+        @wraps(body)
+        def criterion(limit: int | None = None, seed: int = SEED) -> CriterionResult:
+            t0 = time.perf_counter()
+            problems: list[str] = []
+            detail = body(problems, limit, seed)
+            dt = time.perf_counter() - t0
+            if ceiling is not None and dt >= ceiling:
+                problems.append(f"runtime {dt:.1f}s >= {ceiling:.0f}s")
+            return CriterionResult(name, not problems,
+                                   "; ".join(problems[:4]) if problems else detail, dt)
+        return criterion
+    return wrap
 
 
 def _cap(value: int, limit: int | None) -> int:
     return value if limit is None else min(value, limit)
 
 
-def criterion_1(limit: int | None = None) -> CriterionResult:
+@_criterion("criterion-1-edge-bound")
+def criterion_1(problems, limit, seed) -> str:
     """Host edge counts stay below 5(n+1)log2(n+1), built in under 5 s."""
-    t0 = time.perf_counter()
-    problems = []
     last = ""
     for h in range(2, 11):
         n = (1 << h) - 1
@@ -106,17 +126,15 @@ def criterion_1(limit: int | None = None) -> CriterionResult:
         elif count != expected:
             problems.append(f"h={h}: count {count} != regression {expected}")
         last = f"n={n}: {count} < {bound}"
-    return _result("criterion-1-edge-bound", not problems,
-                   "; ".join(problems[:4]) if problems else last, t0)
+    return last
 
 
-def criterion_2(limit: int | None = None) -> CriterionResult:
+@_criterion("criterion-2-universality-small", ceiling=60)
+def criterion_2(problems, limit, seed) -> str:
     """Every forest class with n <= 10 embeds and validates; class counts
     from the generator match the arithmetic recurrence."""
-    t0 = time.perf_counter()
     nmax = _cap(10, limit)
     expected = forest_counts(nmax)
-    problems = []
     total = 0
     for n in range(1, nmax + 1):
         forests = enumerate_forests(n)
@@ -129,19 +147,13 @@ def criterion_2(limit: int | None = None) -> CriterionResult:
             report = validate_embedding(G, forest, embed_forest(G, forest))
             if not report.ok:
                 problems.append(f"n={n}, edges={forest.edges}: {report.failures[:2]}")
-    dt = time.perf_counter() - t0
-    if dt >= 60.0:
-        problems.append(f"runtime {dt:.1f}s >= 60s")
-    return _result("criterion-2-universality-small", not problems,
-                   "; ".join(problems[:4]) if problems else
-                   f"{total} forest classes embedded and validated", t0)
+    return f"{total} forest classes embedded and validated"
 
 
-def criterion_3(limit: int | None = None) -> CriterionResult:
+@_criterion("criterion-3-predicate-oracle")
+def criterion_3(problems, limit, seed) -> str:
     """Combinatorial crossing predicate agrees with the exact geometric one
     on all host edge pairs."""
-    t0 = time.perf_counter()
-    problems = []
     pairs = 0
     for n in (7, 15, 31):
         if limit is not None and n > limit:
@@ -158,17 +170,14 @@ def criterion_3(limit: int | None = None) -> CriterionResult:
                 slow = segments_cross_exact(coords, e1, e2)
                 if fast != slow:
                     problems.append(f"n={n}: {e1} vs {e2}: {fast} != {slow}")
-    return _result("criterion-3-predicate-oracle", not problems,
-                   "; ".join(problems[:4]) if problems else
-                   f"{pairs} edge pairs agree at n in (7, 15, 31)", t0)
+    return f"{pairs} edge pairs agree at n in (7, 15, 31)"
 
 
-def criterion_4(limit: int | None = None, seed: int = 20250814) -> CriterionResult:
+@_criterion("criterion-4-large-smoke")
+def criterion_4(problems, limit, seed) -> str:
     """100 random labeled trees at n = 255 and n = 1023 each embed and
     validate in under 10 s."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
-    problems = []
     worst = 0.0
     cases = 0
     for n in (255, 1023):
@@ -186,12 +195,11 @@ def criterion_4(limit: int | None = None, seed: int = 20250814) -> CriterionResu
                 problems.append(f"n={n} case {case}: {report.failures[:2]}")
             if dt >= 10.0:
                 problems.append(f"n={n} case {case}: {dt:.1f}s")
-    return _result("criterion-4-large-smoke", not problems,
-                   "; ".join(problems[:4]) if problems else
-                   f"{cases} random trees ok, worst case {worst:.2f}s", t0)
+    return f"{cases} random trees ok, worst case {worst:.2f}s"
 
 
-def criterion_5(limit: int | None = None) -> CriterionResult:
+@_criterion("criterion-5-recursion-invariants", ceiling=10)
+def criterion_5(problems, limit, seed) -> str:
     """The two embedding lemmas on every instance up to 9 vertices.
 
     Every ordered tree on s <= 9 vertices is embedded by `embed_tree` onto
@@ -204,8 +212,6 @@ def criterion_5(limit: int | None = None) -> CriterionResult:
     right portal's upper-right quarter planes stay empty.  The quarter planes are tested
     on exact coordinates, and the sweep takes under 10 s.
     """
-    t0 = time.perf_counter()
-    problems = []
     counts = {"single": 0, "two": 0}
     nmax = _cap(9, limit)
     hosts = []
@@ -225,13 +231,8 @@ def criterion_5(limit: int | None = None) -> CriterionResult:
                             f"second={second}: {problem}"
                             for problem in _lemma_problems(G, coords, tree, edges,
                                                            lo, second))
-    dt = time.perf_counter() - t0
-    if dt >= 10.0:
-        problems.append(f"runtime {dt:.1f}s >= 10s")
-    return _result("criterion-5-recursion-invariants", not problems,
-                   "; ".join(problems[:4]) if problems else
-                   f"{counts['single']} single-portal and {counts['two']} "
-                   f"two-portal instances verified", t0)
+    return (f"{counts['single']} single-portal and {counts['two']} "
+            f"two-portal instances verified")
 
 
 def _lemma_problems(G, coords, tree, edges, lo: int, second) -> list[str]:
@@ -276,11 +277,10 @@ def _window_property_sliding(terms: list[int]) -> bool:
     return True
 
 
-def criterion_6(limit: int | None = None) -> CriterionResult:
+@_criterion("criterion-6-caterpillar", ceiling=60)
+def criterion_6(problems, limit, seed) -> str:
     """Window property of the doubling sequence, stage sums, host edge
     budget, and embedding of every caterpillar class with n <= 12."""
-    t0 = time.perf_counter()
-    problems = []
     # windows: check the 4095 stage; every shorter sequence is its prefix
     # and inherits the property
     if not has_window_property(pi_sequence(_cap(4095, limit))):
@@ -316,20 +316,13 @@ def criterion_6(limit: int | None = None) -> CriterionResult:
             if not report.ok:
                 problems.append(f"n={n} sizes={cat.star_sizes()}: {report.failures[:2]}")
             embedded += 1
-    dt = time.perf_counter() - t0
-    if dt >= 60.0:
-        problems.append(f"runtime {dt:.1f}s >= 60s")
-    return _result("criterion-6-caterpillar", not problems,
-                   "; ".join(problems[:4]) if problems else
-                   f"{embedded} caterpillar classes embedded; "
-                   f"{hosts_checked} host budgets hold", t0)
+    return f"{embedded} caterpillar classes embedded; {hosts_checked} host budgets hold"
 
 
-def criterion_7(limit: int | None = None) -> CriterionResult:
+@_criterion("criterion-7-twochord")
+def criterion_7(problems, limit, seed) -> str:
     """Every two-chord class on 6..30 vertices embeds; host edge budget;
     center-set covering property up to n = 2000."""
-    t0 = time.perf_counter()
-    problems = []
     embedded = 0
     for n in range(6, _cap(30, limit) + 1):
         host = build_twochord_host(n)
@@ -349,16 +342,13 @@ def criterion_7(limit: int | None = None) -> CriterionResult:
         missing = [d for d in range(1, n // 2 + 1) if d not in diffs]
         if missing:
             problems.append(f"covering fails at n={n}: missing {missing[:3]}")
-    return _result("criterion-7-twochord", not problems,
-                   "; ".join(problems[:4]) if problems else
-                   f"{embedded} two-chord classes embedded; covering holds to {top}", t0)
+    return f"{embedded} two-chord classes embedded; covering holds to {top}"
 
 
-def criterion_8(limit: int | None = None) -> CriterionResult:
+@_criterion("criterion-8-lower-bound-side")
+def criterion_8(problems, limit, seed) -> str:
     """Complete convex host is universal for the chorded-cycle families at
     desk scale, the bare cycle is not, and class counts double-check."""
-    t0 = time.perf_counter()
-    problems = []
     for n in range(4, _cap(12, limit) + 1):
         for h in range(0, 4):
             if n < 2 * h + 2:
@@ -375,9 +365,7 @@ def criterion_8(limit: int | None = None) -> CriterionResult:
     ok, _ = check_universal_convex(build_cycle_host(6), enumerate_chorded_cycles(6, 1))
     if ok:
         problems.append("bare cycle wrongly universal for one chord at n=6")
-    return _result("criterion-8-lower-bound-side", not problems,
-                   "; ".join(problems[:4]) if problems else
-                   "complete host universal at desk scale; bare cycle is not; counts agree", t0)
+    return "complete host universal at desk scale; bare cycle is not; counts agree"
 
 
 ALL_CRITERIA = [
@@ -392,12 +380,12 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(limit: int | None = None, seed: int = 20250814) -> bool:
+def run_all(limit: int | None = None, seed: int = SEED) -> bool:
     if limit is not None and limit < 1:
         raise InvalidSize(f"size limit must be >= 1, got {limit}")
     all_ok = True
     for fn in ALL_CRITERIA:
-        res = fn(limit, seed) if fn is criterion_4 else fn(limit)
+        res = fn(limit, seed)
         all_ok &= res.ok
         print(f"{'PASS' if res.ok else 'FAIL'} {res.name} ({res.seconds:.1f}s): {res.detail}")
     return all_ok

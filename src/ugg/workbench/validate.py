@@ -43,7 +43,6 @@ from functools import partial
 from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, itemgetter, mul, ne
 
-from .. import btree
 from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
 from ..geometry import height_ranks, segments_cross
 from ..host import Embedding
@@ -80,19 +79,6 @@ def _input_shape(graph) -> tuple[int, list[tuple[int, int]], bool]:
         return graph.n, graph.edges(), True
     n, edges = graph
     return n, list(edges), False
-
-
-def _height_table(h: int, endpoints) -> list[int] | dict[int, int]:
-    """Height keys of the given host vertices, read as keys[v].
-
-    A list of every key up to the largest endpoint when that list is at
-    most four times as long as the endpoints are many, else a dict of the
-    endpoints alone, so the cost follows the input and not the host.
-    """
-    top = max(endpoints, default=-1) + 1
-    if top <= 4 * len(endpoints):
-        return btree.height_keys(h, top)
-    return height_ranks(h, endpoints)
 
 
 def _listed(pairs, lo, hi, times):
@@ -234,7 +220,7 @@ def roof_crossings(h: int | None, segments,
             us.append(u)
             vs.append(v)
     if keys is None:
-        keys = _height_table(h, set(us).union(vs))
+        keys = height_ranks(h, set(us).union(vs))
     return _sweep(keys, us, vs)
 
 
@@ -248,7 +234,7 @@ def _crossing_rules(host, endpoints):
     when it finds one does the roof sweep count on the keys -v of the
     segments' ends."""
     if host.kind == "universal":
-        h, keys = host.h, _height_table(host.h, endpoints)
+        h, keys = host.h, height_ranks(host.h, endpoints)
 
         def is_edge(u: int, v: int) -> bool:
             # `key_location` of both keys, inlined: this runs once per edge
@@ -274,7 +260,7 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
     roof lister.  Segments are (lo, hi) pairs.  It decides a pair by
     `segments_cross` on the universal host and by `convex_edges_cross`,
     which reads no height keys, on convex hosts."""
-    cross = (partial(segments_cross, _height_table(host.h, {v for s in segments for v in s}))
+    cross = (partial(segments_cross, height_ranks(host.h, {v for s in segments for v in s}))
              if host.kind == "universal" else partial(convex_edges_cross, host.n))
     failures: list[tuple[str, tuple]] = []
     checked = 0

@@ -40,45 +40,53 @@ def test_locate_index_roundtrip_random(h, data):
 
 
 def test_nav_root():
-    info = btree.nav(H3, 0)
-    assert info.parent is None
-    assert (info.left_child, info.right_child) == (1, 4)
-    assert info.left_level_neighbor is None
-    assert info.right_level_neighbor is None
-    assert info.subtree_range == (0, 6)
+    # no parent, children 1 and 4, alone on its level, the whole tree below
+    assert btree._locate(H3, 0) == (1, 0, -1)
+    assert [btree.index_of(H3, 2, pos) for pos in (0, 1)] == [1, 4]
+    with pytest.raises(IndexOutOfRange):
+        btree.index_of(H3, 1, 1)
+    assert btree.subtree_range(H3, 0) == (0, 6)
 
 
 def test_nav_inner():
-    info = btree.nav(H3, 4)
-    assert info.parent == 0
-    assert (info.left_child, info.right_child) == (5, 6)
-    assert info.left_level_neighbor == 1
-    assert info.right_level_neighbor is None
-    assert info.subtree_range == (4, 6)
+    # parent 0, children 5 and 6, left level-neighbor 1 and none to its right
+    assert btree._locate(H3, 4) == (2, 1, 0)
+    assert [btree.index_of(H3, 3, pos) for pos in (2, 3)] == [5, 6]
+    assert btree.index_of(H3, 2, 0) == 1
+    with pytest.raises(IndexOutOfRange):
+        btree.index_of(H3, 2, 2)
+    assert btree.subtree_range(H3, 4) == (4, 6)
 
 
 def test_nav_leaf():
-    info = btree.nav(H3, 2)
-    assert info.parent == 1
-    assert info.left_child is None and info.right_child is None
-    assert info.left_level_neighbor is None
-    assert info.right_level_neighbor == 3
-    assert info.subtree_range == (2, 2)
+    # parent 1, no children, no left level-neighbor and 3 to its right
+    assert btree._locate(H3, 2) == (3, 0, 1)
+    with pytest.raises(IndexOutOfRange):
+        btree.index_of(H3, 4, 0)
+    assert btree.index_of(H3, 3, 1) == 3
+    assert btree.subtree_range(H3, 2) == (2, 2)
 
 
 def test_nav_consistency():
+    # a child's parent, by `_locate` and by `index_of`, is the node itself,
+    # and level-neighbors see each other, in every tree up to height 5
     for h in range(1, 6):
         for i in range((1 << h) - 1):
-            info = btree.nav(h, i)
-            for child in (info.left_child, info.right_child):
-                if child is not None:
-                    assert btree.nav(h, child).parent == i
-            if info.left_level_neighbor is not None:
-                other = btree.nav(h, info.left_level_neighbor)
-                assert other.right_level_neighbor == i
-            if info.right_level_neighbor is not None:
-                other = btree.nav(h, info.right_level_neighbor)
-                assert other.left_level_neighbor == i
+            level, pos, parent = btree._locate(h, i)
+            assert btree.locate(h, i) == (level, pos)
+            assert btree.index_of(h, level, pos) == i
+            if level == 1:
+                assert parent == -1
+            else:
+                assert parent == btree.index_of(h, level - 1, pos >> 1)
+            if level < h:
+                for child_pos in (2 * pos, 2 * pos + 1):
+                    child = btree.index_of(h, level + 1, child_pos)
+                    assert btree._locate(h, child) == (level + 1, child_pos, i)
+            for z in (pos - 1, pos + 1):
+                if 0 <= z < 1 << (level - 1):
+                    # each sees the other as its neighbor on the other side
+                    assert btree.locate(h, btree.index_of(h, level, z)) == (level, z)
 
 
 def test_higher_examples():

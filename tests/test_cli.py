@@ -2,12 +2,15 @@
 
 import argparse
 import inspect
+import itertools
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +20,7 @@ from ugg.convex import _CaterpillarHost, _CustomHost, _StarHost, build_twochord_
 from ugg.errors import SizeTooLarge
 from ugg.trees import Forest
 from ugg.ugraph import UniversalGraph
-from ugg.workbench import fileio
+from ugg.workbench import fileio, selftest
 from ugg.workbench.families import enumerate_chorded_cycles
 
 
@@ -466,6 +469,36 @@ def test_selftest_smoke(capsys):
     assert cli.main(["selftest", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 8
+
+
+SELFTEST_15 = """\
+PASS criterion-1-edge-bound (N.Ns): n=15: 87 < 320
+PASS criterion-2-universality-small (N.Ns): 637 forest classes embedded and validated
+PASS criterion-3-predicate-oracle (N.Ns): 3951 edge pairs agree at n in (7, 15, 31)
+PASS criterion-4-large-smoke (N.Ns): 0 random trees ok, worst case 0.00s
+PASS criterion-5-recursion-invariants (N.Ns): 4381 single-portal and 28604 two-portal \
+instances verified
+PASS criterion-6-caterpillar (N.Ns): 560 caterpillar classes embedded; 15 host budgets hold
+PASS criterion-7-twochord (N.Ns): 245 two-chord classes embedded; covering holds to 15
+PASS criterion-8-lower-bound-side (N.Ns): complete host universal at desk scale; \
+bare cycle is not; counts agree
+"""
+
+
+def test_selftest_output_is_pinned(capsys):
+    # every line of `ugg selftest --max-n 15`, its time masked
+    assert cli.main(["selftest", "--max-n", "15"]) == 0
+    out = capsys.readouterr().out
+    assert re.sub(r"\(\d+\.\ds\)", "(N.Ns)", out) == SELFTEST_15
+
+
+def test_selftest_criterion_fails_at_its_ceiling(monkeypatch):
+    # a clock that jumps 61 s per reading puts criterion 2 past its 60 s ceiling
+    ticks = itertools.count(0.0, 61.0)
+    monkeypatch.setattr(selftest, "time", SimpleNamespace(perf_counter=ticks.__next__))
+    res = selftest.criterion_2(limit=3)
+    assert not res.ok
+    assert re.fullmatch(r"runtime \d+\.\ds >= 60s", res.detail), res.detail
 
 
 @pytest.mark.parametrize("max_n", ["0", "-1"])

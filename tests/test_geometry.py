@@ -75,6 +75,21 @@ def test_above_matches_exact_orientation(n):
         assert above(rank, a, b, c) == (orientation(pts[a], pts[b], pts[c]) < 0), (a, b, c)
 
 
+@pytest.mark.parametrize("h, vertices, shape", [
+    (3, range(7), list), (3, {0, 3, 5}, list), (21, {2, 10**6}, dict)])
+def test_height_ranks_is_a_prefix_list_or_a_dict_of_the_vertices(h, vertices, shape):
+    # a prefix list when it is at most four times as long as the vertices
+    # are many, else a dict that holds the given vertices alone
+    ranks = height_ranks(h, vertices)
+    assert type(ranks) is shape
+    if shape is list:
+        assert ranks == btree.height_keys(h, max(vertices) + 1)
+    else:
+        assert ranks.keys() == set(vertices)
+    for v in vertices:
+        assert ranks[v] == btree.height_key(h, v)
+
+
 def test_edges_cross_examples():
     h = height_for(7)
     assert not edges_cross(h, (0, 3), (3, 5))  # shared endpoint

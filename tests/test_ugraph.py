@@ -23,15 +23,13 @@ def naive_is_edge(G: UniversalGraph, u: int, v: int) -> bool:
         if in_subtree(a, b) or in_subtree(b, a):
             return True
         # subtree of a level-neighbor of b (left or right)
-        info = btree.nav(h, b)
-        for z in (info.left_level_neighbor, info.right_level_neighbor):
-            if z is not None and in_subtree(a, z):
+        level, pos = btree.locate(h, b)
+        for z in (pos - 1, pos + 1):
+            if 0 <= z < 1 << (level - 1) and in_subtree(a, btree.index_of(h, level, z)):
                 return True
         # subtree of the left level-neighbor of b's parent
-        if info.parent is not None:
-            pz = btree.nav(h, info.parent).left_level_neighbor
-            if pz is not None and in_subtree(a, pz):
-                return True
+        if level > 1 and pos >> 1 and in_subtree(a, btree.index_of(h, level - 1, (pos >> 1) - 1)):
+            return True
         return False
 
     return groups(u, v) or groups(v, u)
@@ -102,10 +100,10 @@ def test_root_adjacent_to_everything():
 def test_tree_edges_are_host_edges():
     G = build_universal(63)
     for i in range(63):
-        info = btree.nav(G.h, i)
-        for child in (info.left_child, info.right_child):
-            if child is not None and child < 63:
-                assert G.is_edge(i, child)
+        level, pos = btree.locate(G.h, i)
+        if level < G.h:
+            for child_pos in (2 * pos, 2 * pos + 1):
+                assert G.is_edge(i, btree.index_of(G.h, level + 1, child_pos))
 
 
 def star_centers(G, lo, hi):
