@@ -115,7 +115,8 @@ def _enumerate(args) -> int:
 def _selftest(args) -> int:
     from .workbench.selftest import run_all
 
-    ok = run_all(args.max_n, args.seed)
+    # without --seed, criterion 4 keeps the seed the criteria default to
+    ok = run_all(args.max_n) if args.seed is None else run_all(args.max_n, args.seed)
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -175,7 +176,7 @@ def _parser() -> argparse.ArgumentParser:
     s = sub.add_parser("selftest", help="run the acceptance suites")
     s.add_argument("--max-n", type=int, default=None, dest="max_n",
                    help="cap instance sizes for a quick smoke run")
-    s.add_argument("--seed", type=int, default=20250814,
+    s.add_argument("--seed", type=int, default=None,
                    help="seed for the random-tree smoke test")
 
     r = sub.add_parser("render", help="draw a host (and embedding) as SVG")

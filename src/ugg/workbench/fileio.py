@@ -153,6 +153,11 @@ def _blocks(host) -> Iterator[tuple[str, int]]:
             yield head + head.join(picked), len(picked)
 
 
+def _header(host) -> str:
+    """The lines that start every file of `host`: magic, kind and n."""
+    return f"{MAGIC}\nkind {host.kind}\nn {host.n}\n"
+
+
 def _render(host, limit: int) -> str | None:
     """The text of `host`'s explicit file; None once it has listed more than
     `limit` edges."""
@@ -162,7 +167,7 @@ def _render(host, limit: int) -> str | None:
         count += k
         if count > limit:
             return None
-    out[0] = f"{MAGIC}\nkind {host.kind}\nn {host.n}\nedges {count}\n"
+    out[0] = f"{_header(host)}edges {count}\n"
     return "".join(out)
 
 
@@ -170,7 +175,7 @@ def _is_rendering(host, text: str) -> bool:
     """Whether `text` is `host`'s explicit file, checked block by block
     against the host's walk in place: no list of blocks and no second text,
     and the walk stops at the first difference."""
-    head = f"{MAGIC}\nkind {host.kind}\nn {host.n}\nedges "
+    head = _header(host) + "edges "
     start = text.find("\n", len(head)) + 1  # where the edge lines start
     if not (start and text.startswith(head)):
         return False
@@ -189,7 +194,7 @@ def save_host(host, path, explicit: bool = False) -> int | None:
     An edge list past EXPLICIT_CAP raises SizeTooLarge before the file is
     touched."""
     if not (explicit or host.kind == "custom"):
-        Path(path).write_text(f"{MAGIC}\nkind {host.kind}\nn {host.n}\n", encoding="utf-8")
+        Path(path).write_text(_header(host), encoding="utf-8")
         return None
     text = None if host.n > EXPLICIT_CAP else _render(host, EXPLICIT_CAP)
     if text is None:

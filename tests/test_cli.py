@@ -501,6 +501,25 @@ def test_selftest_criterion_fails_at_its_ceiling(monkeypatch):
     assert re.fullmatch(r"runtime \d+\.\ds >= 60s", res.detail), res.detail
 
 
+def test_selftest_seed_defaults_to_the_criteria_seed(monkeypatch):
+    # each call's seed once run_all's own defaults apply, and whether the
+    # caller gave one: without --seed the parser spells no seed of its own
+    signature = inspect.signature(selftest.run_all)
+    seeds = []
+
+    def run_all(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        given = "seed" in bound.arguments
+        bound.apply_defaults()
+        seeds.append((bound.arguments["seed"], given))
+        return True
+
+    monkeypatch.setattr(selftest, "run_all", run_all)
+    assert cli.main(["selftest", "--max-n", "4"]) == 0
+    assert cli.main(["selftest", "--max-n", "4", "--seed", "7"]) == 0
+    assert seeds == [(selftest.SEED, False), (7, True)]
+
+
 @pytest.mark.parametrize("max_n", ["0", "-1"])
 def test_selftest_refuses_a_size_limit_below_1(capsys, max_n):
     assert cli.main(["selftest", "--max-n", max_n]) == 2
