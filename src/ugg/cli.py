@@ -99,7 +99,7 @@ def _enumerate(args) -> int:
     if args.what == "forests":
         blocks = [fileio.forest_lines(f) for f in enumerate_forests(args.n)]
     elif args.what == "caterpillars":
-        blocks = [fileio.forest_lines(c.to_forest()) for c in enumerate_caterpillars(args.n)]
+        blocks = [fileio.forest_lines(c) for c in enumerate_caterpillars(args.n)]
     else:
         blocks = [fileio.chorded_lines(cc) for cc in enumerate_chorded_cycles(args.n, args.h)]
     out: list[str] = []

@@ -298,6 +298,7 @@ class ChordedCycle:
     def h(self) -> int:
         return len(self.chords)
 
+    @property
     def edges(self) -> list[tuple[int, int]]:
         """The cycle edges (i, i + 1), then (0, n - 1), then the chords."""
         n = self.n

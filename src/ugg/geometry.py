@@ -67,6 +67,9 @@ def height_ranks(h: int, vertices) -> list[int] | dict[int, int]:
     vertices alone, so the cost follows the vertices and not the tree.
     """
     top = max(vertices, default=-1) + 1
+    if vertices:  # the least and the greatest vertex must be on the tree
+        btree._check_index(h, min(vertices))
+        btree._check_index(h, top - 1)
     if top <= 4 * len(vertices):
         return btree.height_keys(h, top)
     return {v: btree.height_key(h, v) for v in vertices}

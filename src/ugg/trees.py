@@ -275,13 +275,14 @@ class Caterpillar:
     def star_sizes(self) -> tuple[int, ...]:
         return tuple(1 + len(g) for g in self.leaves)
 
+    @property
     def edges(self) -> list[tuple[int, int]]:
         """The spine path, then each spine vertex's leaf edges."""
         return (list(zip(self.spine, self.spine[1:]))
                 + [(u, leaf) for u, group in zip(self.spine, self.leaves) for leaf in group])
 
     def to_forest(self) -> Forest:
-        return Forest(self.n, self.edges())
+        return Forest(self.n, self.edges)
 
 
 def caterpillar_spine(forest: Forest) -> Caterpillar:

@@ -35,7 +35,7 @@ from ..convex import (
     build_twochord_host,
 )
 from ..errors import MalformedInput, SizeTooLarge
-from ..trees import Forest
+from ..trees import Caterpillar, Forest
 from ..ugraph import build_universal
 
 MAGIC = "ugg-graph v1"
@@ -258,7 +258,7 @@ def load_host(path):
     raise MalformedInput(f"explicit edge list disagrees with {kind} host")
 
 
-def forest_lines(forest: Forest) -> list[str]:
+def forest_lines(forest: Forest | Caterpillar) -> list[str]:
     lines = [f"n {forest.n}"]
     lines.extend(f"e {u} {v}" for u, v in forest.edges)
     return lines
@@ -278,8 +278,6 @@ def chorded_lines(cc: ChordedCycle) -> list[str]:
 
 
 def _chorded(rows: list[list[str]], pairs: _Columns | None) -> ChordedCycle:
-    if len(rows) < 2:
-        raise MalformedInput("chorded file needs `n` and `h` lines")
     n = _input_size(rows[0])
     h = _int(_value(rows[1], "h"), "h")
     chords = tuple(zip(*(pairs or _pairs(rows[2:], "c", "chorded"))))

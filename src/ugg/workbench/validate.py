@@ -43,10 +43,10 @@ from functools import partial
 from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, itemgetter, mul, ne
 
-from ..convex import ChordedCycle, convex_edges_cross, nesting_crossing
+from ..convex import convex_edges_cross, nesting_crossing
+from ..errors import IndexOutOfRange
 from ..geometry import height_ranks, segments_cross
 from ..host import Embedding
-from ..trees import Caterpillar, Forest
 from ..ugraph import adjacent
 
 Segment = tuple[int, int]
@@ -71,14 +71,11 @@ class ValidationReport:
 
 def _input_shape(graph) -> tuple[int, list[tuple[int, int]], bool]:
     """The input's n, its edges, and whether they are known to be distinct:
-    a `Forest` refuses a repeated edge, and the vertices of a `Caterpillar`
-    and the chords of a `ChordedCycle` are distinct, so their edges are."""
-    if isinstance(graph, Forest):
-        return graph.n, list(graph.edges), True
-    if isinstance(graph, (Caterpillar, ChordedCycle)):
-        return graph.n, graph.edges(), True
-    n, edges = graph
-    return n, list(edges), False
+    an input graph lists each edge once, a raw (n, edges) pair may not."""
+    if isinstance(graph, tuple):
+        n, edges = graph
+        return n, list(edges), False
+    return graph.n, graph.edges, True
 
 
 def _listed(pairs, lo, hi, times):
@@ -259,8 +256,13 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
     predicate calls made: the quadratic oracle for the detectors and the
     roof lister.  Segments are (lo, hi) pairs.  It decides a pair by
     `segments_cross` on the universal host and by `convex_edges_cross`,
-    which reads no height keys, on convex hosts."""
-    cross = (partial(segments_cross, height_ranks(host.h, {v for s in segments for v in s}))
+    which reads no height keys, on convex hosts.  An end off the host
+    raises IndexOutOfRange."""
+    ends = {v for s in segments for v in s}
+    off = [v for v in ends if not 0 <= v < host.n]
+    if off:
+        raise IndexOutOfRange(f"segment end index {min(off)} not in [0, {host.n})")
+    cross = (partial(segments_cross, height_ranks(host.h, ends))
              if host.kind == "universal" else partial(convex_edges_cross, host.n))
     failures: list[tuple[str, tuple]] = []
     checked = 0
@@ -281,7 +283,9 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
 
 def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     """Check emb maps graph into host: injective on all input vertices, every
-    input edge on a host edge, no two mapped segments crossing."""
+    input edge on a host edge, no two mapped segments crossing.  The graph
+    is an input graph, read as `graph.n` and `graph.edges`, each edge listed
+    once, or a raw (n, edges) tuple, whose edges may repeat."""
     n_in, in_edges, distinct = _input_shape(graph)
     # an input edge that is a loop or leaves [0, n_in) fails before any host test
     failures: list[tuple[str, tuple]] = [

@@ -214,6 +214,9 @@ def test_errors():
     ("geometry.height_ranks(3, [50])", 50),
     ("validate.roof_crossings(3, [(0, 100)])", 100),
     ("validate.pairwise_crossings(UniversalGraph(7), [(0, 100), (1, 2), (3, 4)])", 100),
+    ("geometry.height_ranks(3, [-1, 2])", -1),
+    ("geometry.height_ranks(3, [0, 1, 2, 9])", 9),
+    ("validate.roof_crossings(3, [(-1, 2), (0, 5)])", -1),
 ])
 def test_height_helpers_refuse_an_index_off_the_tree(call, index):
     # an unchecked descent to an index outside the tree never ends (or, at

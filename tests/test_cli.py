@@ -21,7 +21,7 @@ from ugg.errors import SizeTooLarge
 from ugg.trees import Forest
 from ugg.ugraph import UniversalGraph
 from ugg.workbench import fileio, selftest
-from ugg.workbench.families import enumerate_chorded_cycles
+from ugg.workbench.families import enumerate_caterpillars, enumerate_chorded_cycles
 
 
 def write_forest(tmp_path, name, n, edges):
@@ -429,6 +429,43 @@ def test_enumerate_chorded(tmp_path):
                      "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     assert text.count("# class") == len(enumerate_chorded_cycles(8, 2))
+
+
+def test_enumerate_caterpillars_builds_no_forest(tmp_path, monkeypatch):
+    built = []
+    check = Forest.__post_init__
+    monkeypatch.setattr(Forest, "__post_init__", lambda self: (built.append(self.n), check(self)))
+    out = tmp_path / "caterpillars.txt"
+    assert cli.main(["enumerate", "--what", "caterpillars", "--n", "14",
+                     "--out", str(out)]) == 0
+    assert built == []
+    assert cli.main(["enumerate", "--what", "forests", "--n", "4",
+                     "--out", str(tmp_path / "forests.txt")]) == 0
+    assert built  # the count sees the forests that are built
+    monkeypatch.undo()
+    # each class as the forest it is, edges in the caterpillar's order
+    blocks = [[f"# class {i}", *fileio.forest_lines(c.to_forest()), ""]
+              for i, c in enumerate(enumerate_caterpillars(14))]
+    assert out.read_text(encoding="utf-8") == "\n".join(itertools.chain(*blocks))
+
+
+@pytest.mark.parametrize("host, graph, message", [
+    ("ugg-graph v1\nkind universal\nn 63\n", "", "forest file must start with `n <int>`"),
+    ("ugg-graph v1\n", "n 2\ne 0 1\n", "host file needs `kind` and `n` lines"),
+    ("ugg-graph v1\nkind twochord\nn 63\n", "n 2\nh 0\n", "cycle needs >= 3 vertices"),
+    ("ugg-graph v1\nkind twochord\nn 63\n", "n 6\nh 1\nc 0 9\n",
+     "chord endpoint outside [0, 6)"),
+    ("ugg-graph v1\nkind complete\nn 6\n", "n 2\ne 0 1\n",
+     "no embedder for host kind 'complete'"),
+])
+def test_embed_names_what_is_wrong(tmp_path, capsys, host, graph, message):
+    (tmp_path / "host.txt").write_text(host, encoding="utf-8")
+    (tmp_path / "input.txt").write_text(graph, encoding="utf-8")
+    out = tmp_path / "emb.txt"
+    assert cli.main(["embed", "--host", str(tmp_path / "host.txt"),
+                     "--input", str(tmp_path / "input.txt"), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("what, n, code", [

@@ -199,7 +199,7 @@ def test_twochord_host_structure():
 def test_chorded_cycle_model():
     cc = ChordedCycle(10, ((0, 3), (5, 9)))
     assert cc.h == 2
-    edges = set(cc.edges())
+    edges = set(cc.edges)
     assert len(edges) == 12
     # ten cycle edges, normalized min-first, plus the two chords
     assert {(i, i + 1) for i in range(9)} <= edges
@@ -435,7 +435,7 @@ def test_nesting_crossing_of_distinct_chords_matches_the_walk():
 def test_chorded_cycle_edges_keep_their_order():
     for n in (6, 7, 30):
         cc = ChordedCycle(n, ((0, 2), (3, 5)))
-        assert cc.edges() == [(min(i, (i + 1) % n), max(i, (i + 1) % n))
+        assert cc.edges == [(min(i, (i + 1) % n), max(i, (i + 1) % n))
                               for i in range(n)] + [(0, 2), (3, 5)]
 
 

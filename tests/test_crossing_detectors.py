@@ -30,6 +30,7 @@ from ugg.convex import (
     nesting_crossing,
 )
 from ugg.embedder import Embedding, embed_forest
+from ugg.errors import IndexOutOfRange
 from ugg.geometry import edges_cross, realize_coordinates, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
@@ -165,7 +166,7 @@ def convex_embeddings(draw):
         chords = ((p[0], p[1]), (p[2], p[3]))
         assume(all(2 <= b - a <= n - 2 for a, b in chords))
         cc = ChordedCycle(n, chords)
-        n, edges = cc.n, cc.edges()
+        n, edges = cc.n, cc.edges
         mapping = embed_twochord(build_twochord_host(n), cc).mapping
     mapping = dict(mapping)
     extra = draw(st.integers(0, 3))
@@ -333,6 +334,18 @@ def test_roof_listing_equals_exact_scan_on_a_scrambled_tree(monkeypatch):
     assert all(segments_cross_exact(coords, *pair) for _, pair in witnesses)
     assert sorted(pair for _, pair in witnesses) == exact
     assert exact_crossings(embed_forest(host, tree).mapping)[1] == []
+
+
+@pytest.mark.parametrize("host, segments, index", [
+    (build_caterpillar_host(5), [(0, 7), (1, 3)], 7),
+    (build_caterpillar_host(5), [(-1, 2), (0, 3)], -1),
+    (UniversalGraph(5), [(0, 6), (1, 3)], 6),
+])
+def test_pairwise_oracle_refuses_an_end_off_the_host(host, segments, index):
+    # `convex_edges_cross` reads ends mod n, and 6 is a node of the universal
+    # host's index tree, so each of these would get a verdict on no host edge
+    with pytest.raises(IndexOutOfRange, match=f"index {index} "):
+        pairwise_crossings(host, segments)
 
 
 def test_repeated_segments_count_once_per_copy():
@@ -510,8 +523,7 @@ def test_distinct_inputs_skip_the_count_of_copies(monkeypatch):
             (build_complete_host(8), ChordedCycle(8, ((0, 2), (4, 6))),
              [3 * t % 8 for t in range(8)])):
         cases.append((host, graph, Embedding(dict(enumerate(image)))))
-    pairs = [validate_embedding(host, (graph.n, graph.edges() if callable(graph.edges)
-                                       else graph.edges), emb)
+    pairs = [validate_embedding(host, (graph.n, graph.edges), emb)
              for host, graph, emb in cases]
     assert {report.crossings for report in pairs} > {0}  # crossings to count
 
