@@ -18,7 +18,7 @@ from .errors import (
     SizeMismatch,
     SizeTooLarge,
 )
-from .host import Embedding, Host
+from .host import Embedding, Host, Provenance
 from .trees import Caterpillar
 
 # Most vertices a two-chord host may have.  Its centers, about 2 * sqrt(n)
@@ -194,7 +194,7 @@ def embed_caterpillar(host: ConvexHost, cat: Caterpillar) -> Embedding:
             mapping[leaf] = pos
             pos += 1
         off = end
-    return Embedding(mapping, [("caterpillar", (0, host.n - 1))])
+    return Embedding(mapping, Provenance.whole("caterpillar", host.n))
 
 
 def twochord_centers(n: int) -> list[int]:
@@ -382,7 +382,7 @@ def embed_twochord(host: ConvexHost, cc: ChordedCycle) -> Embedding:
         raise NoRealizingPair(f"no center pair at distance {gap} for n={n}")
     shift = (x - e) % n
     mapping = {t: (t + shift) % n for t in range(n)}
-    return Embedding(mapping, [("twochord", (0, n - 1))])
+    return Embedding(mapping, Provenance.whole("twochord", n))
 
 
 class _CustomHost(ConvexHost):

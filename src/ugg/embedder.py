@@ -12,6 +12,10 @@ empty vertex inside the current call's interval, every child interval (after
 its interval isomorphism) lies inside its parent's, and the writes less the
 lifts made during a call number the interval's length.
 
+Each return appends one provenance record to the run's list, packed as an
+int inline, ((lo << h | hi) << 4) | code, with code its label's index in
+`host.LABELS` (the constants below); `Embedding.provenance` decodes them.
+
 `embed_forest` takes each component rooted once, at its smallest vertex, by
 `Forest.trees`; `embed_tree` takes a `RootedTree` whose root is its first
 portal.  Each subproblem is a piece of that rooting: its portal is its
@@ -42,7 +46,7 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
 )
-from .host import Embedding
+from .host import Embedding, Provenance
 from .trees import Forest, RootedTree
 from .ugraph import UniversalGraph
 
@@ -51,6 +55,10 @@ from .ugraph import UniversalGraph
 # portal and host placement, random trees and the six bench shapes up to
 # 65535 vertices).
 DEPTH_PER_LEVEL = 4
+
+# Provenance codes of the recursion's returns: indices into host.LABELS.
+(BASE, CASE_1_1, CASE_1_2_1, CASE_1_2_2, CASE_1_2_3, CASE_1_2_4, CASE_1_2_5_1,
+ CASE_1_2_5_2, CASE_2, FOREST_COMPONENT) = range(10)
 
 # A step of the recursion: a generator that yields nothing and returns the
 # step's result, so that `yield from` makes each recursive call.
@@ -137,11 +145,12 @@ class _Recursion:
     under, and a frame vertex reaches the host through their lifts,
     innermost first.  The methods that recurse are generators, run by
     `_drive`; they never yield, and each returns its result to the
-    `yield from` that called it.
+    `yield from` that called it.  Each return appends its packed provenance
+    record to `prov`, a list the caller owns and may share between runs.
     """
 
-    def __init__(self, G: UniversalGraph, T: RootedTree, base: int):
-        self.G, self.T, self.prov = G, T, []
+    def __init__(self, G: UniversalGraph, T: RootedTree, base: int, prov: list[int]):
+        self.G, self.h, self.T, self.prov = G, G.h, T, prov
         self.max_depth = DEPTH_PER_LEVEL * G.h
         self.base, self.out, self.own = base, [-1] * T.n, [-1] * T.n
         self.placed, self.shifts, self.frame = 0, [], (base, base + T.n - 1)
@@ -214,12 +223,12 @@ class _Recursion:
                 f"tree has {size} vertices for interval [{lo}, {hi}]")
         if lo == hi:  # one write, checked to land on lo inside the frame
             self._put(a, lo)
-            self.prov.append(("base", (lo, lo)))
+            self.prov.append((lo << self.h | lo) << 4 | BASE)
             return lo
         outer = self._enter(lo, hi)
         placed = self.placed
         # the interval maximum k with its level and parent
-        top = btree.top_of_range(self.G.h, lo, hi)
+        top = btree.top_of_range(self.h, lo, hi)
         k, level, parent = top
         depth += 1
         kids = T.kids(a, ex)
@@ -228,7 +237,7 @@ class _Recursion:
             # Branching portal: lay the child subtrees left-to-right over the
             # interval minus k; the chunk next to k absorbs k and keeps the portal.
             g = yield from self._spread(a, ex, kids, lo, (k,), k, top, depth)
-            label = "case-1.1"
+            code = CASE_1_1
         else:
             a2 = kids[0][0]
             tp = T.keep(ex, a2)
@@ -236,7 +245,7 @@ class _Recursion:
             if k == hi or k == lo:
                 yield from self.single(a2, tp, lo + (k == lo), hi - (k == hi), depth)
                 self._put(a, k)
-                label = "case-1.2.1" if k == hi else "case-1.2.2"
+                code = CASE_1_2_1 if k == hi else CASE_1_2_2
             elif ls == k:
                 raise InternalInvariantBroken(f"interior maximum {k} is not a right child")
             elif ls >= lo:
@@ -250,18 +259,18 @@ class _Recursion:
                 _check_replace(self.G, lo + 1, hi, x, lo)
                 self._put(self._take(x), lo)
                 self._put(a, k)
-                label = "case-1.2.3"
+                code = CASE_1_2_3
             else:
-                d = (1 << (self.G.h - level)) - 1  # size of each subtree one level below v_k
+                d = (1 << (self.h - level)) - 1  # size of each subtree one level below v_k
                 if d == 0 or k + 1 + d > hi:
-                    label = yield from self._case_1_2_4(a, a2, tp, lo, hi, top, depth)
+                    code = yield from self._case_1_2_4(a, a2, tp, lo, hi, top, depth)
                 else:
-                    label = yield from self._case_1_2_5(a, a2, tp, lo, hi, top, k + 1 + d,
-                                                        depth)
+                    code = yield from self._case_1_2_5(a, a2, tp, lo, hi, top, k + 1 + d,
+                                                       depth)
         if g != k:
             raise InternalInvariantBroken(
                 f"portal {T.order[a]} landed on {g}, expected interval maximum {k}")
-        self.prov.append((label, (lo, hi)))
+        self.prov.append((lo << self.h | hi) << 4 | code)
         if self.placed - placed != hi - lo + 1:
             raise InternalInvariantBroken(f"piece does not fill [{lo}, {hi}] exactly")
         self.frame = outer
@@ -273,7 +282,7 @@ class _Recursion:
         # lie in the current frame, minus its interior maximum k, top[0];
         # returns v's vertex lifted back
         k = top[0]
-        d = _iso_interior(self.G.h, lo, hi, *top)
+        d = _iso_interior(self.h, lo, hi, *top)
         outer = self._enter(lo, hi)
         self.shifts.append((k, d))
         self.frame = (lo - d, hi - d - 1)
@@ -360,7 +369,7 @@ class _Recursion:
             yield from self._rest(a2, tp, c, lo, rem_hi, depth)
         elif rem_hi != lo - 1:
             raise InternalInvariantBroken("pieces do not tile the interval")
-        return "case-1.2.4"
+        return CASE_1_2_4
 
     def _case_1_2_5(self, a: int, a2: int, tp: list, lo: int, hi: int,
                     top: tuple[int, int, int], r: int, depth: int) -> Steps:
@@ -391,7 +400,7 @@ class _Recursion:
                 self._put(cp, g)
             self._put(moved, r)
             self._put(a, k)
-            return "case-1.2.5.1"
+            return CASE_1_2_5_1
 
         # 1.2.5.2: the window [hi-m, hi] contains both v_k and v_r.  Children of c
         # tile the window minus {k, r}; the chunk beside r absorbs r and keeps c.
@@ -410,7 +419,7 @@ class _Recursion:
         elif wlo != lo:
             raise InternalInvariantBroken("window does not reach the interval start")
         self._put(a, k)
-        return "case-1.2.5.2"
+        return CASE_1_2_5_2
 
     def two(self, a: int, ex: list, b: int, lo: int, hi: int, depth: int) -> Steps:
         """Embed with two portals: split along the a-b path into one block per
@@ -438,12 +447,12 @@ class _Recursion:
             raise InternalInvariantBroken("left portal not left of right portal")
         # The blocks tile [lo, hi], so a quarter plane is empty iff its portal
         # is the highest vertex from it out to that end of the interval.
-        h = self.G.h
+        h = self.h
         if btree.highest_in_range(h, lo, pa) != pa:
             raise InternalInvariantBroken("vertex in upper-left quarter plane of left portal")
         if btree.highest_in_range(h, pb, hi) != pb:
             raise InternalInvariantBroken("vertex in upper-right quarter plane of right portal")
-        self.prov.append(("case-2", (lo, hi)))
+        self.prov.append((lo << h | hi) << 4 | CASE_2)
         self.frame = outer
         return pb
 
@@ -475,7 +484,7 @@ def embed_tree(G: UniversalGraph, tree: RootedTree, *, lo: int = 0,
     hi = lo + tree.n - 1
     if lo < 0 or hi >= G.n:
         raise IndexOutOfRange(f"[{lo}, {hi}] outside host [0, {G.n})")
-    run = _Recursion(G, tree, lo)
+    run = _Recursion(G, tree, lo, [])
     if second is None:
         _drive(run.single(0, [], lo, hi, 1))
     else:
@@ -486,26 +495,28 @@ def embed_tree(G: UniversalGraph, tree: RootedTree, *, lo: int = 0,
         if b == 0:
             raise EqualIndices(f"second portal {second} is the root")
         _drive(run.two(0, [], b, lo, hi, 1))
-    return Embedding(dict(zip(tree.order, run.out)), run.prov)
+    return Embedding(dict(zip(tree.order, run.out)), Provenance(run.prov, G.h))
 
 
 def embed_forest(G: UniversalGraph, forest: Forest) -> Embedding:
     """Embed a forest: components, ordered by smallest vertex id, go onto
     consecutive host intervals; each is rooted at its smallest vertex, which
-    serves as the component's single portal."""
+    serves as the component's single portal.  Every component's run appends
+    its provenance records to one list, and a "forest-component" record
+    follows each component's."""
     if forest.n != G.n:
         raise SizeMismatch(f"forest has {forest.n} vertices, host has {G.n}")
     verts, image = [-1] * forest.n, [-1] * forest.n
-    prov: list = []
-    cur = 0
+    prov: list[int] = []
+    cur, h = 0, G.h
     for tree in forest.trees():
-        run = _Recursion(G, tree, cur)
-        _drive(run.single(0, [], cur, cur + tree.n - 1, 1))
+        run = _Recursion(G, tree, cur, prov)
+        end = cur + tree.n - 1
+        _drive(run.single(0, [], cur, end, 1))
         for v, g in zip(tree.order, run.out):
             verts[v], image[v] = v, g
-        prov.extend(run.prov)
-        prov.append(("forest-component", (cur, cur + tree.n - 1)))
-        cur += tree.n
+        prov.append((cur << h | end) << 4 | FOREST_COMPONENT)
+        cur = end + 1
     # keyed in vertex order, which later lookups by vertex walk fastest, by
     # the forest's own vertex ints rather than new ones
-    return Embedding(dict(zip(verts, image)), prov)
+    return Embedding(dict(zip(verts, image)), Provenance(prov, h))

@@ -17,23 +17,69 @@ walk.
 
 `Embedding` is what every embedder returns and what the validator, the
 renderer and the CLI read: a vertex map into a host, and which construction
-placed each host interval.
+placed each host interval.  Its `Provenance` keeps one int per record, with
+the label as an index into `LABELS`, and decodes each record on access.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Iterator
 
 from .errors import EqualIndices, IndexOutOfRange
 
 
-class Embedding:
-    """A vertex map from an input graph into a host."""
+# The labels of provenance records; a record keeps its label's index here.
+LABELS = ("base", "case-1.1", "case-1.2.1", "case-1.2.2", "case-1.2.3", "case-1.2.4",
+          "case-1.2.5.1", "case-1.2.5.2", "case-2", "forest-component", "caterpillar",
+          "twochord")
 
-    def __init__(self, mapping: dict[int, int],
-                 provenance: list[tuple[str, tuple[int, int]]] | None = None):
+
+class Provenance(Sequence):
+    """Which construction placed each host interval: a read-only sequence of
+    (label, (lo, hi)) records, in the order they were made.
+
+    Each record is kept as one int, ((lo << h | hi) << 4) | code, where code
+    is the label's index in LABELS and h a bit width that holds every host
+    vertex (a universal host's height); it is decoded on access.  A writer
+    appends such ints to the list it passes in, with no object per record.
+    """
+
+    __slots__ = ("_records", "_h")
+
+    def __init__(self, records: list[int] | None = None, h: int = 0):
+        self._records = [] if records is None else records
+        self._h = h
+
+    @classmethod
+    def whole(cls, label: str, n: int) -> Provenance:
+        """One record: `label` placed the whole host [0, n - 1]."""
+        return cls([(n - 1) << 4 | LABELS.index(label)], n.bit_length())
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(Provenance(self._records[i], self._h))
+        x = self._records[i]
+        return LABELS[x & 15], (x >> (self._h + 4), x >> 4 & ((1 << self._h) - 1))
+
+    def __iter__(self) -> Iterator[tuple[str, tuple[int, int]]]:
+        h, mask = self._h + 4, (1 << self._h) - 1
+        for x in self._records:
+            yield LABELS[x & 15], (x >> h, x >> 4 & mask)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class Embedding:
+    """A vertex map from an input graph into a host, and its provenance."""
+
+    def __init__(self, mapping: dict[int, int], provenance: Provenance | None = None):
         self.mapping = mapping
-        self.provenance = [] if provenance is None else provenance
+        self.provenance = Provenance() if provenance is None else provenance
 
 
 class Host:

@@ -1,19 +1,26 @@
 """Scale checks: the paper's three constructions at n = 2^20 − 1, and
 explicit host files at n = 16383, through the installed `ugg`.  Each row of
 ROWS writes its input into the current directory and runs build, embed and
-verify, each under a timeout; the script prints one line per row and exits 1
-if any failed.  Run it from an empty directory: python tests/scale_checks.py
+verify, each under a timeout; the script prints one line per row, with each
+command's peak RSS, and exits 1 if any failed.  Run it from an empty
+directory: python tests/scale_checks.py
 """
 
+import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 BIG = 2**20 - 1
+# `ugg embed`'s peak RSS ceiling on the binary and random trees, in MB.  It
+# read 650-659 MB there with provenance packed one int per record, and
+# 831-891 MB with a tuple pair per record (Python 3.10 and 3.11).
+EMBED_MB = 780
 
 
 # forest shapes: (n, rng) -> edges
@@ -64,13 +71,15 @@ class Row:
     identity: bool = False  # map each vertex to itself instead of running `ugg embed`
     expect: tuple[str, ...] = ()  # () reads `ok`; else patterns verify's exit-1 report has
     changed: tuple[str, str] | None = None  # a line 10 for a host copy; verify's exit-2 error
+    embed_mb: int | None = None  # a ceiling on `ugg embed`'s peak RSS, in MB
 
 
 CROSSING = ("Crossing",)
 ROWS = [
     Row("star", "universal", BIG, "star"),  # every roof live at once in the sweep
-    Row("binary", "universal", BIG, "binary"),
-    Row("random", "universal", BIG, "random", seed=1),  # every recursion case fires
+    Row("binary", "universal", BIG, "binary", embed_mb=EMBED_MB),
+    Row("random", "universal", BIG, "random", seed=1,  # every recursion case fires
+        embed_mb=EMBED_MB),
     Row("path", "universal", BIG, "path"),  # path and spider: two()'s long path blocks
     Row("caterpillar", "universal", BIG, "caterpillar", seed=BIG),
     Row("spider", "universal", BIG, "spider"),
@@ -103,16 +112,46 @@ def write(path, lines) -> None:
         f.writelines(f"{line}\n" for line in lines)
 
 
-def ugg(limit: int, code: int, *args: str) -> subprocess.CompletedProcess:
-    """Run `ugg args` for at most `limit` seconds; Failed unless it exits `code`."""
-    proc = subprocess.run(["ugg", *args], capture_output=True, text=True, timeout=limit)
+def command(argv: list[str], limit: float) -> tuple[subprocess.CompletedProcess, float]:
+    """Run argv for at most `limit` seconds; its result and its peak RSS in
+    MB, read from os.wait4.  subprocess.TimeoutExpired past the limit."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        # A preexec_fn makes Popen fork rather than vfork.  A vforked child
+        # execs from this process's address space, and Linux carries that
+        # space's high-water RSS, this script's own peak, into the child's
+        # ru_maxrss; a forked copy carries only its size at the fork.
+        proc = subprocess.Popen(argv, stdout=out, stderr=err, preexec_fn=lambda: None)
+        deadline = time.monotonic() + limit
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.monotonic() > deadline:
+                proc.kill()
+                proc.wait()
+                raise subprocess.TimeoutExpired(argv, limit)
+            time.sleep(0.02)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        result = subprocess.CompletedProcess(argv, proc.returncode, out.read(), err.read())
+    return result, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def ugg(limit: int, code: int, peaks: list[tuple[str, float]],
+        *args: str) -> subprocess.CompletedProcess:
+    """Run `ugg args` for at most `limit` seconds and add its peak RSS to
+    `peaks`; Failed unless it exits `code`."""
+    proc, mb = command(["ugg", *args], limit)
+    peaks.append((args[0], mb))
     if proc.returncode != code:
         raise Failed(f"ugg {args[0]} exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
     return proc
 
 
-def run(row: Row) -> None:
-    """Run `row` in the current directory; Failed at its first unmet check."""
+def run(row: Row, peaks: list[tuple[str, float]]) -> None:
+    """Run `row` in the current directory, adding each command's peak RSS to
+    `peaks`; Failed at its first unmet check."""
     limit = 150 if row.n == BIG else 60
     src, host, emb = (f"{row.name}-{part}.txt" for part in ("input", "host", "emb"))
     write(src, input_lines(row.generator, row.n, row.seed))
@@ -120,7 +159,8 @@ def run(row: Row) -> None:
         write(host, ["ugg-graph v1", "kind complete", f"n {row.n}"])
     else:
         explicit = ["--explicit"] if row.explicit is not None else []
-        ugg(limit, 0, "build", "--kind", row.kind, "--n", str(row.n), *explicit, "--out", host)
+        ugg(limit, 0, peaks, "build", "--kind", row.kind, "--n", str(row.n), *explicit,
+            "--out", host)
     if row.explicit is not None:
         count = sum(line.startswith("e ") for line in Path(host).read_text().splitlines())
         if count != row.explicit:
@@ -128,9 +168,12 @@ def run(row: Row) -> None:
     if row.identity:
         write(emb, (f"m {v} {v}" for v in range(row.n)))
     else:
-        ugg(limit, 0, "embed", "--host", host, "--input", src, "--out", emb)
+        ugg(limit, 0, peaks, "embed", "--host", host, "--input", src, "--out", emb)
+        mb = peaks[-1][1]
+        if row.embed_mb is not None and mb > row.embed_mb:
+            raise Failed(f"ugg embed peaked at {mb:.0f} MB, over {row.embed_mb} MB")
     verify = ["verify", "--input", src, "--embedding", emb, "--host"]
-    out = ugg(limit, 1 if row.expect else 0, *verify, host).stdout
+    out = ugg(limit, 1 if row.expect else 0, peaks, *verify, host).stdout
     if not (all(re.search(p, out, re.M) for p in row.expect) if row.expect else out == "ok\n"):
         raise Failed(f"verify printed\n{out}")
     if row.changed:
@@ -138,19 +181,21 @@ def run(row: Row) -> None:
         lines = Path(host).read_text().split("\n")
         lines[9] = line
         Path(f"changed-{host}").write_text("\n".join(lines))
-        if error not in ugg(limit, 2, *verify, f"changed-{host}").stderr:
+        if error not in ugg(limit, 2, peaks, *verify, f"changed-{host}").stderr:
             raise Failed(f"verify of the changed host file did not say {error!r}")
 
 
 def main() -> int:
     failed = 0
     for row in ROWS:
-        t0, problem = time.perf_counter(), ""
+        t0, problem, peaks = time.perf_counter(), "", []
         try:
-            run(row)
+            run(row, peaks)
         except (Failed, subprocess.TimeoutExpired) as exc:
             problem, failed = str(exc), failed + 1
-        print(f"{'FAILED' if problem else 'ok':6} {row.name} ({time.perf_counter() - t0:.1f} s)")
+        seconds = time.perf_counter() - t0
+        print(f"{'FAILED' if problem else 'ok':6} {row.name} ({seconds:.1f} s; "
+              f"{', '.join(f'{name} {mb:.0f} MB' for name, mb in peaks)})")
         print("".join(f"    {line}\n" for line in problem.splitlines()[:20]), end="", flush=True)
     return 1 if failed else 0
 

@@ -5,6 +5,8 @@ import itertools
 import random
 import statistics
 import sys
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,17 @@ from ugg.errors import (
     PreconditionViolated,
     SizeMismatch,
 )
+from ugg.convex import (
+    ChordedCycle,
+    build_caterpillar_host,
+    build_twochord_host,
+    embed_caterpillar,
+    embed_twochord,
+)
 from ugg.geometry import edges_cross
-from ugg.trees import Forest, RootedTree
-from ugg.ugraph import build_universal
+from ugg.host import Embedding, Provenance
+from ugg.trees import Caterpillar, Forest, RootedTree
+from ugg.ugraph import UniversalGraph, build_universal
 from ugg.workbench.families import (
     enumerate_forests,
     enumerate_trees,
@@ -302,6 +312,87 @@ def test_deep_split_case_reached():
     assert emb.mapping[1] == 8 and emb.mapping[0] == 12
     star = Forest(9, [(0, v) for v in range(1, 9)])
     assert validate_embedding(G, star, emb).ok
+
+
+# The labels of the returns embedding the six shapes of shape_forests(1023,
+# random.Random(1023)); together they fire every case, 1.2.5.2 included.
+SHAPE_CASE_COUNTS = {
+    "base": 4734, "case-1.1": 791, "case-1.2.1": 442, "case-1.2.2": 763,
+    "case-1.2.3": 15, "case-1.2.4": 183, "case-1.2.5.1": 120, "case-1.2.5.2": 1,
+    "case-2": 161, "forest-component": 6,
+}
+
+
+def test_the_six_shapes_fire_every_case():
+    counts = Counter()
+    for forest in shape_forests(1023, random.Random(1023)).values():
+        emb = embed_forest(build_universal(1023), forest)
+        counts.update(label for label, _ in emb.provenance)
+    assert counts == SHAPE_CASE_COUNTS
+
+
+def test_provenance_record_is_small():
+    # the memory that dropping an embedding's provenance frees, per record;
+    # a (label, (lo, hi)) tuple pair per record took about 150 bytes
+    tree = random_tree(16383, random.Random(16383))
+    G = build_universal(16383)
+    tracemalloc.start()
+    try:
+        emb = embed_forest(G, tree)
+        records, held = len(emb.provenance), tracemalloc.get_traced_memory()[0]
+        del emb.provenance
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records > tree.n
+    assert 0 < freed <= 48 * records, freed / records
+
+
+def test_provenance_at_the_top_of_a_huge_host():
+    # vertices of 41 bits: each packed record holds two and a label code
+    top = 2**40 - 1
+    adj = {0: [1, 2], 1: [0, 3, 4], 2: [0, 5], 3: [1], 4: [1, 6], 5: [2], 6: [4]}
+    emb = embed_tree(UniversalGraph(2**40), RootedTree.from_adjacency(adj, 0), lo=top - 6)
+    records = [("base", (top - 1, top - 1)), ("case-1.2.1", (top - 1, top)),
+               ("base", (top - 5, top - 5)), ("base", (top - 4, top - 4)),
+               ("case-1.2.1", (top - 4, top - 3)), ("case-1.2.1", (top - 4, top - 2)),
+               ("case-1.1", (top - 5, top - 2)), ("case-1.2.2", (top - 6, top - 2)),
+               ("case-1.1", (top - 6, top))]
+    assert repr(emb.provenance) == repr(records)
+    assert sorted(emb.mapping.items()) == [(0, top - 6), (1, top - 2), (2, top),
+                                           (3, top - 5), (4, top - 3), (5, top - 1),
+                                           (6, top - 4)]
+    prov = emb.provenance
+    assert len(prov) == 9 and list(prov) == records
+    assert prov[0] == records[0] and prov[-1] == records[-1] and prov[2:4] == records[2:4]
+    assert ("case-1.2.2", (top - 6, top - 2)) in prov
+    assert ("case-1.2.2", (top - 6, top - 1)) not in prov and "base" not in prov
+    with pytest.raises(TypeError):
+        prov[0] = records[1]
+    with pytest.raises(AttributeError):
+        prov.append(records[0])
+
+
+def test_every_embedder_returns_one_provenance_type():
+    forest = Forest(4, [(0, 1), (1, 2)])
+    cat = Caterpillar(spine=(0, 3), leaves=((1, 2), (4, 5, 6)))
+    cc = ChordedCycle(10, ((0, 3), (5, 9)))
+    embeddings = {
+        "forest": embed_forest(build_universal(4), forest),
+        "tree": embed_tree(build_universal(4), path_tree(3), lo=1),
+        "caterpillar": embed_caterpillar(build_caterpillar_host(7), cat),
+        "twochord": embed_twochord(build_twochord_host(10), cc),
+        "mapping": Embedding({0: 0}),
+    }
+    assert {kind: type(emb.provenance) for kind, emb in embeddings.items()} == dict.fromkeys(
+        embeddings, Provenance)
+    assert list(embeddings["forest"].provenance) == [
+        ("base", (2, 2)), ("case-1.2.2", (1, 2)), ("case-1.2.2", (0, 2)),
+        ("forest-component", (0, 2)), ("base", (3, 3)), ("forest-component", (3, 3))]
+    assert list(embeddings["caterpillar"].provenance) == [("caterpillar", (0, 6))]
+    assert list(embeddings["twochord"].provenance) == [("twochord", (0, 9))]
+    assert len(embeddings["mapping"].provenance) == 0
+    assert repr(embeddings["mapping"].provenance) == "[]"
 
 
 def test_every_rooting_and_portal_choice_works():
