@@ -43,7 +43,8 @@ def locate(h: int, i: int) -> tuple[int, int]:
 
 
 def index_of(h: int, level: int, pos: int) -> int:
-    """Inverse of locate: preorder index of the node at (level, pos)."""
+    """Inverse of locate: preorder index of the node at (level, pos).  A
+    test oracle: nothing in the package calls it."""
     if not 1 <= level <= h:
         raise IndexOutOfRange(f"level {level} not in [1, {h}]")
     if not 0 <= pos < (1 << (level - 1)):
@@ -55,7 +56,8 @@ def index_of(h: int, level: int, pos: int) -> int:
 
 
 def subtree_range(h: int, i: int) -> tuple[int, int]:
-    """Closed preorder index range of the subtree rooted at i."""
+    """Closed preorder index range of the subtree rooted at i.  A test
+    oracle: nothing in the package calls it."""
     _check_index(h, i)
     level, _, _ = _locate(h, i)
     return i, i + (1 << (h - level + 1)) - 2
@@ -74,7 +76,8 @@ def height_key(h: int, i: int) -> int:
 
 
 def key_location(h: int, key: int) -> tuple[int, int]:
-    """Inverse of `height_key` in a tree of height h: the (level, pos) of a key."""
+    """Inverse of `height_key` in a tree of height h: the (level, pos) of a
+    key.  A test oracle: the validator's edge test inlines it."""
     # key = (level << h) - pos with 0 <= pos < 2**h, so level = ceil(key / 2**h)
     level = -(-key >> h)
     return level, (level << h) - key

@@ -380,7 +380,10 @@ def chorded_cycle_count(n: int, h: int) -> int:
     every other arc at least 1.  A symmetry g fixes an arc sequence iff the
     arcs are constant on g's orbits, so for each matching g fixes, the fixed
     pairs are the ways to write n minus the lower bounds as a sum over g's
-    arc orbits of orbit size times a value >= 0."""
+    arc orbits of orbit size times a value >= 0.
+
+    A test oracle: nothing in the package calls it; the tests and CI check
+    `enumerate_chorded_cycles` against it."""
     _check_chorded_caps(n, h)
     if h == 0:
         return 1
@@ -469,7 +472,10 @@ def forest_counts(nmax: int) -> list[int]:
 
 def labeled_forest_survey(n: int) -> tuple[int, int]:
     """(labeled forest count, isomorphism class count) by brute force over
-    all acyclic edge subsets of the complete graph."""
+    all acyclic edge subsets of the complete graph.
+
+    A test oracle: nothing in the package calls it; the tests check the
+    labeled count formula and the forest class recurrence against it."""
     _check_size(n, 8)
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     classes: set[tuple[str, ...]] = set()

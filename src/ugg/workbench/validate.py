@@ -24,19 +24,39 @@ The sweep is one pass over one sorted list of ints.  Segments are named by
 their index in flat lists, and each event packs x, a phase and an index into
 one int, the phases in the order a roof leaves, a query at its segment's
 higher x, a query at its lower x, a roof enters; a query carries its
-segment's index and a roof event its roof's Fenwick slot.  One C
-`list.sort` thus puts the events in sweep order, queries at one x in the
+segment's index and a roof event its roof's rank in the height order.  One
+C `list.sort` thus puts the events in sweep order, queries at one x in the
 order their segments first appear, and the loop keeps no cursor per x into
-lists sorted by start and by end.
+lists sorted by start and by end.  Two sweeps share that front end, the
+count of copies and the witness listing, and differ in how they keep the
+roofs live at x:
+- `_list_sweep`, on the universal host once the edge pass has shown every
+  segment to be a host edge: a sorted list of the live roofs' distinct
+  height keys, with a count of copies per key.  By E1-E3 every roof live at
+  x is an ancestor of x or a level-neighbour near one, and over all edges of
+  the host at most 5h distinct roofs are live at any x (the tests check
+  every n <= 300, 1023 and 4095, and CI 65535, where the most is 68 of 80).
+  So an event costs O(log h) comparisons and an O(h) memmove in C, and a
+  query that counts sums at most 5h counts.  The keys must be distinct: a
+  star's roofs share one key, and a list of every copy would move m**2 / 2
+  pointers as they leave.
+- `_sweep` wherever no rule bounds the live roofs: `roof_crossings` on any
+  segments, and the count on convex hosts after the nesting walk finds a
+  crossing, where all n / 2 diameters of the n-gon are live at once.  It
+  counts the live roofs in a Fenwick tree with a slot per distinct roof,
+  O(log m) per event on every input, and it is the list sweep's oracle.
+
 `validate_embedding` reads the mapping once into an image list, checks
 injectivity with a set of the images, a table sized by the input and never
-by the host, and hands the sweep flat lists of segment ends.
+by the host, and its edge pass hands the sweep two flat lists, the left and
+the right ends of the segments.
 
 Failures are data, not exceptions; every failure carries a witness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,7 +64,7 @@ from itertools import accumulate, chain, count, groupby, islice, repeat
 from operator import add, itemgetter, mul, ne
 
 from ..convex import convex_edges_cross, nesting_crossing
-from ..errors import IndexOutOfRange
+from ..errors import IndexOutOfRange, InputError
 from ..geometry import height_ranks, segments_cross
 from ..host import Embedding
 from ..ugraph import adjacent
@@ -78,66 +98,74 @@ def _input_shape(graph) -> tuple[int, list[tuple[int, int]], bool]:
     return graph.n, graph.edges, True
 
 
-def _listed(pairs, lo, hi, times):
-    """`Crossing` failures in the pairwise scan's order on (lo, hi) forms,
-    each pair of segment indices once per copy of each of its two segments."""
+def _listed(pairs, lo, hi, times) -> list[tuple[str, tuple]]:
+    """At most WITNESS_CAP `Crossing` failures in the pairwise scan's order
+    on (lo, hi) forms, each pair of segment indices once per copy of each of
+    its two segments."""
+    if not pairs:
+        return []
     seg = {k: (lo[k], hi[k]) for p in pairs for k in p}
     copies = {seg[k]: times[k] for k in seg}
     found = sorted(tuple(sorted((seg[s], seg[t]))) for s, t in pairs)
-    for first, group in groupby(found, itemgetter(0)):
-        group = list(group)
-        for _ in range(copies[first]):
-            for p in group:
-                yield from repeat(("Crossing", p), copies[p[1]])
+
+    def listing():
+        for first, group in groupby(found, itemgetter(0)):
+            group = list(group)
+            for _ in range(copies[first]):
+                for p in group:
+                    yield from repeat(("Crossing", p), copies[p[1]])
+
+    return list(islice(listing(), WITNESS_CAP))
 
 
-def _sweep(keys, us, vs, distinct: bool = False) -> tuple[int, list[tuple[str, tuple]], int]:
-    """The roof sweep over the segments with ends us[k] != vs[k], on the
-    height keys `keys`; see `roof_crossings`.  `distinct` says that no
-    segment is listed twice, which spares the count of copies."""
-    lo = [a if a < b else b for a, b in zip(us, vs)]
-    hi = [b if a < b else a for a, b in zip(us, vs)]
+def _segments(lo, hi, distinct: bool):
+    """The segments (lo[k], hi[k]), lo[k] < hi[k], each distinct one once,
+    in the order they first appear, and the number of copies of each.
+    `distinct` says that no segment is listed twice, which spares the count
+    of copies."""
     if distinct:
-        times = [1] * len(lo)
-    else:
-        # the distinct segments in the order they first appear, each named
-        # by its index, with its number of copies
-        width = max(hi, default=0) + 1
-        copies = Counter(map(add, map(mul, lo, repeat(width)), hi))
-        times = list(copies.values())
-        if len(times) < len(lo):
-            lo, hi = [c // width for c in copies], [c % width for c in copies]
-        del copies
+        return lo, hi, [1] * len(lo)
+    width = max(hi, default=0) + 1
+    copies = Counter(map(add, map(mul, lo, repeat(width)), hi))
+    times = list(copies.values())
+    if len(times) < len(lo):
+        lo, hi = [c // width for c in copies], [c % width for c in copies]
+    return lo, hi, times
+
+
+def _events(rank, lo, hi, times):
+    """The sweep's events, sorted, for the distinct segments (lo[k], hi[k])
+    with times[k] copies each; the rank of each segment's lower end and of
+    its roof; and B, the bits of an event that name a segment or a roof.
+    `rank` reads an endpoint's rank as rank[v], an int >= 0: smaller is
+    higher, and two endpoints share a rank only if the higher one is no roof
+    and no roof lies between them.
+
+    Each event is one int: x, then the phase (0 a roof leaves, 1 a query at
+    the higher x of its segment, 2 a query at the lower x, 3 a roof
+    enters), then a query's segment or a roof's rank, which a roof event
+    needs alone: it counts one copy in or out, so a repeated segment has
+    one pair of roof events per copy.  One C `list.sort` thus puts the
+    events in sweep order, queries at one x in the order their segments
+    first appear.  A segment that spans no other endpoint, one between two
+    consecutive xs, is never live at a query, so it makes its query event
+    only."""
     m = len(times)
     xs = sorted(set(lo).union(hi))
-    after = dict(zip(xs, xs[1:]))  # the next endpoint to the right
-    # A vertex's slot counts the roofs not higher than it, so a roof has its
-    # own slot, and the roofs strictly between x and a higher roof y are
-    # those in the slots strictly between slot[x] and slot[y].  The lowest
-    # endpoint is no roof, so every count is an int from the first add on.
-    roofs = {a if keys[a] < keys[b] else b for a, b in zip(lo, hi)}
-    xs.sort(key=keys.__getitem__, reverse=True)
-    slot = dict(zip(xs, accumulate(map(roofs.__contains__, xs))))
-    size = len(roofs) + 1
-    del xs, roofs
-    # Events in sweep order, each one int: x, then the phase (0 a roof
-    # leaves, 1 a query at the higher x of its segment, 2 a query at the
-    # lower x, 3 a roof enters), then a query's segment or a roof's slot,
-    # which a roof event needs alone: it counts one copy in or out, so a
-    # repeated segment has one pair of roof events per copy.  A segment
-    # between two consecutive xs is never live at a query, so it makes its
-    # query event only.
-    B = max(m, size).bit_length()
-    S = B + 2
-    low, roof, events = [0] * m, [0] * m, []
+    after = dict(zip(xs, islice(xs, 1, None)))  # the next endpoint to the right
+    del xs
     # table lookups in C-level passes first: on large inputs they miss the
     # cache, and these passes wait on several misses at once
-    sa, sb = list(map(slot.__getitem__, lo)), list(map(slot.__getitem__, hi))
     far = list(map(ne, map(after.__getitem__, lo), hi))
-    del after, slot
-    for k, a, b, ra, rb, f, t in zip(count(), lo, hi, sa, sb, far, times):
-        if ra < rb:  # a is the lower end
-            low[k], roof[k] = ra, rb
+    del after
+    # the ranks of the left and right ends, made those of the lower end and
+    # the roof in place
+    low, roof = list(map(rank.__getitem__, lo)), list(map(rank.__getitem__, hi))
+    B = max(m, max(low, default=0), max(roof, default=0)).bit_length()
+    S = B + 2
+    events: list[int] = []
+    for k, a, b, ra, rb, f, t in zip(count(), lo, hi, low, roof, far, times):
+        if ra > rb:  # a is the lower end
             events.append(a << S | 2 << B | k)
         else:
             low[k], roof[k] = rb, ra
@@ -148,8 +176,35 @@ def _sweep(keys, us, vs, distinct: bool = False) -> tuple[int, list[tuple[str, t
             events.append(a << S | 3 << B | rb)
         elif f:
             events += [b << S | rb, a << S | 3 << B | rb] * t
-    del sa, sb, far
+    del far
     events.sort()
+    return low, roof, events, B
+
+
+def _live(k, x, lo, hi, low, roof) -> list[tuple[int, int]]:
+    """The pairs (s, k) for the segments s live at x, those whose span holds
+    x strictly, with a roof strictly between the ranks low[k] and roof[k]."""
+    a, b = low[k], roof[k]
+    return [(s, k) for s in range(len(lo)) if lo[s] < x < hi[s] and b < roof[s] < a]
+
+
+def _sweep(keys, lo, hi, distinct: bool = False) -> tuple[int, list[tuple[str, tuple]], int]:
+    """The roof sweep over the segments (lo[k], hi[k]), lo[k] < hi[k], on
+    the height keys `keys`, the live roofs counted in a Fenwick tree; see
+    `roof_crossings`."""
+    lo, hi, times = _segments(lo, hi, distinct)
+    # An endpoint's slot is 1 plus the number of roofs higher than it, so a
+    # roof has its own slot, highest first, and the roofs strictly between a
+    # roof and a lower endpoint are those in the slots strictly between
+    # theirs.  A roof and an endpoint just above it share a slot, but never
+    # a segment: that endpoint would be the segment's roof.
+    roofs = {a if keys[a] < keys[b] else b for a, b in zip(lo, hi)}
+    size = len(roofs) + 1
+    up = sorted(set(lo).union(hi), key=keys.__getitem__)
+    slot = dict(zip(up, accumulate(map(roofs.__contains__, up), initial=1)))
+    del roofs, up
+    low, roof, events, B = _events(slot, lo, hi, times)
+    del slot
     mask = (1 << B) - 1
     tree = [0] * size
     pairs: list[tuple[int, int]] = []
@@ -168,7 +223,7 @@ def _sweep(keys, us, vs, distinct: bool = False) -> tuple[int, list[tuple[str, t
             continue
         # the live roofs strictly between slots a and b: the sums up to b - 1
         # and up to a meet where they agree
-        a, b, c = low[k], roof[k] - 1, 0
+        a, b, c = roof[k], low[k] - 1, 0
         while b > a:
             c += tree[b]
             b &= b - 1
@@ -178,11 +233,48 @@ def _sweep(keys, us, vs, distinct: bool = False) -> tuple[int, list[tuple[str, t
         if c:
             total += c * times[k]
             if len(pairs) < WITNESS_CAP:
-                x, a, b = e >> S, low[k], roof[k]
-                pairs += [(s, k) for s in range(m)
-                          if lo[s] < x < hi[s] and a < roof[s] < b]
-    witnesses = list(islice(_listed(pairs, lo, hi, times), WITNESS_CAP)) if pairs else []
-    return total, witnesses, m
+                pairs += _live(k, e >> B + 2, lo, hi, low, roof)
+    return total, _listed(pairs, lo, hi, times), len(times)
+
+
+def _list_sweep(keys, lo, hi, distinct: bool = False) -> tuple[int, list[tuple[str, tuple]], int]:
+    """The roof sweep over host edges (lo[k], hi[k]), lo[k] < hi[k], on the
+    universal host's height keys `keys`, the live roofs kept as a sorted
+    list of their distinct keys; see `_crossing_rules`."""
+    lo, hi, times = _segments(lo, hi, distinct)
+    low, roof, events, B = _events(keys, lo, hi, times)
+    mask = (1 << B) - 1
+    # the distinct keys of the live roofs, highest first, then a key lower
+    # than every roof, so each query makes one bisection when it counts none
+    live: list[int] = [1 << B]
+    held: dict[int, int] = {}  # the live copies of each key
+    pairs: list[tuple[int, int]] = []
+    total = 0
+    for e in events:
+        k, phase = e & mask, e >> B & 3
+        if phase == 3:  # a copy of the roof with key k enters
+            if k in held:
+                held[k] += 1
+            else:
+                held[k] = 1
+                insort(live, k)
+            continue
+        if phase == 0:  # a copy of the roof with key k leaves
+            c = held[k] - 1
+            if c:
+                held[k] = c
+            else:
+                del held[k]
+                del live[bisect_left(live, k)]
+            continue
+        # the live roofs lower than roof(k) and higher than its lower end
+        i = bisect_right(live, roof[k])
+        if live[i] < low[k]:
+            j = bisect_left(live, low[k], i)
+            total += sum(map(held.__getitem__, islice(live, i, j))) * times[k]
+            if len(pairs) < WITNESS_CAP:
+                pairs += _live(k, e >> B + 2, lo, hi, low, roof)
+    return total, _listed(pairs, lo, hi, times), len(times)
 
 
 def roof_crossings(h: int | None, segments,
@@ -194,42 +286,55 @@ def roof_crossings(h: int | None, segments,
     The query at the lower end e of a segment t asks the roof rule of every
     segment s live at e at once: the roofs of the live segments, those whose
     x-span holds e strictly, are counted in a Fenwick tree with a slot per
-    distinct roof, lowest first, so the sweep keeps no order of segments and
-    takes O(m log m) time on every input.  The events are ints that sort
-    into sweep order: at each x the segments ending at x leave; then each
-    segment t whose lower end is x counts the live roofs strictly between x
-    and roof(t), those ending at x first; then the segments starting at x
-    enter.  A segment between two consecutive xs is never live at a query,
-    so it makes its query event only.  No pair meets the rule both ways
-    round, so the sum of the queries is the exact number of crossing pairs,
-    a repeated segment counted once per copy.  While fewer than WITNESS_CAP
-    pairs are known, a query that counts any scans the segments for the
-    live ones it counted.  The witnesses are listed as by the pairwise scan
-    and cut at WITNESS_CAP, so a count up to WITNESS_CAP lists every pair.
+    distinct roof, highest first, so the sweep keeps no order of segments
+    and takes O(m log m) time on every input, however many roofs are live
+    at once.  The events are ints that sort into sweep order: at each x the
+    segments ending at x leave; then each segment t whose lower end is x
+    counts the live roofs strictly between x and roof(t), those ending at x
+    first; then the segments starting at x enter.  A segment between two
+    consecutive xs is never live at a query, so it makes its query event
+    only.  No pair meets the rule both ways round, so the sum of the queries
+    is the exact number of crossing pairs, a repeated segment counted once
+    per copy.  While fewer than WITNESS_CAP pairs are known, a query that
+    counts any scans the segments for the live ones it counted.  The
+    witnesses are listed as by the pairwise scan and cut at WITNESS_CAP, so
+    a count up to WITNESS_CAP lists every pair.  This Fenwick sweep also
+    counts on convex hosts, and it is the oracle for the universal host's
+    list sweep (see `_crossing_rules`).
 
     `keys` is a table of height keys covering every endpoint, read as
-    keys[v]; without it the sweep builds one.  On a convex host pass
-    keys[v] = -v and no height.
+    keys[v]; without it the sweep builds one, from the height h.  On a
+    convex host pass keys[v] = -v and no height.  Without either,
+    InputError.
     """
-    us, vs = [], []
+    lo, hi = [], []
     for u, v in segments:
-        if u != v:
-            us.append(u)
-            vs.append(v)
+        if u < v:
+            lo.append(u)
+            hi.append(v)
+        elif v < u:
+            lo.append(v)
+            hi.append(u)
     if keys is None:
-        keys = height_ranks(h, set(us).union(vs))
-    return _sweep(keys, us, vs)
+        if h is None:
+            raise InputError("roof_crossings needs the height keys when no height is given")
+        keys = height_ranks(h, set(lo).union(hi))
+    return _sweep(keys, lo, hi)
 
 
 def _crossing_rules(host, endpoints):
     """The edge test and the crossing counter for segments on the given host
     vertices.  The edge test is unchecked: it takes two distinct vertices of
-    the host.  The counter takes the segments' ends as two flat lists and
-    whether the segments are distinct.  On the universal host both read one
-    table of height keys, built here once.  On convex hosts the edge test is
-    the host's own `joins`; the nesting walk looks for a crossing, and only
-    when it finds one does the roof sweep count on the keys -v of the
-    segments' ends."""
+    the host.  The counter takes the segments' ends as two flat lists, lo[k]
+    < hi[k], and whether the segments are distinct, and it runs only once
+    the edge test has passed every segment.  On the universal host both read
+    one table of height keys, built here once, and the counter is the list
+    sweep: the segments are host edges, so at most 5h distinct roofs are
+    live at any x, and a sorted list of their keys stays short.  On convex
+    hosts the edge test is the host's own `joins`; the nesting walk looks
+    for a crossing, and only when it finds one does the Fenwick sweep count
+    on the keys -v of the segments' ends, since there every chord can be
+    live at once."""
     if host.kind == "universal":
         h, keys = host.h, height_ranks(host.h, endpoints)
 
@@ -239,13 +344,13 @@ def _crossing_rules(host, endpoints):
             lu, lv = -(-ku >> h), -(-kv >> h)
             return adjacent(lu, (lu << h) - ku, lv, (lv << h) - kv)
 
-        return is_edge, partial(_sweep, keys)
+        return is_edge, partial(_list_sweep, keys)
 
-    def crossings(us, vs, distinct):
-        pair, checked = nesting_crossing(zip(us, vs), distinct)
+    def crossings(lo, hi, distinct):
+        pair, checked = nesting_crossing(zip(lo, hi), distinct)
         if pair is None:
             return 0, [], checked
-        count, witnesses, queries = _sweep({v: -v for v in chain(us, vs)}, us, vs, distinct)
+        count, witnesses, queries = _sweep({v: -v for v in chain(lo, hi)}, lo, hi, distinct)
         return count, witnesses, checked + queries
 
     return host.joins, crossings
@@ -257,7 +362,8 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
     roof lister.  Segments are (lo, hi) pairs.  It decides a pair by
     `segments_cross` on the universal host and by `convex_edges_cross`,
     which reads no height keys, on convex hosts.  An end off the host
-    raises IndexOutOfRange."""
+    raises IndexOutOfRange.  A test oracle: nothing in the package calls
+    it."""
     ends = {v for s in segments for v in s}
     off = [v for v in ends if not 0 <= v < host.n]
     if off:
@@ -321,17 +427,22 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     # every image is on the host, no two are equal and no edge is a loop, so
     # each pair below is two distinct host vertices: the unchecked rule
     is_edge, crossings = _crossing_rules(host, image)
-    gu: list[int] = []
-    gv: list[int] = []
+    lo: list[int] = []
+    hi: list[int] = []
     for u, v in in_edges:
         a, b = image[u], image[v]
         if not is_edge(a, b):
             failures.append(("MissingEdge", ((u, v), (a, b))))
-        gu.append(a)
-        gv.append(b)
+        if a < b:
+            lo.append(a)
+            hi.append(b)
+        else:
+            lo.append(b)
+            hi.append(a)
     if failures:
         return ValidationReport("failed", failures)
+    del image  # the sweep's tables take its place
 
     # distinct input edges under an injective map are distinct segments
-    count, failures, checked = crossings(gu, gv, distinct)
+    count, failures, checked = crossings(lo, hi, distinct)
     return ValidationReport("failed" if count else "ok", failures, checked, count)

@@ -21,6 +21,11 @@ BIG = 2**20 - 1
 # read 650-659 MB there with provenance packed one int per record, and
 # 831-891 MB with a tuple pair per record (Python 3.10 and 3.11).
 EMBED_MB = 780
+# `ugg verify`'s peak RSS ceiling on the same rows, in MB, with EMBED_MB's
+# margin of 18% over the highest reading.  It read 542-556 MB there with the
+# universal host's live roofs in a sorted list, and 616-634 MB with them in
+# a Fenwick tree indexed by a slot table (Python 3.11).
+VERIFY_MB = 660
 
 
 # forest shapes: (n, rng) -> edges
@@ -72,14 +77,15 @@ class Row:
     expect: tuple[str, ...] = ()  # () reads `ok`; else patterns verify's exit-1 report has
     changed: tuple[str, str] | None = None  # a line 10 for a host copy; verify's exit-2 error
     embed_mb: int | None = None  # a ceiling on `ugg embed`'s peak RSS, in MB
+    verify_mb: int | None = None  # a ceiling on `ugg verify`'s peak RSS, in MB
 
 
 CROSSING = ("Crossing",)
 ROWS = [
     Row("star", "universal", BIG, "star"),  # every roof live at once in the sweep
-    Row("binary", "universal", BIG, "binary", embed_mb=EMBED_MB),
+    Row("binary", "universal", BIG, "binary", embed_mb=EMBED_MB, verify_mb=VERIFY_MB),
     Row("random", "universal", BIG, "random", seed=1,  # every recursion case fires
-        embed_mb=EMBED_MB),
+        embed_mb=EMBED_MB, verify_mb=VERIFY_MB),
     Row("path", "universal", BIG, "path"),  # path and spider: two()'s long path blocks
     Row("caterpillar", "universal", BIG, "caterpillar", seed=BIG),
     Row("spider", "universal", BIG, "spider"),
@@ -176,6 +182,9 @@ def run(row: Row, peaks: list[tuple[str, float]]) -> None:
     out = ugg(limit, 1 if row.expect else 0, peaks, *verify, host).stdout
     if not (all(re.search(p, out, re.M) for p in row.expect) if row.expect else out == "ok\n"):
         raise Failed(f"verify printed\n{out}")
+    mb = peaks[-1][1]
+    if row.verify_mb is not None and mb > row.verify_mb:
+        raise Failed(f"ugg verify peaked at {mb:.0f} MB, over {row.verify_mb} MB")
     if row.changed:
         line, error = row.changed
         lines = Path(host).read_text().split("\n")

@@ -3,7 +3,10 @@
 The roof sweep counts the crossing pairs and lists at most WITNESS_CAP of
 them on every host, reading the height keys -v on convex hosts, where the
 nesting walk decides first whether a crossing exists; the pairwise scan is
-the oracle for all of them.  Tests that compare whole listings raise the cap.
+the oracle for all of them.  The universal host's list sweep, which
+`validate_embedding` runs, is checked against the Fenwick sweep that
+`roof_crossings` runs, and the 5h bound on its live roofs apart from both.
+Tests that compare whole listings raise the cap.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import random
 import time
 import tracemalloc
 from contextlib import contextmanager
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given
@@ -30,7 +34,7 @@ from ugg.convex import (
     nesting_crossing,
 )
 from ugg.embedder import Embedding, embed_forest
-from ugg.errors import IndexOutOfRange
+from ugg.errors import IndexOutOfRange, InputError
 from ugg.geometry import edges_cross, realize_coordinates, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
@@ -287,6 +291,135 @@ def test_star_with_one_crossing_lists_it_in_linear_work():
         assert report.failures == [("Crossing", ((0, 2), (1, 3)))], host.kind
         assert report.crossings == 1, host.kind
         assert report.checked <= 6 * len(edges), host.kind
+
+
+def most_live_roofs(keys, edges) -> int:
+    """The most distinct roofs live at one x among the segments `edges`, on
+    the height keys `keys`, counted apart from any sweep.  Every segment
+    whose roof is r has r as an end, so together they span the x in (a, r)
+    and in (r, b), a the least and b the greatest of their lower ends; a
+    difference list over x adds up those two runs of every roof."""
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    for u, v in edges:
+        if u > v:
+            u, v = v, u
+        if keys[u] < keys[v]:  # u is the roof
+            if right.get(u, u) < v:
+                right[u] = v
+        elif left.get(v, v) > u:
+            left[v] = u
+    diff = [0] * (len(keys) + 1)
+    for r, a in left.items():
+        diff[a + 1] += 1
+        diff[r] -= 1
+    for r, b in right.items():
+        diff[r + 1] += 1
+        diff[b] -= 1
+    return max(accumulate(diff))
+
+
+@pytest.mark.parametrize("sizes", [range(1, 301), (1023, 4095)])
+def test_live_roofs_stay_within_five_per_level(sizes):
+    """Over every edge of the universal host, at most 5h distinct roofs are
+    live at any x: each is an ancestor of x or a level-neighbour near one
+    (E1-E3).  That bounds the universal host's list of live roofs."""
+    for n in sizes:
+        host = UniversalGraph(n)
+        live = most_live_roofs(btree.height_keys(host.h, n), host.edges())
+        assert live <= 5 * host.h, (n, live)
+
+
+def test_most_live_roofs_counts_each_roof_once():
+    # on the 15-vertex host 0 is the highest vertex and 9 is higher than
+    # every vertex but 0, 1, 8 and 12: three segments with roof 9 span
+    # x = 3 to 13 but for 9 itself, one with roof 0 spans 1 to 13, and the
+    # segment (14, 13) spans no x
+    keys = btree.height_keys(4, 15)
+    edges = [(2, 9), (4, 9), (9, 14), (0, 14), (14, 13)]
+    assert most_live_roofs(keys, edges) == 2
+    assert most_live_roofs(keys, edges[:3]) == 1
+    assert most_live_roofs(keys, [(13, 14)]) == 0
+
+
+def host_edge_sample(n: int, seed: int) -> list[tuple[int, int]]:
+    """A seeded random share of the universal host's edges, a fifth of them
+    copied once more, every other copy reversed, in random order."""
+    rng = random.Random(seed)
+    share = rng.choice([0.02, 0.1, 0.3]) * min(1.0, 1000 / n)
+    edges = [e for e in UniversalGraph(n).edges() if rng.random() < share]
+    edges += [edges[i][::-1] if i % 2 else edges[i]
+              for i in rng.choices(range(len(edges)), k=len(edges) // 5)]
+    rng.shuffle(edges)
+    return edges
+
+
+@pytest.mark.parametrize("n", [63, 255, 1023, 4095])
+def test_list_sweep_equals_fenwick_sweep(n):
+    """On host edges the universal host's list sweep returns what the
+    Fenwick sweep returns: the count, the witnesses and the queries, with
+    repeated and reversed segments counted once per copy; and so does the
+    report of the identity map."""
+    host = UniversalGraph(n)
+    keys = btree.height_keys(host.h, n)
+    identity = Embedding({v: v for v in range(n)})
+    counts = []
+    for seed in range(4):
+        edges = host_edge_sample(n, 1000 * n + seed)
+        lo, hi = [min(e) for e in edges], [max(e) for e in edges]
+        fenwick = validate._sweep(keys, lo, hi)
+        assert validate._list_sweep(keys, lo, hi) == fenwick, seed
+        assert roof_crossings(host.h, edges) == fenwick
+        report = validate_embedding(host, (n, edges), identity)
+        assert (report.crossings, report.failures, report.checked) == fenwick
+        counts.append(fenwick[0])
+    assert max(counts) > WITNESS_CAP, counts
+
+
+def test_list_sweep_equals_fenwick_sweep_on_every_host_edge(monkeypatch):
+    """Every edge of the universal host: 882,069 crossing pairs on 255
+    vertices, where both sweeps list the first 10,000 alike, and 32,655 on
+    63 vertices, where both list every pair as the pairwise scan does."""
+    for n, count, cap in ((255, 882_069, 10_000), (63, 32_655, 10**9)):
+        host = UniversalGraph(n)
+        keys = btree.height_keys(host.h, n)
+        edges = list(host.edges())
+        lo, hi = [u for u, _ in edges], [v for _, v in edges]
+        monkeypatch.setattr(validate, "WITNESS_CAP", cap)
+        fenwick = validate._sweep(keys, lo, hi, True)
+        assert fenwick[0] == count and len(fenwick[1]) == min(count, cap)
+        assert validate._list_sweep(keys, lo, hi, True) == fenwick
+    assert fenwick[1] == pairwise_crossings(host, edges)[0]
+
+
+def test_star_validation_costs_no_more_than_a_path():
+    """The universal host's list sweep keeps each live roof once, with a
+    count of its copies: a star's 65,534 segments share one roof, and a list
+    that held every copy would move about m**2 / 2 pointers as they leave.
+    Validating the star then costs at most twice the path."""
+    n = 65535
+    host = UniversalGraph(n)
+    identity = Embedding({v: v for v in range(n)})
+    shapes = {"star": Forest(n, [(0, i) for i in range(1, n)]),
+              "path": Forest(n, [(i, i + 1) for i in range(n - 1)])}
+    best = dict.fromkeys(shapes, math.inf)
+    for _ in range(3):
+        for name, forest in shapes.items():
+            start = time.process_time()
+            report = validate_embedding(host, forest, identity)
+            best[name] = min(best[name], time.process_time() - start)
+            assert report.ok and report.checked == n - 1, name
+    assert best["star"] <= 2 * best["path"], best
+
+
+def test_roof_crossings_needs_keys_without_a_height():
+    segments = [(0, 2), (1, 3)]
+    with pytest.raises(InputError, match="needs the height keys"):
+        roof_crossings(None, segments)
+    with pytest.raises(InputError, match="needs the height keys"):
+        roof_crossings(None, [])
+    count, witnesses, _ = roof_crossings(None, segments, {v: -v for v in range(4)})
+    assert count == 1 and witnesses == [("Crossing", ((0, 2), (1, 3)))]
 
 
 def test_roof_rule_on_keys_minus_v_is_the_chord_rule():

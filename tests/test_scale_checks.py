@@ -1,5 +1,6 @@
 """The rows of tests/scale_checks.py, each input written at n = 63."""
 
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -58,3 +59,27 @@ def test_command_stops_at_its_limit():
     with pytest.raises(subprocess.TimeoutExpired):
         scale_checks.command([sys.executable, "-c", "import time; time.sleep(60)"], 0.5)
     assert time.monotonic() - t0 < 30
+
+
+@pytest.mark.parametrize("name", ["binary", "random"])
+def test_row_fails_a_command_over_its_peak_ceiling(tmp_path, monkeypatch, name):
+    # every command exits 0 and prints ok; `ugg embed` and `ugg verify` read
+    # the peak set here, and each fails its row only over its own ceiling
+    monkeypatch.chdir(tmp_path)
+    row = dataclasses.replace(next(r for r in scale_checks.ROWS if r.name == name), n=63)
+    assert (row.embed_mb, row.verify_mb) == (scale_checks.EMBED_MB, scale_checks.VERIFY_MB)
+    mb = {}
+
+    def command(argv, limit):
+        return subprocess.CompletedProcess(argv, 0, "ok\n", ""), mb.get(argv[1], 20)
+
+    monkeypatch.setattr(scale_checks, "command", command)
+    mb.update(embed=row.embed_mb, verify=row.verify_mb)
+    peaks = []
+    scale_checks.run(row, peaks)
+    assert peaks == [("build", 20), ("embed", row.embed_mb), ("verify", row.verify_mb)]
+    for over in ("embed", "verify"):
+        mb[over] += 1
+        with pytest.raises(scale_checks.Failed, match=f"ugg {over} peaked at {mb[over]} MB"):
+            scale_checks.run(row, [])
+        mb[over] -= 1
