@@ -290,7 +290,7 @@ class ChordedCycle:
         object.__setattr__(self, "chords", tuple(sorted(norm)))
         if n < 2 * self.h + 2:
             raise MalformedInput(f"{self.h} disjoint chords need >= {2 * self.h + 2} vertices")
-        pair, _ = nesting_crossing(norm, distinct=True)
+        pair, _ = nesting_crossing(norm)
         if pair is not None:
             raise MalformedInput(f"chords {pair[0]} and {pair[1]} interleave")
 
@@ -323,26 +323,22 @@ def convex_edges_cross(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> bool
     return in1 != in2
 
 
-def nesting_crossing(chords, distinct: bool = False
-                     ) -> tuple[tuple[tuple[int, int], tuple[int, int]] | None, int]:
-    """A crossing pair among chords of the convex n-gon on 0..n-1, or None,
-    and the number of stack comparisons made.  Repeated chords, in either
-    orientation, count once; `distinct` says that the caller knows there are
-    none, and skips the set that drops them.
+def nesting_crossing(chords) -> tuple[tuple[tuple[int, int], tuple[int, int]] | None, int]:
+    """A crossing pair among chords of the convex n-gon on 0..n-1, given in
+    either orientation, or None, and the number of stack comparisons made.
+    Each listed chord is walked, a repeated one once per copy.
 
     Chords (a, b) and (c, d), read as a < b and c < d with a <= c, cross iff
     a < c < b < d; chords sharing an endpoint never cross.  So the chords are
     crossing-free iff, taken by (lo, -hi), they nest like parentheses: pop
     every open chord that ends by lo, then the innermost open one must not
     end before hi.  That order comes from two stable sorts in C, by hi
-    descending and then by lo; the chords are distinct, so it is total.
+    descending and then by lo; it ties only copies of one chord, which nest
+    in one another and cross nothing the first copy does not.
     """
     open_: list[tuple[int, int]] = []
     checked = 0
-    if distinct:
-        order = [(u, v) if u < v else (v, u) for u, v in chords]
-    else:
-        order = list({(u, v) if u < v else (v, u) for u, v in chords})
+    order = [(u, v) if u < v else (v, u) for u, v in chords]
     order.sort(key=itemgetter(1), reverse=True)
     order.sort(key=itemgetter(0))
     for lo, hi in order:

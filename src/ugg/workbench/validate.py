@@ -26,20 +26,21 @@ one int, the phases in the order a roof leaves, a query at its segment's
 higher x, a query at its lower x, a roof enters; a query carries its
 segment's index and a roof event its roof's rank in the height order.  One
 C `list.sort` thus puts the events in sweep order, queries at one x in the
-order their segments first appear, and the loop keeps no cursor per x into
-lists sorted by start and by end.  Two sweeps share that front end, the
-count of copies and the witness listing, and differ in how they keep the
-roofs live at x:
+order their segments are listed, and the loop keeps no cursor per x into
+lists sorted by start and by end.  Each listed segment is one segment, with
+its own query and its own pair of roof events, so a segment listed twice
+crosses as two.  Two sweeps share that front end and the witness listing,
+and differ in how they keep the roofs live at x:
 - `_list_sweep`, on the universal host once the edge pass has shown every
   segment to be a host edge: a sorted list of the live roofs' distinct
-  height keys, with a count of copies per key.  By E1-E3 every roof live at
-  x is an ancestor of x or a level-neighbour near one, and over all edges of
-  the host at most 5h distinct roofs are live at any x (the tests check
-  every n <= 300, 1023 and 4095, and CI 65535, where the most is 68 of 80).
-  So an event costs O(log h) comparisons and an O(h) memmove in C, and a
-  query that counts sums at most 5h counts.  The keys must be distinct: a
-  star's roofs share one key, and a list of every copy would move m**2 / 2
-  pointers as they leave.
+  height keys, with the number of live segments per key.  By E1-E3 every
+  roof live at x is an ancestor of x or a level-neighbour near one, and
+  over all edges of the host at most 5h distinct roofs are live at any x
+  (the tests check every n <= 300, 1023 and 4095, and CI 65535, where the
+  most is 68 of 80).  So an event costs O(log h) comparisons and an O(h)
+  memmove in C, and a query that counts sums at most 5h counts.  The keys
+  must be distinct: a star's segments share one roof, and a list with an
+  entry per live segment would move m**2 / 2 pointers as they leave.
 - `_sweep` wherever no rule bounds the live roofs: `roof_crossings` on any
   segments, and the count on convex hosts after the nesting walk finds a
   crossing, where all n / 2 diameters of the n-gon are live at once.  It
@@ -57,11 +58,10 @@ Failures are data, not exceptions; every failure carries a witness.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, count, groupby, islice, repeat
-from operator import add, itemgetter, mul, ne
+from itertools import accumulate, chain, count, islice
+from operator import ne
 
 from ..convex import convex_edges_cross, nesting_crossing
 from ..errors import IndexOutOfRange, InputError
@@ -77,8 +77,9 @@ WITNESS_CAP = 20  # most `Crossing` witnesses that one report lists
 class ValidationReport:
     status: str  # "ok" | "failed"
     failures: list[tuple[str, tuple]] = field(default_factory=list)
-    # crossing tests made: the roof queries (universal host), or the stack
-    # comparisons and, if there is a crossing, the roof queries (convex hosts)
+    # crossing tests made: one roof query per listed edge (universal host),
+    # or the stack comparisons and, if there is a crossing, one roof query
+    # per listed edge (convex hosts)
     checked: int = 0
     # crossing pairs, a repeated segment once per copy; `failures` lists at
     # most WITNESS_CAP of them
@@ -89,68 +90,43 @@ class ValidationReport:
         return self.status == "ok"
 
 
-def _input_shape(graph) -> tuple[int, list[tuple[int, int]], bool]:
-    """The input's n, its edges, and whether they are known to be distinct:
-    an input graph lists each edge once, a raw (n, edges) pair may not."""
+def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
+    """The input's n and its edges, from an input graph or a raw (n, edges)
+    pair."""
     if isinstance(graph, tuple):
         n, edges = graph
-        return n, list(edges), False
-    return graph.n, graph.edges, True
+        return n, list(edges)
+    return graph.n, graph.edges
 
 
-def _listed(pairs, lo, hi, times) -> list[tuple[str, tuple]]:
-    """At most WITNESS_CAP `Crossing` failures in the pairwise scan's order
-    on (lo, hi) forms, each pair of segment indices once per copy of each of
-    its two segments."""
-    if not pairs:
-        return []
-    seg = {k: (lo[k], hi[k]) for p in pairs for k in p}
-    copies = {seg[k]: times[k] for k in seg}
-    found = sorted(tuple(sorted((seg[s], seg[t]))) for s, t in pairs)
-
-    def listing():
-        for first, group in groupby(found, itemgetter(0)):
-            group = list(group)
-            for _ in range(copies[first]):
-                for p in group:
-                    yield from repeat(("Crossing", p), copies[p[1]])
-
-    return list(islice(listing(), WITNESS_CAP))
+def _listed(pairs, lo, hi) -> list[tuple[str, tuple]]:
+    """At most WITNESS_CAP `Crossing` failures on (lo, hi) forms for the
+    pairs of segment indices, in the pairwise scan's order: by the smaller
+    segment, its index, then the other segment."""
+    found = []
+    for s, t in pairs:
+        a, b = (lo[s], hi[s]), (lo[t], hi[t])
+        found.append((a, s, b) if a < b else (b, t, a))
+    found.sort()
+    return [("Crossing", (a, b)) for a, _, b in found[:WITNESS_CAP]]
 
 
-def _segments(lo, hi, distinct: bool):
-    """The segments (lo[k], hi[k]), lo[k] < hi[k], each distinct one once,
-    in the order they first appear, and the number of copies of each.
-    `distinct` says that no segment is listed twice, which spares the count
-    of copies."""
-    if distinct:
-        return lo, hi, [1] * len(lo)
-    width = max(hi, default=0) + 1
-    copies = Counter(map(add, map(mul, lo, repeat(width)), hi))
-    times = list(copies.values())
-    if len(times) < len(lo):
-        lo, hi = [c // width for c in copies], [c % width for c in copies]
-    return lo, hi, times
-
-
-def _events(rank, lo, hi, times):
-    """The sweep's events, sorted, for the distinct segments (lo[k], hi[k])
-    with times[k] copies each; the rank of each segment's lower end and of
-    its roof; and B, the bits of an event that name a segment or a roof.
-    `rank` reads an endpoint's rank as rank[v], an int >= 0: smaller is
-    higher, and two endpoints share a rank only if the higher one is no roof
-    and no roof lies between them.
+def _events(rank, lo, hi):
+    """The sweep's events, sorted, for the segments (lo[k], hi[k]); the rank
+    of each segment's lower end and of its roof; and B, the bits of an event
+    that name a segment or a roof.  `rank` reads an endpoint's rank as
+    rank[v], an int >= 0: smaller is higher, and two endpoints share a rank
+    only if the higher one is no roof and no roof lies between them.
 
     Each event is one int: x, then the phase (0 a roof leaves, 1 a query at
     the higher x of its segment, 2 a query at the lower x, 3 a roof
     enters), then a query's segment or a roof's rank, which a roof event
-    needs alone: it counts one copy in or out, so a repeated segment has
-    one pair of roof events per copy.  One C `list.sort` thus puts the
-    events in sweep order, queries at one x in the order their segments
-    first appear.  A segment that spans no other endpoint, one between two
-    consecutive xs, is never live at a query, so it makes its query event
-    only."""
-    m = len(times)
+    needs alone: it counts one segment in or out.  One C `list.sort` thus
+    puts the events in sweep order, queries at one x in the order their
+    segments are listed.  A segment that spans no other endpoint, one
+    between two consecutive xs, is never live at a query, so it makes its
+    query event only."""
+    m = len(lo)
     xs = sorted(set(lo).union(hi))
     after = dict(zip(xs, islice(xs, 1, None)))  # the next endpoint to the right
     del xs
@@ -164,18 +140,16 @@ def _events(rank, lo, hi, times):
     B = max(m, max(low, default=0), max(roof, default=0)).bit_length()
     S = B + 2
     events: list[int] = []
-    for k, a, b, ra, rb, f, t in zip(count(), lo, hi, low, roof, far, times):
+    for k, a, b, ra, rb, f in zip(count(), lo, hi, low, roof, far):
         if ra > rb:  # a is the lower end
             events.append(a << S | 2 << B | k)
         else:
             low[k], roof[k] = rb, ra
             events.append(b << S | 1 << B | k)
             rb = ra
-        if f and t == 1:
+        if f:
             events.append(b << S | rb)
             events.append(a << S | 3 << B | rb)
-        elif f:
-            events += [b << S | rb, a << S | 3 << B | rb] * t
     del far
     events.sort()
     return low, roof, events, B
@@ -188,11 +162,10 @@ def _live(k, x, lo, hi, low, roof) -> list[tuple[int, int]]:
     return [(s, k) for s in range(len(lo)) if lo[s] < x < hi[s] and b < roof[s] < a]
 
 
-def _sweep(keys, lo, hi, distinct: bool = False) -> tuple[int, list[tuple[str, tuple]], int]:
+def _sweep(keys, lo, hi) -> tuple[int, list[tuple[str, tuple]], int]:
     """The roof sweep over the segments (lo[k], hi[k]), lo[k] < hi[k], on
     the height keys `keys`, the live roofs counted in a Fenwick tree; see
     `roof_crossings`."""
-    lo, hi, times = _segments(lo, hi, distinct)
     # An endpoint's slot is 1 plus the number of roofs higher than it, so a
     # roof has its own slot, highest first, and the roofs strictly between a
     # roof and a lower endpoint are those in the slots strictly between
@@ -203,7 +176,7 @@ def _sweep(keys, lo, hi, distinct: bool = False) -> tuple[int, list[tuple[str, t
     up = sorted(set(lo).union(hi), key=keys.__getitem__)
     slot = dict(zip(up, accumulate(map(roofs.__contains__, up), initial=1)))
     del roofs, up
-    low, roof, events, B = _events(slot, lo, hi, times)
+    low, roof, events, B = _events(slot, lo, hi)
     del slot
     mask = (1 << B) - 1
     tree = [0] * size
@@ -231,35 +204,34 @@ def _sweep(keys, lo, hi, distinct: bool = False) -> tuple[int, list[tuple[str, t
             c -= tree[a]
             a &= a - 1
         if c:
-            total += c * times[k]
+            total += c
             if len(pairs) < WITNESS_CAP:
                 pairs += _live(k, e >> B + 2, lo, hi, low, roof)
-    return total, _listed(pairs, lo, hi, times), len(times)
+    return total, _listed(pairs, lo, hi), len(lo)
 
 
-def _list_sweep(keys, lo, hi, distinct: bool = False) -> tuple[int, list[tuple[str, tuple]], int]:
+def _list_sweep(keys, lo, hi) -> tuple[int, list[tuple[str, tuple]], int]:
     """The roof sweep over host edges (lo[k], hi[k]), lo[k] < hi[k], on the
     universal host's height keys `keys`, the live roofs kept as a sorted
     list of their distinct keys; see `_crossing_rules`."""
-    lo, hi, times = _segments(lo, hi, distinct)
-    low, roof, events, B = _events(keys, lo, hi, times)
+    low, roof, events, B = _events(keys, lo, hi)
     mask = (1 << B) - 1
     # the distinct keys of the live roofs, highest first, then a key lower
     # than every roof, so each query makes one bisection when it counts none
     live: list[int] = [1 << B]
-    held: dict[int, int] = {}  # the live copies of each key
+    held: dict[int, int] = {}  # the live segments with each key as roof
     pairs: list[tuple[int, int]] = []
     total = 0
     for e in events:
         k, phase = e & mask, e >> B & 3
-        if phase == 3:  # a copy of the roof with key k enters
+        if phase == 3:  # a segment with roof key k enters
             if k in held:
                 held[k] += 1
             else:
                 held[k] = 1
                 insort(live, k)
             continue
-        if phase == 0:  # a copy of the roof with key k leaves
+        if phase == 0:  # a segment with roof key k leaves
             c = held[k] - 1
             if c:
                 held[k] = c
@@ -271,17 +243,17 @@ def _list_sweep(keys, lo, hi, distinct: bool = False) -> tuple[int, list[tuple[s
         i = bisect_right(live, roof[k])
         if live[i] < low[k]:
             j = bisect_left(live, low[k], i)
-            total += sum(map(held.__getitem__, islice(live, i, j))) * times[k]
+            total += sum(map(held.__getitem__, islice(live, i, j)))
             if len(pairs) < WITNESS_CAP:
                 pairs += _live(k, e >> B + 2, lo, hi, low, roof)
-    return total, _listed(pairs, lo, hi, times), len(times)
+    return total, _listed(pairs, lo, hi), len(lo)
 
 
 def roof_crossings(h: int | None, segments,
                    keys=None) -> tuple[int, list[tuple[str, tuple]], int]:
     """The roof sweep over host segments: the number of crossing pairs, at
     most WITNESS_CAP of them as `Crossing` failures, and the number of roof
-    queries made, one per distinct segment.
+    queries made, one per listed segment.
 
     The query at the lower end e of a segment t asks the roof rule of every
     segment s live at e at once: the roofs of the live segments, those whose
@@ -293,12 +265,13 @@ def roof_crossings(h: int | None, segments,
     counts the live roofs strictly between x and roof(t), those ending at x
     first; then the segments starting at x enter.  A segment between two
     consecutive xs is never live at a query, so it makes its query event
-    only.  No pair meets the rule both ways round, so the sum of the queries
-    is the exact number of crossing pairs, a repeated segment counted once
-    per copy.  While fewer than WITNESS_CAP pairs are known, a query that
-    counts any scans the segments for the live ones it counted.  The
-    witnesses are listed as by the pairwise scan and cut at WITNESS_CAP, so
-    a count up to WITNESS_CAP lists every pair.  This Fenwick sweep also
+    only.  Each listed segment is its own, with its own query and roof
+    events.  No pair meets the rule both ways round, so the sum of the
+    queries is the exact number of crossing pairs, a repeated segment
+    counted once per copy.  While fewer than WITNESS_CAP pairs are known, a
+    query that counts any scans the segments for the live ones it counted.
+    The witnesses are listed as by the pairwise scan and cut at WITNESS_CAP,
+    so a count up to WITNESS_CAP lists every pair.  This Fenwick sweep also
     counts on convex hosts, and it is the oracle for the universal host's
     list sweep (see `_crossing_rules`).
 
@@ -326,9 +299,9 @@ def _crossing_rules(host, endpoints):
     """The edge test and the crossing counter for segments on the given host
     vertices.  The edge test is unchecked: it takes two distinct vertices of
     the host.  The counter takes the segments' ends as two flat lists, lo[k]
-    < hi[k], and whether the segments are distinct, and it runs only once
-    the edge test has passed every segment.  On the universal host both read
-    one table of height keys, built here once, and the counter is the list
+    < hi[k], one segment per listed edge, and it runs only once the edge
+    test has passed every segment.  On the universal host both read one
+    table of height keys, built here once, and the counter is the list
     sweep: the segments are host edges, so at most 5h distinct roofs are
     live at any x, and a sorted list of their keys stays short.  On convex
     hosts the edge test is the host's own `joins`; the nesting walk looks
@@ -346,11 +319,11 @@ def _crossing_rules(host, endpoints):
 
         return is_edge, partial(_list_sweep, keys)
 
-    def crossings(lo, hi, distinct):
-        pair, checked = nesting_crossing(zip(lo, hi), distinct)
+    def crossings(lo, hi):
+        pair, checked = nesting_crossing(zip(lo, hi))
         if pair is None:
             return 0, [], checked
-        count, witnesses, queries = _sweep({v: -v for v in chain(lo, hi)}, lo, hi, distinct)
+        count, witnesses, queries = _sweep({v: -v for v in chain(lo, hi)}, lo, hi)
         return count, witnesses, checked + queries
 
     return host.joins, crossings
@@ -392,7 +365,7 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     input edge on a host edge, no two mapped segments crossing.  The graph
     is an input graph, read as `graph.n` and `graph.edges`, each edge listed
     once, or a raw (n, edges) tuple, whose edges may repeat."""
-    n_in, in_edges, distinct = _input_shape(graph)
+    n_in, in_edges = _input_shape(graph)
     # an input edge that is a loop or leaves [0, n_in) fails before any host test
     failures: list[tuple[str, tuple]] = [
         ("DegenerateEdge" if 0 <= u == v < n_in else "IndexOutOfRange", (u, v))
@@ -443,6 +416,5 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
         return ValidationReport("failed", failures)
     del image  # the sweep's tables take its place
 
-    # distinct input edges under an injective map are distinct segments
-    count, failures, checked = crossings(lo, hi, distinct)
+    count, failures, checked = crossings(lo, hi)
     return ValidationReport("failed" if count else "ok", failures, checked, count)

@@ -381,7 +381,7 @@ def lambda_nesting_crossing(chords):
     """The nesting walk with the chords sorted by a Python key, the oracle
     for `nesting_crossing`'s two C-level sorts."""
     open_, checked = [], 0
-    norm = {(u, v) if u < v else (v, u) for u, v in chords}
+    norm = [(u, v) if u < v else (v, u) for u, v in chords]
     for lo, hi in sorted(norm, key=lambda ch: (ch[0], -ch[1])):
         while open_:
             checked += 1
@@ -412,21 +412,6 @@ def test_nesting_crossing_matches_the_lambda_sorted_walk():
                     kept.append(ch)
             chords = kept
         got = nesting_crossing(chords)
-        assert got == lambda_nesting_crossing(chords), (n, chords)
-        outcomes.add(got[0] is None)
-    assert outcomes == {True, False}
-
-
-def test_nesting_crossing_of_distinct_chords_matches_the_walk():
-    # a caller that knows its chords are distinct skips the set; the pair and
-    # the count of comparisons stay those of the walk, in either orientation
-    rng = random.Random(24)
-    outcomes = set()
-    for _ in range(300):
-        n = rng.randrange(3, 201)
-        chords = list({tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, n))})
-        chords = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chords]
-        got = nesting_crossing(chords, distinct=True)
         assert got == lambda_nesting_crossing(chords), (n, chords)
         outcomes.add(got[0] is None)
     assert outcomes == {True, False}
