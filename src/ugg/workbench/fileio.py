@@ -9,21 +9,34 @@ UTF-8 everywhere; blank lines and `#` comments ignored.  A forest or chorded
 file may declare at most INPUT_CAP vertices; a larger `n` raises SizeTooLarge,
 as does a host past EXPLICIT_CAP vertices or edges written with its edges.
 
-Every file is read in one of two ways.  A file laid out exactly as this
-module writes it takes a bulk path: an explicit host file equal to the
-host's own rendering is accepted block by block, each vertex's edge lines
-built from the host's walk and compared in place with the file's text, and
-a forest, chorded or embedding file of single-spaced lines is parsed with
-one `split()` of the whole text.  Any other file, with comments, blank lines,
-other spacing, edges in another order or an error, is read row by row,
-which accepts every valid layout and names what is wrong.
+No reader holds a file's text, and no writer joins one.  Every file is read
+in one of two ways.  An explicit host file is first compared with the host's
+own rendering as it is read, 16 blocks at a time: each vertex's edge lines
+are built from the host's walk and compared in place with the bytes read,
+and the walk stops at the first difference.  Any other file is read in
+pieces of whole lines, one BLOCK at a time, header rows first.  A piece in
+the layout the writers produce (`<key> <int>` lines, then single-spaced
+`<tag> <int> <int>` lines) is split as bytes, with no per-line work; any
+other piece, with comments, blank lines, other spacing or an error, is
+decoded and read row by row, which accepts every valid layout.  A fault in
+the header rows is named at once.  Past them, faults are named as if the
+whole text had been read: bytes that are not UTF-8, else the first bad row,
+else the first bad token, then what the header declares.  A forest file is
+read only up to its n-th pair row, since n edges are one more than a forest
+on n vertices has.  A host file that is not its host's
+rendering keeps each listed edge as one packed int, u·n + v, in one array,
+sorted in place and walked in lockstep with the host's edges.
 """
 
 from __future__ import annotations
 
+import heapq
+import os
 import re
-from itertools import chain
-from operator import itemgetter, ne
+from array import array
+from contextlib import contextmanager
+from itertools import chain, islice
+from operator import eq, ne
 from pathlib import Path
 from typing import Iterator
 
@@ -43,7 +56,7 @@ MAGIC = "ugg-graph v1"
 # builds lists of n entries, so a larger n is refused before anything is built.
 INPUT_CAP = 1 << 20
 # Most vertices, and most edges, that a host file lists explicitly.  Writing
-# one builds every edge line in memory, so a larger host is refused before
+# one holds every edge line in memory, so a larger host is refused before
 # the file is touched.
 EXPLICIT_CAP = 1 << 20
 # Every host kind but `custom`, which a file defines by its edge list.
@@ -53,48 +66,104 @@ HOST_BUILDERS = {
     "twochord": build_twochord_host,
     "complete": build_complete_host,
 }
-# The layout each writer below produces: `<key> <int>` header lines, then
-# one `<tag> <int> <int>` line per pair, single-spaced, each ending in "\n".
-# Its number of header lines, and a pattern only that layout matches.  An
-# int of at most 18 digits is well inside what `int()` parses.
-_LAYOUTS = {
-    fmt: (len(keys), re.compile("".join(f"{key} [0-9]{{1,18}}\n" for key in keys)
-                                + f"(?:{tag} [0-9]{{1,18}} [0-9]{{1,18}}\n)*"))
-    for fmt, keys, tag in (("forest", "n", "e"), ("chorded", "nh", "c"), ("embedding", "", "m"))
-}
-# The first three lines of a host file as `save_host` writes them.
-_HOST_HEAD = re.compile(f"{re.escape(MAGIC)}\nkind ([a-z]+)\nn ([0-9]{{1,18}})\n")
-# Pairs as two columns of ints.
-_Columns = tuple[list[int], list[int]]
+# Bytes of a file parsed at a time.  Raw bytes and packed ints cost a
+# fraction of a parsed block's tokens: the host check reads 16 blocks at a
+# time, and the general host path sorts its edges in runs of 16 blocks.
+BLOCK = 1 << 12
+# The layout the writers produce: `<key> <int>` header lines, then one
+# `<tag> <int> <int>` line per pair, single-spaced, each ending in "\n".
+# `split()` reads such lines as `_lines` reads their text.  An int of at
+# most 18 digits is well inside what `int()` parses.
+_KEYS = re.compile(rb"(?:[a-z]+ [0-9]{1,18}\n)*")
+_PAIRS = re.compile(rb"(?:[a-z] [0-9]{1,18} [0-9]{1,18}\n)*")
+# The first three lines of a host file as `save_host` writes them, and a
+# length that holds them for every built-in kind.
+_HOST_HEAD = re.compile(re.escape(MAGIC.encode()) + rb"\nkind ([a-z]+)\nn ([0-9]{1,18})\n")
+_HOST_HEAD_BYTES = 100
+# The rows of one piece of a file, then the tokens of the written pair lines
+# that follow them in the piece.
+_Piece = tuple[list[list[str]], list[bytes]]
 
 
-def _read(path) -> str:
-    """The text of a file; unreadable or not UTF-8 is malformed input."""
+@contextmanager
+def _opened(path):
+    """The file, open for binary reads; unreadable is malformed input."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            yield f
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{path} is not UTF-8: {exc}") from exc
+
+
+def _not_utf8(path, exc: UnicodeDecodeError, offset: int) -> MalformedInput:
+    """The error for bytes that are not UTF-8, with positions counted from
+    the file's start, as decoding the whole file names them."""
+    start, end = offset + exc.start, offset + exc.end - 1
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if start == end
+             else f"bytes in position {start}-{end}")
+    return MalformedInput(f"{path} is not UTF-8: '{exc.encoding}' codec can't decode "
+                          f"{where}: {exc.reason}")
 
 
 def _lines(text: str) -> list[list[str]]:
     return [row for row in map(str.split, text.splitlines()) if row and row[0][0] != "#"]
 
 
-def _parse(text: str, *fmts: str) -> tuple[list[list[str]], _Columns | None]:
-    """The rows of a file and its pairs.  A file in the written layout of
-    one of `fmts` is parsed with one `split()` and no per-line work: its
-    header rows and its pairs.  Any other file: every row, and None for the
-    pairs, which the caller parses after it has checked the header."""
-    for fmt in fmts:
-        k, layout = _LAYOUTS[fmt]
-        if layout.fullmatch(text):
-            tokens = text.split()
-            heads = [tokens[i:i + 2] for i in range(0, 2 * k, 2)]
-            first, second = tokens[2 * k + 1::3], tokens[2 * k + 2::3]
-            return heads, (list(map(int, first)), list(map(int, second)))
-    return _lines(text), None
+def _pieces(f) -> Iterator[tuple[int, bytes]]:
+    """The bytes of `f` in pieces of whole lines, one per BLOCK read (the
+    last may lack its line break), each with its offset in the file."""
+    parts: list[bytes] = []
+    offset = 0
+    while data := f.read(BLOCK):
+        cut = data.rfind(b"\n") + 1
+        if not cut:  # a line longer than a block
+            parts.append(data)
+            continue
+        piece = b"".join([*parts, data[:cut]])
+        yield offset, piece
+        offset += len(piece)
+        parts = [data[cut:]]
+    piece = b"".join(parts)
+    if piece:
+        yield offset, piece
+
+
+def _items(f, path) -> Iterator[_Piece]:
+    """Each piece of `f` as rows and pair tokens.  A piece in the written
+    layout is split as bytes: its `<key> <int>` rows, then the tokens of its
+    pair lines.  Any other piece is decoded and read row by row."""
+    for offset, piece in _pieces(f):
+        # text mode reads "\r\n" and "\r" as "\n"; neither byte occurs
+        # inside a multi-byte UTF-8 character
+        flat = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in piece else piece
+        keys = _KEYS.match(flat).end()
+        if _PAIRS.fullmatch(flat, keys):
+            tokens = flat.split()
+            k = 2 * flat.count(b"\n", 0, keys)
+            rows = [[key.decode(), value.decode()]
+                    for key, value in zip(tokens[:k:2], tokens[1:k:2])]
+            del tokens[:k]
+            yield rows, tokens
+        else:
+            try:
+                text = piece.decode()
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc, offset) from exc
+            yield _lines(text), []
+
+
+def _head(items: Iterator[_Piece], k: int) -> tuple[list[list[str]], Iterator[_Piece]]:
+    """A file's first k rows (all of them if it has fewer), and its pieces
+    after them."""
+    head: list[list[str]] = []
+    for rows, tokens in items:
+        head += rows
+        while len(head) < k and tokens:
+            head.append([t.decode() for t in tokens[:3]])
+            del tokens[:3]
+        if len(head) >= k:
+            return head[:k], chain([(head[k:], tokens)], items)
+    return head, iter(())
 
 
 def _value(row: list[str], key: str) -> str:
@@ -111,19 +180,51 @@ def _int(tok: str, what: str) -> int:
         raise MalformedInput(f"bad {what}: {tok!r}") from exc
 
 
-def _pairs(rows: list[list[str]], tag: str, what: str,
-           names: tuple[str, str] = ("endpoint", "endpoint")) -> _Columns:
-    """The integer pairs of `<tag> <a> <b>` rows.  On failure the first bad
-    row, or the first bad token, is named."""
-    if set(map(len, rows)) - {3} or set(map(itemgetter(0), rows)) - {tag}:
-        row = next(r for r in rows if len(r) != 3 or r[0] != tag)
-        raise MalformedInput(f"unexpected {what} line: {' '.join(row)}")
-    try:
-        return [int(row[1]) for row in rows], [int(row[2]) for row in rows]
-    except ValueError:  # name the first bad token
-        for _, a, b in rows:
-            _int(a, names[0]), _int(b, names[1])
-        raise
+def _upto(items: Iterator[_Piece], limit: int) -> Iterator[_Piece]:
+    """A file's pieces up to its limit-th row; nothing past it is read."""
+    for rows, tokens in items:
+        rows = rows[:limit]
+        del tokens[3 * (limit - len(rows)):]
+        limit -= len(rows) + len(tokens) // 3
+        yield rows, tokens
+        if limit <= 0:
+            return
+
+
+def _pairs(items: Iterator[_Piece], tag: str, what: str,
+           names: tuple[str, str] = ("endpoint", "endpoint"),
+           ) -> Iterator[tuple[list[int], list[int]]]:
+    """The integer pairs of `<tag> <a> <b>` rows, one piece at a time, as two
+    columns.  The first bad row, or else the first bad token, is raised once
+    the rows end.  After a fault no pair is yielded, but the rest is still
+    read, so that a later bad row, or bytes that are not UTF-8, is named as
+    the whole text would name it."""
+    bad_row: list[str] | None = None
+    bad_token: MalformedInput | None = None
+    for rows, tokens in items:
+        if bad_row is None:
+            bad_row = next((row for row in rows if len(row) != 3 or row[0] != tag), None)
+        if bad_row is None and tokens[::3].count(tag.encode()) * 3 != len(tokens):
+            i = next(i for i in range(0, len(tokens), 3) if tokens[i] != tag.encode())
+            bad_row = [t.decode() for t in tokens[i:i + 3]]
+        if bad_row is None and bad_token is None:
+            firsts, seconds = tokens[1::3], tokens[2::3]
+            if rows:
+                firsts[:0], seconds[:0] = [row[1] for row in rows], [row[2] for row in rows]
+            try:
+                pairs = list(map(int, firsts)), list(map(int, seconds))
+            except ValueError:  # name the first bad token
+                try:
+                    for a, b in zip(firsts, seconds):
+                        _int(a, names[0]), _int(b, names[1])
+                except MalformedInput as exc:
+                    bad_token = exc
+            else:
+                yield pairs
+    if bad_row is not None:
+        raise MalformedInput(f"unexpected {what} line: {' '.join(bad_row)}")
+    if bad_token is not None:
+        raise bad_token
 
 
 def _input_size(row: list[str]) -> int:
@@ -134,94 +235,107 @@ def _input_size(row: list[str]) -> int:
     return n
 
 
-def _blocks(host) -> Iterator[tuple[str, int]]:
-    """The `e <u> <w>` lines of `host`'s explicit file, one string per vertex
-    with later neighbors, and how many lines each holds, in `edges()` order.
-    Each block is one `join` over a table of label tails.  A range of one
-    vertex, as most of a two-chord vertex's are, appends its tail with no
-    slice."""
-    tails = [f" {w}\n" for w in range(host.n)]
+def _blocks(host) -> Iterator[tuple[bytes, int]]:
+    """The `e <u> <w>` lines of `host`'s explicit file, one bytes object per
+    vertex with later neighbors, and how many lines each holds, in `edges()`
+    order.  Each block is one `join` over a table of label tails.  A range
+    of one vertex, as most of a two-chord vertex's are, appends its tail
+    with no slice."""
+    tails = [b" %d\n" % w for w in range(host.n)]
     for u, ranges in enumerate(host.ranges()):
-        picked: list[str] = []
+        picked: list[bytes] = []
         for lo, hi in ranges:
             if lo == hi:
                 picked.append(tails[lo])
             else:
                 picked += tails[lo:hi + 1]
         if picked:
-            head = f"e {u}"
+            head = b"e %d" % u
             yield head + head.join(picked), len(picked)
 
 
-def _header(host) -> str:
+def _header(host) -> bytes:
     """The lines that start every file of `host`: magic, kind and n."""
-    return f"{MAGIC}\nkind {host.kind}\nn {host.n}\n"
+    return f"{MAGIC}\nkind {host.kind}\nn {host.n}\n".encode()
 
 
-def _render(host, limit: int) -> str | None:
-    """The text of `host`'s explicit file; None once it has listed more than
-    `limit` edges."""
-    out, count = [""], 0
-    for block, k in _blocks(host):
-        out.append(block)
-        count += k
-        if count > limit:
-            return None
-    out[0] = f"{_header(host)}edges {count}\n"
-    return "".join(out)
-
-
-def _is_rendering(host, text: str) -> bool:
-    """Whether `text` is `host`'s explicit file, checked block by block
-    against the host's walk in place: no list of blocks and no second text,
-    and the walk stops at the first difference."""
-    head = _header(host) + "edges "
-    start = text.find("\n", len(head)) + 1  # where the edge lines start
-    if not (start and text.startswith(head)):
+def _is_rendering(host, f) -> bool:
+    """Whether `f`, read from where it stands, is `host`'s explicit file.
+    The file is read one block at a time and each block of the host's walk
+    is compared in place with the bytes read: no list of blocks and no
+    text, and the walk stops at the first difference."""
+    head = _header(host) + b"edges "
+    data = f.read(len(head) + 21)  # the header and a count of up to 20 digits
+    pos = data.find(b"\n", len(head)) + 1  # where the edge lines start
+    if not (pos and data.startswith(head)):
         return False
-    pos, count = start, 0
+    declared, count = data[len(head):pos], 0
     for block, k in _blocks(host):
-        # a block of k lines is longer than k characters
-        if k > len(text) - pos or not text.startswith(block, pos):
+        while pos + len(block) > len(data):
+            more = f.read(BLOCK << 4)  # bytes cost a fraction of a block's tokens
+            if not more:
+                return False
+            data, pos = data[pos:] + more, 0
+        if not data.startswith(block, pos):
             return False
         pos += len(block)
         count += k
-    return pos == len(text) and text[len(head):start] == f"{count}\n"
+    return pos == len(data) and not f.read(1) and declared == b"%d\n" % count
 
 
 def save_host(host, path, explicit: bool = False) -> int | None:
     """Write a host file; return how many edges it lists, None if none.
     An edge list past EXPLICIT_CAP raises SizeTooLarge before the file is
-    touched."""
+    touched.  The blocks are written as they are, never joined into one
+    text."""
     if not (explicit or host.kind == "custom"):
-        Path(path).write_text(_header(host), encoding="utf-8")
+        Path(path).write_bytes(_header(host))
         return None
-    text = None if host.n > EXPLICIT_CAP else _render(host, EXPLICIT_CAP)
-    if text is None:
+    blocks: list[bytes] = []
+    count = 0
+    if host.n <= EXPLICIT_CAP:
+        for block, k in _blocks(host):
+            blocks.append(block)
+            count += k
+            if count > EXPLICIT_CAP:
+                break
+    if host.n > EXPLICIT_CAP or count > EXPLICIT_CAP:
         raise SizeTooLarge(f"an explicit host file lists at most {EXPLICIT_CAP} "
                            "vertices and edges each")
-    Path(path).write_text(text, encoding="utf-8")
-    return text.count("\n") - 4  # the lines after the four header lines
+    with open(path, "wb") as f:
+        f.write(_header(host) + b"edges %d\n" % count)
+        f.writelines(blocks)
+    return count
 
 
-def load_host(path):
-    """The host a file names.  A file equal to what `save_host` writes for
-    a built-in host is accepted block by block (`_is_rendering`).  In any
-    other file an explicit edge list must be exactly the host's edges: each
-    in range, listed once, and, sorted, equal to the host's own `edges()`
-    stream."""
-    text = _read(path)
-    # A file as `save_host` writes it equals the host's rendering.  Check
-    # it only when that costs no more than the file's length: n labels, and
-    # blocks of at most one edge per character.  Every built-in kind builds
-    # for n >= 3; a smaller n takes the general path, which reports a
-    # builder's error.
-    head = _HOST_HEAD.match(text)
-    if head and head[1] in HOST_BUILDERS and 3 <= int(head[2]) <= len(text):
-        host = HOST_BUILDERS[head[1]](int(head[2]))
-        if _is_rendering(host, text):
-            return host
-    rows = _lines(text)
+def _sort(packed) -> None:
+    """Sort `packed` in place.  A list is sorted at once.  An array is sorted
+    in runs of 16 blocks' worth of entries, so that no list ever holds all
+    its ints, and then, if the runs overlap, merged through a second array."""
+    if isinstance(packed, list):
+        packed.sort()
+        return
+    run = BLOCK << 4
+    starts = range(0, len(packed), run)
+    for i in starts:
+        packed[i:i + run] = array("q", sorted(packed[i:i + run]))
+    if any(packed[i - 1] > packed[i] for i in starts[1:]):
+        packed[:] = array("q", heapq.merge(*(islice(packed, i, i + run) for i in starts)))
+
+
+def _edge_rows(items: Iterator[_Piece], counts: list[list[str]]) -> Iterator[_Piece]:
+    """A host file's pieces past its header, with its `edges` rows moved
+    to `counts`."""
+    for rows, tokens in items:
+        counts += (row for row in rows if row[0] == "edges")
+        yield [row for row in rows if row[0] != "edges"], tokens
+
+
+def _listed(f, path):
+    """The host a file names that is not the host's rendering.  Its
+    explicit edge list must be exactly the host's edges: each in range,
+    listed once, and, sorted, equal to the host's own `edges()` stream."""
+    rows, items = _head(_items(f, path), 3)
     if not rows or rows[0] != MAGIC.split():
         raise MalformedInput(f"missing `{MAGIC}` header in {path}")
     if len(rows) < 3:
@@ -230,32 +344,71 @@ def load_host(path):
     n = _int(_value(rows[2], "n"), "n")
     if kind not in HOST_BUILDERS and kind != "custom":
         raise MalformedInput(f"unknown host kind {kind!r}")
-    us, vs = _pairs([row for row in rows[3:] if row[0] != "edges"], "e", "host")
-    declared = [_int(_value(row, "edges"), "edge count") for row in rows[3:] if row[0] == "edges"]
-    if declared and declared[-1] != len(us):
-        raise MalformedInput(f"declared {declared[-1]} edges, found {len(us)}")
-    edges = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
-    if kind != "custom":
-        host = HOST_BUILDERS[kind](n)
+    # each edge (u, v), u < v < n, as the int u·n + v: in an array while
+    # that fits in 64 bits, and in a list past it
+    listed = array("q") if n * n < 1 << 63 else []
+    counts: list[list[str]] = []
+    count, bad = 0, None
+    for us, vs in _pairs(_edge_rows(items, counts), "e", "host"):
+        count += len(us)
+        if bad is not None:
+            continue
+        for u, v in zip(us, vs):
+            if u > v:
+                u, v = v, u
+            if not 0 <= u < v < n:
+                bad = (u, v)
+                break
+            listed.append(u * n + v)
+    declared = [_int(_value(row, "edges"), "edge count") for row in counts]
+    if declared and declared[-1] != count:
+        raise MalformedInput(f"declared {declared[-1]} edges, found {count}")
+    host = None if kind == "custom" else HOST_BUILDERS[kind](n)
+    if bad is not None:
+        raise MalformedInput(f"bad edge {bad}")
+    _sort(listed)
+    if host is not None:
         # Walk the sorted list and the host's stream in lockstep, stopping at
         # the first difference; the None ends make the two end together or
         # differ.  Equal, the list is in range and free of repeats.
-        listed, stream = chain(sorted(edges), [None]), chain(host.edges(), [None])
-        if not edges or not any(map(ne, listed, stream)):
+        stream = (u * n + w for u, w in host.edges())
+        if not count or not any(map(ne, chain(listed, [None]), chain(stream, [None]))):
             return host
-    bad = next((e for e in edges if not 0 <= e[0] < e[1] < n), None)
-    if bad is not None:
-        raise MalformedInput(f"bad edge {bad}")
-    if len(set(edges)) != len(edges):
+    if any(map(eq, listed, islice(listed, 1, None))):
         raise MalformedInput("an edge is listed twice")
-    if kind == "custom":
-        if not edges:
+    if host is None:
+        if not count:
             raise MalformedInput("custom host requires explicit edges")
-        return build_custom_host(n, edges)
-    stray = next((e for e in edges if not host.is_edge(*e)), None)
-    if stray is not None:
-        raise MalformedInput(f"edge {stray} is not an edge of the {kind} host")
+        return build_custom_host(n, [divmod(e, n) for e in listed])
+    # the first listed edge off the host, in the file's order: a second read
+    f.seek(0)
+    for us, vs in _pairs(_edge_rows(_head(_items(f, path), 3)[1], []), "e", "host"):
+        for u, v in zip(us, vs):
+            e = (u, v) if u < v else (v, u)
+            if not host.is_edge(*e):
+                raise MalformedInput(f"edge {e} is not an edge of the {kind} host")
     raise MalformedInput(f"explicit edge list disagrees with {kind} host")
+
+
+def load_host(path):
+    """The host a file names.  A file equal to what `save_host` writes for
+    a built-in host is accepted block by block (`_is_rendering`); any other
+    file is checked edge by edge (`_listed`)."""
+    with _opened(path) as f:
+        # A file as `save_host` writes it equals the host's rendering.  Check
+        # it only when that costs no more than the file's length: n labels,
+        # and blocks of at most one edge per byte.  Every built-in kind builds
+        # for n >= 3; a smaller n takes the general path, which reports a
+        # builder's error.
+        head = _HOST_HEAD.match(f.read(_HOST_HEAD_BYTES))
+        build = head and HOST_BUILDERS.get(head[1].decode())
+        if build and 3 <= int(head[2]) <= os.fstat(f.fileno()).st_size:
+            host = build(int(head[2]))
+            f.seek(0)
+            if _is_rendering(host, f):
+                return host
+        f.seek(0)
+        return _listed(f, path)
 
 
 def forest_lines(forest: Forest | Caterpillar) -> list[str]:
@@ -264,11 +417,14 @@ def forest_lines(forest: Forest | Caterpillar) -> list[str]:
     return lines
 
 
-def _forest(rows: list[list[str]], pairs: _Columns | None) -> Forest:
-    if not rows:
+def _forest(head: list[list[str]], items: Iterator[_Piece]) -> Forest:
+    if not head:
         raise MalformedInput("forest file must start with `n <int>`")
-    n = _input_size(rows[0])
-    return Forest(n, list(zip(*(pairs or _pairs(rows[1:], "e", "forest")))))
+    n = _input_size(head[0])
+    edges: list[tuple[int, int]] = []
+    for us, vs in _pairs(_upto(chain([(head[1:], [])], items), max(n, 0)), "e", "forest"):
+        edges += zip(us, vs)
+    return Forest(n, edges)
 
 
 def chorded_lines(cc: ChordedCycle) -> list[str]:
@@ -277,36 +433,49 @@ def chorded_lines(cc: ChordedCycle) -> list[str]:
     return lines
 
 
-def _chorded(rows: list[list[str]], pairs: _Columns | None) -> ChordedCycle:
-    n = _input_size(rows[0])
-    h = _int(_value(rows[1], "h"), "h")
-    chords = tuple(zip(*(pairs or _pairs(rows[2:], "c", "chorded"))))
+def _chorded(head: list[list[str]], items: Iterator[_Piece]) -> ChordedCycle:
+    n = _input_size(head[0])
+    h = _int(_value(head[1], "h"), "h")
+    chords: list[tuple[int, int]] = []
+    for us, vs in _pairs(items, "c", "chorded"):
+        chords += zip(us, vs)
     if len(chords) != h:
         raise MalformedInput(f"declared h={h} but found {len(chords)} chords")
-    return ChordedCycle(n, chords)
+    return ChordedCycle(n, tuple(chords))
 
 
 def load_input(path):
     """A forest file or a chorded-cycle file, told apart by the `h` line."""
-    rows, pairs = _parse(_read(path), "chorded", "forest")
-    if len(rows) >= 2 and rows[1][0] == "h":
-        return _chorded(rows, pairs)
-    return _forest(rows, pairs)
+    with _opened(path) as f:
+        head, items = _head(_items(f, path), 2)
+        if len(head) >= 2 and head[1][0] == "h":
+            return _chorded(head, items)
+        return _forest(head, items)
 
 
 def save_embedding(mapping: dict[int, int], path) -> None:
-    lines = [f"m {t} {g}" for t, g in sorted(mapping.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write an embedding file, a few thousand lines at a time."""
+    lines = (f"m {t} {g}\n" for t, g in sorted(mapping.items()))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(islice(lines, 4096)) or "\n")  # an empty mapping: one blank line
+        while block := "".join(islice(lines, 4096)):
+            f.write(block)
 
 
 def load_embedding(path) -> dict[int, int]:
-    rows, pairs = _parse(_read(path), "embedding")
-    ts, gs = pairs or _pairs(rows, "m", "embedding", ("input vertex", "host vertex"))
-    mapping = dict(zip(ts, gs))
-    if len(mapping) < len(ts):  # name the first repeat
-        seen: set[int] = set()
-        for t in ts:
-            if t in seen:
-                raise MalformedInput(f"vertex {t} mapped twice")
-            seen.add(t)
+    names = ("input vertex", "host vertex")
+    with _opened(path) as f:
+        mapping: dict[int, int] = {}
+        count = 0
+        for ts, gs in _pairs(_items(f, path), "m", "embedding", names):
+            mapping.update(zip(ts, gs))
+            count += len(ts)
+        if len(mapping) < count:  # name the first repeat: a second read
+            f.seek(0)
+            seen: set[int] = set()
+            for ts, _ in _pairs(_items(f, path), "m", "embedding", names):
+                for t in ts:
+                    if t in seen:
+                        raise MalformedInput(f"vertex {t} mapped twice")
+                    seen.add(t)
     return mapping

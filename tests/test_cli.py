@@ -393,8 +393,9 @@ def test_repeated_main_calls_behave_as_fresh_calls(tmp_path, monkeypatch, capsys
             emb.unlink(missing_ok=True)
             build = ["build", "--kind", kind, "--n", str(n), "--out", str(host)]
             seen.append(call(build + ["--explicit"]))
-            assert host.read_text(encoding="utf-8") == fileio._render(
-                fileio.HOST_BUILDERS[kind](n), fileio.EXPLICIT_CAP)
+            direct = tmp_path / f"{kind}-direct.txt"
+            fileio.save_host(fileio.HOST_BUILDERS[kind](n), direct, explicit=True)
+            assert host.read_bytes() == direct.read_bytes()
             seen.append(host.read_bytes())
             seen.append(call(["embed", "--host", str(host), "--input", graph, "--out", str(emb)]))
             seen.append(emb.read_bytes())

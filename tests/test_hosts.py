@@ -227,9 +227,10 @@ RENDER_SHA256 = {
 
 
 @pytest.mark.parametrize("kind, n", sorted(RENDER_SHA256))
-def test_explicit_host_file_bytes_are_pinned(kind, n):
-    text = fileio._render(KINDS[kind][0](n), fileio.EXPLICIT_CAP)
-    assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[kind, n]
+def test_explicit_host_file_bytes_are_pinned(tmp_path, kind, n):
+    p = tmp_path / "host.txt"
+    fileio.save_host(KINDS[kind][0](n), p, explicit=True)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == RENDER_SHA256[kind, n]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

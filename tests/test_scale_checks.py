@@ -61,25 +61,41 @@ def test_command_stops_at_its_limit():
     assert time.monotonic() - t0 < 30
 
 
-@pytest.mark.parametrize("name", ["binary", "random"])
+@pytest.mark.parametrize("name", ["binary", "random", "explicit-random"])
 def test_row_fails_a_command_over_its_peak_ceiling(tmp_path, monkeypatch, name):
-    # every command exits 0 and prints ok; `ugg embed` and `ugg verify` read
+    # every command exits as the row expects and prints what it checks;
+    # `ugg embed`, `ugg verify` and the verify of a changed host copy read
     # the peak set here, and each fails its row only over its own ceiling
     monkeypatch.chdir(tmp_path)
-    row = dataclasses.replace(next(r for r in scale_checks.ROWS if r.name == name), n=63)
-    assert (row.embed_mb, row.verify_mb) == (scale_checks.EMBED_MB, scale_checks.VERIFY_MB)
+    row = dataclasses.replace(next(r for r in scale_checks.ROWS if r.name == name), n=63,
+                              explicit=None)
+    assert row.verify_mb is not None
     mb = {}
 
     def command(argv, limit):
+        if argv[1] == "build":  # a host file of 12 lines, the 10th of them changed for a copy
+            scale_checks.write(argv[-1], [f"line {i}" for i in range(12)])
+        if argv[-1].startswith("changed-"):
+            result = subprocess.CompletedProcess(argv, 2, "", f"error: {row.changed[1]}\n")
+            return result, mb.get("changed", 20)
         return subprocess.CompletedProcess(argv, 0, "ok\n", ""), mb.get(argv[1], 20)
 
     monkeypatch.setattr(scale_checks, "command", command)
-    mb.update(embed=row.embed_mb, verify=row.verify_mb)
+    caps = {"embed": row.embed_mb, "verify": row.verify_mb,
+            "changed": row.verify_mb if row.changed else None}
+    mb.update((key, cap) for key, cap in caps.items() if cap is not None)
     peaks = []
     scale_checks.run(row, peaks)
-    assert peaks == [("build", 20), ("embed", row.embed_mb), ("verify", row.verify_mb)]
-    for over in ("embed", "verify"):
+    want = [("build", 20), ("embed", mb.get("embed", 20)), ("verify", mb["verify"])]
+    assert peaks == want + ([("verify", mb["changed"])] if "changed" in mb else [])
+    checks = {"embed": "ugg embed", "verify": "ugg verify",
+              "changed": "ugg verify of the changed host file"}
+    for over in list(mb):
         mb[over] += 1
-        with pytest.raises(scale_checks.Failed, match=f"ugg {over} peaked at {mb[over]} MB"):
+        with pytest.raises(scale_checks.Failed, match=f"^{checks[over]} peaked at {mb[over]} MB"):
             scale_checks.run(row, [])
         mb[over] -= 1
+    if name == "explicit-random":
+        assert (row.embed_mb, row.verify_mb) == (None, scale_checks.EXPLICIT_VERIFY_MB)
+    else:
+        assert (row.embed_mb, row.verify_mb) == (scale_checks.EMBED_MB, scale_checks.VERIFY_MB)

@@ -629,12 +629,14 @@ def edge_by_edge(host):
 
 
 @pytest.mark.parametrize("kind", sorted(fileio.HOST_BUILDERS))
-def test_render_equals_the_edge_by_edge_writer(kind):
+def test_render_equals_the_edge_by_edge_writer(tmp_path, kind):
     # every n up to 130: the two-chord host's runs of one center, the
     # caterpillar's far points of one vertex and the ranges that end at n - 1
+    p = tmp_path / "host.txt"
     for n in range(3 if kind == "twochord" else 1, 131):
         host = fileio.HOST_BUILDERS[kind](n)
-        assert fileio._render(host, fileio.EXPLICIT_CAP) == edge_by_edge(host), (kind, n)
+        fileio.save_host(host, p, explicit=True)
+        assert p.read_bytes() == edge_by_edge(host).encode(), (kind, n)
 
 
 @pytest.mark.parametrize("kind", sorted(fileio.HOST_BUILDERS))
@@ -741,27 +743,20 @@ def test_damaged_host_files_are_read_row_by_row(tmp_path, monkeypatch, kind):
 
 
 def test_large_explicit_host_loads_without_a_second_text(tmp_path):
-    # the 16383-vertex universal file is 9.3 MB; rendering the host again to
-    # compare peaked at 27.6 MB, while the block-by-block check holds one
-    # table of labels and one block at a time
+    # the 16383-vertex universal file is 9.8 MB; reading it as one text
+    # peaked at 19.6 MB, while the block-by-block check holds one table of
+    # labels, one block of the host's walk and one block of the file
     host = build_universal(16383)
     p = tmp_path / "host.txt"
     fileio.save_host(host, p, explicit=True)
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            result = call()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
-
-    read, text = peak(lambda: fileio._read(p))
-    check, ok = peak(lambda: fileio._is_rendering(host, text))
-    assert ok and check < 2 << 20
-    load, loaded = peak(lambda: fileio.load_host(p))
+    tracemalloc.start()
+    try:
+        loaded = fileio.load_host(p)
+        load = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (loaded.kind, loaded.n) == ("universal", 16383)
-    assert load < read + (2 << 20)
+    assert load < 4 << 20
 
 
 @pytest.mark.parametrize("fmt, text", [
