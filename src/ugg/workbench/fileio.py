@@ -18,14 +18,18 @@ pieces of whole lines, one BLOCK at a time, header rows first.  A piece in
 the layout the writers produce (`<key> <int>` lines, then single-spaced
 `<tag> <int> <int>` lines) is split as bytes, with no per-line work; any
 other piece, with comments, blank lines, other spacing or an error, is
-decoded and read row by row, which accepts every valid layout.  A fault in
-the header rows is named at once.  Past them, faults are named as if the
-whole text had been read: bytes that are not UTF-8, else the first bad row,
-else the first bad token, then what the header declares.  A forest file is
-read only up to its n-th pair row, since n edges are one more than a forest
-on n vertices has.  A host file that is not its host's
-rendering keeps each listed edge as one packed int, u·n + v, in one array,
-sorted in place and walked in lockstep with the host's edges.
+decoded and read row by row, which accepts every valid layout.
+
+Every reader names the first fault in file order and reads nothing after
+it, at every block size: a line that is not UTF-8, a bad row, a bad token
+or, in a host file, an edge out of range.  Header rows are checked as they
+are read.  The checks of the whole list run after a clean read: `Forest`'s
+and `ChordedCycle`'s, the declared `h` and `edges` counts, repeats and
+edges not on the host.  A forest file is read only up to its n-th pair
+row, since n edges are one more than a forest on n vertices has, and a
+chorded file up to its (h + 1)-th chord row.  A host file that is not its
+host's rendering keeps each listed edge as one packed int, u·n + v, in one
+array, sorted in place and walked in lockstep with the host's edges.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import heapq
 import os
 import re
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from operator import eq, ne
 from pathlib import Path
@@ -105,8 +109,8 @@ def _not_utf8(path, exc: UnicodeDecodeError, offset: int) -> MalformedInput:
                           f"{where}: {exc.reason}")
 
 
-def _lines(text: str) -> list[list[str]]:
-    return [row for row in map(str.split, text.splitlines()) if row and row[0][0] != "#"]
+def _lines(lines: list[str]) -> list[list[str]]:
+    return [row for row in map(str.split, lines) if row and row[0][0] != "#"]
 
 
 def _pieces(f) -> Iterator[tuple[int, bytes]]:
@@ -131,7 +135,9 @@ def _pieces(f) -> Iterator[tuple[int, bytes]]:
 def _items(f, path) -> Iterator[_Piece]:
     """Each piece of `f` as rows and pair tokens.  A piece in the written
     layout is split as bytes: its `<key> <int>` rows, then the tokens of its
-    pair lines.  Any other piece is decoded and read row by row."""
+    pair lines.  Any other piece is decoded and read row by row; at a byte
+    that is not UTF-8 the rows of the whole lines before it are yielded,
+    then the fault is raised."""
     for offset, piece in _pieces(f):
         # text mode reads "\r\n" and "\r" as "\n"; neither byte occurs
         # inside a multi-byte UTF-8 character
@@ -148,22 +154,22 @@ def _items(f, path) -> Iterator[_Piece]:
             try:
                 text = piece.decode()
             except UnicodeDecodeError as exc:
+                # the whole lines before the byte: a mark after them ends
+                # the line that holds it, which is dropped
+                text = piece[:exc.start].decode() + "-"
+                yield _lines(text.splitlines()[:-1]), []
                 raise _not_utf8(path, exc, offset) from exc
-            yield _lines(text), []
+            yield _lines(text.splitlines()), []
 
 
-def _head(items: Iterator[_Piece], k: int) -> tuple[list[list[str]], Iterator[_Piece]]:
-    """A file's first k rows (all of them if it has fewer), and its pieces
-    after them."""
-    head: list[list[str]] = []
+def _row(items: Iterator[_Piece]) -> tuple[list[str] | None, Iterator[_Piece]]:
+    """A file's next row, None at its end, and its pieces after it."""
     for rows, tokens in items:
-        head += rows
-        while len(head) < k and tokens:
-            head.append([t.decode() for t in tokens[:3]])
-            del tokens[:3]
-        if len(head) >= k:
-            return head[:k], chain([(head[k:], tokens)], items)
-    return head, iter(())
+        if rows:
+            return rows[0], chain([(rows[1:], tokens)], items)
+        if tokens:
+            return [t.decode() for t in tokens[:3]], chain([([], tokens[3:])], items)
+    return None, items
 
 
 def _value(row: list[str], key: str) -> str:
@@ -195,36 +201,28 @@ def _pairs(items: Iterator[_Piece], tag: str, what: str,
            names: tuple[str, str] = ("endpoint", "endpoint"),
            ) -> Iterator[tuple[list[int], list[int]]]:
     """The integer pairs of `<tag> <a> <b>` rows, one piece at a time, as two
-    columns.  The first bad row, or else the first bad token, is raised once
-    the rows end.  After a fault no pair is yielded, but the rest is still
-    read, so that a later bad row, or bytes that are not UTF-8, is named as
-    the whole text would name it."""
-    bad_row: list[str] | None = None
-    bad_token: MalformedInput | None = None
+    columns.  At the first bad row or bad token the pairs before it are
+    yielded, then its fault is raised; nothing after it is read."""
+    code = tag.encode()
     for rows, tokens in items:
-        if bad_row is None:
-            bad_row = next((row for row in rows if len(row) != 3 or row[0] != tag), None)
-        if bad_row is None and tokens[::3].count(tag.encode()) * 3 != len(tokens):
-            i = next(i for i in range(0, len(tokens), 3) if tokens[i] != tag.encode())
-            bad_row = [t.decode() for t in tokens[i:i + 3]]
-        if bad_row is None and bad_token is None:
-            firsts, seconds = tokens[1::3], tokens[2::3]
-            if rows:
-                firsts[:0], seconds[:0] = [row[1] for row in rows], [row[2] for row in rows]
+        firsts, seconds = tokens[1::3], tokens[2::3]
+        if (tokens[::3].count(code) * 3 == len(tokens)
+                and all(len(row) == 3 and row[0] == tag for row in rows)):
+            firsts[:0], seconds[:0] = [row[1] for row in rows], [row[2] for row in rows]
+            with suppress(ValueError):  # a bad token: read the piece row by row
+                yield list(map(int, firsts)), list(map(int, seconds))
+                continue
+        # the piece holds a fault: its pairs up to the first one, then the fault
+        pairs: list[tuple[int, int]] = []
+        for row in chain(rows, ([t.decode() for t in tokens[i:i + 3]]
+                                for i in range(0, len(tokens), 3))):
             try:
-                pairs = list(map(int, firsts)), list(map(int, seconds))
-            except ValueError:  # name the first bad token
-                try:
-                    for a, b in zip(firsts, seconds):
-                        _int(a, names[0]), _int(b, names[1])
-                except MalformedInput as exc:
-                    bad_token = exc
-            else:
-                yield pairs
-    if bad_row is not None:
-        raise MalformedInput(f"unexpected {what} line: {' '.join(bad_row)}")
-    if bad_token is not None:
-        raise bad_token
+                if len(row) != 3 or row[0] != tag:
+                    raise MalformedInput(f"unexpected {what} line: {' '.join(row)}")
+                pairs.append((_int(row[1], names[0]), _int(row[2], names[1])))
+            except MalformedInput as exc:
+                yield [u for u, _ in pairs], [v for _, v in pairs]
+                raise exc
 
 
 def _input_size(row: list[str]) -> int:
@@ -323,49 +321,46 @@ def _sort(packed) -> None:
         packed[:] = array("q", heapq.merge(*(islice(packed, i, i + run) for i in starts)))
 
 
-def _edge_rows(items: Iterator[_Piece], counts: list[list[str]]) -> Iterator[_Piece]:
-    """A host file's pieces past its header, with its `edges` rows moved
-    to `counts`."""
-    for rows, tokens in items:
-        counts += (row for row in rows if row[0] == "edges")
-        yield [row for row in rows if row[0] != "edges"], tokens
+def _host_head(items: Iterator[_Piece], path):
+    """A host file's kind, n, declared edge count (None without an `edges`
+    row) and pieces after its header, each header row checked as it is
+    read."""
+    row, items = _row(items)
+    if row != MAGIC.split():
+        raise MalformedInput(f"missing `{MAGIC}` header in {path}")
+    row, items = _row(items)
+    kind = row and _value(row, "kind")
+    if kind and kind not in HOST_BUILDERS and kind != "custom":
+        raise MalformedInput(f"unknown host kind {kind!r}")
+    row, items = _row(items)
+    if not row:  # the file ends before its `kind` or its `n` row
+        raise MalformedInput("host file needs `kind` and `n` lines")
+    n = _int(_value(row, "n"), "n")
+    row, items = _row(items)
+    if row and row[0] == "edges":
+        return kind, n, _int(_value(row, "edges"), "edge count"), items
+    return kind, n, None, chain([([row] if row else [], [])], items)
 
 
 def _listed(f, path):
     """The host a file names that is not the host's rendering.  Its
     explicit edge list must be exactly the host's edges: each in range,
     listed once, and, sorted, equal to the host's own `edges()` stream."""
-    rows, items = _head(_items(f, path), 3)
-    if not rows or rows[0] != MAGIC.split():
-        raise MalformedInput(f"missing `{MAGIC}` header in {path}")
-    if len(rows) < 3:
-        raise MalformedInput("host file needs `kind` and `n` lines")
-    kind = _value(rows[1], "kind")
-    n = _int(_value(rows[2], "n"), "n")
-    if kind not in HOST_BUILDERS and kind != "custom":
-        raise MalformedInput(f"unknown host kind {kind!r}")
+    kind, n, declared, items = _host_head(_items(f, path), path)
+    host = None if kind == "custom" else HOST_BUILDERS[kind](n)
     # each edge (u, v), u < v < n, as the int u·n + v: in an array while
     # that fits in 64 bits, and in a list past it
     listed = array("q") if n * n < 1 << 63 else []
-    counts: list[list[str]] = []
-    count, bad = 0, None
-    for us, vs in _pairs(_edge_rows(items, counts), "e", "host"):
-        count += len(us)
-        if bad is not None:
-            continue
+    for us, vs in _pairs(items, "e", "host"):
         for u, v in zip(us, vs):
             if u > v:
                 u, v = v, u
             if not 0 <= u < v < n:
-                bad = (u, v)
-                break
+                raise MalformedInput(f"bad edge {(u, v)}")
             listed.append(u * n + v)
-    declared = [_int(_value(row, "edges"), "edge count") for row in counts]
-    if declared and declared[-1] != count:
-        raise MalformedInput(f"declared {declared[-1]} edges, found {count}")
-    host = None if kind == "custom" else HOST_BUILDERS[kind](n)
-    if bad is not None:
-        raise MalformedInput(f"bad edge {bad}")
+    count = len(listed)
+    if declared is not None and declared != count:
+        raise MalformedInput(f"declared {declared} edges, found {count}")
     _sort(listed)
     if host is not None:
         # Walk the sorted list and the host's stream in lockstep, stopping at
@@ -382,7 +377,7 @@ def _listed(f, path):
         return build_custom_host(n, [divmod(e, n) for e in listed])
     # the first listed edge off the host, in the file's order: a second read
     f.seek(0)
-    for us, vs in _pairs(_edge_rows(_head(_items(f, path), 3)[1], []), "e", "host"):
+    for us, vs in _pairs(_host_head(_items(f, path), path)[3], "e", "host"):
         for u, v in zip(us, vs):
             e = (u, v) if u < v else (v, u)
             if not host.is_edge(*e):
@@ -417,28 +412,19 @@ def forest_lines(forest: Forest | Caterpillar) -> list[str]:
     return lines
 
 
-def _forest(head: list[list[str]], items: Iterator[_Piece]) -> Forest:
-    if not head:
-        raise MalformedInput("forest file must start with `n <int>`")
-    n = _input_size(head[0])
-    edges: list[tuple[int, int]] = []
-    for us, vs in _pairs(_upto(chain([(head[1:], [])], items), max(n, 0)), "e", "forest"):
-        edges += zip(us, vs)
-    return Forest(n, edges)
-
-
 def chorded_lines(cc: ChordedCycle) -> list[str]:
     lines = [f"n {cc.n}", f"h {cc.h}"]
     lines.extend(f"c {u} {v}" for u, v in cc.chords)
     return lines
 
 
-def _chorded(head: list[list[str]], items: Iterator[_Piece]) -> ChordedCycle:
-    n = _input_size(head[0])
-    h = _int(_value(head[1], "h"), "h")
+def _chorded(n: int, h: int, items: Iterator[_Piece]) -> ChordedCycle:
+    limit = max(h, 0)
     chords: list[tuple[int, int]] = []
-    for us, vs in _pairs(items, "c", "chorded"):
+    for us, vs in _pairs(_upto(items, limit + 1), "c", "chorded"):
         chords += zip(us, vs)
+    if len(chords) > limit:
+        raise MalformedInput(f"declared h={h} but found more than {limit} chords")
     if len(chords) != h:
         raise MalformedInput(f"declared h={h} but found {len(chords)} chords")
     return ChordedCycle(n, tuple(chords))
@@ -447,10 +433,18 @@ def _chorded(head: list[list[str]], items: Iterator[_Piece]) -> ChordedCycle:
 def load_input(path):
     """A forest file or a chorded-cycle file, told apart by the `h` line."""
     with _opened(path) as f:
-        head, items = _head(_items(f, path), 2)
-        if len(head) >= 2 and head[1][0] == "h":
-            return _chorded(head, items)
-        return _forest(head, items)
+        row, items = _row(_items(f, path))
+        if row is None:
+            raise MalformedInput("forest file must start with `n <int>`")
+        n = _input_size(row)
+        row, items = _row(items)
+        if row and row[0] == "h":
+            return _chorded(n, _int(_value(row, "h"), "h"), items)
+        edges: list[tuple[int, int]] = []
+        items = chain([([row] if row else [], [])], items)
+        for us, vs in _pairs(_upto(items, max(n, 0)), "e", "forest"):
+            edges += zip(us, vs)
+        return Forest(n, edges)
 
 
 def save_embedding(mapping: dict[int, int], path) -> None:

@@ -60,11 +60,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import nsmallest
 from itertools import accumulate, chain, count, islice
 from operator import ne
 
 from ..convex import convex_edges_cross, nesting_crossing
-from ..errors import IndexOutOfRange, InputError
+from ..errors import DegenerateEdge, IndexOutOfRange, InputError
 from ..geometry import height_ranks, segments_cross
 from ..host import Embedding
 from ..ugraph import adjacent
@@ -97,6 +98,20 @@ def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
         n, edges = graph
         return n, list(edges)
     return graph.n, graph.edges
+
+
+def _ends(segments) -> tuple[list[int], list[int]]:
+    """The left and the right ends of segments given either way round; a
+    segment whose two ends are equal raises DegenerateEdge."""
+    lo, hi = [], []
+    for u, v in segments:
+        if u > v:
+            u, v = v, u
+        elif u == v:
+            raise DegenerateEdge(f"edge ({u}, {v}) joins a vertex to itself")
+        lo.append(u)
+        hi.append(v)
+    return lo, hi
 
 
 def _listed(pairs, lo, hi) -> list[tuple[str, tuple]]:
@@ -278,16 +293,10 @@ def roof_crossings(h: int | None, segments,
     `keys` is a table of height keys covering every endpoint, read as
     keys[v]; without it the sweep builds one, from the height h.  On a
     convex host pass keys[v] = -v and no height.  Without either,
-    InputError.
+    InputError.  Segments may be given either way round; one whose two
+    ends are equal raises DegenerateEdge.
     """
-    lo, hi = [], []
-    for u, v in segments:
-        if u < v:
-            lo.append(u)
-            hi.append(v)
-        elif v < u:
-            lo.append(v)
-            hi.append(u)
+    lo, hi = _ends(segments)
     if keys is None:
         if h is None:
             raise InputError("roof_crossings needs the height keys when no height is given")
@@ -332,11 +341,12 @@ def _crossing_rules(host, endpoints):
 def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
     """Every crossing pair as a `Crossing` failure, and the number of
     predicate calls made: the quadratic oracle for the detectors and the
-    roof lister.  Segments are (lo, hi) pairs.  It decides a pair by
-    `segments_cross` on the universal host and by `convex_edges_cross`,
-    which reads no height keys, on convex hosts.  An end off the host
-    raises IndexOutOfRange.  A test oracle: nothing in the package calls
-    it."""
+    roof lister.  Segments may be given either way round, and each is
+    listed as (lo, hi).  It decides a pair by `segments_cross` on the
+    universal host and by `convex_edges_cross`, which reads no height keys,
+    on convex hosts.  An end off the host raises IndexOutOfRange, and a
+    segment whose two ends are equal DegenerateEdge.  A test oracle:
+    nothing in the package calls it."""
     ends = {v for s in segments for v in s}
     off = [v for v in ends if not 0 <= v < host.n]
     if off:
@@ -347,7 +357,7 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
     checked = 0
     # Sorted (lo, hi) segments cross only if the second starts strictly
     # inside the first: their x-ranges overlap, or their ends interleave.
-    segments = sorted(segments)
+    segments = sorted(zip(*_ends(segments)))
     for i in range(len(segments)):
         e1 = segments[i]
         for j in range(i + 1, len(segments)):
@@ -375,15 +385,16 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     mp = emb.mapping
     image = list(map(mp.get, range(n_in)))
 
-    # reports keep their precedence: missing and extra keys, then images off
-    # the host, then repeated images; each is looked for only if the one
-    # pass of C-level checks below says there is one
+    # reports keep their precedence: missing and extra keys, the four
+    # smallest of each, then images off the host, then repeated images;
+    # each is looked for only if the one pass of C-level checks below says
+    # there is one
     missing = [t for t, g in enumerate(image) if g is None] if None in image else []
     if missing:
         failures.append(("SizeMismatch", tuple(missing[:4])))
     # every key in [0, n_in) was met above, so extra keys exist iff mp is larger
     if len(mp) > n_in - len(missing):
-        extra = sorted(t for t in mp if not 0 <= t < n_in)
+        extra = nsmallest(4, (t for t in mp if not 0 <= t < n_in))
         failures.append(("SizeMismatch", tuple((t, mp[t]) for t in extra)))
     if failures:
         return ValidationReport("failed", failures)

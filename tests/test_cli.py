@@ -18,6 +18,7 @@ import ugg
 from ugg import cli, errors
 from ugg.convex import _CaterpillarHost, _CustomHost, _StarHost, build_twochord_host
 from ugg.errors import SizeTooLarge
+from ugg.host import Embedding
 from ugg.trees import Forest
 from ugg.ugraph import UniversalGraph
 from ugg.workbench import fileio, selftest
@@ -63,6 +64,22 @@ def test_universal_build_embed_verify(tmp_path, capsys):
     assert cli.main(["verify", "--host", host, "--input", forest, "--embedding", emb]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+def test_embed_that_fails_validation_writes_nothing(tmp_path, monkeypatch, capsys):
+    # an embedder that maps (0, 1) and (2, 3) onto crossing host edges: the
+    # failures are printed, the exit code is 1 and no embedding is written
+    host = str(tmp_path / "host.txt")
+    emb = tmp_path / "emb.txt"
+    forest = write_forest(tmp_path, "forest.txt", 4, [(0, 1), (2, 3)])
+    assert cli.main(["build", "--kind", "universal", "--n", "15", "--out", host]) == 0
+    monkeypatch.setattr("ugg.embedder.embed_forest",
+                        lambda host, forest: Embedding({0: 1, 1: 3, 2: 2, 3: 5}))
+    capsys.readouterr()
+    assert cli.main(["embed", "--host", host, "--input", forest, "--out", str(emb)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "embedding failed validation:", "  ('Crossing', ((1, 3), (2, 5)))"]
+    assert not emb.exists()
 
 
 def test_caterpillar_build_embed_verify(tmp_path):

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -34,7 +35,7 @@ from ugg.convex import (
     nesting_crossing,
 )
 from ugg.embedder import Embedding, embed_forest
-from ugg.errors import IndexOutOfRange, InputError
+from ugg.errors import DegenerateEdge, IndexOutOfRange, InputError
 from ugg.geometry import edges_cross, realize_coordinates, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
@@ -481,6 +482,29 @@ def test_pairwise_oracle_refuses_an_end_off_the_host(host, segments, index):
         pairwise_crossings(host, segments)
 
 
+def test_both_oracles_take_either_orientation_against_exact_coordinates():
+    # every pair of the 105 segments on the 15-vertex host, the first given
+    # as (hi, lo): both oracles agree with the exact integer realization
+    host = UniversalGraph(15)
+    points = realize_coordinates(host.h, host.n)
+    segments = list(itertools.combinations(range(host.n), 2))
+    for s, t in itertools.combinations(segments, 2):
+        crossing = segments_cross_exact(points, s, t)
+        listed, _ = pairwise_crossings(host, [s[::-1], t])
+        assert listed == ([("Crossing", (s, t))] if crossing else []), (s, t)
+        assert roof_crossings(host.h, [s[::-1], t])[0] == crossing, (s, t)
+
+
+@pytest.mark.parametrize("host", [UniversalGraph(15), build_complete_host(8)],
+                         ids=["universal", "complete"])
+def test_both_oracles_refuse_a_segment_with_equal_ends(host):
+    keys = {v: -v for v in range(host.n)} if host.kind == "complete" else None
+    with pytest.raises(DegenerateEdge, match=re.escape("edge (2, 2) joins a vertex to itself")):
+        roof_crossings(host.h if keys is None else None, [(0, 5), (2, 2)], keys)
+    with pytest.raises(DegenerateEdge, match=re.escape("edge (2, 2) joins a vertex to itself")):
+        pairwise_crossings(host, [(0, 5), (2, 2)])
+
+
 def test_repeated_segments_count_once_per_copy():
     # (1, 3) crosses (2, 5) on the 7-vertex host, and (0, 5) crosses (2, 7)
     # on the complete host; four copies of one, one given backwards, and two
@@ -633,9 +657,11 @@ def test_validation_reports_are_pinned():
         digest.update(repr((report.status, report.failures, report.checked,
                             report.crossings)).encode())
         if host.kind == "universal":
-            # the sweep alone on the mapped segments, host edges or not
+            # the sweep alone on the mapped segments, host edges or not; it
+            # refuses a segment whose ends are equal, which it once dropped
             n, edges = graph if isinstance(graph, tuple) else (graph.n, graph.edges)
-            segments = [(emb.mapping.get(u, u), emb.mapping.get(v, v)) for u, v in edges]
+            segments = [(a, b) for a, b in ((emb.mapping.get(u, u), emb.mapping.get(v, v))
+                                            for u, v in edges) if a != b]
             digest.update(repr(roof_crossings(host.h, segments)).encode())
     assert kinds == {"DegenerateEdge", "IndexOutOfRange", "SizeMismatch", "NotInjective",
                      "MissingEdge", "Crossing"}

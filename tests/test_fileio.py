@@ -85,17 +85,52 @@ class Counted:
         self.f.close()
 
 
+def read_counted(monkeypatch):
+    """The sizes of the reads that fileio makes from here on."""
+    reads = []
+    monkeypatch.setattr(fileio, "open", lambda path, mode: Counted(open(path, mode), reads),
+                        raising=False)
+    return reads
+
+
 def test_forest_file_past_its_edges_is_read_no_further(tmp_path, monkeypatch):
     # n rows already list one edge more than a forest on n vertices has, so
     # the loader stops there, and the message is the one for the whole file:
     # its 10th edge leaves the vertex range
     p = tmp_path / "forest.txt"
     p.write_text("n 10\n" + "".join(f"e {i} {i + 1}\n" for i in range(10**5)), encoding="utf-8")
-    reads = []
-    monkeypatch.setattr(fileio, "open", lambda path, mode: Counted(open(path, mode), reads),
-                        raising=False)
+    reads = read_counted(monkeypatch)
     with pytest.raises(IndexOutOfRange, match=re.escape("edge (9, 10) outside [0, 10)")):
         fileio.load_input(p)
+    assert sum(reads) <= 2 * fileio.BLOCK and p.stat().st_size > 100 * fileio.BLOCK
+
+
+def test_chorded_file_past_its_chords_is_read_no_further(tmp_path, monkeypatch):
+    # h + 1 chord rows already list one chord too many, so the loader stops
+    # there and names the declared h
+    p = tmp_path / "chorded.txt"
+    p.write_text("n 10\nh 2\n" + "c 0 2\n" * 10**5, encoding="utf-8")
+    reads = read_counted(monkeypatch)
+    with pytest.raises(MalformedInput, match=re.escape("declared h=2 but found more than 2 chords")):
+        fileio.load_input(p)
+    assert sum(reads) <= 2 * fileio.BLOCK and p.stat().st_size > 100 * fileio.BLOCK
+
+
+@pytest.mark.parametrize("role, head, tag, message", [
+    pytest.param("embedding", "", "m", "bad host vertex: 'x'", id="embedding"),
+    pytest.param("host", f"{fileio.MAGIC}\nkind custom\nn 10\n", "e", "bad endpoint: 'x'",
+                 id="host"),
+])
+def test_pair_file_with_a_bad_first_row_is_read_no_further(tmp_path, monkeypatch, role, head,
+                                                           tag, message):
+    # the first fault ends the read: nothing past the piece that holds it
+    p = tmp_path / "file.txt"
+    p.write_text(head + f"{tag} 0 x\n" + "".join(f"{tag} {i} {i + 1}\n" for i in range(10**5)),
+                 encoding="utf-8")
+    reads = read_counted(monkeypatch)
+    load = fileio.load_embedding if role == "embedding" else fileio.load_host
+    with pytest.raises(MalformedInput, match=re.escape(message)):
+        load(p)
     assert sum(reads) <= 2 * fileio.BLOCK and p.stat().st_size > 100 * fileio.BLOCK
 
 
@@ -136,9 +171,9 @@ CASES = [
     ("input", forest_text("x 1 2\n"), "unexpected forest line: x 1 2", "bad-row"),
     ("input", forest_text("e 29 3z\n"), "bad endpoint: '3z'", "bad-token"),
     ("input", forest_text("e 29  30 31\n"), "unexpected forest line: e 29 30 31", "long-row"),
-    # a bad row names the fault even past an earlier bad token
+    # the first fault in file order is named: a bad token before a bad row
     ("input", forest_text("e 1 q\n", 3).replace("e 29 30\n", "e 29\n"),
-     "unexpected forest line: e 29", "row-after-token"),
+     "bad endpoint: 'q'", "row-after-token"),
     ("input", forest_text("e 29 29\n"), "self-loop at 29", "self-loop"),
     ("input", "n 100\nh 3\n" + "# a comment\n" * 20 + "c 0 2\nc 5 9\n",
      "declared h=3 but found 2 chords", "chord-count"),
@@ -191,6 +226,102 @@ def test_bytes_that_are_not_utf8_are_named_at_their_file_position(tmp_path, monk
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode()
     assert str(exc.value) == f"{p} is not UTF-8: {whole.value}"
+
+
+# Each role: its loader, the name of a bad row in its messages, its pair
+# tag, the names of its two tokens and its header rows, each with a bad
+# replacement and the message that names it.
+ROLES = {
+    "forest": (fileio.load_input, "e", ("endpoint", "endpoint"),
+               [("n 40", "n q", "bad n: 'q'")]),
+    "chorded": (fileio.load_input, "c", ("endpoint", "endpoint"),
+                [("n 40", "n q", "bad n: 'q'"), ("h 2", "h q", "bad h: 'q'")]),
+    "embedding": (fileio.load_embedding, "m", ("input vertex", "host vertex"), []),
+    "host": (fileio.load_host, "e", ("endpoint", "endpoint"),
+             [(fileio.MAGIC, "ugg-graph v2", "missing `ugg-graph v1` header in {path}"),
+              ("kind universal", "kind bogus", "unknown host kind 'bogus'"),
+              ("n 15", "n q", "bad n: 'q'"),
+              (f"edges {build_universal(15).edge_count()}", "edges q", "bad edge count: 'q'")]),
+}
+
+
+def clean_rows(role, rng):
+    """The header and pair rows of a valid file of the role."""
+    if role == "forest":
+        return [f"e {rng.randrange(v)} {v}" for v in range(1, 40)]
+    if role == "chorded":
+        return ["c 0 2", "c 4 7"]
+    if role == "embedding":
+        return [f"m {t} {t}" for t in range(40)]
+    return [f"e {u} {v}" for u, v in build_universal(15).edges()]
+
+
+def body_faults(role):
+    """Lines that are a fault wherever they stand past the header, each with
+    its message; None for a line that is not UTF-8."""
+    _, tag, names = ROLES[role][:3]
+    faults = [("x 1 2", f"unexpected {role} line: x 1 2"),
+              (f"{tag} 5", f"unexpected {role} line: {tag} 5"),
+              (f"{tag} 1 2 3", f"unexpected {role} line: {tag} 1 2 3"),
+              (f"{tag} q 1", f"bad {names[0]}: 'q'"),
+              (f"{tag} 1 z", f"bad {names[1]}: 'z'"),
+              (f"{tag} 1 \udcff2", None),
+              (f"{tag} \udce2(1 2", None)]
+    if role == "host":
+        faults += [("e 3 70", "bad edge (3, 70)"), ("edges 5", "unexpected host line: edges 5")]
+    return faults
+
+
+def damaged(role, rng):
+    """A file of the role with one or two faults, and the message of the
+    first in file order, None for a line that is not UTF-8."""
+    header = [row for row, _, _ in ROLES[role][3]]
+    rows = clean_rows(role, rng)
+    faults = []
+    for _ in range(rng.randrange(1, 3)):
+        line, message = rng.choice(body_faults(role))
+        at = rng.randrange(len(rows) + 1)
+        rows.insert(at, line)
+        faults = [(i + (i >= at), m) for i, m in faults] + [(at, message)]
+    first = min(faults)[1]
+    if header and rng.random() < 0.3:  # a bad header row comes before them
+        i = rng.randrange(len(header))
+        _, header[i], first = ROLES[role][3][i]
+    text = "".join(f"{line}\n" for line in header + rows)
+    return text.encode("utf-8", "surrogateescape"), first
+
+
+# Files with a byte that is not UTF-8 past their first fault: at some block
+# sizes it lands in the fault's piece, at others in a later one.
+EXPLICIT = {
+    # a bad token, then a line that is not UTF-8 past the 12th pair row
+    "forest": [(b"n 12\ne 1 q\n" + b"".join(b"e 0 %d\n" % i for i in range(1, 12)) + b"\xff\n",
+                "bad endpoint: 'q'")],
+    # a bad first row, then a chorded file's `h` row and a byte that is not UTF-8
+    "chorded": [(b"e 1 2 3\nh 2\nc 0 2\n\xffc 4 7\n", "expected `n <value>`, got `e 1 2 3`")],
+}
+
+
+@pytest.mark.parametrize("role", sorted(ROLES))
+def test_damaged_files_name_their_first_fault_at_every_block_size(tmp_path, monkeypatch, role):
+    # one or two faults, anywhere past the header or in it: at every block
+    # size the same exception and message, the one of the fault read first
+    rng = random.Random(role)
+    p = tmp_path / "file.txt"
+    load = ROLES[role][0]
+    for data, first in [damaged(role, rng) for _ in range(60)] + EXPLICIT.get(role, []):
+        p.write_bytes(data)
+        if first is None:  # a line that is not UTF-8 holds the first bad byte
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode()
+            first = f"{p} is not UTF-8: {whole.value}"
+        seen = set()
+        for block in (5, 16, 64, 4096):
+            monkeypatch.setattr(fileio, "BLOCK", block)
+            with pytest.raises(InputError) as exc:
+                load(p)
+            seen.add((type(exc.value), str(exc.value)))
+        assert seen == {(MalformedInput, first.format(path=p))}, data
 
 
 @pytest.mark.parametrize("block", [5, 16, 64, 1 << 13])

@@ -343,7 +343,7 @@ def test_validator_reports_extra_mapping_keys():
 @pytest.mark.parametrize("mapping, failures", [
     # missing keys: the first four
     ({0: 0}, [("SizeMismatch", (1, 2, 3, 4))]),
-    # extra keys: all of them, sorted, with their images
+    # extra keys: the first four, sorted, with their images
     ({**{t: t for t in range(6)}, 9: 1, -2: 3}, [("SizeMismatch", ((-2, 3), (9, 1)))]),
     # missing and extra keys together, missing first; the rest is not looked at
     ({0: 99, 1: 1, 2: 1, 7: 2}, [("SizeMismatch", (3, 4, 5)), ("SizeMismatch", ((7, 2),))]),
@@ -359,6 +359,17 @@ def test_validator_mapping_failures_keep_their_precedence(mapping, failures):
     report = validate_embedding(G, Forest(6, [(0, 1)]), Embedding(mapping))
     assert not report.ok
     assert report.failures == failures
+
+
+def test_validator_lists_four_of_many_extra_keys():
+    # a 5-vertex path against a long identity map: the report names the
+    # four smallest extra keys, as it does missing keys, not every one
+    n = 10**5
+    mapping = {t: t for t in range(n - 1, -1, -1)}
+    mapping[-7] = 2
+    report = validate_embedding(build_universal(n), Forest(5, [(i, i + 1) for i in range(4)]),
+                                Embedding(mapping))
+    assert report.failures == [("SizeMismatch", ((-7, 2), (5, 5), (6, 6), (7, 7)))]
 
 
 def test_validator_checked_is_linear_on_star():
