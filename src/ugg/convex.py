@@ -358,7 +358,9 @@ def nesting_crossing(chords) -> tuple[tuple[tuple[int, int], tuple[int, int]] | 
 def embed_twochord(host: ConvexHost, cc: ChordedCycle) -> Embedding:
     """Rotate the input cycle so the shorter gap between the two chords
     starts at a star center x and ends at a star center x + gap, where gap
-    is its length; both chords then ride on star edges."""
+    is its length; both chords then ride on star edges.  The host is a star
+    host, two-chord or complete, and x is its first center, in the order of
+    `host.runs`, with x + gap in `host.centers`."""
     if cc.h != 2:
         raise NotTwoChord(f"expected exactly 2 chords, got {cc.h}")
     if cc.n != host.n:
@@ -371,9 +373,8 @@ def embed_twochord(host: ConvexHost, cc: ChordedCycle) -> Embedding:
         gap, e = min((c - b, b), (n - d + a, d))
     else:
         gap, e = min((c - a, a), (b - d, d))
-    centers = twochord_centers(n)
-    is_center = set(centers)
-    x = next((x for x in centers if x + gap in is_center), None)
+    centers = host.centers
+    x = next((x for lo, hi in host.runs for x in range(lo, hi + 1) if x + gap in centers), None)
     if x is None:
         raise NoRealizingPair(f"no center pair at distance {gap} for n={n}")
     shift = (x - e) % n

@@ -230,8 +230,6 @@ class RootedTree:
         if not 1 <= s <= n:
             raise InvalidS(f"s {s} not in [1, {n}]")
         size, i, m = self.size, 0, len(ex)
-        while i < m and ex[i][0] <= v:
-            i += 1
         c, d, end = v, v + 1, v + size[v]  # d: the next child of c to weigh
         while d < end:
             if i < m and ex[i][0] == d:

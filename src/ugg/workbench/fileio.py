@@ -10,12 +10,14 @@ file may declare at most INPUT_CAP vertices; a larger `n` raises SizeTooLarge,
 as does a host past EXPLICIT_CAP vertices or edges written with its edges.
 
 No reader holds a file's text, and no writer joins one.  Every file is read
-in one of two ways.  An explicit host file is first compared with the host's
-own rendering as it is read, 16 blocks at a time: each vertex's edge lines
-are built from the host's walk and compared in place with the bytes read,
-and the walk stops at the first difference.  Any other file is read in
-pieces of whole lines, one BLOCK at a time, header rows first.  A piece in
-the layout the writers produce (`<key> <int>` lines, then single-spaced
+in one of two ways.  A host file whose four header lines are, byte for
+byte, those `save_host` writes for a built-in kind is matched once, and
+its edge lines alone are then compared with the host's own rendering as
+they are read, 16 blocks at a time: each vertex's edge lines are built
+from the host's walk and compared in place with the bytes read, and the
+walk stops at the first difference.  Any other file is read in pieces of
+whole lines, one BLOCK at a time, header rows first.  A piece in the
+layout the writers produce (`<key> <int>` lines, then single-spaced
 `<tag> <int> <int>` lines) is split as bytes, with no per-line work; any
 other piece, with comments, blank lines, other spacing or an error, is
 decoded and read row by row, which accepts every valid layout.
@@ -25,11 +27,14 @@ it, at every block size: a line that is not UTF-8, a bad row, a bad token
 or, in a host file, an edge out of range.  Header rows are checked as they
 are read.  The checks of the whole list run after a clean read: `Forest`'s
 and `ChordedCycle`'s, the declared `h` and `edges` counts, repeats and
-edges not on the host.  A forest file is read only up to its n-th pair
-row, since n edges are one more than a forest on n vertices has, and a
-chorded file up to its (h + 1)-th chord row.  A host file that is not its
-host's rendering keeps each listed edge as one packed int, u·n + v, in one
-array, sorted in place and walked in lockstep with the host's edges.
+edges not on the host.  Every reader of a file with a header is bounded by
+it, and reads at most one row past what the header allows: a forest file
+n pair rows, since n edges are one more than a forest on n vertices has; a
+chorded file min(h, n) chord rows, since a valid one has 2h + 2 <= n; and
+a host file its declared edge count, or with no `edges` row EXPLICIT_CAP
+edges, either at most EXPLICIT_CAP.  A host file that is not its host's
+rendering keeps each listed edge as one packed int, u·n + v, in one array,
+sorted in place and walked in lockstep with the host's edges.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ BLOCK = 1 << 12
 # most 18 digits is well inside what `int()` parses.
 _KEYS = re.compile(rb"(?:[a-z]+ [0-9]{1,18}\n)*")
 _PAIRS = re.compile(rb"(?:[a-z] [0-9]{1,18} [0-9]{1,18}\n)*")
-# The first three lines of a host file as `save_host` writes them, and a
-# length that holds them for every built-in kind.
-_HOST_HEAD = re.compile(re.escape(MAGIC.encode()) + rb"\nkind ([a-z]+)\nn ([0-9]{1,18})\n")
+# The four header lines of an explicit host file as `save_host` writes them,
+# ints in canonical digits, and a length that holds them for every built-in
+# kind.
+_HOST_HEAD = re.compile(re.escape(MAGIC.encode())
+                        + rb"\nkind ([a-z]+)\nn (0|[1-9][0-9]{0,17})\nedges (0|[1-9][0-9]{0,17})\n")
 _HOST_HEAD_BYTES = 100
 # The rows of one piece of a file, then the tokens of the written pair lines
 # that follow them in the piece.
@@ -257,17 +264,13 @@ def _header(host) -> bytes:
     return f"{MAGIC}\nkind {host.kind}\nn {host.n}\n".encode()
 
 
-def _is_rendering(host, f) -> bool:
-    """Whether `f`, read from where it stands, is `host`'s explicit file.
-    The file is read one block at a time and each block of the host's walk
-    is compared in place with the bytes read: no list of blocks and no
-    text, and the walk stops at the first difference."""
-    head = _header(host) + b"edges "
-    data = f.read(len(head) + 21)  # the header and a count of up to 20 digits
-    pos = data.find(b"\n", len(head)) + 1  # where the edge lines start
-    if not (pos and data.startswith(head)):
-        return False
-    declared, count = data[len(head):pos], 0
+def _is_rendering(host, f, declared: int) -> bool:
+    """Whether the rest of `f`, read from where it stands, is the edge lines
+    of `host`'s explicit file, `declared` lines in all.  The file is read 16
+    blocks at a time and each block of the host's walk is compared in place
+    with the bytes read: no list of blocks and no text, and the walk stops
+    at the first difference."""
+    data, pos, count = b"", 0, 0
     for block, k in _blocks(host):
         while pos + len(block) > len(data):
             more = f.read(BLOCK << 4)  # bytes cost a fraction of a block's tokens
@@ -278,7 +281,7 @@ def _is_rendering(host, f) -> bool:
             return False
         pos += len(block)
         count += k
-    return pos == len(data) and not f.read(1) and declared == b"%d\n" % count
+    return pos == len(data) and not f.read(1) and count == declared
 
 
 def save_host(host, path, explicit: bool = False) -> int | None:
@@ -348,10 +351,13 @@ def _listed(f, path):
     listed once, and, sorted, equal to the host's own `edges()` stream."""
     kind, n, declared, items = _host_head(_items(f, path), path)
     host = None if kind == "custom" else HOST_BUILDERS[kind](n)
+    # the most edge rows the header allows: its count, or with none the
+    # writer's cap; one row past it is read, and nothing after that
+    limit = EXPLICIT_CAP if declared is None else max(0, min(declared, EXPLICIT_CAP))
     # each edge (u, v), u < v < n, as the int u·n + v: in an array while
     # that fits in 64 bits, and in a list past it
     listed = array("q") if n * n < 1 << 63 else []
-    for us, vs in _pairs(items, "e", "host"):
+    for us, vs in _pairs(_upto(items, limit + 1), "e", "host"):
         for u, v in zip(us, vs):
             if u > v:
                 u, v = v, u
@@ -359,6 +365,10 @@ def _listed(f, path):
                 raise MalformedInput(f"bad edge {(u, v)}")
             listed.append(u * n + v)
     count = len(listed)
+    if count > limit:
+        if declared is None or declared > EXPLICIT_CAP:
+            raise SizeTooLarge(f"an explicit host file lists at most {EXPLICIT_CAP} edges")
+        raise MalformedInput(f"declared {declared} edges, found more than {limit}")
     if declared is not None and declared != count:
         raise MalformedInput(f"declared {declared} edges, found {count}")
     _sort(listed)
@@ -399,8 +409,8 @@ def load_host(path):
         build = head and HOST_BUILDERS.get(head[1].decode())
         if build and 3 <= int(head[2]) <= os.fstat(f.fileno()).st_size:
             host = build(int(head[2]))
-            f.seek(0)
-            if _is_rendering(host, f):
+            f.seek(head.end())
+            if _is_rendering(host, f, int(head[3])):
                 return host
         f.seek(0)
         return _listed(f, path)
@@ -419,7 +429,9 @@ def chorded_lines(cc: ChordedCycle) -> list[str]:
 
 
 def _chorded(n: int, h: int, items: Iterator[_Piece]) -> ChordedCycle:
-    limit = max(h, 0)
+    # a valid file has 2h + 2 <= n, so at most min(h, n) chord rows are
+    # read before the one that shows too many
+    limit = max(0, min(h, n))
     chords: list[tuple[int, int]] = []
     for us, vs in _pairs(_upto(items, limit + 1), "c", "chorded"):
         chords += zip(us, vs)

@@ -91,15 +91,6 @@ class ValidationReport:
         return self.status == "ok"
 
 
-def _input_shape(graph) -> tuple[int, list[tuple[int, int]]]:
-    """The input's n and its edges, from an input graph or a raw (n, edges)
-    pair."""
-    if isinstance(graph, tuple):
-        n, edges = graph
-        return n, list(edges)
-    return graph.n, graph.edges
-
-
 def _ends(segments) -> tuple[list[int], list[int]]:
     """The left and the right ends of segments given either way round; a
     segment whose two ends are equal raises DegenerateEdge."""
@@ -373,9 +364,9 @@ def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, t
 def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
     """Check emb maps graph into host: injective on all input vertices, every
     input edge on a host edge, no two mapped segments crossing.  The graph
-    is an input graph, read as `graph.n` and `graph.edges`, each edge listed
-    once, or a raw (n, edges) tuple, whose edges may repeat."""
-    n_in, in_edges = _input_shape(graph)
+    is read as `graph.n` and `graph.edges` alone: an input graph, or any
+    object with those two fields, whose edges, a list, may repeat."""
+    n_in, in_edges = graph.n, graph.edges
     # an input edge that is a loop or leaves [0, n_in) fails before any host test
     failures: list[tuple[str, tuple]] = [
         ("DegenerateEdge" if 0 <= u == v < n_in else "IndexOutOfRange", (u, v))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ugg import convex
 from ugg.convex import (
     ChordedCycle,
     _peak,
@@ -355,6 +356,29 @@ def test_embed_twochord_output_is_pinned():
             assert validate_embedding(host, cc, emb).ok
     assert count == sum(chorded_cycle_count(n, 2) for n in range(6, 31))
     assert digest.hexdigest() == EMBED_TWOCHORD_DIGEST
+
+
+def test_embed_twochord_reads_the_centers_from_its_host(monkeypatch):
+    # the host stored its centers when it was built: embedding lists none
+    hosts = {n: build_twochord_host(n) for n in (10, 1023)}
+    calls = []
+    monkeypatch.setattr(convex, "twochord_centers", lambda n: calls.append(n) or [])
+    for n, host in hosts.items():
+        rng = random.Random(n)
+        for _ in range(20):
+            cc = random_twochord_cycle(n, rng)
+            assert validate_embedding(host, cc, embed_twochord(host, cc)).ok
+    assert not calls
+
+
+def test_every_twochord_class_embeds_into_the_complete_host():
+    # every vertex of the complete host is a center, so the one its runs
+    # list first, 0, starts the gap
+    for n in range(6, 13):
+        host = build_complete_host(n)
+        for cc in enumerate_chorded_cycles(n, 2):
+            emb = embed_twochord(host, cc)
+            assert validate_embedding(host, cc, emb).ok, (n, cc.chords)
 
 
 def test_peak_is_the_one_position_of_greatest_reach():

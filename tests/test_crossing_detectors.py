@@ -16,6 +16,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import namedtuple
 from contextlib import contextmanager
 from itertools import accumulate
 
@@ -49,6 +50,8 @@ from ugg.workbench.validate import (
 )
 
 CORRUPTIONS = st.sampled_from(["none", "swap", "move"])
+# an input graph as the validator reads it, whose edges may repeat
+Graph = namedtuple("Graph", "n edges")
 
 
 def mapped_segments(edges, mapping):
@@ -96,11 +99,10 @@ def assert_report_matches_oracle(host, graph, emb):
     crossing, it counts the oracle's crossings, and on failure it lists at
     most WITNESS_CAP of the oracle's witnesses, or with the cap raised
     exactly the oracle's witnesses."""
-    n, edges = graph
     report = validate_embedding(host, graph, emb)
     if any(kind != "Crossing" for kind, _ in report.failures):
         return
-    witnesses, _ = pairwise_crossings(host, mapped_segments(edges, emb.mapping))
+    witnesses, _ = pairwise_crossings(host, mapped_segments(graph.edges, emb.mapping))
     assert report.crossings == len(witnesses)
     assert report.ok == (not witnesses)
     assert_witnesses_bounded(report.failures, witnesses)
@@ -128,14 +130,14 @@ def forest_embeddings(draw):
         a = draw(st.sampled_from(sorted(touched)))
         b = draw(st.sampled_from(isolated))
         mapping[a], mapping[b] = mapping[b], mapping[a]
-    return host, (n, edges), Embedding(mapping)
+    return host, Graph(n, edges), Embedding(mapping)
 
 
 @given(forest_embeddings())
 def test_sweep_agrees_with_pairwise_on_forest_embeddings(case):
-    host, (n, edges), emb = case
-    assert_detectors_agree(host, mapped_segments(edges, emb.mapping))
-    assert_report_matches_oracle(host, (n, edges), emb)
+    host, graph, emb = case
+    assert_detectors_agree(host, mapped_segments(graph.edges, emb.mapping))
+    assert_report_matches_oracle(host, graph, emb)
 
 
 @given(st.integers(3, 64), st.integers(0, 2**32 - 1), st.floats(0.05, 0.6))
@@ -147,7 +149,7 @@ def test_validator_matches_pairwise_on_host_edge_sets(n, seed, share):
     edges = [e for e in host.edges() if rng.random() < share]
     emb = Embedding({t: t for t in range(n)})
     assert_detectors_agree(host, edges)
-    assert_report_matches_oracle(host, (n, edges), emb)
+    assert_report_matches_oracle(host, Graph(n, edges), emb)
 
 
 @st.composite
@@ -181,14 +183,14 @@ def convex_embeddings(draw):
         mapping[a], mapping[b] = mapping[b], mapping[a]
     elif how == "move" and extra:
         mapping[draw(st.integers(0, n - 1))] = n + draw(st.integers(0, extra - 1))
-    return build_complete_host(n + extra), (n, edges), Embedding(mapping)
+    return build_complete_host(n + extra), Graph(n, edges), Embedding(mapping)
 
 
 @given(convex_embeddings())
 def test_nesting_agrees_with_pairwise_on_convex_embeddings(case):
-    host, (n, edges), emb = case
-    assert_detectors_agree(host, mapped_segments(edges, emb.mapping))
-    assert_report_matches_oracle(host, (n, edges), emb)
+    host, graph, emb = case
+    assert_detectors_agree(host, mapped_segments(graph.edges, emb.mapping))
+    assert_report_matches_oracle(host, graph, emb)
 
 
 def segment_sets(max_n):
@@ -288,7 +290,7 @@ def test_star_with_one_crossing_lists_it_in_linear_work():
     n = 4095
     edges = [(0, i) for i in range(1, n) if i != 3] + [(1, 3)]
     for host in (UniversalGraph(n), build_complete_host(n)):
-        report = validate_embedding(host, (n, edges), Embedding({t: t for t in range(n)}))
+        report = validate_embedding(host, Graph(n, edges), Embedding({t: t for t in range(n)}))
         assert report.failures == [("Crossing", ((0, 2), (1, 3)))], host.kind
         assert report.crossings == 1, host.kind
         assert report.checked <= 6 * len(edges), host.kind
@@ -371,7 +373,7 @@ def test_list_sweep_equals_fenwick_sweep(n):
         fenwick = validate._sweep(keys, lo, hi)
         assert validate._list_sweep(keys, lo, hi) == fenwick, seed
         assert roof_crossings(host.h, edges) == fenwick
-        report = validate_embedding(host, (n, edges), identity)
+        report = validate_embedding(host, Graph(n, edges), identity)
         assert (report.crossings, report.failures, report.checked) == fenwick
         counts.append(fenwick[0])
     assert max(counts) > WITNESS_CAP, counts
@@ -518,7 +520,7 @@ def test_repeated_segments_count_once_per_copy():
         oracle, _ = pairwise_crossings(host, segments)
         assert oracle == [("Crossing", (s, t))] * 8
         assert_detectors_agree(host, segments)
-        report = validate_embedding(host, (n, edges), Embedding({v: v for v in range(n)}))
+        report = validate_embedding(host, Graph(n, edges), Embedding({v: v for v in range(n)}))
         assert report.crossings == 8 and report.failures == oracle, host.kind
         walk = 0 if host.kind == "universal" else nesting_crossing(segments)[1]
         assert report.checked == walk + 6, host.kind
@@ -534,7 +536,7 @@ def test_witnesses_stop_at_the_cap(k):
     host = build_complete_host(n)
     oracle, _ = pairwise_crossings(host, sorted(edges))
     assert len(oracle) == k
-    report = validate_embedding(host, (n, edges), Embedding({v: v for v in range(n)}))
+    report = validate_embedding(host, Graph(n, edges), Embedding({v: v for v in range(n)}))
     assert report.crossings == k and not report.ok
     assert_witnesses_bounded(report.failures, oracle)
     assert len(report.failures) == min(k, WITNESS_CAP)
@@ -616,16 +618,16 @@ def report_corpus():
             edges += [edges[i][::-1] if i % 2 else edges[i]
                       for i in rng.choices(range(len(edges)), k=len(edges) // 4)]
             rng.shuffle(edges)
-            yield host, (n, edges), Embedding({t: t for t in range(n)})
+            yield host, Graph(n, edges), Embedding({t: t for t in range(n)})
     host = UniversalGraph(10**9)
     points = [rng.randrange(host.n) >> rng.randrange(30) for _ in range(40)]
     points = sorted(set(points))
     edges = [(i, j) for i, j in itertools.combinations(range(len(points)), 2)
              if host.is_edge(points[i], points[j]) and rng.random() < 0.5]
-    yield host, (len(points), edges), Embedding(dict(enumerate(points)))
+    yield host, Graph(len(points), edges), Embedding(dict(enumerate(points)))
     for n, k in ((61, 25), (1001, 200)):
-        yield (build_complete_host(n), (n, [(0, n // 2)] + [(i, n - 1 - i) for i in range(1, k)]),
-               Embedding({v: v for v in range(n)}))
+        edges = [(0, n // 2)] + [(i, n - 1 - i) for i in range(1, k)]
+        yield build_complete_host(n), Graph(n, edges), Embedding({v: v for v in range(n)})
     for build, cat in ((build_caterpillar_host, Caterpillar((0, 1, 2), ((3, 4), (), (5,)))),
                        (build_twochord_host, ChordedCycle(14, ((0, 4), (7, 11))))):
         host = build(cat.n)
@@ -641,7 +643,7 @@ def report_corpus():
             ((6, [(0, 1)]), {**ids, 3: 0, 5: 1}),             # NotInjective
             ((15, [(3, 13), (0, 1)]), {t: t for t in range(15)}),  # MissingEdge
             ((15, [(1, 3), (2, 5), (1, 3)]), {t: t for t in range(15)})):  # Crossing
-        yield host, graph, Embedding(mapping)
+        yield host, Graph(*graph), Embedding(mapping)
 
 
 # sha256 of every report on `report_corpus`: status, failures, checked and
@@ -659,9 +661,8 @@ def test_validation_reports_are_pinned():
         if host.kind == "universal":
             # the sweep alone on the mapped segments, host edges or not; it
             # refuses a segment whose ends are equal, which it once dropped
-            n, edges = graph if isinstance(graph, tuple) else (graph.n, graph.edges)
             segments = [(a, b) for a, b in ((emb.mapping.get(u, u), emb.mapping.get(v, v))
-                                            for u, v in edges) if a != b]
+                                            for u, v in graph.edges) if a != b]
             digest.update(repr(roof_crossings(host.h, segments)).encode())
     assert kinds == {"DegenerateEdge", "IndexOutOfRange", "SizeMismatch", "NotInjective",
                      "MissingEdge", "Crossing"}

@@ -6,7 +6,7 @@ import random
 import statistics
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +41,9 @@ from ugg.workbench.families import (
     random_tree,
 )
 from ugg.workbench.validate import validate_embedding
+
+# an input graph as the validator reads it
+Graph = namedtuple("Graph", "n edges")
 
 
 def path_tree(n, root=0):
@@ -230,7 +233,7 @@ def test_embed_path_endpoint_portal():
     G = build_universal(7)
     emb = embed_tree(G, path_tree(7))
     assert emb.mapping[0] == 0
-    report = validate_embedding(G, (7, [(i, i + 1) for i in range(6)]), emb)
+    report = validate_embedding(G, Graph(7, [(i, i + 1) for i in range(6)]), emb)
     assert report.ok, report.failures
 
 
@@ -238,7 +241,7 @@ def test_embed_path_midpoint_portal():
     G = build_universal(9)
     emb = embed_tree(G, path_tree(9, root=4))
     assert emb.mapping[4] == btree.highest_in_range(G.h, 0, 8)
-    report = validate_embedding(G, (9, [(i, i + 1) for i in range(8)]), emb)
+    report = validate_embedding(G, Graph(9, [(i, i + 1) for i in range(8)]), emb)
     assert report.ok, report.failures
 
 
@@ -247,7 +250,7 @@ def test_two_portal_postconditions():
     tree = path_tree(9, root=0)
     emb = embed_tree(G, tree, second=8)
     assert emb.mapping[0] < emb.mapping[8]
-    report = validate_embedding(G, (9, [(i, i + 1) for i in range(8)]), emb)
+    report = validate_embedding(G, Graph(9, [(i, i + 1) for i in range(8)]), emb)
     assert report.ok, report.failures
 
 
@@ -256,7 +259,7 @@ def test_two_portal_adjacent_portals():
     tree = path_tree(6, root=2)
     emb = embed_tree(G, tree, second=3)
     assert emb.mapping[2] < emb.mapping[3]
-    report = validate_embedding(G, (6, [(i, i + 1) for i in range(5)]), emb)
+    report = validate_embedding(G, Graph(6, [(i, i + 1) for i in range(5)]), emb)
     assert report.ok, report.failures
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from ugg.convex import build_twochord_host
-from ugg.errors import IndexOutOfRange, InputError, MalformedInput
+from ugg.errors import IndexOutOfRange, InputError, MalformedInput, SizeTooLarge
 from ugg.ugraph import build_universal
 from ugg.workbench import fileio
 
@@ -114,6 +114,66 @@ def test_chorded_file_past_its_chords_is_read_no_further(tmp_path, monkeypatch):
     with pytest.raises(MalformedInput, match=re.escape("declared h=2 but found more than 2 chords")):
         fileio.load_input(p)
     assert sum(reads) <= 2 * fileio.BLOCK and p.stat().st_size > 100 * fileio.BLOCK
+
+
+def test_chorded_file_past_its_vertex_count_is_read_no_further(tmp_path, monkeypatch):
+    # a valid file has 2h + 2 <= n, so an h past n bounds nothing: min(h, n)
+    # chord rows bound the read, and one more shows too many.  Fewer rows
+    # keep the message for a short file
+    p = tmp_path / "chorded.txt"
+    head = "n 10\nh 1000000000\n"
+    p.write_text(head + "c 0 2\n" * 10**5, encoding="utf-8")
+    reads = read_counted(monkeypatch)
+    with pytest.raises(MalformedInput,
+                       match=re.escape("declared h=1000000000 but found more than 10 chords")):
+        fileio.load_input(p)
+    assert sum(reads) <= 2 * fileio.BLOCK and p.stat().st_size > 100 * fileio.BLOCK
+    p.write_text(head + "c 0 2\n" * 10, encoding="utf-8")
+    with pytest.raises(MalformedInput, match=re.escape("declared h=1000000000 but found 10 chords")):
+        fileio.load_input(p)
+
+
+@pytest.mark.parametrize("kind", ["custom", "universal"])
+def test_host_file_past_its_edge_count_is_read_no_further(tmp_path, monkeypatch, kind):
+    # the declared count bounds the read, and one row more shows too many;
+    # a built-in kind's file is first compared with the host's rendering,
+    # which refuses it in the rendering's first read
+    p = tmp_path / "host.txt"
+    p.write_text(f"{fileio.MAGIC}\nkind {kind}\nn 63\nedges 5\n" + "e 0 1\n" * 10**5,
+                 encoding="utf-8")
+    reads = read_counted(monkeypatch)
+    with pytest.raises(MalformedInput, match=re.escape("declared 5 edges, found more than 5")):
+        fileio.load_host(p)
+    checked = 0 if kind == "custom" else fileio.BLOCK << 4
+    assert sum(reads) <= checked + 2 * fileio.BLOCK and p.stat().st_size > 100 * fileio.BLOCK
+
+
+@pytest.mark.parametrize("edges", ["", "edges 1000000000000\n"])
+def test_host_file_past_the_explicit_cap_is_read_no_further(tmp_path, monkeypatch, edges):
+    # with no `edges` row, or one past the cap, the writer's cap bounds the
+    # read: one row past it is too large
+    monkeypatch.setattr(fileio, "EXPLICIT_CAP", 10)
+    p = tmp_path / "host.txt"
+    p.write_text(f"{fileio.MAGIC}\nkind custom\nn 63\n{edges}"
+                 + "".join(f"e 0 {v}\n" for v in range(1, 63)) * 2000, encoding="utf-8")
+    reads = read_counted(monkeypatch)
+    with pytest.raises(SizeTooLarge, match="at most 10 edges"):
+        fileio.load_host(p)
+    assert sum(reads) <= 2 * fileio.BLOCK and p.stat().st_size > 100 * fileio.BLOCK
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_host_file_builds_its_host_once(tmp_path, monkeypatch, explicit):
+    # the header is matched once: a file of the header alone goes straight
+    # to the general path, which builds the host, and a rendering is
+    # checked against the one host built from its header
+    p = tmp_path / "host.txt"
+    fileio.save_host(build_twochord_host(10), p, explicit=explicit)
+    calls = []
+    monkeypatch.setitem(fileio.HOST_BUILDERS, "twochord",
+                        lambda n: calls.append(n) or build_twochord_host(n))
+    host = fileio.load_host(p)
+    assert (host.kind, host.n) == ("twochord", 10) and calls == [10]
 
 
 @pytest.mark.parametrize("role, head, tag, message", [

@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import namedtuple
 
 import pytest
 
@@ -37,6 +38,9 @@ from ugg.workbench.families import (
 )
 from ugg.workbench.render import render_svg
 from ugg.workbench.validate import validate_embedding
+
+# an input graph as the validator reads it, whose edges need not form a forest
+Graph = namedtuple("Graph", "n edges")
 
 
 def test_ordered_level_sequences_count_ordered_trees():
@@ -406,7 +410,7 @@ def test_validator_catches_missing_edge():
     G = build_universal(15)
     # (3, 13) is a non-edge of the 15-vertex host
     emb = Embedding({t: t for t in range(15)})
-    report = validate_embedding(G, (15, [(3, 13)]), emb)
+    report = validate_embedding(G, Graph(15, [(3, 13)]), emb)
     assert not report.ok
     assert report.failures[0][0] == "MissingEdge"
 
@@ -414,7 +418,7 @@ def test_validator_catches_missing_edge():
 def test_validator_catches_crossing():
     G = build_universal(7)
     emb = Embedding({t: t for t in range(7)})
-    report = validate_embedding(G, (7, [(1, 3), (2, 5)]), emb)
+    report = validate_embedding(G, Graph(7, [(1, 3), (2, 5)]), emb)
     assert not report.ok
     assert ("Crossing", ((1, 3), (2, 5))) in report.failures
 
@@ -422,7 +426,7 @@ def test_validator_catches_crossing():
 def test_validator_convex_crossing():
     host = build_complete_host(10)
     emb = Embedding({t: t for t in range(10)})
-    report = validate_embedding(host, (10, [(0, 5), (2, 7)]), emb)
+    report = validate_embedding(host, Graph(10, [(0, 5), (2, 7)]), emb)
     assert not report.ok
     assert report.failures[0][0] == "Crossing"
 
@@ -446,7 +450,7 @@ BAD_EDGE_HOSTS = {
 def test_validator_reports_bad_input_edges(kind, edges, failures):
     # a loop or an endpoint outside [0, n) is a failure of the input, found
     # before any host test, on every host kind
-    report = validate_embedding(BAD_EDGE_HOSTS[kind](7), (7, edges),
+    report = validate_embedding(BAD_EDGE_HOSTS[kind](7), Graph(7, edges),
                                 Embedding({t: t for t in range(7)}))
     assert not report.ok
     assert report.failures == failures
@@ -735,7 +739,7 @@ def test_damaged_host_files_are_read_row_by_row(tmp_path, monkeypatch, kind):
         ("".join(head + edges[:count // 2]), f"declared {count} edges, found {count // 2}"),
         (written + "# trailing text\n", None),
         (written + "\n", None),
-        (written + "e 0 1\n", f"declared {count} edges, found {count + 1}"),
+        (written + "e 0 1\n", f"declared {count} edges, found more than {count}"),
         (written.replace(f"edges {count}\n", f"edges {count + 1}\n"),
          f"declared {count + 1} edges, found {count}"),
         (written.replace(f"edges {count}\n", f"edges 0{count}\n"), None),
@@ -751,6 +755,18 @@ def test_damaged_host_files_are_read_row_by_row(tmp_path, monkeypatch, kind):
             with pytest.raises(MalformedInput, match=re.escape(message)):
                 fileio.load_host(p)
         assert lines_read
+
+    # a count in other digits is no header that `save_host` writes: the file
+    # is read row by row and never compared with the host's rendering
+    checks = []
+    is_rendering = fileio._is_rendering
+    monkeypatch.setattr(fileio, "_is_rendering",
+                        lambda *args: checks.append(args) or is_rendering(*args))
+    p.write_text(written.replace(f"edges {count}\n", f"edges 0{count}\n"), encoding="utf-8")
+    lines_read.clear()
+    assert fileio.load_host(p).n == n and lines_read and not checks
+    p.write_text(written, encoding="utf-8")
+    assert fileio.load_host(p).n == n and len(checks) == 1
 
 
 def test_large_explicit_host_loads_without_a_second_text(tmp_path):
