@@ -7,21 +7,27 @@ deterministic for a given input.
 `RootedTree` is the one rooted-tree format in the package, the workbench
 included: a tree rooted once, held as preorder arrays, with the helpers
 that describe a piece of it (a subtree minus a few preorder ranges) without
-copying anything.  `from_adjacency` roots a component of a `Forest`, and
-`Forest.trees` roots each component in one walk over the forest;
-`from_levels` is the one decoder of level sequences, the form in which the
-workbench enumerates ordered and rooted trees.
+copying anything.  A `Forest` is rooted once, when it is built: one walk
+per component, by `from_adjacency`, both roots it and decides that the
+graph is a forest, and the forest keeps those trees in place of its
+neighbour lists.  `Forest.trees` and `caterpillar_spine` read them and
+root nothing.  `from_levels` is the one decoder of level sequences, the
+form in which the workbench enumerates ordered and rooted trees.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
 from .errors import (
     DegenerateEdge,
     IndexOutOfRange,
+    InputError,
+    InternalInvariantBroken,
     InvalidS,
     InvalidSize,
     MalformedInput,
@@ -31,48 +37,59 @@ from .errors import (
 
 @dataclass
 class Forest:
-    """Simple acyclic graph on vertices 0..n-1."""
+    """Simple acyclic graph on vertices 0..n-1, rooted once.
+
+    Construction builds the neighbour lists, checking that every end lies
+    in [0, n), and roots each component at its smallest vertex, in order of
+    that vertex, by `RootedTree.from_adjacency`.  That one walk also decides
+    acyclicity: each edge joins at most two components into one, so a graph
+    on n vertices and m edges is a forest iff it has n - m components, and a
+    loop, a repeated edge or a cycle leaves more.  Only a graph that fails
+    either check takes the union-find pass of `_first_fault`, which raises
+    at the first faulty edge in supply order.  The forest keeps the rooted
+    trees and not its neighbour lists; `adj` builds those again on first
+    read, and nothing in the package reads it.
+    """
 
     n: int
     edges: list[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise MalformedInput(f"forest needs n >= 1, got {self.n}")
+        n, edges = self.n, self.edges
+        if n < 1:
+            raise MalformedInput(f"forest needs n >= 1, got {n}")
+        adj: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for u, v in edges:
+                if u | v < 0:  # a negative end would index from the back
+                    raise IndexError
+                adj[u].append(v)
+                adj[v].append(u)
+        except IndexError:  # an end outside [0, n)
+            raise _first_fault(n, edges) from None
+        seen = bytearray(n)
+        trees, root = [], 0
+        while root >= 0:
+            trees.append(RootedTree.from_adjacency(adj, root, seen))
+            root = seen.find(0, root + 1)
+        if len(trees) != n - len(edges):  # a loop, a repeated edge or a cycle
+            raise _first_fault(n, edges)
+        self._trees = trees
+
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        """Each vertex's neighbours, in the order the edges were supplied."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        parent = list(range(self.n))  # union-find for the acyclicity check
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise IndexOutOfRange(f"edge ({u}, {v}) outside [0, {self.n})")
-            if u == v:
-                raise DegenerateEdge(f"self-loop at {u}")
-            ru, rv = find(u), find(v)
-            if ru == rv:  # a repeated edge closes a cycle of two
-                if v in adj[u]:
-                    raise MalformedInput(f"duplicate edge {(min(u, v), max(u, v))}")
-                raise MalformedInput(f"edge ({u}, {v}) closes a cycle")
-            parent[ru] = rv
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = adj
+        return adj
 
     def trees(self) -> Iterator["RootedTree"]:
         """Each component rooted at its smallest vertex, in order of that
-        vertex, by `RootedTree.from_adjacency`."""
-        seen = [False] * self.n
-        for root in range(self.n):
-            if not seen[root]:
-                tree = RootedTree.from_adjacency(self.adj, root)
-                for v in tree.order:
-                    seen[v] = True
-                yield tree
+        vertex: the trees rooted at construction, never copied, which no
+        caller may change."""
+        return iter(self._trees)
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -80,6 +97,36 @@ class Forest:
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1
+
+
+def _first_fault(n: int, edges) -> InputError:
+    """The error that names the first faulty edge in supply order: an end
+    outside [0, n), a self-loop, a repeated edge, or an edge that closes a
+    cycle, found by union-find.  `Forest` runs it only on an input that has
+    one."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return IndexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+        if u == v:
+            return DegenerateEdge(f"self-loop at {u}")
+        ru, rv = find(u), find(v)
+        if ru == rv:  # a repeated edge closes a cycle of two
+            if v in adj[u]:
+                return MalformedInput(f"duplicate edge {(min(u, v), max(u, v))}")
+            return MalformedInput(f"edge ({u}, {v}) closes a cycle")
+        parent[ru] = rv
+        adj[u].append(v)
+        adj[v].append(u)
+    raise InternalInvariantBroken("no faulty edge in a graph that is no forest")
 
 
 @dataclass
@@ -110,20 +157,35 @@ class RootedTree:
         return len(self.order)
 
     @classmethod
-    def from_adjacency(cls, adj, root: int) -> "RootedTree":
-        """Root the component of `root` in one pass over `adj[v]` lists."""
+    def from_adjacency(cls, adj, root: int, seen=None) -> "RootedTree":
+        """Root the component of `root` in one pass over `adj[v]` lists.
+
+        A vertex is marked in `seen`, read and set as seen[v], when it is
+        first met, and pushed only then, so each vertex of the component is
+        placed once even if the lists hold a cycle; on a tree the preorder
+        is that of a walk that skips each vertex's parent.  `Forest` passes
+        one table for all its components, which then marks the vertices
+        already rooted; without one the walk keeps its own."""
+        if seen is None:
+            seen = defaultdict(int)
         order: list[int] = []
         parent: list[int] = []
-        todo = [(root, -1)]  # (vertex, parent position), next on top
+        seen[root] = 1
+        todo, up = [root], [-1]  # vertices, next on top, and their parents' positions
+        i = 0
         while todo:
-            v, p = todo.pop()
-            i = len(order)
+            v = todo.pop()
             order.append(v)
-            parent.append(p)
-            up = order[p] if p >= 0 else -1
-            for w in reversed(adj[v]):
-                if w != up:
-                    todo.append((w, i))
+            parent.append(up.pop())
+            nbrs = adj[v]
+            # past the root, a vertex with one neighbour met it from there
+            if len(nbrs) > 1 or not i:
+                for w in reversed(nbrs):
+                    if not seen[w]:
+                        seen[w] = 1
+                        todo.append(w)
+                        up.append(i)
+            i += 1
         size = [1] * len(order)
         for i in range(len(order) - 1, 0, -1):
             size[parent[i]] += size[i]
@@ -290,13 +352,15 @@ def caterpillar_spine(forest: Forest) -> Caterpillar:
     from its endpoint with the smaller id.  Trees on one or two vertices get
     the smallest vertex as a one-vertex spine.
 
-    On n >= 3 vertices the non-leaf vertices induce a nonempty subtree.  One
-    walk reads the degree array and each spine vertex's adjacency once: from
-    the smallest non-leaf vertex it goes both ways, taking the leaves of each
-    spine vertex as its group and its one other non-leaf neighbor as the next
-    step.  A vertex with more non-leaf neighbors than that is a branch, and a
-    walk without one has met every vertex of the subtree, which is then a
-    path whose ends are the walk's.
+    On n >= 3 vertices the non-leaf vertices induce a nonempty subtree, and
+    the walk reads it from the rooting the forest already holds: a child is
+    a leaf iff its subtree is one vertex, and the root is one iff it has one
+    child.  So the topmost non-leaf position t is the root, or its one child,
+    and every non-leaf vertex lies below t.  The subtree is a path iff t has
+    at most two non-leaf children and every other non-leaf vertex at most
+    one; the spine is then t between the chains of non-leaf children that
+    start at them, and each spine vertex's leaf group is its leaf children,
+    with the root added to t's when it is a leaf.
     """
     if not forest.is_tree():  # n - 1 edges and no cycle: connected
         raise NotACaterpillar("input is not a connected tree")
@@ -305,37 +369,46 @@ def caterpillar_spine(forest: Forest) -> Caterpillar:
         spine = [0]
         leaves = [tuple(v for v in range(1, n))]
         return Caterpillar(tuple(spine), tuple(leaves))
-    adj = forest.adj
-    deg = list(map(len, adj))
+    (tree,) = forest.trees()
+    order, size = tree.order, tree.size
     branch = "non-leaf vertices do not form a path"
-    x = next(compress(count(), map((1).__lt__, deg)))
-    ways = [w for w in adj[x] if deg[w] > 1]
+    t = 0 if size[1] < n - 1 else 1
+    top, ways = [order[0]] if t else [], []
+    c, end = t + 1, t + size[t]
+    while c < end:
+        if size[c] == 1:
+            top.append(order[c])
+        else:
+            ways.append(c)
+        c += size[c]
     if len(ways) > 2:
         raise NotACaterpillar(branch)
-    ways += [-1, -1]  # -1: no step that way
+    ways += [-1, -1]  # -1: no chain that way
     halves = []
     for nxt in ways[:2]:
-        spine, groups, prev = [], [], x
+        spine, groups = [], []
         while nxt >= 0:
             cur, nxt, group = nxt, -1, []
-            for w in adj[cur]:
-                if deg[w] == 1:
-                    group.append(w)
-                elif w != prev:
-                    if nxt >= 0:
-                        raise NotACaterpillar(branch)
-                    nxt = w
+            c, end = cur + 1, cur + size[cur]
+            while c < end:
+                if size[c] == 1:
+                    group.append(order[c])
+                    c += 1
+                    continue
+                if nxt >= 0:
+                    raise NotACaterpillar(branch)
+                nxt = c
+                c += size[c]
             if len(group) > 1:
                 group.sort()
-            spine.append(cur)
+            spine.append(order[cur])
             groups.append(tuple(group))
-            prev = cur
         halves.append((spine, groups))
     (spine, groups), (back, back_groups) = halves
     spine.reverse()
     groups.reverse()
-    spine.append(x)
-    groups.append(tuple(sorted(w for w in adj[x] if deg[w] == 1)))
+    spine.append(order[t])
+    groups.append(tuple(sorted(top)))
     spine += back
     groups += back_groups
     if spine[-1] < spine[0]:

@@ -28,29 +28,40 @@ segment's index and a roof event its roof's rank in the height order.  One
 C `list.sort` thus puts the events in sweep order, queries at one x in the
 order their segments are listed, and the loop keeps no cursor per x into
 lists sorted by start and by end.  Each listed segment is one segment, with
-its own query and its own pair of roof events, so a segment listed twice
-crosses as two.  Two sweeps share that front end and the witness listing,
-and differ in how they keep the roofs live at x:
-- `_list_sweep`, on the universal host once the edge pass has shown every
-  segment to be a host edge: a sorted list of the live roofs' distinct
-  height keys, with the number of live segments per key.  By E1-E3 every
-  roof live at x is an ancestor of x or a level-neighbour near one, and
-  over all edges of the host at most 5h distinct roofs are live at any x
-  (the tests check every n <= 300, 1023 and 4095, and CI 65535, where the
-  most is 68 of 80).  So an event costs O(log h) comparisons and an O(h)
-  memmove in C, and a query that counts sums at most 5h counts.  The keys
-  must be distinct: a star's segments share one roof, and a list with an
-  entry per live segment would move m**2 / 2 pointers as they leave.
+its own query, so a segment listed twice crosses as two.  The span rule
+gives a segment its pair of roof events iff hi - lo >= 2: one that spans
+no endpoint is live at no query, since it leaves before the queries at its
+right end and enters after those at its left, so the rule needs no table
+of the endpoints, and its roof events, when it spans only vertices that
+are no endpoint, change no count.  Two sweeps share those events and the
+witness listing, and differ in how they keep the roofs live at x:
+- the list sweep (`_list_count`), on the universal host once the edge pass
+  has shown every segment to be a host edge: a sorted list of the live
+  roofs' distinct height keys, with the number of live segments per key.
+  By E1-E3 every roof live at x is an ancestor of x or a level-neighbour
+  near one, and over all edges of the host at most 5h distinct roofs are
+  live at any x (the tests check every n <= 300, 1023 and 4095, and CI
+  65535, where the most is 68 of 80).  So an event costs O(log h)
+  comparisons and an O(h) memmove in C, and a query that counts sums at
+  most 5h counts.  The keys must be distinct: a star's segments share one
+  roof, and a list with an entry per live segment would move m**2 / 2
+  pointers as they leave.
 - `_sweep` wherever no rule bounds the live roofs: `roof_crossings` on any
   segments, and the count on convex hosts after the nesting walk finds a
   crossing, where all n / 2 diameters of the n-gon are live at once.  It
   counts the live roofs in a Fenwick tree with a slot per distinct roof,
   O(log m) per event on every input, and it is the list sweep's oracle.
+  `_events` makes its events in a pass over the segments' two flat lists
+  of ends.
 
-`validate_embedding` reads the mapping once into an image list, checks
+`validate_embedding` reads the mapping once into an image list and checks
 injectivity with a set of the images, a table sized by the input and never
-by the host, and its edge pass hands the sweep two flat lists, the left and
-the right ends of the segments.
+by the host.  On the universal host one pass over the input edges then
+reads each edge's two images and their two height keys once, tests E1-E3
+on the (level, pos) the keys decode to, and makes the segment's events, so
+no edge is read again before the sort.  On convex hosts the edge pass
+tests each edge with the host's `joins` and hands the nesting walk two flat
+lists, the left and the right ends of the segments.
 
 Failures are data, not exceptions; every failure carries a witness.
 """
@@ -62,13 +73,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import nsmallest
 from itertools import accumulate, chain, count, islice
-from operator import ne
 
 from ..convex import convex_edges_cross, nesting_crossing
 from ..errors import DegenerateEdge, IndexOutOfRange, InputError
 from ..geometry import height_ranks, segments_cross
 from ..host import Embedding
-from ..ugraph import adjacent
 
 Segment = tuple[int, int]
 WITNESS_CAP = 20  # most `Crossing` witnesses that one report lists
@@ -129,34 +138,29 @@ def _events(rank, lo, hi):
     enters), then a query's segment or a roof's rank, which a roof event
     needs alone: it counts one segment in or out.  One C `list.sort` thus
     puts the events in sweep order, queries at one x in the order their
-    segments are listed.  A segment that spans no other endpoint, one
-    between two consecutive xs, is never live at a query, so it makes its
-    query event only."""
+    segments are listed.  The span rule: a segment makes roof events iff
+    hi - lo >= 2.  One with hi - lo = 1 spans no vertex, and one that spans
+    no endpoint is live at no query, since it leaves before the queries at
+    its right end and enters after those at its left, so its roof events
+    change no count."""
     m = len(lo)
-    xs = sorted(set(lo).union(hi))
-    after = dict(zip(xs, islice(xs, 1, None)))  # the next endpoint to the right
-    del xs
-    # table lookups in C-level passes first: on large inputs they miss the
-    # cache, and these passes wait on several misses at once
-    far = list(map(ne, map(after.__getitem__, lo), hi))
-    del after
     # the ranks of the left and right ends, made those of the lower end and
-    # the roof in place
+    # the roof in place; table lookups in C-level passes first: on large
+    # inputs they miss the cache, and these passes wait on several misses
     low, roof = list(map(rank.__getitem__, lo)), list(map(rank.__getitem__, hi))
     B = max(m, max(low, default=0), max(roof, default=0)).bit_length()
     S = B + 2
     events: list[int] = []
-    for k, a, b, ra, rb, f in zip(count(), lo, hi, low, roof, far):
+    for k, a, b, ra, rb in zip(count(), lo, hi, low, roof):
         if ra > rb:  # a is the lower end
             events.append(a << S | 2 << B | k)
         else:
             low[k], roof[k] = rb, ra
             events.append(b << S | 1 << B | k)
             rb = ra
-        if f:
+        if b - a > 1:
             events.append(b << S | rb)
             events.append(a << S | 3 << B | rb)
-    del far
     events.sort()
     return low, roof, events, B
 
@@ -219,8 +223,15 @@ def _sweep(keys, lo, hi) -> tuple[int, list[tuple[str, tuple]], int]:
 def _list_sweep(keys, lo, hi) -> tuple[int, list[tuple[str, tuple]], int]:
     """The roof sweep over host edges (lo[k], hi[k]), lo[k] < hi[k], on the
     universal host's height keys `keys`, the live roofs kept as a sorted
-    list of their distinct keys; see `_crossing_rules`."""
-    low, roof, events, B = _events(keys, lo, hi)
+    list of their distinct keys: the events of `_events`, counted by
+    `_list_count`.  `validate_embedding` makes the same events in its edge
+    pass; this is the form the tests hold against `_sweep`."""
+    return _list_count(lo, hi, *_events(keys, lo, hi))
+
+
+def _list_count(lo, hi, low, roof, events, B) -> tuple[int, list[tuple[str, tuple]], int]:
+    """The list sweep's loop over the sorted events of host edges, each
+    roof named by its height key; see the module docstring."""
     mask = (1 << B) - 1
     # the distinct keys of the live roofs, highest first, then a key lower
     # than every roof, so each query makes one bisection when it counts none
@@ -269,17 +280,17 @@ def roof_crossings(h: int | None, segments,
     at once.  The events are ints that sort into sweep order: at each x the
     segments ending at x leave; then each segment t whose lower end is x
     counts the live roofs strictly between x and roof(t), those ending at x
-    first; then the segments starting at x enter.  A segment between two
-    consecutive xs is never live at a query, so it makes its query event
-    only.  Each listed segment is its own, with its own query and roof
-    events.  No pair meets the rule both ways round, so the sum of the
-    queries is the exact number of crossing pairs, a repeated segment
-    counted once per copy.  While fewer than WITNESS_CAP pairs are known, a
+    first; then the segments starting at x enter.  By the span rule a
+    segment makes roof events iff hi - lo >= 2, since one that spans no
+    endpoint is never live at a query.  Each listed segment is its own,
+    with its own query and roof events.  No pair meets the rule both ways
+    round, so the sum of the queries is the exact number of crossing pairs,
+    a repeated segment counted once per copy.  While fewer than WITNESS_CAP pairs are known, a
     query that counts any scans the segments for the live ones it counted.
     The witnesses are listed as by the pairwise scan and cut at WITNESS_CAP,
     so a count up to WITNESS_CAP lists every pair.  This Fenwick sweep also
     counts on convex hosts, and it is the oracle for the universal host's
-    list sweep (see `_crossing_rules`).
+    list sweep (see `_universal`).
 
     `keys` is a table of height keys covering every endpoint, read as
     keys[v]; without it the sweep builds one, from the height h.  On a
@@ -295,38 +306,60 @@ def roof_crossings(h: int | None, segments,
     return _sweep(keys, lo, hi)
 
 
-def _crossing_rules(host, endpoints):
-    """The edge test and the crossing counter for segments on the given host
-    vertices.  The edge test is unchecked: it takes two distinct vertices of
-    the host.  The counter takes the segments' ends as two flat lists, lo[k]
-    < hi[k], one segment per listed edge, and it runs only once the edge
-    test has passed every segment.  On the universal host both read one
-    table of height keys, built here once, and the counter is the list
-    sweep: the segments are host edges, so at most 5h distinct roofs are
-    live at any x, and a sorted list of their keys stays short.  On convex
-    hosts the edge test is the host's own `joins`; the nesting walk looks
-    for a crossing, and only when it finds one does the Fenwick sweep count
-    on the keys -v of the segments' ends, since there every chord can be
-    live at once."""
-    if host.kind == "universal":
-        h, keys = host.h, height_ranks(host.h, endpoints)
+def _universal(h: int, in_edges, image) -> ValidationReport:
+    """The universal host's report on input edges whose images, `image[t]`,
+    are distinct vertices of the host of height h, and none a loop.
 
-        def is_edge(u: int, v: int) -> bool:
-            # `key_location` of both keys, inlined: this runs once per edge
-            ku, kv = keys[u], keys[v]
-            lu, lv = -(-ku >> h), -(-kv >> h)
-            return adjacent(lu, (lu << h) - ku, lv, (lv << h) - kv)
-
-        return is_edge, partial(_list_sweep, keys)
-
-    def crossings(lo, hi):
-        pair, checked = nesting_crossing(zip(lo, hi))
-        if pair is None:
-            return 0, [], checked
-        count, witnesses, queries = _sweep({v: -v for v in chain(lo, hi)}, lo, hi)
-        return count, witnesses, checked + queries
-
-    return host.joins, crossings
+    One pass over the edges reads both images and both height keys once,
+    tests E1-E3 (`ugraph.adjacent`, inlined) on the (level, pos) that the
+    keys decode to (`btree.key_location`, inlined), and makes each
+    segment's events as `_events` makes them: a query at its lower end and,
+    by the span rule, its roof events.  Every key is at most h << h, which
+    bounds the bits B of an event's last field before any key is read.  The
+    list sweep runs once every edge is a host edge: then at most 5h
+    distinct roofs are live at any x, and a sorted list of their keys stays
+    short."""
+    keys = height_ranks(h, image)
+    B = max(len(in_edges), h << h).bit_length()
+    S = B + 2
+    right, left, enter = 1 << B, 2 << B, 3 << B
+    lo: list[int] = []
+    hi: list[int] = []
+    low: list[int] = []
+    roof: list[int] = []
+    events: list[int] = []
+    failures: list[tuple[str, tuple]] = []
+    for k, (u, v) in enumerate(in_edges):
+        a, b = image[u], image[v]
+        ka, kb = keys[a], keys[b]
+        if ka > kb:  # make a the roof and b the lower end
+            a, b, ka, kb = b, a, kb, ka
+        la, lb = -(-ka >> h), -(-kb >> h)  # la <= lb
+        pa, pb = (la << h) - ka, (lb << h) - kb
+        up = pb >> (lb - la)  # b or its ancestor on a's level
+        if not (-2 < up - pa < 2 or up >> 1 == (pa >> 1) - 1
+                or lb - la < 2 and pa >> (la - lb + 1) == (pb >> 1) - 1):
+            failures.append(("MissingEdge", ((u, v), (image[u], image[v]))))
+        if a < b:  # the lower end is the right one
+            lo.append(a)
+            hi.append(b)
+            events.append(b << S | right | k)
+        else:
+            lo.append(b)
+            hi.append(a)
+            events.append(b << S | left | k)
+            a, b = b, a
+        if b - a > 1:
+            events.append(b << S | ka)
+            events.append(a << S | enter | ka)
+        low.append(kb)
+        roof.append(ka)
+    if failures:
+        return ValidationReport("failed", failures)
+    del keys
+    events.sort()
+    count, failures, checked = _list_count(lo, hi, low, roof, events, B)
+    return ValidationReport("failed" if count else "ok", failures, checked, count)
 
 
 def pairwise_crossings(host, segments: list[Segment]) -> tuple[list[tuple[str, tuple]], int]:
@@ -401,12 +434,14 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
 
     # every image is on the host, no two are equal and no edge is a loop, so
     # each pair below is two distinct host vertices: the unchecked rule
-    is_edge, crossings = _crossing_rules(host, image)
+    if host.kind == "universal":
+        return _universal(host.h, in_edges, image)
+    joins = host.joins
     lo: list[int] = []
     hi: list[int] = []
     for u, v in in_edges:
         a, b = image[u], image[v]
-        if not is_edge(a, b):
+        if not joins(a, b):
             failures.append(("MissingEdge", ((u, v), (a, b))))
         if a < b:
             lo.append(a)
@@ -418,5 +453,11 @@ def validate_embedding(host, graph, emb: Embedding) -> ValidationReport:
         return ValidationReport("failed", failures)
     del image  # the sweep's tables take its place
 
-    count, failures, checked = crossings(lo, hi)
-    return ValidationReport("failed" if count else "ok", failures, checked, count)
+    # the nesting walk looks for a crossing, and only when it finds one does
+    # the Fenwick sweep count on the keys -v of the chords' ends, since on a
+    # convex host every chord can be live at once
+    pair, checked = nesting_crossing(zip(lo, hi))
+    if pair is None:
+        return ValidationReport("ok", [], checked)
+    count, failures, queries = _sweep({v: -v for v in chain(lo, hi)}, lo, hi)
+    return ValidationReport("failed" if count else "ok", failures, checked + queries, count)

@@ -16,6 +16,7 @@ import random
 import re
 import time
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
 from itertools import accumulate
@@ -37,7 +38,7 @@ from ugg.convex import (
 )
 from ugg.embedder import Embedding, embed_forest
 from ugg.errors import DegenerateEdge, IndexOutOfRange, InputError
-from ugg.geometry import edges_cross, realize_coordinates, segments_cross_exact
+from ugg.geometry import edges_cross, height_ranks, realize_coordinates, segments_cross_exact
 from ugg.trees import Caterpillar, Forest
 from ugg.ugraph import UniversalGraph
 from ugg.workbench import validate
@@ -393,6 +394,103 @@ def test_list_sweep_equals_fenwick_sweep_on_every_host_edge(monkeypatch):
         assert fenwick[0] == count and len(fenwick[1]) == min(count, cap)
         assert validate._list_sweep(keys, lo, hi) == fenwick
     assert fenwick[1] == pairwise_crossings(host, edges)[0]
+
+
+def sparse_tree_of_host_edges(host, points, rng):
+    """A random spanning forest of the host edges among the given vertices,
+    in random order, on 0..k-1 with `points` as their images: a random
+    tree, if they are joined, mapped injectively into the host with each
+    edge on a host edge."""
+    k = len(points)
+    pairs = [(i, j) for i, j in itertools.combinations(range(k), 2)
+             if host.is_edge(points[i], points[j])]
+    rng.shuffle(pairs)
+    part, edges = list(range(k)), []
+    for i, j in pairs:
+        a, b = i, j
+        while part[a] != a:
+            a = part[a]
+        while part[b] != b:
+            b = part[b]
+        if a != b:
+            part[a] = b
+            edges.append((i, j))
+    return Graph(k, edges)
+
+
+@pytest.mark.parametrize("n, table", [(4095, list), (2**30, dict)])
+def test_one_pass_sweep_on_sparse_images(n, table):
+    """The span rule: a segment gets roof events iff hi - lo >= 2, also when
+    the images are sparse and most segments span host vertices that are no
+    endpoint, some of them none at all.  The report of the universal host's
+    one-pass sweep equals the Fenwick sweep's count, witnesses and queries,
+    and lists the pairwise scan's crossing pairs.  Images below 4k for k
+    vertices keep the key table a list, and images spread over 2**30 make
+    it a dict."""
+    host, rng = UniversalGraph(n), random.Random(n + 1)
+    spans_none = crossed = 0
+    for _ in range(60):
+        k = rng.randrange(2, 65)
+        if table is list:
+            points = rng.sample(range(4 * k), k)
+        else:  # spread over the host, the more often the nearer the root
+            points = list({rng.randrange(n) >> rng.randrange(30) for _ in range(k)})
+            rng.shuffle(points)
+        graph = sparse_tree_of_host_edges(host, points, rng)
+        assert isinstance(height_ranks(host.h, points), table)
+        segments = mapped_segments(graph.edges, points)
+        ends = sorted(points)
+        spans_none += sum(bisect_right(ends, a) == bisect_left(ends, b) for a, b in segments)
+        emb = Embedding(dict(enumerate(points)))
+        report = validate_embedding(host, graph, emb)
+        assert (report.crossings, report.failures, report.checked) == roof_crossings(
+            host.h, segments)
+        with full_listing():
+            assert validate_embedding(host, graph, emb).failures == pairwise_crossings(
+                host, segments)[0]
+        crossed += not report.ok
+    assert spans_none and 0 < crossed < 60, (spans_none, crossed)
+
+
+@pytest.mark.parametrize("n, top", [(15, 15), (63, 63), (40, 4095), (30, 2**30)])
+def test_one_pass_edge_test_is_the_host_rule(n, top):
+    """The edge pass tests E1-E3 inline on decoded keys: with every ordered
+    pair of n input vertices as an edge, mapped injectively at random into
+    the host on `top` vertices, it names as missing exactly the edges whose
+    images `is_edge` refuses, in input order."""
+    host, rng = UniversalGraph(top), random.Random(top)
+    points = rng.sample(range(top), n)
+    edges = list(itertools.permutations(range(n), 2))
+    rng.shuffle(edges)
+    report = validate_embedding(host, Graph(n, edges), Embedding(dict(enumerate(points))))
+    missing = [("MissingEdge", ((u, v), (points[u], points[v]))) for u, v in edges
+               if not host.is_edge(points[u], points[v])]
+    assert missing and report.failures == missing
+
+
+def test_convex_sweep_on_sparse_images():
+    """Random trees mapped injectively at random into the complete host on
+    4096 vertices: the nesting walk finds a crossing and the Fenwick sweep
+    counts the roof sweep's crossings and lists the pairwise scan's pairs,
+    with its queries after the walk's comparisons."""
+    host, rng = build_complete_host(4096), random.Random(4096)
+    crossed = 0
+    for _ in range(60):
+        k = rng.randrange(2, 65)
+        tree = random_tree(k, rng)
+        points = rng.sample(range(host.n), k)
+        segments = mapped_segments(tree.edges, points)
+        emb = Embedding(dict(enumerate(points)))
+        report = validate_embedding(host, tree, emb)
+        count, witnesses, queries = roof_crossings(None, segments, {v: -v for v in points})
+        assert (report.crossings, report.failures) == (count, witnesses)
+        walk = nesting_crossing(segments)[1]
+        assert report.checked == walk + (queries if count else 0)
+        with full_listing():
+            assert validate_embedding(host, tree, emb).failures == pairwise_crossings(
+                host, segments)[0]
+        crossed += not report.ok
+    assert 0 < crossed < 60, crossed
 
 
 def test_star_validation_costs_no_more_than_a_path():

@@ -20,6 +20,7 @@ from ugg.errors import (
     InternalInvariantBroken,
     InvalidS,
     InvalidSize,
+    NotACaterpillar,
     PreconditionViolated,
     SizeMismatch,
 )
@@ -32,7 +33,7 @@ from ugg.convex import (
 )
 from ugg.geometry import edges_cross
 from ugg.host import Embedding, Provenance
-from ugg.trees import Caterpillar, Forest, RootedTree
+from ugg.trees import Caterpillar, Forest, RootedTree, caterpillar_spine
 from ugg.ugraph import UniversalGraph, build_universal
 from ugg.workbench.families import (
     enumerate_forests,
@@ -464,24 +465,29 @@ def shape_forests(n, rng):
 
 @pytest.mark.parametrize("shape", ["random", "star", "path", "components"])
 def test_embed_forest_roots_each_component_once(monkeypatch, shape):
+    """`Forest` roots each component once, at its smallest vertex, in the
+    walk that checks it; `embed_forest` and `caterpillar_spine` read those
+    trees and root nothing."""
     forests = shape_forests(1023, random.Random(1023))
     forests["components"] = Forest(1023, [(i, i + 1) for i in range(1022) if i % 3 != 2])
-    forest = forests[shape]
-    smallest = [comp[0] for comp in forest.components()]
+    edges = forests[shape].edges
     calls = []
     from_adjacency = RootedTree.from_adjacency.__func__
 
-    def counting(cls, adj, root):
+    def counting(cls, adj, root, seen=None):
         calls.append(root)
-        return from_adjacency(cls, adj, root)
-
-    def unused(self):
-        raise AssertionError("embed_forest listed the components")
+        return from_adjacency(cls, adj, root, seen)
 
     monkeypatch.setattr(RootedTree, "from_adjacency", classmethod(counting))
-    monkeypatch.setattr(Forest, "components", unused)
+    forest = Forest(1023, edges)
+    assert calls == [comp[0] for comp in forest.components()]
+    calls.clear()
     embed_forest(build_universal(1023), forest)
-    assert calls == smallest
+    try:
+        caterpillar_spine(forest)
+    except NotACaterpillar:
+        pass
+    assert calls == []
 
 
 # sha256 of embed_forest's mapping and provenance on every forest with n <= 8

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ugg.embedder import embed_forest
 from ugg.errors import DegenerateEdge, IndexOutOfRange, MalformedInput, NotACaterpillar
 from ugg.trees import (
     Caterpillar,
@@ -11,6 +12,7 @@ from ugg.trees import (
     RootedTree,
     caterpillar_spine,
 )
+from ugg.ugraph import build_universal
 from ugg.workbench.families import ordered_level_sequences, random_tree
 
 
@@ -41,6 +43,192 @@ def test_forest_rejects_bad_sizes():
         Forest(0, [])
     with pytest.raises(IndexOutOfRange):
         Forest(2, [(0, 2)])
+
+
+def union_find_forest(n, edges):
+    """The forest checks as one union-find pass in supply order, which
+    raises at the first faulty edge, and each vertex's neighbours in supply
+    order: the oracle for `Forest`'s rooting walk and its fault path."""
+    if n < 1:
+        raise MalformedInput(f"forest needs n >= 1, got {n}")
+    adj = [[] for _ in range(n)]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+        if u == v:
+            raise DegenerateEdge(f"self-loop at {u}")
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            if v in adj[u]:
+                raise MalformedInput(f"duplicate edge {(min(u, v), max(u, v))}")
+            raise MalformedInput(f"edge ({u}, {v}) closes a cycle")
+        parent[ru] = rv
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def walked_rootings(n, edges):
+    """(order, parent, size) of each component, rooted at its smallest
+    vertex in order of that vertex by a walk that skips each vertex's
+    parent: the oracle for the rooting that `Forest` keeps."""
+    adj = union_find_forest(n, edges)
+    seen, out = [False] * n, []
+    for root in range(n):
+        if seen[root]:
+            continue
+        order, parent = [], []
+        todo = [(root, -1)]
+        while todo:
+            v, p = todo.pop()
+            i = len(order)
+            order.append(v)
+            parent.append(p)
+            up = order[p] if p >= 0 else -1
+            for w in reversed(adj[v]):
+                if w != up:
+                    todo.append((w, i))
+        size = [1] * len(order)
+        for i in range(len(order) - 1, 0, -1):
+            size[parent[i]] += size[i]
+        for v in order:
+            seen[v] = True
+        out.append((order, parent, size))
+    return out
+
+
+def rootings(forest):
+    return [(t.order, t.parent, t.size) for t in forest.trees()]
+
+
+def random_forest_edges(n, rng):
+    """A random forest on n vertices: a random tree less a few edges, each
+    edge turned at random, in random order."""
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in random_tree(n, rng).edges
+             if rng.random() < 0.8]
+    rng.shuffle(edges)
+    return edges
+
+
+def plant(edges, n, fault, rng):
+    """The edges with one fault put in at a random place: an edge that
+    closes a cycle, a repeated edge, a self-loop, or an end outside [0, n).
+    A cycle or a repeat goes after the edges it needs."""
+    at = rng.randrange(len(edges) + 1)
+    if fault == "loop":
+        v = rng.randrange(n)
+        return edges[:at] + [(v, v)] + edges[at:]
+    if fault == "range":
+        v = rng.randrange(n)
+        bad = rng.choice([n, n + rng.randrange(9), -1, -rng.randrange(1, 9)])
+        return edges[:at] + [(bad, v) if rng.random() < 0.5 else (v, bad)] + edges[at:]
+    if fault == "repeat":
+        i = rng.randrange(len(edges))
+        at = rng.randrange(i + 1, len(edges) + 1)
+        return edges[:at] + [edges[i][::rng.choice([1, -1])]] + edges[at:]
+    # a cycle: two ends joined by the edges before the new one, not by one
+    for _ in range(100):
+        at = rng.randrange(1, len(edges) + 1)
+        adj = {}
+        for u, v in edges[:at]:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        u = rng.choice(list(adj))
+        reach, todo = {u}, [u]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in reach:
+                    reach.add(w)
+                    todo.append(w)
+        far = [w for w in reach if w != u and w not in adj[u]]
+        if far:
+            return edges[:at] + [(u, rng.choice(far))] + edges[at:]
+    return edges
+
+
+def outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except (IndexOutOfRange, DegenerateEdge, MalformedInput) as e:
+        return type(e), str(e)
+
+
+def test_forest_faults_match_the_union_find_oracle():
+    """A forest's first fault in supply order, raised with the oracle's type
+    and message, from one to three planted faults in any order: an
+    out-of-range end after a cycle and a cycle after one included."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randrange(2, 65)
+        edges = random_forest_edges(n, rng)
+        for fault in rng.sample(["cycle", "repeat", "loop", "range"], rng.randrange(1, 4)):
+            if fault in ("cycle", "repeat") and not edges:
+                continue
+            edges = plant(edges, n, fault, rng)
+        expected = outcome(union_find_forest, n, edges)
+        if isinstance(expected, list):
+            assert rootings(Forest(n, edges)) == walked_rootings(n, edges)
+            continue
+        assert outcome(Forest, n, edges) == expected, (n, edges)
+        seen.update(word for word in ("closes a cycle", "duplicate", "self-loop", "outside")
+                    if word in expected[1])
+    assert seen == {"closes a cycle", "duplicate", "self-loop", "outside"}, seen
+    # the two orders the fault path must tell apart
+    cycle, out = [(0, 1), (1, 2), (2, 0)], [(3, 9)]
+    assert outcome(Forest, 4, cycle + out) == (MalformedInput, "edge (2, 0) closes a cycle")
+    assert outcome(Forest, 4, out + cycle) == (IndexOutOfRange, "edge (3, 9) outside [0, 4)")
+    assert outcome(Forest, 4, [(0, 1), (-1, 2), (1, 0)]) == (
+        IndexOutOfRange, "edge (-1, 2) outside [0, 4)")
+    assert outcome(Forest, 3, [(0, 1), (1, 0), (2, 2)]) == (
+        MalformedInput, "duplicate edge (0, 1)")
+
+
+def test_forest_rootings_match_the_walk_oracle():
+    """Every component's (order, parent, size), rooted once at
+    construction, equals the oracle walk's, on random forests and on the
+    six bench shapes at n = 1023."""
+    from test_embedder import shape_forests
+
+    rng = random.Random(4141)
+    for _ in range(500):
+        n = rng.randrange(1, 65)
+        edges = random_forest_edges(n, rng)
+        assert rootings(Forest(n, edges)) == walked_rootings(n, edges), (n, edges)
+    for shape, forest in shape_forests(1023, random.Random(1023)).items():
+        assert rootings(forest) == walked_rootings(1023, forest.edges), shape
+
+
+def test_embedding_one_forest_twice_gives_equal_output():
+    """The forest hands out the trees it rooted, never copies, and no
+    caller changes them: embedding it twice gives one output, and its
+    rooting and spine stay as they were."""
+    from test_embedder import shape_forests
+
+    forests = shape_forests(255, random.Random(255))
+    forests["components"] = Forest(255, [(i, i + 1) for i in range(254) if i % 5])
+    host = build_universal(255)
+    for shape, forest in forests.items():
+        before = rootings(forest)
+        one, two = embed_forest(host, forest), embed_forest(host, forest)
+        assert one.mapping == two.mapping, shape
+        assert list(one.provenance) == list(two.provenance), shape
+        assert rootings(forest) == before, shape
+    spine = caterpillar_spine(forests["caterpillar"])
+    assert caterpillar_spine(forests["caterpillar"]) == spine
+
+
+def test_forest_adjacency_lists_the_supplied_order():
+    f = Forest(5, [(3, 1), (1, 0), (4, 1)])
+    assert f.adj == [[1], [3, 0, 4], [], [1], [1]]
 
 
 def test_rooted_tree_sizes():
