@@ -4,6 +4,7 @@ Subcommands: build, embed, verify, enumerate, selftest, render.  Exit codes:
 0 success, 1 validation or universality failure, 2 malformed input (an
 `InputError` or an unreadable file), 3 size cap exceeded.  Each command's
 handler imports the modules it runs, so a process compiles only those.
+The host kinds `build` makes and `embed` embeds into are `fileio.KINDS`.
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ EXIT_FAILURE = 1
 EXIT_MALFORMED = 2
 EXIT_TOO_LARGE = 3
 
-# the host kinds `build` makes, each with an embedder in `_embed`
-KINDS = ("universal", "caterpillar", "twochord")
-
 
 def _build(args) -> int:
     from .workbench import fileio
 
-    host = fileio.HOST_BUILDERS[args.kind](args.n)
+    host = fileio.KINDS[args.kind].build(args.n)
     count = fileio.save_host(host, args.out, explicit=args.explicit)
     edges = "" if count is None else f", {count} edges"
     print(f"wrote {args.kind} host, n={args.n}{edges}, to {args.out}")
@@ -34,27 +32,17 @@ def _build(args) -> int:
 
 
 def _embed(args) -> int:
-    from .convex import ChordedCycle, embed_caterpillar, embed_twochord
-    from .embedder import embed_forest
-    from .trees import Forest, caterpillar_spine
     from .workbench import fileio
     from .workbench.validate import validate_embedding
 
-    # host kind -> (input type, what the host embeds, embedder)
-    embedders = {
-        "universal": (Forest, "forests", embed_forest),
-        "caterpillar": (Forest, "caterpillar trees",
-                        lambda host, forest: embed_caterpillar(host, caterpillar_spine(forest))),
-        "twochord": (ChordedCycle, "cycles with two chords", embed_twochord),
-    }
     host = fileio.load_host(args.host)
     graph = fileio.load_input(args.input)
-    if host.kind not in embedders:
+    kind = fileio.KINDS.get(host.kind)
+    if kind is None:
         raise MalformedInput(f"no embedder for host kind {host.kind!r}")
-    wanted, what, embed = embedders[host.kind]
-    if not isinstance(graph, wanted):
-        raise MalformedInput(f"a {host.kind} host embeds {what}")
-    emb = embed(host, graph)
+    if not isinstance(graph, kind.embeds):
+        raise MalformedInput(f"a {host.kind} host embeds {kind.what}")
+    emb = kind.embed(host, graph)
     report = validate_embedding(host, graph, emb)
     if not report.ok:
         print("embedding failed validation:")
@@ -95,7 +83,6 @@ def _enumerate(args) -> int:
         enumerate_forests,
     )
 
-    blocks: list[list[str]] = []
     if args.what == "forests":
         blocks = [fileio.forest_lines(f) for f in enumerate_forests(args.n)]
     elif args.what == "caterpillars":
@@ -128,9 +115,7 @@ def _render(args) -> int:
     from .workbench.render import render_svg
 
     host = fileio.load_host(args.host)
-    emb = None
-    if args.embedding is not None:
-        emb = Embedding(fileio.load_embedding(args.embedding))
+    emb = None if args.embedding is None else Embedding(fileio.load_embedding(args.embedding))
     svg = render_svg(host, emb, args.layout)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
@@ -141,6 +126,8 @@ def _render(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later `main` call in the process."""
+    from .workbench import fileio
+
     p = argparse.ArgumentParser(
         prog="ugg",
         description="Build sparse universal host graphs, embed forests, "
@@ -149,7 +136,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a host graph and save it")
-    b.add_argument("--kind", required=True, choices=KINDS)
+    b.add_argument("--kind", required=True, choices=fileio.KINDS)
     b.add_argument("--n", type=int, required=True, help="number of vertices")
     b.add_argument("--explicit", action="store_true",
                    help="serialize the full edge list")

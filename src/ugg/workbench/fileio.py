@@ -1,7 +1,8 @@
 """Line-oriented file formats.
 
 Host:       `ugg-graph v1` / `kind <kind>` / `n <int>` / optional `edges <count>`
-            followed by `e <u> <v>` lines (written with --explicit).
+            followed by `e <u> <v>` lines (written with --explicit).  A kind
+            in KINDS is built from the header; `custom` lists its edges.
 Forest:     `n <int>` then zero or more `e <u> <v>` lines.
 Chorded:    `n <int>` / `h <int>` / h lines `c <u> <v>` (cycle edges implicit).
 Embedding:  `m <t> <g>` lines sorted by t.
@@ -43,6 +44,7 @@ import heapq
 import os
 import re
 from array import array
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from operator import eq, ne
@@ -55,9 +57,11 @@ from ..convex import (
     build_complete_host,
     build_custom_host,
     build_twochord_host,
+    embed_caterpillar,
+    embed_twochord,
 )
 from ..errors import MalformedInput, SizeTooLarge
-from ..trees import Caterpillar, Forest
+from ..trees import Caterpillar, Forest, caterpillar_spine
 from ..ugraph import build_universal
 
 MAGIC = "ugg-graph v1"
@@ -68,12 +72,23 @@ INPUT_CAP = 1 << 20
 # one holds every edge line in memory, so a larger host is refused before
 # the file is touched.
 EXPLICIT_CAP = 1 << 20
-# Every host kind but `custom`, which a file defines by its edge list.
-HOST_BUILDERS = {
-    "universal": build_universal,
-    "caterpillar": build_caterpillar_host,
-    "twochord": build_twochord_host,
-    "complete": build_complete_host,
+
+
+def _embed_forest(host, forest):
+    from ..embedder import embed_forest  # compiled only when a forest is embedded
+    return embed_forest(host, forest)
+
+
+# Every host kind but `custom`, which a file defines by its edge list: its
+# builder, the input type it embeds, that input's name and its embedder.  A
+# kind is added here alone; `ugg build`, `load_host` and `ugg embed` read it.
+Kind = namedtuple("Kind", "build embeds what embed")
+KINDS = {
+    "universal": Kind(build_universal, Forest, "forests", _embed_forest),
+    "caterpillar": Kind(build_caterpillar_host, Forest, "caterpillar trees",
+                        lambda host, forest: embed_caterpillar(host, caterpillar_spine(forest))),
+    "twochord": Kind(build_twochord_host, ChordedCycle, "cycles with two chords", embed_twochord),
+    "complete": Kind(build_complete_host, ChordedCycle, "cycles with two chords", embed_twochord),
 }
 # Bytes of a file parsed at a time.  Raw bytes and packed ints cost a
 # fraction of a parsed block's tokens: the host check reads 16 blocks at a
@@ -289,7 +304,7 @@ def save_host(host, path, explicit: bool = False) -> int | None:
     An edge list past EXPLICIT_CAP raises SizeTooLarge before the file is
     touched.  The blocks are written as they are, never joined into one
     text."""
-    if not (explicit or host.kind == "custom"):
+    if not explicit and host.kind in KINDS:
         Path(path).write_bytes(_header(host))
         return None
     blocks: list[bytes] = []
@@ -333,7 +348,7 @@ def _host_head(items: Iterator[_Piece], path):
         raise MalformedInput(f"missing `{MAGIC}` header in {path}")
     row, items = _row(items)
     kind = row and _value(row, "kind")
-    if kind and kind not in HOST_BUILDERS and kind != "custom":
+    if kind and kind not in KINDS and kind != "custom":
         raise MalformedInput(f"unknown host kind {kind!r}")
     row, items = _row(items)
     if not row:  # the file ends before its `kind` or its `n` row
@@ -350,7 +365,7 @@ def _listed(f, path):
     explicit edge list must be exactly the host's edges: each in range,
     listed once, and, sorted, equal to the host's own `edges()` stream."""
     kind, n, declared, items = _host_head(_items(f, path), path)
-    host = None if kind == "custom" else HOST_BUILDERS[kind](n)
+    host = KINDS[kind].build(n) if kind in KINDS else None
     # the most edge rows the header allows: its count, or with none the
     # writer's cap; one row past it is read, and nothing after that
     limit = EXPLICIT_CAP if declared is None else max(0, min(declared, EXPLICIT_CAP))
@@ -406,9 +421,9 @@ def load_host(path):
         # for n >= 3; a smaller n takes the general path, which reports a
         # builder's error.
         head = _HOST_HEAD.match(f.read(_HOST_HEAD_BYTES))
-        build = head and HOST_BUILDERS.get(head[1].decode())
-        if build and 3 <= int(head[2]) <= os.fstat(f.fileno()).st_size:
-            host = build(int(head[2]))
+        kind = head and KINDS.get(head[1].decode())
+        if kind and 3 <= int(head[2]) <= os.fstat(f.fileno()).st_size:
+            host = kind.build(int(head[2]))
             f.seek(head.end())
             if _is_rendering(host, f, int(head[3])):
                 return host
@@ -417,15 +432,11 @@ def load_host(path):
 
 
 def forest_lines(forest: Forest | Caterpillar) -> list[str]:
-    lines = [f"n {forest.n}"]
-    lines.extend(f"e {u} {v}" for u, v in forest.edges)
-    return lines
+    return [f"n {forest.n}", *(f"e {u} {v}" for u, v in forest.edges)]
 
 
 def chorded_lines(cc: ChordedCycle) -> list[str]:
-    lines = [f"n {cc.n}", f"h {cc.h}"]
-    lines.extend(f"c {u} {v}" for u, v in cc.chords)
-    return lines
+    return [f"n {cc.n}", f"h {cc.h}", *(f"c {u} {v}" for u, v in cc.chords)]
 
 
 def _chorded(n: int, h: int, items: Iterator[_Piece]) -> ChordedCycle:

@@ -74,7 +74,7 @@ def input_lines(generator: str, n: int, seed: int) -> list[str]:
 @dataclass(frozen=True)
 class Row:
     name: str
-    kind: str  # a kind `ugg build` makes, or "complete", a header-only host file
+    kind: str  # a kind `ugg build` makes, one of `fileio.KINDS`
     n: int
     generator: str
     seed: int = 0
@@ -97,6 +97,7 @@ ROWS = [
     Row("spider", "universal", BIG, "spider"),
     Row("caterpillar-host", "caterpillar", BIG, "shuffled caterpillar", seed=1),
     Row("twochord-host", "twochord", BIG, "two chords", seed=1),
+    Row("twochord-on-complete", "complete", BIG, "two chords", seed=1),
     # one crossing each, listed where a scan of the star's pairs takes hours
     Row("crossed-star", "universal", BIG, "crossed star", identity=True, expect=CROSSING),
     Row("crossed-star-2chord", "twochord", BIG, "crossed star", identity=True, expect=CROSSING),
@@ -183,12 +184,9 @@ def run(row: Row, peaks: list[tuple[str, float]]) -> None:
     limit = 150 if row.n == BIG else 60
     src, host, emb = (f"{row.name}-{part}.txt" for part in ("input", "host", "emb"))
     write(src, input_lines(row.generator, row.n, row.seed))
-    if row.kind == "complete":
-        write(host, ["ugg-graph v1", "kind complete", f"n {row.n}"])
-    else:
-        explicit = ["--explicit"] if row.explicit is not None else []
-        ugg(limit, 0, peaks, "build", "--kind", row.kind, "--n", str(row.n), *explicit,
-            "--out", host)
+    explicit = ["--explicit"] if row.explicit is not None else []
+    ugg(limit, 0, peaks, "build", "--kind", row.kind, "--n", str(row.n), *explicit,
+        "--out", host)
     if row.explicit is not None:
         count = sum(line.startswith("e ") for line in Path(host).read_text().splitlines())
         if count != row.explicit:

@@ -105,6 +105,23 @@ def test_twochord_build_embed_verify(tmp_path):
     assert mapping[9] == 0 and mapping[0] == 1
 
 
+def test_every_two_chord_class_embeds_into_an_explicit_complete_host(tmp_path, capsys):
+    host = str(tmp_path / "host.txt")
+    emb = str(tmp_path / "emb.txt")
+    cc = tmp_path / "cc.txt"
+    assert cli.main(["build", "--kind", "complete", "--n", "8", "--explicit",
+                     "--out", host]) == 0
+    assert "wrote complete host, n=8, 28 edges" in capsys.readouterr().out
+    classes = enumerate_chorded_cycles(8, 2)
+    assert classes
+    for chorded in classes:
+        cc.write_text("\n".join(fileio.chorded_lines(chorded)) + "\n", encoding="utf-8")
+        assert cli.main(["embed", "--host", host, "--input", str(cc), "--out", emb]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--host", host, "--input", str(cc), "--embedding", emb]) == 0
+        assert capsys.readouterr().out == "ok\n", chorded.chords
+
+
 def test_verify_rejects_tampered_embedding(tmp_path, capsys):
     host = str(tmp_path / "host.txt")
     emb = str(tmp_path / "emb.txt")
@@ -296,7 +313,7 @@ def test_explicit_build_past_the_cap_exits_3_quickly(tmp_path, capsys, kind, n):
     assert "explicit host file" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind", cli.KINDS)
+@pytest.mark.parametrize("kind", fileio.KINDS)
 @pytest.mark.parametrize("n", [0, -1])
 def test_build_of_a_nonpositive_size_exits_2(tmp_path, capsys, kind, n):
     out = tmp_path / "host.txt"
@@ -394,6 +411,7 @@ def test_repeated_main_calls_behave_as_fresh_calls(tmp_path, monkeypatch, capsys
         "caterpillar": write_forest(tmp_path, "cat.txt", n, [(0, 1), (1, 2), (2, 3), (0, 4),
                                                              (1, 5), (1, 6), (3, 7), (3, 8)]),
         "twochord": str(chorded),
+        "complete": str(chorded),
     }
 
     def call(argv):
@@ -411,7 +429,7 @@ def test_repeated_main_calls_behave_as_fresh_calls(tmp_path, monkeypatch, capsys
             build = ["build", "--kind", kind, "--n", str(n), "--out", str(host)]
             seen.append(call(build + ["--explicit"]))
             direct = tmp_path / f"{kind}-direct.txt"
-            fileio.save_host(fileio.HOST_BUILDERS[kind](n), direct, explicit=True)
+            fileio.save_host(fileio.KINDS[kind].build(n), direct, explicit=True)
             assert host.read_bytes() == direct.read_bytes()
             seen.append(host.read_bytes())
             seen.append(call(["embed", "--host", str(host), "--input", graph, "--out", str(emb)]))
@@ -474,7 +492,9 @@ def test_enumerate_caterpillars_builds_no_forest(tmp_path, monkeypatch):
     ("ugg-graph v1\nkind twochord\nn 63\n", "n 6\nh 1\nc 0 9\n",
      "chord endpoint outside [0, 6)"),
     ("ugg-graph v1\nkind complete\nn 6\n", "n 2\ne 0 1\n",
-     "no embedder for host kind 'complete'"),
+     "a complete host embeds cycles with two chords"),
+    ("ugg-graph v1\nkind custom\nn 3\nedges 1\ne 0 1\n", "n 2\ne 0 1\n",
+     "no embedder for host kind 'custom'"),
 ])
 def test_embed_names_what_is_wrong(tmp_path, capsys, host, graph, message):
     (tmp_path / "host.txt").write_text(host, encoding="utf-8")

@@ -170,8 +170,8 @@ def test_host_file_builds_its_host_once(tmp_path, monkeypatch, explicit):
     p = tmp_path / "host.txt"
     fileio.save_host(build_twochord_host(10), p, explicit=explicit)
     calls = []
-    monkeypatch.setitem(fileio.HOST_BUILDERS, "twochord",
-                        lambda n: calls.append(n) or build_twochord_host(n))
+    monkeypatch.setitem(fileio.KINDS, "twochord", fileio.KINDS["twochord"]._replace(
+        build=lambda n: calls.append(n) or build_twochord_host(n)))
     host = fileio.load_host(p)
     assert (host.kind, host.n) == ("twochord", 10) and calls == [10]
 

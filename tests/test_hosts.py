@@ -19,13 +19,16 @@ from ugg.errors import EqualIndices, IndexOutOfRange
 from ugg.ugraph import build_universal
 from ugg.workbench import fileio
 
-KINDS = {
-    "universal": (build_universal, [1, 2, 3, 6, 7, 12, 31, 63, 64, 100, 127]),
-    "caterpillar": (build_caterpillar_host, [1, 2, 3, 4, 5, 9, 16, 31, 64, 100, 129]),
-    "twochord": (build_twochord_host, [3, 4, 5, 9, 10, 16, 17, 50, 101]),
-    "complete": (build_complete_host, [1, 2, 3, 6, 40]),
-    "custom": (build_cycle_host, [3, 4, 17]),
+SIZES = {
+    "universal": [1, 2, 3, 6, 7, 12, 31, 63, 64, 100, 127],
+    "caterpillar": [1, 2, 3, 4, 5, 9, 16, 31, 64, 100, 129],
+    "twochord": [3, 4, 5, 9, 10, 16, 17, 50, 101],
+    "complete": [1, 2, 3, 6, 40],
 }
+# every kind in the one table at its sizes above (a kind with none fails
+# here), and a custom host: a cycle
+KINDS = {kind: (entry.build, SIZES[kind]) for kind, entry in fileio.KINDS.items()}
+KINDS["custom"] = (build_cycle_host, [3, 4, 17])
 CASES = [(kind, n) for kind, (_, sizes) in KINDS.items() for n in sizes]
 
 

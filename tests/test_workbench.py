@@ -643,18 +643,18 @@ def edge_by_edge(host):
     return "\n".join(head + edges) + "\n"
 
 
-@pytest.mark.parametrize("kind", sorted(fileio.HOST_BUILDERS))
+@pytest.mark.parametrize("kind", sorted(fileio.KINDS))
 def test_render_equals_the_edge_by_edge_writer(tmp_path, kind):
     # every n up to 130: the two-chord host's runs of one center, the
     # caterpillar's far points of one vertex and the ranges that end at n - 1
     p = tmp_path / "host.txt"
     for n in range(3 if kind == "twochord" else 1, 131):
-        host = fileio.HOST_BUILDERS[kind](n)
+        host = fileio.KINDS[kind].build(n)
         fileio.save_host(host, p, explicit=True)
         assert p.read_bytes() == edge_by_edge(host).encode(), (kind, n)
 
 
-@pytest.mark.parametrize("kind", sorted(fileio.HOST_BUILDERS))
+@pytest.mark.parametrize("kind", sorted(fileio.KINDS))
 def test_explicit_host_files_load_the_same_by_either_path(tmp_path, monkeypatch, kind):
     # The written file is the host's rendering and loads without the
     # row-by-row parse; every other layout of the same edges loads through
@@ -672,7 +672,7 @@ def test_explicit_host_files_load_the_same_by_either_path(tmp_path, monkeypatch,
         return host.kind, host.n, bool(lines_read)
 
     for n in range(3 if kind == "twochord" else 1, 65):
-        host = fileio.HOST_BUILDERS[kind](n)
+        host = fileio.KINDS[kind].build(n)
         fileio.save_host(host, p, explicit=True)
         written = p.read_text(encoding="utf-8")
         assert p.read_bytes() == edge_by_edge(host).encode()
@@ -711,7 +711,7 @@ def test_damaged_host_files_are_read_row_by_row(tmp_path, monkeypatch, kind):
     rows = fileio._lines
     monkeypatch.setattr(fileio, "_lines", lambda text: lines_read.append(text) or rows(text))
     n = 1023
-    host = fileio.HOST_BUILDERS[kind](n)
+    host = fileio.KINDS[kind].build(n)
     p = tmp_path / "host.txt"
     fileio.save_host(host, p, explicit=True)
     written = p.read_text(encoding="utf-8")
